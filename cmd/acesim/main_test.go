@@ -54,6 +54,34 @@ func TestSmallRunReport(t *testing.T) {
 	}
 }
 
+// TestReportGoldens pins the single-app report byte for byte: timing,
+// protocol and paging counters, the interconnect and per-processor
+// breakdowns and the reference-trace summary.
+func TestReportGoldens(t *testing.T) {
+	base := []string{"-app", "fft", "-size", "16", "-nproc", "3", "-perproc", "-trace"}
+	for _, c := range []struct {
+		golden string
+		extra  []string
+	}{
+		{"fft_perproc_trace.golden", nil},
+		{"fft_perproc_trace_4socket.golden", []string{"-topology", "4socket"}},
+		{"fft_perproc_trace_unixmaster.golden", []string{"-unixmaster", "-replication=false"}},
+	} {
+		var out, errb strings.Builder
+		args := append(append([]string{}, base...), c.extra...)
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit code = %d, want 0; stderr: %s", args, code, errb.String())
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("%v diverged from %s.\ngot:\n%s\nwant:\n%s", args, c.golden, out.String(), want)
+		}
+	}
+}
+
 func TestCaseInsensitiveAppNames(t *testing.T) {
 	// -app names resolve case-insensitively both with and without -size.
 	var out, errb strings.Builder

@@ -52,6 +52,36 @@ func TestTable3GoldenACE(t *testing.T) {
 	}
 }
 
+// TestRegistryGoldens pins every registered experiment's rendered output
+// at the small sizes on three processors, so a refactor of the harness or
+// of the layers below it is proven against stored bytes rather than
+// against itself. A newly registered experiment fails here until its
+// golden is recorded:
+//
+//	go test ./internal/harness -run TestRegistryGoldens -update
+func TestRegistryGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole registry")
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			e, _ := Lookup(name)
+			res, err := e.Run(Options{Small: true, NProc: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Render()
+			path := "testdata/" + name + "_small_p3.golden"
+			if _, err := os.Stat(path); err != nil && !*update {
+				t.Fatalf("experiment %q has no golden %s; record one with -update", name, path)
+			}
+			if want := readGolden(t, name+"_small_p3.golden", got); got != want {
+				t.Errorf("%s diverged from its golden.\ngot:\n%s\nwant:\n%s", name, got, want)
+			}
+		})
+	}
+}
+
 // TestFigure1Golden pins the default machine's rendered architecture text.
 func TestFigure1Golden(t *testing.T) {
 	got, err := Figure1(Options{})
