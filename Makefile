@@ -1,9 +1,10 @@
 # Build, verify and benchmark the numasim reproduction.
 #
-#   make check    - build everything, vet, lint (numalint), run the
-#                   full test suite under the race detector (the parallel
-#                   harness runs many simulations concurrently; -race
-#                   guards it), then the audit and pressure drills
+#   make check    - build everything (the nested bench module too), vet,
+#                   lint (numalint), run the full test suite under the
+#                   race detector (the parallel harness runs many
+#                   simulations concurrently; -race guards it), then the
+#                   audit and pressure drills
 #   make audit    - run the protocol-fuzz suite with full online
 #                   auditing (every protocol action re-validates the
 #                   directory invariants; violations die with forensics)
@@ -62,11 +63,15 @@ BENCHDIFF_TOL ?= 0.20
 
 check: build vet lint test audit pressure topo tournament avail
 
+# bench/ is its own module, so the root ./... patterns do not reach it;
+# build and vet it explicitly, since it imports the harness.
 build:
 	$(GO) build ./...
+	cd bench && $(GO) build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # numalint builds the analyzer binary and prints its absolute path, so it
 # composes with go vet: go vet -vettool=$$(make -s numalint) ./...

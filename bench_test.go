@@ -167,9 +167,7 @@ func BenchmarkAblateAffinity(b *testing.B) {
 // BenchmarkLocalAccess measures the simulator's cost for the common case:
 // a load that hits a local replica through the software TLB.
 func BenchmarkLocalAccess(b *testing.B) {
-	cfg := numasim.DefaultConfig()
-	cfg.NProc = 1
-	sys := numasim.NewSystem(cfg, numasim.AllLocalPolicy(), numasim.Affinity)
+	sys := newSystem(b, 1, numasim.AllLocalPolicy())
 	va := sys.Runtime.Alloc("data", 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -228,9 +226,7 @@ func BenchmarkTable3Parallel(b *testing.B) {
 // BenchmarkPageMigration measures a full ownership transfer: write fault,
 // sync, flush, copy.
 func BenchmarkPageMigration(b *testing.B) {
-	cfg := numasim.DefaultConfig()
-	cfg.NProc = 2
-	sys := numasim.NewSystem(cfg, numasim.NeverPinPolicy(), numasim.Affinity)
+	sys := newSystem(b, 2, numasim.NeverPinPolicy())
 	va := sys.Runtime.Alloc("pingpong", 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -250,9 +246,7 @@ func BenchmarkPageMigration(b *testing.B) {
 // space), then one load refaults it through the kernel, the NUMA
 // manager's placement decision and the pmap enter path.
 func BenchmarkFaultPath(b *testing.B) {
-	cfg := numasim.DefaultConfig()
-	cfg.NProc = 1
-	sys := numasim.NewSystem(cfg, numasim.AllLocalPolicy(), numasim.Affinity)
+	sys := newSystem(b, 1, numasim.AllLocalPolicy())
 	va := sys.Runtime.Alloc("fault", 4096)
 	b.ReportAllocs()
 	b.ResetTimer()

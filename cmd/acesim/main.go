@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	acesim -app IMatMult [-policy threshold] [-threshold 4] [-nproc 7]
+//	acesim -app IMatMult [-policy threshold] [-nproc 7]
 //	       [-topology ace|4socket|mesh8]
 //	       [-workers N] [-sched affinity] [-trace] [-traceout FILE]
 //	       [-trace-out FILE] [-unixmaster] [-pagesize N] [-size N]
@@ -20,170 +20,95 @@
 // simulations run concurrently (bounded by -parallel; results are
 // identical at every setting) and the reports print in the order given.
 //
-// -traceout saves the per-page reference trace in the binary format
-// traceview analyzes; -trace-out saves the structured event trace as
-// Chrome trace-event JSON, loadable at ui.perfetto.dev (one track per
-// processor, async tracks for page lifetimes). Both require a single -app.
+// The two trace flags write two different formats. -traceout saves the
+// per-page reference trace in the binary format traceview analyzes;
+// -trace-out saves the structured event trace as Chrome trace-event
+// JSON, loadable at ui.perfetto.dev (one track per processor, async
+// tracks for page lifetimes). Both require a single -app.
 //
 // -exp NAME runs a harness-registry experiment instead of a single app
-// (the same registry the tables command prints from; -exp list names
-// them). The pressure sweep takes -frames for its local-frame budgets,
-// and the -chaos-seed/-chaos-fail/-chaos-delay flags enable seeded fault
-// injection.
+// (the same registry, flags and output the tables command uses; -exp
+// list names them). The pressure sweep takes -frames for its local-frame
+// budgets, and the -chaos-seed/-chaos-fail/-chaos-delay flags enable
+// seeded fault injection.
 //
 // Policies are registry specs of the form "name:key=val,..." (see
 // policy.Usage): threshold (default), allglobal, alllocal, neverpin,
 // pragma, reconsider, freezedefrost, decaythreshold, bandit, classifier,
-// coplace. Parameters ride on the spec ("threshold:limit=2"); the old
-// spelling of passing a bare name plus -threshold still works but is
-// deprecated in favour of the spec syntax. Apps: ParMult, Gfetch,
-// IMatMult, Primes1, Primes2, Primes2-untuned, Primes3, FFT, PlyTrace,
-// plus the Phased and Zipf policy probes.
+// coplace. Parameters ride on the spec ("threshold:limit=2"). Apps:
+// ParMult, Gfetch, IMatMult, Primes1, Primes2, Primes2-untuned, Primes3,
+// FFT, PlyTrace, plus the Phased and Zipf policy probes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"strings"
-	"time"
 
 	"numasim/internal/ace"
-	"numasim/internal/chaos"
-	"numasim/internal/cthreads"
 	"numasim/internal/harness"
 	"numasim/internal/metrics"
-	"numasim/internal/policy"
-	"numasim/internal/profiling"
 	"numasim/internal/sched"
-	"numasim/internal/sim"
 	"numasim/internal/simtrace"
-	"numasim/internal/topology"
 	"numasim/internal/trace"
-	"numasim/internal/vm"
-	"numasim/internal/workloads"
 )
 
-// runOpts carries the per-run configuration shared by every -app entry.
-type runOpts struct {
-	polName     string
-	threshold   int
-	topology    string
-	nproc       int
-	workers     int
+// report holds acesim's own report flags, shared by every -app entry.
+type report struct {
 	mode        sched.Mode
 	doTrace     bool
 	traceOut    string
 	chromeOut   string
 	unixMaster  bool
 	pageSize    int
-	size        int
 	perProc     bool
 	replication bool
-	audit       int
-	stallLimit  int
-	forensics   bool
-	chaos       chaos.Config
 }
 
-// runOne simulates one application and returns its rendered report.
-// observe is the supervisor's machine hook (never nil; a no-op without
-// supervision).
-func runOne(app string, o runOpts, observe func(*ace.Machine)) (string, error) {
-	var w workloads.Workload
-	var err error
-	if o.size > 0 {
-		w, err = workloads.NewSized(app, o.size)
-	} else {
-		w, err = workloads.ByName(app)
-	}
-	if err != nil {
-		return "", err
-	}
-	pol, err := policy.ByName(o.polName, o.threshold)
-	if err != nil {
-		return "", err
-	}
-
-	cfg := ace.DefaultConfig()
-	cfg.NProc = o.nproc
-	cfg.PageSize = o.pageSize
-	cfg.Topology = o.topology
-	machine, err := ace.NewMachine(cfg)
-	if err != nil {
-		return "", err
-	}
-	if o.stallLimit != 0 {
-		machine.Engine().StallLimit = o.stallLimit
-	}
-	kernel := vm.NewKernel(machine, pol)
-	kernel.UnixMaster = o.unixMaster
-	if !o.replication {
-		kernel.NUMA().SetReplication(false)
-	}
-	var collector *trace.Collector
-	if o.doTrace || o.traceOut != "" {
-		collector = trace.New(machine.PageShift(), true)
-		kernel.RefTrace = collector.Hook()
-	}
-	var events *simtrace.ListSink
-	var sink simtrace.Sink
-	if o.chromeOut != "" {
-		events = &simtrace.ListSink{}
-		sink = events
-	}
-	// Forensics and auditing share a ring of recent events; the Chrome
-	// export keeps receiving everything through a tee.
-	var ring *simtrace.RingSink
-	if o.forensics || o.audit > 0 {
-		ring = simtrace.NewRingSink(256)
-		if sink != nil {
-			sink = simtrace.Tee(sink, ring)
-		} else {
-			sink = ring
+// runOne simulates one application through the harness's run path and
+// returns its rendered report.
+func runOne(app string, opts harness.Options, r report) (string, error) {
+	var (
+		machine   *ace.Machine
+		collector *trace.Collector
+		events    *simtrace.ListSink
+	)
+	res, err := opts.RunApp(app, func(s *metrics.RunSpec) {
+		s.Config.PageSize = r.pageSize
+		s.Sched = r.mode
+		s.UnixMast = r.unixMaster
+		s.NoReplication = !r.replication
+		if r.doTrace || r.traceOut != "" {
+			collector = trace.New(uint(bits.Len(uint(r.pageSize-1))), true)
+			s.RefTrace = collector.Hook()
 		}
-	}
-	if sink != nil {
-		machine.AttachSink(sink)
-	}
-	if o.chaos.Enabled() {
-		kernel.NUMA().SetChaos(chaos.New(o.chaos))
-	}
-	if o.audit > 0 || ring != nil {
-		kernel.NUMA().EnableAudit(o.audit, ring)
-	}
-	observe(machine)
-	rt := cthreads.New(kernel, o.mode)
-	if o.chaos.HealthEnabled() {
-		if err := metrics.StartHealthDriver(machine, kernel.NUMA(), rt.Scheduler(), o.chaos); err != nil {
-			return "", err
+		if r.chromeOut != "" {
+			events = &simtrace.ListSink{}
+			s.TraceSink = events
 		}
-	}
-
-	if err := w.Run(rt, o.workers); err != nil {
-		if o.forensics {
-			re := &metrics.RunError{
-				Workload: w.Name(), Policy: pol.Name(), Err: err,
-				Dump: machine.Engine().DumpState().Render(),
+		observe := s.OnMachine
+		s.OnMachine = func(m *ace.Machine) {
+			if observe != nil {
+				observe(m)
 			}
-			if ring != nil {
-				re.Events = ring.Events()
-			}
-			return "", re
+			machine = m
 		}
+	})
+	if err != nil {
 		return "", err
 	}
 
 	var b strings.Builder
 	eng := machine.Engine()
-	fmt.Fprintf(&b, "%s on %d CPUs under %s (%s scheduler)\n", w.Name(), o.nproc, pol.Name(), o.mode)
+	fmt.Fprintf(&b, "%s on %d CPUs under %s (%s scheduler)\n", res.Workload, res.NProc, res.Policy, r.mode)
 	fmt.Fprintf(&b, "  user time:   %v\n", eng.TotalUserTime())
 	fmt.Fprintf(&b, "  system time: %v\n", eng.TotalSysTime())
-	refs := machine.TotalRefs()
-	fmt.Fprintf(&b, "  references:  %d (%.1f%% local)\n", refs.Total(), 100*refs.LocalFraction())
-	fmt.Fprintf(&b, "  faults:      %d\n", machine.TotalFaults())
-	ns := kernel.NUMA().Stats()
+	fmt.Fprintf(&b, "  references:  %d (%.1f%% local)\n", res.Refs.Total(), 100*res.Refs.LocalFraction())
+	fmt.Fprintf(&b, "  faults:      %d\n", res.Faults)
+	ns := res.NUMA
 	fmt.Fprintf(&b, "  protocol:    %d copies, %d syncs, %d flushes, %d moves, %d pins\n",
 		ns.Copies, ns.Syncs, ns.Flushes, ns.Moves, ns.Pins)
 	var aliasDrops uint64
@@ -191,60 +116,59 @@ func runOne(app string, o runOpts, observe func(*ace.Machine)) (string, error) {
 		aliasDrops += machine.MMU(i).Stats().AliasDrops
 	}
 	fmt.Fprintf(&b, "  mmu:         %d alias drops (Rosetta one-VA-per-frame rule)\n", aliasDrops)
-	vs := kernel.Stats()
+	vs := res.VM
 	fmt.Fprintf(&b, "  paging:      %d zero-fills, %d pageouts, %d pageins, %d COW copies\n",
 		vs.ZeroFillFaults, vs.Pageouts, vs.Pageins, vs.COWCopies)
-	if ls := machine.Topo().LinkStats(); ls != nil {
+	if res.Links != nil {
 		fmt.Fprintf(&b, "  interconnect (%s):\n", machine.Spec().Name())
-		for _, l := range ls {
+		for _, l := range res.Links {
 			fmt.Fprintf(&b, "    %-8s %8d xfers %12d bytes  busy %v  queued %v\n",
 				l.Name, l.Xfers, l.Bytes, l.Service, l.Waited)
 		}
 	}
-	if o.perProc {
+	if r.perProc {
 		fmt.Fprintln(&b, "  per processor:")
 		for i := 0; i < machine.NProc(); i++ {
-			r := machine.Proc(i).Refs()
+			refs := machine.Proc(i).Refs()
 			fmt.Fprintf(&b, "    cpu%-2d  local %9d  global %9d  remote %7d  faults %6d\n",
-				i, r.LocalFetch+r.LocalStore, r.GlobalFetch+r.GlobalStore,
-				r.RemoteFetch+r.RemoteStore, machine.Proc(i).Faults)
+				i, refs.LocalFetch+refs.LocalStore, refs.GlobalFetch+refs.GlobalStore,
+				refs.RemoteFetch+refs.RemoteStore, machine.Proc(i).Faults)
 		}
 	}
 	if collector != nil {
 		fmt.Fprintln(&b)
 		b.WriteString(collector.Summarize().Render())
-		if o.traceOut != "" {
-			f, err := os.Create(o.traceOut)
-			if err != nil {
+		if r.traceOut != "" {
+			if err := writeFile(r.traceOut, collector.Save); err != nil {
 				return "", err
 			}
-			if err := collector.Save(f); err != nil {
-				f.Close()
-				return "", err
-			}
-			if err := f.Close(); err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&b, "trace written to %s\n", o.traceOut)
+			fmt.Fprintf(&b, "trace written to %s\n", r.traceOut)
 		}
 	}
 	if events != nil {
-		f, err := os.Create(o.chromeOut)
-		if err != nil {
-			return "", err
-		}
-		meta := simtrace.ChromeMeta{NProc: machine.NProc(), Label: w.Name()}
-		if err := simtrace.WriteChrome(f, events.Events(), meta); err != nil {
-			f.Close()
-			return "", err
-		}
-		if err := f.Close(); err != nil {
+		meta := simtrace.ChromeMeta{NProc: machine.NProc(), Label: res.Workload}
+		if err := writeFile(r.chromeOut, func(w io.Writer) error {
+			return simtrace.WriteChrome(w, events.Events(), meta)
+		}); err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "event trace (%d events) written to %s — load it at ui.perfetto.dev\n",
-			len(events.Events()), o.chromeOut)
+			len(events.Events()), r.chromeOut)
 	}
 	return b.String(), nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // usageText is the synopsis -h prints before the flag defaults. The
@@ -255,11 +179,12 @@ const usageText = `Usage: acesim [flags]
 Simulate the paper's applications on the ACE under a NUMA placement
 policy and report timing, placement and reference statistics.
 
-  acesim -app IMatMult[,Gfetch,...] [-policy SPEC] [-threshold N]
+  acesim -app IMatMult[,Gfetch,...] [-policy SPEC]
          [-nproc N] [-topology ace|4socket|mesh8] [-workers N]
          [-sched affinity|noaffinity] [-pagesize BYTES] [-size N]
          [-unixmaster] [-perproc] [-replication=false] [-parallel N]
-  acesim -trace [-traceout FILE] [-trace-out FILE]      reference/event traces
+  acesim -trace [-traceout FILE] [-trace-out FILE]      reference trace (traceview
+                                                        binary) / event trace (JSON)
   acesim -exp NAME [-frames LIST]                       registry experiments (-exp list)
   acesim -chaos-seed N -chaos-fail P -chaos-delay P     seeded fault injection
          -chaos-panic-at D -chaos-stall-at D            crash/stall drills
@@ -281,44 +206,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stderr, usageText)
 		fs.PrintDefaults()
 	}
-	app := fs.String("app", "IMatMult", "application to run, or a comma-separated list (case-insensitive)")
-	polName := fs.String("policy", "threshold", "placement policy, as a registry spec like decaythreshold or threshold:limit=2")
-	threshold := fs.Int("threshold", policy.DefaultThreshold, "move limit for the threshold policy (deprecated: prefer -policy threshold:limit=N)")
-	nproc := fs.Int("nproc", 7, "number of processors")
-	topo := fs.String("topology", "", "machine topology: ace (default), "+strings.Join(topology.Names()[1:], ", "))
-	workers := fs.Int("workers", 0, "worker threads (default: one per processor)")
+	shared := harness.BindFlags(fs)
 	schedName := fs.String("sched", "affinity", "scheduler: affinity or noaffinity")
 	doTrace := fs.Bool("trace", false, "collect a reference trace and report sharing classes")
 	traceOut := fs.String("traceout", "", "save the reference trace to this file in traceview's binary format (implies -trace)")
 	chromeOut := fs.String("trace-out", "", "save the structured event trace to this file as Chrome trace-event JSON (Perfetto)")
 	unixMaster := fs.Bool("unixmaster", false, "funnel system calls to processor 0 (§4.6)")
 	pageSize := fs.Int("pagesize", 4096, "page size in bytes")
-	size := fs.Int("size", 0, "problem size (0: workload default); units for ParMult, pages for Gfetch, matrix side for IMatMult/FFT, limit for Primes1-3, triangles for PlyTrace")
 	perProc := fs.Bool("perproc", false, "report per-processor reference counts")
 	replication := fs.Bool("replication", true, "replicate read-only pages (disable for the Li-style migration ablation)")
-	parallel := fs.Int("parallel", 0, "simulations to run concurrently when -app lists several (0: one per host CPU; results are identical at every setting)")
-	exp := fs.String("exp", "", "run a harness experiment instead of a single app (list: print the registry); -app, -nproc, -workers, -threshold and -parallel apply")
-	framesFlag := fs.String("frames", "", "comma-separated local-frame budgets for -exp pressuresweep")
-	chaosSeed := fs.Int64("chaos-seed", 0, "seed for fault injection")
-	chaosFail := fs.Float64("chaos-fail", 0, "probability a local frame allocation transiently fails (0 disables)")
-	chaosDelay := fs.Float64("chaos-delay", 0, "probability a page move is delayed (0 disables)")
-	chaosPanicAt := fs.Duration("chaos-panic-at", 0, "inject one panic at this virtual time (crash drill; 0 disables)")
-	chaosStallAt := fs.Duration("chaos-stall-at", 0, "inject one virtual-time stall at this virtual time (watchdog drill; 0 disables)")
-	chaosNodeFail := fs.String("chaos-node-fail", "", "node failure schedule: comma-separated NODE@OFF[-ON] virtual times, e.g. 2@10ms-60ms")
-	chaosLinkFail := fs.String("chaos-link-fail", "", "link failure schedule: comma-separated LINK@AT[xFACTOR][-RESTORE], e.g. node0-node1@5msx4-9ms")
-	audit := fs.Int("audit", 0, "online protocol-audit sampling stride (0: off, 1: audit every protocol action, N: sampled)")
-	timeout := fs.Duration("timeout", 0, "wall-clock budget per supervised run (0: none)")
-	retries := fs.Int("retries", 0, "re-run a failed unit up to this many times before giving up")
-	reproDir := fs.String("repro-dir", "", "write a repro bundle for each failed run into this directory (implies -keep-going)")
-	keepGoing := fs.Bool("keep-going", false, "continue past failed runs and report partial results")
-	stallLimit := fs.Int("stall-limit", 0, "engine stall-watchdog threshold in dispatches (0: default)")
-	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole run to `file`")
-	memProf := fs.String("memprofile", "", "write a heap profile to `file` at exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	stopProf, err := shared.StartProfiling()
 	if err != nil {
 		fmt.Fprintln(stderr, "acesim:", err)
 		return 2
@@ -334,28 +235,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "acesim:", err)
 		return 2
 	}
-
-	command := "acesim " + strings.Join(args, " ")
-	cc, err := chaosConfig(*chaosSeed, *chaosFail, *chaosDelay, *chaosPanicAt, *chaosStallAt, *chaosNodeFail, *chaosLinkFail)
+	opts, err := shared.Options("acesim " + strings.Join(args, " "))
 	if err != nil {
 		fmt.Fprintln(stderr, "acesim:", err)
 		return 2
 	}
-
-	if *exp != "" {
-		return runExperiment(*exp, experimentOptions{
-			app: *app, appSet: flagWasSet(fs, "app"),
-			policy: *polName, polSet: flagWasSet(fs, "policy"),
-			nproc: *nproc, topology: *topo,
-			workers: *workers, threshold: *threshold, parallel: *parallel,
-			frames: *framesFlag, chaos: cc,
-			audit: *audit, timeout: *timeout, retries: *retries,
-			reproDir: *reproDir, keepGoing: *keepGoing, stallLimit: *stallLimit,
-			command: command,
-		}, stdout, stderr)
+	if shared.Exp != "" {
+		return harness.RunExperiments("acesim", []string{shared.Exp}, opts, false, stdout, stderr)
 	}
 
-	apps := strings.Split(*app, ",")
+	if opts.App == "" {
+		opts.App = "IMatMult"
+	}
+	apps := strings.Split(opts.App, ",")
 	for i := range apps {
 		apps[i] = strings.TrimSpace(apps[i])
 	}
@@ -367,46 +259,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "acesim: -trace-out requires a single -app (the file would be overwritten)")
 		return 1
 	}
-
-	// Supervision (timeout, retries, repro bundles) is configured through
-	// harness options; with none of the flags set, sup.Supervise runs the
-	// simulation directly.
-	sup := harness.Options{
-		NProc: *nproc, Workers: *workers, Threshold: *threshold, App: *app,
-		Topology: *topo,
-		Chaos:    cc, Audit: *audit, Timeout: *timeout, Retries: *retries,
-		ReproDir: *reproDir, KeepGoing: *keepGoing, StallLimit: *stallLimit,
-		Command: command,
-	}
-	o := runOpts{
-		polName:   *polName,
-		threshold: *threshold,
-		topology:  *topo,
-		nproc:     *nproc,
-		workers:   *workers,
-		mode:      mode,
-		doTrace:   *doTrace, traceOut: *traceOut, chromeOut: *chromeOut,
+	r := report{
+		mode:    mode,
+		doTrace: *doTrace, traceOut: *traceOut, chromeOut: *chromeOut,
 		unixMaster: *unixMaster,
 		pageSize:   *pageSize,
-		size:       *size,
 		perProc:    *perProc, replication: *replication,
-		audit: *audit, stallLimit: *stallLimit,
-		forensics: *audit > 0 || *timeout > 0 || *retries > 0 || *reproDir != "",
-		chaos:     cc,
 	}
 
 	// Run every app concurrently (bounded), buffer the reports, and print
 	// them in the order given on the command line.
+	keepGoing := opts.KeepGoing || opts.ReproDir != ""
 	reports := make([]string, len(apps))
-	errs := harness.NewPool(*parallel).RunAll(len(apps), func(i int) error {
-		return sup.Supervise(apps[i], func(observe func(*ace.Machine)) error {
-			rep, err := runOne(apps[i], o, observe)
-			if err != nil {
-				return fmt.Errorf("%s: %w", apps[i], err)
-			}
-			reports[i] = rep
-			return nil
-		})
+	errs := harness.NewPool(opts.Parallelism).RunAll(len(apps), func(i int) error {
+		rep, err := runOne(apps[i], opts, r)
+		if err != nil {
+			return fmt.Errorf("%s: %w", apps[i], err)
+		}
+		reports[i] = rep
+		return nil
 	})
 	failed := false
 	for i, rerr := range errs {
@@ -415,7 +286,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		failed = true
 		fmt.Fprintln(stderr, "acesim:", rerr)
-		if !*keepGoing && *reproDir == "" {
+		if !keepGoing {
 			return 1
 		}
 		reports[i] = fmt.Sprintf("%s: failed: %v\n", apps[i], firstLine(rerr.Error()))
@@ -438,32 +309,6 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
-}
-
-// simTime converts a wall-style flag duration into virtual time (both
-// are nanosecond-granular).
-func simTime(d time.Duration) sim.Time {
-	return sim.Time(d.Nanoseconds()) * sim.Nanosecond
-}
-
-// chaosConfig assembles and validates the chaos configuration from the
-// CLI flags; the zero value (all flags unset) means chaos off.
-func chaosConfig(seed int64, fail, delay float64, panicAt, stallAt time.Duration, nodeFail, linkFail string) (chaos.Config, error) {
-	if fail <= 0 && delay <= 0 && panicAt <= 0 && stallAt <= 0 && nodeFail == "" && linkFail == "" {
-		return chaos.Config{}, nil
-	}
-	health, err := chaos.ParseHealthSchedule(nodeFail, linkFail)
-	if err != nil {
-		return chaos.Config{}, err
-	}
-	cc := chaos.Config{
-		Seed: seed, FailProb: fail, DelayProb: delay,
-		MaxRetries: chaos.DefaultMaxRetries, Backoff: chaos.DefaultBackoff,
-		MoveDelay: chaos.DefaultMoveDelay,
-		PanicAt:   simTime(panicAt), StallAt: simTime(stallAt),
-		Health: health,
-	}
-	return cc, cc.Validate()
 }
 
 func main() {

@@ -9,7 +9,7 @@
 //
 //	tables [-nproc N] [-topology NAME] [-workers N] [-small] [-parallel N] [-timing]
 //	       [-table N | -figure N | -exp NAME] [-csv]
-//	       [-app NAME] [-policy SPEC] [-frames LIST] [-chaos-seed N] [-chaos-fail P]
+//	       [-app NAME] [-size N] [-policy SPEC] [-frames LIST] [-chaos-seed N] [-chaos-fail P]
 //	       [-cpuprofile FILE] [-memprofile FILE]
 //
 // Run tables -h for the full flag set (the synopsis it prints names
@@ -17,8 +17,11 @@
 //
 // Every output is an experiment in the harness registry; -exp runs one by
 // name (-exp list prints them all), and -table/-figure are shorthand for
-// the tableN/figureN entries. -app selects the application for
-// experiments that take one (the pressure sweep, ablations), -policy the
+// the tableN/figureN entries. The registry also holds the model
+// ablations: the pin-threshold, page-size, G/L and scheduling-quantum
+// sweeps, the affinity, Unix-master, replication and remote-reference
+// comparisons, and the application mix. -app selects the application
+// for experiments that take one, -size its problem size, -policy the
 // placement policy for single-policy experiments (any registry spec,
 // e.g. decaythreshold or threshold:limit=2), -frames the local-frame
 // budgets for the pressure sweep, and the -chaos flags enable seeded
@@ -35,34 +38,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
-	"numasim/internal/chaos"
 	"numasim/internal/harness"
 	"numasim/internal/metrics"
-	"numasim/internal/profiling"
-	"numasim/internal/sim"
 	"numasim/internal/simtrace"
-	"numasim/internal/topology"
 )
-
-// parseFrames parses a comma-separated list of local-frame budgets.
-func parseFrames(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var frames []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -frames entry %q (want positive integers)", part)
-		}
-		frames = append(frames, n)
-	}
-	return frames, nil
-}
 
 // usageText is the synopsis -h prints before the flag defaults. The
 // usage test asserts it mentions every registered flag, so a flag
@@ -75,7 +57,7 @@ the harness registry.
   tables [-nproc N] [-topology ace|4socket|mesh8] [-workers N] [-small]
          [-parallel N] [-timing] [-csv]
   tables -table N | -figure N | -exp NAME               one output (-exp list)
-  tables -app NAME -policy SPEC -frames LIST            experiment parameters
+  tables -app NAME -size N -policy SPEC -frames LIST    experiment parameters
   tables -chaos-seed N -chaos-fail P -chaos-delay P     seeded fault injection
          -chaos-panic-at D -chaos-stall-at D            crash/stall drills
   tables -chaos-node-fail 2@10ms-60ms                   degraded-mode failure
@@ -96,39 +78,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stderr, usageText)
 		fs.PrintDefaults()
 	}
-	nproc := fs.Int("nproc", 7, "number of processors for parallel runs")
-	topo := fs.String("topology", "", "machine topology: ace (default), "+strings.Join(topology.Names()[1:], ", "))
-	workers := fs.Int("workers", 0, "worker threads (default: one per processor)")
+	shared := harness.BindFlags(fs)
 	smallFlag := fs.Bool("small", false, "use reduced problem sizes")
 	table := fs.Int("table", 0, "print only table N (1-4)")
 	figure := fs.Int("figure", 0, "print only figure N (1-2)")
-	exp := fs.String("exp", "", "print only the named experiment (list: print the registry)")
-	app := fs.String("app", "", "application for single-app experiments (default: per experiment)")
-	polName := fs.String("policy", "", "placement policy for single-policy experiments, as a registry spec like decaythreshold or threshold:limit=2 (default: per experiment)")
-	framesFlag := fs.String("frames", "", "comma-separated local-frame budgets for the pressure sweep")
-	chaosSeed := fs.Int64("chaos-seed", 0, "seed for fault injection (used when a -chaos probability is set)")
-	chaosFail := fs.Float64("chaos-fail", 0, "probability a local frame allocation transiently fails (0 disables)")
-	chaosDelay := fs.Float64("chaos-delay", 0, "probability a page move is delayed (0 disables)")
-	chaosPanicAt := fs.Duration("chaos-panic-at", 0, "inject one panic at this virtual time (crash drill; 0 disables)")
-	chaosStallAt := fs.Duration("chaos-stall-at", 0, "inject one virtual-time stall at this virtual time (watchdog drill; 0 disables)")
-	chaosNodeFail := fs.String("chaos-node-fail", "", "node failure schedule: comma-separated NODE@OFF[-ON] virtual times, e.g. 2@10ms-60ms")
-	chaosLinkFail := fs.String("chaos-link-fail", "", "link failure schedule: comma-separated LINK@AT[xFACTOR][-RESTORE], e.g. node0-node1@5msx4-9ms")
-	audit := fs.Int("audit", 0, "online protocol-audit sampling stride (0: off, 1: audit every protocol action, N: sampled)")
-	timeout := fs.Duration("timeout", 0, "wall-clock budget per supervised run (0: none)")
-	retries := fs.Int("retries", 0, "re-run a failed unit up to this many times before giving up")
-	reproDir := fs.String("repro-dir", "", "write a repro bundle for each failed run into this directory (implies -keep-going)")
-	keepGoing := fs.Bool("keep-going", false, "continue past failed runs and report partial results")
-	stallLimit := fs.Int("stall-limit", 0, "engine stall-watchdog threshold in dispatches (0: default)")
 	csv := fs.Bool("csv", false, "emit tabular experiments as CSV")
-	parallel := fs.Int("parallel", 0, "simulations to run concurrently (0: one per host CPU; results are identical at every setting)")
 	timing := fs.Bool("timing", false, "report wall-clock run time and simtrace event counts on stderr (diagnostic only; never part of a table)")
-	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole run to `file`")
-	memProf := fs.String("memprofile", "", "write a heap profile to `file` at exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	stopProf, err := shared.StartProfiling()
 	if err != nil {
 		fmt.Fprintln(stderr, "tables:", err)
 		return 2
@@ -139,47 +99,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	frames, err := parseFrames(*framesFlag)
+	opts, err := shared.Options("tables " + strings.Join(args, " "))
 	if err != nil {
 		fmt.Fprintln(stderr, "tables:", err)
 		return 2
 	}
-	opts := harness.Options{
-		NProc: *nproc, Workers: *workers, Small: *smallFlag, Parallelism: *parallel,
-		App: *app, Policy: *polName, PressureFrames: frames, Topology: *topo,
-		Audit: *audit, Timeout: *timeout, Retries: *retries,
-		ReproDir: *reproDir, KeepGoing: *keepGoing, StallLimit: *stallLimit,
-		Command: "tables " + strings.Join(args, " "),
-	}
-	if *chaosFail > 0 || *chaosDelay > 0 || *chaosPanicAt > 0 || *chaosStallAt > 0 ||
-		*chaosNodeFail != "" || *chaosLinkFail != "" {
-		health, err := chaos.ParseHealthSchedule(*chaosNodeFail, *chaosLinkFail)
-		if err != nil {
-			fmt.Fprintln(stderr, "tables:", err)
-			return 2
-		}
-		cc := chaos.Config{
-			Seed: *chaosSeed, FailProb: *chaosFail, DelayProb: *chaosDelay,
-			MaxRetries: chaos.DefaultMaxRetries, Backoff: chaos.DefaultBackoff,
-			MoveDelay: chaos.DefaultMoveDelay,
-			PanicAt:   sim.Time(chaosPanicAt.Nanoseconds()) * sim.Nanosecond,
-			StallAt:   sim.Time(chaosStallAt.Nanoseconds()) * sim.Nanosecond,
-			Health:    health,
-		}
-		if err := cc.Validate(); err != nil {
-			fmt.Fprintln(stderr, "tables:", err)
-			return 2
-		}
-		opts.Chaos = cc
-	}
-
-	if *exp == "list" {
-		for _, name := range harness.Names() {
-			e, _ := harness.Lookup(name)
-			fmt.Fprintf(stdout, "%-16s %s\n", e.Name(), e.Describe())
-		}
-		return 0
-	}
+	opts.Small = *smallFlag
 
 	// The experiments to print, in document order: the whole evaluation by
 	// default, or the single table/figure/experiment asked for.
@@ -189,8 +114,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		names = []string{fmt.Sprintf("table%d", *table)}
 	case *figure > 0:
 		names = []string{fmt.Sprintf("figure%d", *figure)}
-	case *exp != "":
-		names = []string{*exp}
+	case shared.Exp != "":
+		names = []string{shared.Exp}
 	}
 
 	// Wall-clock time is host-side diagnostics in its own unit type
@@ -199,37 +124,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// from ever mixing. The counting sink rides along on every machine the
 	// experiments build: one atomic add per event, aggregated across all
 	// concurrent runs.
-	start := time.Now()
-	var counts *simtrace.CountingSink
 	if *timing {
-		counts = &simtrace.CountingSink{}
+		start := time.Now()
+		counts := &simtrace.CountingSink{}
 		opts.TraceSink = counts
 		defer func() {
 			fmt.Fprintf(stderr, "tables: wall time %.1f ms\n", metrics.WallSince(start).Millis())
 			fmt.Fprintf(stderr, "tables: %d trace events\n%s", counts.Total(), counts.Render())
 		}()
 	}
-
-	for _, name := range names {
-		e, ok := harness.Lookup(name)
-		if !ok {
-			fmt.Fprintf(stderr, "tables: unknown experiment %q (try -exp list)\n", name)
-			return 1
-		}
-		res, err := e.Run(opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "tables:", err)
-			return 1
-		}
-		if *csv {
-			if c, ok := res.(harness.CSVResult); ok {
-				fmt.Fprint(stdout, c.RenderCSV())
-				continue
-			}
-		}
-		fmt.Fprintln(stdout, res.Render())
-	}
-	return 0
+	return harness.RunExperiments("tables", names, opts, *csv, stdout, stderr)
 }
 
 func main() {

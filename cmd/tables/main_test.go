@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -148,5 +151,58 @@ func TestBadChaosConfigFails(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-exp", "pressuresweep", "-chaos-fail", "1.5"}, &out, &errb); code != 2 {
 		t.Fatalf("exit code = %d, want 2 (usage error)", code)
+	}
+}
+
+// TestReproducesAblate: the ablations run through the registry print the
+// bytes the retired ablate command printed (testdata holds its stdout,
+// captured with -small -nproc 3 -parallel 1 -app IMatMult). ablate ran
+// affinity on Primes1 and the Unix master on Syscaller whatever -app
+// said, so those cases name their application. The threshold sweep's
+// title changed on the move, so it is compared as CSV, which ablate
+// followed with one blank line.
+func TestReproducesAblate(t *testing.T) {
+	base := []string{"-small", "-nproc", "3", "-parallel", "1", "-app", "IMatMult"}
+	for _, c := range []struct {
+		golden string
+		args   []string
+		suffix string
+	}{
+		{"ablate_sweep_pagesize.golden", []string{"-exp", "pagesize"}, ""},
+		{"ablate_sweep_gl.golden", []string{"-exp", "glsweep"}, ""},
+		{"ablate_sweep_quantum.golden", []string{"-exp", "quantumsweep"}, ""},
+		{"ablate_sweep_threshold_csv.golden", []string{"-exp", "thresholdsweep", "-csv"}, "\n"},
+		{"ablate_exp_unixmaster.golden", []string{"-exp", "unixmaster", "-app", "Syscaller"}, ""},
+		{"ablate_exp_mix.golden", []string{"-exp", "mix"}, ""},
+		{"ablate_exp_affinity.golden", []string{"-exp", "affinity", "-app", "Primes1"}, ""},
+		{"ablate_exp_remote.golden", []string{"-exp", "remote"}, ""},
+		{"ablate_exp_replication.golden", []string{"-exp", "replication"}, ""},
+		{"ablate_exp_policies.golden", []string{"-exp", "policycompare"}, ""},
+	} {
+		var out, errb strings.Builder
+		args := append(append([]string{}, base...), c.args...)
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit code = %d, want 0; stderr: %s", args, code, errb.String())
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String() + c.suffix; got != string(want) {
+			t.Errorf("%v diverged from %s.\ngot:\n%s\nwant:\n%s", args, c.golden, got, want)
+		}
+	}
+}
+
+// TestSweepTimingCountsEvents: the sweeps attach the -timing sink to
+// every machine they build, like the evaluation tables do.
+func TestSweepTimingCountsEvents(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-small", "-nproc", "3", "-exp", "thresholdsweep", "-timing"}, &out, &errb); code != 0 {
+		t.Fatalf("exit code = %d, want 0; stderr: %s", code, errb.String())
+	}
+	m := regexp.MustCompile(`(?m)^\s*dispatch\s+(\d+)`).FindStringSubmatch(errb.String())
+	if m == nil || m[1] == "0" {
+		t.Errorf("-timing reported no dispatch events for the sweep:\n%s", errb.String())
 	}
 }

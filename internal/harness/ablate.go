@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"numasim/internal/numa"
-
 	"numasim/internal/metrics"
+	"numasim/internal/numa"
 	"numasim/internal/policy"
 	"numasim/internal/sched"
 	"numasim/internal/sim"
@@ -58,8 +57,26 @@ func (r FalseSharingResult) Render() string {
 }
 
 // ---------------------------------------------------------------------
-// E9: pin-threshold sweep (§2.3.2's boot-time parameter).
+// Parameter sweeps (E9's pin threshold, and the model ablations: page
+// size, G/L ratio, scheduling quantum) and two-run comparisons (§4.6,
+// §4.7, read replication). Each is one application run once per point.
 // ---------------------------------------------------------------------
+
+// runs runs app n times, concurrently up to the options' parallelism, on
+// the options' machine and policy; vary adjusts run i's spec.
+func (o Options) runs(app string, n int, vary func(i int, s *metrics.RunSpec)) ([]metrics.RunResult, error) {
+	o = o.withDefaults()
+	out := make([]metrics.RunResult, n)
+	err := o.pool().Run(n, func(i int) error {
+		var err error
+		out[i], err = o.run(app, app, func(s *metrics.RunSpec) { vary(i, s) })
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 // SweepRow is one point of a parameter sweep. Times are virtual seconds
 // (sim.Ticks).
@@ -70,39 +87,73 @@ type SweepRow struct {
 	Pins, Moves  uint64
 }
 
-// ThresholdSweep measures a workload under varying move limits; limit<0
-// selects the never-pin policy.
-func ThresholdSweep(opts Options, app string, limits []int) ([]SweepRow, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	rows := make([]SweepRow, len(limits))
-	err := opts.pool().Run(len(limits), func(i int) error {
-		lim := limits[i]
-		p := policy.NewThreshold(max(lim, 0))
-		if lim < 0 {
-			p = policy.NeverPin()
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: p, Workers: opts.Workers, Sched: sched.Affinity,
-		})
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("%d", lim)
-		if lim < 0 {
-			name = "never-pin"
-		}
-		rows[i] = SweepRow{
-			Param: name,
-			Tnuma: res.UserSec, Snuma: res.SysSec,
-			Pins: res.NUMA.Pins, Moves: res.NUMA.Moves,
-		}
-		return nil
-	})
+// sweep runs app once per parameter; vary sets point i's parameter in
+// its spec.
+func sweep(opts Options, app string, params []string, vary func(i int, s *metrics.RunSpec)) ([]SweepRow, error) {
+	runs, err := opts.runs(app, len(params), vary)
 	if err != nil {
 		return nil, err
 	}
+	rows := make([]SweepRow, len(runs))
+	for i, res := range runs {
+		rows[i] = SweepRow{
+			Param: params[i],
+			Tnuma: res.UserSec, Snuma: res.SysSec,
+			Pins: res.NUMA.Pins, Moves: res.NUMA.Moves,
+		}
+	}
 	return rows, nil
+}
+
+// labels formats each sweep point for the parameter column.
+func labels[T any](format string, points []T) []string {
+	out := make([]string, len(points))
+	for i, p := range points {
+		out[i] = fmt.Sprintf(format, p)
+	}
+	return out
+}
+
+// ThresholdSweep measures a workload under varying move limits; limit<0
+// selects the never-pin policy.
+func ThresholdSweep(opts Options, app string, limits []int) ([]SweepRow, error) {
+	params := labels("%d", limits)
+	for i, lim := range limits {
+		if lim < 0 {
+			params[i] = "never-pin"
+		}
+	}
+	return sweep(opts, app, params, func(i int, s *metrics.RunSpec) {
+		if limits[i] < 0 {
+			s.Policy = policy.NeverPin()
+		} else {
+			s.Policy = policy.NewThreshold(limits[i])
+		}
+	})
+}
+
+// PageSizeSweep measures a workload at several page sizes.
+func PageSizeSweep(opts Options, app string, sizes []int) ([]SweepRow, error) {
+	return sweep(opts, app, labels("%d", sizes), func(i int, s *metrics.RunSpec) {
+		s.Config.PageSize = sizes[i]
+	})
+}
+
+// GLSweep measures a workload with the global-memory latencies scaled by
+// the given factors (exploring machines with different G/L ratios).
+func GLSweep(opts Options, app string, factors []float64) ([]SweepRow, error) {
+	return sweep(opts, app, labels("%.2f", factors), func(i int, s *metrics.RunSpec) {
+		s.Config.Cost.GlobalFetch = sim.Time(float64(s.Config.Cost.GlobalFetch) * factors[i])
+		s.Config.Cost.GlobalStore = sim.Time(float64(s.Config.Cost.GlobalStore) * factors[i])
+	})
+}
+
+// QuantumSweep measures sensitivity to the scheduling quantum (an artifact
+// knob of the simulation: finer quanta interleave processors more).
+func QuantumSweep(opts Options, app string, quanta []sim.Time) ([]SweepRow, error) {
+	return sweep(opts, app, labels("%v", quanta), func(i int, s *metrics.RunSpec) {
+		s.Config.Quantum = quanta[i]
+	})
 }
 
 // RenderSweepCSV renders a sweep as CSV (one header line plus one line per
@@ -127,12 +178,22 @@ func RenderSweep(title, param string, rows []SweepRow) string {
 	return title + "\n" + renderTable(headers, body)
 }
 
-// ---------------------------------------------------------------------
-// E11: processor affinity (§4.7).
-// ---------------------------------------------------------------------
+// pair runs app twice on the options' machine and policy: once as
+// configured, once with ablate applied to its spec.
+func pair(opts Options, app string, ablate func(*metrics.RunSpec)) (base, ablated metrics.RunResult, err error) {
+	runs, err := opts.runs(app, 2, func(i int, s *metrics.RunSpec) {
+		if i == 1 {
+			ablate(s)
+		}
+	})
+	if err != nil {
+		return base, ablated, err
+	}
+	return runs[0], runs[1], nil
+}
 
-// AffinityResult compares the paper's affinity scheduler against the
-// original single-queue behaviour.
+// AffinityResult compares the paper's affinity scheduler (E11, §4.7)
+// against the original single-queue behaviour.
 type AffinityResult struct {
 	App                string
 	Affinity, Hopping  metrics.RunResult
@@ -141,28 +202,10 @@ type AffinityResult struct {
 
 // AffinityCompare runs a workload under both scheduling disciplines.
 func AffinityCompare(opts Options, app string) (AffinityResult, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	modes := []sched.Mode{sched.Affinity, sched.NoAffinity}
-	runs := make([]metrics.RunResult, len(modes))
-	err := opts.pool().Run(len(modes), func(i int) error {
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: modes[i],
-		})
-		if err != nil {
-			return err
-		}
-		runs[i] = res
-		return nil
-	})
+	aff, hop, err := pair(opts, app, func(s *metrics.RunSpec) { s.Sched = sched.NoAffinity })
 	if err != nil {
 		return AffinityResult{}, err
 	}
-	aff, hop := runs[0], runs[1]
 	return AffinityResult{
 		App: app, Affinity: aff, Hopping: hop,
 		AffLocal: aff.Refs.LocalFraction(),
@@ -182,56 +225,39 @@ func (r AffinityResult) Render() string {
 	return fmt.Sprintf("Processor affinity (§4.7) on %s\n", r.App) + renderTable(headers, rows)
 }
 
-// ---------------------------------------------------------------------
-// E12: the Unix master (§4.6).
-// ---------------------------------------------------------------------
-
-// UnixMasterResult compares runs with and without the Unix-master effect.
+// UnixMasterResult compares runs with and without the Unix-master effect
+// (E12, §4.6).
 type UnixMasterResult struct {
 	App           string
 	Off, On       metrics.RunResult
-	OffP0, OnP0   uint64 // references made by processor 0
 	OffLoc, OnLoc float64
 }
 
 // UnixMasterCompare runs a workload with syscalls funnelled to CPU 0.
 func UnixMasterCompare(opts Options, app string) (UnixMasterResult, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	runs := make([]metrics.RunResult, 2)
-	err := opts.pool().Run(2, func(i int) error {
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-			UnixMast: i == 1,
-		})
-		if err != nil {
-			return err
-		}
-		runs[i] = res
-		return nil
-	})
+	off, on, err := pair(opts, app, func(s *metrics.RunSpec) { s.UnixMast = true })
 	if err != nil {
 		return UnixMasterResult{}, err
 	}
-	off, on := runs[0], runs[1]
 	return UnixMasterResult{
 		App: app, Off: off, On: on,
 		OffLoc: off.Refs.LocalFraction(), OnLoc: on.Refs.LocalFraction(),
 	}, nil
 }
 
-// ---------------------------------------------------------------------
-// Replication ablation: the paper's protocol replicates read-only pages;
-// Li-style pure migration keeps a single copy. IMatMult, which
-// "emphasizes the value of replicating data that is writable, but that is
-// never written", shows the difference directly.
-// ---------------------------------------------------------------------
+// Render formats the comparison.
+func (r UnixMasterResult) Render() string {
+	return fmt.Sprintf("Unix master (§4.6) on %s\n"+
+		"  syscalls on home CPU:  user %.3fs, %.1f%% local references\n"+
+		"  syscalls on master:    user %.3fs, %.1f%% local references\n",
+		r.App, r.Off.UserSec, 100*r.OffLoc, r.On.UserSec, 100*r.OnLoc)
+}
 
-// ReplicationResult compares runs with and without read replication.
+// ReplicationResult compares runs with and without read replication: the
+// paper's protocol replicates read-only pages; Li-style pure migration
+// keeps a single copy. IMatMult, which "emphasizes the value of
+// replicating data that is writable, but that is never written", shows
+// the difference directly.
 type ReplicationResult struct {
 	App           string
 	With, Without metrics.RunResult
@@ -239,28 +265,11 @@ type ReplicationResult struct {
 
 // ReplicationCompare measures a workload with replication on and off.
 func ReplicationCompare(opts Options, app string) (ReplicationResult, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	runs := make([]metrics.RunResult, 2)
-	err := opts.pool().Run(2, func(i int) error {
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-			NoReplication: i == 1,
-		})
-		if err != nil {
-			return err
-		}
-		runs[i] = res
-		return nil
-	})
+	with, without, err := pair(opts, app, func(s *metrics.RunSpec) { s.NoReplication = true })
 	if err != nil {
 		return ReplicationResult{}, err
 	}
-	return ReplicationResult{App: app, With: runs[0], Without: runs[1]}, nil
+	return ReplicationResult{App: app, With: with, Without: without}, nil
 }
 
 // Render formats the comparison.
@@ -289,17 +298,15 @@ type RemoteResult struct {
 // RemoteCompare runs the asymmetric-sharing probe twice.
 func RemoteCompare(opts Options) (RemoteResult, error) {
 	opts = opts.withDefaults()
-	cfg := opts.config()
 	runs := make([]metrics.RunResult, 2)
 	err := opts.pool().Run(2, func(i int) error {
-		res, err := metrics.Run(workloads.NewHomeData(0, 0, i == 1), metrics.RunSpec{
-			Config: cfg, Policy: policy.NewPragma(nil), Workers: opts.Workers, Sched: sched.Affinity,
-		})
+		spec, err := opts.spec()
 		if err != nil {
 			return err
 		}
-		runs[i] = res
-		return nil
+		spec.Policy = policy.NewPragma(nil)
+		runs[i], err = metrics.Run(workloads.NewHomeData(0, 0, i == 1), spec)
+		return err
 	})
 	if err != nil {
 		return RemoteResult{}, err
@@ -336,33 +343,24 @@ type PolicyRow struct {
 
 // PolicyCompare runs the Phased probe under several placement policies.
 func PolicyCompare(opts Options) ([]PolicyRow, error) {
-	opts = opts.withDefaults()
-	cfg := opts.config()
-	pols := []numa.Policy{
-		policy.NewDefault(),
-		policy.NewReconsider(policy.DefaultThreshold, 8),
-		policy.NewFreezeDefrost(0, 0),
+	pols := []func() numa.Policy{
+		func() numa.Policy { return policy.NewDefault() },
+		func() numa.Policy { return policy.NewReconsider(policy.DefaultThreshold, 8) },
+		func() numa.Policy { return policy.NewFreezeDefrost(0, 0) },
 	}
-	rows := make([]PolicyRow, len(pols))
-	err := opts.pool().Run(len(pols), func(i int) error {
-		pol := pols[i]
-		res, err := metrics.Run(workloads.NewPhased(0, 0, 0), metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-		})
-		if err != nil {
-			return err
-		}
+	runs, err := opts.runs("Phased", len(pols), func(i int, s *metrics.RunSpec) { s.Policy = pols[i]() })
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]PolicyRow, len(runs))
+	for i, res := range runs {
 		rows[i] = PolicyRow{
-			Policy:    pol.Name(),
+			Policy:    res.Policy,
 			UserSec:   res.UserSec,
 			SysSec:    res.SysSec,
 			LocalFrac: res.Refs.LocalFraction(),
 			Pins:      res.NUMA.Pins,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }
@@ -377,103 +375,4 @@ func RenderPolicyCompare(rows []PolicyRow) string {
 	}
 	return "Placement policies on a phase-changing workload (shared phase, then partitioned phase)" + "\n" +
 		renderTable(headers, body)
-}
-
-// ---------------------------------------------------------------------
-// Page-size and G/L sweeps (model ablations).
-// ---------------------------------------------------------------------
-
-// PageSizeSweep measures a workload at several page sizes.
-func PageSizeSweep(opts Options, app string, sizes []int) ([]SweepRow, error) {
-	opts = opts.withDefaults()
-	rows := make([]SweepRow, len(sizes))
-	err := opts.pool().Run(len(sizes), func(i int) error {
-		cfg := opts.config()
-		cfg.PageSize = sizes[i]
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-		})
-		if err != nil {
-			return err
-		}
-		rows[i] = SweepRow{
-			Param: fmt.Sprintf("%d", sizes[i]),
-			Tnuma: res.UserSec, Snuma: res.SysSec,
-			Pins: res.NUMA.Pins, Moves: res.NUMA.Moves,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// GLSweep measures a workload with the global-memory latencies scaled by
-// the given factors (exploring machines with different G/L ratios).
-func GLSweep(opts Options, app string, factors []float64) ([]SweepRow, error) {
-	opts = opts.withDefaults()
-	rows := make([]SweepRow, len(factors))
-	err := opts.pool().Run(len(factors), func(i int) error {
-		f := factors[i]
-		cfg := opts.config()
-		cfg.Cost.GlobalFetch = sim.Time(float64(cfg.Cost.GlobalFetch) * f)
-		cfg.Cost.GlobalStore = sim.Time(float64(cfg.Cost.GlobalStore) * f)
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-		})
-		if err != nil {
-			return err
-		}
-		rows[i] = SweepRow{
-			Param: fmt.Sprintf("%.2f", f),
-			Tnuma: res.UserSec, Snuma: res.SysSec,
-			Pins: res.NUMA.Pins, Moves: res.NUMA.Moves,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// QuantumSweep measures sensitivity to the scheduling quantum (an artifact
-// knob of the simulation: finer quanta interleave processors more).
-func QuantumSweep(opts Options, app string, quanta []sim.Time) ([]SweepRow, error) {
-	opts = opts.withDefaults()
-	rows := make([]SweepRow, len(quanta))
-	err := opts.pool().Run(len(quanta), func(i int) error {
-		q := quanta[i]
-		cfg := opts.config()
-		cfg.Quantum = q
-		pol, err := opts.policyOr(func() numa.Policy { return policy.NewDefault() })
-		if err != nil {
-			return err
-		}
-		res, err := opts.runInstance(app, metrics.RunSpec{
-			Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-		})
-		if err != nil {
-			return err
-		}
-		rows[i] = SweepRow{
-			Param: q.String(),
-			Tnuma: res.UserSec, Snuma: res.SysSec,
-			Pins: res.NUMA.Pins, Moves: res.NUMA.Moves,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

@@ -5,10 +5,6 @@ import (
 	"strings"
 
 	"numasim/internal/chaos"
-	"numasim/internal/metrics"
-	"numasim/internal/numa"
-	"numasim/internal/policy"
-	"numasim/internal/sched"
 	"numasim/internal/sim"
 	"numasim/internal/topology"
 )
@@ -125,39 +121,25 @@ func AvailabilitySweep(opts Options, apps []string) ([]AvailRow, error) {
 		}
 		schedules = kept
 	}
-	thr := opts.Threshold
-	if thr <= 0 {
-		thr = policy.DefaultThreshold
-	}
 	rows := make([]AvailRow, len(apps)*len(schedules))
 	errs := opts.pool().RunAll(len(rows), func(i int) error {
 		app, sc := apps[i/len(schedules)], schedules[i%len(schedules)]
 		label := fmt.Sprintf("avail-%s-%s", app, sc.name)
-		return opts.supervise(label, func(o Options) error {
-			pol, err := o.policyOr(func() numa.Policy { return policy.NewThreshold(thr) })
-			if err != nil {
-				return err
-			}
-			cc := o.Chaos
-			cc.Health = append(append([]chaos.HealthEvent{}, cc.Health...), sc.events...)
-			res, err := o.runInstance(app, metrics.RunSpec{
-				Config: o.config(), Policy: pol,
-				Workers: o.Workers, Sched: sched.Affinity,
-				TraceSink: o.TraceSink, Chaos: cc,
-			})
-			if err != nil {
-				return fmt.Errorf("availability sweep %s under %s: %w", app, sc.name, err)
-			}
-			rows[i] = AvailRow{
-				App: app, Schedule: sc.name,
-				Tuser: res.UserSec, Tsys: res.SysSec,
-				LocalFrac:   res.Refs.LocalFraction(),
-				Evacuations: res.NUMA.Evacuations, EvacRetries: res.NUMA.EvacRetries,
-				EvacFallbacks: res.NUMA.EvacFallbacks,
-				Failovers:     res.Sched.Failovers,
-			}
-			return nil
-		})
+		o := opts
+		o.Chaos.Health = append(append([]chaos.HealthEvent{}, opts.Chaos.Health...), sc.events...)
+		res, err := o.run(label, app, nil)
+		if err != nil {
+			return fmt.Errorf("availability sweep %s under %s: %w", app, sc.name, err)
+		}
+		rows[i] = AvailRow{
+			App: app, Schedule: sc.name,
+			Tuser: res.UserSec, Tsys: res.SysSec,
+			LocalFrac:   res.Refs.LocalFraction(),
+			Evacuations: res.NUMA.Evacuations, EvacRetries: res.NUMA.EvacRetries,
+			EvacFallbacks: res.NUMA.EvacFallbacks,
+			Failovers:     res.Sched.Failovers,
+		}
+		return nil
 	})
 	for i, err := range errs {
 		if err == nil {

@@ -17,6 +17,7 @@ import (
 	"numasim/internal/metrics"
 	"numasim/internal/numa"
 	"numasim/internal/policy"
+	"numasim/internal/sched"
 	"numasim/internal/simtrace"
 	"numasim/internal/workloads"
 )
@@ -31,8 +32,6 @@ type Options struct {
 	// Small selects reduced problem sizes (used by tests; the defaults
 	// are already scaled down from the paper's hours-long runs).
 	Small bool
-	// Threshold is the policy's move limit (default 4).
-	Threshold int
 	// Policy, when non-empty, overrides the placement policy for
 	// single-policy experiments (the ablations, sweeps and pressure
 	// runs). It accepts any registry spec ("decaythreshold",
@@ -166,13 +165,13 @@ func (o Options) instance(name string) (metrics.Runner, error) {
 			return workloads.NewSyscaller(1200, 40), nil
 		}
 	}
-	if name == "Syscaller" {
-		return workloads.NewSyscaller(0, 0), nil
-	}
 	if o.AppSize > 0 {
 		if w, err := workloads.NewSized(name, o.AppSize); err == nil {
 			return w, nil
 		}
+	}
+	if name == "Syscaller" {
+		return workloads.NewSyscaller(0, 0), nil
 	}
 	return workloads.ByName(name)
 }
@@ -189,24 +188,17 @@ func (o Options) evaluator() *metrics.Evaluator {
 	ev.StallLimit = o.StallLimit
 	ev.Forensics = o.forensics()
 	ev.OnMachine = o.onMachine
-	if o.Threshold > 0 {
-		ev.Threshold = o.Threshold
-	}
 	return ev
 }
 
-// policyOr builds the options' placement policy: the -policy spec when
-// one was chosen, def() otherwise. Policies carry state, so call it
-// inside each run closure for a fresh instance per run.
-func (o Options) policyOr(def func() numa.Policy) (numa.Policy, error) {
+// policy builds the options' placement policy: the Policy spec when one
+// was chosen, the paper's threshold policy otherwise. Policies carry
+// state, so every run builds its own.
+func (o Options) policy() (numa.Policy, error) {
 	if o.Policy == "" {
-		return def(), nil
+		return policy.NewDefault(), nil
 	}
-	thr := o.Threshold
-	if thr == 0 {
-		thr = policy.DefaultThreshold
-	}
-	return policy.ByName(o.Policy, thr)
+	return policy.Parse(o.Policy)
 }
 
 // forensics reports whether runs should gather crash forensics (ring
@@ -220,34 +212,55 @@ func (o Options) forensics() bool {
 // failed runs.
 func (o Options) keepGoing() bool { return o.KeepGoing || o.ReproDir != "" }
 
-// runInstance builds the named workload and runs it once under the spec,
-// filling in the options' robustness knobs (audit stride, stall limit,
-// forensics, the supervisor's machine hook). All of those are zero for
-// default options, so unsupervised runs are bit-for-bit unchanged.
-func (o Options) runInstance(name string, spec metrics.RunSpec) (metrics.RunResult, error) {
-	w, err := o.instance(name)
+// spec builds the spec every run starts from: the options' machine,
+// policy, workers, trace sink, chaos and robustness knobs (audit stride,
+// stall limit, forensics, the supervisor's machine hook), under the
+// affinity scheduler. The robustness knobs are all zero for default
+// options, so unsupervised runs are bit-for-bit unchanged.
+func (o Options) spec() (metrics.RunSpec, error) {
+	pol, err := o.policy()
 	if err != nil {
-		return metrics.RunResult{}, err
+		return metrics.RunSpec{}, err
 	}
-	spec.Audit = o.Audit
-	spec.StallLimit = o.StallLimit
-	spec.Forensics = o.forensics()
-	spec.OnMachine = o.onMachine
-	return metrics.Run(w, spec)
+	return metrics.RunSpec{
+		Config: o.config(), Policy: pol, Workers: o.Workers, Sched: sched.Affinity,
+		TraceSink: o.TraceSink, Chaos: o.Chaos,
+		Audit: o.Audit, StallLimit: o.StallLimit, Forensics: o.forensics(),
+		OnMachine: o.onMachine,
+	}, nil
 }
 
-// Supervise wraps one caller-managed run (for example acesim's
-// single-application path) in the options' supervisor: panic recovery,
-// wall-clock timeout, bounded retry, repro bundles on failure. fn must
-// call observe with every machine it builds so the timeout watchdog can
-// stop the engines; with no supervision configured fn runs directly and
-// observe is a no-op.
-func (o Options) Supervise(label string, fn func(observe func(*ace.Machine)) error) error {
-	sup := o.supervisor()
-	if sup == nil {
-		return fn(func(*ace.Machine) {})
-	}
-	return sup.Do(label, fn)
+// run builds the named workload and runs it once under the options'
+// supervisor, label naming the unit in repro bundles. vary, when
+// non-nil, adjusts the spec before the run starts; it is called afresh
+// for every retry. The options must already carry their defaults.
+func (o Options) run(label, app string, vary func(*metrics.RunSpec)) (metrics.RunResult, error) {
+	var res metrics.RunResult
+	err := o.supervise(label, func(o Options) error {
+		w, err := o.instance(app)
+		if err != nil {
+			return err
+		}
+		spec, err := o.spec()
+		if err != nil {
+			return err
+		}
+		if vary != nil {
+			vary(&spec)
+		}
+		res, err = metrics.Run(w, spec)
+		return err
+	})
+	return res, err
+}
+
+// RunApp runs the named application once, the way every experiment run
+// is made: the options' machine, policy, workers, trace sink, chaos and
+// supervision, under the affinity scheduler. vary, when non-nil, adjusts
+// the spec before the run starts; it is called afresh for every retry,
+// and a hook it installs in OnMachine must call the one it replaces.
+func (o Options) RunApp(app string, vary func(*metrics.RunSpec)) (metrics.RunResult, error) {
+	return o.withDefaults().run(app, app, vary)
 }
 
 // supervise runs one experiment unit under the options' supervisor —
@@ -264,10 +277,6 @@ func (o Options) supervise(label string, fn func(Options) error) error {
 		return fn(oo)
 	})
 }
-
-// newMachineFor builds a machine for the config (thin indirection so the
-// mix experiment reads naturally).
-func newMachineFor(cfg ace.Config) (*ace.Machine, error) { return ace.NewMachine(cfg) }
 
 // fmtF renders a float with sensible precision for the tables. It is
 // generic over named float64 types (sim.Ticks and plain float64 render

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"numasim/internal/ace"
+	"numasim/internal/chaos"
 	"numasim/internal/cthreads"
-	"numasim/internal/policy"
 	"numasim/internal/sched"
 	"numasim/internal/sim"
 	"numasim/internal/vm"
@@ -26,17 +27,27 @@ type MixResult struct {
 	Moves     uint64
 }
 
-// MixRun executes the named applications concurrently under the paper's
+// MixRun executes the named applications concurrently under the options'
 // policy, splitting the machine's processors between them. Every
 // application's own verification must pass.
 func MixRun(opts Options, apps []string) (MixResult, error) {
 	opts = opts.withDefaults()
 	cfg := opts.config()
-	machine, err := newMachineFor(cfg)
+	machine, err := ace.NewMachine(cfg)
 	if err != nil {
 		return MixResult{}, err
 	}
-	kernel := vm.NewKernel(machine, policy.NewDefault())
+	if opts.TraceSink != nil {
+		machine.AttachSink(opts.TraceSink)
+	}
+	pol, err := opts.policy()
+	if err != nil {
+		return MixResult{}, err
+	}
+	kernel := vm.NewKernel(machine, pol)
+	if opts.Chaos.Enabled() {
+		kernel.NUMA().SetChaos(chaos.New(opts.Chaos))
+	}
 	scheduler := sched.New(kernel, sched.Affinity)
 
 	workersEach := cfg.NProc / len(apps)

@@ -5,9 +5,6 @@ import (
 	"strings"
 
 	"numasim/internal/metrics"
-	"numasim/internal/numa"
-	"numasim/internal/policy"
-	"numasim/internal/sched"
 	"numasim/internal/sim"
 )
 
@@ -45,7 +42,7 @@ type PressureRow struct {
 	Err string
 }
 
-// PressureSweep measures one application under the threshold policy at
+// PressureSweep measures one application under the options' policy at
 // each local-frame budget in frames, plus an unconstrained baseline. An
 // empty frames slice selects DefaultPressureFrames; an empty app selects
 // opts.App or Gfetch.
@@ -72,42 +69,28 @@ func PressureSweepAll(opts Options, apps []string, frames []int) ([]PressureRow,
 	if len(frames) == 0 {
 		frames = DefaultPressureFrames
 	}
-	thr := opts.Threshold
-	if thr <= 0 {
-		thr = policy.DefaultThreshold
-	}
 	points := append([]int{0}, frames...)
 	rows := make([]PressureRow, len(apps)*len(points))
 	errs := opts.pool().RunAll(len(rows), func(i int) error {
 		app, budget := apps[i/len(points)], points[i%len(points)]
 		label := fmt.Sprintf("pressure-%s-%s", app, pressureParam(budget))
-		return opts.supervise(label, func(o Options) error {
-			cfg := o.config()
+		res, err := opts.run(label, app, func(s *metrics.RunSpec) {
 			if budget > 0 {
-				cfg.LocalFrames = budget
+				s.Config.LocalFrames = budget
 			}
-			pol, err := o.policyOr(func() numa.Policy { return policy.NewThreshold(thr) })
-			if err != nil {
-				return err
-			}
-			res, err := o.runInstance(app, metrics.RunSpec{
-				Config: cfg, Policy: pol,
-				Workers: o.Workers, Sched: sched.Affinity,
-				TraceSink: o.TraceSink, Chaos: o.Chaos,
-			})
-			if err != nil {
-				return fmt.Errorf("pressure sweep %s at %d local frames: %w", app, budget, err)
-			}
-			rows[i] = PressureRow{
-				App:         app,
-				LocalFrames: budget,
-				Tnuma:       res.UserSec, Snuma: res.SysSec,
-				LocalFrac: res.Refs.LocalFraction(),
-				Fallbacks: res.NUMA.LocalFallback, Evictions: res.NUMA.Evictions,
-				Retries: res.NUMA.Retries, ChaosFaults: res.NUMA.ChaosFaults,
-			}
-			return nil
 		})
+		if err != nil {
+			return fmt.Errorf("pressure sweep %s at %d local frames: %w", app, budget, err)
+		}
+		rows[i] = PressureRow{
+			App:         app,
+			LocalFrames: budget,
+			Tnuma:       res.UserSec, Snuma: res.SysSec,
+			LocalFrac: res.Refs.LocalFraction(),
+			Fallbacks: res.NUMA.LocalFallback, Evictions: res.NUMA.Evictions,
+			Retries: res.NUMA.Retries, ChaosFaults: res.NUMA.ChaosFaults,
+		}
+		return nil
 	})
 	for i, err := range errs {
 		if err == nil {

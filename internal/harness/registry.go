@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"numasim/internal/sim"
 )
 
 // Result is a finished experiment ready to print.
@@ -180,6 +182,35 @@ func init() {
 			title := fmt.Sprintf("Pin-threshold sweep on %s", app)
 			return sweepResult{title, "threshold", rows}, err
 		}})
+	Register(expFunc{"pagesize", "page-size sweep (model ablation)",
+		func(opts Options) (Result, error) {
+			app := appOr(opts, "IMatMult")
+			rows, err := PageSizeSweep(opts, app, []int{1024, 2048, 4096, 8192})
+			return sweepResult{fmt.Sprintf("Page size sweep on %s", app), "page_size", rows}, err
+		}})
+	Register(expFunc{"glsweep", "global-latency (G/L ratio) sweep (model ablation)",
+		func(opts Options) (Result, error) {
+			app := appOr(opts, "IMatMult")
+			rows, err := GLSweep(opts, app, []float64{0.5, 1, 2, 4})
+			return sweepResult{fmt.Sprintf("Global-latency sweep on %s", app), "g_scale", rows}, err
+		}})
+	Register(expFunc{"quantumsweep", "scheduling-quantum sweep (simulation artifact check)",
+		func(opts Options) (Result, error) {
+			app := appOr(opts, "IMatMult")
+			rows, err := QuantumSweep(opts, app, []sim.Time{
+				50 * sim.Microsecond, 200 * sim.Microsecond, 1 * sim.Millisecond})
+			return sweepResult{fmt.Sprintf("Scheduling quantum sweep on %s", app), "quantum", rows}, err
+		}})
+	Register(expFunc{"unixmaster", "system calls funnelled to one processor (§4.6)",
+		func(opts Options) (Result, error) {
+			r, err := UnixMasterCompare(opts, appOr(opts, "Syscaller"))
+			return r, err
+		}})
+	Register(expFunc{"mix", "IMatMult, Primes1 and FFT sharing one machine",
+		func(opts Options) (Result, error) {
+			r, err := MixRun(opts, []string{"IMatMult", "Primes1", "FFT"})
+			return r, err
+		}})
 	Register(expFunc{"pressuresweep", "slowdown under shrinking local memory",
 		func(opts Options) (Result, error) {
 			// With no -app, sweep the paper's whole application mix.
@@ -234,6 +265,8 @@ var (
 	_ Result    = AffinityResult{}
 	_ Result    = ReplicationResult{}
 	_ Result    = RemoteResult{}
+	_ Result    = UnixMasterResult{}
+	_ Result    = MixResult{}
 	_ CSVResult = table3Result(nil)
 	_ CSVResult = table4Result(nil)
 	_ CSVResult = sweepResult{}

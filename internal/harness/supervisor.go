@@ -240,8 +240,8 @@ func (s *Supervisor) describe(label string, attempt int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "unit: %s (attempt %d)\n", label, attempt)
 	fmt.Fprintf(&b, "machine: %+v\n", o.config())
-	fmt.Fprintf(&b, "options: nproc=%d workers=%d threshold=%d appsize=%d app=%q small=%v parallelism=%d\n",
-		o.NProc, o.Workers, o.Threshold, o.AppSize, o.App, o.Small, o.Parallelism)
+	fmt.Fprintf(&b, "options: nproc=%d workers=%d policy=%q appsize=%d app=%q small=%v parallelism=%d\n",
+		o.NProc, o.Workers, o.Policy, o.AppSize, o.App, o.Small, o.Parallelism)
 	fmt.Fprintf(&b, "robustness: audit=%d stall-limit=%d timeout=%v retries=%d\n",
 		o.Audit, o.StallLimit, o.Timeout, o.Retries)
 	fmt.Fprintf(&b, "chaos: %+v\n", o.Chaos)

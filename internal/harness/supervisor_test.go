@@ -10,22 +10,14 @@ import (
 	"time"
 
 	"numasim/internal/chaos"
-	"numasim/internal/metrics"
-	"numasim/internal/policy"
-	"numasim/internal/sched"
 	"numasim/internal/sim"
 )
 
 // drill runs one Gfetch simulation under the options' supervisor, the
 // same path every table row takes.
 func drill(o Options) error {
-	return o.supervise("drill-Gfetch", func(o Options) error {
-		_, err := o.runInstance("Gfetch", metrics.RunSpec{
-			Config: o.config(), Policy: policy.NewDefault(), Workers: o.Workers, Sched: sched.Affinity,
-			Chaos: o.Chaos,
-		})
-		return err
-	})
+	_, err := o.run("drill-Gfetch", "Gfetch", nil)
+	return err
 }
 
 // bundleFiles finds the single repro bundle under dir and reads its

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"numasim/internal/metrics"
-	"numasim/internal/policy"
-	"numasim/internal/sched"
 	"numasim/internal/sim"
 	"numasim/internal/topology"
 )
@@ -103,23 +101,14 @@ func tournamentGrid(opts Options, topos, works, pols []string) (TournamentResult
 	results := make([]metrics.RunResult, len(cells))
 	err := opts.pool().Run(len(cells), func(i int) error {
 		c := cells[i]
-		return opts.supervise(fmt.Sprintf("tournament/%s/%s/%s", c.topo, c.workload, c.spec),
-			func(opts Options) error {
-				pol, err := policy.Parse(c.spec)
-				if err != nil {
-					return err
-				}
-				cfg := opts.config()
-				cfg.Topology = c.topo
-				res, err := opts.runInstance(c.workload, metrics.RunSpec{
-					Config: cfg, Policy: pol, Workers: opts.Workers, Sched: sched.Affinity,
-				})
-				if err != nil {
-					return fmt.Errorf("tournament %s/%s/%s: %w", c.topo, c.workload, c.spec, err)
-				}
-				results[i] = res
-				return nil
-			})
+		o := opts
+		o.Policy, o.Topology = c.spec, c.topo
+		res, err := o.run(fmt.Sprintf("tournament/%s/%s/%s", c.topo, c.workload, c.spec), c.workload, nil)
+		if err != nil {
+			return fmt.Errorf("tournament %s/%s/%s: %w", c.topo, c.workload, c.spec, err)
+		}
+		results[i] = res
+		return nil
 	})
 	if err != nil {
 		return TournamentResult{}, err

@@ -75,6 +75,9 @@ type RunSpec struct {
 	// the workload starts. The harness supervisor uses it to reach the
 	// engine for wall-clock-timeout teardown.
 	OnMachine func(*ace.Machine)
+	// RefTrace, when non-nil, is installed as the kernel's reference-trace
+	// hook (see vm.Kernel.RefTrace and the trace package's Collector).
+	RefTrace func(proc int, va uint32, write bool)
 }
 
 // forensicRingCap is the per-run ring-buffer capacity used when Forensics
@@ -148,6 +151,7 @@ func Run(w Runner, spec RunSpec) (RunResult, error) {
 	}
 	kernel := vm.NewKernel(machine, spec.Policy)
 	kernel.UnixMaster = spec.UnixMast
+	kernel.RefTrace = spec.RefTrace
 	if spec.NoReplication {
 		kernel.NUMA().SetReplication(false)
 	}

@@ -3,8 +3,8 @@ package policy_test
 // Differential tests for the Policy API redesign: a capability-free
 // policy must produce bit-identical runs whether or not it is wrapped
 // with no-op capabilities (heat tracking must be invisible), and the
-// deprecated ByName spellings must build the same policies the registry
-// Parse syntax does.
+// bare command-line spellings must keep building the policies they
+// always did.
 
 import (
 	"reflect"
@@ -77,56 +77,32 @@ func TestCapabilityShimIsInvisible(t *testing.T) {
 	}
 }
 
-// TestByNameMatchesParse checks that every deprecated ByName spelling
-// builds the same policy the registry syntax does.
-func TestByNameMatchesParse(t *testing.T) {
-	cases := []struct {
-		name string
-		thr  int
+// TestParseBareSpellings: every bare policy name the command line has
+// always accepted builds the same policy type and name it always did.
+func TestParseBareSpellings(t *testing.T) {
+	for _, c := range []struct {
 		spec string
+		want numa.Policy
+		name string
 	}{
-		{"threshold", 4, "threshold"},
-		{"threshold", 2, "threshold:limit=2"},
-		{"neverpin", 4, "neverpin"},
-		{"allglobal", 4, "allglobal"},
-		{"alllocal", 4, "alllocal"},
-		{"pragma", 4, "pragma"},
-		{"reconsider", 4, "reconsider:limit=4,period=64"},
-		{"freezedefrost", 4, "freezedefrost"},
-	}
-	for _, c := range cases {
-		old, err := policy.ByName(c.name, c.thr)
-		if err != nil {
-			t.Fatalf("ByName(%q, %d): %v", c.name, c.thr, err)
-		}
-		parsed, err := policy.Parse(c.spec)
+		{"threshold", &policy.Threshold{}, "threshold(4)"},
+		{"neverpin", &policy.Threshold{}, "never-pin"},
+		{"allglobal", policy.AllGlobal{}, "all-global"},
+		{"alllocal", policy.AllLocal{}, "all-local"},
+		{"pragma", &policy.Pragma{}, "pragma+threshold(4)"},
+		{"reconsider", &policy.Reconsider{}, "reconsider(4,64)"},
+		{"freezedefrost", &policy.FreezeDefrost{}, "freeze-defrost(20.000ms,200.000ms)"},
+	} {
+		pol, err := policy.Parse(c.spec)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", c.spec, err)
 		}
-		if reflect.TypeOf(old) != reflect.TypeOf(parsed) {
-			t.Errorf("%q vs %q: types %T and %T", c.name, c.spec, old, parsed)
+		if reflect.TypeOf(pol) != reflect.TypeOf(c.want) {
+			t.Errorf("Parse(%q) built %T, want %T", c.spec, pol, c.want)
 		}
-		if old.Name() != parsed.Name() {
-			t.Errorf("%q vs %q: names %q and %q", c.name, c.spec, old.Name(), parsed.Name())
+		if pol.Name() != c.name {
+			t.Errorf("Parse(%q).Name() = %q, want %q", c.spec, pol.Name(), c.name)
 		}
-	}
-}
-
-// TestByNameRoutesNewSpecs checks that the deprecated entry point
-// accepts registry-only names and the new parameter syntax, so old
-// call sites gain the zoo for free.
-func TestByNameRoutesNewSpecs(t *testing.T) {
-	for _, spec := range []string{"decaythreshold", "bandit:eps=5,seed=3", "classifier", "coplace:min=4"} {
-		pol, err := policy.ByName(spec, 4)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", spec, err)
-		}
-		if pol.Name() == "" {
-			t.Errorf("ByName(%q): empty name", spec)
-		}
-	}
-	if _, err := policy.ByName("no-such-policy", 4); err == nil {
-		t.Error("ByName accepted an unknown policy")
 	}
 }
 

@@ -14,7 +14,6 @@ package policy
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"numasim/internal/mmu"
 	"numasim/internal/numa"
@@ -253,35 +252,6 @@ func (s *Scripted) Consumed() int { return s.pos }
 //
 //numalint:hotpath
 func (s *Scripted) Name() string { return "scripted" }
-
-// ByName builds a fresh policy instance from its pre-registry
-// command-line name (case-insensitive), with threshold parameterizing
-// the threshold and reconsider policies as the old -threshold flag did.
-// The old spellings keep their exact behaviour; any other name is
-// routed through the registry, so new "name:key=val" spellings work
-// here too.
-//
-// Deprecated: use Parse, which lets every policy declare its own
-// parameters ("threshold:limit=2" instead of ByName("threshold", 2)).
-func ByName(name string, threshold int) (numa.Policy, error) {
-	switch strings.ToLower(name) {
-	case "threshold":
-		return NewThreshold(threshold), nil
-	case "allglobal":
-		return AllGlobal{}, nil
-	case "alllocal":
-		return AllLocal{}, nil
-	case "neverpin":
-		return NeverPin(), nil
-	case "pragma":
-		return NewPragma(nil), nil
-	case "reconsider":
-		return NewReconsider(threshold, 64), nil
-	case "freezedefrost":
-		return NewFreezeDefrost(0, 0), nil
-	}
-	return Parse(name)
-}
 
 // Compile-time interface checks.
 var (

@@ -7,10 +7,6 @@
 //
 // e.g. "threshold:limit=2", "coplace:inner=decaythreshold,min=16".
 // Policies hold per-run state, so each run parses its own instance.
-//
-// The registry replaces the pre-redesign ByName(name, threshold) entry
-// point, which survives as a deprecated wrapper: old spellings keep
-// working, routed through the same factories.
 package policy
 
 import (

@@ -221,22 +221,6 @@ type System struct {
 	Runtime *Runtime
 }
 
-// NewSystem builds a complete system: machine, kernel with the given
-// placement policy, and a C-Threads runtime with the given scheduler.
-//
-// Deprecated: use New, which takes functional options and validates the
-// configuration instead of panicking:
-//
-//	sys, err := numasim.New(numasim.WithConfig(cfg),
-//	    numasim.WithPolicy(pol), numasim.WithSched(mode))
-func NewSystem(cfg Config, pol Policy, mode SchedMode) *System {
-	sys, err := New(WithConfig(cfg), WithPolicy(pol), WithSched(mode))
-	if err != nil {
-		panic(err)
-	}
-	return sys
-}
-
 // Policies.
 
 // DefaultPolicy returns the paper's placement policy with its default

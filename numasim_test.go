@@ -9,10 +9,21 @@ import (
 
 // TestPublicAPIEndToEnd drives the whole system through the facade only,
 // the way a downstream user would.
-func TestPublicAPIEndToEnd(t *testing.T) {
+// newSystem builds the default machine with nproc processors under pol
+// and the affinity scheduler.
+func newSystem(tb testing.TB, nproc int, pol numasim.Policy) *numasim.System {
+	tb.Helper()
 	cfg := numasim.DefaultConfig()
-	cfg.NProc = 3
-	sys := numasim.NewSystem(cfg, numasim.DefaultPolicy(), numasim.Affinity)
+	cfg.NProc = nproc
+	sys, err := numasim.New(numasim.WithConfig(cfg), numasim.WithPolicy(pol))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
+func TestPublicAPIEndToEnd(t *testing.T) {
+	sys := newSystem(t, 3, numasim.DefaultPolicy())
 
 	collector := numasim.NewTraceCollector(sys.Machine.PageShift(), true)
 	sys.Kernel.RefTrace = collector.Hook()

@@ -166,9 +166,7 @@ func TestFacadeExperiments(t *testing.T) {
 }
 
 func TestFacadeCopyOnWriteAndRemote(t *testing.T) {
-	cfg := numasim.DefaultConfig()
-	cfg.NProc = 2
-	sys := numasim.NewSystem(cfg, numasim.PragmaPolicy(nil), numasim.Affinity)
+	sys := newSystem(t, 2, numasim.PragmaPolicy(nil))
 	src := sys.Runtime.Alloc("src", 4096)
 	rem := sys.Runtime.Alloc("rem", 4096)
 	sys.Runtime.Task().SetHome(rem, 1)
