@@ -53,32 +53,47 @@ func TestTable3GoldenACE(t *testing.T) {
 }
 
 // TestRegistryGoldens pins every registered experiment's rendered output
-// at the small sizes on three processors, so a refactor of the harness or
-// of the layers below it is proven against stored bytes rather than
-// against itself. A newly registered experiment fails here until its
-// golden is recorded:
+// at the small sizes, once on three ACE processors and once on the
+// four-socket machine (whose links and non-ACE cost binding the ACE pass
+// never exercises), so a refactor of the harness or of the layers below
+// it is proven against stored bytes rather than against itself. The
+// tournament sets its own topology per cell, so only the ACE pass runs
+// it. A newly registered experiment fails here until its goldens are
+// recorded:
 //
 //	go test ./internal/harness -run TestRegistryGoldens -update
 func TestRegistryGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry")
 	}
-	for _, name := range Names() {
-		t.Run(name, func(t *testing.T) {
-			e, _ := Lookup(name)
-			res, err := e.Run(Options{Small: true, NProc: 3})
-			if err != nil {
-				t.Fatal(err)
+	passes := []struct {
+		subtest, golden string
+		opts            Options
+	}{
+		{"", "_small_p3", Options{Small: true, NProc: 3}},
+		{"_4socket", "_small_p4_4socket", Options{Small: true, NProc: 4, Topology: "4socket"}},
+	}
+	for _, pass := range passes {
+		for _, name := range Names() {
+			if name == "tournament" && pass.opts.Topology != "" {
+				continue
 			}
-			got := res.Render()
-			path := "testdata/" + name + "_small_p3.golden"
-			if _, err := os.Stat(path); err != nil && !*update {
-				t.Fatalf("experiment %q has no golden %s; record one with -update", name, path)
-			}
-			if want := readGolden(t, name+"_small_p3.golden", got); got != want {
-				t.Errorf("%s diverged from its golden.\ngot:\n%s\nwant:\n%s", name, got, want)
-			}
-		})
+			t.Run(name+pass.subtest, func(t *testing.T) {
+				e, _ := Lookup(name)
+				res, err := e.Run(pass.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := res.Render()
+				golden := name + pass.golden + ".golden"
+				if _, err := os.Stat("testdata/" + golden); err != nil && !*update {
+					t.Fatalf("experiment %q has no golden %s; record one with -update", name, golden)
+				}
+				if want := readGolden(t, golden, got); got != want {
+					t.Errorf("%s diverged from its golden.\ngot:\n%s\nwant:\n%s", name, got, want)
+				}
+			})
+		}
 	}
 }
 
