@@ -3,8 +3,9 @@
 #   make check    - build everything (the nested bench module too), vet,
 #                   lint (numalint), run the full test suite under the
 #                   race detector (the parallel harness runs many
-#                   simulations concurrently; -race guards it), then the
-#                   audit and pressure drills
+#                   simulations concurrently; -race guards it) and the
+#                   bench module's tests, then the audit and pressure
+#                   drills
 #   make audit    - run the protocol-fuzz suite with full online
 #                   auditing (every protocol action re-validates the
 #                   directory invariants; violations die with forensics)
@@ -64,7 +65,7 @@ BENCHDIFF_TOL ?= 0.20
 check: build vet lint test audit pressure topo tournament avail
 
 # bench/ is its own module, so the root ./... patterns do not reach it;
-# build and vet it explicitly, since it imports the harness.
+# build, vet and test it explicitly, since it imports the harness.
 build:
 	$(GO) build ./...
 	cd bench && $(GO) build -o /dev/null ./...
@@ -85,6 +86,7 @@ lint:
 
 test:
 	$(GO) test -race ./...
+	cd bench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench '$(BENCHFILTER)' -benchtime $(BENCHTIME) -benchmem -run '^$$' .

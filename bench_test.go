@@ -35,12 +35,7 @@ func benchEval(b *testing.B, app string) {
 	b.Helper()
 	var last harness.Table3Row
 	for i := 0; i < b.N; i++ {
-		opts := benchOpts
-		ev := numasim.NewEvaluator()
-		cfg := numasim.DefaultConfig()
-		cfg.NProc = opts.NProc
-		ev.Config = cfg
-		rows, err := harness.Table3Single(opts, app)
+		rows, err := harness.Table3Single(benchOpts, app)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -66,12 +66,8 @@ func main() {
 	// The paper's own false-sharing experiment: Primes2 before and after
 	// copying divisors out of the writably-shared output vector.
 	fmt.Println("-- Primes2 (§4.2) --")
-	ev := numasim.NewEvaluator()
-	cfg := numasim.DefaultConfig()
-	cfg.NProc = 4
-	ev.Config = cfg
 	for _, name := range []string{"Primes2-untuned", "Primes2"} {
-		res, err := numasim.EvaluateByName(ev, name)
+		res, err := numasim.Evaluate(numasim.HarnessOptions{NProc: 4}, name)
 		if err != nil {
 			panic(err)
 		}

@@ -26,16 +26,11 @@ type FalseSharingResult struct {
 // from 0.66 to 1.00.
 func FalseSharing(opts Options) (FalseSharingResult, error) {
 	opts = opts.withDefaults()
-	ev := opts.evaluator()
 	variants := []string{"Primes2-untuned", "Primes2"}
 	evals := make([]metrics.Eval, len(variants))
-	err := opts.pool().Run(len(variants), func(i int) error {
-		e, err := ev.Evaluate(func() (metrics.Runner, error) { return opts.instance(variants[i]) })
-		if err != nil {
-			return err
-		}
-		evals[i] = e
-		return nil
+	err := opts.pool().Run(len(variants), func(i int) (err error) {
+		evals[i], err = Evaluate(opts, variants[i])
+		return err
 	})
 	if err != nil {
 		return FalseSharingResult{}, err
@@ -295,18 +290,22 @@ type RemoteResult struct {
 	Auto, Remote metrics.RunResult
 }
 
-// RemoteCompare runs the asymmetric-sharing probe twice.
+// RemoteCompare runs the asymmetric-sharing probe twice, each run under
+// the options' supervisor.
 func RemoteCompare(opts Options) (RemoteResult, error) {
 	opts = opts.withDefaults()
 	runs := make([]metrics.RunResult, 2)
-	err := opts.pool().Run(2, func(i int) error {
-		spec, err := opts.spec()
-		if err != nil {
+	units := []string{"remote-auto", "remote-pragma"}
+	err := opts.pool().Run(len(units), func(i int) error {
+		return opts.supervise(units[i], func(o Options) error {
+			spec, err := o.spec()
+			if err != nil {
+				return err
+			}
+			spec.Policy = policy.NewPragma(nil)
+			runs[i], err = metrics.Run(workloads.NewHomeData(0, 0, i == 1), spec)
 			return err
-		}
-		spec.Policy = policy.NewPragma(nil)
-		runs[i], err = metrics.Run(workloads.NewHomeData(0, 0, i == 1), spec)
-		return err
+		})
 	})
 	if err != nil {
 		return RemoteResult{}, err

@@ -121,36 +121,28 @@ func AvailabilitySweep(opts Options, apps []string) ([]AvailRow, error) {
 		}
 		schedules = kept
 	}
-	rows := make([]AvailRow, len(apps)*len(schedules))
-	errs := opts.pool().RunAll(len(rows), func(i int) error {
+	rows, err := partial(opts, len(apps)*len(schedules), func(i int) (AvailRow, error) {
 		app, sc := apps[i/len(schedules)], schedules[i%len(schedules)]
 		label := fmt.Sprintf("avail-%s-%s", app, sc.name)
 		o := opts
 		o.Chaos.Health = append(append([]chaos.HealthEvent{}, opts.Chaos.Health...), sc.events...)
 		res, err := o.run(label, app, nil)
 		if err != nil {
-			return fmt.Errorf("availability sweep %s under %s: %w", app, sc.name, err)
+			return AvailRow{}, fmt.Errorf("availability sweep %s under %s: %w", app, sc.name, err)
 		}
-		rows[i] = AvailRow{
+		return AvailRow{
 			App: app, Schedule: sc.name,
 			Tuser: res.UserSec, Tsys: res.SysSec,
 			LocalFrac:   res.Refs.LocalFraction(),
 			Evacuations: res.NUMA.Evacuations, EvacRetries: res.NUMA.EvacRetries,
 			EvacFallbacks: res.NUMA.EvacFallbacks,
 			Failovers:     res.Sched.Failovers,
-		}
-		return nil
+		}, nil
+	}, func(i int, err error) AvailRow {
+		return AvailRow{App: apps[i/len(schedules)], Schedule: schedules[i%len(schedules)].name, Err: err.Error()}
 	})
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !opts.keepGoing() {
-			return nil, err
-		}
-		rows[i] = AvailRow{
-			App: apps[i/len(schedules)], Schedule: schedules[i%len(schedules)].name, Err: err.Error(),
-		}
+	if err != nil {
+		return nil, err
 	}
 	// Each application's rows are contiguous and lead with its healthy
 	// baseline.

@@ -176,21 +176,6 @@ func (o Options) instance(name string) (metrics.Runner, error) {
 	return workloads.ByName(name)
 }
 
-// evaluator builds the three-run evaluator for the options.
-func (o Options) evaluator() *metrics.Evaluator {
-	ev := metrics.NewEvaluator()
-	ev.Config = o.config()
-	ev.Workers = o.Workers
-	ev.Parallelism = o.Parallelism
-	ev.TraceSink = o.TraceSink
-	ev.Chaos = o.Chaos
-	ev.Audit = o.Audit
-	ev.StallLimit = o.StallLimit
-	ev.Forensics = o.forensics()
-	ev.OnMachine = o.onMachine
-	return ev
-}
-
 // policy builds the options' placement policy: the Policy spec when one
 // was chosen, the paper's threshold policy otherwise. Policies carry
 // state, so every run builds its own.
@@ -263,6 +248,45 @@ func (o Options) RunApp(app string, vary func(*metrics.RunSpec)) (metrics.RunRes
 	return o.withDefaults().run(app, app, vary)
 }
 
+// Evaluate makes the paper's three instrumented runs of app (§3.1) and
+// derives its model parameters: T_numa under the paper's threshold policy
+// whatever opts.Policy says, T_global with all writable data in global
+// memory, and T_local with one thread on a one-processor machine. The
+// workload instances are built in order, then the runs share the options'
+// pool inside the caller's supervision, if any.
+func Evaluate(opts Options, app string) (metrics.Eval, error) {
+	opts = opts.withDefaults()
+	opts.Policy = ""
+	spec, err := opts.spec()
+	if err != nil {
+		return metrics.Eval{}, err
+	}
+	specs := []metrics.RunSpec{spec, spec, spec}
+	specs[1].Policy = policy.AllGlobal{}
+	// T_local: "running the parallel applications with a single thread on
+	// a single processor system, causing all data to be placed in local
+	// memory" (§3.1).
+	specs[2].Policy = policy.AllLocal{}
+	specs[2].Config.NProc = 1
+	specs[2].Workers = 1
+	ws := make([]metrics.Runner, len(specs))
+	for i := range ws {
+		if ws[i], err = opts.instance(app); err != nil {
+			return metrics.Eval{}, err
+		}
+	}
+	res := make([]metrics.RunResult, len(specs))
+	err = opts.pool().Run(len(specs), func(i int) error {
+		var err error
+		res[i], err = metrics.Run(ws[i], specs[i])
+		return err
+	})
+	if err != nil {
+		return metrics.Eval{}, err
+	}
+	return metrics.NewEval(spec.Config, ws[0].FetchHeavy(), res[0], res[1], res[2]), nil
+}
+
 // supervise runs one experiment unit under the options' supervisor —
 // panic recovery, wall-clock timeout, bounded retry, repro bundles — or
 // directly when no supervision is configured.
@@ -286,6 +310,29 @@ func fmtF[F ~float64](v F, prec int) string {
 		return "na"
 	}
 	return fmt.Sprintf("%.*f", prec, float64(v))
+}
+
+// partial runs n independent units on the options' pool and returns
+// their rows in unit order. A failed unit aborts the sweep with its
+// error unless the options keep going past failures; then failed(i, err)
+// stands in for its row, so the rest of the table still renders.
+func partial[R any](opts Options, n int, unit func(i int) (R, error), failed func(i int, err error) R) ([]R, error) {
+	rows := make([]R, n)
+	errs := opts.pool().RunAll(n, func(i int) error {
+		var err error
+		rows[i], err = unit(i)
+		return err
+	})
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !opts.keepGoing() {
+			return nil, err
+		}
+		rows[i] = failed(i, err)
+	}
+	return rows, nil
 }
 
 // failedRun names one failed unit of a partial result.

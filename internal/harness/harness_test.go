@@ -166,6 +166,40 @@ func TestFigures(t *testing.T) {
 	}
 }
 
+// TestEvaluateEndToEnd: the three instrumented runs of §3.1 use the
+// paper's policy, the two baselines and a one-thread, one-processor
+// T_local, and Gfetch's invariants hold even at small sizes.
+func TestEvaluateEndToEnd(t *testing.T) {
+	opts := small
+	opts.Policy = "neverpin" // for single-policy experiments; T_numa ignores it
+	e, err := Evaluate(opts, "Gfetch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Workload != "Gfetch" {
+		t.Errorf("workload = %q", e.Workload)
+	}
+	if e.Beta < 0.9 {
+		t.Errorf("Gfetch β = %.2f, want ≈1", e.Beta)
+	}
+	if e.GOverL < 2.2 || e.GOverL > 2.4 {
+		t.Errorf("fetch-heavy G/L = %.2f, want ≈2.3", e.GOverL)
+	}
+	if e.Tlocal <= 0 || e.Tnuma < e.Tlocal {
+		t.Errorf("times inconsistent: %+v", e)
+	}
+	if e.LocalRun.NProc != 1 || e.LocalRun.Workers != 1 {
+		t.Error("T_local run must use one thread on a one-processor machine")
+	}
+	if e.NumaRun.Policy != "threshold(4)" || e.GlobalRun.Policy != "all-global" || e.LocalRun.Policy != "all-local" {
+		t.Errorf("policies = %s, %s, %s", e.NumaRun.Policy, e.GlobalRun.Policy, e.LocalRun.Policy)
+	}
+	// The cross-check: the true local fraction should be low for Gfetch.
+	if e.MeasuredLocalFrac > 0.3 {
+		t.Errorf("measured local fraction = %.2f, want near 0", e.MeasuredLocalFrac)
+	}
+}
+
 // TestFalseSharingExperiment is E8.
 func TestFalseSharingExperiment(t *testing.T) {
 	r, err := FalseSharing(small)

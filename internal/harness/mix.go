@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"numasim/internal/ace"
-	"numasim/internal/chaos"
 	"numasim/internal/cthreads"
-	"numasim/internal/sched"
+	"numasim/internal/metrics"
 	"numasim/internal/sim"
-	"numasim/internal/vm"
 	"numasim/internal/workloads"
 )
 
@@ -29,62 +26,55 @@ type MixResult struct {
 
 // MixRun executes the named applications concurrently under the options'
 // policy, splitting the machine's processors between them. Every
-// application's own verification must pass.
+// application's own verification must pass. The mix is one unit under
+// the options' supervisor, built like every other run.
 func MixRun(opts Options, apps []string) (MixResult, error) {
 	opts = opts.withDefaults()
-	cfg := opts.config()
-	machine, err := ace.NewMachine(cfg)
-	if err != nil {
-		return MixResult{}, err
-	}
-	if opts.TraceSink != nil {
-		machine.AttachSink(opts.TraceSink)
-	}
-	pol, err := opts.policy()
-	if err != nil {
-		return MixResult{}, err
-	}
-	kernel := vm.NewKernel(machine, pol)
-	if opts.Chaos.Enabled() {
-		kernel.NUMA().SetChaos(chaos.New(opts.Chaos))
-	}
-	scheduler := sched.New(kernel, sched.Affinity)
-
-	workersEach := cfg.NProc / len(apps)
-	if workersEach < 1 {
-		workersEach = 1
-	}
-	var finishes []func() error
-	for _, app := range apps {
-		inst, err := opts.instance(app)
+	var res MixResult
+	err := opts.supervise("mix", func(o Options) error {
+		spec, err := o.spec()
 		if err != nil {
-			return MixResult{}, err
+			return err
 		}
-		w, ok := inst.(workloads.Starter)
-		if !ok {
-			return MixResult{}, fmt.Errorf("harness: %s cannot run in a mix", app)
+		sys, err := metrics.Build(spec)
+		if err != nil {
+			return err
 		}
-		rt := cthreads.NewShared(kernel, scheduler, app)
-		finishes = append(finishes, w.Start(rt, workersEach))
-	}
-	if err := machine.Engine().Run(); err != nil {
-		return MixResult{}, err
-	}
-	for i, fin := range finishes {
-		if err := fin(); err != nil {
-			return MixResult{}, fmt.Errorf("harness: mix member %s: %w", apps[i], err)
+		workersEach := max(spec.Config.NProc/len(apps), 1)
+		var finishes []func() error
+		for _, app := range apps {
+			inst, err := o.instance(app)
+			if err != nil {
+				return err
+			}
+			w, ok := inst.(workloads.Starter)
+			if !ok {
+				return fmt.Errorf("harness: %s cannot run in a mix", app)
+			}
+			finishes = append(finishes, w.Start(cthreads.NewShared(sys.Kernel, sys.Sched, app), workersEach))
 		}
-	}
-	refs := machine.TotalRefs()
-	ns := kernel.NUMA().Stats()
-	return MixResult{
-		Apps:      apps,
-		UserSec:   machine.Engine().TotalUserTime().Ticks(),
-		SysSec:    machine.Engine().TotalSysTime().Ticks(),
-		LocalFrac: refs.LocalFraction(),
-		Pins:      ns.Pins,
-		Moves:     ns.Moves,
-	}, nil
+		name := strings.Join(apps, "+")
+		if err := sys.Machine.Engine().Run(); err != nil {
+			return sys.Fail(name, err)
+		}
+		for i, fin := range finishes {
+			if err := fin(); err != nil {
+				return sys.Fail(name, fmt.Errorf("harness: mix member %s: %w", apps[i], err))
+			}
+		}
+		refs := sys.Machine.TotalRefs()
+		ns := sys.Kernel.NUMA().Stats()
+		res = MixResult{
+			Apps:      apps,
+			UserSec:   sys.Machine.Engine().TotalUserTime().Ticks(),
+			SysSec:    sys.Machine.Engine().TotalSysTime().Ticks(),
+			LocalFrac: refs.LocalFraction(),
+			Pins:      ns.Pins,
+			Moves:     ns.Moves,
+		}
+		return nil
+	})
+	return res, err
 }
 
 // Render formats the mix run.

@@ -70,8 +70,7 @@ func PressureSweepAll(opts Options, apps []string, frames []int) ([]PressureRow,
 		frames = DefaultPressureFrames
 	}
 	points := append([]int{0}, frames...)
-	rows := make([]PressureRow, len(apps)*len(points))
-	errs := opts.pool().RunAll(len(rows), func(i int) error {
+	rows, err := partial(opts, len(apps)*len(points), func(i int) (PressureRow, error) {
 		app, budget := apps[i/len(points)], points[i%len(points)]
 		label := fmt.Sprintf("pressure-%s-%s", app, pressureParam(budget))
 		res, err := opts.run(label, app, func(s *metrics.RunSpec) {
@@ -80,28 +79,21 @@ func PressureSweepAll(opts Options, apps []string, frames []int) ([]PressureRow,
 			}
 		})
 		if err != nil {
-			return fmt.Errorf("pressure sweep %s at %d local frames: %w", app, budget, err)
+			return PressureRow{}, fmt.Errorf("pressure sweep %s at %d local frames: %w", app, budget, err)
 		}
-		rows[i] = PressureRow{
+		return PressureRow{
 			App:         app,
 			LocalFrames: budget,
 			Tnuma:       res.UserSec, Snuma: res.SysSec,
 			LocalFrac: res.Refs.LocalFraction(),
 			Fallbacks: res.NUMA.LocalFallback, Evictions: res.NUMA.Evictions,
 			Retries: res.NUMA.Retries, ChaosFaults: res.NUMA.ChaosFaults,
-		}
-		return nil
+		}, nil
+	}, func(i int, err error) PressureRow {
+		return PressureRow{App: apps[i/len(points)], LocalFrames: points[i%len(points)], Err: err.Error()}
 	})
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !opts.keepGoing() {
-			return nil, err
-		}
-		rows[i] = PressureRow{
-			App: apps[i/len(points)], LocalFrames: points[i%len(points)], Err: err.Error(),
-		}
+	if err != nil {
+		return nil, err
 	}
 	// Each application's rows are contiguous and lead with its baseline.
 	for a := 0; a < len(apps); a++ {

@@ -11,6 +11,7 @@ import (
 
 	"numasim/internal/chaos"
 	"numasim/internal/sim"
+	"numasim/internal/simtrace"
 )
 
 // drill runs one Gfetch simulation under the options' supervisor, the
@@ -24,27 +25,87 @@ func drill(o Options) error {
 // files into a map keyed by file name.
 func bundleFiles(t *testing.T, dir string) (string, map[string]string) {
 	t.Helper()
+	all := bundles(t, dir)
+	if len(all) != 1 {
+		t.Fatalf("want exactly one bundle directory in %s, got %d", dir, len(all))
+	}
+	for name, files := range all {
+		return name, files
+	}
+	return "", nil
+}
+
+// bundles reads every repro bundle under dir, keyed by bundle directory
+// name, then by file name.
+func bundles(t *testing.T, dir string) map[string]map[string]string {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || !entries[0].IsDir() {
-		t.Fatalf("want exactly one bundle directory in %s, got %v", dir, entries)
-	}
-	bundle := filepath.Join(dir, entries[0].Name())
-	files := make(map[string]string)
-	inner, err := os.ReadDir(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range inner {
-		b, err := os.ReadFile(filepath.Join(bundle, e.Name()))
+	out := make(map[string]map[string]string)
+	for _, entry := range entries {
+		if !entry.IsDir() {
+			t.Fatalf("stray file %s in repro dir %s", entry.Name(), dir)
+		}
+		bundle := filepath.Join(dir, entry.Name())
+		inner, err := os.ReadDir(bundle)
 		if err != nil {
 			t.Fatal(err)
 		}
-		files[e.Name()] = string(b)
+		files := make(map[string]string)
+		for _, e := range inner {
+			b, err := os.ReadFile(filepath.Join(bundle, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		out[entry.Name()] = files
 	}
-	return entries[0].Name(), files
+	return out
+}
+
+// TestMixAndRemoteRunSupervised: the mix and remote experiments build
+// their machines like every other run. A chaos panic leaves a repro
+// bundle per failed run, carrying the state dump and the forensic trace,
+// and the mix's machine replays a node-failure schedule.
+func TestMixAndRemoteRunSupervised(t *testing.T) {
+	for _, name := range []string{"mix", "remote"} {
+		dir := t.TempDir()
+		e, _ := Lookup(name)
+		if _, err := e.Run(Options{
+			NProc: 2, Small: true, Parallelism: 1,
+			Chaos:    chaos.Config{PanicAt: sim.Millisecond},
+			ReproDir: dir,
+		}); err == nil {
+			t.Errorf("%s: the chaos panic did not fail the run", name)
+		}
+		all := bundles(t, dir)
+		if len(all) == 0 {
+			t.Errorf("%s: the failed run left no repro bundle", name)
+		}
+		for bundle, files := range all {
+			if files["statedump.txt"] == "" || files["trace.txt"] == "" {
+				t.Errorf("%s: bundle %s lacks statedump.txt or trace.txt", name, bundle)
+			}
+		}
+	}
+
+	var counts simtrace.CountingSink
+	e, _ := Lookup("mix")
+	if _, err := e.Run(Options{
+		NProc: 4, Small: true, Topology: "4socket",
+		Chaos: chaos.Config{Health: []chaos.HealthEvent{
+			{At: 2 * sim.Millisecond, Kind: chaos.NodeOffline, Node: 1},
+		}},
+		TraceSink: &counts,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if counts.Count(simtrace.KindNodeOffline) == 0 {
+		t.Error("the mix ignored its node-failure schedule")
+	}
 }
 
 // TestSupervisorPanicWritesBundle: a chaos-injected panic mid-protocol

@@ -148,9 +148,7 @@ type Table3Row struct {
 
 // Table3Single evaluates one application of Table 3.
 func Table3Single(opts Options, app string) (Table3Row, error) {
-	opts = opts.withDefaults()
-	ev := opts.evaluator()
-	e, err := ev.Evaluate(func() (metrics.Runner, error) { return opts.instance(app) })
+	e, err := Evaluate(opts, app)
 	if err != nil {
 		return Table3Row{}, err
 	}
@@ -164,27 +162,15 @@ func Table3Single(opts Options, app string) (Table3Row, error) {
 // error-annotated rows and the rest of the table still renders.
 func Table3(opts Options) ([]Table3Row, error) {
 	opts = opts.withDefaults()
-	rows := make([]Table3Row, len(Table3Apps))
-	errs := opts.pool().RunAll(len(Table3Apps), func(i int) error {
-		return opts.supervise("table3-"+Table3Apps[i], func(o Options) error {
-			row, err := Table3Single(o, Table3Apps[i])
-			if err != nil {
-				return err
-			}
-			rows[i] = row
-			return nil
+	return partial(opts, len(Table3Apps), func(i int) (row Table3Row, err error) {
+		err = opts.supervise("table3-"+Table3Apps[i], func(o Options) (err error) {
+			row, err = Table3Single(o, Table3Apps[i])
+			return err
 		})
+		return row, err
+	}, func(i int, err error) Table3Row {
+		return Table3Row{App: Table3Apps[i], Err: err.Error()}
 	})
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !opts.keepGoing() {
-			return nil, err
-		}
-		rows[i] = Table3Row{App: Table3Apps[i], Err: err.Error()}
-	}
-	return rows, nil
 }
 
 // RenderTable3 renders measured rows with the paper's numbers alongside.
@@ -268,9 +254,7 @@ type Table4Row struct {
 
 // Table4Single evaluates one application of Table 4.
 func Table4Single(opts Options, app string) (Table4Row, error) {
-	opts = opts.withDefaults()
-	ev := opts.evaluator()
-	e, err := ev.Evaluate(func() (metrics.Runner, error) { return opts.instance(app) })
+	e, err := Evaluate(opts, app)
 	if err != nil {
 		return Table4Row{}, err
 	}
@@ -294,27 +278,15 @@ func Table4Single(opts Options, app string) (Table4Row, error) {
 // rest of the table still renders.
 func Table4(opts Options) ([]Table4Row, error) {
 	opts = opts.withDefaults()
-	rows := make([]Table4Row, len(Table4Apps))
-	errs := opts.pool().RunAll(len(Table4Apps), func(i int) error {
-		return opts.supervise("table4-"+Table4Apps[i], func(o Options) error {
-			row, err := Table4Single(o, Table4Apps[i])
-			if err != nil {
-				return err
-			}
-			rows[i] = row
-			return nil
+	return partial(opts, len(Table4Apps), func(i int) (row Table4Row, err error) {
+		err = opts.supervise("table4-"+Table4Apps[i], func(o Options) (err error) {
+			row, err = Table4Single(o, Table4Apps[i])
+			return err
 		})
+		return row, err
+	}, func(i int, err error) Table4Row {
+		return Table4Row{App: Table4Apps[i], Err: err.Error()}
 	})
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !opts.keepGoing() {
-			return nil, err
-		}
-		rows[i] = Table4Row{App: Table4Apps[i], Err: err.Error()}
-	}
-	return rows, nil
 }
 
 // RenderTable4 renders measured rows with the paper's numbers alongside.

@@ -21,13 +21,11 @@ package metrics
 
 import (
 	"fmt"
-	"sync"
 
 	"numasim/internal/ace"
 	"numasim/internal/chaos"
 	"numasim/internal/cthreads"
 	"numasim/internal/numa"
-	"numasim/internal/policy"
 	"numasim/internal/sched"
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
@@ -35,15 +33,16 @@ import (
 	"numasim/internal/vm"
 )
 
-// Runner is the workload contract the evaluator needs; the workloads
-// package's Workload satisfies it.
+// Runner is the workload contract a run needs; the workloads package's
+// Workload satisfies it.
 type Runner interface {
 	Name() string
 	FetchHeavy() bool
 	Run(rt *cthreads.Runtime, nworkers int) error
 }
 
-// RunSpec describes one instrumented run.
+// RunSpec describes one simulated system and the run made on it; Build
+// assembles the system.
 type RunSpec struct {
 	Config   ace.Config
 	Policy   numa.Policy
@@ -125,11 +124,32 @@ type RunResult struct {
 	Sched sched.Stats
 }
 
-// Run executes one workload on a freshly built machine per spec.
-func Run(w Runner, spec RunSpec) (RunResult, error) {
+// System is one simulated system assembled from a RunSpec: the machine,
+// its kernel, and the scheduler that every C-Threads runtime on the
+// machine shares (cthreads.NewShared).
+type System struct {
+	Machine *ace.Machine
+	Kernel  *vm.Kernel
+	Sched   *sched.Scheduler
+
+	spec RunSpec
+	ring *simtrace.RingSink
+}
+
+// Build assembles the system spec describes; it is the one place a
+// simulated machine, kernel and scheduler are put together. It validates
+// the machine and chaos configuration, attaches the trace sink (teed with
+// a forensic ring when forensics or auditing is on), applies the stall
+// limit, the kernel flags, the auditor and chaos, shows the machine to
+// OnMachine, builds the scheduler and starts the health driver — the only
+// thread it spawns, so the workload's threads always follow it.
+func Build(spec RunSpec) (*System, error) {
+	if err := spec.Chaos.Validate(); err != nil {
+		return nil, err
+	}
 	machine, err := ace.NewMachine(spec.Config)
 	if err != nil {
-		return RunResult{}, fmt.Errorf("metrics: %s: %w", w.Name(), err)
+		return nil, err
 	}
 	// Forensics and auditing share one per-run ring buffer; a shared
 	// TraceSink keeps receiving everything through a tee.
@@ -155,7 +175,7 @@ func Run(w Runner, spec RunSpec) (RunResult, error) {
 	if spec.NoReplication {
 		kernel.NUMA().SetReplication(false)
 	}
-	if spec.Audit > 0 || ring != nil {
+	if ring != nil {
 		kernel.NUMA().EnableAudit(spec.Audit, ring)
 	}
 	if spec.Chaos.Enabled() {
@@ -164,25 +184,39 @@ func Run(w Runner, spec RunSpec) (RunResult, error) {
 	if spec.OnMachine != nil {
 		spec.OnMachine(machine)
 	}
-	rt := cthreads.New(kernel, spec.Sched)
-	if spec.Chaos.HealthEnabled() {
-		if err := StartHealthDriver(machine, kernel.NUMA(), rt.Scheduler(), spec.Chaos); err != nil {
-			return RunResult{}, fmt.Errorf("metrics: %s: %w", w.Name(), err)
-		}
+	scheduler := sched.New(kernel, spec.Sched)
+	if err := StartHealthDriver(machine, kernel.NUMA(), scheduler, spec.Chaos); err != nil {
+		return nil, err
 	}
-	if err := w.Run(rt, spec.Workers); err != nil {
-		err = fmt.Errorf("metrics: %s under %s: %w", w.Name(), spec.Policy.Name(), err)
-		if spec.Forensics {
-			re := &RunError{
-				Workload: w.Name(), Policy: spec.Policy.Name(), Err: err,
-				Dump: machine.Engine().DumpState().Render(),
-			}
-			if ring != nil {
-				re.Events = ring.Events()
-			}
-			return RunResult{}, re
-		}
-		return RunResult{}, err
+	return &System{Machine: machine, Kernel: kernel, Sched: scheduler, spec: spec, ring: ring}, nil
+}
+
+// Fail returns a failed run's error, wrapped in a *RunError carrying the
+// forensic ring's contents and the rendered machine-state dump when the
+// spec asked for forensics.
+func (s *System) Fail(workload string, err error) error {
+	if !s.spec.Forensics {
+		return err
+	}
+	re := &RunError{
+		Workload: workload, Policy: s.spec.Policy.Name(), Err: err,
+		Dump: s.Machine.Engine().DumpState().Render(),
+	}
+	if s.ring != nil {
+		re.Events = s.ring.Events()
+	}
+	return re
+}
+
+// Run executes one workload on a freshly built system per spec.
+func Run(w Runner, spec RunSpec) (RunResult, error) {
+	sys, err := Build(spec)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("metrics: %s: %w", w.Name(), err)
+	}
+	machine, kernel := sys.Machine, sys.Kernel
+	if err := w.Run(cthreads.NewShared(kernel, sys.Sched, "cthreads"), spec.Workers); err != nil {
+		return RunResult{}, sys.Fail(w.Name(), fmt.Errorf("metrics: %s under %s: %w", w.Name(), spec.Policy.Name(), err))
 	}
 	var enters uint64
 	for i := 0; i < machine.NProc(); i++ {
@@ -201,7 +235,7 @@ func Run(w Runner, spec RunSpec) (RunResult, error) {
 		Faults:    machine.TotalFaults(),
 		MMUEnters: enters,
 		Links:     machine.Topo().LinkStats(),
-		Sched:     rt.Scheduler().Stats(),
+		Sched:     sys.Sched.Stats(),
 	}, nil
 }
 
@@ -226,126 +260,11 @@ type Eval struct {
 	NumaRun, GlobalRun, LocalRun RunResult
 }
 
-// Evaluator runs the paper's three-way comparison for workloads.
-type Evaluator struct {
-	// Config is the machine used for the T_numa and T_global runs. The
-	// T_local run uses a single-processor variant of the same machine.
-	Config ace.Config
-	// Workers is the number of worker threads for the parallel runs
-	// (default: one per processor).
-	Workers int
-	// Threshold is the move limit for the placement policy (default 4).
-	Threshold int
-	// Sched selects the scheduling discipline (default affinity).
-	Sched sched.Mode
-	// Parallelism bounds how many of the three instrumented runs execute
-	// concurrently on real OS threads (<=1: sequential). Each run is a
-	// self-contained deterministic simulation on its own machine, so the
-	// measured results are bit-identical regardless of this setting.
-	Parallelism int
-	// TraceSink, when non-nil, is attached to every run's machine. The
-	// three runs may execute concurrently, so the sink must be safe for
-	// concurrent Emit (simtrace.CountingSink is).
-	TraceSink simtrace.Sink
-	// Chaos configures fault injection. Each instrumented run gets its own
-	// injector seeded from Chaos.Seed, so results stay byte-identical at
-	// every Parallelism setting.
-	Chaos chaos.Config
-	// Audit, Forensics and StallLimit apply to every instrumented run; see
-	// the RunSpec fields of the same names.
-	Audit      int
-	Forensics  bool
-	StallLimit int
-	// OnMachine observes each run's machine as it is built; with
-	// Parallelism > 1 it may be called concurrently, so it must be safe
-	// for concurrent use.
-	OnMachine func(*ace.Machine)
-}
-
-// NewEvaluator returns an evaluator for the paper's measurement setup:
-// seven processors, the default policy.
-func NewEvaluator() *Evaluator {
-	return &Evaluator{Config: ace.DefaultConfig(), Threshold: policy.DefaultThreshold}
-}
-
-// Evaluate measures one workload: fresh is a factory returning a new
-// instance of the same workload for each of the three runs. A factory
-// error aborts the evaluation before any run starts.
-func (e *Evaluator) Evaluate(fresh func() (Runner, error)) (Eval, error) {
-	cfg := e.Config
-	workers := e.Workers
-	if workers <= 0 {
-		workers = cfg.NProc
-	}
-	thr := e.Threshold
-	if thr == 0 {
-		thr = policy.DefaultThreshold
-	}
-
-	// T_local: "running the parallel applications with a single thread on
-	// a single processor system, causing all data to be placed in local
-	// memory" (§3.1).
-	localCfg := cfg
-	localCfg.NProc = 1
-
-	// The three instrumented runs are independent simulations on separate
-	// machines; fan them out. The workload instances are created serially
-	// (factories need not be concurrency-safe), only the runs overlap.
-	spec := func(cfg ace.Config, pol numa.Policy, workers int) RunSpec {
-		return RunSpec{
-			Config: cfg, Policy: pol, Workers: workers, Sched: e.Sched,
-			TraceSink: e.TraceSink, Chaos: e.Chaos,
-			Audit: e.Audit, Forensics: e.Forensics, StallLimit: e.StallLimit,
-			OnMachine: e.OnMachine,
-		}
-	}
-	wNuma, err := fresh()
-	if err != nil {
-		return Eval{}, err
-	}
-	wGlobal, err := fresh()
-	if err != nil {
-		return Eval{}, err
-	}
-	wLocal, err := fresh()
-	if err != nil {
-		return Eval{}, err
-	}
-	runs := []struct {
-		w    Runner
-		spec RunSpec
-	}{
-		{wNuma, spec(cfg, policy.NewThreshold(thr), workers)},
-		{wGlobal, spec(cfg, policy.AllGlobal{}, workers)},
-		{wLocal, spec(localCfg, policy.AllLocal{}, 1)},
-	}
-	var results [3]RunResult
-	var errs [3]error
-	if e.Parallelism > 1 {
-		sem := make(chan struct{}, e.Parallelism)
-		var wg sync.WaitGroup
-		for i := range runs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				results[i], errs[i] = Run(runs[i].w, runs[i].spec)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range runs {
-			results[i], errs[i] = Run(runs[i].w, runs[i].spec)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return Eval{}, err
-		}
-	}
-	numaRun, globalRun, localRun := results[0], results[1], results[2]
-
+// NewEval turns the paper's three instrumented runs of one workload —
+// T_numa, T_global and T_local — into its evaluation. cfg is the T_numa
+// machine, whose cost model gives the G/L ratio; fetchHeavy selects the
+// fetch-only ratio.
+func NewEval(cfg ace.Config, fetchHeavy bool, numaRun, globalRun, localRun RunResult) Eval {
 	// Bind a copy of the cost model to the run's topology so the G/L ratio
 	// reflects the machine actually simulated (the ACE binding reproduces
 	// the published constants exactly).
@@ -354,11 +273,11 @@ func (e *Evaluator) Evaluate(fresh func() (Runner, error)) (Eval, error) {
 		bc.Bind(spec)
 	}
 	gl := bc.GOverL(0.45)
-	if wNuma.FetchHeavy() {
+	if fetchHeavy {
 		gl = bc.GOverL(0)
 	}
 	ev := Eval{
-		Workload:  wNuma.Name(),
+		Workload:  numaRun.Workload,
 		Tglobal:   globalRun.UserSec,
 		Tnuma:     numaRun.UserSec,
 		Tlocal:    localRun.UserSec,
@@ -372,7 +291,7 @@ func (e *Evaluator) Evaluate(fresh func() (Runner, error)) (Eval, error) {
 	}
 	ev.MeasuredLocalFrac = numaRun.Refs.LocalFraction()
 	ev.Alpha, ev.Beta, ev.Gamma = Derive(ev.Tglobal, ev.Tnuma, ev.Tlocal, gl)
-	return ev, nil
+	return ev
 }
 
 // Derive computes α, β and γ from the three run times per equations (1),

@@ -121,39 +121,3 @@ func TestRunPropagatesWorkloadErrors(t *testing.T) {
 		t.Error("want error from invalid config")
 	}
 }
-
-func TestEvaluatorEndToEnd(t *testing.T) {
-	ev := metrics.NewEvaluator()
-	cfg := ace.DefaultConfig()
-	cfg.NProc = 3
-	cfg.GlobalFrames = 512
-	cfg.LocalFrames = 256
-	ev.Config = cfg
-	e, err := ev.Evaluate(func() (metrics.Runner, error) { return workloads.NewGfetch(6, 4), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Workload != "Gfetch" {
-		t.Errorf("workload = %q", e.Workload)
-	}
-	// Gfetch's invariants hold even at tiny sizes.
-	if e.Beta < 0.9 {
-		t.Errorf("Gfetch β = %.2f, want ≈1", e.Beta)
-	}
-	if e.GOverL < 2.2 || e.GOverL > 2.4 {
-		t.Errorf("fetch-heavy G/L = %.2f, want ≈2.3", e.GOverL)
-	}
-	if e.Tlocal <= 0 || e.Tnuma < e.Tlocal {
-		t.Errorf("times inconsistent: %+v", e)
-	}
-	if e.LocalRun.NProc != 1 || e.LocalRun.Workers != 1 {
-		t.Error("T_local run must use one thread on a one-processor machine")
-	}
-	if e.GlobalRun.Policy != "all-global" || e.LocalRun.Policy != "all-local" {
-		t.Error("baseline policies wrong")
-	}
-	// The cross-check: the true local fraction should be low for Gfetch.
-	if e.MeasuredLocalFrac > 0.3 {
-		t.Errorf("measured local fraction = %.2f, want near 0", e.MeasuredLocalFrac)
-	}
-}

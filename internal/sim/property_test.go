@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"numasim/internal/simtrace"
 )
 
 // TestUserTimeConservation: total user time equals the sum of all Advance
@@ -105,9 +107,9 @@ func scheduleTrace(seed int64, linear bool) (schedule []int64, err error) {
 	e := NewEngine()
 	e.linearPick = linear
 	cpus := []*Resource{{Name: "a"}, {Name: "b"}, {Name: "c"}}
-	e.Trace = func(t *Thread) {
-		schedule = append(schedule, int64(t.id), int64(t.clock))
-	}
+	var sink simtrace.ListSink
+	e.Bus = simtrace.NewBus()
+	e.Bus.Attach(&sink)
 	n := rng.Intn(6) + 2
 	threads := make([]*Thread, n)
 	body := func(i int) func(*Thread) {
@@ -148,10 +150,23 @@ func scheduleTrace(seed int64, linear bool) (schedule []int64, err error) {
 		threads[i] = e.Spawn(fmt.Sprintf("t%d", i), Time(rng.Intn(50))*Microsecond, body(i))
 	}
 	err = e.Run()
+	schedule = dispatches(sink.Events())
 	for _, t := range threads {
 		schedule = append(schedule, int64(t.Clock()), int64(t.UserTime()), int64(t.SysTime()))
 	}
 	return schedule, err
+}
+
+// dispatches extracts the (thread id, clock) pair of every context switch
+// from an engine's event stream.
+func dispatches(events []simtrace.Event) []int64 {
+	var out []int64
+	for _, ev := range events {
+		if ev.Kind == simtrace.KindDispatch {
+			out = append(out, int64(ev.Thread), ev.Time)
+		}
+	}
+	return out
 }
 
 // TestPickHeapMatchesLinearScan: the heap-based ready queue must produce

@@ -295,9 +295,6 @@ type Engine struct {
 	// scheduler-equivalence property test uses it to drive both
 	// implementations on identical programs.
 	linearPick bool
-	// Trace, if non-nil, is called on every context switch with the thread
-	// about to run.
-	Trace func(t *Thread)
 	// Bus, if non-nil, receives structured dispatch and execution-span
 	// events. The engine only emits while a sink is attached.
 	Bus *simtrace.Bus
@@ -542,9 +539,6 @@ func (e *Engine) Run() error {
 		}
 		t.state = Running
 		e.running = t
-		if e.Trace != nil {
-			e.Trace(t)
-		}
 		spanStart := t.clock
 		if e.Bus.Enabled() {
 			e.Bus.Emit(simtrace.Event{

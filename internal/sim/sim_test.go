@@ -3,6 +3,8 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"numasim/internal/simtrace"
 )
 
 func TestTimeString(t *testing.T) {
@@ -340,8 +342,9 @@ func TestRunTwiceFails(t *testing.T) {
 
 func TestTraceHook(t *testing.T) {
 	e := NewEngine()
-	var switches int
-	e.Trace = func(th *Thread) { switches++ }
+	var sink simtrace.ListSink
+	e.Bus = simtrace.NewBus()
+	e.Bus.Attach(&sink)
 	e.Spawn("a", 0, func(th *Thread) {
 		th.Yield()
 		th.Yield()
@@ -349,7 +352,7 @@ func TestTraceHook(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if switches != 3 {
+	if switches := len(dispatches(sink.Events())) / 2; switches != 3 {
 		t.Errorf("switches = %d, want 3", switches)
 	}
 }

@@ -120,8 +120,6 @@ type (
 	Eval = metrics.Eval
 	// RunResult is the outcome of one instrumented run.
 	RunResult = metrics.RunResult
-	// Evaluator runs the paper's three-way comparison.
-	Evaluator = metrics.Evaluator
 	// Workload is one measured application.
 	Workload = workloads.Workload
 	// TraceCollector accumulates a reference trace.
@@ -267,20 +265,10 @@ func WorkloadByName(name string) (Workload, error) { return workloads.ByName(nam
 
 // Measurement.
 
-// NewEvaluator returns an evaluator for the paper's measurement setup.
-func NewEvaluator() *Evaluator { return metrics.NewEvaluator() }
-
-// Evaluate runs the paper's three-run comparison (T_numa, T_global,
-// T_local) for a workload; fresh must return a new instance per run.
-func Evaluate(ev *Evaluator, fresh func() Workload) (Eval, error) {
-	return ev.Evaluate(func() (metrics.Runner, error) { return fresh(), nil })
-}
-
-// EvaluateByName runs the three-run comparison for a named workload at its
-// default size.
-func EvaluateByName(ev *Evaluator, name string) (Eval, error) {
-	return ev.Evaluate(func() (metrics.Runner, error) { return workloads.ByName(name) })
-}
+// Evaluate runs the paper's three-run comparison (T_numa under the
+// paper's threshold policy, T_global, T_local) for the named application
+// on the options' machine, and derives α, β and γ.
+func Evaluate(opts HarnessOptions, app string) (Eval, error) { return harness.Evaluate(opts, app) }
 
 // NewTraceCollector creates a reference-trace collector for the given page
 // shift; install its Hook as Kernel.RefTrace.

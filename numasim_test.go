@@ -90,16 +90,7 @@ func TestPublicWorkloadsAndEvaluation(t *testing.T) {
 	if _, err := numasim.WorkloadByName("Primes2-untuned"); err != nil {
 		t.Error(err)
 	}
-	ev := numasim.NewEvaluator()
-	cfg := numasim.DefaultConfig()
-	cfg.NProc = 3
-	cfg.GlobalFrames = 512
-	cfg.LocalFrames = 256
-	ev.Config = cfg
-	e, err := numasim.Evaluate(ev, func() numasim.Workload {
-		w, _ := numasim.WorkloadByName("ParMult")
-		return w
-	})
+	e, err := numasim.Evaluate(numasim.HarnessOptions{NProc: 3, Small: true}, "ParMult")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,12 @@
 package numasim
 
 import (
-	"numasim/internal/ace"
 	"numasim/internal/chaos"
 	"numasim/internal/cthreads"
+	"numasim/internal/metrics"
 	"numasim/internal/numa"
 	"numasim/internal/policy"
 	"numasim/internal/simtrace"
-	"numasim/internal/vm"
 )
 
 // ChaosConfig parameterizes the seeded fault-injection layer: transient
@@ -23,54 +22,45 @@ type TraceSink = simtrace.Sink
 // TraceListSink is a simple sink that collects events in order.
 type TraceListSink = simtrace.ListSink
 
-// Option configures New.
-type Option func(*sysOptions)
-
-// sysOptions accumulates the choices New assembles a System from.
-type sysOptions struct {
-	cfg   Config
-	pol   Policy
-	mode  SchedMode
-	chaos ChaosConfig
-	sink  TraceSink
-	audit int
-}
+// Option configures New by adjusting the description of the system it
+// builds.
+type Option func(*metrics.RunSpec)
 
 // WithConfig replaces the whole machine configuration (default:
 // DefaultConfig). Compose with WithLocalFrames, which applies after it.
 func WithConfig(cfg Config) Option {
-	return func(o *sysOptions) { o.cfg = cfg }
+	return func(s *metrics.RunSpec) { s.Config = cfg }
 }
 
 // WithPolicy selects the NUMA placement policy (default: the paper's
 // threshold policy with its default move limit).
 func WithPolicy(pol Policy) Option {
-	return func(o *sysOptions) { o.pol = pol }
+	return func(s *metrics.RunSpec) { s.Policy = pol }
 }
 
 // WithSched selects the scheduling discipline (default: Affinity).
 func WithSched(mode SchedMode) Option {
-	return func(o *sysOptions) { o.mode = mode }
+	return func(s *metrics.RunSpec) { s.Sched = mode }
 }
 
 // WithLocalFrames bounds each processor's local memory to n page frames.
 // The default is effectively unbounded (8 MB per processor); small values
 // put the NUMA manager's reclaimer and global-fallback path to work.
 func WithLocalFrames(n int) Option {
-	return func(o *sysOptions) { o.cfg.LocalFrames = n }
+	return func(s *metrics.RunSpec) { s.Config.LocalFrames = n }
 }
 
 // WithChaos enables seeded fault injection. A fresh injector is built
 // from cc for this system alone, so two systems with the same seed see
 // the same fault schedule.
 func WithChaos(cc ChaosConfig) Option {
-	return func(o *sysOptions) { o.chaos = cc }
+	return func(s *metrics.RunSpec) { s.Chaos = cc }
 }
 
 // WithTraceSink attaches a structured-event sink to the machine before
 // anything runs.
-func WithTraceSink(s TraceSink) Option {
-	return func(o *sysOptions) { o.sink = s }
+func WithTraceSink(sink TraceSink) Option {
+	return func(s *metrics.RunSpec) { s.TraceSink = sink }
 }
 
 // WithAudit turns on the NUMA manager's online protocol auditor at the
@@ -81,7 +71,7 @@ func WithTraceSink(s TraceSink) Option {
 // *ProtocolViolation that carries the page, its state, and the recent
 // trace events.
 func WithAudit(stride int) Option {
-	return func(o *sysOptions) { o.audit = stride }
+	return func(s *metrics.RunSpec) { s.Audit = stride }
 }
 
 // ProtocolViolation is a broken NUMA-protocol invariant detected by the
@@ -101,44 +91,19 @@ type ProtocolViolation = numa.ProtocolViolationError
 // With no options it is the paper's measurement setup: the default ACE,
 // the default threshold policy, the affinity scheduler.
 func New(opts ...Option) (*System, error) {
-	o := sysOptions{cfg: DefaultConfig(), mode: Affinity}
+	spec := metrics.RunSpec{Config: DefaultConfig(), Sched: Affinity}
 	for _, opt := range opts {
-		opt(&o)
+		opt(&spec)
 	}
-	if o.pol == nil {
-		o.pol = policy.NewDefault()
+	if spec.Policy == nil {
+		spec.Policy = policy.NewDefault()
 	}
-	if err := o.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := o.chaos.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := ace.NewMachine(o.cfg)
+	sys, err := metrics.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	// Auditing keeps a forensic ring of recent events so violations carry
-	// context; a user sink keeps receiving everything through a tee.
-	var ring *simtrace.RingSink
-	sink := o.sink
-	if o.audit > 0 {
-		ring = simtrace.NewRingSink(256)
-		if sink != nil {
-			sink = simtrace.Tee(sink, ring)
-		} else {
-			sink = ring
-		}
-	}
-	if sink != nil {
-		m.AttachSink(sink)
-	}
-	k := vm.NewKernel(m, o.pol)
-	if o.chaos.Enabled() {
-		k.NUMA().SetChaos(chaos.New(o.chaos))
-	}
-	if o.audit > 0 {
-		k.NUMA().EnableAudit(o.audit, ring)
-	}
-	return &System{Machine: m, Kernel: k, Runtime: cthreads.New(k, o.mode)}, nil
+	return &System{
+		Machine: sys.Machine, Kernel: sys.Kernel,
+		Runtime: cthreads.NewShared(sys.Kernel, sys.Sched, "cthreads"),
+	}, nil
 }

@@ -189,7 +189,7 @@ func TestFacadeCopyOnWriteAndRemote(t *testing.T) {
 }
 
 func TestEvaluateByNameRejectsUnknown(t *testing.T) {
-	if _, err := numasim.EvaluateByName(numasim.NewEvaluator(), "nope"); err == nil {
+	if _, err := numasim.Evaluate(numasim.HarnessOptions{NProc: 2, Small: true}, "nope"); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
