@@ -148,30 +148,6 @@ func (c *CostModel) ZeroCost(dst *mem.Frame, proc, pageSize int) sim.Time {
 	return words * c.StoreCost(dst, proc)
 }
 
-// EstimateMix returns the mean per-reference latency for processor proc
-// against memory column col (a node index, or any negative value for the
-// interleaved global memory), for a reference mix with the given store
-// fraction. Bound models read the topology's latency matrix; unbound
-// models fall back to the two-level constants, treating col == proc as
-// local and any other non-negative column as remote.
-func (c *CostModel) EstimateMix(proc, col int, storeFrac float64) sim.Time {
-	var fetch, store sim.Time
-	if t := c.topo; t != nil {
-		fetch = t.FetchLatency(proc, t.Col(col))
-		store = t.StoreLatency(proc, t.Col(col))
-	} else {
-		switch {
-		case col < 0:
-			fetch, store = c.GlobalFetch, c.GlobalStore
-		case col == proc:
-			fetch, store = c.LocalFetch, c.LocalStore
-		default:
-			fetch, store = c.RemoteFetch, c.RemoteStore
-		}
-	}
-	return sim.Time(float64(fetch)*(1-storeFrac) + float64(store)*storeFrac)
-}
-
 // GOverL returns the paper's G/L ratio for the given store fraction of the
 // reference mix: §2.2 reports 2.3 for pure fetches and about 2 for a mix
 // with 45% stores. On a bound model the ratio is read from the topology's

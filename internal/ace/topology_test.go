@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"numasim/internal/mem"
-	"numasim/internal/sim"
 	"numasim/internal/topology"
 )
 
@@ -64,31 +63,6 @@ func TestGOverLBoundMatchesUnbound(t *testing.T) {
 	}
 	if gl := bound.GOverL(0); math.Abs(gl-1500.0/650.0) > 1e-12 {
 		t.Errorf("fetch-only G/L = %v, want 1500/650", gl)
-	}
-}
-
-// TestEstimateMix: the mix estimate interpolates fetch and store latencies
-// for local, remote and interleaved columns, bound and unbound alike.
-func TestEstimateMix(t *testing.T) {
-	bound, _ := bindACE(t, 3)
-	unbound := DefaultCostModel()
-	cases := []struct {
-		col  int
-		frac float64
-		want sim.Time
-	}{
-		{0, 0, 650 * sim.Nanosecond},                 // local pure fetch
-		{0, 1, 840 * sim.Nanosecond},                 // local pure store
-		{1, 0.5, (1800 + 1700) / 2 * sim.Nanosecond}, // remote even mix
-		{-1, 0.45, sim.Time(1500*0.55 + 1400*0.45)},  // interleave, §2.2's mix
-	}
-	for _, c := range cases {
-		if got := bound.EstimateMix(0, c.col, c.frac); got != c.want {
-			t.Errorf("bound EstimateMix(0, %d, %.2f) = %v, want %v", c.col, c.frac, got, c.want)
-		}
-		if got := unbound.EstimateMix(0, c.col, c.frac); got != c.want {
-			t.Errorf("unbound EstimateMix(0, %d, %.2f) = %v, want %v", c.col, c.frac, got, c.want)
-		}
 	}
 }
 

@@ -191,13 +191,10 @@ var InterfaceContracts = map[string]bool{
 	"(numasim/internal/numa.Policy).CachePolicy":                     true,
 	"(numasim/internal/numa.Policy).Name":                            true,
 	"(numasim/internal/numa.ReconsideringPolicy).ReconsiderInterval": true,
-	// The capability interfaces of the redesigned policy API
-	// (internal/numa/policyapi.go): per-access observation, thread
-	// migration advice, epoch retirement, and the scheduler's side of
-	// the co-placement channel all run per protocol request.
-	"(numasim/internal/numa.PageObserver).ObserveAccess": true,
+	// The co-placement channel (internal/numa/policyapi.go): thread
+	// migration advice and the scheduler's side of it run per protocol
+	// request.
 	"(numasim/internal/numa.ThreadAdvisor).AdviseThread": true,
-	"(numasim/internal/numa.Retirer).RetireEpoch":        true,
 	"(numasim/internal/numa.ThreadMover).MigrateHint":    true,
 }
 

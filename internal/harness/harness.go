@@ -59,10 +59,6 @@ type Options struct {
 	// PressureFrames are the local-frame budgets the pressure sweep
 	// measures (empty: DefaultPressureFrames).
 	PressureFrames []int
-	// LocalFrames, when positive, overrides the per-node local memory
-	// size. Zero keeps the effectively-unbounded default, under which the
-	// pressure machinery never engages.
-	LocalFrames int
 	// Topology selects the machine topology by name ("" or "ace" is the
 	// paper's two-level ACE; see topology.Names for the others). Every
 	// machine an experiment builds uses it.
@@ -130,9 +126,6 @@ func (o Options) config() ace.Config {
 	if o.Small {
 		cfg.GlobalFrames = 2048
 		cfg.LocalFrames = 1024
-	}
-	if o.LocalFrames > 0 {
-		cfg.LocalFrames = o.LocalFrames
 	}
 	cfg.Topology = o.Topology
 	return cfg

@@ -25,10 +25,7 @@ func NewPool(parallelism int) *Pool {
 	return &Pool{workers: parallelism}
 }
 
-// Workers reports the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
-// Run invokes fn(0..n-1), at most Workers at a time, and waits for all of
+// Run invokes fn(0..n-1), at most parallelism at a time, and waits for all of
 // them. Each index runs exactly once. If any invocations fail, Run returns
 // the error of the smallest failing index — the same error a sequential
 // loop would have surfaced first — so error behaviour is deterministic too.

@@ -39,17 +39,6 @@ type Supervisor struct {
 	// opts are the options that built the supervised experiment, recorded
 	// in bundles so a reader sees the exact knobs.
 	opts Options
-
-	mu       sync.Mutex
-	failures []Failure
-}
-
-// Failure records one failed supervised attempt.
-type Failure struct {
-	Label   string // experiment unit, e.g. "table3-FFT"
-	Attempt int    // 1-based
-	Err     error
-	Bundle  string // bundle directory path, empty if none was written
 }
 
 // supervisor builds the options' supervisor, or nil when no supervision
@@ -62,19 +51,13 @@ func (o Options) supervisor() *Supervisor {
 	return &Supervisor{Timeout: o.Timeout, Retries: o.Retries, ReproDir: o.ReproDir, opts: o}
 }
 
-// Failures returns the attempts that failed, in completion order.
-func (s *Supervisor) Failures() []Failure {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Failure(nil), s.failures...)
-}
-
 // Do runs one experiment unit under supervision. fn receives an observe
 // hook it must arrange to be called for every machine the unit builds
 // (the harness plumbs it through metrics.RunSpec.OnMachine); the hook is
 // how the wall-clock watchdog reaches engines to stop them. Do returns
 // nil as soon as an attempt succeeds, and the last attempt's error after
-// the retry budget is spent.
+// the retry budget is spent, annotated when its repro bundle could not be
+// written.
 func (s *Supervisor) Do(label string, fn func(observe func(*ace.Machine)) error) error {
 	var last error
 	for attempt := 1; attempt <= s.Retries+1; attempt++ {
@@ -82,18 +65,12 @@ func (s *Supervisor) Do(label string, fn func(observe func(*ace.Machine)) error)
 		if err == nil {
 			return nil
 		}
-		last = err
-		f := Failure{Label: label, Attempt: attempt, Err: err}
 		if s.ReproDir != "" {
-			if dir, werr := s.writeBundle(label, attempt, err); werr == nil {
-				f.Bundle = dir
-			} else {
-				f.Err = fmt.Errorf("%w (repro bundle not written: %v)", err, werr)
+			if werr := s.writeBundle(label, attempt, err); werr != nil {
+				err = fmt.Errorf("%w (repro bundle not written: %v)", err, werr)
 			}
 		}
-		s.mu.Lock()
-		s.failures = append(s.failures, f)
-		s.mu.Unlock()
+		last = err
 	}
 	return last
 }
@@ -144,16 +121,16 @@ func (s *Supervisor) attempt(label string, fn func(observe func(*ace.Machine)) e
 	return fn(observe)
 }
 
-// writeBundle writes one repro bundle directory for a failed attempt and
-// returns its path. The bundle holds error.txt (the failure, stack
+// writeBundle writes one repro bundle directory for a failed attempt.
+// The bundle holds error.txt (the failure, stack
 // included for panics), config.txt (machine, chaos and robustness knobs),
 // trace.txt (the forensic ring, oldest first), statedump.txt (the
 // machine-state dump at failure), and repro.sh (the recorded command
 // line, ready to re-run).
-func (s *Supervisor) writeBundle(label string, attempt int, runErr error) (string, error) {
+func (s *Supervisor) writeBundle(label string, attempt int, runErr error) error {
 	dir, err := s.bundleDir(label, attempt)
 	if err != nil {
-		return "", err
+		return err
 	}
 	dump, events := extractForensics(runErr)
 	files := map[string]string{
@@ -169,14 +146,16 @@ func (s *Supervisor) writeBundle(label string, attempt int, runErr error) (strin
 	files["repro.sh"] = s.reproScript(label)
 	for name, body := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			return "", err
+			return err
 		}
 	}
-	return dir, nil
+	return nil
 }
 
 // bundleDir creates a fresh directory for one failed attempt, suffixing
-// past the first attempt and any name collisions.
+// past the first attempt and any name collisions. Only an existing path
+// counts as a collision; any other Stat failure (a ReproDir that is a
+// regular file, say) is left for MkdirAll to report.
 func (s *Supervisor) bundleDir(label string, attempt int) (string, error) {
 	base := filepath.Join(s.ReproDir, sanitizeLabel(label))
 	if attempt > 1 {
@@ -184,7 +163,7 @@ func (s *Supervisor) bundleDir(label string, attempt int) (string, error) {
 	}
 	dir := base
 	for i := 2; ; i++ {
-		if _, err := os.Stat(dir); os.IsNotExist(err) {
+		if _, err := os.Stat(dir); err != nil {
 			break
 		}
 		dir = fmt.Sprintf("%s-%d", base, i)

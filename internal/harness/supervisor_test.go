@@ -145,6 +145,29 @@ func TestSupervisorPanicWritesBundle(t *testing.T) {
 	}
 }
 
+// TestReproDirIsFile: a ReproDir that is a regular file cannot hold a
+// bundle (every bundle path under it fails with ENOTDIR). The supervisor
+// must give up on the bundle at once and say so in the error it returns,
+// next to the run's own failure.
+func TestReproDirIsFile(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		NProc: 2, Small: true, Parallelism: 1,
+		Chaos:    chaos.Config{PanicAt: sim.Millisecond},
+		ReproDir: file,
+	}.withDefaults()
+	err := drill(opts)
+	if err == nil || !strings.Contains(err.Error(), "chaos: injected panic") {
+		t.Fatalf("err = %v, want recovered chaos panic", err)
+	}
+	if !strings.Contains(err.Error(), "repro bundle not written") {
+		t.Errorf("err = %v, want the failed bundle write reported", err)
+	}
+}
+
 // TestReproBundleDeterminism: the bundle's promise is that the same seed
 // replays the same failure. Two independent supervised runs of the same
 // failing configuration must produce byte-identical state dumps and

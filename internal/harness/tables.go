@@ -10,6 +10,7 @@ import (
 	"numasim/internal/numa"
 	"numasim/internal/policy"
 	"numasim/internal/sim"
+	"numasim/internal/simtrace"
 )
 
 // ---------------------------------------------------------------------
@@ -25,7 +26,9 @@ type protoCell struct {
 }
 
 // deriveProtocolTable exercises the NUMA manager for every cell of the
-// paper's Table 1 (write=false) or Table 2 (write=true).
+// paper's Table 1 (write=false) or Table 2 (write=true). A cell's actions
+// are the KindAction events that follow the probe request's
+// KindDecision, the last one on the trace.
 func deriveProtocolTable(write bool) (map[string]protoCell, error) {
 	states := []string{"read-only", "global-writable", "lw-own", "lw-other"}
 	decisions := []numa.Location{numa.Local, numa.Global}
@@ -42,7 +45,9 @@ func deriveProtocolTable(write bool) (map[string]protoCell, error) {
 			}
 			forced := &policy.Forced{Answer: numa.Local}
 			mgr := numa.NewManager(machine, forced)
-			var cell protoCell
+			var trace simtrace.ListSink
+			machine.AttachSink(&trace)
+			var state numa.State
 			var runErr error
 			machine.Engine().Spawn("probe", 0, func(th *sim.Thread) {
 				pg, err := mgr.NewPage()
@@ -62,12 +67,9 @@ func deriveProtocolTable(write bool) (map[string]protoCell, error) {
 				case "lw-other":
 					mgr.Access(th, pg, 1, true, mmu.ProtReadWrite)
 				}
-				var actions []string
-				mgr.SetActionHook(func(a string) { actions = append(actions, a) })
 				forced.Answer = dec
 				mgr.Access(th, pg, 0, write, mmu.ProtReadWrite)
-				mgr.SetActionHook(nil)
-				cell = protoCell{Actions: actions, NewState: pg.State()}
+				state = pg.State()
 			})
 			if err := machine.Engine().Run(); err != nil {
 				return nil, err
@@ -75,7 +77,16 @@ func deriveProtocolTable(write bool) (map[string]protoCell, error) {
 			if runErr != nil {
 				return nil, runErr
 			}
-			out[dec.String()+"/"+st] = cell
+			var actions []string
+			for _, ev := range trace.Events() {
+				switch ev.Kind {
+				case simtrace.KindDecision:
+					actions = nil
+				case simtrace.KindAction:
+					actions = append(actions, ev.Label)
+				}
+			}
+			out[dec.String()+"/"+st] = protoCell{Actions: actions, NewState: state}
 		}
 	}
 	return out, nil

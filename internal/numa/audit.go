@@ -135,23 +135,12 @@ func (n *Manager) auditCheckPage(pg *Page) error {
 		pg.pinSeen = true
 	}
 	// Heat-counter invariants (policyapi.go): the histogram is sized to
-	// the machine, it never runs ahead of the manager's decay epoch, and
-	// without an observing/advising policy it stays untouched.
+	// the machine and never runs ahead of the manager's decay epoch.
 	if len(pg.heat) != len(n.shards) {
 		return fmt.Errorf("page%d heat histogram has %d buckets, want %d", pg.id, len(pg.heat), len(n.shards))
 	}
 	if pg.heatEpoch > n.curEpoch {
 		return fmt.Errorf("page%d heat epoch %d is ahead of the manager's epoch %d", pg.id, pg.heatEpoch, n.curEpoch)
-	}
-	if !n.trackHeat {
-		if pg.moveHeat != 0 || pg.heatEpoch != 0 {
-			return fmt.Errorf("page%d carries heat counters but the policy has no observer/advisor capability", pg.id)
-		}
-		for node, h := range pg.heat {
-			if h != 0 {
-				return fmt.Errorf("page%d node%d heat %d without an observer/advisor capability", pg.id, node, h)
-			}
-		}
 	}
 	return nil
 }

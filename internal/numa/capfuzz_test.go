@@ -1,13 +1,12 @@
 package numa_test
 
 // Capability fuzz: the seeded protocol fuzz rerun with a policy that
-// carries the full optional-capability surface — a page observer, a
-// thread advisor and an epoch retirer — plus a fake thread mover wired
-// into the manager's co-placement channel. The heat counters, the
-// advisory path and the epoch clock all run hot while the usual
-// apparatus (online audit at stride 1, the dense/map oracle, the
-// last-write-wins content oracle) checks that none of it perturbs the
-// protocol.
+// advises thread moves, plus a fake thread mover wired into the
+// manager's co-placement channel, and a short heat epoch. The heat
+// counters, their epoch clock and the advisory path all run hot while
+// the usual apparatus (online audit at stride 1, the dense/map oracle,
+// the last-write-wins content oracle) checks that none of it perturbs
+// the protocol.
 
 import (
 	"fmt"
@@ -20,16 +19,16 @@ import (
 	"numasim/internal/policy"
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
+	"numasim/internal/topology"
 )
 
-// capPolicy wraps the scripted policy with every optional capability.
-// The advice script is pre-generated, so runs are reproducible.
+// capPolicy wraps the scripted policy with the ThreadAdvisor
+// capability. The advice script is pre-generated, so runs are
+// reproducible.
 type capPolicy struct {
 	*policy.Scripted
-	advice   []capAdvice
-	pos      int
-	observed int
-	retired  int
+	advice []capAdvice
+	pos    int
 }
 
 type capAdvice struct {
@@ -37,17 +36,10 @@ type capAdvice struct {
 	ok     bool
 }
 
-// ObserveAccess implements numa.PageObserver.
-//
-//numalint:hotpath
-func (c *capPolicy) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.Time) {
-	c.observed++
-}
-
 // AdviseThread implements numa.ThreadAdvisor.
 //
 //numalint:hotpath
-func (c *capPolicy) AdviseThread(pg *numa.Page, proc, node int, now sim.Time) (int, bool) {
+func (c *capPolicy) AdviseThread(pg *numa.Page, spec *topology.Spec, node int) (int, bool) {
 	if c.pos >= len(c.advice) {
 		return 0, false
 	}
@@ -55,11 +47,6 @@ func (c *capPolicy) AdviseThread(pg *numa.Page, proc, node int, now sim.Time) (i
 	c.pos++
 	return a.target, a.ok
 }
-
-// RetireEpoch implements numa.Retirer.
-//
-//numalint:hotpath
-func (c *capPolicy) RetireEpoch(now sim.Time) { c.retired++ }
 
 // fakeMover stands in for the scheduler on a machine with no scheduler:
 // it records every hint and accepts every other one.
@@ -80,16 +67,31 @@ func (f *fakeMover) MigrateHint(th *sim.Thread, node int) bool {
 	return false
 }
 
+// hintLedger tallies the manager's KindSchedHint events by the
+// scheduler's verdict (Arg2: 1 accepted, 0 rejected).
+type hintLedger struct {
+	hints, accepted int
+}
+
+// Emit implements simtrace.Sink.
+func (l *hintLedger) Emit(ev simtrace.Event) {
+	if ev.Kind != simtrace.KindSchedHint {
+		return
+	}
+	l.hints++
+	if ev.Arg2 == 1 {
+		l.accepted++
+	}
+}
+
 var (
-	_ numa.PageObserver  = (*capPolicy)(nil)
 	_ numa.ThreadAdvisor = (*capPolicy)(nil)
-	_ numa.Retirer       = (*capPolicy)(nil)
 	_ numa.ThreadMover   = (*fakeMover)(nil)
 )
 
 // capFuzzScript is fuzzScript's capability-bearing sibling: same shape
-// of seeded access script, but the policy observes pages, advises
-// thread moves and retires epochs throughout.
+// of seeded access script, but the policy advises thread moves
+// throughout.
 func capFuzzScript(t *testing.T, seed int64) {
 	t.Helper()
 	cfg := ace.DefaultConfig()
@@ -114,17 +116,15 @@ func capFuzzScript(t *testing.T, seed int64) {
 		})
 	}
 	n := numa.NewManager(m, pol)
-	if !n.TracksHeat() {
-		t.Fatalf("seed %d: capability policy bound but heat tracking is off", seed)
-	}
-	// A short epoch so the retirer's clock ticks within the run.
+	// A short epoch so the heat counters decay within the run.
 	n.SetHeatEpoch(sim.Millisecond)
 	mover := &fakeMover{}
 	n.SetThreadMover(mover)
 
 	ring := simtrace.NewRingSink(256)
 	checker := newProtocolChecker()
-	m.AttachSink(simtrace.Tee(ring, checker))
+	ledger := &hintLedger{}
+	m.AttachSink(simtrace.Tee(ring, checker, ledger))
 	n.EnableAudit(1, ring)
 	mirror := numa.InstallMapOracle(n)
 
@@ -198,26 +198,19 @@ func capFuzzScript(t *testing.T, seed int64) {
 		t.Logf("last %d events:\n%s", len(ring.Events()), simtrace.FormatEvents(ring.Events()))
 		return
 	}
-	if pol.observed == 0 {
-		t.Errorf("seed %d: the observer never fired", seed)
+	if ledger.hints != mover.calls {
+		t.Errorf("seed %d: manager traced %d hints, mover saw %d calls", seed, ledger.hints, mover.calls)
 	}
-	if pol.retired == 0 {
-		t.Errorf("seed %d: the epoch retirer never fired", seed)
-	}
-	st := n.Stats()
-	if got := st.HintsAccepted + st.HintsRejected; got != uint64(mover.calls) {
-		t.Errorf("seed %d: manager counted %d hints, mover saw %d calls", seed, got, mover.calls)
-	}
-	if st.HintsAccepted != uint64(mover.accepted) {
-		t.Errorf("seed %d: manager counted %d accepted hints, mover accepted %d", seed, st.HintsAccepted, mover.accepted)
+	if ledger.accepted != mover.accepted {
+		t.Errorf("seed %d: manager traced %d accepted hints, mover accepted %d", seed, ledger.accepted, mover.accepted)
 	}
 }
 
 // TestProtocolFuzzCapabilities replays seeded scripts with the
-// capability-bearing policy. A pass means the heat counters, advisory
-// calls and epoch retirement never corrupt contents, break a directory
-// invariant, diverge the dense forms from the map oracle, or drift the
-// manager's hint accounting from the mover's.
+// capability-bearing policy. A pass means the heat counters and the
+// advisory calls never corrupt contents, break a directory invariant,
+// diverge the dense forms from the map oracle, or drift the manager's
+// traced hint verdicts from the mover's.
 func TestProtocolFuzzCapabilities(t *testing.T) {
 	seeds := 300
 	if testing.Short() {

@@ -83,9 +83,6 @@ func (n *Manager) FailNode(th *sim.Thread, node int) int {
 		panic(n.violation(nil, "numa: node%d pool holds %d frames after evacuation",
 			node, pool.Size()-pool.Free()))
 	}
-	if n.topoAware != nil {
-		n.topoAware.BindTopology(n.machine.Spec())
-	}
 	return evacuated
 }
 
@@ -118,9 +115,6 @@ func (n *Manager) ReviveNode(th *sim.Thread, node int) {
 	n.offlineSeen[node] = false
 	n.offline[node] = false
 	n.stats.NodesRevived++
-	if n.topoAware != nil {
-		n.topoAware.BindTopology(n.machine.Spec())
-	}
 }
 
 // evacuateNode drains every page copy off node through the bounded work

@@ -2,9 +2,16 @@ package numa
 
 // White-box property tests for the per-page decaying access histograms:
 // the lazy shift-on-touch decay must be indistinguishable from an eager
-// model that halves every counter at every epoch boundary.
+// model that halves every counter at every epoch boundary, and a request
+// from a thread still in an earlier epoch must not wipe them.
 
-import "testing"
+import (
+	"testing"
+
+	"numasim/internal/ace"
+	"numasim/internal/mmu"
+	"numasim/internal/sim"
+)
 
 // testRand is a tiny deterministic PRNG (SplitMix64) so this
 // determinism-core package's tests need no math/rand.
@@ -113,5 +120,58 @@ func TestHeatAccessors(t *testing.T) {
 	pg.SetPolicyWord(0xdeadbeef)
 	if got := pg.PolicyWord(); got != 0xdeadbeef {
 		t.Errorf("PolicyWord = %#x, want 0xdeadbeef", got)
+	}
+}
+
+// TestHeatSurvivesOlderRequest: thread clocks interleave, so the manager
+// can handle a request from a thread still in an earlier heat epoch
+// after requests in a later one. The manager's epoch must not step
+// back, and the page must count the older request without decaying.
+func TestHeatSurvivesOlderRequest(t *testing.T) {
+	const epoch = 10 * sim.Millisecond
+	cfg := ace.DefaultConfig()
+	cfg.NProc = 2
+	m := ace.MustMachine(cfg)
+	n := NewManager(m, localPolicy{})
+	n.SetHeatEpoch(epoch)
+	var pg, other *Page
+	m.Engine().Spawn("ahead", 0, func(th *sim.Thread) {
+		var err error
+		if pg, err = n.NewPage(); err != nil {
+			t.Error(err)
+			return
+		}
+		if other, err = n.NewPage(); err != nil {
+			t.Error(err)
+			return
+		}
+		th.Advance(25 * sim.Millisecond) // epoch 2, without yielding
+		n.Access(th, pg, 0, false, mmu.ProtReadWrite)
+		n.Access(th, pg, 0, false, mmu.ProtReadWrite)
+		n.Access(th, other, 0, false, mmu.ProtReadWrite)
+	})
+	m.Engine().Spawn("behind", 15*sim.Millisecond, func(th *sim.Thread) {
+		if pg == nil {
+			return
+		}
+		if e := th.Clock() / epoch; e != 1 {
+			t.Errorf("behind thread requests in epoch %d, want 1", e)
+		}
+		n.Access(th, pg, 1, false, mmu.ProtReadWrite)
+	})
+	if err := m.Engine().Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pg == nil {
+		return
+	}
+	if got := pg.TotalHeat(); got != 3 {
+		t.Errorf("TotalHeat = %d after three requests in one epoch, want 3", got)
+	}
+	if n.curEpoch != 2 {
+		t.Errorf("manager epoch %d, want 2: it stepped back to an older request's", n.curEpoch)
+	}
+	if err := n.AuditAll(); err != nil {
+		t.Errorf("audit: %v", err)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"numasim/internal/mmu"
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
+	"numasim/internal/topology"
 )
 
 // State is the consistency state of a logical page.
@@ -152,8 +153,7 @@ type Page struct {
 	// heat is the per-node access histogram, moveHeat the decaying
 	// analogue of moves, heatEpoch the decay epoch the counters were
 	// last shifted to, and pword an opaque 64-bit scratch word owned by
-	// the bound policy. Maintained only when the policy has the
-	// PageObserver or ThreadAdvisor capability; pooled with the record.
+	// the bound policy. Kept on every request; pooled with the record.
 	heat      []uint32
 	moveHeat  uint32
 	heatEpoch uint32
@@ -322,8 +322,6 @@ type Stats struct {
 	RemoteDemoted uint64 // remote placements revoked by a policy change
 	PagesCreated  uint64
 	PagesFreed    uint64
-	HintsAccepted uint64 // thread-migration hints the scheduler recorded
-	HintsRejected uint64 // thread-migration hints the scheduler refused
 	Evacuations   uint64 // page copies moved or dropped off failing nodes
 	EvacRetries   uint64 // evacuations that backed off on destination pressure
 	EvacFallbacks uint64 // evacuated pages synced to global (no survivor had room)
@@ -385,16 +383,14 @@ type Manager struct {
 
 	// Capability bindings (see policyapi.go): the policy's optional
 	// interfaces, asserted once in NewManager so the hot path only
-	// nil-checks. trackHeat is set when an observer or advisor is
-	// bound; heatEpoch is the decay period and curEpoch the epoch of
-	// the most recent request; mover is the scheduler-side co-placement
-	// channel installed by SetThreadMover.
-	observer   PageObserver
+	// nil-checks. spec is the machine's topology, passed to the
+	// advisor; heatEpoch is the decay period and curEpoch the latest
+	// epoch any request has reached; mover is the scheduler-side
+	// co-placement channel installed by SetThreadMover.
 	advisor    ThreadAdvisor
-	retirer    Retirer
 	reconsider ReconsideringPolicy
 	mover      ThreadMover
-	trackHeat  bool
+	spec       *topology.Spec
 	heatEpoch  sim.Time
 	curEpoch   uint32
 
@@ -405,13 +401,11 @@ type Manager struct {
 	// Degraded-mode state (see evacuate.go): offline is the node
 	// quarantine mask (nil until the first FailNode, so healthy runs pay
 	// one nil check on the fault path and allocate nothing), offlineSeen
-	// the auditor's monotonic-quarantine shadow, evacQueue the bounded
-	// evacuation work list reused across failures, and topoAware the
-	// bound TopologyAware capability, kept so health changes can rebind.
+	// the auditor's monotonic-quarantine shadow, and evacQueue the
+	// bounded evacuation work list reused across failures.
 	offline     []bool
 	offlineSeen []bool
 	evacQueue   []*Page
-	topoAware   TopologyAware
 
 	// Clock-reclaimer state, sharded by node: which page's copy occupies
 	// each local frame (shards[node].resident[frameIndex]), a
@@ -419,11 +413,6 @@ type Manager struct {
 	// residency shard is the per-memory index that makes deterministic
 	// eviction possible without iterating any map.
 	shards []procShard
-
-	// onAction, when set, receives the paper's action vocabulary as each
-	// protocol action is performed ("sync&flush other", "copy to local",
-	// ...). Used to derive Tables 1 and 2 from the implementation itself.
-	onAction func(string)
 
 	// Online-auditor state (see audit.go): the sampling stride and
 	// operation counter, the forensic ring snapshot attached to
@@ -457,8 +446,10 @@ func NewManager(machine *ace.Machine, pol Policy) *Manager {
 	if pol == nil {
 		panic(newViolation(nil, nil, "numa: nil policy"))
 	}
-	n := &Manager{machine: machine, policy: pol, policyName: pol.Name(), bus: machine.Bus(), heatEpoch: DefaultHeatEpoch}
-	n.bindCapabilities(pol)
+	n := &Manager{machine: machine, policy: pol, policyName: pol.Name(), bus: machine.Bus(),
+		spec: machine.Spec(), heatEpoch: DefaultHeatEpoch}
+	n.advisor, _ = pol.(ThreadAdvisor)
+	n.reconsider, _ = pol.(ReconsideringPolicy)
 	machine.Engine().AddDumpSection(n.DumpSection)
 	nnodes := machine.NNodes()
 	n.shards = make([]procShard, nnodes)
@@ -474,9 +465,6 @@ func NewManager(machine *ace.Machine, pol Policy) *Manager {
 // (nil disables injection). Install before the simulation runs.
 func (n *Manager) SetChaos(inj Injector) { n.chaos = inj }
 
-// Chaos returns the installed fault injector, or nil.
-func (n *Manager) Chaos() Injector { return n.chaos }
-
 // Policy returns the manager's placement policy.
 func (n *Manager) Policy() Policy { return n.policy }
 
@@ -486,24 +474,16 @@ func (n *Manager) Stats() Stats { return n.stats }
 // Machine returns the machine this manager runs on.
 func (n *Manager) Machine() *ace.Machine { return n.machine }
 
-// SetActionHook registers fn to observe protocol actions (for deriving the
-// paper's Tables 1 and 2 and for protocol tests). Pass nil to disable.
-func (n *Manager) SetActionHook(fn func(string)) { n.onAction = fn }
-
 // SetReplication enables or disables read replication (enabled by
 // default). With replication off, read-only pages migrate their single
 // local copy between readers instead of replicating.
 func (n *Manager) SetReplication(enabled bool) { n.noReplication = !enabled }
 
-// emitAction reports one protocol action: to the string hook (from which
-// Tables 1 and 2 are derived) and, when a sink is attached, as a
-// structured KindAction event stamped with the acting thread's clock.
-// proc is the processor the action serves, or -1 for whole-page sweeps.
+// emitAction reports one protocol action, when a sink is attached, as a
+// structured KindAction event stamped with the acting thread's clock
+// (Tables 1 and 2 are derived from these events). proc is the processor
+// the action serves, or -1 for whole-page sweeps.
 func (n *Manager) emitAction(th *sim.Thread, pg *Page, proc int, label string) {
-	if n.onAction != nil {
-		//numalint:coldpath observer hook: table derivation and protocol tests only
-		n.onAction(label)
-	}
 	if n.bus.Enabled() {
 		n.bus.Emit(simtrace.Event{
 			Kind: simtrace.KindAction, Proc: int32(proc), Thread: int32(th.ID()),
@@ -659,9 +639,7 @@ func (n *Manager) Access(th *sim.Thread, pg *Page, proc int, write bool, maxProt
 	// The faulting processor's placements land on its home node's local
 	// memory (on the ACE the two indices coincide).
 	node := n.machine.Home(proc)
-	if n.trackHeat {
-		n.observeAccess(pg, proc, node, write, th.Clock())
-	}
+	n.observeAccess(pg, node, th.Clock())
 	loc := n.policy.CachePolicy(pg, proc, write, maxProt)
 	if n.offline != nil {
 		//numalint:coldpath degraded mode: the offline mask exists only under a failure schedule
@@ -931,7 +909,7 @@ func (n *Manager) becomeOwner(pg *Page, node int) {
 		pg.moves++
 		n.stats.Moves++
 		pg.lastMove = pg.lastRequest
-		if n.trackHeat && pg.moveHeat < heatCap {
+		if pg.moveHeat < heatCap {
 			pg.moveHeat++
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"numasim/internal/numa"
 	"numasim/internal/policy"
 	"numasim/internal/sim"
+	"numasim/internal/simtrace"
 )
 
 // rig builds a small machine plus a manager driven by a mutable forced
@@ -172,11 +173,17 @@ func runTransitionCases(t *testing.T, cases []transitionCase) {
 		t.Run(c.name, func(t *testing.T) {
 			rig(t, 3, func(th *sim.Thread, m *ace.Machine, n *numa.Manager, forced *policy.Forced) {
 				pg := buildState(th, n, forced, c.setup)
-				var actions []string
-				n.SetActionHook(func(a string) { actions = append(actions, a) })
+				var trace simtrace.ListSink
+				m.AttachSink(&trace)
 				forced.Answer = c.decision
 				frame, prot := n.Access(th, pg, 0, c.write, mmu.ProtReadWrite)
-				n.SetActionHook(nil)
+				m.AttachSink(nil) // flushes the buffered events into trace
+				var actions []string
+				for _, ev := range trace.Events() {
+					if ev.Kind == simtrace.KindAction {
+						actions = append(actions, ev.Label)
+					}
+				}
 
 				if !reflect.DeepEqual(actions, c.wantActions) {
 					t.Errorf("actions = %v, want %v", actions, c.wantActions)

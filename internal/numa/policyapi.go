@@ -1,27 +1,20 @@
-// Capability interfaces: the redesigned policy API surface.
+// The policy API beyond the core Policy interface, and the per-page
+// heat counters the adaptive policies read.
 //
-// numa.Policy stays a two-method core — CachePolicy plus Name — so the
-// paper's fixed policies keep compiling unchanged. Everything richer is
-// an optional capability detected once, by type assertion, when the
-// manager binds the policy in NewManager:
+// The manager asks a Policy one question per request (CachePolicy) and
+// detects two optional capabilities, once, by type assertion in
+// NewManager:
 //
-//   - PageObserver: the policy wants per-access notifications, and the
-//     manager maintains per-page decaying access histograms for it;
+//   - ReconsideringPolicy (numa.go): the policy wants pinned pages
+//     re-presented by the defrost sweep;
 //   - ThreadAdvisor: the policy may advise the scheduler to migrate the
-//     faulting thread toward the node holding the page's heat;
-//   - Retirer: the policy wants a hook at every decay-epoch rollover;
-//   - TopologyAware: the policy wants the machine's topology spec
-//     (distance matrix) at bind time.
+//     faulting thread toward the node holding the page's heat, a
+//     channel the scheduler's side (ThreadMover) connects.
 //
-// Binding once keeps the per-request hot path free of type assertions:
-// Access consults plain nil-checked interface fields, exactly the price
-// the pre-redesign ReconsideringPolicy assertions paid per call.
-//
-// The decaying counters themselves live on the Page record (heat,
-// moveHeat, heatEpoch, pword) and are pooled with it, so the counter
-// paths allocate nothing; they are maintained only when an observer or
-// advisor capability is bound, which keeps the default-policy hot path
-// — and every ACE golden — byte-identical to the pre-redesign manager.
+// The decaying counters (heat, moveHeat, heatEpoch on the Page record)
+// are kept on every request whatever the policy, so a policy reads them
+// the same way bare or under a wrapper. They are pooled with the page
+// record, so keeping them allocates nothing.
 package numa
 
 import (
@@ -42,59 +35,19 @@ const DefaultHeatEpoch = 50 * sim.Millisecond
 // defensively and keeps TotalHeat comfortably inside uint64.
 const heatCap = 1 << 24
 
-// PageObserver is a Policy that wants to see every request the manager
-// handles. Binding an observer also turns on the manager's per-page
-// decaying access histograms (NodeHeat/MoveHeat/HotNode), which are
-// updated before ObserveAccess runs, so the observer — and the
-// CachePolicy call that follows it — sees counters current through the
-// present access.
-type PageObserver interface {
-	Policy
-	// ObserveAccess is called once per request, after the page's
-	// decaying counters have been updated for it and before CachePolicy
-	// is consulted. It runs on the protocol hot path: implementations
-	// must not allocate.
-	ObserveAccess(pg *Page, proc int, write bool, now sim.Time)
-}
-
 // ThreadAdvisor is a Policy that may steer threads as well as pages:
 // after each request is resolved the manager asks the advisor whether
 // the faulting thread would be better placed on another node, and
 // forwards an affirmative answer to the scheduler as a migration hint
 // (applied, if accepted, at the thread's next quantum boundary).
-// Binding an advisor turns on the per-page heat histograms just as
-// PageObserver does.
 type ThreadAdvisor interface {
 	Policy
 	// AdviseThread may nominate a node for the faulting thread to
-	// migrate to. node is proc's home node; returning (target, true)
-	// with target != node proposes the move. It runs on the protocol
-	// hot path: implementations must not allocate.
-	AdviseThread(pg *Page, proc, node int, now sim.Time) (int, bool)
-}
-
-// Retirer is a Policy that wants a hook at every decay-epoch rollover
-// — the moment the manager first handles a request in a new heat
-// epoch. Adaptive policies use it to retire exploration state or
-// re-seed deterministic exploration schedules.
-type Retirer interface {
-	Policy
-	// RetireEpoch is called once per decay epoch, from the protocol hot
-	// path: implementations must not allocate.
-	RetireEpoch(now sim.Time)
-}
-
-// TopologyAware is a Policy that wants the machine's topology spec at
-// bind time, so its answers can honour inter-node distances (e.g. only
-// advising a thread migration when it strictly shortens the distance
-// to the page's heat).
-type TopologyAware interface {
-	Policy
-	// BindTopology runs from NewManager, and again whenever a node's
-	// health changes in degraded mode (FailNode/ReviveNode) — a
-	// cache-invalidation signal for any distance state the policy
-	// derived. Implementations must be idempotent.
-	BindTopology(spec *topology.Spec)
+	// migrate to. spec is the machine's topology and node the thread's
+	// home node; returning (target, true) with target != node proposes
+	// the move. It runs on the protocol hot path: implementations must
+	// not allocate.
+	AdviseThread(pg *Page, spec *topology.Spec, node int) (int, bool)
 }
 
 // ThreadMover accepts thread-migration hints on the manager's behalf;
@@ -122,48 +75,22 @@ func (n *Manager) SetHeatEpoch(d sim.Time) {
 	n.heatEpoch = d
 }
 
-// HeatEpoch returns the decay period of the per-page heat counters.
-func (n *Manager) HeatEpoch() sim.Time { return n.heatEpoch }
-
-// TracksHeat reports whether the bound policy's capabilities turned
-// the per-page heat histograms on.
-func (n *Manager) TracksHeat() bool { return n.trackHeat }
-
-// bindCapabilities detects the policy's optional capabilities once, at
-// manager construction, so the hot path never repeats the assertions.
-func (n *Manager) bindCapabilities(pol Policy) {
-	n.observer, _ = pol.(PageObserver)
-	n.advisor, _ = pol.(ThreadAdvisor)
-	n.retirer, _ = pol.(Retirer)
-	n.reconsider, _ = pol.(ReconsideringPolicy)
-	// A retirer needs the epoch clock, which ticks with the counters.
-	n.trackHeat = n.observer != nil || n.advisor != nil || n.retirer != nil
-	n.topoAware, _ = pol.(TopologyAware)
-	if n.topoAware != nil {
-		n.topoAware.BindTopology(n.machine.Spec())
-	}
-}
-
-// observeAccess maintains the decaying counters for one request and
-// runs the observer capability. Called from Access only when trackHeat
-// is set, after the request counters and timestamps are stamped and
-// before the policy is consulted.
+// observeAccess decays the page's counters to the request's heat epoch
+// and counts the request against node. Called from Access on every
+// request, before the policy is consulted. Thread clocks interleave, so
+// a request may come from a thread still in an earlier epoch: the
+// manager's epoch only moves forward, and the page counts the request
+// in its current epoch.
 //
 //numalint:hotpath
-func (n *Manager) observeAccess(pg *Page, proc, node int, write bool, now sim.Time) {
+func (n *Manager) observeAccess(pg *Page, node int, now sim.Time) {
 	e := uint32(now / n.heatEpoch)
-	if e != n.curEpoch {
+	if e > n.curEpoch {
 		n.curEpoch = e
-		if n.retirer != nil {
-			n.retirer.RetireEpoch(now)
-		}
 	}
 	pg.decayTo(e)
 	if pg.heat[node] < heatCap {
 		pg.heat[node]++
-	}
-	if n.observer != nil {
-		n.observer.ObserveAccess(pg, proc, write, now)
 	}
 }
 
@@ -174,16 +101,11 @@ func (n *Manager) observeAccess(pg *Page, proc, node int, write bool, now sim.Ti
 //
 //numalint:hotpath
 func (n *Manager) adviseThread(th *sim.Thread, pg *Page, proc, node int) {
-	target, ok := n.advisor.AdviseThread(pg, proc, node, th.Clock())
+	target, ok := n.advisor.AdviseThread(pg, n.spec, node)
 	if !ok || target == node {
 		return
 	}
 	accepted := n.mover.MigrateHint(th, target)
-	if accepted {
-		n.stats.HintsAccepted++
-	} else {
-		n.stats.HintsRejected++
-	}
 	if n.bus.Enabled() {
 		verdict := int64(0)
 		if accepted {
@@ -198,11 +120,12 @@ func (n *Manager) adviseThread(th *sim.Thread, pg *Page, proc, node int) {
 }
 
 // decayTo applies the lazy shift decay: every epoch elapsed since the
-// page was last touched halves every counter.
+// page was last touched halves every counter. An epoch at or before the
+// page's own leaves the counters as they are.
 //
 //numalint:hotpath
 func (p *Page) decayTo(epoch uint32) {
-	if epoch == p.heatEpoch {
+	if epoch <= p.heatEpoch {
 		return
 	}
 	shift := epoch - p.heatEpoch
@@ -220,9 +143,7 @@ func (p *Page) decayTo(epoch uint32) {
 	p.moveHeat >>= shift
 }
 
-// NodeHeat returns the page's decayed access count for node. Counters
-// are maintained only when the bound policy has the PageObserver or
-// ThreadAdvisor capability; otherwise every node reads zero.
+// NodeHeat returns the page's decayed access count for node.
 //
 //numalint:hotpath
 func (p *Page) NodeHeat(node int) uint32 { return p.heat[node] }

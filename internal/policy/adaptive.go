@@ -1,6 +1,7 @@
 // The adaptive policy zoo: counter-driven policies built on the NUMA
-// manager's per-page decaying access histograms and move counters
-// (numa.PageObserver and friends, see internal/numa/policyapi.go).
+// manager's per-page decaying access histograms and move counters,
+// which the manager keeps on every request (see
+// internal/numa/policyapi.go).
 //
 // Where the paper's Threshold pins on the lifetime move count — a
 // one-way door — these policies react to decayed counters, so a page
@@ -42,7 +43,6 @@ const DefaultSweepInterval = 50 * sim.Millisecond
 // DecayThreshold is Threshold on the decaying move counter: a page is
 // pinned global while its decayed move heat meets the limit and comes
 // back to local memory once the heat has decayed away. Implementing
-// PageObserver turns the manager's heat counters on; implementing
 // ReconsideringPolicy gets pinned pages re-presented.
 type DecayThreshold struct {
 	Limit    uint32
@@ -73,13 +73,6 @@ func (d *DecayThreshold) CachePolicy(pg *numa.Page, proc int, write bool, maxPro
 //numalint:coldpath formats a report label; the manager only calls Name when tracing is on
 func (d *DecayThreshold) Name() string { return fmt.Sprintf("decay-threshold(%d)", d.Limit) }
 
-// ObserveAccess implements numa.PageObserver. The decision needs only
-// the counters the manager maintains for any observer, so there is
-// nothing further to record.
-//
-//numalint:hotpath
-func (d *DecayThreshold) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.Time) {}
-
 // ReconsiderInterval implements numa.ReconsideringPolicy.
 //
 //numalint:hotpath
@@ -102,13 +95,20 @@ const (
 // ownership move since the bandit's previous decision, the global arm
 // earns a fixed mid-scale reward (stable but slow). Exploration is
 // driven by a splitmix64 draw over the seed, the page id, the virtual
-// time and the decay epoch — deterministic at any host parallelism.
+// time and a count of heat-epoch changes — deterministic at any host
+// parallelism.
 type Bandit struct {
 	Eps      int    // exploration probability in percent
 	Seed     uint64 // exploration PRNG seed
 	Interval sim.Time
 
-	epoch uint64 // decay epochs seen, via the Retirer hook
+	// epoch counts the requests whose heat epoch differed from the
+	// previous request's (lastEpoch); each change re-salts the
+	// exploration schedule, so a page stuck exploiting one arm gets
+	// fresh draws over time. Thread clocks interleave, so the epoch can
+	// step back as well as forward, and either step counts.
+	epoch     uint64
+	lastEpoch uint32
 }
 
 // NewBandit returns a bandit exploring with the given probability
@@ -136,6 +136,10 @@ func mix64(x uint64) uint64 {
 //
 //numalint:hotpath
 func (b *Bandit) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.Prot) numa.Location {
+	if e := uint32(pg.LastRequestAt() / numa.DefaultHeatEpoch); e != b.lastEpoch {
+		b.lastEpoch = e
+		b.epoch++
+	}
 	if !maxProt.CanWrite() {
 		// Read-only data replicates; the bandit arbitrates only the
 		// writable pages whose placement actually trades off.
@@ -182,13 +186,6 @@ func (b *Bandit) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.Pr
 //numalint:coldpath formats a report label; the manager only calls Name when tracing is on
 func (b *Bandit) Name() string { return fmt.Sprintf("bandit(%d%%,%d)", b.Eps, b.Seed) }
 
-// RetireEpoch implements numa.Retirer: each decay epoch re-salts the
-// exploration schedule, so a page stuck exploiting one arm gets fresh
-// draws over time.
-//
-//numalint:hotpath
-func (b *Bandit) RetireEpoch(now sim.Time) { b.epoch++ }
-
 // ReconsiderInterval implements numa.ReconsideringPolicy.
 //
 //numalint:hotpath
@@ -234,12 +231,6 @@ func (c *Classifier) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mm
 //numalint:coldpath formats a report label; the manager only calls Name when tracing is on
 func (c *Classifier) Name() string { return fmt.Sprintf("classifier(%d)", c.Limit) }
 
-// ObserveAccess implements numa.PageObserver (the classifier needs the
-// manager's heat counters, nothing more).
-//
-//numalint:hotpath
-func (c *Classifier) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.Time) {}
-
 // ReconsiderInterval implements numa.ReconsideringPolicy.
 //
 //numalint:hotpath
@@ -262,9 +253,6 @@ type CoPlace struct {
 	Inner   numa.Policy
 	MinHeat uint32 // decayed heat the winner needs before advising
 
-	spec     *topology.Spec
-	innerObs numa.PageObserver
-	innerRet numa.Retirer
 	innerRec numa.ReconsideringPolicy
 }
 
@@ -278,8 +266,6 @@ func NewCoPlace(inner numa.Policy, minHeat int) *CoPlace {
 		panic(fmt.Sprintf("policy: coplace min heat %d < 1", minHeat))
 	}
 	c := &CoPlace{Inner: inner, MinHeat: uint32(minHeat)}
-	c.innerObs, _ = inner.(numa.PageObserver)
-	c.innerRet, _ = inner.(numa.Retirer)
 	c.innerRec, _ = inner.(numa.ReconsideringPolicy)
 	return c
 }
@@ -297,26 +283,6 @@ func (c *CoPlace) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.P
 //numalint:coldpath formats a report label; the manager only calls Name when tracing is on
 func (c *CoPlace) Name() string { return "coplace+" + c.Inner.Name() }
 
-// ObserveAccess implements numa.PageObserver, forwarding to an
-// observing inner policy.
-//
-//numalint:hotpath
-func (c *CoPlace) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.Time) {
-	if c.innerObs != nil {
-		c.innerObs.ObserveAccess(pg, proc, write, now)
-	}
-}
-
-// RetireEpoch implements numa.Retirer, forwarding to a retiring inner
-// policy.
-//
-//numalint:hotpath
-func (c *CoPlace) RetireEpoch(now sim.Time) {
-	if c.innerRet != nil {
-		c.innerRet.RetireEpoch(now)
-	}
-}
-
 // ReconsiderInterval implements numa.ReconsideringPolicy, delegating
 // to the inner policy; a non-reconsidering inner policy would gain
 // nothing from sweeps, so they are pushed beyond any virtual clock.
@@ -329,43 +295,24 @@ func (c *CoPlace) ReconsiderInterval() sim.Time {
 	return neverSweep
 }
 
-// BindTopology implements numa.TopologyAware, capturing the distance
-// matrix the advice weights candidates with (and forwarding to an
-// aware inner policy).
-func (c *CoPlace) BindTopology(spec *topology.Spec) {
-	c.spec = spec
-	if ta, ok := c.Inner.(numa.TopologyAware); ok {
-		ta.BindTopology(spec)
-	}
-}
-
 // AdviseThread implements numa.ThreadAdvisor. node is the faulting
 // thread's current node; each candidate node's decayed heat is
-// discounted by its distance from node (LocalDistance/dist, so the
-// thread's own node keeps its full heat) and the best scorer wins —
+// discounted by its distance from node in spec (LocalDistance/dist, so
+// the thread's own node keeps its full heat) and the best scorer wins —
 // provided it clears MinHeat and holds a strict majority of the page's
 // total heat.
 //
 //numalint:hotpath
-func (c *CoPlace) AdviseThread(pg *numa.Page, proc, node int, now sim.Time) (int, bool) {
+func (c *CoPlace) AdviseThread(pg *numa.Page, spec *topology.Spec, node int) (int, bool) {
 	best, bestScore := -1, uint64(0)
-	if c.spec != nil {
-		for i := 0; i < c.spec.NNodes(); i++ {
-			h := pg.NodeHeat(i)
-			if h == 0 {
-				continue
-			}
-			score := uint64(h) * uint64(topology.LocalDistance) / uint64(c.spec.Dist(node, i))
-			if score > bestScore {
-				best, bestScore = i, score
-			}
+	for i := 0; i < spec.NNodes(); i++ {
+		h := pg.NodeHeat(i)
+		if h == 0 {
+			continue
 		}
-	} else {
-		// No topology bound (direct-construction tests): fall back to
-		// the raw hottest node.
-		best = pg.HotNode()
-		if best >= 0 {
-			bestScore = uint64(pg.NodeHeat(best))
+		score := uint64(h) * uint64(topology.LocalDistance) / uint64(spec.Dist(node, i))
+		if score > bestScore {
+			best, bestScore = i, score
 		}
 	}
 	if best < 0 || best == node || bestScore < uint64(c.MinHeat) {
@@ -380,18 +327,12 @@ func (c *CoPlace) AdviseThread(pg *numa.Page, proc, node int, now sim.Time) (int
 // Compile-time interface checks.
 var (
 	_ numa.Policy              = (*DecayThreshold)(nil)
-	_ numa.PageObserver        = (*DecayThreshold)(nil)
 	_ numa.ReconsideringPolicy = (*DecayThreshold)(nil)
 	_ numa.Policy              = (*Bandit)(nil)
-	_ numa.Retirer             = (*Bandit)(nil)
 	_ numa.ReconsideringPolicy = (*Bandit)(nil)
 	_ numa.Policy              = (*Classifier)(nil)
-	_ numa.PageObserver        = (*Classifier)(nil)
 	_ numa.ReconsideringPolicy = (*Classifier)(nil)
 	_ numa.Policy              = (*CoPlace)(nil)
-	_ numa.PageObserver        = (*CoPlace)(nil)
 	_ numa.ThreadAdvisor       = (*CoPlace)(nil)
-	_ numa.Retirer             = (*CoPlace)(nil)
 	_ numa.ReconsideringPolicy = (*CoPlace)(nil)
-	_ numa.TopologyAware       = (*CoPlace)(nil)
 )

@@ -1,81 +1,20 @@
 package policy_test
 
-// Differential tests for the Policy API redesign: a capability-free
-// policy must produce bit-identical runs whether or not it is wrapped
-// with no-op capabilities (heat tracking must be invisible), and the
-// bare command-line spellings must keep building the policies they
-// always did.
+// Differential tests for the Policy API: the bare command-line
+// spellings must keep building the policies they always did, and the
+// adaptive policies must read the manager's heat counters whether they
+// are bound bare or under a wrapper.
 
 import (
 	"reflect"
 	"testing"
 
 	"numasim/internal/ace"
-	"numasim/internal/metrics"
 	"numasim/internal/mmu"
 	"numasim/internal/numa"
 	"numasim/internal/policy"
-	"numasim/internal/sched"
 	"numasim/internal/sim"
-	"numasim/internal/workloads"
 )
-
-// shimmed is Threshold plus no-op observer and retirer capabilities: it
-// makes the manager maintain the heat histograms and tick the epoch
-// clock without acting on either, so any divergence from the bare
-// policy is a redesign bug.
-type shimmed struct {
-	*policy.Threshold
-}
-
-// ObserveAccess implements numa.PageObserver.
-//
-//numalint:hotpath
-func (shimmed) ObserveAccess(pg *numa.Page, proc int, write bool, now sim.Time) {}
-
-// RetireEpoch implements numa.Retirer.
-//
-//numalint:hotpath
-func (shimmed) RetireEpoch(now sim.Time) {}
-
-var (
-	_ numa.PageObserver = shimmed{}
-	_ numa.Retirer      = shimmed{}
-)
-
-func runWith(t *testing.T, w metrics.Runner, pol numa.Policy) metrics.RunResult {
-	t.Helper()
-	cfg := ace.DefaultConfig()
-	cfg.NProc = 3
-	res, err := metrics.Run(w, metrics.RunSpec{
-		Config: cfg, Policy: pol, Workers: 3, Sched: sched.Affinity,
-	})
-	if err != nil {
-		t.Fatalf("%s under %s: %v", w.Name(), pol.Name(), err)
-	}
-	return res
-}
-
-// TestCapabilityShimIsInvisible runs the same workloads under the bare
-// Threshold and the shimmed one; every measured field must match. This
-// is the differential proof that capability-free policies behave
-// identically before and after the redesign: the shim exercises the
-// entire counter-maintenance path the redesign added, and the results
-// may not move by a single count or tick.
-func TestCapabilityShimIsInvisible(t *testing.T) {
-	for _, mk := range []func() metrics.Runner{
-		func() metrics.Runner { return workloads.NewGfetch(12, 4) },
-		func() metrics.Runner { return workloads.NewZipf(0, 0, 0) },
-		func() metrics.Runner { return workloads.NewPhased(0, 0, 0) },
-	} {
-		bare := runWith(t, mk(), policy.NewDefault())
-		shim := runWith(t, mk(), shimmed{policy.NewDefault()})
-		if !reflect.DeepEqual(bare, shim) {
-			t.Errorf("%s: bare and shimmed Threshold diverge:\nbare: %+v\nshim: %+v",
-				bare.Workload, bare, shim)
-		}
-	}
-}
 
 // TestParseBareSpellings: every bare policy name the command line has
 // always accepted builds the same policy type and name it always did.
@@ -119,9 +58,6 @@ func TestAdaptivePoliciesAnswerSanely(t *testing.T) {
 		cfg.NProc = 2
 		m := ace.MustMachine(cfg)
 		n := numa.NewManager(m, pol)
-		if !n.TracksHeat() {
-			t.Errorf("%s: adaptive policy bound but heat tracking is off", spec)
-		}
 		m.Engine().Spawn("probe", 0, func(th *sim.Thread) {
 			pg, err := n.NewPage()
 			if err != nil {
@@ -140,5 +76,41 @@ func TestAdaptivePoliciesAnswerSanely(t *testing.T) {
 		if err := m.Engine().Run(); err != nil {
 			t.Fatalf("%s: engine: %v", spec, err)
 		}
+	}
+}
+
+// TestPragmaWrappedAdaptivePolicies: the manager keeps the heat counters
+// on every request, so an adaptive policy reached through a wrapper
+// reads them as it would bare. A page two processors write alternately
+// twelve times has moved eleven times within one heat epoch; the
+// wrapped decay threshold (limit 4) must pin it.
+func TestPragmaWrappedAdaptivePolicies(t *testing.T) {
+	pol, err := policy.Parse("pragma:fallback=decaythreshold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ace.DefaultConfig()
+	cfg.NProc = 2
+	m := ace.MustMachine(cfg)
+	n := numa.NewManager(m, pol)
+	var pg *numa.Page
+	m.Engine().Spawn("writers", 0, func(th *sim.Thread) {
+		var err error
+		if pg, err = n.NewPage(); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 12; i++ {
+			n.Access(th, pg, i%2, true, mmu.ProtReadWrite)
+		}
+	})
+	if err := m.Engine().Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pg == nil {
+		return
+	}
+	if !pg.Pinned() {
+		t.Errorf("%s left a page moved %d times unpinned (move heat %d)", pol.Name(), pg.Moves(), pg.MoveHeat())
 	}
 }

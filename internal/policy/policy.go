@@ -146,6 +146,11 @@ func (p *Pragma) Name() string { return "pragma+" + p.Fallback.Name() }
 // that find a page pinned it forgives the page's accumulated moves, giving
 // the page another chance to live in local memory. This models
 // "periodically reconsidering the decision to pin a page in global memory".
+//
+// The per-page state lives in the page's policy word, which the manager
+// zeroes for every new or recycled page record: the low 32 bits hold the
+// move count forgiven at the last reconsideration, the high 32 bits the
+// pinned requests since then.
 type Reconsider struct {
 	Limit  int
 	Period int
@@ -153,9 +158,6 @@ type Reconsider struct {
 	// mappings so this policy sees them again (without it, a pinned page
 	// never faults and is never reconsidered).
 	Interval sim.Time
-
-	globalHits map[*numa.Page]int
-	forgiven   map[*numa.Page]int
 }
 
 // NewReconsider returns a reconsidering policy.
@@ -163,29 +165,24 @@ func NewReconsider(limit, period int) *Reconsider {
 	if limit < 0 || period < 1 {
 		panic(fmt.Sprintf("policy: bad reconsider parameters limit=%d period=%d", limit, period))
 	}
-	return &Reconsider{
-		Limit:      limit,
-		Period:     period,
-		Interval:   50 * sim.Millisecond,
-		globalHits: make(map[*numa.Page]int),
-		forgiven:   make(map[*numa.Page]int),
-	}
+	return &Reconsider{Limit: limit, Period: period, Interval: 50 * sim.Millisecond}
 }
 
 // CachePolicy implements numa.Policy.
 //
 //numalint:hotpath
 func (r *Reconsider) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.Prot) numa.Location {
-	effective := pg.Moves() - r.forgiven[pg]
-	if effective < r.Limit {
+	w := pg.PolicyWord()
+	forgiven := uint32(w)
+	if pg.Moves()-int(forgiven) < r.Limit {
 		return numa.Local
 	}
-	r.globalHits[pg]++
-	if r.globalHits[pg] >= r.Period {
-		r.globalHits[pg] = 0
-		r.forgiven[pg] = pg.Moves()
+	hits := uint32(w>>32) + 1
+	if int(hits) >= r.Period {
+		pg.SetPolicyWord(uint64(uint32(pg.Moves())))
 		return numa.Local
 	}
+	pg.SetPolicyWord(uint64(hits)<<32 | uint64(forgiven))
 	return numa.Global
 }
 

@@ -160,6 +160,48 @@ func TestReconsider(t *testing.T) {
 	}
 }
 
+// TestReconsiderForgetsRecycledPage: a page record freed and re-adopted
+// starts with fresh placement state (§4.3, footnote 4), Reconsider's
+// counts included. Two pinned requests leave the page one short of the
+// period's forgiveness; the recycled record must start the count over.
+func TestReconsiderForgetsRecycledPage(t *testing.T) {
+	pol := policy.NewReconsider(0, 3)
+	cfg := ace.DefaultConfig()
+	cfg.NProc = 2
+	cfg.GlobalFrames = 8
+	cfg.LocalFrames = 8
+	m := ace.MustMachine(cfg)
+	n := numa.NewManager(m, pol)
+	m.Engine().Spawn("recycle", 0, func(th *sim.Thread) {
+		pg, err := n.NewPage()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 2; i++ {
+			if got := pol.CachePolicy(pg, 0, true, mmu.ProtReadWrite); got != numa.Global {
+				t.Errorf("pinned request %d: %v, want GLOBAL", i, got)
+			}
+		}
+		n.FreePageSync(n.FreePage(th, pg))
+		again, err := n.NewPage()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if again != pg {
+			t.Error("NewPage did not recycle the freed record")
+			return
+		}
+		if got := pol.CachePolicy(again, 0, true, mmu.ProtReadWrite); got != numa.Global {
+			t.Errorf("first request on the recycled page: %v, want GLOBAL", got)
+		}
+	})
+	if err := m.Engine().Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReconsiderBadParamsPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { policy.NewReconsider(-1, 5) },

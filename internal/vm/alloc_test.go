@@ -150,11 +150,10 @@ func (m *heatMover) MigrateHint(th *sim.Thread, node int) bool {
 }
 
 // TestHeatPathZeroAlloc extends the guard to the adaptive-policy
-// machinery: with a capability-bearing policy bound (observer, advisor,
-// retirer all live) and a thread mover wired in, the steady-state
-// refault path — which now also decays and bumps the heat histograms,
-// consults the advisor and offers hints to the mover — must still
-// allocate nothing per access.
+// machinery: with a thread advisor bound (coplace) and a thread mover
+// wired in, the steady-state refault path — which also decays and bumps
+// the heat counters kept on every request, consults the advisor and
+// offers hints to the mover — must still allocate nothing per access.
 func TestHeatPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates on the hot path; guard runs in non-race CI")

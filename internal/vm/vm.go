@@ -55,7 +55,6 @@ type Stats struct {
 	ZeroFillFaults uint64
 	Pageouts       uint64
 	Pageins        uint64
-	Faults         uint64
 	COWReads       uint64 // reads resolved through a shared origin page
 	COWCopies      uint64 // pages privately copied on first write
 }
@@ -495,7 +494,6 @@ func (k *Kernel) fault(th *sim.Thread, task *Task, proc int, va uint32, write bo
 	cost := k.machine.Cost()
 	th.AdvanceSys(cost.FaultBase)
 	k.machine.Proc(proc).Faults++
-	k.stats.Faults++
 
 	e := task.find(va)
 	if e == nil {
