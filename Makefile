@@ -22,10 +22,11 @@
 #   make bench-json - run the benchmarks and record the run as
 #                   BENCH_<date>.json (the tracked perf trajectory;
 #                   compare two runs with cmd/benchdiff)
-#   make bench-ci - the CI perf gate: re-measure the reduced hot-path
-#                   set and fail if any benchmark regressed more than
-#                   BENCHDIFF_TOL (default 20%) against the committed
-#                   BENCH_baseline.json
+#   make bench-ci - the CI perf gate, an A/B run on one host: measure
+#                   the reduced hot-path set with the test binaries of
+#                   BENCH_BASE (default HEAD) and of the working tree in
+#                   alternation, and fail if any median regressed more
+#                   than BENCHDIFF_TOL (default 20%)
 #   make tables   - regenerate the paper's tables and figures
 #   make pressure - smoke-run the memory-pressure sweep with seeded fault
 #                   injection (small sizes; exercises reclaim, fallback
@@ -58,7 +59,12 @@ BENCHDATE := $(shell date +%Y-%m-%d)
 # ones; allocs/op is exact at any iteration count.
 BENCH_CI_FILTER := 'LocalAccess$$|PageMigration$$|FaultPath$$|PickManyThreads|TraceOverhead'
 BENCH_CI_TIME := 300ms
+BENCH_CI_ROUNDS := 5
+BENCH_CI_DIR := .bench_ci
 BENCHDIFF_TOL ?= 0.20
+# BENCH_BASE is the commit bench-ci compares the working tree against; CI
+# passes the pull request's base, or HEAD~1 on a push.
+BENCH_BASE ?= HEAD
 
 .PHONY: check build vet lint numalint test bench bench-json bench-ci tables pressure audit topo tournament avail
 
@@ -98,13 +104,29 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -o BENCH_$(BENCHDATE).json
 	@echo wrote BENCH_$(BENCHDATE).json
 
-# bench-ci is the perf gate: re-measure the reduced hot-path set and
-# compare against the committed baseline. Exit 1 on any >$(BENCHDIFF_TOL)
+# bench-ci is the perf gate. It measures the change, not the host: the
+# base binary is built in a temporary git worktree at $(BENCH_BASE), the
+# new one from the working tree, and the two run the reduced set in
+# alternation for $(BENCH_CI_ROUNDS) rounds on the same host. benchjson
+# folds each side's rounds into medians. Exit 1 on any >$(BENCHDIFF_TOL)
 # ns/op or allocs/op regression (a zero-alloc path must stay zero).
 bench-ci:
-	$(GO) test -bench $(BENCH_CI_FILTER) -benchtime $(BENCH_CI_TIME) -benchmem -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -o /tmp/bench_ci.json
-	$(GO) run ./cmd/benchdiff -tolerance $(BENCHDIFF_TOL) BENCH_baseline.json /tmp/bench_ci.json
+	rm -rf $(BENCH_CI_DIR)
+	git worktree prune
+	git worktree add --detach $(BENCH_CI_DIR)/base $(BENCH_BASE)
+	cd $(BENCH_CI_DIR)/base && $(GO) test -c -o ../base.test .
+	git worktree remove --force $(BENCH_CI_DIR)/base
+	$(GO) test -c -o $(BENCH_CI_DIR)/new.test .
+	for i in $$(seq $(BENCH_CI_ROUNDS)); do \
+		order="base new"; [ $$((i % 2)) = 1 ] || order="new base"; \
+		for side in $$order; do \
+			$(BENCH_CI_DIR)/$$side.test -test.run '^$$' -test.bench $(BENCH_CI_FILTER) \
+				-test.benchtime $(BENCH_CI_TIME) -test.benchmem >> $(BENCH_CI_DIR)/$$side.txt || exit 1; \
+		done; \
+	done
+	$(GO) run ./cmd/benchjson -o $(BENCH_CI_DIR)/base.json < $(BENCH_CI_DIR)/base.txt
+	$(GO) run ./cmd/benchjson -o $(BENCH_CI_DIR)/new.json < $(BENCH_CI_DIR)/new.txt
+	$(GO) run ./cmd/benchdiff -tolerance $(BENCHDIFF_TOL) $(BENCH_CI_DIR)/base.json $(BENCH_CI_DIR)/new.json
 
 tables:
 	$(GO) run ./cmd/tables

@@ -283,11 +283,25 @@ func (r *RefStats) Add(other RefStats) {
 	r.RemoteStore += other.RemoteStore
 }
 
+// refCol is one column of a processor's charge row: what a 32-bit fetch
+// and store from the processor to one memory cost, and how many of each
+// the processor has made.
+type refCol struct {
+	fetch, store    sim.Time
+	fetches, stores uint64
+}
+
 // Processor is one ACE processor module.
 type Processor struct {
 	id   int
+	home int
 	res  *sim.Resource
-	refs RefStats
+	// row is the processor's charge row, indexed by frame node + 1:
+	// column 0 is global memory, column home+1 the processor's local
+	// memory, and every other column a remote node. NewMachine fills the
+	// costs once from the bound spec, so a reference neither looks up its
+	// latency nor classifies its destination.
+	row []refCol
 	// Faults counts page faults taken on this processor.
 	Faults uint64
 }
@@ -300,8 +314,25 @@ func (p *Processor) ID() int { return p.id }
 //numalint:hotpath
 func (p *Processor) Resource() *sim.Resource { return p.res }
 
-// Refs returns the processor's reference counters.
-func (p *Processor) Refs() RefStats { return p.refs }
+// Refs returns the processor's reference counters, classified by charge
+// row column: column 0 is global, the home column local, the rest remote.
+func (p *Processor) Refs() RefStats {
+	var r RefStats
+	for col, c := range p.row {
+		switch col {
+		case 0:
+			r.GlobalFetch += c.fetches
+			r.GlobalStore += c.stores
+		case p.home + 1:
+			r.LocalFetch += c.fetches
+			r.LocalStore += c.stores
+		default:
+			r.RemoteFetch += c.fetches
+			r.RemoteStore += c.stores
+		}
+	}
+	return r
+}
 
 // Machine is an assembled machine: engine, processors, memories and MMUs,
 // shaped by a topology spec (the ACE by default).
@@ -310,10 +341,13 @@ type Machine struct {
 	spec   *topology.Spec
 	topo   *topology.Topology
 	engine *sim.Engine
-	procs  []*Processor
+	procs  []Processor
 	memory *mem.Memory
 	mmus   []*mmu.MMU
 	bus    *simtrace.Bus
+	// contended caches spec.Contended(): only then can a reference wait
+	// on an interconnect link.
+	contended bool
 }
 
 // NewMachine builds a machine from cfg, reporting invalid configuration
@@ -331,19 +365,30 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("ace: topology %s has %d processors, config has %d", spec.Name(), spec.NProcs(), cfg.NProc)
 	}
 	m := &Machine{
-		cfg:    cfg,
-		spec:   spec,
-		topo:   topology.New(spec),
-		engine: sim.NewEngine(),
-		memory: mem.NewMemory(spec.NNodes(), cfg.GlobalFrames, cfg.LocalFrames, cfg.PageSize),
-		bus:    simtrace.NewBus(),
+		cfg:       cfg,
+		spec:      spec,
+		topo:      topology.New(spec),
+		engine:    sim.NewEngine(),
+		memory:    mem.NewMemory(spec.NNodes(), cfg.GlobalFrames, cfg.LocalFrames, cfg.PageSize),
+		bus:       simtrace.NewBus(),
+		contended: spec.Contended(),
 	}
 	m.cfg.Cost.Bind(spec)
 	m.engine.Bus = m.bus
-	m.procs = make([]*Processor, cfg.NProc)
+	m.procs = make([]Processor, cfg.NProc)
 	m.mmus = make([]*mmu.MMU, cfg.NProc)
-	for i := 0; i < cfg.NProc; i++ {
-		m.procs[i] = &Processor{id: i, res: &sim.Resource{Name: fmt.Sprintf("cpu%d", i), ID: i}}
+	// Every processor's charge row is a slice of one allocation.
+	ncol := spec.NNodes() + 1
+	rows := make([]refCol, cfg.NProc*ncol)
+	for i := range m.procs {
+		row := rows[i*ncol : (i+1)*ncol : (i+1)*ncol]
+		for col := range row {
+			// Column col holds node col-1; spec.Col maps column 0's -1
+			// (mem's node for global frames) to the interleave column.
+			sc := spec.Col(col - 1)
+			row[col] = refCol{fetch: spec.FetchLatency(i, sc), store: spec.StoreLatency(i, sc)}
+		}
+		m.procs[i] = Processor{id: i, home: spec.Home(i), res: &sim.Resource{Name: fmt.Sprintf("cpu%d", i), ID: i}, row: row}
 		m.mmus[i] = mmu.New(i)
 	}
 	return m, nil
@@ -421,7 +466,7 @@ func (m *Machine) Topo() *topology.Topology { return m.topo }
 // Proc returns processor i.
 //
 //numalint:hotpath
-func (m *Machine) Proc(i int) *Processor { return m.procs[i] }
+func (m *Machine) Proc(i int) *Processor { return &m.procs[i] }
 
 // Memory returns the machine's physical memory.
 //
@@ -455,42 +500,30 @@ func (m *Machine) VPN(va uint32) uint32 { return va >> m.PageShift() }
 func (m *Machine) PageOff(va uint32) int { return int(va) & (m.cfg.PageSize - 1) }
 
 // ChargeFetch charges th for a 32-bit fetch from frame f by processor proc
-// and counts it. On contended topologies the fetch also pays any queueing
-// delay on the interconnect route to f's node.
+// and counts it, both in proc's charge row. On contended topologies the
+// fetch also pays any queueing delay on the interconnect route to f's node.
 //
 //numalint:hotpath
 func (m *Machine) ChargeFetch(th *sim.Thread, proc int, f *mem.Frame) {
-	c := &m.cfg.Cost
-	th.Advance(c.FetchCost(f, proc))
-	m.chargeLink(th, proc, f, 4, false)
-	r := &m.procs[proc].refs
-	switch {
-	case f.Kind() == mem.Global:
-		r.GlobalFetch++
-	case f.Proc() == m.spec.Home(proc):
-		r.LocalFetch++
-	default:
-		r.RemoteFetch++
+	c := &m.procs[proc].row[f.Proc()+1]
+	th.Advance(c.fetch)
+	c.fetches++
+	if m.contended {
+		m.chargeLink(th, proc, f, 4, false)
 	}
 }
 
-// ChargeStore charges th for a 32-bit store to frame f by processor proc and
-// counts it. On contended topologies the store also pays any queueing
-// delay on the interconnect route to f's node.
+// ChargeStore charges th for a 32-bit store to frame f by processor proc
+// and counts it, both in proc's charge row. On contended topologies the
+// store also pays any queueing delay on the interconnect route to f's node.
 //
 //numalint:hotpath
 func (m *Machine) ChargeStore(th *sim.Thread, proc int, f *mem.Frame) {
-	c := &m.cfg.Cost
-	th.Advance(c.StoreCost(f, proc))
-	m.chargeLink(th, proc, f, 4, false)
-	r := &m.procs[proc].refs
-	switch {
-	case f.Kind() == mem.Global:
-		r.GlobalStore++
-	case f.Proc() == m.spec.Home(proc):
-		r.LocalStore++
-	default:
-		r.RemoteStore++
+	c := &m.procs[proc].row[f.Proc()+1]
+	th.Advance(c.store)
+	c.stores++
+	if m.contended {
+		m.chargeLink(th, proc, f, 4, false)
 	}
 }
 
@@ -501,11 +534,10 @@ func (m *Machine) ChargeStore(th *sim.Thread, proc int, f *mem.Frame) {
 //
 //numalint:hotpath
 func (m *Machine) chargeLink(th *sim.Thread, proc int, f *mem.Frame, bytes int, sys bool) {
-	t := m.topo
-	if !t.Contended() {
+	if !m.contended {
 		return
 	}
-	wait := t.ChargeTransfer(th.Clock(), proc, m.spec.Col(f.Proc()), bytes)
+	wait := m.topo.ChargeTransfer(th.Clock(), proc, m.spec.Col(f.Proc()), bytes)
 	if wait == 0 {
 		return
 	}
@@ -568,8 +600,8 @@ func (m *Machine) LocalPressure() []PoolPressure {
 // TotalRefs sums reference statistics across all processors.
 func (m *Machine) TotalRefs() RefStats {
 	var sum RefStats
-	for _, p := range m.procs {
-		sum.Add(p.refs)
+	for i := range m.procs {
+		sum.Add(m.procs[i].Refs())
 	}
 	return sum
 }
@@ -577,8 +609,8 @@ func (m *Machine) TotalRefs() RefStats {
 // TotalFaults sums page-fault counts across all processors.
 func (m *Machine) TotalFaults() uint64 {
 	var sum uint64
-	for _, p := range m.procs {
-		sum += p.Faults
+	for i := range m.procs {
+		sum += m.procs[i].Faults
 	}
 	return sum
 }

@@ -1,6 +1,7 @@
 package ace
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -134,46 +135,121 @@ func TestVPNAndOffset(t *testing.T) {
 	}
 }
 
+// TestChargeAndCount charges scripted references on two machines: the ACE,
+// where node and processor coincide, and 4socket at NProc 8, where
+// processors 4-7 share nodes 0-3 with processors 0-3, so a reference from
+// processor 4 to node 0 is local. Every reference must be counted in its
+// class, and user time must equal the cost model's price of each
+// (processor, frame) plus the link waits the topology reports.
 func TestChargeAndCount(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NProc = 2
-	m := MustMachine(cfg)
-	g, _ := m.Memory().Global().Alloc()
-	l1, _ := m.Memory().Local(1).Alloc()
-	var done bool
-	m.Engine().Spawn("t", 0, func(th *sim.Thread) {
-		m.ChargeFetch(th, 0, g)
-		m.ChargeStore(th, 0, g)
-		m.ChargeFetch(th, 1, l1)
-		m.ChargeStore(th, 1, l1)
-		m.ChargeFetch(th, 0, l1) // remote
-		done = true
-	})
-	if err := m.Engine().Run(); err != nil {
-		t.Fatal(err)
+	type ref struct {
+		proc  int
+		node  int // the frame's node, or -1 for global memory
+		store bool
 	}
-	if !done {
-		t.Fatal("thread did not run")
-	}
-	r0, r1 := m.Proc(0).Refs(), m.Proc(1).Refs()
-	if r0.GlobalFetch != 1 || r0.GlobalStore != 1 || r0.RemoteFetch != 1 {
-		t.Errorf("proc0 refs = %+v", r0)
-	}
-	if r1.LocalFetch != 1 || r1.LocalStore != 1 {
-		t.Errorf("proc1 refs = %+v", r1)
-	}
-	tot := m.TotalRefs()
-	if tot.Total() != 5 {
-		t.Errorf("total refs = %d, want 5", tot.Total())
-	}
-	wantLocal := 2.0 / 5.0
-	if lf := tot.LocalFraction(); math.Abs(lf-wantLocal) > 1e-9 {
-		t.Errorf("local fraction = %v, want %v", lf, wantLocal)
-	}
-	c := DefaultCostModel()
-	wantTime := c.GlobalFetch + c.GlobalStore + c.LocalFetch + c.LocalStore + c.RemoteFetch
-	if got := m.Engine().TotalUserTime(); got != wantTime {
-		t.Errorf("user time = %v, want %v", got, wantTime)
+	for _, tc := range []struct {
+		name     string
+		topology string
+		nproc    int
+		threads  [][]ref // one script per thread
+		want     map[int]RefStats
+	}{
+		{
+			name: "ace", nproc: 2,
+			threads: [][]ref{{{0, -1, false}, {0, -1, true}, {1, 1, false}, {1, 1, true}, {0, 1, false}}},
+			want: map[int]RefStats{
+				0: {GlobalFetch: 1, GlobalStore: 1, RemoteFetch: 1},
+				1: {LocalFetch: 1, LocalStore: 1},
+			},
+		},
+		{
+			// The later threads start at time 0, behind the first one's
+			// transfer on link node0-node1, so their first references wait.
+			name: "4socket", topology: "4socket", nproc: 8,
+			threads: [][]ref{
+				{{4, 0, false}, {4, 0, true}, {4, 1, false}, {4, -1, true}},
+				{{0, 1, false}, {0, 0, false}, {5, 1, true}, {5, 0, false}},
+				{{1, 0, true}},
+			},
+			want: map[int]RefStats{
+				0: {LocalFetch: 1, RemoteFetch: 1},
+				1: {RemoteStore: 1},
+				4: {LocalFetch: 1, LocalStore: 1, RemoteFetch: 1, GlobalStore: 1},
+				5: {LocalStore: 1, RemoteFetch: 1},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.NProc, cfg.Topology = tc.nproc, tc.topology
+			m := MustMachine(cfg)
+			frame := func(node int) *mem.Frame {
+				pool := m.Memory().Global()
+				if node >= 0 {
+					pool = m.Memory().Local(node)
+				}
+				f, err := pool.Alloc()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			frames := map[int]*mem.Frame{-1: frame(-1)}
+			for n := 0; n < m.NNodes(); n++ {
+				frames[n] = frame(n)
+			}
+			var wantTime sim.Time
+			var nrefs uint64
+			for i, script := range tc.threads {
+				for _, r := range script {
+					if r.store {
+						wantTime += m.Cost().StoreCost(frames[r.node], r.proc)
+					} else {
+						wantTime += m.Cost().FetchCost(frames[r.node], r.proc)
+					}
+					nrefs++
+				}
+				m.Engine().Spawn(fmt.Sprintf("t%d", i), 0, func(th *sim.Thread) {
+					for _, r := range script {
+						if r.store {
+							m.ChargeStore(th, r.proc, frames[r.node])
+						} else {
+							m.ChargeFetch(th, r.proc, frames[r.node])
+						}
+					}
+				})
+			}
+			if err := m.Engine().Run(); err != nil {
+				t.Fatal(err)
+			}
+			var local, remote uint64
+			for p := 0; p < m.NProc(); p++ {
+				if got := m.Proc(p).Refs(); got != tc.want[p] {
+					t.Errorf("proc%d refs = %+v, want %+v", p, got, tc.want[p])
+				}
+				local += tc.want[p].LocalFetch + tc.want[p].LocalStore
+				remote += tc.want[p].RemoteFetch + tc.want[p].RemoteStore
+			}
+			tot := m.TotalRefs()
+			if tot.Total() != nrefs {
+				t.Errorf("total refs = %d, want %d", tot.Total(), nrefs)
+			}
+			if lf, want := tot.LocalFraction(), float64(local)/float64(nrefs); math.Abs(lf-want) > 1e-9 {
+				t.Errorf("local fraction = %v, want %v", lf, want)
+			}
+			var waited sim.Time
+			var xfers uint64
+			for _, ls := range m.Topo().LinkStats() {
+				waited += ls.Waited
+				xfers += ls.Xfers
+			}
+			if tc.topology != "" && (waited == 0 || xfers < remote) {
+				t.Errorf("%d link transfers waited %v for %d remote references; want one transfer each and some wait", xfers, waited, remote)
+			}
+			if got := m.Engine().TotalUserTime(); got != wantTime+waited {
+				t.Errorf("user time = %v, want %v of references + %v of link waits", got, wantTime, waited)
+			}
+		})
 	}
 }
 

@@ -57,10 +57,12 @@ func normName(name string) string {
 
 // Parse reads `go test -bench` text output and returns the structured
 // run. Non-benchmark lines (PASS, ok, test log output) are ignored; the
-// goos/goarch/cpu header lines are captured when present. Duplicate
-// benchmark names (e.g. from -count>1) keep the last measurement.
+// goos/goarch/cpu header lines are captured when present. Repeated
+// benchmark names (from -count>1, or rounds of an A/B run appended to one
+// file) fold into one result by fold.
 func Parse(r io.Reader) (*File, error) {
 	f := &File{}
+	var runs [][]Result
 	idx := make(map[string]int)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -110,23 +112,43 @@ func Parse(r io.Reader) (*File, error) {
 				res.Metrics[unit] = val
 			}
 		}
-		if j, ok := idx[res.Name]; ok {
-			f.Benchmarks[j] = res
-			continue
+		j, ok := idx[res.Name]
+		if !ok {
+			j = len(runs)
+			idx[res.Name] = j
+			runs = append(runs, nil)
 		}
-		idx[res.Name] = len(f.Benchmarks)
-		f.Benchmarks = append(f.Benchmarks, res)
+		runs[j] = append(runs[j], res)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("benchfmt: %w", err)
 	}
-	if len(f.Benchmarks) == 0 {
+	if len(runs) == 0 {
 		return nil, fmt.Errorf("benchfmt: no benchmark lines in input")
+	}
+	for _, rs := range runs {
+		f.Benchmarks = append(f.Benchmarks, fold(rs))
 	}
 	sort.Slice(f.Benchmarks, func(i, j int) bool {
 		return f.Benchmarks[i].Name < f.Benchmarks[j].Name
 	})
 	return f, nil
+}
+
+// fold merges the measurements of one benchmark into its last one, with
+// the median ns/op, so one slow round does not decide a comparison, and
+// the largest allocs/op and B/op, so an allocation in any round shows.
+func fold(rs []Result) Result {
+	out := rs[len(rs)-1]
+	ns := make([]float64, len(rs))
+	for i, r := range rs {
+		ns[i] = r.NsPerOp
+		out.AllocsPerOp = max(out.AllocsPerOp, r.AllocsPerOp)
+		out.BytesPerOp = max(out.BytesPerOp, r.BytesPerOp)
+	}
+	sort.Float64s(ns)
+	out.NsPerOp = (ns[(len(ns)-1)/2] + ns[len(ns)/2]) / 2
+	return out
 }
 
 // Write marshals the run as indented JSON with a trailing newline (the

@@ -88,13 +88,27 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDuplicateKeepsLast(t *testing.T) {
-	in := "BenchmarkX-4 100 50.0 ns/op 3 allocs/op\nBenchmarkX-4 200 40.0 ns/op 2 allocs/op\n"
+// TestDuplicatesFoldToMedianAndMaxAllocs: repeated names, as from -count
+// or the rounds of an A/B run, fold into the median ns/op (the mean of the
+// middle two for an even count) and the largest allocs/op and B/op.
+func TestDuplicatesFoldToMedianAndMaxAllocs(t *testing.T) {
+	in := "BenchmarkX-4 100 50.0 ns/op 8 B/op 3 allocs/op\n" +
+		"BenchmarkX-4 200 40.0 ns/op 0 B/op 0 allocs/op\n" +
+		"BenchmarkX-4 300 90.0 ns/op 0 B/op 0 allocs/op\n" +
+		"BenchmarkY-4 100 10.0 ns/op 0 allocs/op\n" +
+		"BenchmarkY-4 100 30.0 ns/op 0 allocs/op\n"
 	f, err := Parse(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Benchmarks) != 1 || f.Benchmarks[0].NsPerOp != 40.0 || f.Benchmarks[0].AllocsPerOp != 2 {
-		t.Errorf("duplicate handling wrong: %+v", f.Benchmarks)
+	if len(f.Benchmarks) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2: %+v", len(f.Benchmarks), f.Benchmarks)
+	}
+	x, y := f.Benchmarks[0], f.Benchmarks[1]
+	if x.NsPerOp != 50 || x.AllocsPerOp != 3 || x.BytesPerOp != 8 {
+		t.Errorf("BenchmarkX folded to %+v, want median 50 ns/op, max 3 allocs/op and 8 B/op", x)
+	}
+	if y.NsPerOp != 20 || y.AllocsPerOp != 0 {
+		t.Errorf("BenchmarkY folded to %+v, want 20 ns/op and 0 allocs/op", y)
 	}
 }

@@ -2,33 +2,124 @@ package workloads
 
 import (
 	"fmt"
+	"math/bits"
 
 	"numasim/internal/cthreads"
 	"numasim/internal/vm"
 )
 
-// hostSieve computes the primes up to limit on the host, for verification.
-// Arithmetic is done in uint64 so n*n cannot wrap for large limits.
-func hostSieve(limit uint32) []uint32 {
-	if limit < 2 {
-		return nil
-	}
-	lim := uint64(limit)
-	composite := make([]bool, lim+1)
-	var primes []uint32
-	for n := uint64(2); n <= lim; n++ {
-		if composite[n] {
-			continue
-		}
-		primes = append(primes, uint32(n))
-		for m := n * n; m <= lim; m += n {
-			composite[m] = true
-		}
-	}
-	return primes
+// primeSieve is a Primes run's answer key: an odd-only bit sieve of the
+// numbers up to limit, built on the host once per run.
+type primeSieve struct {
+	limit uint32
+	// composite has bit i set when the odd number 3+2i is composite.
+	composite []uint64
+	// count is the number of primes <= limit, 2 included.
+	count int
 }
 
-func countPrimes(limit uint32) int { return len(hostSieve(limit)) }
+// oddCandidates returns how many of the odd numbers 3, 5, ... are <= limit.
+func oddCandidates(limit uint32) uint32 {
+	if limit < 3 {
+		return 0
+	}
+	return (limit - 1) / 2
+}
+
+// newPrimeSieve sieves the odd numbers up to limit. Arithmetic is done in
+// uint64 so p*p cannot wrap for large limits.
+func newPrimeSieve(limit uint32) *primeSieve {
+	n := uint64(oddCandidates(limit))
+	s := &primeSieve{limit: limit, composite: make([]uint64, (n+63)/64)}
+	for i := uint64(0); ; i++ {
+		p := 3 + 2*i
+		if p*p > uint64(limit) {
+			break
+		}
+		if s.composite[i/64]&(1<<(i%64)) != 0 {
+			continue
+		}
+		// Strike p*p, p*p+2p, ...: bit (p*p-3)/2, then every p-th bit.
+		for j := (p*p - 3) / 2; j < n; j += p {
+			s.composite[j/64] |= 1 << (j % 64)
+		}
+	}
+	s.count = s.primesTo(limit)
+	return s
+}
+
+// primesTo returns the number of primes <= n, 2 included; n must not
+// exceed the sieve's limit.
+func (s *primeSieve) primesTo(n uint32) int {
+	if n < 2 {
+		return 0
+	}
+	k := oddCandidates(n)
+	c := 1 + int(k)
+	for _, w := range s.composite[:k/64] {
+		c -= bits.OnesCount64(w)
+	}
+	if r := k % 64; r != 0 {
+		c -= bits.OnesCount64(s.composite[k/64] & (1<<r - 1))
+	}
+	return c
+}
+
+// oddCount returns the number of odd primes <= limit.
+func (s *primeSieve) oddCount() int { return max(s.count-1, 0) }
+
+// isOddPrime reports whether n is an odd prime <= the sieve's limit.
+func (s *primeSieve) isOddPrime(n uint32) bool {
+	if n < 3 || n > s.limit || n%2 == 0 {
+		return false
+	}
+	i := (n - 3) / 2
+	return s.composite[i/64]&(1<<(i%64)) == 0
+}
+
+// oddPrimes returns the odd primes <= n in ascending order; n must not
+// exceed the sieve's limit.
+func (s *primeSieve) oddPrimes(n uint32) []uint32 {
+	var out []uint32
+	for p := uint32(3); p <= n; p += 2 {
+		if s.isOddPrime(p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// check verifies an output vector of got entries, read by at: it must
+// hold each prime <= limit exactly once, in any order, or each odd prime
+// when odd is set. The count must match and every entry must be such a
+// prime not seen before; together the two prove the set exact.
+func (s *primeSieve) check(name string, got int, at func(i int) uint32, odd bool) error {
+	want, what := s.count, "prime"
+	if odd {
+		want, what = s.oddCount(), "odd prime"
+	}
+	if got != want {
+		return fmt.Errorf("%s: found %d %ss, want %d", name, got, what, want)
+	}
+	seen := make([]uint64, len(s.composite))
+	seenTwo := false
+	for i := 0; i < got; i++ {
+		v := at(i)
+		fresh := false
+		switch {
+		case v == 2 && !odd && s.limit >= 2:
+			fresh, seenTwo = !seenTwo, true
+		case s.isOddPrime(v):
+			j := (v - 3) / 2
+			fresh = seen[j/64]&(1<<(j%64)) == 0
+			seen[j/64] |= 1 << (j % 64)
+		}
+		if !fresh {
+			return fmt.Errorf("%s: output[%d] = %d is not a new %s <= %d", name, i, v, what, s.limit)
+		}
+	}
+	return nil
+}
 
 // Primes1 "determines if an odd number is prime by dividing it by all odd
 // numbers less than its square root and checking for remainders. It
@@ -65,9 +156,9 @@ func (w *Primes1) Start(rt *cthreads.Runtime, nworkers int) func() error {
 	if nworkers <= 0 {
 		nworkers = rt.Kernel().Machine().NProc()
 	}
+	answer := newPrimeSieve(w.Limit)
 	// Candidates are the odd numbers 3,5,... <= Limit; unit i is 3+2i.
-	nCand := (w.Limit - 1) / 2
-	pile := rt.NewWorkPile(nCand)
+	pile := rt.NewWorkPile(oddCandidates(w.Limit))
 	w.counts = make([]uint32, nworkers)
 	stacks := make([]uint32, nworkers)
 	for i := range stacks {
@@ -110,7 +201,7 @@ func (w *Primes1) Start(rt *cthreads.Runtime, nworkers int) func() error {
 		for _, n := range w.counts {
 			got += int(n)
 		}
-		want := countPrimes(w.Limit) - 1 // candidates exclude 2
+		want := answer.oddCount() // candidates exclude 2
 		if got != want {
 			return fmt.Errorf("Primes1: found %d odd primes <= %d, want %d", got, w.Limit, want)
 		}
@@ -134,6 +225,7 @@ type Primes2 struct {
 	outVec  uint32
 	outCnt  uint32
 	outLock *cthreads.SpinLock
+	answer  *primeSieve
 }
 
 // NewPrimes2 creates a Primes2 instance; zero selects the default limit.
@@ -175,7 +267,8 @@ func (w *Primes2) Start(rt *cthreads.Runtime, nworkers int) func() error {
 		nworkers = rt.Kernel().Machine().NProc()
 	}
 	w.task = rt.Task()
-	capacity := uint32(countPrimes(w.Limit) + 8)
+	w.answer = newPrimeSieve(w.Limit)
+	capacity := uint32(w.answer.count + 8)
 	w.outVec = rt.Alloc("found-primes", capacity*4)
 	cntBase := rt.Alloc("found-count", 8)
 	w.outCnt = cntBase
@@ -185,20 +278,29 @@ func (w *Primes2) Start(rt *cthreads.Runtime, nworkers int) func() error {
 	privVecs := make([]uint32, nworkers)
 	stacks := make([]uint32, nworkers)
 	for i := range privVecs {
-		privVecs[i] = rt.Alloc(fmt.Sprintf("divisors%d", i), (uint32(countPrimes(root))+4)*4)
+		privVecs[i] = rt.Alloc(fmt.Sprintf("divisors%d", i), (uint32(w.answer.primesTo(root))+4)*4)
 		stacks[i] = rt.Alloc(fmt.Sprintf("stack%d", i), 4096)
 	}
 
-	// Candidates above the seed range, odd only.
+	// Candidates above the seed range, odd only. Below limit 4 there may
+	// be none, and the pile's one unit finds its candidate past Limit.
 	firstCand := root + 1 | 1
-	nCand := (w.Limit - firstCand) / 2
+	var nCand uint32
+	if w.Limit >= firstCand {
+		nCand = (w.Limit - firstCand) / 2
+	}
 	pile := rt.NewWorkPile(nCand + 1)
+	// The seeds reach 2 whenever Limit does: the candidates are odd.
+	seedTop := root
+	if w.Limit >= 2 {
+		seedTop = max(seedTop, 2)
+	}
 
 	rt.StartMain(func(mc *vm.Context) {
 		// The main thread seeds the shared output vector with the primes
 		// up to sqrt(Limit) by trial division.
 		var nSeed uint32
-		for n := uint32(2); n <= root; n++ {
+		for n := uint32(2); n <= seedTop; n++ {
 			prime := true
 			for d := uint32(2); d*d <= n; d++ {
 				mc.Div(1)
@@ -273,25 +375,9 @@ func (w *Primes2) Start(rt *cthreads.Runtime, nworkers int) func() error {
 }
 
 func (w *Primes2) verify() error {
-	want := hostSieve(w.Limit)
-	got := int(readWord(w.task, w.outCnt))
-	if got != len(want) {
-		return fmt.Errorf("%s: found %d primes, want %d", w.Name(), got, len(want))
-	}
-	// The vector holds exactly the primes (seeds in order, the rest in
-	// completion order): check as a set.
-	wantSet := make(map[uint32]bool, len(want))
-	for _, p := range want {
-		wantSet[p] = true
-	}
-	for i := 0; i < got; i++ {
-		v := readWord(w.task, w.outVec+uint32(i)*4)
-		if !wantSet[v] {
-			return fmt.Errorf("%s: output[%d] = %d is not prime or duplicated", w.Name(), i, v)
-		}
-		delete(wantSet, v)
-	}
-	return nil
+	return w.answer.check(w.Name(), int(readWord(w.task, w.outCnt)), func(i int) uint32 {
+		return readWord(w.task, w.outVec+uint32(i)*4)
+	}, false)
 }
 
 // Primes3 is "a variant of the Sieve of Eratosthenes, with the sieve
@@ -306,6 +392,7 @@ type Primes3 struct {
 	sieve  uint32
 	outVec uint32
 	outCnt uint32
+	answer *primeSieve
 }
 
 // NewPrimes3 creates a Primes3 instance; zero selects the paper's limit
@@ -334,21 +421,20 @@ func (w *Primes3) Start(rt *cthreads.Runtime, nworkers int) func() error {
 		nworkers = rt.Kernel().Machine().NProc()
 	}
 	w.task = rt.Task()
+	w.answer = newPrimeSieve(w.Limit)
 	// Bit i represents the odd number 3+2i.
-	nBits := (w.Limit - 1) / 2
+	nBits := oddCandidates(w.Limit)
 	nWords := (nBits + 31) / 32
-	w.sieve = rt.Alloc("sieve", nWords*4)
-	capacity := uint32(countPrimes(w.Limit) + 8)
+	// A mapping cannot be empty: below limit 3 the vector keeps one word.
+	w.sieve = rt.Alloc("sieve", max(nWords, 1)*4)
+	capacity := uint32(w.answer.count + 8)
 	w.outVec = rt.Alloc("primes", capacity*4)
 	cnt := rt.Alloc("count", 8)
 	w.outCnt = cnt
 	outLock := cthreads.NewSpinLockAt(cnt + 4)
 
-	seeds := hostSieve(isqrt(w.Limit))
-	// Drop 2: the sieve holds odd numbers only.
-	if len(seeds) > 0 && seeds[0] == 2 {
-		seeds = seeds[1:]
-	}
+	// The strike seeds are odd: the sieve holds odd numbers only.
+	seeds := w.answer.oddPrimes(isqrt(w.Limit))
 	strikePile := rt.NewWorkPile(uint32(len(seeds)))
 	scanPile := rt.NewWorkPile(nWords)
 	barrier := cthreads.NewBarrier(nworkers)
@@ -422,24 +508,7 @@ func (w *Primes3) Start(rt *cthreads.Runtime, nworkers int) func() error {
 }
 
 func (w *Primes3) verify() error {
-	want := hostSieve(w.Limit)
-	if len(want) > 0 && want[0] == 2 {
-		want = want[1:] // sieve of odds: 2 is implicit
-	}
-	got := int(readWord(w.task, w.outCnt))
-	if got != len(want) {
-		return fmt.Errorf("Primes3: found %d odd primes, want %d", got, len(want))
-	}
-	wantSet := make(map[uint32]bool, len(want))
-	for _, p := range want {
-		wantSet[p] = true
-	}
-	for i := 0; i < got; i++ {
-		v := readWord(w.task, w.outVec+uint32(i)*4)
-		if !wantSet[v] {
-			return fmt.Errorf("Primes3: output[%d] = %d is not an odd prime or duplicated", i, v)
-		}
-		delete(wantSet, v)
-	}
-	return nil
+	return w.answer.check(w.Name(), int(readWord(w.task, w.outCnt)), func(i int) uint32 {
+		return readWord(w.task, w.outVec+uint32(i)*4)
+	}, true)
 }

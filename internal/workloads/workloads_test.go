@@ -24,9 +24,10 @@ func newRT(nproc int, pol numa.Policy) *cthreads.Runtime {
 }
 
 // tiny returns small instances of every workload (fast enough to run under
-// several policies in tests).
+// several policies in tests), then each prime finder at limits 1 to 4,
+// where the seed range, the candidate range or the sieve may be empty.
 func tiny() []workloads.Workload {
-	return []workloads.Workload{
+	ws := []workloads.Workload{
 		workloads.NewParMult(40, 50),
 		workloads.NewGfetch(8, 3),
 		workloads.NewIMatMult(16),
@@ -37,6 +38,14 @@ func tiny() []workloads.Workload {
 		workloads.NewFFT(16),
 		workloads.NewPlyTrace(72, 48, 48),
 	}
+	for limit := uint32(1); limit <= 4; limit++ {
+		ws = append(ws,
+			workloads.NewPrimes1(limit),
+			workloads.NewPrimes2(limit, true),
+			workloads.NewPrimes2(limit, false),
+			workloads.NewPrimes3(limit))
+	}
+	return ws
 }
 
 // TestWorkloadsComputeCorrectResults runs every workload under the paper's
