@@ -25,8 +25,9 @@
 #   make bench-ci - the CI perf gate, an A/B run on one host: measure
 #                   the reduced hot-path set with the test binaries of
 #                   BENCH_BASE (default HEAD) and of the working tree in
-#                   alternation, and fail if any median regressed more
-#                   than BENCHDIFF_TOL (default 20%)
+#                   alternation, and fail if any median ns/op, or any
+#                   B/op or allocs/op, regressed more than BENCHDIFF_TOL
+#                   (default 20%)
 #   make tables   - regenerate the paper's tables and figures
 #   make pressure - smoke-run the memory-pressure sweep with seeded fault
 #                   injection (small sizes; exercises reclaim, fallback
@@ -56,8 +57,8 @@ BENCHDATE := $(shell date +%Y-%m-%d)
 # The reduced hot-path set the CI perf gate re-measures. Time-based
 # -benchtime keeps ns/op out of one-shot noise on the nanosecond-scale
 # paths while bounding the gate's wall-clock on the millisecond-scale
-# ones; allocs/op is exact at any iteration count.
-BENCH_CI_FILTER := 'LocalAccess$$|PageMigration$$|FaultPath$$|PickManyThreads|TraceOverhead'
+# ones; B/op and allocs/op move little with the iteration count.
+BENCH_CI_FILTER := 'LocalAccess$$|PageMigration$$|FaultPath$$|PickManyThreads|TraceOverhead|NewMachine'
 BENCH_CI_TIME := 300ms
 BENCH_CI_ROUNDS := 5
 BENCH_CI_DIR := .bench_ci
@@ -109,7 +110,7 @@ bench-json:
 # new one from the working tree, and the two run the reduced set in
 # alternation for $(BENCH_CI_ROUNDS) rounds on the same host. benchjson
 # folds each side's rounds into medians. Exit 1 on any >$(BENCHDIFF_TOL)
-# ns/op or allocs/op regression (a zero-alloc path must stay zero).
+# ns/op, B/op or allocs/op regression (a zero-alloc path must stay zero).
 bench-ci:
 	rm -rf $(BENCH_CI_DIR)
 	git worktree prune

@@ -177,6 +177,29 @@ func BenchmarkLocalAccess(b *testing.B) {
 	}
 }
 
+// benchMachine keeps BenchmarkNewMachine's result live.
+var benchMachine *ace.Machine
+
+// BenchmarkNewMachine prices building a machine at the paper's memory
+// size, which every run pays once. Frame records are made on first
+// allocation, so B/op does not grow with the number of frames.
+func BenchmarkNewMachine(b *testing.B) {
+	for _, topo := range []string{"ace", "4socket", "mesh8"} {
+		b.Run(topo, func(b *testing.B) {
+			cfg := ace.DefaultConfig()
+			cfg.NProc, cfg.Topology = 4, topo
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := ace.NewMachine(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchMachine = m
+			}
+		})
+	}
+}
+
 // BenchmarkPickManyThreads measures the engine's scheduling decision — the
 // pick of the next thread to resume — as the ready queue grows. The
 // indexed min-heap keeps the cost logarithmic where the original linear

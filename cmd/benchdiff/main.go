@@ -1,9 +1,9 @@
 // Command benchdiff compares two tracked benchmark runs (BENCH_*.json,
 // written by cmd/benchjson) and fails on hot-path regressions. It is the
 // CI gate for the perf trajectory: time regressions beyond the tolerance
-// fail the run, and any growth in allocs/op beyond the tolerance fails —
-// in particular a benchmark that was allocation-free must stay
-// allocation-free.
+// fail the run, and so does any growth in allocs/op or B/op beyond the
+// tolerance — in particular a benchmark that was allocation-free must
+// stay allocation-free.
 //
 // Usage:
 //
@@ -38,7 +38,7 @@ func report(old, new *benchfmt.File, tol float64, w io.Writer) []string {
 	}
 	sort.Strings(names)
 	var regressions []string
-	fmt.Fprintf(w, "%-40s %14s %14s %8s  %s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs/op")
+	fmt.Fprintf(w, "%-40s %14s %14s %8s  %-20s %s\n", "benchmark", "old ns/op", "new ns/op", "delta", "B/op", "allocs/op")
 	for _, name := range names {
 		o, n := oldBy[name], newBy[name]
 		delta := 0.0
@@ -52,17 +52,26 @@ func report(old, new *benchfmt.File, tol float64, w io.Writer) []string {
 				fmt.Sprintf("%s: ns/op regressed %.1f%% (%.4g -> %.4g, tolerance %.0f%%)",
 					name, delta*100, o.NsPerOp, n.NsPerOp, tol*100))
 		}
-		// Allocation counts are near-deterministic: allow the same
-		// relative tolerance but never any allocs on a path that had
-		// none.
-		if n.AllocsPerOp > math.Ceil(o.AllocsPerOp*(1+tol)) {
-			mark = "  << REGRESSION"
-			regressions = append(regressions,
-				fmt.Sprintf("%s: allocs/op regressed %.4g -> %.4g (tolerance %.0f%%)",
-					name, o.AllocsPerOp, n.AllocsPerOp, tol*100))
+		// Allocation counts and bytes are near-deterministic: allow the
+		// same relative tolerance but never any on a path that had none.
+		for _, a := range []struct {
+			unit     string
+			old, new float64
+		}{
+			{"B/op", o.BytesPerOp, n.BytesPerOp},
+			{"allocs/op", o.AllocsPerOp, n.AllocsPerOp},
+		} {
+			if a.new > math.Ceil(a.old*(1+tol)) {
+				mark = "  << REGRESSION"
+				regressions = append(regressions,
+					fmt.Sprintf("%s: %s regressed %.4g -> %.4g (tolerance %.0f%%)",
+						name, a.unit, a.old, a.new, tol*100))
+			}
 		}
-		fmt.Fprintf(w, "%-40s %14.4g %14.4g %+7.1f%%  %.4g -> %.4g%s\n",
-			name, o.NsPerOp, n.NsPerOp, delta*100, o.AllocsPerOp, n.AllocsPerOp, mark)
+		fmt.Fprintf(w, "%-40s %14.4g %14.4g %+7.1f%%  %-20s %.4g -> %.4g%s\n",
+			name, o.NsPerOp, n.NsPerOp, delta*100,
+			fmt.Sprintf("%.4g -> %.4g", o.BytesPerOp, n.BytesPerOp),
+			o.AllocsPerOp, n.AllocsPerOp, mark)
 	}
 	return regressions
 }
@@ -81,7 +90,7 @@ func load(path string) (*benchfmt.File, error) {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	tol := fs.Float64("tolerance", 0.20, "relative ns/op and allocs/op slack before a regression fails")
+	tol := fs.Float64("tolerance", 0.20, "relative ns/op, B/op and allocs/op slack before a regression fails")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -76,6 +76,37 @@ func TestZeroAllocPathMustStayZero(t *testing.T) {
 	}
 }
 
+// TestBytesPerOpGatedLikeAllocs: B/op gets the allocs/op rule, the same
+// relative tolerance, and a row at 0 B/op must stay at 0.
+func TestBytesPerOpGatedLikeAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		old, new float64
+		code     int
+	}{
+		{"within tolerance", 1000, 1100, 0},
+		{"shrank", 1000000, 9000, 0},
+		{"grew past tolerance", 1000, 1300, 1},
+		{"zero stays zero", 0, 0, 0},
+		{"zero starts allocating", 0, 8, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			file := func(name string, bytes float64) string {
+				r := bench("BenchmarkA", 100, 1)
+				r.BytesPerOp = bytes
+				return writeFile(t, name, &benchfmt.File{Benchmarks: []benchfmt.Result{r}})
+			}
+			var out, errb bytes.Buffer
+			if code := run([]string{file("old.json", tc.old), file("new.json", tc.new)}, &out, &errb); code != tc.code {
+				t.Fatalf("exit %d for B/op %v -> %v, want %d; stderr: %s", code, tc.old, tc.new, tc.code, errb.String())
+			}
+			if tc.code == 1 && !strings.Contains(errb.String(), "B/op regressed") {
+				t.Errorf("missing B/op regression report:\n%s", errb.String())
+			}
+		})
+	}
+}
+
 func TestDisjointNamesWarnButCompareCommon(t *testing.T) {
 	old := writeFile(t, "old.json", &benchfmt.File{Benchmarks: []benchfmt.Result{
 		bench("BenchmarkA", 100, 0), bench("BenchmarkOldOnly", 5, 0),

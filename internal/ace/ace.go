@@ -575,28 +575,6 @@ func (m *Machine) ChargeZeroSys(th *sim.Thread, dst *mem.Frame, proc int) {
 	m.chargeLink(th, proc, dst, m.cfg.PageSize, true)
 }
 
-// PoolPressure is one node's local-memory frame accounting: capacity, the
-// most frames ever simultaneously in use, and how many allocation
-// attempts found the pool empty. Proc is the node index (on the ACE the
-// two coincide).
-type PoolPressure struct {
-	Proc      int
-	Frames    int
-	HighWater int
-	Exhausted uint64
-}
-
-// LocalPressure reports per-node local-memory frame accounting, in node
-// order.
-func (m *Machine) LocalPressure() []PoolPressure {
-	out := make([]PoolPressure, m.NNodes())
-	for i := range out {
-		p := m.memory.Local(i)
-		out[i] = PoolPressure{Proc: i, Frames: p.Size(), HighWater: p.HighWater(), Exhausted: p.Exhausted()}
-	}
-	return out
-}
-
 // TotalRefs sums reference statistics across all processors.
 func (m *Machine) TotalRefs() RefStats {
 	var sum RefStats

@@ -3,6 +3,7 @@ package ace
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -118,6 +119,35 @@ func TestNewMachineBadConfig(t *testing.T) {
 		}
 	}()
 	MustMachine(Config{})
+}
+
+// TestNewMachineCostIsIndependentOfMemorySize: frame records are made on
+// first allocation, so building a machine allocates the same bytes at
+// 2^18 frames per pool as at 2,048.
+func TestNewMachineCostIsIndependentOfMemorySize(t *testing.T) {
+	build := func(t *testing.T, topo string, frames int) uint64 {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.NProc, cfg.Topology = 4, topo
+		cfg.GlobalFrames, cfg.LocalFrames = frames, frames
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := NewMachine(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(m)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, topo := range []string{"ace", "4socket", "mesh8"} {
+		t.Run(topo, func(t *testing.T) {
+			small, large := build(t, topo, 2048), build(t, topo, 1<<18)
+			if d := int64(large) - int64(small); d > 1024 || d < -1024 {
+				t.Errorf("NewMachine allocated %d bytes at 2^18 frames, %d at 2048; want within 1 KiB", large, small)
+			}
+		})
+	}
 }
 
 func TestVPNAndOffset(t *testing.T) {

@@ -31,9 +31,16 @@ func TestBoundCostsEqualPublishedConstants(t *testing.T) {
 	bound, _ := bindACE(t, nproc)
 	unbound := DefaultCostModel()
 	m := mem.NewMemory(nproc, 8, 8, 4096)
-	frames := []*mem.Frame{m.Global().Frame(0)}
+	alloc := func(p *mem.Pool) *mem.Frame {
+		f, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	frames := []*mem.Frame{alloc(m.Global())}
 	for n := 0; n < nproc; n++ {
-		frames = append(frames, m.Local(n).Frame(0))
+		frames = append(frames, alloc(m.Local(n)))
 	}
 	for proc := 0; proc < nproc; proc++ {
 		for _, f := range frames {

@@ -121,8 +121,10 @@ func (o Options) pool() *Pool { return NewPool(o.Parallelism) }
 func (o Options) config() ace.Config {
 	cfg := ace.DefaultConfig()
 	cfg.NProc = o.NProc
-	// Lazily allocated frames make the full-size memories cheap, but the
-	// small variant also shrinks them to keep test heaps tiny.
+	// Frame records are made on first allocation and frame contents on
+	// first touch, so the full-size memories cost little more to build;
+	// the small variant keeps its smaller memories because the goldens
+	// were recorded at them.
 	if o.Small {
 		cfg.GlobalFrames = 2048
 		cfg.LocalFrames = 1024

@@ -210,24 +210,32 @@ func (e *ErrNoFrames) Error() string {
 }
 
 // Pool is a fixed-size pool of page frames at one level of the hierarchy.
+// A frame's record is made on its first allocation, so a pool costs only
+// the frames its run touches: a released frame is handed out again LIFO,
+// and otherwise the lowest index never handed out is made.
 type Pool struct {
-	name   string
-	kind   Kind
-	proc   int
-	frames []*Frame
-	free   []*Frame // LIFO free list
-
-	// Pressure accounting: the most frames ever simultaneously in use,
-	// and how many allocation attempts found the pool empty.
-	highWater int
-	exhausted uint64
+	name     string
+	kind     Kind
+	proc     int
+	pageSize int
+	size     int
+	made     int      // records made so far: frames [0, made)
+	block    []Frame  // the current block's records not yet made
+	free     []*Frame // LIFO list of released frames
 }
+
+// firstBlock is the number of records the first block holds; each later
+// block doubles the one before it.
+const firstBlock = 64
 
 // NewPool creates a pool of n frames of the given size. For Local pools,
 // proc names the owning processor; Global pools use proc -1.
 func NewPool(kind Kind, proc, n, pageSize int) *Pool {
 	if pageSize <= 0 || pageSize&(pageSize-1) != 0 {
 		panic(fmt.Sprintf("mem: page size %d is not a power of two", pageSize))
+	}
+	if n < 0 {
+		panic(fmt.Sprintf("mem: negative frame count %d", n))
 	}
 	if kind == Global {
 		proc = -1
@@ -236,24 +244,7 @@ func NewPool(kind Kind, proc, n, pageSize int) *Pool {
 	if kind == Local {
 		name = fmt.Sprintf("local memory of cpu%d", proc)
 	}
-	p := &Pool{name: name, kind: kind, proc: proc}
-	p.frames = make([]*Frame, n)
-	p.free = make([]*Frame, 0, n)
-	// One block for all frame records: machine construction used to be one
-	// allocation per frame, which dominated the harness's allocation
-	// profile (a table run builds many machines).
-	backing := make([]Frame, n)
-	for i := 0; i < n; i++ {
-		f := &backing[i]
-		*f = Frame{kind: kind, proc: proc, index: i, pageSize: pageSize}
-		p.frames[i] = f
-	}
-	// Hand out low indices first: push in reverse so the LIFO free list
-	// pops frame 0 first.
-	for i := n - 1; i >= 0; i-- {
-		p.free = append(p.free, p.frames[i])
-	}
-	return p
+	return &Pool{name: name, kind: kind, proc: proc, pageSize: pageSize, size: n}
 }
 
 // Name returns a human-readable pool name.
@@ -262,23 +253,15 @@ func (p *Pool) Name() string { return p.name }
 // Size reports the total number of frames.
 //
 //numalint:hotpath
-func (p *Pool) Size() int { return len(p.frames) }
+func (p *Pool) Size() int { return p.size }
 
 // Free reports the number of unallocated frames.
 //
 //numalint:hotpath
-func (p *Pool) Free() int { return len(p.free) }
+func (p *Pool) Free() int { return p.size - p.made + len(p.free) }
 
 // InUse reports the number of allocated frames.
-func (p *Pool) InUse() int { return len(p.frames) - len(p.free) }
-
-// HighWater reports the most frames ever simultaneously allocated — the
-// pool's true working footprint, independent of whether pressure relief
-// (fallback, reclaim) kept later allocations below it.
-func (p *Pool) HighWater() int { return p.highWater }
-
-// Exhausted reports how many allocation attempts found the pool empty.
-func (p *Pool) Exhausted() uint64 { return p.exhausted }
+func (p *Pool) InUse() int { return p.made - len(p.free) }
 
 // Alloc takes a frame from the pool. The frame's previous contents are
 // undefined; callers that need zeroed memory must call Zero (the pmap layer
@@ -286,17 +269,28 @@ func (p *Pool) Exhausted() uint64 { return p.exhausted }
 //
 //numalint:hotpath
 func (p *Pool) Alloc() (*Frame, error) {
-	if len(p.free) == 0 {
+	if n := len(p.free); n > 0 {
+		f := p.free[n-1]
+		p.free = p.free[:n-1]
+		f.inUse = true
+		return f, nil
+	}
+	if p.made == p.size {
 		//numalint:coldpath exhaustion: the caller falls back to reclaim or global memory
-		p.exhausted++
 		return nil, &ErrNoFrames{Pool: p.name}
 	}
-	f := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	f.inUse = true
-	if used := p.InUse(); used > p.highWater {
-		p.highWater = used
+	if len(p.block) == 0 {
+		//numalint:coldpath growth: blocks double, so a pool of n frames grows O(log n) times
+		n := min(p.made+firstBlock, p.size-p.made)
+		p.block = make([]Frame, n)
+		// The free list is empty here, and it never holds more than the
+		// records made, so this capacity keeps Release allocation-free.
+		p.free = make([]*Frame, 0, p.made+n)
 	}
+	f := &p.block[0]
+	p.block = p.block[1:]
+	*f = Frame{kind: p.kind, proc: p.proc, index: p.made, pageSize: p.pageSize, inUse: true}
+	p.made++
 	return f, nil
 }
 
@@ -311,11 +305,8 @@ func (p *Pool) Release(f *Frame) {
 		panic(fmt.Sprintf("mem: double free of frame %s", f))
 	}
 	f.inUse = false
-	p.free = append(p.free, f) //numalint:coldpath bounded: free-list capacity is preallocated to the pool size
+	p.free = append(p.free, f) //numalint:coldpath bounded: Alloc grows the free list's capacity with each block of records
 }
-
-// Frame returns the i'th frame of the pool (allocated or not).
-func (p *Pool) Frame(i int) *Frame { return p.frames[i] }
 
 // Memory aggregates the global pool and the per-node local pools of a
 // machine. On the two-level ACE every processor is its own node; multi-node

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -65,28 +68,54 @@ func TestPoolAllocOrder(t *testing.T) {
 	}
 }
 
-func TestDoubleFreePanics(t *testing.T) {
-	p := NewPool(Global, -1, 1, 512)
-	f, _ := p.Alloc()
-	p.Release(f)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double free should panic")
+// allocThrough allocates from p until it hands out frame idx.
+func allocThrough(t *testing.T, p *Pool, idx int) *Frame {
+	t.Helper()
+	for {
+		f, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	p.Release(f)
+		if f.Index() == idx {
+			return f
+		}
+	}
+}
+
+// Frame 0 is made in a pool's first block of records, frame firstBlock
+// in its second; both must keep the release checks.
+var blockEdge = []int{0, firstBlock}
+
+func TestDoubleFreePanics(t *testing.T) {
+	for _, idx := range blockEdge {
+		p := NewPool(Global, -1, firstBlock+1, 512)
+		f := allocThrough(t, p, idx)
+		p.Release(f)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("double free of frame %d should panic", idx)
+				}
+			}()
+			p.Release(f)
+		}()
+	}
 }
 
 func TestWrongPoolReleasePanics(t *testing.T) {
-	p0 := NewPool(Local, 0, 1, 512)
-	p1 := NewPool(Local, 1, 1, 512)
-	f, _ := p0.Alloc()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-pool release should panic")
-		}
-	}()
-	p1.Release(f)
+	for _, idx := range blockEdge {
+		p0 := NewPool(Local, 0, firstBlock+1, 512)
+		p1 := NewPool(Local, 1, firstBlock+1, 512)
+		f := allocThrough(t, p0, idx)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("cross-pool release of frame %d should panic", idx)
+				}
+			}()
+			p1.Release(f)
+		}()
+	}
 }
 
 func TestBadPageSizePanics(t *testing.T) {
@@ -96,6 +125,170 @@ func TestBadPageSizePanics(t *testing.T) {
 		}
 	}()
 	NewPool(Global, -1, 1, 1000)
+}
+
+func TestNegativeFrameCountPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative frame count should panic")
+		}
+	}()
+	NewPool(Global, -1, -1, 4096)
+}
+
+// poolModel is an eager frame pool: every index sits on a LIFO free list
+// from the start, pushed in reverse so that index 0 pops first. The pool
+// makes its records lazily but must hand frames out in this order.
+type poolModel struct{ free []int }
+
+func newPoolModel(n int) *poolModel {
+	m := &poolModel{}
+	for i := n - 1; i >= 0; i-- {
+		m.free = append(m.free, i)
+	}
+	return m
+}
+
+func (m *poolModel) alloc() (int, bool) {
+	n := len(m.free)
+	if n == 0 {
+		return 0, false
+	}
+	i := m.free[n-1]
+	m.free = m.free[:n-1]
+	return i, true
+}
+
+func (m *poolModel) release(i int) { m.free = append(m.free, i) }
+
+// TestPoolMatchesEagerModel runs seeded random alloc/release scripts,
+// each filling the pool to exhaustion and draining it at least once,
+// against the eager model, at sizes on both sides of the block edges.
+func TestPoolMatchesEagerModel(t *testing.T) {
+	for _, size := range []int{1, 63, 64, 65, 130, 1000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%d/seed%d", size, seed), func(t *testing.T) {
+				runPoolScript(t, size, rand.New(rand.NewSource(seed)))
+			})
+		}
+	}
+}
+
+func runPoolScript(t *testing.T, size int, rng *rand.Rand) {
+	p := NewPool(Local, 2, size, 256)
+	m := newPoolModel(size)
+	records := make(map[int]*Frame) // every frame handed out, by index
+	var held []int                  // indices in use
+	step := 0
+	check := func(op string) {
+		t.Helper()
+		step++
+		free := len(m.free)
+		if p.Size() != size || p.Free() != free || p.InUse() != size-free {
+			t.Fatalf("step %d (%s): size %d free %d in use %d, model %d %d %d",
+				step, op, p.Size(), p.Free(), p.InUse(), size, free, size-free)
+		}
+	}
+	alloc := func() bool {
+		t.Helper()
+		want, ok := m.alloc()
+		f, err := p.Alloc()
+		if !ok {
+			var e *ErrNoFrames
+			if f != nil || !errors.As(err, &e) || e.Pool != p.Name() {
+				t.Fatalf("step %d: alloc from an exhausted pool returned %v, %v; want nil and an *ErrNoFrames naming %q",
+					step, f, err, p.Name())
+			}
+			check("exhausted alloc")
+			return false
+		}
+		if err != nil {
+			t.Fatalf("step %d: alloc failed with %d frames free in the model: %v", step, len(m.free)+1, err)
+		}
+		if f.Index() != want {
+			t.Fatalf("step %d: alloc returned frame %d, model %d", step, f.Index(), want)
+		}
+		if prev, seen := records[want]; seen && prev != f {
+			t.Fatalf("step %d: frame %d came back as a different record", step, want)
+		}
+		if !f.InUse() || f.Kind() != Local || f.Proc() != 2 || f.PageSize() != 256 {
+			t.Fatalf("step %d: frame %s has in use %v, kind %v, proc %d, page size %d",
+				step, f, f.InUse(), f.Kind(), f.Proc(), f.PageSize())
+		}
+		records[want] = f
+		held = append(held, want)
+		check("alloc")
+		return true
+	}
+	release := func() {
+		t.Helper()
+		k := rng.Intn(len(held))
+		i := held[k]
+		held[k] = held[len(held)-1]
+		held = held[:len(held)-1]
+		m.release(i)
+		p.Release(records[i])
+		check("release")
+	}
+	random := func(steps int, allocBias float64) {
+		for i := 0; i < steps; i++ {
+			if len(held) == 0 || rng.Float64() < allocBias {
+				alloc()
+			} else {
+				release()
+			}
+		}
+	}
+	random(3*size, 0.6)
+	for alloc() {
+	}
+	for len(held) > 0 {
+		release()
+	}
+	random(3*size, 0.5)
+	for alloc() {
+	}
+	if len(records) != size {
+		t.Fatalf("handed out %d distinct frames, want %d", len(records), size)
+	}
+}
+
+// TestPoolReuseDoesNotAllocate: once frames' records exist, releasing
+// all of them and allocating them again cost no allocation. The pool's
+// last block is capped at its size, so a full drain needs the free list
+// to hold every record made, not just the last block's.
+func TestPoolReuseDoesNotAllocate(t *testing.T) {
+	const size, runs = 3*firstBlock + 8, 4
+	// AllocsPerRun calls its function once more than runs; each call
+	// drains or refills a pool no earlier call touched.
+	pools := make([]*Pool, runs+1)
+	frames := make([][]*Frame, runs+1)
+	for i := range pools {
+		pools[i] = NewPool(Global, -1, size, 256)
+		for j := 0; j < size; j++ {
+			frames[i] = append(frames[i], allocThrough(t, pools[i], j))
+		}
+	}
+	next := 0
+	if a := testing.AllocsPerRun(runs, func() {
+		for _, f := range frames[next] {
+			pools[next].Release(f)
+		}
+		next++
+	}); a != 0 {
+		t.Errorf("Release: %v allocs per drain of %d frames, want 0", a, size)
+	}
+	next = 0
+	if a := testing.AllocsPerRun(runs, func() {
+		for range frames[next] {
+			if _, err := pools[next].Alloc(); err != nil {
+				panic(err)
+			}
+		}
+		next++
+	}); a != 0 {
+		t.Errorf("Alloc of released frames: %v allocs per refill of %d frames, want 0", a, size)
+	}
 }
 
 func TestFrameWordAccess(t *testing.T) {
