@@ -58,7 +58,7 @@ BENCHDATE := $(shell date +%Y-%m-%d)
 # -benchtime keeps ns/op out of one-shot noise on the nanosecond-scale
 # paths while bounding the gate's wall-clock on the millisecond-scale
 # ones; B/op and allocs/op move little with the iteration count.
-BENCH_CI_FILTER := 'LocalAccess$$|PageMigration$$|FaultPath$$|PickManyThreads|TraceOverhead|NewMachine'
+BENCH_CI_FILTER := 'LocalAccess$$|PageMigration$$|FaultPath$$|ReclaimFault$$|PickManyThreads|TraceOverhead|NewMachine'
 BENCH_CI_TIME := 300ms
 BENCH_CI_ROUNDS := 5
 BENCH_CI_DIR := .bench_ci

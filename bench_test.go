@@ -283,6 +283,42 @@ func BenchmarkFaultPath(b *testing.B) {
 	}
 }
 
+// BenchmarkReclaimFault measures a page fault under memory pressure, the
+// hot loop of the pressure-reclaim workload: with ace.MinLocalFrames local
+// frames and one thread loading round-robin from three pages, every load
+// faults, and placing its local copy evicts another page's through the
+// clock reclaimer.
+func BenchmarkReclaimFault(b *testing.B) {
+	cfg := numasim.DefaultConfig()
+	cfg.NProc = 7
+	sys, err := numasim.New(numasim.WithConfig(cfg), numasim.WithLocalFrames(ace.MinLocalFrames))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const npages = 3
+	ps := uint32(sys.Machine.PageSize())
+	va := sys.Runtime.Alloc("reclaim", npages*ps)
+	nm := sys.Kernel.NUMA()
+	var warm uint64
+	b.ReportAllocs()
+	err = sys.Runtime.Run(1, func(id int, c *numasim.Context) {
+		for i := 0; i < 4*npages; i++ {
+			c.Load32(va + uint32(i%npages)*ps)
+		}
+		warm = nm.Stats().Evictions
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Load32(va + uint32(i%npages)*ps)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := nm.Stats().Evictions - warm; n < uint64(b.N) {
+		b.Fatalf("%d evictions in %d loads: not every load faulted and evicted", n, b.N)
+	}
+}
+
 // BenchmarkPolicyCompare races the placement policies on the
 // phase-changing probe.
 func BenchmarkPolicyCompare(b *testing.B) {

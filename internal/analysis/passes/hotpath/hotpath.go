@@ -67,16 +67,14 @@ var Analyzer = &analysis.Analyzer{
 // (a stale or unannotated entry is itself a diagnostic).
 var Contracts = map[string]bool{
 	// mmu: translation, mapping and protection on the per-processor MMU.
-	"(*numasim/internal/mmu.MMU).Translate":    true,
-	"(*numasim/internal/mmu.MMU).Enter":        true,
-	"(*numasim/internal/mmu.MMU).Remove":       true,
-	"(*numasim/internal/mmu.MMU).RemoveFrame":  true,
-	"(*numasim/internal/mmu.MMU).Protect":      true,
-	"(*numasim/internal/mmu.MMU).ProtectFrame": true,
-	"(*numasim/internal/mmu.MMU).Lookup":       true,
-	"(*numasim/internal/mmu.MMU).LookupFrame":  true,
-	"(numasim/internal/mmu.Prot).CanRead":      true,
-	"(numasim/internal/mmu.Prot).CanWrite":     true,
+	"(*numasim/internal/mmu.MMU).Translate":   true,
+	"(*numasim/internal/mmu.MMU).Enter":       true,
+	"(*numasim/internal/mmu.MMU).Remove":      true,
+	"(*numasim/internal/mmu.MMU).RemoveFrame": true,
+	"(*numasim/internal/mmu.MMU).Protect":     true,
+	"(*numasim/internal/mmu.MMU).Lookup":      true,
+	"(numasim/internal/mmu.Prot).CanRead":     true,
+	"(numasim/internal/mmu.Prot).CanWrite":    true,
 
 	// mem: frame accessors and pool alloc/release.
 	"(*numasim/internal/mem.Frame).Load8":    true,

@@ -52,10 +52,10 @@ func (p Prot) String() string {
 	}
 }
 
-// Key identifies one translation: the virtual page number qualified by the
-// address space it belongs to (the pmap layer packs a space id into the
-// high bits). The Rosetta-style MMU is an inverted table shared by all
-// address spaces running on its processor.
+// Key identifies one translation: an address-space id in the high 32 bits
+// and a virtual page number in the low 32, as the pmap layer packs them.
+// The MMU indexes its forward table by those two halves; one processor's
+// MMU serves every address space that runs on it.
 type Key uint64
 
 // PTE is one virtual-to-physical translation held by an MMU.
@@ -87,14 +87,53 @@ type tlbSlot struct {
 	pte *PTE
 }
 
-// MMU is the translation state of a single processor.
+// table is a two-level dense table of translations, a row per address
+// space or frame pool and a column per VPN or frame index. Each level
+// grows on demand to the highest index stored, so an empty table costs
+// nothing and no lookup hashes.
+type table [][]*PTE
+
+// get returns the entry at row, col, or nil.
+func (t table) get(row, col int) *PTE {
+	if row >= len(t) || col >= len(t[row]) {
+		return nil
+	}
+	return t[row][col]
+}
+
+// at returns the slot at row, col, growing the table to reach it.
+func (t *table) at(row, col int) **PTE {
+	if row >= len(*t) {
+		//numalint:coldpath table growth: once per doubling of the highest space id or pool mapped here
+		*t = grow(*t, row)
+	}
+	if col >= len((*t)[row]) {
+		//numalint:coldpath table growth: once per doubling of the row's highest VPN or frame index mapped here
+		(*t)[row] = grow((*t)[row], col)
+	}
+	return &(*t)[row][col]
+}
+
+// grow returns t lengthened so that i is in range, at least doubling its
+// length, so a table that reaches n entries has been copied O(log n) times.
+func grow[T any](t []T, i int) []T {
+	g := make([]T, max(2*len(t), i+1))
+	copy(g, t)
+	return g
+}
+
+// MMU is the translation state of a single processor. Each translation
+// sits in two dense tables, the two views of the Rosetta's inverted page
+// table: fwd finds a key's PTE by the key's space id, then its VPN; inv
+// finds the PTE mapping a frame by the frame's pool, then its index (the
+// one-VA-per-frame rule leaves at most one).
 type MMU struct {
 	proc  int
-	pt    map[Key]*PTE        // key -> pte
-	byFrm map[*mem.Frame]*PTE // frame -> its single pte on this processor
+	fwd   table // [space][vpn]
+	inv   table // [pool][frame index]; pools are numbered by poolOf
 	stats Stats
 
-	// free recycles PTE records: Remove pushes, Enter pops, so the
+	// free recycles PTE records: removal pushes, Enter pops, so the
 	// fault/protocol path stops allocating once the working set's PTEs
 	// exist. Recycling is safe with respect to the TLB because every
 	// removal path invalidates the slot caching the retired PTE before it
@@ -106,19 +145,44 @@ type MMU struct {
 }
 
 // New creates the MMU for processor proc.
-func New(proc int) *MMU {
-	return &MMU{
-		proc:  proc,
-		pt:    make(map[Key]*PTE),
-		byFrm: make(map[*mem.Frame]*PTE),
-	}
-}
+func New(proc int) *MMU { return &MMU{proc: proc} }
 
 // Proc reports which processor this MMU belongs to.
 func (m *MMU) Proc() int { return m.proc }
 
 // Stats returns a copy of the MMU's event counters.
 func (m *MMU) Stats() Stats { return m.stats }
+
+// split returns key's two halves: its address-space id and its VPN.
+func split(key Key) (space, vpn int) { return int(key >> 32), int(uint32(key)) }
+
+// poolOf numbers frame's pool for the inverted table: 0 for global memory,
+// 1+n for node n's local memory. A frame is named by pool and index alone,
+// so one MMU maps the frames of one mem.Memory; byFrame panics on a frame
+// from another.
+func poolOf(frame *mem.Frame) int { return frame.Proc() + 1 }
+
+// byFrame returns the translation mapping frame on this processor, or nil.
+// A slot holding another frame's PTE means frame comes from a different
+// memory than the frames this MMU maps.
+func (m *MMU) byFrame(frame *mem.Frame) *PTE {
+	pte := m.inv.get(poolOf(frame), frame.Index())
+	if pte != nil && pte.Frame != frame {
+		panic(fmt.Sprintf("mmu: cpu%d: frame %s shares its pool and index with mapped frame %s of another memory",
+			m.proc, frame, pte.Frame))
+	}
+	return pte
+}
+
+// drop unlinks a live translation from both tables and the TLB, and
+// recycles its record.
+func (m *MMU) drop(pte *PTE) {
+	space, vpn := split(pte.Key)
+	m.fwd[space][vpn] = nil
+	m.inv[poolOf(pte.Frame)][pte.Frame.Index()] = nil
+	m.tlbDrop(pte.Key)
+	m.free = append(m.free, pte) //numalint:coldpath bounded: capacity tracks the PTE working-set high water
+}
 
 // tlbDrop invalidates the slot caching key, if it still does.
 func (m *MMU) tlbDrop(key Key) {
@@ -133,8 +197,6 @@ func (m *MMU) tlbFill(key Key, pte *PTE) {
 	m.tlb[int(key)&(tlbSize-1)] = tlbSlot{key: key, pte: pte}
 }
 
-func (m *MMU) invalidateTLB() { m.tlb = [tlbSize]tlbSlot{} }
-
 // Enter installs a translation from vpn to frame with the given protection,
 // replacing any previous translation for vpn. If frame is already mapped at
 // a different virtual address on this processor, that mapping is dropped
@@ -148,20 +210,18 @@ func (m *MMU) Enter(key Key, frame *mem.Frame, prot Prot) {
 	if prot == ProtNone {
 		panic("mmu: Enter with no permissions")
 	}
-	if old, ok := m.byFrm[frame]; ok && old.Key != key {
-		delete(m.pt, old.Key)
-		delete(m.byFrm, frame)
+	if old := m.byFrame(frame); old != nil && old.Key != key {
+		m.drop(old)
 		m.stats.AliasDrops++
-		m.tlbDrop(old.Key)
-		m.free = append(m.free, old) //numalint:coldpath bounded: capacity tracks the PTE working-set high water
 	}
-	if old, ok := m.pt[key]; ok {
+	slot := m.fwd.at(split(key))
+	if old := *slot; old != nil {
 		// Re-enter of a mapped key: update the record in place. The TLB
 		// caches the pointer, so a cached slot stays valid.
-		delete(m.byFrm, old.Frame)
+		m.inv[poolOf(old.Frame)][old.Frame.Index()] = nil
 		old.Frame = frame
 		old.Prot = prot
-		m.byFrm[frame] = old
+		*m.inv.at(poolOf(frame), frame.Index()) = old
 		m.stats.Enters++
 		m.tlbFill(key, old)
 		return
@@ -175,8 +235,8 @@ func (m *MMU) Enter(key Key, frame *mem.Frame, prot Prot) {
 		//numalint:coldpath pool miss: first fault on a fresh key; the steady state pops the free list
 		pte = &PTE{Key: key, Frame: frame, Prot: prot}
 	}
-	m.pt[key] = pte
-	m.byFrm[frame] = pte
+	*slot = pte
+	*m.inv.at(poolOf(frame), frame.Index()) = pte
 	m.stats.Enters++
 	// Prefill: the faulting access retries immediately after Enter.
 	m.tlbFill(key, pte)
@@ -186,12 +246,9 @@ func (m *MMU) Enter(key Key, frame *mem.Frame, prot Prot) {
 //
 //numalint:hotpath
 func (m *MMU) Remove(key Key) {
-	if pte, ok := m.pt[key]; ok {
-		delete(m.pt, key)
-		delete(m.byFrm, pte.Frame)
+	if pte := m.Lookup(key); pte != nil {
+		m.drop(pte)
 		m.stats.Removes++
-		m.tlbDrop(key)
-		m.free = append(m.free, pte) //numalint:coldpath bounded: capacity tracks the PTE working-set high water
 	}
 }
 
@@ -200,27 +257,26 @@ func (m *MMU) Remove(key Key) {
 //
 //numalint:hotpath
 func (m *MMU) RemoveFrame(frame *mem.Frame) bool {
-	pte, ok := m.byFrm[frame]
-	if !ok {
+	pte := m.byFrame(frame)
+	if pte == nil {
 		return false
 	}
-	delete(m.pt, pte.Key)
-	delete(m.byFrm, frame)
+	m.drop(pte)
 	m.stats.Removes++
-	m.tlbDrop(pte.Key)
-	m.free = append(m.free, pte) //numalint:coldpath bounded: capacity tracks the PTE working-set high water
 	return true
 }
 
 // Protect changes the protection of the translation for vpn, if present.
 // Raising as well as lowering is permitted; the pmap layer uses lowering to
-// provoke the faults that drive the NUMA protocol.
+// provoke the faults that drive the NUMA protocol. ProtNone removes the
+// translation.
 //
 //numalint:hotpath
 func (m *MMU) Protect(key Key, prot Prot) {
-	if pte, ok := m.pt[key]; ok {
+	if pte := m.Lookup(key); pte != nil {
 		if prot == ProtNone {
-			m.Remove(key)
+			m.drop(pte)
+			m.stats.Removes++
 			return
 		}
 		// The TLB caches the PTE pointer, so the change is visible to
@@ -230,28 +286,11 @@ func (m *MMU) Protect(key Key, prot Prot) {
 	}
 }
 
-// ProtectFrame changes the protection of the translation mapping frame, if
-// present.
-//
-//numalint:hotpath
-func (m *MMU) ProtectFrame(frame *mem.Frame, prot Prot) {
-	if pte, ok := m.byFrm[frame]; ok {
-		m.Protect(pte.Key, prot)
-	}
-}
-
 // Lookup returns the translation for vpn, or nil.
 //
 //numalint:hotpath
 func (m *MMU) Lookup(key Key) *PTE {
-	return m.pt[key]
-}
-
-// LookupFrame returns this processor's translation mapping frame, or nil.
-//
-//numalint:hotpath
-func (m *MMU) LookupFrame(frame *mem.Frame) *PTE {
-	return m.byFrm[frame]
+	return m.fwd.get(split(key))
 }
 
 // Translate resolves an access. It returns the frame to access if the
@@ -263,9 +302,8 @@ func (m *MMU) Translate(key Key, write bool) *mem.Frame {
 	s := &m.tlb[int(key)&(tlbSize-1)]
 	pte := s.pte
 	if pte == nil || s.key != key {
-		var ok bool
-		pte, ok = m.pt[key]
-		if !ok {
+		pte = m.Lookup(key)
+		if pte == nil {
 			return nil
 		}
 		s.key = key
@@ -279,19 +317,4 @@ func (m *MMU) Translate(key Key, write bool) *mem.Frame {
 		return nil
 	}
 	return pte.Frame
-}
-
-// Mappings reports the number of live translations.
-func (m *MMU) Mappings() int { return len(m.pt) }
-
-// RemoveAll drops every translation (used when destroying an address space).
-// The maps keep their buckets; the retired PTEs are left to the collector
-// rather than recycled — pooling them would require iterating a map, and
-// this is a teardown path, not a hot one.
-func (m *MMU) RemoveAll() {
-	n := uint64(len(m.pt))
-	clear(m.pt)
-	clear(m.byFrm)
-	m.stats.Removes += n
-	m.invalidateTLB()
 }

@@ -1,16 +1,28 @@
 package mmu
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"numasim/internal/mem"
 )
 
-func frames(n int) []*mem.Frame {
-	p := mem.NewPool(mem.Global, -1, n, 4096)
+// testMem is the memory frames draws from. An MMU names a frame by its
+// pool and index, so frames of two memories would share its slots
+// (TestFrameFromAnotherMemoryPanics). Frame records are made on first
+// allocation, so a large global memory costs only the frames drawn, and
+// -count=N does not exhaust it.
+var testMem = mem.NewMemory(1, 1<<24, 1, 4096)
+
+// frames draws n fresh frames from testMem's global memory.
+func frames(n int) []*mem.Frame { return framesFrom(testMem.Global(), n) }
+
+// framesFrom draws n fresh frames from pool.
+func framesFrom(pool *mem.Pool, n int) []*mem.Frame {
 	out := make([]*mem.Frame, n)
 	for i := range out {
-		f, err := p.Alloc()
+		f, err := pool.Alloc()
 		if err != nil {
 			panic(err)
 		}
@@ -53,8 +65,15 @@ func TestEnterTranslate(t *testing.T) {
 	if got := m.Translate(5, true); got != f[1] {
 		t.Errorf("after replace, translate = %v, want %v", got, f[1])
 	}
-	if m.LookupFrame(f[0]) != nil {
-		t.Error("replaced frame should no longer be mapped")
+	if pte := m.Lookup(5); pte == nil || pte.Frame != f[1] || pte.Prot != ProtReadWrite {
+		t.Errorf("after replace, Lookup = %+v", pte)
+	}
+	m.Enter(6, f[0], ProtRead) // the replaced frame is free to map: no alias drop
+	if s := m.Stats(); s.AliasDrops != 0 || s.Enters != 3 {
+		t.Errorf("stats = %+v, want 3 enters and no alias drop", s)
+	}
+	if m.Translate(5, true) != f[1] {
+		t.Error("mapping the replaced frame disturbed its old key")
 	}
 }
 
@@ -69,11 +88,14 @@ func TestRosettaAliasRestriction(t *testing.T) {
 	if m.Translate(20, true) != f[0] {
 		t.Error("new alias should work")
 	}
-	if s := m.Stats(); s.AliasDrops != 1 {
-		t.Errorf("AliasDrops = %d, want 1", s.AliasDrops)
+	if s := m.Stats(); s.AliasDrops != 1 || s.Enters != 2 || s.Removes != 0 {
+		t.Errorf("stats = %+v, want 2 enters, 1 alias drop, no removes", s)
 	}
-	if m.Mappings() != 1 {
-		t.Errorf("mappings = %d, want 1", m.Mappings())
+	if m.Lookup(10) != nil {
+		t.Error("old alias still has a translation")
+	}
+	if pte := m.Lookup(20); pte == nil || pte.Frame != f[0] {
+		t.Errorf("Lookup(20) = %+v", pte)
 	}
 }
 
@@ -145,16 +167,6 @@ func TestProtect(t *testing.T) {
 	m.Protect(99, ProtRead) // absent: no-op
 }
 
-func TestProtectFrame(t *testing.T) {
-	f := frames(1)
-	m := New(0)
-	m.Enter(3, f[0], ProtReadWrite)
-	m.ProtectFrame(f[0], ProtRead)
-	if m.Translate(3, true) != nil {
-		t.Error("ProtectFrame did not tighten")
-	}
-}
-
 func TestTLBInvalidation(t *testing.T) {
 	f := frames(2)
 	m := New(0)
@@ -173,21 +185,6 @@ func TestTLBInvalidation(t *testing.T) {
 	m.Remove(4)
 	if m.Translate(4, false) != nil {
 		t.Error("stale TLB served removed mapping")
-	}
-}
-
-func TestRemoveAll(t *testing.T) {
-	f := frames(3)
-	m := New(1)
-	for i, fr := range f {
-		m.Enter(Key(i), fr, ProtRead)
-	}
-	m.RemoveAll()
-	if m.Mappings() != 0 {
-		t.Errorf("mappings after RemoveAll = %d", m.Mappings())
-	}
-	if s := m.Stats(); s.Removes != 3 {
-		t.Errorf("Removes = %d, want 3", s.Removes)
 	}
 }
 
@@ -222,5 +219,226 @@ func TestLookup(t *testing.T) {
 	}
 	if m.Lookup(12) != nil {
 		t.Error("Lookup of absent vpn should be nil")
+	}
+}
+
+func TestFrameFromAnotherMemoryPanics(t *testing.T) {
+	f := frames(1)[0]
+	// other has f's pool and index, in a second memory.
+	other := framesFrom(mem.NewMemory(1, f.Index()+1, 1, 4096).Global(), f.Index()+1)[f.Index()]
+	for _, tc := range []struct {
+		name string
+		use  func(*MMU)
+	}{
+		{"Enter", func(m *MMU) { m.Enter(2, other, ProtRead) }},
+		{"RemoveFrame", func(m *MMU) { m.RemoveFrame(other) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(0)
+			m.Enter(1, f, ProtRead)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("want panic: the frame shares its pool and index with a mapped frame of another memory")
+				}
+			}()
+			tc.use(m)
+		})
+	}
+}
+
+// TestSteadyStateDoesNotAllocate pins the MMU's share of the fault path at
+// zero allocations once its tables have grown and its PTEs exist.
+func TestSteadyStateDoesNotAllocate(t *testing.T) {
+	f := frames(2)
+	m := New(0)
+	a, b := Key(1)<<32|70, Key(0)<<32|9
+	cycle := func() {
+		m.Enter(a, f[0], ProtReadWrite)
+		m.Enter(b, f[1], ProtRead)
+		m.Protect(a, ProtRead)
+		m.RemoveFrame(f[0])
+		m.Remove(b)
+	}
+	cycle() // warm up: grow the tables and make the PTEs
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("warm Enter/Protect/RemoveFrame/Remove cycle: %v allocs, want 0", n)
+	}
+}
+
+// mapMMU is the reference model for the MMU: a hash map from key to
+// translation and one from frame to its translation, with no TLB and no
+// record recycling. TestMMUMatchesMapModel holds the MMU to it.
+type mapMMU struct {
+	pt    map[Key]*PTE
+	byFrm map[*mem.Frame]*PTE
+	stats Stats
+}
+
+func newMapMMU() *mapMMU {
+	return &mapMMU{pt: make(map[Key]*PTE), byFrm: make(map[*mem.Frame]*PTE)}
+}
+
+func (m *mapMMU) Enter(key Key, frame *mem.Frame, prot Prot) {
+	if old, ok := m.byFrm[frame]; ok && old.Key != key {
+		delete(m.pt, old.Key)
+		delete(m.byFrm, frame)
+		m.stats.AliasDrops++
+	}
+	if old, ok := m.pt[key]; ok {
+		delete(m.byFrm, old.Frame)
+		old.Frame, old.Prot = frame, prot
+		m.byFrm[frame] = old
+		m.stats.Enters++
+		return
+	}
+	pte := &PTE{Key: key, Frame: frame, Prot: prot}
+	m.pt[key] = pte
+	m.byFrm[frame] = pte
+	m.stats.Enters++
+}
+
+func (m *mapMMU) Remove(key Key) {
+	if pte, ok := m.pt[key]; ok {
+		delete(m.pt, key)
+		delete(m.byFrm, pte.Frame)
+		m.stats.Removes++
+	}
+}
+
+func (m *mapMMU) RemoveFrame(frame *mem.Frame) bool {
+	pte, ok := m.byFrm[frame]
+	if !ok {
+		return false
+	}
+	delete(m.pt, pte.Key)
+	delete(m.byFrm, frame)
+	m.stats.Removes++
+	return true
+}
+
+func (m *mapMMU) Protect(key Key, prot Prot) {
+	if pte, ok := m.pt[key]; ok {
+		if prot == ProtNone {
+			m.Remove(key)
+			return
+		}
+		pte.Prot = prot
+		m.stats.Protects++
+	}
+}
+
+func (m *mapMMU) Lookup(key Key) *PTE { return m.pt[key] }
+
+func (m *mapMMU) Translate(key Key, write bool) *mem.Frame {
+	pte := m.pt[key]
+	if pte == nil || write && !pte.Prot.CanWrite() || !write && !pte.Prot.CanRead() {
+		return nil
+	}
+	return pte.Frame
+}
+
+// TestMMUMatchesMapModel runs seeded random scripts of every MMU operation
+// against mapMMU, comparing every return value, the Stats and a Lookup of
+// every key in play after every step. Each script's keys come from three
+// address spaces first used out of order (2, 0, 1), with VPNs that reach
+// past the forward table's current length; its frames are the global
+// pool's and two local pools' frames at four shared indices, one past 64,
+// so frames of different pools share an index.
+func TestMMUMatchesMapModel(t *testing.T) {
+	const poolFrames = 128
+	mm := mem.NewMemory(2, poolFrames, poolFrames, 4096)
+	pools := [][]*mem.Frame{
+		framesFrom(mm.Global(), poolFrames),
+		framesFrom(mm.Local(0), poolFrames),
+		framesFrom(mm.Local(1), poolFrames),
+	}
+	var kinds struct{ fresh, newFrame, alias, grown int }
+	for seed := int64(1); seed <= 30; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			keys := make([]Key, 12)
+			for j := range keys {
+				vpn := rng.Intn(8)
+				if j >= 3 {
+					vpn = rng.Intn(32)
+					if rng.Intn(2) == 0 {
+						vpn = rng.Intn(1024)
+					}
+				}
+				keys[j] = Key([]uint32{2, 0, 1}[j%3])<<32 | Key(vpn)
+			}
+			idx := []int{65 + rng.Intn(poolFrames-65), rng.Intn(poolFrames), rng.Intn(poolFrames), rng.Intn(poolFrames)}
+			var frs []*mem.Frame
+			for _, i := range idx {
+				for _, pool := range pools {
+					frs = append(frs, pool[i])
+				}
+			}
+
+			m, model := New(3), newMapMMU()
+			for step := 0; step < 400; step++ {
+				key := keys[rng.Intn(len(keys))]
+				if rng.Intn(10) == 0 {
+					key = Key(rng.Intn(3))<<32 | Key(rng.Intn(2048)) // most likely unmapped
+				}
+				frame := frs[rng.Intn(len(frs))]
+				var op string
+				switch r := rng.Intn(100); {
+				case step < 3 || r < 35:
+					if step < 3 {
+						key = keys[step]
+					}
+					prot := Prot(1 + rng.Intn(3))
+					op = fmt.Sprintf("Enter(%#x, %s, %s)", key, frame, prot)
+					if old := model.byFrm[frame]; old != nil && old.Key != key {
+						kinds.alias++
+					}
+					if old := model.pt[key]; old == nil {
+						kinds.fresh++
+					} else if old.Frame != frame {
+						kinds.newFrame++
+					}
+					if space, vpn := split(key); space < len(m.fwd) && m.fwd[space] != nil && vpn >= len(m.fwd[space]) {
+						kinds.grown++
+					}
+					m.Enter(key, frame, prot)
+					model.Enter(key, frame, prot)
+				case r < 47:
+					op = fmt.Sprintf("Remove(%#x)", key)
+					m.Remove(key)
+					model.Remove(key)
+				case r < 59:
+					op = fmt.Sprintf("RemoveFrame(%s)", frame)
+					if got, want := m.RemoveFrame(frame), model.RemoveFrame(frame); got != want {
+						t.Fatalf("step %d: %s = %v, model %v", step, op, got, want)
+					}
+				case r < 74:
+					prot := Prot(rng.Intn(4))
+					op = fmt.Sprintf("Protect(%#x, %s)", key, prot)
+					m.Protect(key, prot)
+					model.Protect(key, prot)
+				case r < 90:
+					write := rng.Intn(2) == 0
+					op = fmt.Sprintf("Translate(%#x, %v)", key, write)
+					if got, want := m.Translate(key, write), model.Translate(key, write); got != want {
+						t.Fatalf("step %d: %s = %v, model %v", step, op, got, want)
+					}
+				default:
+					op = fmt.Sprintf("Lookup(%#x)", key)
+				}
+				if got, want := m.Stats(), model.stats; got != want {
+					t.Fatalf("step %d: after %s, stats %+v, model %+v", step, op, got, want)
+				}
+				for _, k := range append(keys, key) {
+					got, want := m.Lookup(k), model.Lookup(k)
+					if (got == nil) != (want == nil) || got != nil && *got != *want {
+						t.Fatalf("step %d: after %s, Lookup(%#x) = %+v, model %+v", step, op, k, got, want)
+					}
+				}
+			}
+		})
+	}
+	if kinds.fresh == 0 || kinds.newFrame == 0 || kinds.alias == 0 || kinds.grown == 0 {
+		t.Errorf("scripts missed a kind of Enter: %+v", kinds)
 	}
 }
