@@ -10,8 +10,8 @@
 #                   auditing (every protocol action re-validates the
 #                   directory invariants; violations die with forensics)
 #   make lint     - run the numalint analyzer suite (determinism,
-#                   maporder, statemachine, units, violation) via
-#                   go vet -vettool
+#                   maporder, statemachine, units, violation, hotpath,
+#                   atomicmix) via go vet -vettool
 #   make numalint - build the numalint binary and print its path
 #   make bench    - run the benchmark suite (tables, ablations, the
 #                   simulator hot-path microbenchmarks, and the simtrace
@@ -159,9 +159,10 @@ topo:
 # and at least one adaptive policy must beat the fixed threshold on the
 # skewed Zipf probe.
 tournament:
-	$(GO) run ./cmd/tables -small -nproc 3 -exp tournament -csv -parallel 1 > /tmp/tournament_p1.csv
-	$(GO) run ./cmd/tables -small -nproc 3 -exp tournament -csv -parallel 8 > /tmp/tournament_p8.csv
-	cmp /tmp/tournament_p1.csv /tmp/tournament_p8.csv
+	dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/tables -small -nproc 3 -exp tournament -csv -parallel 1 > $$dir/p1.csv && \
+	$(GO) run ./cmd/tables -small -nproc 3 -exp tournament -csv -parallel 8 > $$dir/p8.csv && \
+	cmp $$dir/p1.csv $$dir/p8.csv && rm -r $$dir
 	$(GO) test -race -count=1 -run 'TestTournament|TestAdaptiveBeatsThresholdOnZipf' ./internal/harness/
 	$(GO) test -race -count=1 -run 'TestProtocolFuzzCapabilities|TestHeatDecay' ./internal/numa/
 
@@ -171,8 +172,9 @@ tournament:
 # failure-schedule fuzz (-short subset), the evacuation property tests
 # and the rerouting unit tests must hold under -race.
 avail:
-	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 1 > /tmp/avail_p1.csv
-	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 8 > /tmp/avail_p8.csv
-	cmp /tmp/avail_p1.csv /tmp/avail_p8.csv
+	dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 1 > $$dir/p1.csv && \
+	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 8 > $$dir/p8.csv && \
+	cmp $$dir/p1.csv $$dir/p8.csv && rm -r $$dir
 	$(GO) test -race -count=1 -short -run 'TestProtocolFuzzFailure|TestEvacuation|TestRevivedNodeStartsCold' ./internal/numa/
 	$(GO) test -race -count=1 -run 'TestMeshDetour|TestFullyConnectedRelay|TestNodeDownSeversIncidentLinks|TestDegradedChargeDeterminism|TestInterleaveSkipsOfflineNodes' ./internal/topology/

@@ -5,10 +5,8 @@
 // simulated-time and wall-clock scales), violation (protocol panics in
 // internal/numa must carry a typed ProtocolViolationError), hotpath
 // (//numalint:hotpath functions are transitively allocation-free over the
-// package call graph), atomicmix (no field accessed both through
-// sync/atomic and plain loads/stores) and oracleparity (every mutation of
-// oracle-guarded dense state routes through a function that feeds the
-// shadow oracle).
+// package call graph) and atomicmix (no field accessed both through
+// sync/atomic and plain loads/stores).
 //
 // Two modes share one binary:
 //
@@ -32,7 +30,6 @@ import (
 	"numasim/internal/analysis/passes/determinism"
 	"numasim/internal/analysis/passes/hotpath"
 	"numasim/internal/analysis/passes/maporder"
-	"numasim/internal/analysis/passes/oracleparity"
 	"numasim/internal/analysis/passes/statemachine"
 	"numasim/internal/analysis/passes/units"
 	"numasim/internal/analysis/passes/violation"
@@ -47,7 +44,6 @@ var analyzers = []*analysis.Analyzer{
 	violation.Analyzer,
 	hotpath.Analyzer,
 	atomicmix.Analyzer,
-	oracleparity.Analyzer,
 }
 
 func main() {

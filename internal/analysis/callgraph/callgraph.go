@@ -1,5 +1,5 @@
 // Package callgraph builds a conservative per-package call graph for the
-// numalint interprocedural passes (hotpath, oracleparity).
+// numalint interprocedural pass, hotpath.
 //
 // The graph has one node per declared function or method with a body, and
 // one out-edge per potential transfer of control found in that body:

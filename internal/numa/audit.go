@@ -197,26 +197,16 @@ func (n *Manager) AuditAll() error {
 
 // register adds a page to the dense live-page directory used by AuditAll
 // and the state-dump summary.
-//
-//numalint:oraclechannel
 func (n *Manager) register(pg *Page) {
 	pg.mgr = n
 	n.dir.add(pg)
-	if n.mir != nil {
-		n.mir.register(pg)
-	}
 }
 
 // unregister removes a freed page from the directory; its slot's
 // generation stamp is bumped so a stale handle cannot evict a later
 // occupant.
-//
-//numalint:oraclechannel
 func (n *Manager) unregister(pg *Page) {
 	n.dir.remove(pg)
-	if n.mir != nil {
-		n.mir.unregister(pg)
-	}
 }
 
 // DumpSection summarizes the directory for engine state dumps: live-page
@@ -226,8 +216,9 @@ func (n *Manager) unregister(pg *Page) {
 // include the NUMA view.
 func (n *Manager) DumpSection() sim.DumpSection {
 	var byState [4]int
-	pinned, replicas := 0, 0
+	live, pinned, replicas := 0, 0, 0
 	_ = n.dir.forEach(func(pg *Page) error {
+		live++
 		if s := int(pg.state); s >= 0 && s < len(byState) {
 			byState[s]++
 		}
@@ -238,7 +229,7 @@ func (n *Manager) DumpSection() sim.DumpSection {
 		return nil
 	})
 	body := fmt.Sprintf("live pages: %d (read-only %d, local-writable %d, global-writable %d, remote %d); pinned %d; local replicas %d\n",
-		n.dir.len(), byState[ReadOnly], byState[LocalWritable], byState[GlobalWritable], byState[Remote],
+		live, byState[ReadOnly], byState[LocalWritable], byState[GlobalWritable], byState[Remote],
 		pinned, replicas)
 	for p := range n.shards {
 		used := 0

@@ -4,7 +4,7 @@ package numa_test
 // advises thread moves, plus a fake thread mover wired into the
 // manager's co-placement channel, and a short heat epoch. The heat
 // counters, their epoch clock and the advisory path all run hot while
-// the usual apparatus (online audit at stride 1, the dense/map oracle,
+// the usual apparatus (online audit at stride 1, the dense/map model check,
 // the last-write-wins content oracle) checks that none of it perturbs
 // the protocol.
 
@@ -126,7 +126,6 @@ func capFuzzScript(t *testing.T, seed int64) {
 	ledger := &hintLedger{}
 	m.AttachSink(simtrace.Tee(ring, checker, ledger))
 	n.EnableAudit(1, ring)
-	mirror := numa.InstallMapOracle(n)
 
 	const npages = 6
 	pages := make([]*numa.Page, npages)
@@ -168,6 +167,10 @@ func capFuzzScript(t *testing.T, seed int64) {
 					n.MigrateOwner(th, pg, rng.Intn(cfg.NProc))
 				default:
 					n.FreePageSync(n.FreePage(th, pg))
+					pages[i] = nil
+					if err := numa.CheckMapModel(n, pages); err != nil {
+						return fmt.Errorf("op %d: after free: dense/map divergence: %w", op, err)
+					}
 					fresh, err := n.NewPage()
 					if err != nil {
 						return err
@@ -183,7 +186,7 @@ func capFuzzScript(t *testing.T, seed int64) {
 							op, p.ID(), got, oracle[j])
 					}
 				}
-				if err := mirror.Check(n); err != nil {
+				if err := numa.CheckMapModel(n, pages); err != nil {
 					return fmt.Errorf("op %d: dense/map divergence: %w", op, err)
 				}
 			}
@@ -209,7 +212,7 @@ func capFuzzScript(t *testing.T, seed int64) {
 // TestProtocolFuzzCapabilities replays seeded scripts with the
 // capability-bearing policy. A pass means the heat counters and the
 // advisory calls never corrupt contents, break a directory invariant,
-// diverge the dense forms from the map oracle, or drift the manager's
+// diverge the dense forms from their map form, or drift the manager's
 // traced hint verdicts from the mover's.
 func TestProtocolFuzzCapabilities(t *testing.T) {
 	seeds := 300

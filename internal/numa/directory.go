@@ -5,8 +5,9 @@ package numa
 // per-processor residency shards the clock reclaimer sweeps. Both used
 // map- or swap-indexed forms; the dense forms are page-index-addressed
 // slices so the fault path never hashes and whole-directory sweeps are
-// linear scans. A test-only mirror interface lets white-box tests run the
-// old map-based representation alongside and compare after every step.
+// linear scans. The fuzz suites rebuild the map forms from the pages a
+// script holds and compare them with these, entry by entry, after every
+// step.
 
 // dirSlot is one slot of the live-page directory. gen is bumped each time
 // the slot is vacated, so a stale *Page handle (freed, slot since reused)
@@ -24,7 +25,6 @@ type dirSlot struct {
 type directory struct {
 	slots []dirSlot
 	free  []int32 // vacated slot indices, reused LIFO
-	n     int     // live pages
 }
 
 // add registers pg in the first free slot (or a fresh one) and stamps the
@@ -42,7 +42,6 @@ func (d *directory) add(pg *Page) {
 	s.pg = pg
 	pg.slot = idx
 	pg.gen = s.gen
-	d.n++
 }
 
 // remove vacates pg's slot and bumps its generation. A page whose stamp
@@ -61,11 +60,7 @@ func (d *directory) remove(pg *Page) {
 	s.gen++
 	pg.slot = -1
 	d.free = append(d.free, idx)
-	d.n--
 }
-
-// len reports the number of live pages.
-func (d *directory) len() int { return d.n }
 
 // forEach visits every live page in ascending slot order and stops at the
 // first error.
@@ -88,20 +83,7 @@ func (d *directory) forEach(fn func(*Page) error) error {
 // touches only its own shard. (On the ACE, node == processor, hence the
 // historical name.)
 type procShard struct {
-	//numalint:oracle
 	resident []*Page // frame index -> page holding a copy there
 	refbit   []bool  // second-chance reference bits
 	hand     int     // clock hand position
-}
-
-// mirror observes directory and residency mutations. White-box tests
-// install a map-based implementation (the pre-dense representation) and
-// assert it stays identical to the dense forms after every protocol step;
-// production leaves it nil, so the hook costs one nil check per
-// registration or residency change — never per reference.
-type mirror interface {
-	register(pg *Page)
-	unregister(pg *Page)
-	noteCopy(pg *Page, node, frame int)
-	noteDrop(node, frame int)
 }

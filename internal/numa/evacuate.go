@@ -183,7 +183,6 @@ func (n *Manager) evacuatePage(th *sim.Thread, pg *Page, node int) {
 		n.stats.Copies++
 		n.chargeMoveDelay(th, dstProc)
 		n.dropCopy(th, pg, node)
-		pg.copies[dst] = dstF
 		n.noteCopy(pg, dst, dstF)
 		pg.owner = dst
 		pg.lastOwner = dst

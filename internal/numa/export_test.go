@@ -2,94 +2,76 @@ package numa
 
 import "fmt"
 
-// This file exports the dense directory's test oracle to the black-box
-// fuzz suite. MapOracle is the pre-dense representation of the manager's
-// hot state — a map-based live-page index and map-based per-processor
-// residency tables — maintained through the mirror hook and compared
-// against the dense forms after every protocol step. It exists only
-// under test; production code never constructs one.
-
-// MapOracle mirrors directory and residency mutations into maps.
-type MapOracle struct {
-	live     map[int64]*Page       // page id -> page (old live-index form)
-	resident map[int]map[int]*Page // proc -> frame index -> page
-}
-
-// InstallMapOracle hooks a fresh oracle into the manager's mirror
-// interface. Install before any page is created.
-func InstallMapOracle(n *Manager) *MapOracle {
-	if n.dir.len() != 0 {
-		panic("numa: InstallMapOracle on a manager with live pages")
+// CheckMapModel compares the manager's dense hot state with the map form
+// it replaced, rebuilt from pages, the pages the caller holds live (nil
+// entries, such as a page just freed, are skipped). The model is the
+// live-page set keyed by page id, plus each node's frame -> page
+// residency implied by those pages' copies. The dense directory must hold
+// exactly the model's pages, each in the slot and generation its stamps
+// name, and each node's residency shard must record exactly the model's
+// (frame, page) entries. It returns the first divergence found, or nil.
+func CheckMapModel(n *Manager, pages []*Page) error {
+	live := make(map[int64]*Page)
+	resident := make([]map[int]*Page, len(n.shards))
+	for p := range resident {
+		resident[p] = make(map[int]*Page)
 	}
-	o := &MapOracle{
-		live:     make(map[int64]*Page),
-		resident: make(map[int]map[int]*Page),
-	}
-	for p := range n.shards {
-		o.resident[p] = make(map[int]*Page)
-	}
-	n.mir = o
-	return o
-}
-
-func (o *MapOracle) register(pg *Page)   { o.live[pg.id] = pg }
-func (o *MapOracle) unregister(pg *Page) { delete(o.live, pg.id) }
-func (o *MapOracle) noteCopy(pg *Page, proc, frame int) {
-	o.resident[proc][frame] = pg
-}
-func (o *MapOracle) noteDrop(proc, frame int) {
-	delete(o.resident[proc], frame)
-}
-
-// Check compares the manager's dense sharded state against the map
-// oracle: the live-page directory must hold exactly the oracle's pages,
-// and each processor's residency shard must record exactly the oracle's
-// (frame, page) entries, with every recorded page holding a matching
-// copy. It returns the first divergence found, or nil.
-func (o *MapOracle) Check(n *Manager) error {
-	seen := 0
-	err := n.dir.forEach(func(pg *Page) error {
-		seen++
-		got, ok := o.live[pg.id]
-		if !ok {
-			return fmt.Errorf("page%d is in the dense directory but not the map oracle", pg.id)
+	for _, pg := range pages {
+		if pg == nil {
+			continue
 		}
-		if got != pg {
-			return fmt.Errorf("page%d: dense directory and map oracle hold different records", pg.id)
-		}
-		if pg.slot < 0 || int(pg.slot) >= len(n.dir.slots) ||
-			n.dir.slots[pg.slot].pg != pg || n.dir.slots[pg.slot].gen != pg.gen {
-			return fmt.Errorf("page%d: slot/generation stamp does not match its directory slot", pg.id)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if seen != len(o.live) {
-		return fmt.Errorf("dense directory holds %d pages, map oracle %d", seen, len(o.live))
-	}
-	for p := range n.shards {
-		dense := n.shards[p].resident
-		count := 0
-		for i, pg := range dense {
-			if pg == nil {
+		live[pg.id] = pg
+		for p, c := range pg.copies {
+			if c == nil {
 				continue
 			}
-			count++
-			got, ok := o.resident[p][i]
-			if !ok {
-				return fmt.Errorf("cpu%d frame %d: dense shard records page%d, map oracle records nothing", p, i, pg.id)
+			if other, ok := resident[p][c.Index()]; ok {
+				return fmt.Errorf("cpu%d frame %d holds copies of both page%d and page%d", p, c.Index(), other.id, pg.id)
 			}
-			if got != pg {
-				return fmt.Errorf("cpu%d frame %d: dense shard records page%d, map oracle page%d", p, i, pg.id, got.id)
+			resident[p][c.Index()] = pg
+		}
+	}
+
+	seen := 0
+	for i, s := range n.dir.slots {
+		if s.pg == nil {
+			continue
+		}
+		seen++
+		pg := s.pg
+		if live[pg.id] != pg {
+			return fmt.Errorf("dense directory slot %d holds page%d, which the model does not hold live", i, pg.id)
+		}
+		if int(pg.slot) != i || pg.gen != s.gen {
+			return fmt.Errorf("page%d: stamps (slot %d, gen %d) do not match directory slot %d (gen %d)",
+				pg.id, pg.slot, pg.gen, i, s.gen)
+		}
+	}
+	if seen != len(live) {
+		return fmt.Errorf("dense directory holds %d pages, map model %d", seen, len(live))
+	}
+
+	for p := range n.shards {
+		count := 0
+		for i, pg := range n.shards[p].resident {
+			want := resident[p][i]
+			if pg == want {
+				if pg != nil {
+					count++
+				}
+				continue
 			}
-			if c := pg.copies[p]; c == nil || c.Index() != i {
-				return fmt.Errorf("cpu%d frame %d: resident page%d holds no matching copy", p, i, pg.id)
+			switch {
+			case pg == nil:
+				return fmt.Errorf("cpu%d frame %d: dense shard records nothing, map model page%d", p, i, want.id)
+			case want == nil:
+				return fmt.Errorf("cpu%d frame %d: dense shard records page%d, map model nothing", p, i, pg.id)
+			default:
+				return fmt.Errorf("cpu%d frame %d: dense shard records page%d, map model page%d", p, i, pg.id, want.id)
 			}
 		}
-		if count != len(o.resident[p]) {
-			return fmt.Errorf("cpu%d: dense shard records %d copies, map oracle %d", p, count, len(o.resident[p]))
+		if count != len(resident[p]) {
+			return fmt.Errorf("cpu%d: dense shard records %d copies, map model %d", p, count, len(resident[p]))
 		}
 	}
 	return nil

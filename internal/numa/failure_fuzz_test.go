@@ -18,7 +18,7 @@ import (
 // failures woven into it: at random points the script takes a random
 // node offline (never the last one standing) or revives a random
 // offline node, exactly as the health driver would, while the usual
-// fuzz apparatus — stride-1 audit, the dense/map oracle, the
+// fuzz apparatus — stride-1 audit, the dense/map model check, the
 // last-write-wins content oracle and the event-stream checker — runs
 // throughout. Contended machines additionally sever and restore random
 // links mid-script, so transfers reroute while the protocol churns.
@@ -46,7 +46,6 @@ func failureFuzzConfig(t *testing.T, seed int64, cfg ace.Config) {
 	checker := newProtocolChecker()
 	m.AttachSink(simtrace.Tee(ring, checker))
 	n.EnableAudit(1, ring)
-	mirror := numa.InstallMapOracle(n)
 
 	links := m.Spec().Links()
 	severed := make([]bool, len(links))
@@ -95,6 +94,10 @@ func failureFuzzConfig(t *testing.T, seed int64, cfg ace.Config) {
 					n.MigrateOwner(th, pg, rng.Intn(cfg.NProc))
 				case r < 75:
 					n.FreePageSync(n.FreePage(th, pg))
+					pages[i] = nil
+					if err := numa.CheckMapModel(n, pages); err != nil {
+						return fmt.Errorf("op %d: after free: dense/map divergence: %w", op, err)
+					}
 					fresh, err := n.NewPage()
 					if err != nil {
 						return err
@@ -150,7 +153,7 @@ func failureFuzzConfig(t *testing.T, seed int64, cfg ace.Config) {
 				if err := n.AuditAll(); err != nil {
 					return fmt.Errorf("op %d: %w", op, err)
 				}
-				if err := mirror.Check(n); err != nil {
+				if err := numa.CheckMapModel(n, pages); err != nil {
 					return fmt.Errorf("op %d: dense/map divergence: %w", op, err)
 				}
 			}
@@ -171,7 +174,7 @@ func failureFuzzConfig(t *testing.T, seed int64, cfg ace.Config) {
 // into the scripts. A pass means evacuation, quarantine and rerouting
 // preserve every invariant the healthy protocol holds: contents match
 // the last-write-wins oracle, the dense directory matches its map
-// mirror, no copy ever rests on an offline node, and every observed
+// form, no copy ever rests on an offline node, and every observed
 // state transition stays legal.
 func TestProtocolFuzzFailure(t *testing.T) {
 	seeds := 300

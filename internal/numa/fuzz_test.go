@@ -134,11 +134,9 @@ func fuzzConfig(t *testing.T, seed int64, pressure bool, cfg ace.Config) uint64 
 	m.AttachSink(simtrace.Tee(ring, checker))
 	// Full online audit: every protocol action re-validates the directory
 	// invariants, and any violation dies with the ring contents attached.
+	// After every operation the dense directory and residency shards are
+	// also compared with their map form, rebuilt from the held pages.
 	n.EnableAudit(1, ring)
-	// Map oracle: the pre-dense representation of the live-page directory
-	// and the residency shards runs alongside and is compared after every
-	// operation (the dense forms must stay identical to the map forms).
-	mirror := numa.InstallMapOracle(n)
 
 	const npages = 6
 	pages := make([]*numa.Page, npages)
@@ -158,7 +156,7 @@ func fuzzConfig(t *testing.T, seed int64, pressure bool, cfg ace.Config) uint64 
 				}
 				pages[i] = pg
 			}
-			if err := mirror.Check(n); err != nil {
+			if err := numa.CheckMapModel(n, pages); err != nil {
 				return fmt.Errorf("after page creation: dense/map divergence: %w", err)
 			}
 			for op := 0; op < nops; op++ {
@@ -185,6 +183,12 @@ func fuzzConfig(t *testing.T, seed int64, pressure bool, cfg ace.Config) uint64 
 					n.MigrateOwner(th, pg, rng.Intn(cfg.NProc))
 				case r < 95:
 					n.FreePageSync(n.FreePage(th, pg))
+					// Check before NewPage, which reuses the freed record
+					// in the freed slot.
+					pages[i] = nil
+					if err := numa.CheckMapModel(n, pages); err != nil {
+						return fmt.Errorf("op %d: after free: dense/map divergence: %w", op, err)
+					}
 					fresh, err := n.NewPage()
 					if err != nil {
 						return err
@@ -202,7 +206,7 @@ func fuzzConfig(t *testing.T, seed int64, pressure bool, cfg ace.Config) uint64 
 							op, p.ID(), got, oracle[j])
 					}
 				}
-				if err := mirror.Check(n); err != nil {
+				if err := numa.CheckMapModel(n, pages); err != nil {
 					return fmt.Errorf("op %d: dense/map divergence: %w", op, err)
 				}
 			}
@@ -267,7 +271,7 @@ func TestProtocolFuzzPressure(t *testing.T) {
 // more processors than nodes (so node pools and their copies are shared
 // between processors), and link contention on half the machines. The full
 // protocol apparatus rides along — online audit at stride 1 with its
-// per-node residency bounds, the dense/map oracle, the last-write-wins
+// per-node residency bounds, the dense/map model check, the last-write-wins
 // content oracle, and the event-stream transition checker — so a pass
 // means the node-indexed protocol holds the same invariants the two-level
 // ACE does.
@@ -313,12 +317,13 @@ func TestProtocolFuzzTopology(t *testing.T) {
 
 // TestDenseDirectoryOracle is the dense-vs-map property test: it replays
 // seeded fuzz scripts (a fresh seed range, half of them under memory
-// pressure so eviction and reclaim churn the residency shards) while the
-// map-based oracle installed by fuzzScript shadows every directory and
-// residency mutation. fuzzScript compares the two representations after
-// every operation, so a pass means the dense, generation-stamped forms
-// stayed identical to the old map forms across create/free/reuse cycles,
-// replication, migration, eviction and remote placement.
+// pressure so eviction and reclaim churn the residency shards).
+// fuzzScript rebuilds the map form of the directory and the residency
+// shards from the pages it holds, and compares it with the dense forms
+// after every operation and between each free and the next allocation.
+// A pass means the dense, generation-stamped forms stayed identical to
+// the old map forms across create/free/reuse cycles, replication,
+// migration, eviction and remote placement.
 func TestDenseDirectoryOracle(t *testing.T) {
 	seeds := 200
 	if testing.Short() {

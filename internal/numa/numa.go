@@ -422,13 +422,7 @@ type Manager struct {
 	auditOps        uint64
 	auditSweepEvery uint64
 	ring            *simtrace.RingSink
-	//numalint:oracle
-	dir directory
-
-	// mir, when non-nil, mirrors directory and residency mutations into a
-	// test oracle (see the mirror interface in directory.go).
-	//numalint:oraclehook
-	mir mirror
+	dir             directory
 
 	// freePages recycles Page records: FreePage pushes the retired record
 	// and NewPage/AdoptPage pop one instead of allocating, so steady-state
@@ -440,8 +434,6 @@ type Manager struct {
 }
 
 // NewManager creates a NUMA manager for machine using the given policy.
-//
-//numalint:oraclechannel constructor: the residency shards are built before any mirror can attach
 func NewManager(machine *ace.Machine, pol Policy) *Manager {
 	if pol == nil {
 		panic(newViolation(nil, nil, "numa: nil policy"))
@@ -755,8 +747,7 @@ func (n *Manager) demoteRemote(th *sim.Thread, pg *Page, requester int) {
 		}
 	}
 	n.machine.Memory().Local(at).Release(src)
-	n.noteDrop(at, src)
-	pg.copies[at] = nil
+	n.noteDrop(pg, at)
 	n.stats.Flushes++
 	n.stats.RemoteDemoted++
 	pg.setState(ReadOnly)
@@ -943,7 +934,6 @@ func (n *Manager) ensureCopy(th *sim.Thread, pg *Page, node, proc int) *mem.Fram
 		n.stats.Copies++
 		n.chargeMoveDelay(th, proc)
 	}
-	pg.copies[node] = f
 	n.noteCopy(pg, node, f)
 	n.emitAction(th, pg, proc, "copy to local")
 	return f
@@ -981,8 +971,7 @@ func (n *Manager) dropCopy(th *sim.Thread, pg *Page, node int) {
 		}
 	}
 	n.machine.Memory().Local(node).Release(f)
-	n.noteDrop(node, f)
-	pg.copies[node] = nil
+	n.noteDrop(pg, node)
 	n.stats.Flushes++
 }
 
@@ -1058,7 +1047,6 @@ func (n *Manager) MigrateOwner(th *sim.Thread, pg *Page, newProc int) {
 	n.stats.Copies++
 	n.chargeMoveDelay(th, newProc)
 	n.dropCopy(th, pg, pg.owner)
-	pg.copies[node] = dst
 	n.noteCopy(pg, node, dst)
 	pg.owner = node
 	pg.lastOwner = node

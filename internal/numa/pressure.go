@@ -106,31 +106,24 @@ func (n *Manager) reclaimLocal(th *sim.Thread, keep *Page, node, proc int) bool 
 	return false
 }
 
-// noteCopy records that frame f of node's local memory now holds a copy
-// of pg, and gives it a fresh reference bit.
-//
-//numalint:oraclechannel
+// noteCopy records f, a frame of node's local memory, as pg's copy on
+// node and gives it a fresh reference bit. noteCopy and noteDrop are the
+// only writers of a page's copies, so the residency shards cannot drift
+// from them.
 func (n *Manager) noteCopy(pg *Page, node int, f *mem.Frame) {
+	pg.copies[node] = f
 	shard := &n.shards[node]
 	shard.resident[f.Index()] = pg
 	shard.refbit[f.Index()] = true
-	if n.mir != nil {
-		//numalint:coldpath test-only: the mirror oracle is attached by the fuzz/parity suites
-		n.mir.noteCopy(pg, node, f.Index())
-	}
 }
 
-// noteDrop clears the residency record for frame f of node's pool.
-//
-//numalint:oraclechannel
-func (n *Manager) noteDrop(node int, f *mem.Frame) {
+// noteDrop clears pg's copy on node and its residency record.
+func (n *Manager) noteDrop(pg *Page, node int) {
+	i := pg.copies[node].Index()
+	pg.copies[node] = nil
 	shard := &n.shards[node]
-	shard.resident[f.Index()] = nil
-	shard.refbit[f.Index()] = false
-	if n.mir != nil {
-		//numalint:coldpath test-only: the mirror oracle is attached by the fuzz/parity suites
-		n.mir.noteDrop(node, f.Index())
-	}
+	shard.resident[i] = nil
+	shard.refbit[i] = false
 }
 
 // chargeMoveDelay charges any injected delay for a page move performed by

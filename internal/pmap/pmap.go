@@ -45,7 +45,6 @@ type Manager struct {
 	numa      *numa.Manager
 	nextSpace uint32
 	pmaps     []*Pmap // indexed by space id; nil after Destroy
-	nlive     int
 }
 
 // NewManager creates the pmap manager for machine, placing pages through
@@ -72,7 +71,6 @@ func (m *Manager) Create() *Pmap {
 	}
 	m.nextSpace++
 	m.pmaps = append(m.pmaps, p)
-	m.nlive++
 	return p
 }
 
@@ -89,7 +87,6 @@ func (m *Manager) Destroy(th *sim.Thread, p *Pmap) {
 	}
 	p.destroy = true
 	m.pmaps[p.space] = nil
-	m.nlive--
 }
 
 // Space returns the pmap's address-space id.

@@ -1,10 +1,6 @@
 package pmap
 
-import (
-	"fmt"
-
-	"numasim/internal/numa"
-)
+import "numasim/internal/numa"
 
 // resTable is a pmap's residency index: which logical page is resident at
 // each virtual page number. It used to be a map[uint32]*numa.Page; the VM
@@ -12,18 +8,8 @@ import (
 // is now a page-index-addressed slice — O(1) lookup with no hashing on
 // the fault path, and teardown walks it in VPN order for free (the map
 // form needed a sort to keep frame free-lists deterministic).
-//
-// The map form survives only as a test oracle: when oracle is non-nil
-// (white-box tests), every mutation is mirrored into it and check
-// compares the two representations entry by entry.
 type resTable struct {
-	//numalint:oracle
 	pages []*numa.Page // indexed by VPN; nil = no mapping entered
-	//numalint:oracle
-	n int // number of non-nil entries
-
-	//numalint:oraclehook
-	oracle map[uint32]*numa.Page // test-only mirror; nil in production
 }
 
 // get returns the page resident at vpn, or nil.
@@ -36,75 +22,19 @@ func (t *resTable) get(vpn uint32) *numa.Page {
 
 // set records pg as resident at vpn, growing the table as needed.
 //
-//numalint:oraclechannel
 //numalint:hotpath
 func (t *resTable) set(vpn uint32, pg *numa.Page) {
 	if int(vpn) >= len(t.pages) {
-		//numalint:coldpath table growth: once per address-space high-water VPN
-		grown := make([]*numa.Page, int(vpn)+1)
-		copy(grown, t.pages)
-		t.pages = grown
-	}
-	if t.pages[vpn] == nil {
-		t.n++
+		//numalint:coldpath table growth: append reallocates only when the high-water VPN passes a capacity that grows geometrically
+		t.pages = append(t.pages, make([]*numa.Page, int(vpn)+1-len(t.pages))...)
 	}
 	t.pages[vpn] = pg
-	if t.oracle != nil {
-		t.oracle[vpn] = pg
-	}
 }
 
 // del clears vpn's entry. Deleting an absent entry is a no-op, matching
 // the map form.
-//
-//numalint:oraclechannel
 func (t *resTable) del(vpn uint32) {
-	if int(vpn) >= len(t.pages) || t.pages[vpn] == nil {
-		return
+	if int(vpn) < len(t.pages) {
+		t.pages[vpn] = nil
 	}
-	t.pages[vpn] = nil
-	t.n--
-	if t.oracle != nil {
-		delete(t.oracle, vpn)
-	}
-}
-
-// len reports the number of resident entries.
-func (t *resTable) len() int { return t.n }
-
-// enableOracle turns on the map mirror (test-only). The table must be
-// empty when enabled.
-func (t *resTable) enableOracle() {
-	if t.n != 0 {
-		panic("pmap: enableOracle on a non-empty residency table")
-	}
-	t.oracle = make(map[uint32]*numa.Page)
-}
-
-// check compares the dense table against the map oracle entry by entry:
-// same size, same VPNs, same pages. It returns the first mismatch, or
-// nil. No-op without an oracle.
-func (t *resTable) check() error {
-	if t.oracle == nil {
-		return nil
-	}
-	if t.n != len(t.oracle) {
-		return fmt.Errorf("pmap: dense table has %d entries, oracle %d", t.n, len(t.oracle))
-	}
-	for vpn, pg := range t.pages {
-		opg, ok := t.oracle[uint32(vpn)]
-		if pg == nil {
-			if ok {
-				return fmt.Errorf("pmap: vpn %#x missing from dense table, oracle has page%d", vpn, opg.ID())
-			}
-			continue
-		}
-		if !ok {
-			return fmt.Errorf("pmap: vpn %#x holds page%d in dense table, missing from oracle", vpn, pg.ID())
-		}
-		if opg != pg {
-			return fmt.Errorf("pmap: vpn %#x holds page%d in dense table, page%d in oracle", vpn, pg.ID(), opg.ID())
-		}
-	}
-	return nil
 }

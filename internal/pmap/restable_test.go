@@ -12,12 +12,12 @@ import (
 	"numasim/internal/sim"
 )
 
-// TestResidencyTableOracle drives the dense VPN-indexed residency table
-// and its map oracle through seeded scripts of pmap operations — enter,
-// protect (including the removing ProtNone form), remove, whole-page
-// removal, page free and address-space destruction — and asserts the two
-// representations hold identical contents after every step. White-box:
-// the oracle mirror lives inside resTable and only tests can enable it.
+// TestResidencyTableOracle drives the dense VPN-indexed residency tables
+// through seeded scripts of pmap operations — enter, protect (including
+// the removing ProtNone form), remove, whole-page removal, page free and
+// address-space destruction. The test keeps the map form of each table
+// itself, applying each step's residency rule to it, and asserts that
+// every table holds the same entries as its model after every step.
 func TestResidencyTableOracle(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
@@ -48,18 +48,13 @@ func resOracleScript(t *testing.T, seed int64) {
 	const npages = 8
 	const nops = 150
 
-	newSpace := func() *Pmap {
-		p := pm.Create()
-		p.res.enableOracle()
-		return p
-	}
-
 	var scriptErr error
 	machine.Engine().Spawn("oracle", 0, func(th *sim.Thread) {
 		scriptErr = func() error {
 			pmaps := make([]*Pmap, npmaps)
+			models := make([]map[uint32]*numa.Page, npmaps)
 			for i := range pmaps {
-				pmaps[i] = newSpace()
+				pmaps[i], models[i] = pm.Create(), make(map[uint32]*numa.Page)
 			}
 			pages := make([]*numa.Page, npages)
 			for i := range pages {
@@ -69,9 +64,27 @@ func resOracleScript(t *testing.T, seed int64) {
 				}
 				pages[i] = pg
 			}
+			// clearRange applies a removing step's rule: every entry of
+			// model in [vpn, vpn+n) goes.
+			clearRange := func(model map[uint32]*numa.Page, vpn, n uint32) {
+				for v := vpn; v < vpn+n; v++ {
+					delete(model, v)
+				}
+			}
+			// drop applies RemoveAll's and FreePage's rule: pg leaves every
+			// address space.
+			drop := func(pg *numa.Page) {
+				for _, model := range models {
+					for v, mpg := range model {
+						if mpg == pg {
+							delete(model, v)
+						}
+					}
+				}
+			}
 			checkAll := func(op int) error {
 				for i, p := range pmaps {
-					if err := p.res.check(); err != nil {
+					if err := checkModel(&p.res, models[i]); err != nil {
 						return fmt.Errorf("op %d pmap %d: %w", op, i, err)
 					}
 				}
@@ -80,7 +93,8 @@ func resOracleScript(t *testing.T, seed int64) {
 			shift := machine.PageShift()
 			vaOf := func(vpn uint32) uint32 { return vpn << shift }
 			for op := 0; op < nops; op++ {
-				p := pmaps[rng.Intn(npmaps)]
+				si := rng.Intn(npmaps)
+				p, model := pmaps[si], models[si]
 				pi := rng.Intn(npages)
 				pg := pages[pi]
 				vpn := uint32(16 + rng.Intn(32))
@@ -92,20 +106,27 @@ func resOracleScript(t *testing.T, seed int64) {
 						minProt = mmu.ProtWrite
 					}
 					p.Enter(th, proc, vaOf(vpn), pg, mmu.ProtReadWrite, minProt)
+					model[vpn] = pg
 				case r < 65:
 					prot := mmu.ProtRead
 					if rng.Intn(3) == 0 {
 						prot = mmu.ProtNone // the removing form
 					}
-					length := uint32(1+rng.Intn(4)) << shift
-					p.Protect(th, vaOf(vpn), length, prot)
+					n := uint32(1 + rng.Intn(4))
+					p.Protect(th, vaOf(vpn), n<<shift, prot)
+					if prot == mmu.ProtNone {
+						clearRange(model, vpn, n)
+					}
 				case r < 75:
-					length := uint32(1+rng.Intn(4)) << shift
-					p.Remove(th, vaOf(vpn), length)
+					n := uint32(1 + rng.Intn(4))
+					p.Remove(th, vaOf(vpn), n<<shift)
+					clearRange(model, vpn, n)
 				case r < 85:
 					pm.RemoveAll(th, pg)
+					drop(pg)
 				case r < 93:
 					pm.FreePageSync(pm.FreePage(th, pg))
+					drop(pg)
 					fresh, err := nm.NewPage()
 					if err != nil {
 						return err
@@ -113,17 +134,14 @@ func resOracleScript(t *testing.T, seed int64) {
 					pages[pi] = fresh
 				default:
 					// Tear down one address space and open a fresh one; its
-					// dense table must drain to empty in lockstep with the
-					// oracle.
+					// dense table must drain to empty, as its model does.
 					di := rng.Intn(npmaps)
 					pm.Destroy(th, pmaps[di])
-					if err := pmaps[di].res.check(); err != nil {
+					clear(models[di])
+					if err := checkModel(&pmaps[di].res, models[di]); err != nil {
 						return fmt.Errorf("op %d: destroyed pmap: %w", op, err)
 					}
-					if pmaps[di].res.len() != 0 {
-						return fmt.Errorf("op %d: destroyed pmap still has %d resident entries", op, pmaps[di].res.len())
-					}
-					pmaps[di] = newSpace()
+					pmaps[di] = pm.Create()
 				}
 				if err := checkAll(op); err != nil {
 					return err
@@ -138,4 +156,30 @@ func resOracleScript(t *testing.T, seed int64) {
 	if scriptErr != nil {
 		t.Errorf("seed %d: %v", seed, scriptErr)
 	}
+}
+
+// checkModel compares a dense residency table with its map model entry by
+// entry: the same VPNs, holding the same pages. It returns the first
+// mismatch, or nil.
+func checkModel(t *resTable, model map[uint32]*numa.Page) error {
+	n := 0
+	for vpn, pg := range t.pages {
+		mpg := model[uint32(vpn)]
+		switch {
+		case pg == mpg:
+		case pg == nil:
+			return fmt.Errorf("vpn %#x missing from dense table, model has page%d", vpn, mpg.ID())
+		case mpg == nil:
+			return fmt.Errorf("vpn %#x holds page%d in dense table, missing from model", vpn, pg.ID())
+		default:
+			return fmt.Errorf("vpn %#x holds page%d in dense table, page%d in model", vpn, pg.ID(), mpg.ID())
+		}
+		if pg != nil {
+			n++
+		}
+	}
+	if n != len(model) {
+		return fmt.Errorf("dense table has %d entries, model %d", n, len(model))
+	}
+	return nil
 }
