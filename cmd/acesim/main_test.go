@@ -38,6 +38,18 @@ func TestUnknownPolicyFails(t *testing.T) {
 	}
 }
 
+// TestBadFFTSizeFails: -size is outside input, so an FFT side that is not
+// a power of two is a one-line error, not a panic.
+func TestBadFFTSizeFails(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-app", "FFT", "-size", "100", "-nproc", "2"}, &out, &errb); code != 1 {
+		t.Fatalf("exit code = %d, want 1; stderr: %s", code, errb.String())
+	}
+	if got, want := errb.String(), "acesim: FFT: workloads: FFT size 100 is not a power of two\n"; got != want {
+		t.Errorf("stderr = %q, want %q", got, want)
+	}
+}
+
 func TestSmallRunReport(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-app", "fft", "-size", "16", "-nproc", "3"}, &out, &errb); code != 0 {

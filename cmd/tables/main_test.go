@@ -98,6 +98,18 @@ func TestUnknownExperimentFails(t *testing.T) {
 	}
 }
 
+// TestBadFFTSizeFails: -size reaches every application of the mix, so an
+// FFT side that is not a power of two is a one-line error, not a panic.
+func TestBadFFTSizeFails(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-exp", "mix", "-nproc", "3", "-size", "2000"}, &out, &errb); code != 1 {
+		t.Fatalf("exit code = %d, want 1; stderr: %s", code, errb.String())
+	}
+	if got, want := errb.String(), "tables: workloads: FFT size 2000 is not a power of two\n"; got != want {
+		t.Errorf("stderr = %q, want %q", got, want)
+	}
+}
+
 func TestPressureSweepExperiment(t *testing.T) {
 	var out, errb strings.Builder
 	args := []string{"-small", "-nproc", "3", "-exp", "pressuresweep",

@@ -43,7 +43,7 @@ func run(pol numasim.Policy) {
 	if err != nil {
 		panic(err)
 	}
-	if err := w.Run(sys.Runtime, 4); err != nil {
+	if err := numasim.RunWorkload(w, sys.Runtime, 4); err != nil {
 		panic(err)
 	}
 	stats := sys.Kernel.NUMA().Stats()

@@ -303,7 +303,7 @@ func RemoteCompare(opts Options) (RemoteResult, error) {
 				return err
 			}
 			spec.Policy = policy.NewPragma(nil)
-			runs[i], err = metrics.Run(workloads.NewHomeData(0, 0, i == 1), spec)
+			runs[i], err = metrics.Run(spec, workloads.NewHomeData(0, 0, i == 1))
 			return err
 		})
 	})

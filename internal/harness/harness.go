@@ -40,8 +40,8 @@ type Options struct {
 	// Empty keeps each experiment's default, byte-identical.
 	Policy string
 	// AppSize, when positive, overrides the workload's primary size
-	// parameter (see workloads.NewSized). Sweeps use it to keep repeated
-	// runs quick.
+	// parameter (see workloads.New); a negative size is an error. Sweeps
+	// use it to keep repeated runs quick.
 	AppSize int
 	// Parallelism bounds how many independent simulations run at once
 	// (table rows, sweep points, the three runs inside an evaluation).
@@ -133,42 +133,11 @@ func (o Options) config() ace.Config {
 	return cfg
 }
 
-// instance builds a fresh workload instance by table name, reporting
-// unknown names as an error the experiment can propagate.
-func (o Options) instance(name string) (metrics.Runner, error) {
-	if o.Small {
-		switch name {
-		case "ParMult":
-			return workloads.NewParMult(60, 80), nil
-		case "Gfetch":
-			return workloads.NewGfetch(12, 4), nil
-		case "IMatMult":
-			return workloads.NewIMatMult(24), nil
-		case "Primes1":
-			return workloads.NewPrimes1(4000), nil
-		case "Primes2":
-			return workloads.NewPrimes2(8000, true), nil
-		case "Primes2-untuned":
-			return workloads.NewPrimes2(8000, false), nil
-		case "Primes3":
-			return workloads.NewPrimes3(60000), nil
-		case "FFT":
-			return workloads.NewFFT(32), nil
-		case "PlyTrace":
-			return workloads.NewPlyTrace(160, 128, 128), nil
-		case "Syscaller":
-			return workloads.NewSyscaller(1200, 40), nil
-		}
-	}
-	if o.AppSize > 0 {
-		if w, err := workloads.NewSized(name, o.AppSize); err == nil {
-			return w, nil
-		}
-	}
-	if name == "Syscaller" {
-		return workloads.NewSyscaller(0, 0), nil
-	}
-	return workloads.ByName(name)
+// instance builds a fresh workload instance by name at the options'
+// size, reporting unknown names and bad sizes as an error the experiment
+// can propagate.
+func (o Options) instance(name string) (workloads.Workload, error) {
+	return workloads.New(name, o.AppSize, o.Small)
 }
 
 // policy builds the options' placement policy: the Policy spec when one
@@ -228,7 +197,7 @@ func (o Options) run(label, app string, vary func(*metrics.RunSpec)) (metrics.Ru
 		if vary != nil {
 			vary(&spec)
 		}
-		res, err = metrics.Run(w, spec)
+		res, err = metrics.Run(spec, w)
 		return err
 	})
 	return res, err
@@ -264,7 +233,7 @@ func Evaluate(opts Options, app string) (metrics.Eval, error) {
 	specs[2].Policy = policy.AllLocal{}
 	specs[2].Config.NProc = 1
 	specs[2].Workers = 1
-	ws := make([]metrics.Runner, len(specs))
+	ws := make([]workloads.Workload, len(specs))
 	for i := range ws {
 		if ws[i], err = opts.instance(app); err != nil {
 			return metrics.Eval{}, err
@@ -273,7 +242,7 @@ func Evaluate(opts Options, app string) (metrics.Eval, error) {
 	res := make([]metrics.RunResult, len(specs))
 	err = opts.pool().Run(len(specs), func(i int) error {
 		var err error
-		res[i], err = metrics.Run(ws[i], specs[i])
+		res[i], err = metrics.Run(specs[i], ws[i])
 		return err
 	})
 	if err != nil {

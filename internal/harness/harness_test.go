@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"numasim/internal/sim"
+	"numasim/internal/workloads"
 )
 
 var small = Options{NProc: 4, Small: true}
@@ -506,5 +508,58 @@ func TestSystemDeterminism(t *testing.T) {
 		a.Eval.Alpha != b.Eval.Alpha || a.Eval.NumaRun.Faults != b.Eval.NumaRun.Faults ||
 		a.Eval.NumaRun.NUMA != b.Eval.NumaRun.NUMA {
 		t.Errorf("runs differ:\n%+v\n%+v", a.Eval.NumaRun, b.Eval.NumaRun)
+	}
+}
+
+// TestInstanceSizes pins how the options size every nameable application,
+// in any spelling: -small builds the reduced size where the application
+// has one and wins over -size, -size wins over the default, and Phased
+// and Zipf have no reduced size.
+func TestInstanceSizes(t *testing.T) {
+	const n = 64
+	cases := []struct {
+		name              string
+		small, sized, def workloads.Workload // small nil: none
+	}{
+		{"ParMult", workloads.NewParMult(60, 80), workloads.NewParMult(n, 0), workloads.NewParMult(0, 0)},
+		{"Gfetch", workloads.NewGfetch(12, 4), workloads.NewGfetch(n, 0), workloads.NewGfetch(0, 0)},
+		{"IMatMult", workloads.NewIMatMult(24), workloads.NewIMatMult(n), workloads.NewIMatMult(0)},
+		{"Primes1", workloads.NewPrimes1(4000), workloads.NewPrimes1(n), workloads.NewPrimes1(0)},
+		{"Primes2", workloads.NewPrimes2(8000, true), workloads.NewPrimes2(n, true), workloads.NewPrimes2(0, true)},
+		{"Primes2-untuned", workloads.NewPrimes2(8000, false), workloads.NewPrimes2(n, false), workloads.NewPrimes2(0, false)},
+		{"Primes3", workloads.NewPrimes3(60000), workloads.NewPrimes3(n), workloads.NewPrimes3(0)},
+		{"FFT", workloads.NewFFT(32), workloads.NewFFT(n), workloads.NewFFT(0)},
+		{"PlyTrace", workloads.NewPlyTrace(160, 128, 128), workloads.NewPlyTrace(n, 0, 0), workloads.NewPlyTrace(0, 0, 0)},
+		{"Syscaller", workloads.NewSyscaller(1200, 40), workloads.NewSyscaller(n, 0), workloads.NewSyscaller(0, 0)},
+		{"Phased", nil, workloads.NewPhased(n, 0, 0), workloads.NewPhased(0, 0, 0)},
+		{"Zipf", nil, workloads.NewZipf(n, 0, 0), workloads.NewZipf(0, 0, 0)},
+	}
+	for _, c := range cases {
+		smallOnly, smallSized := c.small, c.small
+		if c.small == nil {
+			smallOnly, smallSized = c.def, c.sized
+		}
+		forms := []struct {
+			opts Options
+			want workloads.Workload
+		}{
+			{Options{}, c.def},
+			{Options{AppSize: n}, c.sized},
+			{Options{Small: true}, smallOnly},
+			{Options{Small: true, AppSize: n}, smallSized},
+		}
+		for _, name := range []string{c.name, strings.ToLower(c.name)} {
+			for _, f := range forms {
+				got, err := f.opts.instance(name)
+				if err != nil {
+					t.Errorf("instance(%q) with Small=%v AppSize=%d: %v", name, f.opts.Small, f.opts.AppSize, err)
+					continue
+				}
+				if !reflect.DeepEqual(got, f.want) {
+					t.Errorf("instance(%q) with Small=%v AppSize=%d = %+v, want %+v",
+						name, f.opts.Small, f.opts.AppSize, got, f.want)
+				}
+			}
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"numasim/internal/cthreads"
 	"numasim/internal/metrics"
 	"numasim/internal/sim"
 	"numasim/internal/workloads"
@@ -30,51 +29,34 @@ type MixResult struct {
 // the options' supervisor, built like every other run.
 func MixRun(opts Options, apps []string) (MixResult, error) {
 	opts = opts.withDefaults()
-	var res MixResult
+	var r metrics.RunResult
 	err := opts.supervise("mix", func(o Options) error {
+		ws := make([]workloads.Workload, len(apps))
+		for i, app := range apps {
+			var err error
+			if ws[i], err = o.instance(app); err != nil {
+				return err
+			}
+		}
 		spec, err := o.spec()
 		if err != nil {
 			return err
 		}
-		sys, err := metrics.Build(spec)
-		if err != nil {
-			return err
-		}
-		workersEach := max(spec.Config.NProc/len(apps), 1)
-		var finishes []func() error
-		for _, app := range apps {
-			inst, err := o.instance(app)
-			if err != nil {
-				return err
-			}
-			w, ok := inst.(workloads.Starter)
-			if !ok {
-				return fmt.Errorf("harness: %s cannot run in a mix", app)
-			}
-			finishes = append(finishes, w.Start(cthreads.NewShared(sys.Kernel, sys.Sched, app), workersEach))
-		}
-		name := strings.Join(apps, "+")
-		if err := sys.Machine.Engine().Run(); err != nil {
-			return sys.Fail(name, err)
-		}
-		for i, fin := range finishes {
-			if err := fin(); err != nil {
-				return sys.Fail(name, fmt.Errorf("harness: mix member %s: %w", apps[i], err))
-			}
-		}
-		refs := sys.Machine.TotalRefs()
-		ns := sys.Kernel.NUMA().Stats()
-		res = MixResult{
-			Apps:      apps,
-			UserSec:   sys.Machine.Engine().TotalUserTime().Ticks(),
-			SysSec:    sys.Machine.Engine().TotalSysTime().Ticks(),
-			LocalFrac: refs.LocalFraction(),
-			Pins:      ns.Pins,
-			Moves:     ns.Moves,
-		}
-		return nil
+		spec.Workers = max(o.NProc/len(apps), 1)
+		r, err = metrics.Run(spec, ws...)
+		return err
 	})
-	return res, err
+	if err != nil {
+		return MixResult{}, err
+	}
+	return MixResult{
+		Apps:      apps,
+		UserSec:   r.UserSec,
+		SysSec:    r.SysSec,
+		LocalFrac: r.Refs.LocalFraction(),
+		Pins:      r.NUMA.Pins,
+		Moves:     r.NUMA.Moves,
+	}, nil
 }
 
 // Render formats the mix run.

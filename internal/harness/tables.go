@@ -11,6 +11,7 @@ import (
 	"numasim/internal/policy"
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
+	"numasim/internal/workloads"
 )
 
 // ---------------------------------------------------------------------
@@ -146,7 +147,7 @@ var PaperTable3 = map[string]PaperRow3{
 }
 
 // Table3Apps lists the applications in the paper's row order.
-var Table3Apps = []string{"ParMult", "Gfetch", "IMatMult", "Primes1", "Primes2", "Primes3", "FFT", "PlyTrace"}
+var Table3Apps = workloads.Names()
 
 // Table3Row is one measured Table 3 row. Err carries a failed run's
 // summary when the sweep continues past failures (partial results).

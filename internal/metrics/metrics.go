@@ -20,7 +20,9 @@
 package metrics
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"numasim/internal/ace"
 	"numasim/internal/chaos"
@@ -31,15 +33,8 @@ import (
 	"numasim/internal/simtrace"
 	"numasim/internal/topology"
 	"numasim/internal/vm"
+	"numasim/internal/workloads"
 )
-
-// Runner is the workload contract a run needs; the workloads package's
-// Workload satisfies it.
-type Runner interface {
-	Name() string
-	FetchHeavy() bool
-	Run(rt *cthreads.Runtime, nworkers int) error
-}
 
 // RunSpec describes one simulated system and the run made on it; Build
 // assembles the system.
@@ -191,10 +186,10 @@ func Build(spec RunSpec) (*System, error) {
 	return &System{Machine: machine, Kernel: kernel, Sched: scheduler, spec: spec, ring: ring}, nil
 }
 
-// Fail returns a failed run's error, wrapped in a *RunError carrying the
+// fail returns a failed run's error, wrapped in a *RunError carrying the
 // forensic ring's contents and the rendered machine-state dump when the
 // spec asked for forensics.
-func (s *System) Fail(workload string, err error) error {
+func (s *System) fail(workload string, err error) error {
 	if !s.spec.Forensics {
 		return err
 	}
@@ -208,22 +203,46 @@ func (s *System) Fail(workload string, err error) error {
 	return re
 }
 
-// Run executes one workload on a freshly built system per spec.
-func Run(w Runner, spec RunSpec) (RunResult, error) {
+// Run builds a fresh system per spec and runs the workloads on it
+// concurrently, each in its own task with spec.Workers threads (0: one
+// per processor), then verifies each. One workload is an instrumented
+// run; several are an application mix, reported under their names joined
+// by "+".
+func Run(spec RunSpec, ws ...workloads.Workload) (RunResult, error) {
+	if len(ws) == 0 {
+		return RunResult{}, errors.New("metrics: no workload to run")
+	}
+	names := make([]string, len(ws))
+	for i, w := range ws {
+		names[i] = w.Name()
+	}
+	name := strings.Join(names, "+")
 	sys, err := Build(spec)
 	if err != nil {
-		return RunResult{}, fmt.Errorf("metrics: %s: %w", w.Name(), err)
+		return RunResult{}, fmt.Errorf("metrics: %s: %w", name, err)
 	}
 	machine, kernel := sys.Machine, sys.Kernel
-	if err := w.Run(cthreads.NewShared(kernel, sys.Sched, "cthreads"), spec.Workers); err != nil {
-		return RunResult{}, sys.Fail(w.Name(), fmt.Errorf("metrics: %s under %s: %w", w.Name(), spec.Policy.Name(), err))
+	workers := spec.Workers
+	if workers <= 0 {
+		workers = machine.NProc()
+	}
+	finishes := make([]func() error, len(ws))
+	for i, w := range ws {
+		finishes[i] = w.Start(cthreads.NewShared(kernel, sys.Sched, w.Name()), workers)
+	}
+	err = machine.Engine().Run()
+	for i := 0; err == nil && i < len(finishes); i++ {
+		err = finishes[i]()
+	}
+	if err != nil {
+		return RunResult{}, sys.fail(name, fmt.Errorf("metrics: %s under %s: %w", name, spec.Policy.Name(), err))
 	}
 	var enters uint64
 	for i := 0; i < machine.NProc(); i++ {
 		enters += machine.MMU(i).Stats().Enters
 	}
 	return RunResult{
-		Workload:  w.Name(),
+		Workload:  name,
 		Policy:    spec.Policy.Name(),
 		NProc:     spec.Config.NProc,
 		Workers:   spec.Workers,

@@ -88,9 +88,9 @@ func TestRunCollectsEverything(t *testing.T) {
 	cfg.NProc = 3
 	cfg.GlobalFrames = 512
 	cfg.LocalFrames = 256
-	res, err := metrics.Run(workloads.NewIMatMult(12), metrics.RunSpec{
+	res, err := metrics.Run(metrics.RunSpec{
 		Config: cfg, Policy: policy.NewDefault(), Workers: 3, Sched: sched.Affinity,
-	})
+	}, workloads.NewIMatMult(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +114,9 @@ func TestRunPropagatesWorkloadErrors(t *testing.T) {
 	// instead check the error path with an impossible machine: zero
 	// processors fails config validation, which Run must surface.
 	cfg.NProc = 0
-	_, err := metrics.Run(workloads.NewParMult(2, 2), metrics.RunSpec{
+	_, err := metrics.Run(metrics.RunSpec{
 		Config: cfg, Policy: policy.NewDefault(), Workers: 1, Sched: sched.Affinity,
-	})
+	}, workloads.NewParMult(2, 2))
 	if err == nil {
 		t.Error("want error from invalid config")
 	}

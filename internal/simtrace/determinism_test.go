@@ -17,7 +17,7 @@ import (
 // returns the Chrome trace-event export. It may run off the test
 // goroutine, so it reports errors instead of failing the test itself.
 func exportFFT() ([]byte, error) {
-	w, err := workloads.NewSized("FFT", 16)
+	w, err := workloads.New("FFT", 16, false)
 	if err != nil {
 		return nil, err
 	}
@@ -25,7 +25,7 @@ func exportFFT() ([]byte, error) {
 	cfg.NProc = 3
 	events := &simtrace.ListSink{}
 	spec := metrics.RunSpec{Config: cfg, Policy: policy.NewThreshold(policy.DefaultThreshold), TraceSink: events}
-	if _, err := metrics.Run(w, spec); err != nil {
+	if _, err := metrics.Run(spec, w); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer

@@ -131,16 +131,8 @@ func (w *FFT) fft1dSim(c *vm.Context, buf uint32) {
 	}
 }
 
-// Run implements Workload.
-func (w *FFT) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *FFT) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	s := w.S
 	w.task = rt.Task()
 	w.matrix = rt.Alloc("matrix", uint32(s*s*16))

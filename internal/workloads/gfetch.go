@@ -48,16 +48,8 @@ func pageValue(p, wd, lastRound int) uint32 {
 	return uint32(p)*31 + uint32(wd)*7 + uint32(lastRound)
 }
 
-// Run implements Workload.
-func (w *Gfetch) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *Gfetch) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	ps := rt.Kernel().Machine().PageSize()
 	wordsPerPage := ps / 4
 	w.base = rt.Alloc("gfetch", uint32(w.Pages*ps))

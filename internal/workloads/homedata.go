@@ -47,16 +47,8 @@ func (w *HomeData) Name() string {
 // FetchHeavy implements Workload.
 func (w *HomeData) FetchHeavy() bool { return false }
 
-// Run implements Workload.
-func (w *HomeData) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *HomeData) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	w.task = rt.Task()
 	const words = 64
 	w.base = rt.Alloc("homedata", words*4)

@@ -39,16 +39,8 @@ func (w *IMatMult) FetchHeavy() bool { return true }
 func aInit(i, j int) uint32 { return uint32((i+j)%17 + 1) }
 func bInit(i, j int) uint32 { return uint32((3*i+2*j)%13 + 1) }
 
-// Run implements Workload.
-func (w *IMatMult) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *IMatMult) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	n := w.N
 	sz := uint32(n * n * 4)
 	w.task = rt.Task()

@@ -46,17 +46,9 @@ func unitChecksum(unit uint32, muls int, charge func(muls, adds int)) uint32 {
 	return x
 }
 
-// Run implements Workload.
-func (w *ParMult) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *ParMult) Start(rt *cthreads.Runtime, nworkers int) func() error {
 	pile := rt.NewWorkPile(uint32(w.Units))
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	w.sums = make([]uint64, nworkers)
 	rt.Start(nworkers, func(id int, c *vm.Context) {
 		for {

@@ -46,16 +46,8 @@ func (w *Phased) Name() string { return "Phased" }
 // FetchHeavy implements Workload.
 func (w *Phased) FetchHeavy() bool { return false }
 
-// Run implements Workload.
-func (w *Phased) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *Phased) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	ps := rt.Kernel().Machine().PageSize()
 	w.task = rt.Task()
 	w.base = rt.Alloc("phased", uint32(w.Pages*ps))

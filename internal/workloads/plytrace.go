@@ -179,16 +179,8 @@ func (w *PlyTrace) bandRows(b int) (y0, y1 int) {
 	return y0, y1
 }
 
-// Run implements Workload.
-func (w *PlyTrace) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *PlyTrace) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	w.task = rt.Task()
 	scene := w.scene()
 

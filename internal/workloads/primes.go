@@ -146,16 +146,8 @@ func (w *Primes1) Name() string { return "Primes1" }
 // FetchHeavy implements Workload.
 func (w *Primes1) FetchHeavy() bool { return false }
 
-// Run implements Workload.
-func (w *Primes1) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *Primes1) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	answer := newPrimeSieve(w.Limit)
 	// Candidates are the odd numbers 3,5,... <= Limit; unit i is 3+2i.
 	pile := rt.NewWorkPile(oddCandidates(w.Limit))
@@ -256,16 +248,8 @@ func isqrt(n uint32) uint32 {
 	return r
 }
 
-// Run implements Workload.
-func (w *Primes2) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *Primes2) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	w.task = rt.Task()
 	w.answer = newPrimeSieve(w.Limit)
 	capacity := uint32(w.answer.count + 8)
@@ -410,16 +394,8 @@ func (w *Primes3) Name() string { return "Primes3" }
 // FetchHeavy implements Workload.
 func (w *Primes3) FetchHeavy() bool { return false }
 
-// Run implements Workload.
-func (w *Primes3) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *Primes3) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	w.task = rt.Task()
 	w.answer = newPrimeSieve(w.Limit)
 	// Bit i represents the odd number 3+2i.

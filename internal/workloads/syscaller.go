@@ -38,16 +38,8 @@ func (w *Syscaller) Name() string { return "Syscaller" }
 // FetchHeavy implements Workload.
 func (w *Syscaller) FetchHeavy() bool { return false }
 
-// Run implements Workload.
-func (w *Syscaller) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
-// Start implements Starter.
+// Start implements Workload.
 func (w *Syscaller) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	w.sums = make([]uint64, nworkers)
 	stacks := make([]uint32, nworkers)
 	for i := range stacks {

@@ -55,7 +55,7 @@ func TestWorkloadsComputeCorrectResults(t *testing.T) {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			rt := newRT(4, policy.NewDefault())
-			if err := w.Run(rt, 4); err != nil {
+			if err := workloads.Run(w, rt, 4); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -70,7 +70,7 @@ func TestWorkloadsUnderBaselinePolicies(t *testing.T) {
 		w := w
 		t.Run(w.Name()+"/all-global", func(t *testing.T) {
 			rt := newRT(4, policy.AllGlobal{})
-			if err := w.Run(rt, 4); err != nil {
+			if err := workloads.Run(w, rt, 4); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -79,7 +79,7 @@ func TestWorkloadsUnderBaselinePolicies(t *testing.T) {
 		w := w
 		t.Run(w.Name()+"/all-local-1cpu", func(t *testing.T) {
 			rt := newRT(1, policy.AllLocal{})
-			if err := w.Run(rt, 1); err != nil {
+			if err := workloads.Run(w, rt, 1); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -96,7 +96,7 @@ func TestWorkloadsNeverPin(t *testing.T) {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			rt := newRT(3, policy.NeverPin())
-			if err := w.Run(rt, 3); err != nil {
+			if err := workloads.Run(w, rt, 3); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -109,18 +109,36 @@ func TestRegistry(t *testing.T) {
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("Names() = %v, want %v", names, want)
 	}
-	for _, n := range append(want, "Primes2-untuned") {
-		w, err := workloads.ByName(n)
-		if err != nil {
-			t.Errorf("ByName(%q): %v", n, err)
-			continue
-		}
-		if w.Name() != n {
-			t.Errorf("ByName(%q).Name() = %q", n, w.Name())
+	for _, n := range append(want, "Primes2-untuned", "Syscaller", "Phased", "Zipf") {
+		for _, spelling := range []string{n, strings.ToLower(n)} {
+			for _, small := range []bool{false, true} {
+				w, err := workloads.New(spelling, 0, small)
+				if err != nil {
+					t.Errorf("New(%q, 0, %v): %v", spelling, small, err)
+					continue
+				}
+				if w.Name() != n {
+					t.Errorf("New(%q, 0, %v).Name() = %q", spelling, small, w.Name())
+				}
+			}
 		}
 	}
-	if _, err := workloads.ByName("nosuch"); err == nil {
-		t.Error("ByName of unknown workload should fail")
+	for _, tc := range []struct {
+		name string
+		size int
+		err  string
+	}{
+		{"nosuch", 0, `workloads: unknown workload "nosuch"`},
+		{"Gfetch", -1, "workloads: negative size -1"},
+		{"FFT", 100, "workloads: FFT size 100 is not a power of two"},
+		{"fft", 100, "workloads: FFT size 100 is not a power of two"},
+	} {
+		if _, err := workloads.New(tc.name, tc.size, false); err == nil || !strings.HasPrefix(err.Error(), tc.err) {
+			t.Errorf("New(%q, %d, false) = %v, want error %q", tc.name, tc.size, err, tc.err)
+		}
+	}
+	if w, err := workloads.New("FFT", 100, true); err != nil || w.(*workloads.FFT).S != 32 {
+		t.Errorf("New(FFT, 100, small) = %v, %v; -small must win over the size", w, err)
 	}
 }
 
@@ -140,7 +158,7 @@ func TestFetchHeavyFlags(t *testing.T) {
 func TestGfetchExtremes(t *testing.T) {
 	g := workloads.NewGfetch(8, 6)
 	rt := newRT(4, policy.NewDefault())
-	if err := g.Run(rt, 4); err != nil {
+	if err := workloads.Run(g, rt, 4); err != nil {
 		t.Fatal(err)
 	}
 	refs := rt.Kernel().Machine().TotalRefs()
@@ -154,7 +172,7 @@ func TestGfetchExtremes(t *testing.T) {
 
 	p := workloads.NewParMult(200, 200)
 	rt2 := newRT(4, policy.NewDefault())
-	if err := p.Run(rt2, 4); err != nil {
+	if err := workloads.Run(p, rt2, 4); err != nil {
 		t.Fatal(err)
 	}
 	refs2 := rt2.Kernel().Machine().TotalRefs()
@@ -175,7 +193,7 @@ func TestPrimes2FalseSharing(t *testing.T) {
 	run := func(tuned bool) float64 {
 		w := workloads.NewPrimes2(20000, tuned)
 		rt := newRT(4, policy.NewDefault())
-		if err := w.Run(rt, 4); err != nil {
+		if err := workloads.Run(w, rt, 4); err != nil {
 			t.Fatal(err)
 		}
 		refs := rt.Kernel().Machine().TotalRefs()
@@ -200,7 +218,7 @@ func TestPrimes2FalseSharing(t *testing.T) {
 func TestIMatMultReplication(t *testing.T) {
 	w := workloads.NewIMatMult(24)
 	rt := newRT(4, policy.NewDefault())
-	if err := w.Run(rt, 4); err != nil {
+	if err := workloads.Run(w, rt, 4); err != nil {
 		t.Fatal(err)
 	}
 	refs := rt.Kernel().Machine().TotalRefs()
@@ -219,7 +237,7 @@ func TestIMatMultReplication(t *testing.T) {
 func TestFFTMostlyPrivateReferences(t *testing.T) {
 	w := workloads.NewFFT(32)
 	rt := newRT(4, policy.NewDefault())
-	if err := w.Run(rt, 4); err != nil {
+	if err := workloads.Run(w, rt, 4); err != nil {
 		t.Fatal(err)
 	}
 	refs := rt.Kernel().Machine().TotalRefs()
@@ -243,7 +261,7 @@ func TestLargerScale(t *testing.T) {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			rt := newRT(7, policy.NewDefault())
-			if err := w.Run(rt, 7); err != nil {
+			if err := workloads.Run(w, rt, 7); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -264,7 +282,7 @@ func TestEveryAppUnderEveryPolicy(t *testing.T) {
 			w, pol := w, mk()
 			t.Run(pol.Name()+"/"+w.Name(), func(t *testing.T) {
 				rt := newRT(3, pol)
-				if err := w.Run(rt, 3); err != nil {
+				if err := workloads.Run(w, rt, 3); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -53,11 +53,6 @@ func (w *Zipf) Name() string { return "Zipf" }
 // FetchHeavy implements Workload.
 func (w *Zipf) FetchHeavy() bool { return false }
 
-// Run implements Workload.
-func (w *Zipf) Run(rt *cthreads.Runtime, nworkers int) error {
-	return runStarter(w, rt, nworkers)
-}
-
 // splitmix64 advances state and returns the next value of the stream
 // (Steele et al.'s SplitMix64 finalizer — deterministic, no math/rand).
 func splitmix64(state *uint64) uint64 {
@@ -95,11 +90,8 @@ func (w *Zipf) partition(id, nworkers int) []int {
 	return own
 }
 
-// Start implements Starter.
+// Start implements Workload.
 func (w *Zipf) Start(rt *cthreads.Runtime, nworkers int) func() error {
-	if nworkers <= 0 {
-		nworkers = rt.Kernel().Machine().NProc()
-	}
 	ps := rt.Kernel().Machine().PageSize()
 	w.task = rt.Task()
 	w.base = rt.Alloc("zipf", uint32(w.Pages*ps))

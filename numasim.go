@@ -259,9 +259,14 @@ func FreezeDefrostPolicy(freeze, defrost Time) Policy {
 // sizes, in Table 3 order.
 func AllWorkloads() []Workload { return workloads.All() }
 
-// WorkloadByName returns a named workload ("ParMult", ..., "PlyTrace", or
-// "Primes2-untuned").
-func WorkloadByName(name string) (Workload, error) { return workloads.ByName(name) }
+// WorkloadByName returns a named workload at its default size, matching
+// the name in any case: the paper's "ParMult", ..., "PlyTrace", or
+// "Primes2-untuned", "Syscaller", "Phased" or "Zipf".
+func WorkloadByName(name string) (Workload, error) { return workloads.New(name, 0, false) }
+
+// RunWorkload runs w on the runtime with n worker threads (n <= 0: one
+// per processor) to completion, and verifies its results.
+func RunWorkload(w Workload, rt *Runtime, n int) error { return workloads.Run(w, rt, n) }
 
 // Measurement.
 

@@ -87,8 +87,10 @@ func TestPublicWorkloadsAndEvaluation(t *testing.T) {
 	if len(ws) != 8 {
 		t.Fatalf("workloads = %d, want 8", len(ws))
 	}
-	if _, err := numasim.WorkloadByName("Primes2-untuned"); err != nil {
-		t.Error(err)
+	for _, name := range []string{"Primes2-untuned", "Syscaller"} {
+		if _, err := numasim.WorkloadByName(name); err != nil {
+			t.Error(err)
+		}
 	}
 	e, err := numasim.Evaluate(numasim.HarnessOptions{NProc: 3, Small: true}, "ParMult")
 	if err != nil {
