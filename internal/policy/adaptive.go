@@ -35,9 +35,9 @@ import (
 	"numasim/internal/topology"
 )
 
-// DefaultSweepInterval is the defrost sweep period the adaptive
-// policies request, matching Reconsider's default: pinned pages are
-// re-presented every 50 virtual ms so a cooled page can unpin.
+// DefaultSweepInterval is the defrost sweep period Reconsider and the
+// adaptive policies request: pinned pages are re-presented every 50
+// virtual ms so a cooled page can unpin.
 const DefaultSweepInterval = 50 * sim.Millisecond
 
 // DecayThreshold is Threshold on the decaying move counter: a page is
@@ -45,8 +45,7 @@ const DefaultSweepInterval = 50 * sim.Millisecond
 // back to local memory once the heat has decayed away. Implementing
 // ReconsideringPolicy gets pinned pages re-presented.
 type DecayThreshold struct {
-	Limit    uint32
-	Interval sim.Time
+	Limit uint32
 }
 
 // NewDecayThreshold returns the adaptive threshold with the given
@@ -55,7 +54,7 @@ func NewDecayThreshold(limit int) *DecayThreshold {
 	if limit < 1 {
 		panic(fmt.Sprintf("policy: decay threshold limit %d < 1", limit))
 	}
-	return &DecayThreshold{Limit: uint32(limit), Interval: DefaultSweepInterval}
+	return &DecayThreshold{Limit: uint32(limit)}
 }
 
 // CachePolicy implements numa.Policy.
@@ -76,7 +75,7 @@ func (d *DecayThreshold) Name() string { return fmt.Sprintf("decay-threshold(%d)
 // ReconsiderInterval implements numa.ReconsideringPolicy.
 //
 //numalint:hotpath
-func (d *DecayThreshold) ReconsiderInterval() sim.Time { return d.Interval }
+func (d *DecayThreshold) ReconsiderInterval() sim.Time { return DefaultSweepInterval }
 
 // Bandit state packed into the page's policy scratch word.
 const (
@@ -98,9 +97,8 @@ const (
 // time and a count of heat-epoch changes — deterministic at any host
 // parallelism.
 type Bandit struct {
-	Eps      int    // exploration probability in percent
-	Seed     uint64 // exploration PRNG seed
-	Interval sim.Time
+	Eps  int    // exploration probability in percent
+	Seed uint64 // exploration PRNG seed
 
 	// epoch counts the requests whose heat epoch differed from the
 	// previous request's (lastEpoch); each change re-salts the
@@ -117,7 +115,7 @@ func NewBandit(epsPct int, seed uint64) *Bandit {
 	if epsPct < 0 || epsPct > 100 {
 		panic(fmt.Sprintf("policy: bandit eps %d%% outside [0,100]", epsPct))
 	}
-	return &Bandit{Eps: epsPct, Seed: seed, Interval: DefaultSweepInterval}
+	return &Bandit{Eps: epsPct, Seed: seed}
 }
 
 // mix64 is the splitmix64 finalizer (the chaos package's PRNG idiom):
@@ -189,7 +187,7 @@ func (b *Bandit) Name() string { return fmt.Sprintf("bandit(%d%%,%d)", b.Eps, b.
 // ReconsiderInterval implements numa.ReconsideringPolicy.
 //
 //numalint:hotpath
-func (b *Bandit) ReconsiderInterval() sim.Time { return b.Interval }
+func (b *Bandit) ReconsiderInterval() sim.Time { return DefaultSweepInterval }
 
 // Classifier realizes the literature's two-regime rule directly:
 // read-mostly pages (never written, or mapped read-only) replicate
@@ -198,8 +196,7 @@ func (b *Bandit) ReconsiderInterval() sim.Time { return b.Interval }
 // they are both moving (decayed move heat at the limit) and spread
 // across nodes with no majority accessor.
 type Classifier struct {
-	Limit    uint32 // decayed move heat to call a page contended
-	Interval sim.Time
+	Limit uint32 // decayed move heat to call a page contended
 }
 
 // NewClassifier returns a classifier with the given contention limit.
@@ -207,7 +204,7 @@ func NewClassifier(limit int) *Classifier {
 	if limit < 1 {
 		panic(fmt.Sprintf("policy: classifier limit %d < 1", limit))
 	}
-	return &Classifier{Limit: uint32(limit), Interval: DefaultSweepInterval}
+	return &Classifier{Limit: uint32(limit)}
 }
 
 // CachePolicy implements numa.Policy.
@@ -234,7 +231,7 @@ func (c *Classifier) Name() string { return fmt.Sprintf("classifier(%d)", c.Limi
 // ReconsiderInterval implements numa.ReconsideringPolicy.
 //
 //numalint:hotpath
-func (c *Classifier) ReconsiderInterval() sim.Time { return c.Interval }
+func (c *Classifier) ReconsiderInterval() sim.Time { return DefaultSweepInterval }
 
 // neverSweep effectively disables the defrost daemon for a CoPlace
 // whose inner policy never reconsiders: no virtual clock reaches it.

@@ -154,10 +154,6 @@ func (p *Pragma) Name() string { return "pragma+" + p.Fallback.Name() }
 type Reconsider struct {
 	Limit  int
 	Period int
-	// Interval is how often the NUMA manager's daemon drops pinned pages'
-	// mappings so this policy sees them again (without it, a pinned page
-	// never faults and is never reconsidered).
-	Interval sim.Time
 }
 
 // NewReconsider returns a reconsidering policy.
@@ -165,7 +161,7 @@ func NewReconsider(limit, period int) *Reconsider {
 	if limit < 0 || period < 1 {
 		panic(fmt.Sprintf("policy: bad reconsider parameters limit=%d period=%d", limit, period))
 	}
-	return &Reconsider{Limit: limit, Period: period, Interval: 50 * sim.Millisecond}
+	return &Reconsider{Limit: limit, Period: period}
 }
 
 // CachePolicy implements numa.Policy.
@@ -193,10 +189,13 @@ func (r *Reconsider) Name() string {
 	return fmt.Sprintf("reconsider(%d,%d)", r.Limit, r.Period)
 }
 
-// ReconsiderInterval implements numa.ReconsideringPolicy.
+// ReconsiderInterval implements numa.ReconsideringPolicy: the NUMA
+// manager's daemon drops pinned pages' mappings this often so the policy
+// sees them again (without it, a pinned page never faults and is never
+// reconsidered).
 //
 //numalint:hotpath
-func (r *Reconsider) ReconsiderInterval() sim.Time { return r.Interval }
+func (r *Reconsider) ReconsiderInterval() sim.Time { return DefaultSweepInterval }
 
 // Forced answers a fixed location for every request. It exists for protocol
 // tests and for deriving the paper's Tables 1 and 2, where each row is "the
@@ -241,9 +240,6 @@ func (s *Scripted) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.
 	s.pos++
 	return ans
 }
-
-// Consumed reports how many scripted answers have been handed out.
-func (s *Scripted) Consumed() int { return s.pos }
 
 // Name implements numa.Policy.
 //

@@ -282,16 +282,13 @@ func init() {
 		Params: []Param{
 			{Key: "limit", Default: "4", Doc: "move budget before pinning"},
 			{Key: "period", Default: "64", Doc: "pinned requests between reprieves"},
-			{Key: "interval", Default: "50", Doc: "defrost sweep period, virtual ms"},
 		},
 		New: func(a *Args) (numa.Policy, error) {
 			limit, period := a.Int("limit", DefaultThreshold), a.Int("period", 64)
 			if limit < 0 || period < 1 {
 				return nil, fmt.Errorf("policy reconsider: bad parameters limit=%d period=%d", limit, period)
 			}
-			r := NewReconsider(limit, period)
-			r.Interval = a.Millis("interval", r.Interval)
-			return r, nil
+			return NewReconsider(limit, period), nil
 		},
 	})
 	Register(Spec{
@@ -310,16 +307,13 @@ func init() {
 		Doc:  "adaptive threshold on the decaying move counter: pins cool off and unpin",
 		Params: []Param{
 			{Key: "limit", Default: "4", Doc: "decayed move heat before pinning"},
-			{Key: "interval", Default: "50", Doc: "defrost sweep period, virtual ms"},
 		},
 		New: func(a *Args) (numa.Policy, error) {
 			limit := a.Int("limit", DefaultThreshold)
 			if limit < 1 {
 				return nil, fmt.Errorf("policy decaythreshold: limit %d < 1", limit)
 			}
-			d := NewDecayThreshold(limit)
-			d.Interval = a.Millis("interval", d.Interval)
-			return d, nil
+			return NewDecayThreshold(limit), nil
 		},
 	})
 	Register(Spec{
@@ -328,16 +322,13 @@ func init() {
 		Params: []Param{
 			{Key: "eps", Default: "10", Doc: "exploration probability, percent"},
 			{Key: "seed", Default: "1", Doc: "exploration PRNG seed"},
-			{Key: "interval", Default: "50", Doc: "defrost sweep period, virtual ms"},
 		},
 		New: func(a *Args) (numa.Policy, error) {
 			eps := a.Int("eps", 10)
 			if eps < 0 || eps > 100 {
 				return nil, fmt.Errorf("policy bandit: eps %d%% outside [0,100]", eps)
 			}
-			b := NewBandit(eps, a.Uint64("seed", 1))
-			b.Interval = a.Millis("interval", b.Interval)
-			return b, nil
+			return NewBandit(eps, a.Uint64("seed", 1)), nil
 		},
 	})
 	Register(Spec{
@@ -345,16 +336,13 @@ func init() {
 		Doc:  "read-mostly pages replicate locally; write-contended pages without a dominant node go global",
 		Params: []Param{
 			{Key: "limit", Default: "4", Doc: "decayed move heat to call a page contended"},
-			{Key: "interval", Default: "50", Doc: "defrost sweep period, virtual ms"},
 		},
 		New: func(a *Args) (numa.Policy, error) {
 			limit := a.Int("limit", DefaultThreshold)
 			if limit < 1 {
 				return nil, fmt.Errorf("policy classifier: limit %d < 1", limit)
 			}
-			c := NewClassifier(limit)
-			c.Interval = a.Millis("interval", c.Interval)
-			return c, nil
+			return NewClassifier(limit), nil
 		},
 	})
 	Register(Spec{

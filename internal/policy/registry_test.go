@@ -19,7 +19,7 @@ func TestParseErrors(t *testing.T) {
 		{"threshold:limit", "malformed parameter"},
 		{"threshold:=3", "malformed parameter"},
 		{"bandit:seed=-1", "want an unsigned integer"},
-		{"decaythreshold:interval=-5", "non-negative"},
+		{"freezedefrost:freeze=-5", "non-negative"},
 		{"coplace:inner=no-such-policy", "unknown policy"},
 	}
 	for _, c := range cases {
@@ -79,7 +79,7 @@ func TestRegistryCatalog(t *testing.T) {
 		}
 	}
 	usage := Usage()
-	for _, want := range []string{"threshold", "limit=", "eps=", "inner=", "interval="} {
+	for _, want := range []string{"threshold", "limit=", "eps=", "inner=", "freeze="} {
 		if !strings.Contains(usage, want) {
 			t.Errorf("Usage() missing %q:\n%s", want, usage)
 		}

@@ -43,11 +43,6 @@ func (s *Scheduler) ReviveNode(node int) {
 	}
 }
 
-// NodeDead reports whether node is currently failed over.
-func (s *Scheduler) NodeDead(node int) bool {
-	return s.deadNode != nil && s.deadNode[node]
-}
-
 // failover moves the context's thread off its dead processor onto the
 // least-loaded processor of the nearest surviving node (distance-ranked
 // from the dead processor's home, ties to the lowest node id). With
