@@ -5,7 +5,7 @@
 #                   race detector (the parallel harness runs many
 #                   simulations concurrently; -race guards it) and the
 #                   bench module's tests, then the audit and pressure
-#                   drills
+#                   drills and the example programs
 #   make audit    - run the protocol-fuzz suite with full online
 #                   auditing (every protocol action re-validates the
 #                   directory invariants; violations die with forensics)
@@ -28,6 +28,8 @@
 #                   alternation, and fail if any median ns/op, or any
 #                   B/op or allocs/op, regressed more than BENCHDIFF_TOL
 #                   (default 20%)
+#   make examples - run every example program and compare its output
+#                   with its golden in examples/testdata
 #   make tables   - regenerate the paper's tables and figures
 #   make pressure - smoke-run the memory-pressure sweep with seeded fault
 #                   injection (small sizes; exercises reclaim, fallback
@@ -67,9 +69,9 @@ BENCHDIFF_TOL ?= 0.20
 # passes the pull request's base, or HEAD~1 on a push.
 BENCH_BASE ?= HEAD
 
-.PHONY: check build vet lint numalint test bench bench-json bench-ci tables pressure audit topo tournament avail
+.PHONY: check build vet lint numalint test bench bench-json bench-ci examples tables pressure audit topo tournament avail
 
-check: build vet lint test audit pressure topo tournament avail
+check: build vet lint test audit pressure topo tournament avail examples
 
 # bench/ is its own module, so the root ./... patterns do not reach it;
 # build, vet and test it explicitly, since it imports the harness.
@@ -128,6 +130,18 @@ bench-ci:
 	$(GO) run ./cmd/benchjson -o $(BENCH_CI_DIR)/base.json < $(BENCH_CI_DIR)/base.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH_CI_DIR)/new.json < $(BENCH_CI_DIR)/new.txt
 	$(GO) run ./cmd/benchdiff -tolerance $(BENCHDIFF_TOL) $(BENCH_CI_DIR)/base.json $(BENCH_CI_DIR)/new.json
+
+# examples runs each example program, which go build only compiles, and
+# requires its output to match examples/testdata/NAME.golden byte for
+# byte; a new example needs a golden to pass.
+EXAMPLES := $(patsubst examples/%/main.go,%,$(wildcard examples/*/main.go))
+
+examples:
+	dir=$$(mktemp -d) && \
+	for e in $(EXAMPLES); do \
+		$(GO) run ./examples/$$e > $$dir/$$e.out && \
+		cmp $$dir/$$e.out examples/testdata/$$e.golden || exit 1; \
+	done && rm -r $$dir
 
 tables:
 	$(GO) run ./cmd/tables
