@@ -20,26 +20,15 @@ import (
 	"numasim/internal/topology"
 )
 
-// CostModel gives the virtual-time cost of every charged operation.
-//
-// The six memory-latency constants are the ACE's published measurements;
-// they seed the ACE topology's latency matrix. Once a model is bound to a
-// topology spec (Bind, done by NewMachine), every per-reference cost is
-// read from the spec's distance-derived matrix — the two-level ACE case
-// is then *derived* from the matrix rather than special-cased, and the
-// constants remain only as matrix seed values and as the fallback for
-// unbound models (zero-value CostModel in unit tests).
+// CostModel gives the virtual-time cost of counted instruction work and
+// kernel operations. Memory latencies are not priced here: the machine's
+// topology spec holds them, and each processor's charge row prices every
+// reference, page copy and zero-fill from that spec.
 type CostModel struct {
-	// 32-bit memory reference latencies (§2.2).
-	LocalFetch  sim.Time
-	LocalStore  sim.Time
-	GlobalFetch sim.Time
-	GlobalStore sim.Time
-	// Remote references (one processor into another's local memory, §4.4).
-	// The ACE supports them but the paper's system deliberately does not use
-	// them; they are modelled for the remote-reference extension experiment.
-	RemoteFetch sim.Time
-	RemoteStore sim.Time
+	// The ACE's measured 32-bit reference latencies (§2.2, §4.4). They
+	// seed the ACE spec's latency matrix (SpecForConfig) and are read
+	// nowhere else.
+	topology.ACELatencies
 
 	// Instruction costs. The ROMP has no hardware multiply/divide and no
 	// floating point unit, which the paper leans on repeatedly ("division
@@ -55,31 +44,20 @@ type CostModel struct {
 	FaultBase sim.Time // trap entry + machine-independent VM fault handling
 	NUMAOp    sim.Time // one NUMA-manager decision/bookkeeping step
 	MMUOp     sim.Time // dropping or changing one translation, possibly cross-CPU
-
-	// topo, when non-nil, supplies the per-(processor, node) latency
-	// matrix that replaces the Local/Global/Remote constants above.
-	topo *topology.Spec
 }
-
-// Bind routes the model's per-reference costs through spec's latency
-// matrix. NewMachine binds the machine's cost model automatically;
-// standalone consumers (the metrics evaluator's model arithmetic) bind a
-// copy explicitly.
-func (c *CostModel) Bind(spec *topology.Spec) { c.topo = spec }
-
-// Topo returns the bound topology spec, or nil for an unbound model.
-func (c *CostModel) Topo() *topology.Spec { return c.topo }
 
 // DefaultCostModel returns the paper's measured memory latencies and
 // ROMP-plausible instruction costs.
 func DefaultCostModel() CostModel {
 	return CostModel{
-		LocalFetch:  650 * sim.Nanosecond,
-		LocalStore:  840 * sim.Nanosecond,
-		GlobalFetch: 1500 * sim.Nanosecond,
-		GlobalStore: 1400 * sim.Nanosecond,
-		RemoteFetch: 1800 * sim.Nanosecond,
-		RemoteStore: 1700 * sim.Nanosecond,
+		ACELatencies: topology.ACELatencies{
+			LocalFetch:  650 * sim.Nanosecond,
+			LocalStore:  840 * sim.Nanosecond,
+			GlobalFetch: 1500 * sim.Nanosecond,
+			GlobalStore: 1400 * sim.Nanosecond,
+			RemoteFetch: 1800 * sim.Nanosecond,
+			RemoteStore: 1700 * sim.Nanosecond,
+		},
 
 		Instr: 500 * sim.Nanosecond, // ~2 MIPS
 		Mul:   5 * sim.Microsecond,  // software multiply
@@ -92,81 +70,6 @@ func DefaultCostModel() CostModel {
 		NUMAOp:    50 * sim.Microsecond,
 		MMUOp:     10 * sim.Microsecond,
 	}
-}
-
-// FetchCost returns the cost of one 32-bit fetch from a frame of the given
-// kind by processor proc. Bound models read the topology's latency matrix;
-// unbound models fall back to the two-level constants.
-//
-//numalint:hotpath
-func (c *CostModel) FetchCost(f *mem.Frame, proc int) sim.Time {
-	if t := c.topo; t != nil {
-		return t.FetchLatency(proc, t.Col(f.Proc()))
-	}
-	if f.Kind() == mem.Global {
-		return c.GlobalFetch
-	}
-	if f.Proc() == proc {
-		return c.LocalFetch
-	}
-	return c.RemoteFetch
-}
-
-// StoreCost returns the cost of one 32-bit store to a frame of the given
-// kind by processor proc. Bound models read the topology's latency matrix;
-// unbound models fall back to the two-level constants.
-//
-//numalint:hotpath
-func (c *CostModel) StoreCost(f *mem.Frame, proc int) sim.Time {
-	if t := c.topo; t != nil {
-		return t.StoreLatency(proc, t.Col(f.Proc()))
-	}
-	if f.Kind() == mem.Global {
-		return c.GlobalStore
-	}
-	if f.Proc() == proc {
-		return c.LocalStore
-	}
-	return c.RemoteStore
-}
-
-// CopyCost returns the cost for processor proc to copy a full page from src
-// to dst, word by word, at memory speed. This is what makes page movement
-// expensive and is the dominant term in the paper's system times (§3.3).
-//
-//numalint:hotpath
-func (c *CostModel) CopyCost(src, dst *mem.Frame, proc, pageSize int) sim.Time {
-	words := sim.Time(pageSize / 4)
-	return words * (c.FetchCost(src, proc) + c.StoreCost(dst, proc))
-}
-
-// ZeroCost returns the cost for processor proc to zero-fill a page.
-//
-//numalint:hotpath
-func (c *CostModel) ZeroCost(dst *mem.Frame, proc, pageSize int) sim.Time {
-	words := sim.Time(pageSize / 4)
-	return words * c.StoreCost(dst, proc)
-}
-
-// GOverL returns the paper's G/L ratio for the given store fraction of the
-// reference mix: §2.2 reports 2.3 for pure fetches and about 2 for a mix
-// with 45% stores. On a bound model the ratio is read from the topology's
-// latency matrix (processor 0's interleave column over its home column),
-// so the ACE value is derived from the same matrix the simulation charges.
-func (c *CostModel) GOverL(storeFrac float64) float64 {
-	var gf, gs, lf, ls sim.Time
-	if t := c.topo; t != nil {
-		home := t.Home(0)
-		gf = t.FetchLatency(0, t.NNodes())
-		gs = t.StoreLatency(0, t.NNodes())
-		lf = t.FetchLatency(0, home)
-		ls = t.StoreLatency(0, home)
-	} else {
-		gf, gs, lf, ls = c.GlobalFetch, c.GlobalStore, c.LocalFetch, c.LocalStore
-	}
-	g := float64(gf)*(1-storeFrac) + float64(gs)*storeFrac
-	l := float64(lf)*(1-storeFrac) + float64(ls)*storeFrac
-	return g / l
 }
 
 // Config describes one machine instance.
@@ -196,14 +99,7 @@ func SpecForConfig(cfg Config) (*topology.Spec, error) {
 		return cfg.Topo, nil
 	}
 	if cfg.Topology == "" || cfg.Topology == "ace" {
-		return topology.ACE(cfg.NProc, topology.ACELatencies{
-			LocalFetch:  cfg.Cost.LocalFetch,
-			LocalStore:  cfg.Cost.LocalStore,
-			GlobalFetch: cfg.Cost.GlobalFetch,
-			GlobalStore: cfg.Cost.GlobalStore,
-			RemoteFetch: cfg.Cost.RemoteFetch,
-			RemoteStore: cfg.Cost.RemoteStore,
-		})
+		return topology.ACE(cfg.NProc, cfg.Cost.ACELatencies)
 	}
 	return topology.ByName(cfg.Topology, cfg.NProc)
 }
@@ -299,8 +195,9 @@ type Processor struct {
 	// row is the processor's charge row, indexed by frame node + 1:
 	// column 0 is global memory, column home+1 the processor's local
 	// memory, and every other column a remote node. NewMachine fills the
-	// costs once from the bound spec, so a reference neither looks up its
-	// latency nor classifies its destination.
+	// costs once from the machine's spec, so a reference, page copy or
+	// zero-fill neither looks up its latency nor classifies its
+	// destination.
 	row []refCol
 	// Faults counts page faults taken on this processor.
 	Faults uint64
@@ -373,7 +270,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		bus:       simtrace.NewBus(),
 		contended: spec.Contended(),
 	}
-	m.cfg.Cost.Bind(spec)
 	m.engine.Bus = m.bus
 	m.procs = make([]Processor, cfg.NProc)
 	m.mmus = make([]*mmu.MMU, cfg.NProc)
@@ -555,23 +451,28 @@ func (m *Machine) chargeLink(th *sim.Thread, proc int, f *mem.Frame, bytes int, 
 }
 
 // ChargeCopySys charges th, as system time, for processor proc copying a
-// full page from src to dst plus any interconnect queueing delay on the
-// two transfers. All kernel page-copy sites (NUMA protocol moves, pmap's
-// physical copy) charge through here so contention applies uniformly.
+// full page from src to dst word by word at memory speed — a fetch from
+// src and a store to dst per word, priced from proc's charge row — plus
+// any interconnect queueing delay on the two transfers. Page movement is
+// the dominant term in the paper's system times (§3.3); all kernel
+// page-copy sites (NUMA protocol moves, pmap's physical copy) charge
+// through here so contention applies uniformly.
 //
 //numalint:hotpath
 func (m *Machine) ChargeCopySys(th *sim.Thread, src, dst *mem.Frame, proc int) {
-	th.AdvanceSys(m.cfg.Cost.CopyCost(src, dst, proc, m.cfg.PageSize))
+	row := m.procs[proc].row
+	th.AdvanceSys(sim.Time(m.cfg.PageSize/4) * (row[src.Proc()+1].fetch + row[dst.Proc()+1].store))
 	m.chargeLink(th, proc, src, m.cfg.PageSize, true)
 	m.chargeLink(th, proc, dst, m.cfg.PageSize, true)
 }
 
 // ChargeZeroSys charges th, as system time, for processor proc
-// zero-filling a page plus any interconnect queueing delay.
+// zero-filling a page, a store per word priced from proc's charge row,
+// plus any interconnect queueing delay.
 //
 //numalint:hotpath
 func (m *Machine) ChargeZeroSys(th *sim.Thread, dst *mem.Frame, proc int) {
-	th.AdvanceSys(m.cfg.Cost.ZeroCost(dst, proc, m.cfg.PageSize))
+	th.AdvanceSys(sim.Time(m.cfg.PageSize/4) * m.procs[proc].row[dst.Proc()+1].store)
 	m.chargeLink(th, proc, dst, m.cfg.PageSize, true)
 }
 
@@ -609,7 +510,9 @@ func (m *Machine) Topology() string {
 	}
 	s += fmt.Sprintf("    |\n    +== IPC bus (32-bit, 80 MB/s) == global memory (%d KB)\n",
 		m.cfg.GlobalFrames*m.cfg.PageSize/1024)
+	home, global := m.spec.Home(0), m.spec.NNodes()
 	s += fmt.Sprintf("\n  latencies: local fetch %v store %v; global fetch %v store %v\n",
-		m.cfg.Cost.LocalFetch, m.cfg.Cost.LocalStore, m.cfg.Cost.GlobalFetch, m.cfg.Cost.GlobalStore)
+		m.spec.FetchLatency(0, home), m.spec.StoreLatency(0, home),
+		m.spec.FetchLatency(0, global), m.spec.StoreLatency(0, global))
 	return s
 }

@@ -23,44 +23,71 @@ func TestDefaultCostModelRatios(t *testing.T) {
 	if math.Abs(store-1.7) > 0.05 {
 		t.Errorf("store ratio = %.2f, want ~1.7", store)
 	}
-	mixed := c.GOverL(0.45)
-	if math.Abs(mixed-2.0) > 0.1 {
+	spec, err := SpecForConfig(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pure := spec.GOverL(0); pure != 1500.0/650.0 {
+		t.Errorf("fetch-only G/L = %v, want 1500/650", pure)
+	}
+	if mixed := spec.GOverL(0.45); math.Abs(mixed-2.0) > 0.1 {
 		t.Errorf("mixed G/L = %.2f, want ~2.0", mixed)
 	}
-	if pure := c.GOverL(0); math.Abs(pure-2.3) > 0.05 {
-		t.Errorf("fetch-only G/L = %.2f, want ~2.3", pure)
-	}
 }
 
-func TestFetchStoreCost(t *testing.T) {
-	c := DefaultCostModel()
-	g, _ := mem.NewPool(mem.Global, -1, 1, 4096).Alloc()
-	l0, _ := mem.NewPool(mem.Local, 0, 1, 4096).Alloc()
-	if c.FetchCost(g, 0) != c.GlobalFetch {
-		t.Error("global fetch cost wrong")
+// allocFrame takes a frame from node's local memory, or from global
+// memory when node is -1.
+func allocFrame(t *testing.T, m *Machine, node int) *mem.Frame {
+	t.Helper()
+	pool := m.Memory().Global()
+	if node >= 0 {
+		pool = m.Memory().Local(node)
 	}
-	if c.FetchCost(l0, 0) != c.LocalFetch {
-		t.Error("own-local fetch cost wrong")
+	f, err := pool.Alloc()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.FetchCost(l0, 1) != c.RemoteFetch {
-		t.Error("remote fetch cost wrong")
-	}
-	if c.StoreCost(g, 0) != c.GlobalStore || c.StoreCost(l0, 0) != c.LocalStore || c.StoreCost(l0, 1) != c.RemoteStore {
-		t.Error("store costs wrong")
-	}
+	return f
 }
 
+// sysCharge builds a fresh machine from cfg, so no link is busy, runs
+// charge on one thread and returns the system time it cost.
+func sysCharge(t *testing.T, cfg Config, charge func(m *Machine, th *sim.Thread)) sim.Time {
+	t.Helper()
+	m := MustMachine(cfg)
+	m.Engine().Spawn("charge", 0, func(th *sim.Thread) { charge(m, th) })
+	if err := m.Engine().Run(); err != nil {
+		t.Fatal(err)
+	}
+	return m.Engine().TotalSysTime()
+}
+
+// TestCopyZeroCost: on the ACE a page copy costs, per word, the
+// published fetch latency of its source plus the store latency of its
+// destination, and a zero-fill the store latency of its destination.
 func TestCopyZeroCost(t *testing.T) {
-	c := DefaultCostModel()
-	g, _ := mem.NewPool(mem.Global, -1, 1, 4096).Alloc()
-	l0, _ := mem.NewPool(mem.Local, 0, 1, 4096).Alloc()
-	// Copying global->local on cpu0: 1024 words * (global fetch + local store).
-	want := 1024 * (c.GlobalFetch + c.LocalStore)
-	if got := c.CopyCost(g, l0, 0, 4096); got != want {
-		t.Errorf("CopyCost = %v, want %v", got, want)
+	cfg := DefaultConfig()
+	cfg.NProc, cfg.GlobalFrames, cfg.LocalFrames = 2, 4, 4
+	const ns = sim.Nanosecond
+	copyCost := func(src, dst int) sim.Time {
+		return sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
+			m.ChargeCopySys(th, allocFrame(t, m, src), allocFrame(t, m, dst), 0)
+		})
 	}
-	if got := c.ZeroCost(l0, 0, 4096); got != 1024*c.LocalStore {
-		t.Errorf("ZeroCost = %v", got)
+	for _, c := range []struct {
+		name      string
+		got, want sim.Time
+	}{
+		{"global to local", copyCost(-1, 0), 1024 * (1500*ns + 840*ns)},
+		{"local to global", copyCost(0, -1), 1024 * (650*ns + 1400*ns)},
+		{"remote to local", copyCost(1, 0), 1024 * (1800*ns + 840*ns)},
+		{"zero-fill local", sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
+			m.ChargeZeroSys(th, allocFrame(t, m, 0), 0)
+		}), 1024 * 840 * ns},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s on cpu0 = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -169,7 +196,7 @@ func TestVPNAndOffset(t *testing.T) {
 // where node and processor coincide, and 4socket at NProc 8, where
 // processors 4-7 share nodes 0-3 with processors 0-3, so a reference from
 // processor 4 to node 0 is local. Every reference must be counted in its
-// class, and user time must equal the cost model's price of each
+// class, and user time must equal the spec's latency for each
 // (processor, frame) plus the link waits the topology reports.
 func TestChargeAndCount(t *testing.T) {
 	type ref struct {
@@ -213,29 +240,19 @@ func TestChargeAndCount(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.NProc, cfg.Topology = tc.nproc, tc.topology
 			m := MustMachine(cfg)
-			frame := func(node int) *mem.Frame {
-				pool := m.Memory().Global()
-				if node >= 0 {
-					pool = m.Memory().Local(node)
-				}
-				f, err := pool.Alloc()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return f
-			}
-			frames := map[int]*mem.Frame{-1: frame(-1)}
+			frames := map[int]*mem.Frame{-1: allocFrame(t, m, -1)}
 			for n := 0; n < m.NNodes(); n++ {
-				frames[n] = frame(n)
+				frames[n] = allocFrame(t, m, n)
 			}
+			spec := m.Spec()
 			var wantTime sim.Time
 			var nrefs uint64
 			for i, script := range tc.threads {
 				for _, r := range script {
 					if r.store {
-						wantTime += m.Cost().StoreCost(frames[r.node], r.proc)
+						wantTime += spec.StoreLatency(r.proc, spec.Col(r.node))
 					} else {
-						wantTime += m.Cost().FetchCost(frames[r.node], r.proc)
+						wantTime += spec.FetchLatency(r.proc, spec.Col(r.node))
 					}
 					nrefs++
 				}

@@ -1,75 +1,54 @@
 package ace
 
 import (
-	"math"
 	"testing"
 
-	"numasim/internal/mem"
+	"numasim/internal/sim"
 	"numasim/internal/topology"
 )
 
-// bindACE returns the default cost model bound to the default ACE spec.
-func bindACE(t *testing.T, nproc int) (CostModel, *topology.Spec) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.NProc = nproc
-	spec, err := SpecForConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cfg.Cost
-	c.Bind(spec)
-	return c, spec
-}
-
-// TestBoundCostsEqualPublishedConstants: routing FetchCost/StoreCost
-// through the ACE latency matrix yields exactly the Local/Global/Remote
-// constants the unbound model charges — the two-level machine is a derived
-// special case, not separate arithmetic.
-func TestBoundCostsEqualPublishedConstants(t *testing.T) {
-	const nproc = 4
-	bound, _ := bindACE(t, nproc)
-	unbound := DefaultCostModel()
-	m := mem.NewMemory(nproc, 8, 8, 4096)
-	alloc := func(p *mem.Pool) *mem.Frame {
-		f, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	frames := []*mem.Frame{alloc(m.Global())}
-	for n := 0; n < nproc; n++ {
-		frames = append(frames, alloc(m.Local(n)))
-	}
-	for proc := 0; proc < nproc; proc++ {
-		for _, f := range frames {
-			if got, want := bound.FetchCost(f, proc), unbound.FetchCost(f, proc); got != want {
-				t.Errorf("fetch cpu%d frame(proc %d): bound %v, unbound %v", proc, f.Proc(), got, want)
+// TestCopyZeroChargesFromSpec: on every registered topology, a page copy
+// and a zero-fill cost PageSize/4 words at the spec's latencies, for a
+// local, a remote and a global frame, whichever side of the copy the
+// frame is on. The charging processor's home node is the other side.
+func TestCopyZeroChargesFromSpec(t *testing.T) {
+	for _, name := range topology.Names() {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.NProc, cfg.Topology = 4, name
+			cfg.GlobalFrames, cfg.LocalFrames = 4, 4
+			spec, err := SpecForConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got, want := bound.StoreCost(f, proc), unbound.StoreCost(f, proc); got != want {
-				t.Errorf("store cpu%d frame(proc %d): bound %v, unbound %v", proc, f.Proc(), got, want)
+			const proc = 1
+			home := spec.Home(proc)
+			words := sim.Time(cfg.PageSize / 4)
+			for _, c := range []struct {
+				kind string
+				node int
+			}{{"local", home}, {"remote", spec.Ranked(home)[1]}, {"global", -1}} {
+				col, homeCol := spec.Col(c.node), spec.Col(home)
+				zero := sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
+					m.ChargeZeroSys(th, allocFrame(t, m, c.node), proc)
+				})
+				if want := words * spec.StoreLatency(proc, col); zero != want {
+					t.Errorf("zero-fill %s frame = %v, want %v", c.kind, zero, want)
+				}
+				in := sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
+					m.ChargeCopySys(th, allocFrame(t, m, c.node), allocFrame(t, m, home), proc)
+				})
+				if want := words * (spec.FetchLatency(proc, col) + spec.StoreLatency(proc, homeCol)); in != want {
+					t.Errorf("copy from %s frame = %v, want %v", c.kind, in, want)
+				}
+				out := sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
+					m.ChargeCopySys(th, allocFrame(t, m, home), allocFrame(t, m, c.node), proc)
+				})
+				if want := words * (spec.FetchLatency(proc, homeCol) + spec.StoreLatency(proc, col)); out != want {
+					t.Errorf("copy to %s frame = %v, want %v", c.kind, out, want)
+				}
 			}
-			if got, want := bound.CopyCost(frames[0], f, proc, 4096), unbound.CopyCost(frames[0], f, proc, 4096); got != want {
-				t.Errorf("copy cpu%d -> frame(proc %d): bound %v, unbound %v", proc, f.Proc(), got, want)
-			}
-		}
-	}
-}
-
-// TestGOverLBoundMatchesUnbound: the model ratio the evaluator feeds into
-// the paper's equations is identical whether read from the matrix or the
-// constants.
-func TestGOverLBoundMatchesUnbound(t *testing.T) {
-	bound, _ := bindACE(t, 7)
-	unbound := DefaultCostModel()
-	for _, frac := range []float64{0, 0.45, 1} {
-		if got, want := bound.GOverL(frac), unbound.GOverL(frac); math.Abs(got-want) > 1e-12 {
-			t.Errorf("GOverL(%.2f): bound %v, unbound %v", frac, got, want)
-		}
-	}
-	if gl := bound.GOverL(0); math.Abs(gl-1500.0/650.0) > 1e-12 {
-		t.Errorf("fetch-only G/L = %v, want 1500/650", gl)
+		})
 	}
 }
 

@@ -136,10 +136,6 @@ var Contracts = map[string]bool{
 	"(*numasim/internal/ace.Machine).PageOff":       true,
 	"(*numasim/internal/ace.Machine).NProc":         true,
 	"(*numasim/internal/ace.Machine).Memory":        true,
-	"(*numasim/internal/ace.CostModel).FetchCost":   true,
-	"(*numasim/internal/ace.CostModel).StoreCost":   true,
-	"(*numasim/internal/ace.CostModel).CopyCost":    true,
-	"(*numasim/internal/ace.CostModel).ZeroCost":    true,
 	"(*numasim/internal/ace.Processor).Resource":    true,
 
 	// numa: the per-reference protocol entry point and page accessors.

@@ -248,7 +248,11 @@ func Evaluate(opts Options, app string) (metrics.Eval, error) {
 	if err != nil {
 		return metrics.Eval{}, err
 	}
-	return metrics.NewEval(spec.Config, ws[0].FetchHeavy(), res[0], res[1], res[2]), nil
+	topo, err := ace.SpecForConfig(spec.Config)
+	if err != nil {
+		return metrics.Eval{}, err
+	}
+	return metrics.NewEval(topo, ws[0].FetchHeavy(), res[0], res[1], res[2]), nil
 }
 
 // supervise runs one experiment unit under the options' supervisor —

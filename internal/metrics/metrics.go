@@ -280,20 +280,13 @@ type Eval struct {
 }
 
 // NewEval turns the paper's three instrumented runs of one workload —
-// T_numa, T_global and T_local — into its evaluation. cfg is the T_numa
-// machine, whose cost model gives the G/L ratio; fetchHeavy selects the
-// fetch-only ratio.
-func NewEval(cfg ace.Config, fetchHeavy bool, numaRun, globalRun, localRun RunResult) Eval {
-	// Bind a copy of the cost model to the run's topology so the G/L ratio
-	// reflects the machine actually simulated (the ACE binding reproduces
-	// the published constants exactly).
-	bc := cfg.Cost
-	if spec, err := ace.SpecForConfig(cfg); err == nil {
-		bc.Bind(spec)
-	}
-	gl := bc.GOverL(0.45)
+// T_numa, T_global and T_local — into its evaluation. spec is the T_numa
+// machine's topology, whose latencies give the G/L ratio; fetchHeavy
+// selects the fetch-only ratio.
+func NewEval(spec *topology.Spec, fetchHeavy bool, numaRun, globalRun, localRun RunResult) Eval {
+	gl := spec.GOverL(0.45)
 	if fetchHeavy {
-		gl = bc.GOverL(0)
+		gl = spec.GOverL(0)
 	}
 	ev := Eval{
 		Workload:  numaRun.Workload,

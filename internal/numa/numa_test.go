@@ -330,11 +330,11 @@ func TestLazyZeroFill(t *testing.T) {
 	rig(t, 2, func(th *sim.Thread, m *ace.Machine, n *numa.Manager, forced *policy.Forced) {
 		pg, _ := n.NewPage()
 		before := th.SysTime()
-		f, _ := n.Access(th, pg, 0, true, mmu.ProtReadWrite)
-		zeroCost := m.Cost().ZeroCost(f, 0, m.PageSize())
+		n.Access(th, pg, 0, true, mmu.ProtReadWrite)
 		elapsed := th.SysTime() - before
-		// One NUMA op plus a zero-fill at local speed; no global copy.
-		want := m.Cost().NUMAOp + zeroCost
+		// One NUMA op plus a zero-fill at the local store's 840ns a word;
+		// no global copy.
+		want := m.Cost().NUMAOp + sim.Time(m.PageSize()/4)*840*sim.Nanosecond
 		if elapsed != want {
 			t.Errorf("first-touch cost = %v, want %v (zero directly into local memory)", elapsed, want)
 		}
@@ -696,8 +696,9 @@ func TestSystemTimeCharged(t *testing.T) {
 		if th.SysTime() == 0 {
 			t.Error("protocol charged no system time")
 		}
-		// The migration must include a page copy each way at memory speed.
-		minCost := m.Cost().CopyCost(pg.GlobalFrame(), pg.GlobalFrame(), 0, m.PageSize())
+		// The migration must include a page copy each way at memory speed:
+		// at least a global fetch and a global store (1500ns + 1400ns) a word.
+		minCost := sim.Time(m.PageSize()/4) * (1500*sim.Nanosecond + 1400*sim.Nanosecond)
 		if th.SysTime() < minCost {
 			t.Errorf("sys time %v implausibly small (< one page copy %v)", th.SysTime(), minCost)
 		}

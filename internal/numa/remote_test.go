@@ -66,16 +66,20 @@ func TestRemoteAccessCosts(t *testing.T) {
 		pg.SetHint(numa.HintRemote)
 		pg.SetHome(0)
 		f, _ := n.Access(th, pg, 1, true, mmu.ProtReadWrite)
-		cost := m.Cost()
 		// Home accesses are local, others remote.
-		if got := cost.FetchCost(f, 0); got != cost.LocalFetch {
-			t.Errorf("home fetch cost %v, want local", got)
+		charged := func(charge func()) sim.Time {
+			before := th.UserTime()
+			charge()
+			return th.UserTime() - before
 		}
-		if got := cost.FetchCost(f, 1); got != cost.RemoteFetch {
-			t.Errorf("other fetch cost %v, want remote", got)
+		if got := charged(func() { m.ChargeFetch(th, 0, f) }); got != 650*sim.Nanosecond {
+			t.Errorf("home fetch cost %v, want the local 650ns", got)
 		}
-		if got := cost.StoreCost(f, 1); got != cost.RemoteStore {
-			t.Errorf("other store cost %v, want remote store", got)
+		if got := charged(func() { m.ChargeFetch(th, 1, f) }); got != 1800*sim.Nanosecond {
+			t.Errorf("other fetch cost %v, want the remote 1800ns", got)
+		}
+		if got := charged(func() { m.ChargeStore(th, 1, f) }); got != 1700*sim.Nanosecond {
+			t.Errorf("other store cost %v, want the remote 1700ns", got)
 		}
 	})
 }

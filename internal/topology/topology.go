@@ -48,9 +48,9 @@ type Link struct {
 	PerByte sim.Time
 }
 
-// Spec is an immutable machine shape. Build one with Explicit, Custom or
-// a named builder (ACE, FourSocket, Mesh8, ByName); the zero value is not
-// a valid Spec.
+// Spec is an immutable machine shape. Build one with Custom or a named
+// builder (ACE, FourSocket, Mesh8, ByName); the zero value is not a valid
+// Spec.
 type Spec struct {
 	name   string
 	nnodes int
@@ -139,6 +139,17 @@ func (s *Spec) StoreLatency(proc, col int) sim.Time {
 //
 //numalint:hotpath
 func (s *Spec) Contended() bool { return s.contended }
+
+// GOverL returns the G/L ratio of §2.2 for a reference mix with the given
+// store fraction: processor 0's interleave-column latency over its home
+// column's. On the ACE that is the paper's 2.3 for pure fetches and about
+// 2 for a mix with 45% stores.
+func (s *Spec) GOverL(storeFrac float64) float64 {
+	home, global := s.homeOf[0], s.nnodes
+	g := float64(s.FetchLatency(0, global))*(1-storeFrac) + float64(s.StoreLatency(0, global))*storeFrac
+	l := float64(s.FetchLatency(0, home))*(1-storeFrac) + float64(s.StoreLatency(0, home))*storeFrac
+	return g / l
+}
 
 // Dist returns the SLIT distance from node a to node b.
 //
@@ -230,30 +241,6 @@ func (s *Spec) finish() (*Spec, error) {
 	return s, nil
 }
 
-// Explicit builds a spec from fully explicit matrices: fetch and store
-// are per-processor rows of nnodes+1 latencies (column nnodes is the
-// interleaved global memory). homeOf may be nil for the default p %
-// nnodes assignment. The ACE builder uses this to install the paper's
-// measured constants verbatim.
-func Explicit(name string, nnodes, nprocs int, homeOf []int, dist [][]int, fetch, store [][]sim.Time) (*Spec, error) {
-	s := &Spec{name: name, nnodes: nnodes, nprocs: nprocs}
-	if homeOf == nil {
-		homeOf = defaultHomes(nnodes, nprocs)
-	}
-	s.homeOf = append([]int(nil), homeOf...)
-	var err error
-	if s.dist, err = flattenDist(name, nnodes, dist); err != nil {
-		return nil, err
-	}
-	if s.fetch, err = flattenLat(name, "fetch", nnodes, nprocs, fetch); err != nil {
-		return nil, err
-	}
-	if s.store, err = flattenLat(name, "store", nnodes, nprocs, store); err != nil {
-		return nil, err
-	}
-	return s.finish()
-}
-
 // Custom builds a contention-capable spec from a SLIT distance matrix:
 // latencies are derived as base × distance / 10 (integer nanosecond
 // arithmetic), the interleave column is the integer mean of the node
@@ -296,21 +283,6 @@ func flattenDist(name string, nnodes int, dist [][]int) ([]int, error) {
 			return nil, fmt.Errorf("topology %s: distance row %d has %d entries, want %d", name, a, len(row), nnodes)
 		}
 		copy(flat[a*nnodes:], row)
-	}
-	return flat, nil
-}
-
-// flattenLat copies per-processor latency rows into flat form.
-func flattenLat(name, what string, nnodes, nprocs int, rows [][]sim.Time) ([]sim.Time, error) {
-	if len(rows) != nprocs {
-		return nil, fmt.Errorf("topology %s: %s matrix has %d rows, want %d", name, what, len(rows), nprocs)
-	}
-	flat := make([]sim.Time, nprocs*(nnodes+1))
-	for p, row := range rows {
-		if len(row) != nnodes+1 {
-			return nil, fmt.Errorf("topology %s: %s row %d has %d entries, want %d", name, what, p, len(row), nnodes+1)
-		}
-		copy(flat[p*(nnodes+1):], row)
 	}
 	return flat, nil
 }

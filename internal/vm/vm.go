@@ -621,7 +621,8 @@ func (k *Kernel) pageoutOne(th *sim.Thread) bool {
 			data = make([]byte, k.machine.PageSize())
 		}
 		copy(data, pg.GlobalFrame().Data())
-		th.AdvanceSys(sim.Time(k.machine.PageSize()/4) * k.machine.Cost().GlobalFetch)
+		spec := k.machine.Spec()
+		th.AdvanceSys(sim.Time(k.machine.PageSize()/4) * spec.FetchLatency(0, spec.NNodes()))
 		s.backing = data
 		tag := k.pm.FreePage(th, pg)
 		k.pm.FreePageSync(tag)
@@ -656,7 +657,8 @@ func (k *Kernel) pagein(th *sim.Thread, obj *Object, idx int) {
 		}
 	}
 	copy(frame.Data(), s.backing)
-	th.AdvanceSys(sim.Time(k.machine.PageSize()/4) * k.machine.Cost().GlobalStore)
+	spec := k.machine.Spec()
+	th.AdvanceSys(sim.Time(k.machine.PageSize()/4) * spec.StoreLatency(0, spec.NNodes()))
 	k.bufPool = append(k.bufPool, s.backing)
 	s.backing = nil
 	s.pg = k.nm.AdoptPage(frame)
