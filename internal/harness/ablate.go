@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"numasim/internal/ace"
 	"numasim/internal/metrics"
 	"numasim/internal/numa"
 	"numasim/internal/policy"
@@ -134,12 +135,17 @@ func PageSizeSweep(opts Options, app string, sizes []int) ([]SweepRow, error) {
 	})
 }
 
-// GLSweep measures a workload with the global-memory latencies scaled by
-// the given factors (exploring machines with different G/L ratios).
+// GLSweep measures a workload with the global-memory latencies of the
+// options' machine scaled by the given factors (exploring machines with
+// different G/L ratios), on any topology.
 func GLSweep(opts Options, app string, factors []float64) ([]SweepRow, error) {
+	opts = opts.withDefaults()
+	base, err := ace.SpecForConfig(opts.config())
+	if err != nil {
+		return nil, err
+	}
 	return sweep(opts, app, labels("%.2f", factors), func(i int, s *metrics.RunSpec) {
-		s.Config.Cost.GlobalFetch = sim.Time(float64(s.Config.Cost.GlobalFetch) * factors[i])
-		s.Config.Cost.GlobalStore = sim.Time(float64(s.Config.Cost.GlobalStore) * factors[i])
+		s.Config.Topo = base.ScaleGlobal(factors[i])
 	})
 }
 

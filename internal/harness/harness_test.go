@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"numasim/internal/sim"
+	"numasim/internal/topology"
 	"numasim/internal/workloads"
 )
 
@@ -300,6 +301,34 @@ func TestGLSweep(t *testing.T) {
 	}
 	if rows[1].Tnuma <= rows[0].Tnuma {
 		t.Errorf("slower global memory should cost Gfetch user time: %.3f vs %.3f", rows[1].Tnuma, rows[0].Tnuma)
+	}
+}
+
+// TestGLSweepEveryTopology: the G/L sweep scales global memory on every
+// registered topology, not only the ACE. User time rises from factor 1
+// to factor 4, and the factor-1 point is the unswept run.
+func TestGLSweepEveryTopology(t *testing.T) {
+	for _, topo := range topology.Names() {
+		t.Run(topo, func(t *testing.T) {
+			opts := small
+			opts.Topology = topo
+			rows, err := GLSweep(opts, "IMatMult", []float64{1, 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := opts.RunApp("IMatMult", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one := rows[0]
+			if one.Tnuma != base.UserSec || one.Snuma != base.SysSec || one.Pins != base.NUMA.Pins || one.Moves != base.NUMA.Moves {
+				t.Errorf("factor 1 = %+v, want the unswept run (Tuser %.6f, Tsys %.6f, %d pins, %d moves)",
+					one, base.UserSec, base.SysSec, base.NUMA.Pins, base.NUMA.Moves)
+			}
+			if rows[1].Tnuma <= one.Tnuma {
+				t.Errorf("Tuser at factor 4 = %.6f, not above factor 1's %.6f", rows[1].Tnuma, one.Tnuma)
+			}
+		})
 	}
 }
 

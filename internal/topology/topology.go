@@ -151,6 +151,22 @@ func (s *Spec) GOverL(storeFrac float64) float64 {
 	return g / l
 }
 
+// ScaleGlobal returns a copy of the spec whose interleave-column fetch
+// and store latencies are multiplied by f (positive): the same machine
+// with a different G/L ratio. The copy shares every other table with s,
+// which is immutable.
+func (s *Spec) ScaleGlobal(f float64) *Spec {
+	c := *s
+	c.fetch = append([]sim.Time(nil), s.fetch...)
+	c.store = append([]sim.Time(nil), s.store...)
+	for p := 0; p < s.nprocs; p++ {
+		i := p*(s.nnodes+1) + s.nnodes
+		c.fetch[i] = sim.Time(float64(s.fetch[i]) * f)
+		c.store[i] = sim.Time(float64(s.store[i]) * f)
+	}
+	return &c
+}
+
 // Dist returns the SLIT distance from node a to node b.
 //
 //numalint:hotpath

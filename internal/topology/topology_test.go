@@ -13,6 +13,36 @@ var aceLat = ACELatencies{
 	RemoteFetch: 1800 * sim.Nanosecond, RemoteStore: 1700 * sim.Nanosecond,
 }
 
+// TestScaleGlobal: the scaled copy multiplies every processor's
+// interleave-column latencies, keeps every node column, and leaves the
+// original spec as it was.
+func TestScaleGlobal(t *testing.T) {
+	s, err := FourSocket(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := s.NNodes()
+	orig := s.FetchLatency(0, g)
+	c := s.ScaleGlobal(2)
+	for p := 0; p < s.NProcs(); p++ {
+		for col := 0; col <= g; col++ {
+			f, st := s.FetchLatency(p, col), s.StoreLatency(p, col)
+			if col == g {
+				f, st = 2*f, 2*st
+			}
+			if c.FetchLatency(p, col) != f || c.StoreLatency(p, col) != st {
+				t.Errorf("scaled cpu%d col %d = %v/%v, want %v/%v", p, col, c.FetchLatency(p, col), c.StoreLatency(p, col), f, st)
+			}
+		}
+	}
+	if s.FetchLatency(0, g) != orig {
+		t.Errorf("ScaleGlobal changed the original's global fetch to %v, was %v", s.FetchLatency(0, g), orig)
+	}
+	if got, want := c.GOverL(0), 2*s.GOverL(0); got != want {
+		t.Errorf("scaled fetch-only G/L = %v, want %v", got, want)
+	}
+}
+
 // TestACESpecMatchesPublishedConstants: the ACE builder's latency matrix
 // holds exactly the six published constants — the foundation of the
 // byte-identity contract.
