@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"numasim/internal/metrics"
+	"numasim/internal/policy"
 	"numasim/internal/sim"
 	"numasim/internal/topology"
 	"numasim/internal/workloads"
@@ -341,6 +343,38 @@ func TestQuantumSweep(t *testing.T) {
 		if r.Tnuma <= 0 {
 			t.Errorf("quantum %s: no user time", r.Param)
 		}
+	}
+}
+
+// TestPragmaMatchesItsFallback: Phased sets no placement hints, so under
+// pragma:fallback=X every page falls through to X, and the run must be
+// X's own. That holds only if the wrapper forwards X's defrost sweep and
+// its thread advice.
+func TestPragmaMatchesItsFallback(t *testing.T) {
+	for _, name := range policy.Names() {
+		if name == "pragma" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			run := func(spec string) metrics.RunResult {
+				res, err := Options{NProc: 4, Policy: spec}.RunApp("Phased", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			bare, wrapped := run(name), run("pragma:fallback="+name)
+			if wrapped.UserSec != bare.UserSec || wrapped.SysSec != bare.SysSec {
+				t.Errorf("pragma-wrapped Tuser %.6f Tsys %.6f, bare %.6f %.6f",
+					wrapped.UserSec, wrapped.SysSec, bare.UserSec, bare.SysSec)
+			}
+			if wrapped.NUMA != bare.NUMA {
+				t.Errorf("pragma-wrapped NUMA counters %+v, bare %+v", wrapped.NUMA, bare.NUMA)
+			}
+			if !reflect.DeepEqual(wrapped.Sched, bare.Sched) {
+				t.Errorf("pragma-wrapped scheduler counters %+v, bare %+v", wrapped.Sched, bare.Sched)
+			}
+		})
 	}
 }
 

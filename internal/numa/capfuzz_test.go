@@ -11,6 +11,7 @@ package numa_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"numasim/internal/ace"
@@ -49,10 +50,11 @@ func (c *capPolicy) AdviseThread(pg *numa.Page, spec *topology.Spec, node int) (
 }
 
 // fakeMover stands in for the scheduler on a machine with no scheduler:
-// it records every hint and accepts every other one.
+// it records every hint's target node and accepts every other hint.
 type fakeMover struct {
 	calls    int
 	accepted int
+	targets  []int
 }
 
 // MigrateHint implements numa.ThreadMover.
@@ -60,6 +62,7 @@ type fakeMover struct {
 //numalint:hotpath
 func (f *fakeMover) MigrateHint(th *sim.Thread, node int) bool {
 	f.calls++
+	f.targets = append(f.targets, node)
 	if f.calls%2 == 0 {
 		f.accepted++
 		return true
@@ -91,8 +94,10 @@ var (
 
 // capFuzzScript is fuzzScript's capability-bearing sibling: same shape
 // of seeded access script, but the policy advises thread moves
-// throughout.
-func capFuzzScript(t *testing.T, seed int64) {
+// throughout. With pragma set the advising policy runs as the fallback
+// of a policy.Pragma. It returns the target of every hint the mover
+// received.
+func capFuzzScript(t *testing.T, seed int64, pragma bool) []int {
 	t.Helper()
 	cfg := ace.DefaultConfig()
 	cfg.NProc = 3
@@ -115,7 +120,11 @@ func capFuzzScript(t *testing.T, seed int64) {
 			ok:     rng.Intn(3) != 0,
 		})
 	}
-	n := numa.NewManager(m, pol)
+	var bound numa.Policy = pol
+	if pragma {
+		bound = policy.NewPragma(pol)
+	}
+	n := numa.NewManager(m, bound)
 	// A short epoch so the heat counters decay within the run.
 	n.SetHeatEpoch(sim.Millisecond)
 	mover := &fakeMover{}
@@ -199,7 +208,7 @@ func capFuzzScript(t *testing.T, seed int64) {
 	if scriptErr != nil || len(checker.errs) > 0 {
 		t.Errorf("seed %d: script error: %v; checker errors: %v", seed, scriptErr, checker.errs)
 		t.Logf("last %d events:\n%s", len(ring.Events()), simtrace.FormatEvents(ring.Events()))
-		return
+		return nil
 	}
 	if ledger.hints != mover.calls {
 		t.Errorf("seed %d: manager traced %d hints, mover saw %d calls", seed, ledger.hints, mover.calls)
@@ -207,6 +216,7 @@ func capFuzzScript(t *testing.T, seed int64) {
 	if ledger.accepted != mover.accepted {
 		t.Errorf("seed %d: manager traced %d accepted hints, mover accepted %d", seed, ledger.accepted, mover.accepted)
 	}
+	return mover.targets
 }
 
 // TestProtocolFuzzCapabilities replays seeded scripts with the
@@ -220,9 +230,25 @@ func TestProtocolFuzzCapabilities(t *testing.T) {
 		seeds = 25
 	}
 	for seed := 0; seed < seeds; seed++ {
-		capFuzzScript(t, int64(20_000+seed))
+		capFuzzScript(t, int64(20_000+seed), false)
 		if t.Failed() {
 			t.Fatalf("stopping at first failing seed")
+		}
+	}
+}
+
+// TestPragmaForwardsAdvice replays capability scripts with the advising
+// policy wrapped in a policy.Pragma. The fuzz pages carry no hints, so
+// the mover must receive exactly the hints it receives unwrapped.
+func TestPragmaForwardsAdvice(t *testing.T) {
+	for seed := int64(20_000); seed < 20_025; seed++ {
+		bare := capFuzzScript(t, seed, false)
+		wrapped := capFuzzScript(t, seed, true)
+		if len(bare) == 0 {
+			t.Fatalf("seed %d: the unwrapped policy gave no hints to compare", seed)
+		}
+		if !slices.Equal(wrapped, bare) {
+			t.Fatalf("seed %d: pragma-wrapped mover received hints %v, unwrapped %v", seed, wrapped, bare)
 		}
 	}
 }

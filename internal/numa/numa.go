@@ -101,7 +101,9 @@ func (l Location) String() string {
 // and then so accesses fault and re-consult it. The manager runs an
 // amortized sweep — the moral equivalent of PLATINUM's defrost daemon —
 // dropping mappings of pages that have been pinned and unexamined for the
-// given interval.
+// given interval. NewManager reads the interval once; a non-positive
+// interval means no sweep, and the manager then keeps no list of pinned
+// pages, as for a policy without the capability.
 type ReconsideringPolicy interface {
 	Policy
 	ReconsiderInterval() sim.Time
@@ -377,22 +379,24 @@ type Manager struct {
 	// ablation; the paper's system always replicates.
 	noReplication bool
 
-	// Defrost-daemon state for ReconsideringPolicy (see that type).
-	gwPages   []*Page
-	lastSweep sim.Time
+	// Defrost-daemon state for ReconsideringPolicy (see that type):
+	// sweepEvery is the policy's interval, read once by NewManager, and
+	// non-positive when nothing is swept.
+	sweepEvery sim.Time
+	gwPages    []*Page
+	lastSweep  sim.Time
 
-	// Capability bindings (see policyapi.go): the policy's optional
-	// interfaces, asserted once in NewManager so the hot path only
+	// Capability bindings (see policyapi.go): the policy's advisor
+	// interface, asserted once in NewManager so the hot path only
 	// nil-checks. spec is the machine's topology, passed to the
 	// advisor; heatEpoch is the decay period and curEpoch the latest
 	// epoch any request has reached; mover is the scheduler-side
 	// co-placement channel installed by SetThreadMover.
-	advisor    ThreadAdvisor
-	reconsider ReconsideringPolicy
-	mover      ThreadMover
-	spec       *topology.Spec
-	heatEpoch  sim.Time
-	curEpoch   uint32
+	advisor   ThreadAdvisor
+	mover     ThreadMover
+	spec      *topology.Spec
+	heatEpoch sim.Time
+	curEpoch  uint32
 
 	// chaos, when non-nil, injects transient local-allocation failures
 	// and page-move delays on the pressure paths.
@@ -441,7 +445,9 @@ func NewManager(machine *ace.Machine, pol Policy) *Manager {
 	n := &Manager{machine: machine, policy: pol, policyName: pol.Name(), bus: machine.Bus(),
 		spec: machine.Spec(), heatEpoch: DefaultHeatEpoch}
 	n.advisor, _ = pol.(ThreadAdvisor)
-	n.reconsider, _ = pol.(ReconsideringPolicy)
+	if r, ok := pol.(ReconsideringPolicy); ok {
+		n.sweepEvery = r.ReconsiderInterval()
+	}
 	machine.Engine().AddDumpSection(n.DumpSection)
 	nnodes := machine.NNodes()
 	n.shards = make([]procShard, nnodes)
@@ -849,7 +855,7 @@ func (n *Manager) toGlobal(th *sim.Thread, pg *Page, proc, node int, maxProt mmu
 				})
 			}
 		}
-		if n.reconsider != nil {
+		if n.sweepEvery > 0 {
 			n.gwPages = append(n.gwPages, pg) //numalint:coldpath bounded: one slot per pinned page, reclaimed by the sweep
 		}
 	}
@@ -870,11 +876,10 @@ func (n *Manager) toGlobal(th *sim.Thread, pg *Page, proc, node int, maxProt mmu
 //
 //numalint:hotpath
 func (n *Manager) MaybeSweep(th *sim.Thread) {
-	if n.reconsider == nil || len(n.gwPages) == 0 {
+	if n.sweepEvery <= 0 || len(n.gwPages) == 0 {
 		return
 	}
-	interval := n.reconsider.ReconsiderInterval()
-	if th.Clock()-n.lastSweep < interval {
+	if th.Clock()-n.lastSweep < n.sweepEvery {
 		return
 	}
 	n.lastSweep = th.Clock()

@@ -6,10 +6,14 @@
 // NewManager:
 //
 //   - ReconsideringPolicy (numa.go): the policy wants pinned pages
-//     re-presented by the defrost sweep;
+//     re-presented by the defrost sweep, at an interval the manager
+//     reads once;
 //   - ThreadAdvisor: the policy may advise the scheduler to migrate the
 //     faulting thread toward the node holding the page's heat, a
 //     channel the scheduler's side (ThreadMover) connects.
+//
+// A policy that wraps another (policy.Pragma, policy.CoPlace) forwards
+// both, so the wrapped policy keeps its sweep and its advice.
 //
 // The decaying counters (heat, moveHeat, heatEpoch on the Page record)
 // are kept on every request whatever the policy, so a policy reads them

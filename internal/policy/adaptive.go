@@ -233,10 +233,6 @@ func (c *Classifier) Name() string { return fmt.Sprintf("classifier(%d)", c.Limi
 //numalint:hotpath
 func (c *Classifier) ReconsiderInterval() sim.Time { return DefaultSweepInterval }
 
-// neverSweep effectively disables the defrost daemon for a CoPlace
-// whose inner policy never reconsiders: no virtual clock reaches it.
-const neverSweep = sim.Time(1) << 62
-
 // CoPlace wraps an inner page-placement policy with the ThreadAdvisor
 // capability: page placement is the inner policy's verbatim, and after
 // each request CoPlace may advise the scheduler to migrate the
@@ -249,8 +245,6 @@ const neverSweep = sim.Time(1) << 62
 type CoPlace struct {
 	Inner   numa.Policy
 	MinHeat uint32 // decayed heat the winner needs before advising
-
-	innerRec numa.ReconsideringPolicy
 }
 
 // NewCoPlace wraps inner (the default DecayThreshold when nil) with
@@ -262,9 +256,7 @@ func NewCoPlace(inner numa.Policy, minHeat int) *CoPlace {
 	if minHeat < 1 {
 		panic(fmt.Sprintf("policy: coplace min heat %d < 1", minHeat))
 	}
-	c := &CoPlace{Inner: inner, MinHeat: uint32(minHeat)}
-	c.innerRec, _ = inner.(numa.ReconsideringPolicy)
-	return c
+	return &CoPlace{Inner: inner, MinHeat: uint32(minHeat)}
 }
 
 // CachePolicy implements numa.Policy: page placement is the inner
@@ -280,17 +272,12 @@ func (c *CoPlace) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.P
 //numalint:coldpath formats a report label; the manager only calls Name when tracing is on
 func (c *CoPlace) Name() string { return "coplace+" + c.Inner.Name() }
 
-// ReconsiderInterval implements numa.ReconsideringPolicy, delegating
-// to the inner policy; a non-reconsidering inner policy would gain
-// nothing from sweeps, so they are pushed beyond any virtual clock.
+// ReconsiderInterval implements numa.ReconsideringPolicy by forwarding
+// to the inner policy: 0, no sweep, when the inner policy does not
+// reconsider.
 //
 //numalint:hotpath
-func (c *CoPlace) ReconsiderInterval() sim.Time {
-	if c.innerRec != nil {
-		return c.innerRec.ReconsiderInterval()
-	}
-	return neverSweep
-}
+func (c *CoPlace) ReconsiderInterval() sim.Time { return sweepInterval(c.Inner) }
 
 // AdviseThread implements numa.ThreadAdvisor. node is the faulting
 // thread's current node; each candidate node's decayed heat is

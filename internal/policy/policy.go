@@ -18,6 +18,7 @@ import (
 	"numasim/internal/mmu"
 	"numasim/internal/numa"
 	"numasim/internal/sim"
+	"numasim/internal/topology"
 )
 
 // DefaultThreshold is the paper's default move limit ("a system-wide
@@ -142,6 +143,35 @@ func (p *Pragma) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.Pr
 //numalint:coldpath formats a report label; the manager only calls Name when tracing is on
 func (p *Pragma) Name() string { return "pragma+" + p.Fallback.Name() }
 
+// ReconsiderInterval implements numa.ReconsideringPolicy by forwarding
+// to the fallback: 0, no sweep, when the fallback does not reconsider.
+//
+//numalint:hotpath
+func (p *Pragma) ReconsiderInterval() sim.Time { return sweepInterval(p.Fallback) }
+
+// AdviseThread implements numa.ThreadAdvisor by forwarding to the
+// fallback, which gives no advice unless it advises.
+//
+//numalint:hotpath
+func (p *Pragma) AdviseThread(pg *numa.Page, spec *topology.Spec, node int) (int, bool) {
+	if a, ok := p.Fallback.(numa.ThreadAdvisor); ok {
+		return a.AdviseThread(pg, spec, node)
+	}
+	return 0, false
+}
+
+// sweepInterval is pol's defrost-sweep interval, or 0 (no sweep) when
+// pol does not reconsider pinned pages. Wrappers forward
+// ReconsiderInterval through it.
+//
+//numalint:hotpath
+func sweepInterval(pol numa.Policy) sim.Time {
+	if r, ok := pol.(numa.ReconsideringPolicy); ok {
+		return r.ReconsiderInterval()
+	}
+	return 0
+}
+
 // Reconsider is the §5 extension: like Threshold, but every Period requests
 // that find a page pinned it forgives the page's accumulated moves, giving
 // the page another chance to live in local memory. This models
@@ -248,11 +278,13 @@ func (s *Scripted) Name() string { return "scripted" }
 
 // Compile-time interface checks.
 var (
-	_ numa.Policy = (*Threshold)(nil)
-	_ numa.Policy = AllGlobal{}
-	_ numa.Policy = AllLocal{}
-	_ numa.Policy = (*Pragma)(nil)
-	_ numa.Policy = (*Reconsider)(nil)
-	_ numa.Policy = (*Forced)(nil)
-	_ numa.Policy = (*Scripted)(nil)
+	_ numa.Policy              = (*Threshold)(nil)
+	_ numa.Policy              = AllGlobal{}
+	_ numa.Policy              = AllLocal{}
+	_ numa.Policy              = (*Pragma)(nil)
+	_ numa.ReconsideringPolicy = (*Pragma)(nil)
+	_ numa.ThreadAdvisor       = (*Pragma)(nil)
+	_ numa.Policy              = (*Reconsider)(nil)
+	_ numa.Policy              = (*Forced)(nil)
+	_ numa.Policy              = (*Scripted)(nil)
 )
