@@ -171,21 +171,8 @@ func (n *Manager) evacuatePage(th *sim.Thread, pg *Page, node int) {
 			n.emitEvacuate(th, pg, node, -1, "sync to global")
 			break
 		}
-		src := pg.copies[node]
-		dstProc := n.nodeProc(dst)
-		dstF, err := n.machine.Memory().Local(dst).Alloc()
-		if err != nil {
-			// evacDest verified (or reclaimed) a free frame.
-			panic(n.violation(pg, "numa: evacuation pool %d unexpectedly empty: %v", dst, err))
-		}
-		dstF.CopyFrom(src)
-		n.machine.ChargeCopySys(th, src, dstF, dstProc)
-		n.stats.Copies++
-		n.chargeMoveDelay(th, dstProc)
-		n.dropCopy(th, pg, node)
-		n.noteCopy(pg, dst, dstF)
-		pg.owner = dst
-		pg.lastOwner = dst
+		// evacDest verified (or reclaimed) a free frame.
+		n.moveOwner(th, pg, dst, n.nodeProc(dst))
 		n.stats.Evacuations++
 		n.emitEvacuate(th, pg, node, dst, "migrate owner")
 	case pg.copies[node] != nil:

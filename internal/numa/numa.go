@@ -1041,21 +1041,28 @@ func (n *Manager) MigrateOwner(th *sim.Thread, pg *Page, newProc int) {
 	if n.machine.Memory().Local(node).Free() == 0 {
 		return // destination full: leave the page; faults will sort it out
 	}
+	n.moveOwner(th, pg, node, newProc)
+	n.maybeAudit(pg)
+}
+
+// moveOwner moves a local-writable page's authoritative copy from its
+// owner node to node in one copy-then-drop step, charging the copy and
+// any move delay to proc. The caller has verified that node has a free
+// frame.
+func (n *Manager) moveOwner(th *sim.Thread, pg *Page, node, proc int) {
 	src := pg.copies[pg.owner]
 	dst, err := n.machine.Memory().Local(node).Alloc()
 	if err != nil {
-		// Free() was checked above.
 		panic(n.violation(pg, "numa: local pool %d unexpectedly empty: %v", node, err))
 	}
 	dst.CopyFrom(src)
-	n.machine.ChargeCopySys(th, src, dst, newProc)
+	n.machine.ChargeCopySys(th, src, dst, proc)
 	n.stats.Copies++
-	n.chargeMoveDelay(th, newProc)
+	n.chargeMoveDelay(th, proc)
 	n.dropCopy(th, pg, pg.owner)
 	n.noteCopy(pg, node, dst)
 	pg.owner = node
 	pg.lastOwner = node
-	n.maybeAudit(pg)
 }
 
 // PrepareEvict quiesces a page for pageout: syncs a dirty owner copy back
