@@ -35,7 +35,8 @@
 #                   injection (small sizes; exercises reclaim, fallback
 #                   and retry end to end)
 #   make topo     - the topology gate: ACE byte-identity goldens through
-#                   the generalized path, the multi-node protocol fuzz,
+#                   the generalized path, spec-priced copies and the G/L
+#                   sweep on every topology, the multi-node protocol fuzz,
 #                   and the link-contention property tests, under -race
 #   make tournament - the policy-zoo gate: run the ranked tournament CSV
 #                   at -parallel 1 and -parallel 8 and require the bytes
@@ -158,11 +159,14 @@ audit:
 	$(GO) test -run 'TestProtocolFuzz' -count=1 ./internal/numa/
 
 # topo is the topology gate: the ACE goldens must stay byte-identical
-# through the generalized topology path, the protocol fuzz must hold on
-# random multi-node machines, and the link model's conservation,
-# monotonicity and determinism properties must pass — all under -race.
+# through the generalized topology path, page copies and zero-fills must
+# be priced from the spec and the G/L sweep must scale global memory on
+# every registered topology, the protocol fuzz must hold on random
+# multi-node machines, and the link model's conservation, monotonicity
+# and determinism properties must pass — all under -race.
 topo:
-	$(GO) test -race -count=1 -run 'TestTable3GoldenACE|TestFigure1Golden|TestTable3ACEExplicitTopology|TestTopologyParallelDeterminism' ./internal/harness/
+	$(GO) test -race -count=1 -run 'TestTable3GoldenACE|TestFigure1Golden|TestTable3ACEExplicitTopology|TestTopologyParallelDeterminism|TestGLSweepEveryTopology' ./internal/harness/
+	$(GO) test -race -count=1 -run 'TestCopyZeroChargesFromSpec' ./internal/ace/
 	$(GO) test -race -count=1 -run 'TestProtocolFuzzTopology' ./internal/numa/
 	$(GO) test -race -count=1 ./internal/topology/
 
