@@ -451,12 +451,11 @@ func (m *Machine) chargeLink(th *sim.Thread, proc int, f *mem.Frame, bytes int, 
 }
 
 // ChargeCopySys charges th, as system time, for processor proc copying a
-// full page from src to dst word by word at memory speed — a fetch from
-// src and a store to dst per word, priced from proc's charge row — plus
-// any interconnect queueing delay on the two transfers. Page movement is
-// the dominant term in the paper's system times (§3.3); all kernel
-// page-copy sites (NUMA protocol moves, pmap's physical copy) charge
-// through here so contention applies uniformly.
+// full page from src to dst at memory speed (a fetch and a store a word,
+// priced from proc's charge row) plus any interconnect queueing delay on
+// the two transfers. All kernel page-copy sites (NUMA protocol moves,
+// pmap's physical copy) charge through here so contention applies
+// uniformly.
 //
 //numalint:hotpath
 func (m *Machine) ChargeCopySys(th *sim.Thread, src, dst *mem.Frame, proc int) {
@@ -510,9 +509,8 @@ func (m *Machine) Topology() string {
 	}
 	s += fmt.Sprintf("    |\n    +== IPC bus (32-bit, 80 MB/s) == global memory (%d KB)\n",
 		m.cfg.GlobalFrames*m.cfg.PageSize/1024)
-	home, global := m.spec.Home(0), m.spec.NNodes()
+	sp, home, global := m.spec, m.spec.Home(0), m.spec.NNodes()
 	s += fmt.Sprintf("\n  latencies: local fetch %v store %v; global fetch %v store %v\n",
-		m.spec.FetchLatency(0, home), m.spec.StoreLatency(0, home),
-		m.spec.FetchLatency(0, global), m.spec.StoreLatency(0, global))
+		sp.FetchLatency(0, home), sp.StoreLatency(0, home), sp.FetchLatency(0, global), sp.StoreLatency(0, global))
 	return s
 }

@@ -379,9 +379,8 @@ type Manager struct {
 	// ablation; the paper's system always replicates.
 	noReplication bool
 
-	// Defrost-daemon state for ReconsideringPolicy (see that type):
-	// sweepEvery is the policy's interval, read once by NewManager, and
-	// non-positive when nothing is swept.
+	// Defrost-daemon state for ReconsideringPolicy (see that type); a
+	// non-positive sweepEvery means no sweep.
 	sweepEvery sim.Time
 	gwPages    []*Page
 	lastSweep  sim.Time

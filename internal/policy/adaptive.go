@@ -308,15 +308,11 @@ func (c *CoPlace) AdviseThread(pg *numa.Page, spec *topology.Spec, node int) (in
 	return best, true
 }
 
-// Compile-time interface checks.
+// Compile-time interface checks (both capabilities embed numa.Policy).
 var (
-	_ numa.Policy              = (*DecayThreshold)(nil)
 	_ numa.ReconsideringPolicy = (*DecayThreshold)(nil)
-	_ numa.Policy              = (*Bandit)(nil)
 	_ numa.ReconsideringPolicy = (*Bandit)(nil)
-	_ numa.Policy              = (*Classifier)(nil)
 	_ numa.ReconsideringPolicy = (*Classifier)(nil)
-	_ numa.Policy              = (*CoPlace)(nil)
 	_ numa.ThreadAdvisor       = (*CoPlace)(nil)
 	_ numa.ReconsideringPolicy = (*CoPlace)(nil)
 )

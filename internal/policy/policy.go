@@ -161,8 +161,7 @@ func (p *Pragma) AdviseThread(pg *numa.Page, spec *topology.Spec, node int) (int
 }
 
 // sweepInterval is pol's defrost-sweep interval, or 0 (no sweep) when
-// pol does not reconsider pinned pages. Wrappers forward
-// ReconsiderInterval through it.
+// pol does not reconsider; wrappers forward ReconsiderInterval with it.
 //
 //numalint:hotpath
 func sweepInterval(pol numa.Policy) sim.Time {
@@ -281,7 +280,6 @@ var (
 	_ numa.Policy              = (*Threshold)(nil)
 	_ numa.Policy              = AllGlobal{}
 	_ numa.Policy              = AllLocal{}
-	_ numa.Policy              = (*Pragma)(nil)
 	_ numa.ReconsideringPolicy = (*Pragma)(nil)
 	_ numa.ThreadAdvisor       = (*Pragma)(nil)
 	_ numa.Policy              = (*Reconsider)(nil)

@@ -85,18 +85,12 @@ func FourSocket(nprocs int) (*Spec, error) {
 func Mesh8(nprocs int) (*Spec, error) {
 	const rows, cols = 2, 4
 	const nnodes = rows * cols
-	dist := make([][]int, nnodes)
+	s := &Spec{name: "mesh8", nnodes: nnodes, nprocs: nprocs, homeOf: defaultHomes(nnodes, nprocs),
+		dist: make([]int, nnodes*nnodes)}
 	for a := 0; a < nnodes; a++ {
-		dist[a] = make([]int, nnodes)
 		for b := 0; b < nnodes; b++ {
-			hops := manhattan(a, b, cols)
-			dist[a][b] = LocalDistance + 6*hops
+			s.dist[a*nnodes+b] = LocalDistance + 6*manhattan(a, b, cols)
 		}
-	}
-	s := &Spec{name: "mesh8", nnodes: nnodes, nprocs: nprocs, homeOf: defaultHomes(nnodes, nprocs)}
-	var err error
-	if s.dist, err = flattenDist(s.name, nnodes, dist); err != nil {
-		return nil, err
 	}
 	s.fetch = deriveLatencies(s, 650*sim.Nanosecond)
 	s.store = deriveLatencies(s, 840*sim.Nanosecond)

@@ -23,6 +23,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"numasim/internal/sim"
@@ -157,12 +158,10 @@ func (s *Spec) GOverL(storeFrac float64) float64 {
 // which is immutable.
 func (s *Spec) ScaleGlobal(f float64) *Spec {
 	c := *s
-	c.fetch = append([]sim.Time(nil), s.fetch...)
-	c.store = append([]sim.Time(nil), s.store...)
-	for p := 0; p < s.nprocs; p++ {
-		i := p*(s.nnodes+1) + s.nnodes
-		c.fetch[i] = sim.Time(float64(s.fetch[i]) * f)
-		c.store[i] = sim.Time(float64(s.store[i]) * f)
+	c.fetch, c.store = slices.Clone(s.fetch), slices.Clone(s.store)
+	for i := s.nnodes; i < len(c.fetch); i += s.nnodes + 1 {
+		c.fetch[i] = sim.Time(float64(c.fetch[i]) * f)
+		c.store[i] = sim.Time(float64(c.store[i]) * f)
 	}
 	return &c
 }
