@@ -56,7 +56,10 @@ import (
 type (
 	// Config describes an ACE machine instance.
 	Config = ace.Config
-	// CostModel gives the virtual-time cost of every charged operation.
+	// CostModel gives the virtual-time cost of instruction work and
+	// kernel operations, and holds the ACE's measured latencies that
+	// seed its topology. Every memory access is priced from the
+	// machine's topology spec.
 	CostModel = ace.CostModel
 	// Machine is an assembled ACE.
 	Machine = ace.Machine
