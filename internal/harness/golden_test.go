@@ -56,10 +56,11 @@ func TestTable3GoldenACE(t *testing.T) {
 // at the small sizes, once on three ACE processors and once on the
 // four-socket machine (whose links and non-ACE cost binding the ACE pass
 // never exercises), so a refactor of the harness or of the layers below
-// it is proven against stored bytes rather than against itself. The
-// tournament sets its own topology per cell, so only the ACE pass runs
-// it. A newly registered experiment fails here until its goldens are
-// recorded:
+// it is proven against stored bytes rather than against itself. A result
+// with a CSV form pins that too, in NAME_small_p3.csv.golden and
+// NAME_small_p4_4socket.csv.golden. The tournament sets its own topology
+// per cell, so only the ACE pass runs it. A newly registered experiment
+// fails here until its goldens are recorded:
 //
 //	go test ./internal/harness -run TestRegistryGoldens -update
 func TestRegistryGoldens(t *testing.T) {
@@ -84,16 +85,24 @@ func TestRegistryGoldens(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := res.Render()
-				golden := name + pass.golden + ".golden"
-				if _, err := os.Stat("testdata/" + golden); err != nil && !*update {
-					t.Fatalf("experiment %q has no golden %s; record one with -update", name, golden)
-				}
-				if want := readGolden(t, golden, got); got != want {
-					t.Errorf("%s diverged from its golden.\ngot:\n%s\nwant:\n%s", name, got, want)
+				checkGolden(t, name+pass.golden+".golden", res.Render())
+				if c, ok := res.(CSVResult); ok {
+					checkGolden(t, name+pass.golden+".csv.golden", c.RenderCSV())
 				}
 			})
 		}
+	}
+}
+
+// checkGolden compares got with testdata/golden, which must exist unless
+// -update is recording it.
+func checkGolden(t *testing.T, golden, got string) {
+	t.Helper()
+	if _, err := os.Stat("testdata/" + golden); err != nil && !*update {
+		t.Fatalf("no golden %s; record one with -update", golden)
+	}
+	if want := readGolden(t, golden, got); got != want {
+		t.Errorf("%s diverged.\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
 
