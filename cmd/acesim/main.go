@@ -32,12 +32,13 @@
 // budgets, and the -chaos-seed/-chaos-fail/-chaos-delay flags enable
 // seeded fault injection.
 //
-// Policies are registry specs of the form "name:key=val,..." (see
-// policy.Usage): threshold (default), allglobal, alllocal, neverpin,
-// pragma, reconsider, freezedefrost, decaythreshold, bandit, classifier,
-// coplace. Parameters ride on the spec ("threshold:limit=2"). Apps:
-// ParMult, Gfetch, IMatMult, Primes1, Primes2, Primes2-untuned, Primes3,
-// FFT, PlyTrace, plus the Phased and Zipf policy probes.
+// Policies are registry specs of the form "name:key=val,...": threshold
+// (default), allglobal, alllocal, neverpin, pragma, reconsider,
+// freezedefrost, decaythreshold, bandit, classifier, coplace. Parameters
+// ride on the spec ("threshold:limit=2"); an unknown key's error lists
+// every key the policy reads, with its default. Apps: ParMult, Gfetch,
+// IMatMult, Primes1, Primes2, Primes2-untuned, Primes3, FFT, PlyTrace,
+// plus the Phased and Zipf policy probes.
 package main
 
 import (

@@ -6,8 +6,9 @@
 // The model is a timing model, not an ISA emulator. Applications execute
 // real Go code for their computations and charge virtual time for each
 // simulated memory reference and for counted instruction work, using the
-// latencies the paper measured: 32-bit local fetch 0.65µs / store 0.84µs,
-// global fetch 1.5µs / store 1.4µs.
+// latencies the paper measured (32-bit local fetch 0.65µs / store 0.84µs,
+// global fetch 1.5µs / store 1.4µs), which the topology package's ACE
+// spec holds.
 package ace
 
 import (
@@ -25,11 +26,6 @@ import (
 // topology spec holds them, and each processor's charge row prices every
 // reference, page copy and zero-fill from that spec.
 type CostModel struct {
-	// The ACE's measured 32-bit reference latencies (§2.2, §4.4). They
-	// seed the ACE spec's latency matrix (SpecForConfig) and are read
-	// nowhere else.
-	topology.ACELatencies
-
 	// Instruction costs. The ROMP has no hardware multiply/divide and no
 	// floating point unit, which the paper leans on repeatedly ("division
 	// is expensive on the ACE", "the high cost of integer multiplication").
@@ -46,19 +42,10 @@ type CostModel struct {
 	MMUOp     sim.Time // dropping or changing one translation, possibly cross-CPU
 }
 
-// DefaultCostModel returns the paper's measured memory latencies and
-// ROMP-plausible instruction costs.
+// DefaultCostModel returns ROMP-plausible instruction costs and kernel
+// overheads.
 func DefaultCostModel() CostModel {
 	return CostModel{
-		ACELatencies: topology.ACELatencies{
-			LocalFetch:  650 * sim.Nanosecond,
-			LocalStore:  840 * sim.Nanosecond,
-			GlobalFetch: 1500 * sim.Nanosecond,
-			GlobalStore: 1400 * sim.Nanosecond,
-			RemoteFetch: 1800 * sim.Nanosecond,
-			RemoteStore: 1700 * sim.Nanosecond,
-		},
-
 		Instr: 500 * sim.Nanosecond, // ~2 MIPS
 		Mul:   5 * sim.Microsecond,  // software multiply
 		Div:   15 * sim.Microsecond, // software divide
@@ -81,10 +68,9 @@ type Config struct {
 	Quantum      sim.Time // scheduling time slice between involuntary yields
 	Cost         CostModel
 
-	// Topology selects a registered machine shape by name ("4socket",
-	// "mesh8", ...). Empty or "ace" builds the paper's two-level ACE from
-	// the cost model's measured constants: one node per processor,
-	// uncontended.
+	// Topology selects a machine shape by name (see topology.Names).
+	// Empty or "ace" builds the paper's two-level ACE: one node per
+	// processor, uncontended.
 	Topology string
 	// Topo, when non-nil, overrides Topology with an explicit spec (tests
 	// and the fuzz suite build random machines this way).
@@ -92,14 +78,10 @@ type Config struct {
 }
 
 // SpecForConfig resolves the configuration's topology spec: the Topo
-// override if set, the registered shape named by Topology, or the ACE
-// two-level spec built from the cost model's measured constants.
+// override if set, otherwise the shape named by Topology.
 func SpecForConfig(cfg Config) (*topology.Spec, error) {
 	if cfg.Topo != nil {
 		return cfg.Topo, nil
-	}
-	if cfg.Topology == "" || cfg.Topology == "ace" {
-		return topology.ACE(cfg.NProc, cfg.Cost.ACELatencies)
 	}
 	return topology.ByName(cfg.Topology, cfg.NProc)
 }

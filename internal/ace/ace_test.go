@@ -14,18 +14,18 @@ import (
 func TestDefaultCostModelRatios(t *testing.T) {
 	// §2.2: global is 2.3x slower than local on fetches, 1.7x on stores,
 	// and about 2x for a mix with 45% stores (E13 in DESIGN.md).
-	c := DefaultCostModel()
-	fetch := float64(c.GlobalFetch) / float64(c.LocalFetch)
-	if math.Abs(fetch-2.3) > 0.05 {
-		t.Errorf("fetch ratio = %.2f, want ~2.3", fetch)
-	}
-	store := float64(c.GlobalStore) / float64(c.LocalStore)
-	if math.Abs(store-1.7) > 0.05 {
-		t.Errorf("store ratio = %.2f, want ~1.7", store)
-	}
 	spec, err := SpecForConfig(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	local, global := spec.Home(0), spec.NNodes()
+	fetch := float64(spec.FetchLatency(0, global)) / float64(spec.FetchLatency(0, local))
+	if math.Abs(fetch-2.3) > 0.05 {
+		t.Errorf("fetch ratio = %.2f, want ~2.3", fetch)
+	}
+	store := float64(spec.StoreLatency(0, global)) / float64(spec.StoreLatency(0, local))
+	if math.Abs(store-1.7) > 0.05 {
+		t.Errorf("store ratio = %.2f, want ~1.7", store)
 	}
 	if pure := spec.GOverL(0); pure != 1500.0/650.0 {
 		t.Errorf("fetch-only G/L = %v, want 1500/650", pure)

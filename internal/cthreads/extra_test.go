@@ -106,8 +106,9 @@ func TestSpinLockUncontendedFastPath(t *testing.T) {
 	}
 	// Uncontended lock+unlock: one test-and-set (fetch+store) plus one
 	// store, all local.
-	cost := r.Kernel().Machine().Cost()
-	want := cost.LocalFetch + 2*cost.LocalStore
+	spec := r.Kernel().Machine().Spec()
+	home := spec.Home(0)
+	want := spec.FetchLatency(0, home) + 2*spec.StoreLatency(0, home)
 	if elapsed != want {
 		t.Errorf("uncontended lock cycle = %v, want %v", elapsed, want)
 	}

@@ -119,9 +119,8 @@ func parseFrames(s string) ([]int, error) {
 func RunExperiments(prog string, names []string, opts Options, csv bool, stdout, stderr io.Writer) int {
 	for _, name := range names {
 		if name == "list" {
-			for _, n := range Names() {
-				e, _ := Lookup(n)
-				fmt.Fprintf(stdout, "%-16s %s\n", e.Name(), e.Describe())
+			for _, e := range experiments {
+				fmt.Fprintf(stdout, "%-16s %s\n", e.Name, e.Describe)
 			}
 			continue
 		}

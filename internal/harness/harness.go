@@ -34,10 +34,12 @@ type Options struct {
 	Small bool
 	// Policy, when non-empty, overrides the placement policy for
 	// single-policy experiments (the ablations, sweeps and pressure
-	// runs). It accepts any registry spec ("decaythreshold",
-	// "threshold:limit=2"; see policy.Usage). Experiments that compare a
-	// fixed policy set (table3, policycompare, tournament) ignore it.
-	// Empty keeps each experiment's default, byte-identical.
+	// runs). It accepts any policy.Parse spec ("decaythreshold",
+	// "threshold:limit=2"; policy.Names lists the names, and an unknown
+	// key's error lists every key the policy reads, with its default).
+	// Experiments that compare a fixed policy set (table3,
+	// policycompare, tournament) ignore it. Empty keeps each
+	// experiment's default, byte-identical.
 	Policy string
 	// AppSize, when positive, overrides the workload's primary size
 	// parameter (see workloads.New); a negative size is an error. Sweeps

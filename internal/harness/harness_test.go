@@ -334,6 +334,36 @@ func TestGLSweepEveryTopology(t *testing.T) {
 	}
 }
 
+// TestAvailabilityOnACE: the availability sweep resolves "ace" like every
+// other topology name. On four processors it runs the node-failure
+// schedules and drops the link brownout, since the ACE has no links; on
+// three it has too few nodes for the schedules to fail.
+func TestAvailabilityOnACE(t *testing.T) {
+	opts := small
+	opts.Topology = "ace"
+	rows, err := AvailabilitySweep(opts, []string{"Gfetch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"healthy", "single-loss", "rolling-loss"}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want the schedules %v: %+v", len(rows), want, rows)
+	}
+	for i, r := range rows {
+		if r.App != "Gfetch" || r.Schedule != want[i] || r.Err != "" {
+			t.Errorf("row %d = %s under %s (err %q), want Gfetch under %s", i, r.App, r.Schedule, r.Err, want[i])
+		}
+		if i > 0 && r.Evacuations+r.Failovers == 0 {
+			t.Errorf("%s lost no node: no evacuations or failovers", r.Schedule)
+		}
+	}
+	opts.NProc = 3
+	_, err = AvailabilitySweep(opts, []string{"Gfetch"})
+	if want := "topology ace has 3 nodes; the schedules fail nodes 1-3"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("3-processor ACE: err = %v, want %q", err, want)
+	}
+}
+
 func TestQuantumSweep(t *testing.T) {
 	rows, err := QuantumSweep(small, "IMatMult", []sim.Time{50 * sim.Microsecond, 400 * sim.Microsecond})
 	if err != nil {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"numasim/internal/sim"
@@ -23,47 +22,29 @@ type CSVResult interface {
 }
 
 // Experiment is one reproducible experiment: a named recipe that turns
-// Options into a Result. Implementations must be stateless — Run may be
-// called concurrently and repeatedly.
-type Experiment interface {
-	// Name is the registry key (matched case-insensitively).
-	Name() string
-	// Describe is a one-line summary for usage messages.
-	Describe() string
-	// Run executes the experiment.
-	Run(opts Options) (Result, error)
-}
-
-// registry maps lowercased experiment names to experiments. It is
-// populated by init and read-only afterwards, so lookups need no locking.
-var registry = map[string]Experiment{}
-
-// Register adds an experiment to the registry; it panics on a duplicate
-// name, which is a programming error.
-func Register(e Experiment) {
-	key := strings.ToLower(e.Name())
-	if _, dup := registry[key]; dup {
-		panic(fmt.Sprintf("harness: duplicate experiment %q", e.Name()))
-	}
-	registry[key] = e
+// Options into a Result. Run must be stateless: it may be called
+// concurrently and repeatedly.
+type Experiment struct {
+	Name     string // matched case-insensitively by Lookup
+	Describe string // one-line summary for -exp list
+	Run      func(opts Options) (Result, error)
 }
 
 // Lookup finds an experiment by name, case-insensitively.
 func Lookup(name string) (Experiment, bool) {
-	e, ok := registry[strings.ToLower(name)]
-	return e, ok
+	for _, e := range experiments {
+		if strings.EqualFold(e.Name, name) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
 // Names lists the registered experiment names, sorted.
 func Names() []string {
-	keys := make([]string, 0, len(registry))
-	for key := range registry {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	names := make([]string, len(keys))
-	for i, key := range keys {
-		names[i] = registry[key].Name()
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.Name
 	}
 	return names
 }
@@ -76,17 +57,6 @@ var TablesSequence = []string{
 	"table1", "table2", "table3", "table4",
 	"falsesharing",
 }
-
-// expFunc is the ordinary way to build an experiment: a name, a one-line
-// description, and a run function.
-type expFunc struct {
-	name, describe string
-	run            func(Options) (Result, error)
-}
-
-func (e expFunc) Name() string                     { return e.name }
-func (e expFunc) Describe() string                 { return e.describe }
-func (e expFunc) Run(opts Options) (Result, error) { return e.run(opts) }
 
 // stringResult adapts a pre-rendered string.
 type stringResult string
@@ -140,108 +110,13 @@ func appOr(opts Options, fallback string) string {
 	return fallback
 }
 
-func init() {
-	Register(expFunc{"figure1", "machine topology diagram (Figure 1)",
+// experiments is every registered experiment, sorted by name.
+var experiments = []Experiment{
+	{"affinity", "processor-affinity scheduling ablation (§4.7)",
 		func(opts Options) (Result, error) {
-			s, err := Figure1(opts)
-			return stringResult(s), err
-		}})
-	Register(expFunc{"figure2", "software architecture diagram (Figure 2)",
-		func(opts Options) (Result, error) {
-			return stringResult(Figure2()), nil
-		}})
-	Register(expFunc{"table1", "NUMA manager read-fault actions (Table 1)",
-		func(opts Options) (Result, error) {
-			s, err := ProtocolTable(false)
-			return stringResult(s), err
-		}})
-	Register(expFunc{"table2", "NUMA manager write-fault actions (Table 2)",
-		func(opts Options) (Result, error) {
-			s, err := ProtocolTable(true)
-			return stringResult(s), err
-		}})
-	Register(expFunc{"table3", "user times and model parameters (Table 3)",
-		func(opts Options) (Result, error) {
-			rows, err := Table3(opts)
-			return table3Result(rows), err
-		}})
-	Register(expFunc{"table4", "system-time overhead analysis (Table 4)",
-		func(opts Options) (Result, error) {
-			rows, err := Table4(opts)
-			return table4Result(rows), err
-		}})
-	Register(expFunc{"falsesharing", "Primes2 false-sharing tuning (§4.2)",
-		func(opts Options) (Result, error) {
-			r, err := FalseSharing(opts)
-			return r, err
-		}})
-	Register(expFunc{"thresholdsweep", "pin-threshold sweep (§2.3.2 boot-time parameter)",
-		func(opts Options) (Result, error) {
-			app := appOr(opts, "IMatMult")
-			rows, err := ThresholdSweep(opts, app, []int{0, 1, 2, 4, 8, 16, -1})
-			title := fmt.Sprintf("Pin-threshold sweep on %s", app)
-			return sweepResult{title, "threshold", rows}, err
-		}})
-	Register(expFunc{"pagesize", "page-size sweep (model ablation)",
-		func(opts Options) (Result, error) {
-			app := appOr(opts, "IMatMult")
-			rows, err := PageSizeSweep(opts, app, []int{1024, 2048, 4096, 8192})
-			return sweepResult{fmt.Sprintf("Page size sweep on %s", app), "page_size", rows}, err
-		}})
-	Register(expFunc{"glsweep", "global-latency (G/L ratio) sweep (model ablation)",
-		func(opts Options) (Result, error) {
-			app := appOr(opts, "IMatMult")
-			rows, err := GLSweep(opts, app, []float64{0.5, 1, 2, 4})
-			return sweepResult{fmt.Sprintf("Global-latency sweep on %s", app), "g_scale", rows}, err
-		}})
-	Register(expFunc{"quantumsweep", "scheduling-quantum sweep (simulation artifact check)",
-		func(opts Options) (Result, error) {
-			app := appOr(opts, "IMatMult")
-			rows, err := QuantumSweep(opts, app, []sim.Time{
-				50 * sim.Microsecond, 200 * sim.Microsecond, 1 * sim.Millisecond})
-			return sweepResult{fmt.Sprintf("Scheduling quantum sweep on %s", app), "quantum", rows}, err
-		}})
-	Register(expFunc{"unixmaster", "system calls funnelled to one processor (§4.6)",
-		func(opts Options) (Result, error) {
-			r, err := UnixMasterCompare(opts, appOr(opts, "Syscaller"))
-			return r, err
-		}})
-	Register(expFunc{"mix", "IMatMult, Primes1 and FFT sharing one machine",
-		func(opts Options) (Result, error) {
-			r, err := MixRun(opts, []string{"IMatMult", "Primes1", "FFT"})
-			return r, err
-		}})
-	Register(expFunc{"pressuresweep", "slowdown under shrinking local memory",
-		func(opts Options) (Result, error) {
-			// With no -app, sweep the paper's whole application mix.
-			var apps []string
-			if opts.App != "" {
-				apps = []string{opts.App}
-			}
-			rows, err := PressureSweepAll(opts, apps, opts.PressureFrames)
-			return pressureResult(rows), err
-		}})
-	Register(expFunc{"affinity", "processor-affinity scheduling ablation (§4.7)",
-		func(opts Options) (Result, error) {
-			r, err := AffinityCompare(opts, appOr(opts, "IMatMult"))
-			return r, err
-		}})
-	Register(expFunc{"replication", "read-replication ablation (Li-style migration)",
-		func(opts Options) (Result, error) {
-			r, err := ReplicationCompare(opts, appOr(opts, "IMatMult"))
-			return r, err
-		}})
-	Register(expFunc{"remote", "remote-reference pragma comparison (§4.4)",
-		func(opts Options) (Result, error) {
-			r, err := RemoteCompare(opts)
-			return r, err
-		}})
-	Register(expFunc{"policycompare", "threshold vs reconsider vs freeze/defrost",
-		func(opts Options) (Result, error) {
-			rows, err := PolicyCompare(opts)
-			return policyResult(rows), err
-		}})
-	Register(expFunc{"availability", "degradation under node/link failure schedules",
+			return AffinityCompare(opts, appOr(opts, "IMatMult"))
+		}},
+	{"availability", "degradation under node/link failure schedules",
 		func(opts Options) (Result, error) {
 			// With no -app, sweep the whole mix plus the Zipf probe.
 			var apps []string
@@ -250,12 +125,101 @@ func init() {
 			}
 			rows, err := AvailabilitySweep(opts, apps)
 			return availResult(rows), err
-		}})
-	Register(expFunc{"tournament", "policy zoo x workloads x topologies, ranked",
+		}},
+	{"falsesharing", "Primes2 false-sharing tuning (§4.2)",
 		func(opts Options) (Result, error) {
-			r, err := Tournament(opts)
-			return r, err
-		}})
+			return FalseSharing(opts)
+		}},
+	{"figure1", "machine topology diagram (Figure 1)",
+		func(opts Options) (Result, error) {
+			s, err := Figure1(opts)
+			return stringResult(s), err
+		}},
+	{"figure2", "software architecture diagram (Figure 2)",
+		func(opts Options) (Result, error) {
+			return stringResult(Figure2()), nil
+		}},
+	{"glsweep", "global-latency (G/L ratio) sweep (model ablation)",
+		func(opts Options) (Result, error) {
+			app := appOr(opts, "IMatMult")
+			rows, err := GLSweep(opts, app, []float64{0.5, 1, 2, 4})
+			return sweepResult{fmt.Sprintf("Global-latency sweep on %s", app), "g_scale", rows}, err
+		}},
+	{"mix", "IMatMult, Primes1 and FFT sharing one machine",
+		func(opts Options) (Result, error) {
+			return MixRun(opts, []string{"IMatMult", "Primes1", "FFT"})
+		}},
+	{"pagesize", "page-size sweep (model ablation)",
+		func(opts Options) (Result, error) {
+			app := appOr(opts, "IMatMult")
+			rows, err := PageSizeSweep(opts, app, []int{1024, 2048, 4096, 8192})
+			return sweepResult{fmt.Sprintf("Page size sweep on %s", app), "page_size", rows}, err
+		}},
+	{"policycompare", "threshold vs reconsider vs freeze/defrost",
+		func(opts Options) (Result, error) {
+			rows, err := PolicyCompare(opts)
+			return policyResult(rows), err
+		}},
+	{"pressuresweep", "slowdown under shrinking local memory",
+		func(opts Options) (Result, error) {
+			// With no -app, sweep the paper's whole application mix.
+			var apps []string
+			if opts.App != "" {
+				apps = []string{opts.App}
+			}
+			rows, err := PressureSweepAll(opts, apps, opts.PressureFrames)
+			return pressureResult(rows), err
+		}},
+	{"quantumsweep", "scheduling-quantum sweep (simulation artifact check)",
+		func(opts Options) (Result, error) {
+			app := appOr(opts, "IMatMult")
+			rows, err := QuantumSweep(opts, app, []sim.Time{
+				50 * sim.Microsecond, 200 * sim.Microsecond, 1 * sim.Millisecond})
+			return sweepResult{fmt.Sprintf("Scheduling quantum sweep on %s", app), "quantum", rows}, err
+		}},
+	{"remote", "remote-reference pragma comparison (§4.4)",
+		func(opts Options) (Result, error) {
+			return RemoteCompare(opts)
+		}},
+	{"replication", "read-replication ablation (Li-style migration)",
+		func(opts Options) (Result, error) {
+			return ReplicationCompare(opts, appOr(opts, "IMatMult"))
+		}},
+	{"table1", "NUMA manager read-fault actions (Table 1)",
+		func(opts Options) (Result, error) {
+			s, err := ProtocolTable(false)
+			return stringResult(s), err
+		}},
+	{"table2", "NUMA manager write-fault actions (Table 2)",
+		func(opts Options) (Result, error) {
+			s, err := ProtocolTable(true)
+			return stringResult(s), err
+		}},
+	{"table3", "user times and model parameters (Table 3)",
+		func(opts Options) (Result, error) {
+			rows, err := Table3(opts)
+			return table3Result(rows), err
+		}},
+	{"table4", "system-time overhead analysis (Table 4)",
+		func(opts Options) (Result, error) {
+			rows, err := Table4(opts)
+			return table4Result(rows), err
+		}},
+	{"thresholdsweep", "pin-threshold sweep (§2.3.2 boot-time parameter)",
+		func(opts Options) (Result, error) {
+			app := appOr(opts, "IMatMult")
+			rows, err := ThresholdSweep(opts, app, []int{0, 1, 2, 4, 8, 16, -1})
+			title := fmt.Sprintf("Pin-threshold sweep on %s", app)
+			return sweepResult{title, "threshold", rows}, err
+		}},
+	{"tournament", "policy zoo x workloads x topologies, ranked",
+		func(opts Options) (Result, error) {
+			return Tournament(opts)
+		}},
+	{"unixmaster", "system calls funnelled to one processor (§4.6)",
+		func(opts Options) (Result, error) {
+			return UnixMasterCompare(opts, appOr(opts, "Syscaller"))
+		}},
 }
 
 // Compile-time checks that experiment results satisfy the interfaces the

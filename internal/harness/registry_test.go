@@ -39,10 +39,10 @@ func TestRegistryNames(t *testing.T) {
 			t.Errorf("listed name %q does not look up", n)
 			continue
 		}
-		if e.Name() != n {
-			t.Errorf("Lookup(%q).Name() = %q", n, e.Name())
+		if e.Name != n {
+			t.Errorf("Lookup(%q).Name = %q", n, e.Name)
 		}
-		if e.Describe() == "" {
+		if e.Describe == "" {
 			t.Errorf("%q has no description", n)
 		}
 	}
@@ -56,17 +56,6 @@ func TestTablesSequenceRegistered(t *testing.T) {
 			t.Errorf("TablesSequence entry %q not registered", name)
 		}
 	}
-}
-
-// TestRegisterRejectsDuplicates: a duplicate registration is a programming
-// error and must panic.
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register(expFunc{name: "Table3", describe: "dup", run: nil})
 }
 
 // TestRegistryExperimentsRun: every registered experiment runs end to end

@@ -28,13 +28,18 @@ type FreezeDefrost struct {
 	DefrostAfter sim.Time
 }
 
+// DefaultFreeze is FreezeDefrost's default freeze window; the default
+// defrost time is ten windows. The windows must comfortably exceed the
+// several-millisecond cost of a page move, much as PLATINUM's daemon ran
+// on timer ticks.
+const DefaultFreeze = 20 * sim.Millisecond
+
 // NewFreezeDefrost returns a PLATINUM-style policy; non-positive arguments
-// select defaults (20 ms freeze window, 200 ms defrost — the windows must
-// comfortably exceed the several-millisecond cost of a page move, much as
-// PLATINUM's daemon ran on timer ticks).
+// select defaults (DefaultFreeze, and a defrost time of ten freeze
+// windows).
 func NewFreezeDefrost(freeze, defrost sim.Time) *FreezeDefrost {
 	if freeze <= 0 {
-		freeze = 20 * sim.Millisecond
+		freeze = DefaultFreeze
 	}
 	if defrost <= 0 {
 		defrost = 10 * freeze

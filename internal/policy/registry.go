@@ -1,6 +1,5 @@
-// Self-describing policy registry: every policy registers a Spec naming
-// its parameters and a factory, and Parse builds fresh instances from
-// the command-line syntax
+// Policy registry: one table names every policy -policy can select, and
+// Parse builds fresh instances from the command-line syntax
 //
 //	name
 //	name:key=val,key=val
@@ -11,6 +10,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,192 +19,189 @@ import (
 	"numasim/internal/sim"
 )
 
-// Param documents one policy parameter for usage listings.
-type Param struct {
-	Key     string
-	Default string
-	Doc     string
+// entry is one selectable policy: its name and a factory that reads the
+// policy's parameters, each with its default and bounds, and builds a
+// fresh instance. A value outside its bounds is recorded in the args, so
+// the constructor only ever sees valid values.
+type entry struct {
+	name string
+	new  func(a *args) numa.Policy
 }
 
-// Spec is one registered policy: its canonical name, a one-line
-// description, the parameters it accepts, and a factory building a
-// fresh instance from parsed arguments.
-type Spec struct {
-	Name   string
-	Doc    string
-	Params []Param
-	New    func(a *Args) (numa.Policy, error)
+// registry holds every selectable policy, sorted by name. init fills it:
+// the pragma and coplace factories look their inner policy up in it, so
+// a plain initializer would refer to itself.
+var registry []entry
+
+func init() {
+	registry = []entry{
+		{"allglobal", func(*args) numa.Policy { return AllGlobal{} }},
+		{"alllocal", func(*args) numa.Policy { return AllLocal{} }},
+		{"bandit", func(a *args) numa.Policy {
+			return NewBandit(a.int("eps", 10, 0, 100), a.uint64("seed", 1))
+		}},
+		{"classifier", func(a *args) numa.Policy {
+			return NewClassifier(a.int("limit", DefaultThreshold, 1, math.MaxInt))
+		}},
+		{"coplace", func(a *args) numa.Policy {
+			return NewCoPlace(a.policy("inner", "decaythreshold"), a.int("min", 8, 1, math.MaxInt))
+		}},
+		{"decaythreshold", func(a *args) numa.Policy {
+			return NewDecayThreshold(a.int("limit", DefaultThreshold, 1, math.MaxInt))
+		}},
+		{"freezedefrost", func(a *args) numa.Policy {
+			freeze := a.millis("freeze", DefaultFreeze)
+			return NewFreezeDefrost(freeze, a.millis("defrost", 10*freeze))
+		}},
+		{"neverpin", func(*args) numa.Policy { return NeverPin() }},
+		{"pragma", func(a *args) numa.Policy { return NewPragma(a.policy("fallback", "threshold")) }},
+		{"reconsider", func(a *args) numa.Policy {
+			return NewReconsider(a.int("limit", DefaultThreshold, 0, math.MaxInt), a.int("period", 64, 1, math.MaxInt))
+		}},
+		{"threshold", func(a *args) numa.Policy {
+			return NewThreshold(a.int("limit", DefaultThreshold, 0, math.MaxInt))
+		}},
+	}
 }
 
-// Usage renders the spec's command-line shape, e.g.
-// "threshold:limit=4".
-func (sp *Spec) Usage() string {
-	if len(sp.Params) == 0 {
-		return sp.Name
+// lookup finds the policy named name, case-insensitively.
+func lookup(name string) (entry, bool) {
+	name = strings.ToLower(name)
+	for _, e := range registry {
+		if e.name == name {
+			return e, true
+		}
 	}
-	parts := make([]string, len(sp.Params))
-	for i, p := range sp.Params {
-		parts[i] = p.Key + "=" + p.Default
-	}
-	return sp.Name + ":" + strings.Join(parts, ",")
-}
-
-var registry = map[string]*Spec{}
-
-// Register adds a policy spec to the registry. It panics on a duplicate
-// name; call it from init.
-func Register(sp Spec) {
-	key := strings.ToLower(sp.Name)
-	if _, dup := registry[key]; dup {
-		panic(fmt.Sprintf("policy: duplicate registration %q", sp.Name))
-	}
-	if sp.New == nil {
-		panic(fmt.Sprintf("policy: registration %q without a factory", sp.Name))
-	}
-	p := sp
-	registry[key] = &p
+	return entry{}, false
 }
 
 // Names returns every registered policy name, sorted.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	//numalint:ordered — sorted before returning
-	for _, sp := range registry {
-		names = append(names, sp.Name)
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// Specs returns every registered policy spec, sorted by name.
-func Specs() []*Spec {
-	specs := make([]*Spec, 0, len(registry))
-	//numalint:ordered — sorted before returning
-	for _, sp := range registry {
-		specs = append(specs, sp)
-	}
-	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
-	return specs
+// args carries a parsed parameter list into a policy factory. Each
+// accessor records the key it reads with its default, for the
+// unknown-parameter error, and keeps the first bad value's error for
+// Parse to report. A factory that builds a sub-policy (pragma, coplace)
+// passes its args through, so the inner policy's parameters live in the
+// same list.
+type args struct {
+	name    string // the parsed policy's, for errors
+	kv      map[string]string
+	used    map[string]bool
+	accepts []string // "key=default" for each key read, in reading order
+	err     error
 }
 
-// Usage renders the whole registry for CLI help text: one line per
-// policy, its parameter shape and description.
-func Usage() string {
-	var b strings.Builder
-	for _, sp := range Specs() {
-		fmt.Fprintf(&b, "  %-40s %s\n", sp.Usage(), sp.Doc)
-	}
-	return b.String()
-}
-
-// Args carries a parsed parameter list into a policy factory. Typed
-// accessors record which keys were consumed and collect conversion
-// errors; Parse reports the first error and any keys no factory asked
-// about. A factory that builds a sub-policy (pragma, coplace) passes
-// its Args through, so the inner policy's parameters live in the same
-// list.
-type Args struct {
-	policy string
-	kv     map[string]string
-	used   map[string]bool
-	err    error
-}
-
-func (a *Args) fail(format string, args ...any) {
+func (a *args) fail(format string, v ...any) {
 	if a.err == nil {
-		a.err = fmt.Errorf(format, args...)
+		a.err = fmt.Errorf("policy %s: "+format, append([]any{a.name}, v...)...)
 	}
 }
 
-// Str returns the string parameter key, or def when absent.
-func (a *Args) Str(key, def string) string {
-	a.used[key] = true
+// get marks key read, recording its default, and returns its value and
+// true if the spec gave one, def and false otherwise.
+func (a *args) get(key, def string) (string, bool) {
+	if !a.used[key] {
+		a.used[key] = true
+		a.accepts = append(a.accepts, key+"="+def)
+	}
 	if s, ok := a.kv[key]; ok {
-		return s
+		return s, true
 	}
-	return def
+	return def, false
 }
 
-// Int returns the integer parameter key, or def when absent.
-func (a *Args) Int(key string, def int) int {
-	a.used[key] = true
-	s, ok := a.kv[key]
+// int returns the integer parameter key, or def when absent or outside
+// [lo, hi].
+func (a *args) int(key string, def, lo, hi int) int {
+	s, ok := a.get(key, strconv.Itoa(def))
 	if !ok {
 		return def
 	}
 	v, err := strconv.Atoi(s)
-	if err != nil {
-		a.fail("policy %s: %s=%q: want an integer", a.policy, key, s)
-		return def
+	switch {
+	case err != nil:
+		a.fail("%s=%q: want an integer", key, s)
+	case v < lo && hi == math.MaxInt:
+		a.fail("%s=%d: want at least %d", key, v, lo)
+	case v < lo || v > hi:
+		a.fail("%s=%d: want %d to %d", key, v, lo, hi)
+	default:
+		return v
 	}
-	return v
+	return def
 }
 
-// Uint64 returns the unsigned parameter key (seeds), or def when absent.
-func (a *Args) Uint64(key string, def uint64) uint64 {
-	a.used[key] = true
-	s, ok := a.kv[key]
+// uint64 returns the unsigned parameter key (seeds), or def when absent.
+func (a *args) uint64(key string, def uint64) uint64 {
+	s, ok := a.get(key, strconv.FormatUint(def, 10))
 	if !ok {
 		return def
 	}
 	v, err := strconv.ParseUint(s, 0, 64)
 	if err != nil {
-		a.fail("policy %s: %s=%q: want an unsigned integer", a.policy, key, s)
+		a.fail("%s=%q: want an unsigned integer", key, s)
 		return def
 	}
 	return v
 }
 
-// Millis returns the duration parameter key, given as integer virtual
+// millis returns the duration parameter key, given as integer virtual
 // milliseconds, or def when absent.
-func (a *Args) Millis(key string, def sim.Time) sim.Time {
-	a.used[key] = true
-	s, ok := a.kv[key]
+func (a *args) millis(key string, def sim.Time) sim.Time {
+	s, ok := a.get(key, strconv.FormatInt(int64(def/sim.Millisecond), 10))
 	if !ok {
 		return def
 	}
 	v, err := strconv.Atoi(s)
 	if err != nil || v < 0 {
-		a.fail("policy %s: %s=%q: want milliseconds as a non-negative integer", a.policy, key, s)
+		a.fail("%s=%q: want milliseconds as a non-negative integer", key, s)
 		return def
 	}
 	return sim.Time(v) * sim.Millisecond
 }
 
-// Policy builds the sub-policy named by parameter key (def when
-// absent), sharing this argument list, so the inner policy's
-// parameters ride along: "coplace:inner=threshold,limit=2".
-func (a *Args) Policy(key, def string) numa.Policy {
-	name := strings.ToLower(a.Str(key, def))
-	sp, ok := registry[name]
+// policy builds the sub-policy named by parameter key (def when absent),
+// sharing this argument list, so the inner policy's parameters ride
+// along: "coplace:inner=threshold,limit=2". A key read twice means the
+// spec nests a policy in itself ("pragma:fallback=pragma"), which would
+// recurse forever.
+func (a *args) policy(key, def string) numa.Policy {
+	if a.used[key] {
+		a.fail("%s=%q: a policy cannot nest itself", key, a.kv[key])
+		return NewDefault()
+	}
+	name, _ := a.get(key, def)
+	e, ok := lookup(name)
 	if !ok {
-		a.fail("policy %s: %s=%q: unknown policy (known: %s)",
-			a.policy, key, name, strings.Join(Names(), ", "))
+		a.fail("%s=%q: unknown policy (known: %s)", key, name, strings.Join(Names(), ", "))
 		return NewDefault()
 	}
-	pol, err := sp.New(a)
-	if err != nil {
-		a.fail("policy %s: %v", a.policy, err)
-		return NewDefault()
-	}
-	return pol
+	return e.new(a)
 }
 
 // Parse builds a fresh policy instance from its command-line spelling:
 // a registered name, optionally followed by ":key=val,key=val"
-// parameters (see Usage for the vocabulary). Unknown names, malformed
-// parameters and keys no policy consumes are errors.
+// parameters. Unknown names, malformed or out-of-range parameters and
+// keys no policy reads are errors; the last lists every key the policy
+// read, with its default.
 func Parse(spec string) (numa.Policy, error) {
 	name := strings.TrimSpace(spec)
 	rest := ""
 	if i := strings.IndexByte(name, ':'); i >= 0 {
 		name, rest = strings.TrimSpace(name[:i]), name[i+1:]
 	}
-	sp, ok := registry[strings.ToLower(name)]
+	e, ok := lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown policy %q (known: %s)", name, strings.Join(Names(), ", "))
 	}
-	a := &Args{policy: sp.Name, kv: map[string]string{}, used: map[string]bool{}}
+	a := &args{name: e.name, kv: map[string]string{}, used: map[string]bool{}}
 	if rest != "" {
 		for _, part := range strings.Split(rest, ",") {
 			part = strings.TrimSpace(part)
@@ -213,15 +210,12 @@ func Parse(spec string) (numa.Policy, error) {
 			}
 			k, v, found := strings.Cut(part, "=")
 			if !found || strings.TrimSpace(k) == "" {
-				return nil, fmt.Errorf("policy %s: malformed parameter %q (want key=value)", sp.Name, part)
+				return nil, fmt.Errorf("policy %s: malformed parameter %q (want key=value)", e.name, part)
 			}
 			a.kv[strings.ToLower(strings.TrimSpace(k))] = strings.TrimSpace(v)
 		}
 	}
-	pol, err := sp.New(a)
-	if err != nil {
-		return nil, err
-	}
+	pol := e.new(a)
 	if a.err != nil {
 		return nil, a.err
 	}
@@ -234,130 +228,12 @@ func Parse(spec string) (numa.Policy, error) {
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
+		accepts := e.name
+		if len(a.accepts) > 0 {
+			accepts += ":" + strings.Join(a.accepts, ",")
+		}
 		return nil, fmt.Errorf("policy %s: unknown parameter(s) %s (accepts: %s)",
-			sp.Name, strings.Join(unknown, ", "), sp.Usage())
+			e.name, strings.Join(unknown, ", "), accepts)
 	}
 	return pol, nil
-}
-
-func init() {
-	Register(Spec{
-		Name:   "threshold",
-		Doc:    "the paper's fixed policy: local until the page moves limit times, then pin global",
-		Params: []Param{{Key: "limit", Default: "4", Doc: "move budget before pinning"}},
-		New: func(a *Args) (numa.Policy, error) {
-			limit := a.Int("limit", DefaultThreshold)
-			if limit < 0 {
-				return nil, fmt.Errorf("policy threshold: negative limit %d", limit)
-			}
-			return NewThreshold(limit), nil
-		},
-	})
-	Register(Spec{
-		Name: "neverpin",
-		Doc:  "threshold with an unreachable limit: pages ping-pong forever",
-		New:  func(a *Args) (numa.Policy, error) { return NeverPin(), nil },
-	})
-	Register(Spec{
-		Name: "allglobal",
-		Doc:  "the T_global baseline: every writable page lives in global memory",
-		New:  func(a *Args) (numa.Policy, error) { return AllGlobal{}, nil },
-	})
-	Register(Spec{
-		Name: "alllocal",
-		Doc:  "the T_local baseline: every page is placed locally",
-		New:  func(a *Args) (numa.Policy, error) { return AllLocal{}, nil },
-	})
-	Register(Spec{
-		Name:   "pragma",
-		Doc:    "honour application placement pragmas, falling through to an inner policy",
-		Params: []Param{{Key: "fallback", Default: "threshold", Doc: "policy for unhinted pages"}},
-		New: func(a *Args) (numa.Policy, error) {
-			return NewPragma(a.Policy("fallback", "threshold")), nil
-		},
-	})
-	Register(Spec{
-		Name: "reconsider",
-		Doc:  "threshold that periodically forgives a pinned page's moves (§5)",
-		Params: []Param{
-			{Key: "limit", Default: "4", Doc: "move budget before pinning"},
-			{Key: "period", Default: "64", Doc: "pinned requests between reprieves"},
-		},
-		New: func(a *Args) (numa.Policy, error) {
-			limit, period := a.Int("limit", DefaultThreshold), a.Int("period", 64)
-			if limit < 0 || period < 1 {
-				return nil, fmt.Errorf("policy reconsider: bad parameters limit=%d period=%d", limit, period)
-			}
-			return NewReconsider(limit, period), nil
-		},
-	})
-	Register(Spec{
-		Name: "freezedefrost",
-		Doc:  "PLATINUM-style: pin hot movers for a freeze window, defrost after quiet time",
-		Params: []Param{
-			{Key: "freeze", Default: "20", Doc: "freeze window, virtual ms"},
-			{Key: "defrost", Default: "200", Doc: "quiet time before defrost, virtual ms"},
-		},
-		New: func(a *Args) (numa.Policy, error) {
-			return NewFreezeDefrost(a.Millis("freeze", 0), a.Millis("defrost", 0)), nil
-		},
-	})
-	Register(Spec{
-		Name: "decaythreshold",
-		Doc:  "adaptive threshold on the decaying move counter: pins cool off and unpin",
-		Params: []Param{
-			{Key: "limit", Default: "4", Doc: "decayed move heat before pinning"},
-		},
-		New: func(a *Args) (numa.Policy, error) {
-			limit := a.Int("limit", DefaultThreshold)
-			if limit < 1 {
-				return nil, fmt.Errorf("policy decaythreshold: limit %d < 1", limit)
-			}
-			return NewDecayThreshold(limit), nil
-		},
-	})
-	Register(Spec{
-		Name: "bandit",
-		Doc:  "per-page epsilon-greedy local-vs-global bandit (MAO's spirit)",
-		Params: []Param{
-			{Key: "eps", Default: "10", Doc: "exploration probability, percent"},
-			{Key: "seed", Default: "1", Doc: "exploration PRNG seed"},
-		},
-		New: func(a *Args) (numa.Policy, error) {
-			eps := a.Int("eps", 10)
-			if eps < 0 || eps > 100 {
-				return nil, fmt.Errorf("policy bandit: eps %d%% outside [0,100]", eps)
-			}
-			return NewBandit(eps, a.Uint64("seed", 1)), nil
-		},
-	})
-	Register(Spec{
-		Name: "classifier",
-		Doc:  "read-mostly pages replicate locally; write-contended pages without a dominant node go global",
-		Params: []Param{
-			{Key: "limit", Default: "4", Doc: "decayed move heat to call a page contended"},
-		},
-		New: func(a *Args) (numa.Policy, error) {
-			limit := a.Int("limit", DefaultThreshold)
-			if limit < 1 {
-				return nil, fmt.Errorf("policy classifier: limit %d < 1", limit)
-			}
-			return NewClassifier(limit), nil
-		},
-	})
-	Register(Spec{
-		Name: "coplace",
-		Doc:  "wrap an inner policy with thread co-placement: advise migrating threads toward their hot pages",
-		Params: []Param{
-			{Key: "inner", Default: "decaythreshold", Doc: "page-placement policy to wrap"},
-			{Key: "min", Default: "8", Doc: "decayed heat a node needs before advising"},
-		},
-		New: func(a *Args) (numa.Policy, error) {
-			min := a.Int("min", 8)
-			if min < 1 {
-				return nil, fmt.Errorf("policy coplace: min %d < 1", min)
-			}
-			return NewCoPlace(a.Policy("inner", "decaythreshold"), min), nil
-		},
-	})
 }

@@ -21,6 +21,23 @@ func TestParseErrors(t *testing.T) {
 		{"bandit:seed=-1", "want an unsigned integer"},
 		{"freezedefrost:freeze=-5", "non-negative"},
 		{"coplace:inner=no-such-policy", "unknown policy"},
+		// Every bounded parameter rejects a value outside its bounds,
+		// naming the policy and the key.
+		{"threshold:limit=-1", "policy threshold: limit=-1"},
+		{"reconsider:period=0", "policy reconsider: period=0"},
+		{"decaythreshold:limit=0", "policy decaythreshold: limit=0"},
+		{"classifier:limit=0", "policy classifier: limit=0"},
+		{"bandit:eps=101", "policy bandit: eps=101"},
+		{"coplace:min=0", "policy coplace: min=0"},
+		// The unknown-parameter error lists the keys a nested policy
+		// reads too, each with its default.
+		{"coplace:inner=threshold,frob=1", "accepts: coplace:inner=decaythreshold,limit=4,min=8"},
+		{"freezedefrost:freeze=5,x=1", "accepts: freezedefrost:freeze=20,defrost=50"},
+		{"threshold:frob=1", "accepts: threshold:limit=4"},
+		{"neverpin:frob=1", "accepts: neverpin)"},
+		// A policy nested in itself is an error, not endless recursion.
+		{"pragma:fallback=pragma", "cannot nest itself"},
+		{"coplace:inner=pragma,fallback=coplace", "cannot nest itself"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.spec); err == nil {
@@ -56,8 +73,7 @@ func TestParseSpellings(t *testing.T) {
 	}
 }
 
-// TestRegistryCatalog: Names is sorted and complete, and Usage documents
-// every registered policy with its parameter vocabulary.
+// TestRegistryCatalog: Names is sorted and complete.
 func TestRegistryCatalog(t *testing.T) {
 	names := Names()
 	if !sort.StringsAreSorted(names) {
@@ -76,12 +92,6 @@ func TestRegistryCatalog(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("Names() missing %q: %v", want, names)
-		}
-	}
-	usage := Usage()
-	for _, want := range []string{"threshold", "limit=", "eps=", "inner=", "freeze="} {
-		if !strings.Contains(usage, want) {
-			t.Errorf("Usage() missing %q:\n%s", want, usage)
 		}
 	}
 }

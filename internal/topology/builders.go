@@ -6,19 +6,19 @@ import (
 	"numasim/internal/sim"
 )
 
-// ACELatencies are the measured 32-bit reference latencies that seed the
-// ACE spec's latency matrix (§2.2 of the paper). Remote references, one
-// processor into another's local memory (§4.4), are supported by the ACE
-// but deliberately unused by the paper's system; they are modelled for the
-// remote-reference extension experiment.
-type ACELatencies struct {
-	LocalFetch  sim.Time
-	LocalStore  sim.Time
-	GlobalFetch sim.Time
-	GlobalStore sim.Time
-	RemoteFetch sim.Time
-	RemoteStore sim.Time
-}
+// The ACE's measured 32-bit reference latencies (§2.2 of the paper).
+// Remote references, one processor into another's local memory (§4.4),
+// are supported by the ACE but deliberately unused by the paper's
+// system; they are modelled for the remote-reference extension
+// experiment.
+const (
+	aceLocalFetch  = 650 * sim.Nanosecond
+	aceLocalStore  = 840 * sim.Nanosecond
+	aceGlobalFetch = 1500 * sim.Nanosecond
+	aceGlobalStore = 1400 * sim.Nanosecond
+	aceRemoteFetch = 1800 * sim.Nanosecond
+	aceRemoteStore = 1700 * sim.Nanosecond
+)
 
 // ACE builds the paper's two-level machine as a topology spec: one node
 // per processor (each processor's local memory is its own node), the
@@ -28,31 +28,25 @@ type ACELatencies struct {
 // distance matrix is derived from the fetch-latency ratios so
 // distance-ranked placement degrades exactly as the measured machine
 // does.
-func ACE(nprocs int, lat ACELatencies) (*Spec, error) {
-	if lat.LocalFetch <= 0 {
-		return nil, fmt.Errorf("topology: ace local fetch latency %v not positive", lat.LocalFetch)
-	}
+func ACE(nprocs int) (*Spec, error) {
 	n := nprocs
 	s := &Spec{name: "ace", nnodes: n, nprocs: nprocs, homeOf: make([]int, nprocs),
 		dist: make([]int, n*n), fetch: make([]sim.Time, nprocs*(n+1)), store: make([]sim.Time, nprocs*(n+1))}
 	// Remote distance from the remote/local fetch ratio (1800/650 → 27).
-	remoteDist := int(lat.RemoteFetch * LocalDistance / lat.LocalFetch)
-	if remoteDist <= LocalDistance {
-		remoteDist = LocalDistance + 1
-	}
+	const remoteDist = int(aceRemoteFetch * LocalDistance / aceLocalFetch)
 	for p := 0; p < nprocs; p++ {
 		s.homeOf[p] = p
 		row := p * (n + 1)
 		for node := 0; node < n; node++ {
 			if node == p {
 				s.dist[p*n+node] = LocalDistance
-				s.fetch[row+node], s.store[row+node] = lat.LocalFetch, lat.LocalStore
+				s.fetch[row+node], s.store[row+node] = aceLocalFetch, aceLocalStore
 			} else {
 				s.dist[p*n+node] = remoteDist
-				s.fetch[row+node], s.store[row+node] = lat.RemoteFetch, lat.RemoteStore
+				s.fetch[row+node], s.store[row+node] = aceRemoteFetch, aceRemoteStore
 			}
 		}
-		s.fetch[row+n], s.store[row+n] = lat.GlobalFetch, lat.GlobalStore
+		s.fetch[row+n], s.store[row+n] = aceGlobalFetch, aceGlobalStore
 	}
 	return s.finish()
 }
@@ -75,7 +69,7 @@ func FourSocket(nprocs int) (*Spec, error) {
 			}
 		}
 	}
-	return Custom("4socket", nprocs, dist, 650*sim.Nanosecond, 840*sim.Nanosecond, true, 12*sim.Nanosecond)
+	return Custom("4socket", nprocs, dist, aceLocalFetch, aceLocalStore, true, 12*sim.Nanosecond)
 }
 
 // Mesh8 builds an 8-node 2x4 mesh: SLIT distance 10 + 6 per hop of
@@ -92,8 +86,8 @@ func Mesh8(nprocs int) (*Spec, error) {
 			s.dist[a*nnodes+b] = LocalDistance + 6*manhattan(a, b, cols)
 		}
 	}
-	s.fetch = deriveLatencies(s, 650*sim.Nanosecond)
-	s.store = deriveLatencies(s, 840*sim.Nanosecond)
+	s.fetch = deriveLatencies(s, aceLocalFetch)
+	s.store = deriveLatencies(s, aceLocalStore)
 	s.contended = true
 	s.links, s.routes = meshLinks(rows, cols, 12*sim.Nanosecond)
 	return s.finish()
@@ -166,19 +160,36 @@ func meshLinks(rows, cols int, perByte sim.Time) ([]Link, [][]int) {
 	return links, routes
 }
 
-// ByName builds the registered topology named name for nprocs processors.
-// The ACE itself is not built here: it needs the machine's measured
-// latencies, so ace.SpecForConfig constructs it from the cost model.
+// builders is every machine shape -topology can name, the paper's ACE
+// first. ByName and Names read it.
+var builders = []struct {
+	name  string
+	build func(nprocs int) (*Spec, error)
+}{
+	{"ace", ACE},
+	{"4socket", FourSocket},
+	{"mesh8", Mesh8},
+}
+
+// ByName builds the topology named name for nprocs processors; the empty
+// name selects the ACE.
 func ByName(name string, nprocs int) (*Spec, error) {
-	switch name {
-	case "4socket", "4-socket", "foursocket":
-		return FourSocket(nprocs)
-	case "mesh8", "8mesh", "mesh":
-		return Mesh8(nprocs)
+	if name == "" {
+		name = "ace"
+	}
+	for _, b := range builders {
+		if b.name == name {
+			return b.build(nprocs)
+		}
 	}
 	return nil, fmt.Errorf("topology: unknown topology %q (have: %v)", name, Names())
 }
 
-// Names lists the registered topology names selectable via -topology,
-// including the default ACE.
-func Names() []string { return []string{"ace", "4socket", "mesh8"} }
+// Names lists the topology names ByName accepts, the default ACE first.
+func Names() []string {
+	names := make([]string, len(builders))
+	for i, b := range builders {
+		names[i] = b.name
+	}
+	return names
+}

@@ -6,8 +6,11 @@ import (
 	"numasim/internal/sim"
 )
 
-// aceLat is the paper's measured latency set (§2.2).
-var aceLat = ACELatencies{
+// aceLat is the paper's measured latency set (§2.2), copied here so the
+// ACE builder is checked against the published numbers.
+var aceLat = struct {
+	LocalFetch, LocalStore, GlobalFetch, GlobalStore, RemoteFetch, RemoteStore sim.Time
+}{
 	LocalFetch: 650 * sim.Nanosecond, LocalStore: 840 * sim.Nanosecond,
 	GlobalFetch: 1500 * sim.Nanosecond, GlobalStore: 1400 * sim.Nanosecond,
 	RemoteFetch: 1800 * sim.Nanosecond, RemoteStore: 1700 * sim.Nanosecond,
@@ -47,7 +50,7 @@ func TestScaleGlobal(t *testing.T) {
 // holds exactly the six published constants — the foundation of the
 // byte-identity contract.
 func TestACESpecMatchesPublishedConstants(t *testing.T) {
-	s, err := ACE(7, aceLat)
+	s, err := ACE(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +158,6 @@ func TestValidateRejects(t *testing.T) {
 	if _, err := Custom("bad", 2, [][]int{{10, 20}, {20, 10}}, 0, base, false, 0); err == nil {
 		t.Error("zero base latency accepted")
 	}
-	if _, err := ACE(2, ACELatencies{}); err == nil {
-		t.Error("zero ACE latency set accepted")
-	}
 	if _, err := ByName("torus", 4); err == nil {
 		t.Error("unknown topology name accepted")
 	}
@@ -189,6 +189,35 @@ func TestBuilders(t *testing.T) {
 	for _, name := range Names()[1:] {
 		if _, err := ByName(name, 8); err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
+		}
+	}
+}
+
+// TestNamesTable: every listed name is unique and builds under exactly
+// that name, the empty name is the ACE, and names match exactly, with no
+// aliases.
+func TestNamesTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, name := range Names() {
+		if seen[name] {
+			t.Errorf("Names() lists %q twice: %v", name, Names())
+		}
+		seen[name] = true
+		s, err := ByName(name, 4)
+		if err != nil {
+			t.Errorf("ByName(%q, 4): %v", name, err)
+			continue
+		}
+		if s.Name() != name || s.NProcs() != 4 {
+			t.Errorf("ByName(%q, 4) built %s with %d processors", name, s.Name(), s.NProcs())
+		}
+	}
+	if s, err := ByName("", 4); err != nil || s.Name() != "ace" {
+		t.Errorf("ByName(\"\", 4) = %v, %v; want the ACE", s, err)
+	}
+	for _, alias := range []string{"foursocket", "4-socket", "mesh", "8mesh", "ACE"} {
+		if _, err := ByName(alias, 4); err == nil {
+			t.Errorf("ByName(%q) accepted an unlisted name", alias)
 		}
 	}
 }
@@ -316,7 +345,7 @@ func TestChargeTransferDeterminism(t *testing.T) {
 // TestUncontendedChargesNothing: the ACE spec's ChargeTransfer is a no-op
 // with no link state — the fast path the byte-identity contract rides on.
 func TestUncontendedChargesNothing(t *testing.T) {
-	s, err := ACE(3, aceLat)
+	s, err := ACE(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,9 @@ type (
 	// Config describes an ACE machine instance.
 	Config = ace.Config
 	// CostModel gives the virtual-time cost of instruction work and
-	// kernel operations, and holds the ACE's measured latencies that
-	// seed its topology. Every memory access is priced from the
-	// machine's topology spec.
+	// kernel operations. Every memory access is priced from the
+	// machine's topology spec (Machine.Spec), which holds the paper's
+	// measured latencies on the ACE.
 	CostModel = ace.CostModel
 	// Machine is an assembled ACE.
 	Machine = ace.Machine
@@ -185,8 +185,8 @@ const DefaultThreshold = policy.DefaultThreshold
 // configuration: 7 processors, 16 MB global, 8 MB local per processor.
 func DefaultConfig() Config { return ace.DefaultConfig() }
 
-// DefaultCostModel returns the paper's measured memory latencies and
-// ROMP-plausible instruction costs.
+// DefaultCostModel returns ROMP-plausible instruction costs and kernel
+// overheads.
 func DefaultCostModel() CostModel { return ace.DefaultCostModel() }
 
 // NewMachine builds a machine, validating the configuration.

@@ -11,17 +11,17 @@ import (
 // TestFacadeSurface exercises the remaining public facade entry points the
 // way a downstream program would.
 func TestFacadeSurface(t *testing.T) {
-	cm := numasim.DefaultCostModel()
-	if cm.LocalFetch != 650*numasim.Nanosecond {
-		t.Errorf("LocalFetch = %v", cm.LocalFetch)
-	}
 	cfg := numasim.DefaultConfig()
 	cfg.NProc = 2
 	cfg.GlobalFrames = 64
 	cfg.LocalFrames = 32
+	cfg.Cost = numasim.DefaultCostModel()
 	m, err := numasim.NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := m.Spec().FetchLatency(0, m.Home(0)); got != 650*numasim.Nanosecond {
+		t.Errorf("local fetch latency = %v", got)
 	}
 	k := numasim.NewKernel(m, numasim.DefaultPolicy())
 	rt := numasim.NewRuntime(k, numasim.Affinity)
@@ -97,8 +97,8 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	if !ok {
 		t.Fatal("pressuresweep not registered")
 	}
-	if e.Name() != "pressuresweep" {
-		t.Errorf("Name() = %q", e.Name())
+	if e.Name != "pressuresweep" {
+		t.Errorf("Name = %q", e.Name)
 	}
 	names := numasim.ExperimentNames()
 	if !sort.StringsAreSorted(names) {
