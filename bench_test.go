@@ -77,7 +77,7 @@ func BenchmarkTable4(b *testing.B) {
 // from the implementation (E3, E4).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := numasim.ProtocolTable(false); err != nil {
+		if _, err := harness.ProtocolTable(false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func BenchmarkTable1(b *testing.B) {
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := numasim.ProtocolTable(true); err != nil {
+		if _, err := harness.ProtocolTable(true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkTable2(b *testing.B) {
 // diagrams (E1, E2).
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if s, err := numasim.Figure1(benchOpts); err != nil || s == "" {
+		if s, err := harness.Figure1(benchOpts); err != nil || s == "" {
 			b.Fatal("empty figure")
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkFigure1(b *testing.B) {
 
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if numasim.Figure2() == "" {
+		if harness.Figure2() == "" {
 			b.Fatal("empty figure")
 		}
 	}

@@ -284,62 +284,7 @@ func NewTraceCollector(pageShift uint, trackWords bool) *TraceCollector {
 	return trace.New(pageShift, trackWords)
 }
 
-// Experiments (re-exported from the harness).
-
-// Table3 regenerates the paper's Table 3.
-func Table3(opts HarnessOptions) ([]harness.Table3Row, error) { return harness.Table3(opts) }
-
-// RenderTable3 renders Table 3 with the paper's numbers alongside.
-func RenderTable3(rows []harness.Table3Row) string { return harness.RenderTable3(rows) }
-
-// Table4 regenerates the paper's Table 4.
-func Table4(opts HarnessOptions) ([]harness.Table4Row, error) { return harness.Table4(opts) }
-
-// RenderTable4 renders Table 4 with the paper's numbers alongside.
-func RenderTable4(rows []harness.Table4Row) string { return harness.RenderTable4(rows) }
-
-// ProtocolTable derives the paper's Table 1 (write=false) or Table 2
-// (write=true) from the implementation.
-func ProtocolTable(write bool) (string, error) { return harness.ProtocolTable(write) }
-
-// Figure1 renders the ACE memory architecture.
-func Figure1(opts HarnessOptions) (string, error) { return harness.Figure1(opts) }
-
-// Figure2 renders the pmap layer structure.
-func Figure2() string { return harness.Figure2() }
-
-// FalseSharingExperiment reproduces the §4.2 Primes2 tuning experiment.
-func FalseSharingExperiment(opts HarnessOptions) (harness.FalseSharingResult, error) {
-	return harness.FalseSharing(opts)
-}
-
-// ThresholdSweep measures a workload under varying move limits (limit < 0
-// selects never-pin).
-func ThresholdSweep(opts HarnessOptions, app string, limits []int) ([]harness.SweepRow, error) {
-	return harness.ThresholdSweep(opts, app, limits)
-}
-
-// MixRun executes several applications concurrently on one machine, each
-// in its own address space, under the paper's policy.
-func MixRun(opts HarnessOptions, apps []string) (harness.MixResult, error) {
-	return harness.MixRun(opts, apps)
-}
-
-// PolicyCompare races the paper's threshold policy against reconsidering
-// policies on a phase-changing workload.
-func PolicyCompare(opts HarnessOptions) ([]harness.PolicyRow, error) {
-	return harness.PolicyCompare(opts)
-}
-
-// PressureSweep measures one application at shrinking per-processor
-// local-frame budgets (empty frames: the default budgets), reporting
-// slowdown against the unconstrained baseline.
-func PressureSweep(opts HarnessOptions, app string, frames []int) ([]harness.PressureRow, error) {
-	return harness.PressureSweep(opts, app, frames)
-}
-
-// RenderPressure renders a pressure sweep as a plain-text table.
-func RenderPressure(rows []harness.PressureRow) string { return harness.RenderPressure(rows) }
+// Experiments (re-exported from the harness registry).
 
 // Experiment is one registered harness experiment.
 type Experiment = harness.Experiment

@@ -102,24 +102,15 @@ func TestPublicWorkloadsAndEvaluation(t *testing.T) {
 }
 
 func TestPublicProtocolTables(t *testing.T) {
-	for _, write := range []bool{false, true} {
-		s, err := numasim.ProtocolTable(write)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct{ name, want string }{
+		{"table1", "copy to local"},
+		{"table2", "copy to local"},
+		{"figure1", "IPC bus"},
+		{"figure2", "NUMA manager"},
+	} {
+		if out := runExperiment(t, c.name, numasim.HarnessOptions{NProc: 2}); !strings.Contains(out, c.want) {
+			t.Errorf("%s missing %q:\n%s", c.name, c.want, out)
 		}
-		if !strings.Contains(s, "copy to local") {
-			t.Errorf("table missing protocol action:\n%s", s)
-		}
-	}
-	f1, err := numasim.Figure1(numasim.HarnessOptions{NProc: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(f1, "IPC bus") {
-		t.Error("figure 1 wrong")
-	}
-	if !strings.Contains(numasim.Figure2(), "NUMA manager") {
-		t.Error("figure 2 wrong")
 	}
 }
 

@@ -115,54 +115,51 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	}
 }
 
+// TestFacadeExperiments runs the paper's tables and the extension
+// experiments through the registry, the way a downstream program would,
+// and checks each rendered table for its title and rows.
 func TestFacadeExperiments(t *testing.T) {
 	opts := numasim.HarnessOptions{NProc: 3, Small: true}
+	gfetch := opts
+	gfetch.App, gfetch.PressureFrames = "Gfetch", []int{8}
+	for _, c := range []struct {
+		name string
+		opts numasim.HarnessOptions
+		want []string
+	}{
+		{"table3", opts, []string{"Table 3", "Gfetch"}},
+		{"table4", opts, []string{"Table 4", "Primes3"}},
+		{"falsesharing", opts, []string{"untuned (shared divisors)", "tuned (private divisors)"}},
+		{"thresholdsweep", gfetch, []string{"Pin-threshold sweep on Gfetch", "never"}},
+		{"mix", opts, []string{"IMatMult + Primes1 + FFT", "user "}},
+		{"policycompare", opts, []string{"Placement policies", "threshold(4)"}},
+		{"pressuresweep", gfetch, []string{"Gfetch", "unbounded"}},
+	} {
+		if out := runExperiment(t, c.name, c.opts); out != "" {
+			for _, want := range c.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("%s output missing %q:\n%s", c.name, want, out)
+				}
+			}
+		}
+	}
+}
 
-	rows3, err := numasim.Table3(opts)
+// runExperiment runs the registered experiment name through the facade
+// and returns its rendered text, or "" after reporting a failure.
+func runExperiment(t *testing.T, name string, opts numasim.HarnessOptions) string {
+	t.Helper()
+	e, ok := numasim.LookupExperiment(name)
+	if !ok {
+		t.Errorf("experiment %q not registered", name)
+		return ""
+	}
+	res, err := e.Run(opts)
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("%s: %v", name, err)
+		return ""
 	}
-	if out := numasim.RenderTable3(rows3); !strings.Contains(out, "Gfetch") {
-		t.Error("table 3 incomplete")
-	}
-	rows4, err := numasim.Table4(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := numasim.RenderTable4(rows4); !strings.Contains(out, "Primes3") {
-		t.Error("table 4 incomplete")
-	}
-	fs, err := numasim.FalseSharingExperiment(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Tuned.Alpha <= fs.Untuned.Alpha {
-		t.Error("false-sharing experiment inverted")
-	}
-	sweep, err := numasim.ThresholdSweep(opts, "Gfetch", []int{0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sweep) != 2 {
-		t.Errorf("sweep rows = %d", len(sweep))
-	}
-	mix, err := numasim.MixRun(opts, []string{"ParMult", "Primes1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mix.UserSec <= 0 {
-		t.Error("mix did no work")
-	}
-	press, err := numasim.PressureSweep(opts, "Gfetch", []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(press) != 2 {
-		t.Errorf("pressure rows = %d", len(press))
-	}
-	if out := numasim.RenderPressure(press); !strings.Contains(out, "unbounded") {
-		t.Error("pressure table missing baseline row")
-	}
+	return res.Render()
 }
 
 func TestFacadeCopyOnWriteAndRemote(t *testing.T) {
