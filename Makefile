@@ -159,14 +159,15 @@ audit:
 	$(GO) test -run 'TestProtocolFuzz' -count=1 ./internal/numa/
 
 # topo is the topology gate: the ACE goldens must stay byte-identical
-# through the generalized topology path, page copies and zero-fills must
-# be priced from the spec and the G/L sweep must scale global memory on
-# every registered topology, the protocol fuzz must hold on random
-# multi-node machines, and the link model's conservation, monotonicity
-# and determinism properties must pass — all under -race.
+# through the generalized topology path, every topology name must resolve
+# to its shape, page copies and zero-fills must be priced from the spec
+# and the G/L sweep must scale global memory on every registered
+# topology, the protocol fuzz must hold on random multi-node machines,
+# and the link model's conservation, monotonicity and determinism
+# properties must pass — all under -race.
 topo:
 	$(GO) test -race -count=1 -run 'TestTable3GoldenACE|TestFigure1Golden|TestTable3ACEExplicitTopology|TestTopologyParallelDeterminism|TestGLSweepEveryTopology' ./internal/harness/
-	$(GO) test -race -count=1 -run 'TestCopyZeroChargesFromSpec' ./internal/ace/
+	$(GO) test -race -count=1 -run 'TestCopyZeroChargesFromSpec|TestSpecForConfigShapes' ./internal/ace/
 	$(GO) test -race -count=1 -run 'TestProtocolFuzzTopology' ./internal/numa/
 	$(GO) test -race -count=1 ./internal/topology/
 
@@ -186,13 +187,15 @@ tournament:
 
 # avail is the degraded-mode gate: the availability sweep (every Table 3
 # app plus Zipf through single-loss, rolling-loss and link-brownout
-# schedules) must be byte-identical at any -parallel, and the
-# failure-schedule fuzz (-short subset), the evacuation property tests
-# and the rerouting unit tests must hold under -race.
+# schedules) must be byte-identical at any -parallel, the sweep must run
+# on the ACE by name, and the failure-schedule fuzz (-short subset), the
+# evacuation property tests and the rerouting unit tests must hold under
+# -race.
 avail:
 	dir=$$(mktemp -d) && \
 	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 1 > $$dir/p1.csv && \
 	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 8 > $$dir/p8.csv && \
 	cmp $$dir/p1.csv $$dir/p8.csv && rm -r $$dir
+	$(GO) test -race -count=1 -run 'TestAvailabilityOnACE' ./internal/harness/
 	$(GO) test -race -count=1 -short -run 'TestProtocolFuzzFailure|TestEvacuation|TestRevivedNodeStartsCold' ./internal/numa/
 	$(GO) test -race -count=1 -run 'TestMeshDetour|TestFullyConnectedRelay|TestNodeDownSeversIncidentLinks|TestDegradedChargeDeterminism|TestInterleaveSkipsOfflineNodes' ./internal/topology/
