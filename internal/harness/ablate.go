@@ -303,13 +303,9 @@ func RemoteCompare(opts Options) (RemoteResult, error) {
 	runs := make([]metrics.RunResult, 2)
 	units := []string{"remote-auto", "remote-pragma"}
 	err := opts.pool().Run(len(units), func(i int) error {
-		return opts.supervise(units[i], func(o Options) error {
-			spec, err := o.spec()
-			if err != nil {
-				return err
-			}
-			spec.Policy = policy.NewPragma(nil)
-			runs[i], err = metrics.Run(spec, workloads.NewHomeData(0, 0, i == 1))
+		return opts.supervise(units[i], func(o Options) (err error) {
+			runs[i], err = o.simulate(func(s *metrics.RunSpec) { s.Policy = policy.NewPragma(nil) },
+				workloads.NewHomeData(0, 0, i == 1))
 			return err
 		})
 	})

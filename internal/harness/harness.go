@@ -46,9 +46,10 @@ type Options struct {
 	// use it to keep repeated runs quick.
 	AppSize int
 	// Parallelism bounds how many independent simulations run at once
-	// (table rows, sweep points, the three runs inside an evaluation).
-	// <= 0 selects runtime.NumCPU(). Simulated results are identical at
-	// every setting; only wall-clock time changes.
+	// (table rows, sweep points, the three runs inside an evaluation),
+	// across nested pools too: a table row's evaluation shares the
+	// table's bound. <= 0 selects runtime.NumCPU(). Simulated results are
+	// identical at every setting; only wall-clock time changes.
 	Parallelism int
 	// TraceSink, when non-nil, is attached to every simulated machine the
 	// experiments build. Runs execute concurrently, so the sink must be
@@ -100,9 +101,16 @@ type Options struct {
 	// The supervisor installs it to reach engines for timeout teardown; it
 	// may be called concurrently when Parallelism > 1.
 	onMachine func(*ace.Machine)
+	// slots is a semaphore of Parallelism tokens, one held by each
+	// simulation while it runs (see simulate). Copies of the options
+	// share it, so the bound holds across nested pools; a pool task that
+	// only waits on a pool of its own holds none, so nesting cannot
+	// deadlock.
+	slots chan struct{}
 }
 
-// withDefaults fills in defaults.
+// withDefaults fills in defaults. Options that already carry them keep
+// their slots, so an experiment's nested calls share its bound.
 func (o Options) withDefaults() Options {
 	if o.NProc <= 0 {
 		o.NProc = 7
@@ -112,6 +120,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.NumCPU()
+	}
+	if o.slots == nil {
+		o.slots = make(chan struct{}, o.Parallelism)
 	}
 	return o
 }
@@ -181,10 +192,10 @@ func (o Options) spec() (metrics.RunSpec, error) {
 	}, nil
 }
 
-// run builds the named workload and runs it once under the options'
-// supervisor, label naming the unit in repro bundles. vary, when
-// non-nil, adjusts the spec before the run starts; it is called afresh
-// for every retry. The options must already carry their defaults.
+// run builds the named workload and simulates it once under the
+// options' supervisor, label naming the unit in repro bundles. vary,
+// when non-nil, adjusts the spec before the run starts; it is called
+// afresh for every retry. The options must already carry their defaults.
 func (o Options) run(label, app string, vary func(*metrics.RunSpec)) (metrics.RunResult, error) {
 	var res metrics.RunResult
 	err := o.supervise(label, func(o Options) error {
@@ -192,17 +203,28 @@ func (o Options) run(label, app string, vary func(*metrics.RunSpec)) (metrics.Ru
 		if err != nil {
 			return err
 		}
-		spec, err := o.spec()
-		if err != nil {
-			return err
-		}
-		if vary != nil {
-			vary(&spec)
-		}
-		res, err = metrics.Run(spec, w)
+		res, err = o.simulate(vary, w)
 		return err
 	})
 	return res, err
+}
+
+// simulate runs the workloads once on a fresh system built from the
+// options' spec, adjusted by vary when it is non-nil. It holds one of
+// the options' slots from before the machine is built until the result
+// is read, and keeps nothing of the system, so the machine is garbage
+// when it returns. The options must already carry their defaults.
+func (o Options) simulate(vary func(*metrics.RunSpec), ws ...workloads.Workload) (metrics.RunResult, error) {
+	o.slots <- struct{}{}
+	defer func() { <-o.slots }()
+	spec, err := o.spec()
+	if err != nil {
+		return metrics.RunResult{}, err
+	}
+	if vary != nil {
+		vary(&spec)
+	}
+	return metrics.Run(spec, ws...)
 }
 
 // RunApp runs the named application once, the way every experiment run
@@ -218,43 +240,47 @@ func (o Options) RunApp(app string, vary func(*metrics.RunSpec)) (metrics.RunRes
 // derives its model parameters: T_numa under the paper's threshold policy
 // whatever opts.Policy says, T_global with all writable data in global
 // memory, and T_local with one thread on a one-processor machine. The
-// workload instances are built in order, then the runs share the options'
-// pool inside the caller's supervision, if any.
+// runs share the options' pool inside the caller's supervision, if any,
+// and each builds its own workload instance in its pool task, so a
+// finished run's machine is garbage before a later run builds its own.
 func Evaluate(opts Options, app string) (metrics.Eval, error) {
 	opts = opts.withDefaults()
 	opts.Policy = ""
-	spec, err := opts.spec()
+	// The probe is never started: it reports a bad name or size before
+	// any run begins and says which G/L ratio the model uses.
+	probe, err := opts.instance(app)
 	if err != nil {
 		return metrics.Eval{}, err
 	}
-	specs := []metrics.RunSpec{spec, spec, spec}
-	specs[1].Policy = policy.AllGlobal{}
-	// T_local: "running the parallel applications with a single thread on
-	// a single processor system, causing all data to be placed in local
-	// memory" (§3.1).
-	specs[2].Policy = policy.AllLocal{}
-	specs[2].Config.NProc = 1
-	specs[2].Workers = 1
-	ws := make([]workloads.Workload, len(specs))
-	for i := range ws {
-		if ws[i], err = opts.instance(app); err != nil {
-			return metrics.Eval{}, err
-		}
+	varies := []func(*metrics.RunSpec){
+		nil,
+		func(s *metrics.RunSpec) { s.Policy = policy.AllGlobal{} },
+		// T_local: "running the parallel applications with a single
+		// thread on a single processor system, causing all data to be
+		// placed in local memory" (§3.1).
+		func(s *metrics.RunSpec) {
+			s.Policy = policy.AllLocal{}
+			s.Config.NProc = 1
+			s.Workers = 1
+		},
 	}
-	res := make([]metrics.RunResult, len(specs))
-	err = opts.pool().Run(len(specs), func(i int) error {
-		var err error
-		res[i], err = metrics.Run(specs[i], ws[i])
+	res := make([]metrics.RunResult, len(varies))
+	err = opts.pool().Run(len(varies), func(i int) error {
+		w, err := opts.instance(app)
+		if err != nil {
+			return err
+		}
+		res[i], err = opts.simulate(varies[i], w)
 		return err
 	})
 	if err != nil {
 		return metrics.Eval{}, err
 	}
-	topo, err := ace.SpecForConfig(spec.Config)
+	topo, err := ace.SpecForConfig(opts.config())
 	if err != nil {
 		return metrics.Eval{}, err
 	}
-	return metrics.NewEval(topo, ws[0].FetchHeavy(), res[0], res[1], res[2]), nil
+	return metrics.NewEval(topo, probe.FetchHeavy(), res[0], res[1], res[2]), nil
 }
 
 // supervise runs one experiment unit under the options' supervisor —

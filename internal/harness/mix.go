@@ -30,20 +30,14 @@ type MixResult struct {
 func MixRun(opts Options, apps []string) (MixResult, error) {
 	opts = opts.withDefaults()
 	var r metrics.RunResult
-	err := opts.supervise("mix", func(o Options) error {
+	err := opts.supervise("mix", func(o Options) (err error) {
 		ws := make([]workloads.Workload, len(apps))
 		for i, app := range apps {
-			var err error
 			if ws[i], err = o.instance(app); err != nil {
 				return err
 			}
 		}
-		spec, err := o.spec()
-		if err != nil {
-			return err
-		}
-		spec.Workers = max(o.NProc/len(apps), 1)
-		r, err = metrics.Run(spec, ws...)
+		r, err = o.simulate(func(s *metrics.RunSpec) { s.Workers = max(o.NProc/len(apps), 1) }, ws...)
 		return err
 	})
 	if err != nil {

@@ -2,8 +2,11 @@ package harness
 
 import (
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"numasim/internal/ace"
 	"numasim/internal/sim"
 )
 
@@ -124,17 +127,67 @@ func TestTopologyParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestTable4ParallelDeterminism: same guarantee for the system-time table.
+// TestTable4ParallelDeterminism: same guarantee for the system-time table
+// and for the false-sharing experiment, whose units each run an
+// evaluation's pool as Table 4's rows do.
 func TestTable4ParallelDeterminism(t *testing.T) {
-	seq, err := Table4(Options{NProc: 3, Small: true, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"table4", "falsesharing"} {
+		e, _ := Lookup(name)
+		render := func(parallelism int) string {
+			res, err := e.Run(Options{NProc: 3, Small: true, Parallelism: parallelism})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res.Render()
+		}
+		if seq, par := render(1), render(4); par != seq {
+			t.Errorf("rendered %s differs between parallel and sequential runs:\nsequential:\n%s\nparallel:\n%s", name, seq, par)
+		}
 	}
-	par, err := Table4(Options{NProc: 3, Small: true, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestParallelismBoundsNestedPools: Parallelism bounds the simulations
+// running at once across nested pools too, in every registered
+// experiment. Table 3, Table 4 and the false-sharing experiment run their
+// applications on a pool, and each application's evaluation runs its
+// three runs on a pool of its own. Every build waits until one more build
+// than the bound is waiting with it, or a short hold passes, so a harness
+// that lets the bound slip is caught with the extra machine.
+func TestParallelismBoundsNestedPools(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole registry")
 	}
-	if got, want := RenderTable4(par), RenderTable4(seq); got != want {
-		t.Errorf("rendered Table 4 differs between parallel and sequential runs:\nsequential:\n%s\nparallel:\n%s", want, got)
+	const bound, hold = 2, 30 * time.Millisecond
+	for _, name := range Names() {
+		e, _ := Lookup(name)
+		var mu sync.Mutex
+		waiting, peak := 0, 0
+		crowd := make(chan struct{}) // closed once bound+1 builds wait together
+		opts := Options{NProc: 3, Small: true, Parallelism: bound}
+		opts.onMachine = func(*ace.Machine) {
+			mu.Lock()
+			waiting++
+			if waiting > peak {
+				peak = waiting
+				if peak == bound+1 {
+					close(crowd)
+				}
+			}
+			mu.Unlock()
+			select {
+			case <-crowd:
+			case <-time.After(hold):
+			}
+			mu.Lock()
+			waiting--
+			mu.Unlock()
+		}
+		if _, err := e.Run(opts); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if peak > bound {
+			t.Errorf("%s: %d machines were built at once at Parallelism %d", name, peak, bound)
+		}
 	}
 }

@@ -1,9 +1,15 @@
 package harness
 
 import (
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"numasim/internal/ace"
+	"numasim/internal/mem"
 )
 
 // TestRegistryLookup: lookup is case-insensitive and misses are reported.
@@ -76,4 +82,52 @@ func TestRegistryExperimentsRun(t *testing.T) {
 			t.Errorf("%s rendered nothing", name)
 		}
 	}
+}
+
+// TestRegistryFreesMachines: every registered experiment lets each run's
+// machine go before it builds the next, so a sequential experiment holds
+// one machine at a time. Each machine's memory carries a finalizer (the
+// machine itself sits in a reference cycle, whose finalizers never run),
+// and each build first collects until every earlier machine's finalizer
+// has run. An experiment that keeps a finished run reachable, through a
+// workload instance that holds its task say, fails here by name.
+func TestRegistryFreesMachines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole registry")
+	}
+	for _, name := range Names() {
+		e, _ := Lookup(name)
+		var live atomic.Int64
+		built, held := 0, 0
+		opts := Options{NProc: 3, Small: true, Parallelism: 1}
+		opts.onMachine = func(m *ace.Machine) {
+			if !collected(&live) {
+				held++
+			}
+			built++
+			live.Add(1)
+			runtime.SetFinalizer(m.Memory(), func(*mem.Memory) { live.Add(-1) })
+		}
+		if _, err := e.Run(opts); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if held > 0 {
+			t.Errorf("%s: %d of %d machines were built while an earlier machine was still reachable", name, held, built)
+		}
+	}
+}
+
+// collected runs the collector until live reaches zero, giving the
+// finalizer goroutine a moment after each cycle, and reports whether it
+// did within a bounded wait.
+func collected(live *atomic.Int64) bool {
+	for deadline := time.Now().Add(time.Second); live.Load() > 0; {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.GC()
+		time.Sleep(100 * time.Microsecond)
+	}
+	return true
 }
