@@ -686,6 +686,7 @@ type Context struct {
 	hw       *mmu.MMU   // current processor's MMU
 	pm       *pmap.Pmap // the task's pmap (for key composition)
 	pageMask uint32     // PageSize-1, for offset extraction
+	quantum  sim.Time   // the machine's scheduling quantum
 
 	sliceEnd sim.Time
 	// OnQuantum, if set, is invoked when the scheduling quantum expires,
@@ -707,6 +708,7 @@ func NewContext(k *Kernel, task *Task, th *sim.Thread, proc int) *Context {
 		hw:       k.machine.MMU(proc),
 		pm:       task.pm,
 		pageMask: uint32(k.machine.PageSize() - 1),
+		quantum:  k.machine.Config().Quantum,
 	}
 }
 
@@ -795,7 +797,7 @@ func (c *Context) quantumExpired() {
 	} else {
 		c.th.Yield()
 	}
-	c.sliceEnd = c.th.Clock() + c.kernel.machine.Config().Quantum
+	c.sliceEnd = c.th.Clock() + c.quantum
 }
 
 // translate resolves va for an access, faulting as needed. The TLB probe
