@@ -23,7 +23,8 @@
 #                   BENCH_<date>.json (the tracked perf trajectory;
 #                   compare two runs with cmd/benchdiff)
 #   make bench-ci - the CI perf gate, an A/B run on one host: measure
-#                   the reduced hot-path set with the test binaries of
+#                   the reduced hot-path set and the end-to-end Table 3
+#                   rows with the test binaries of
 #                   BENCH_BASE (default HEAD) and of the working tree in
 #                   alternation, and fail if any median ns/op, or any
 #                   B/op or allocs/op, regressed more than BENCHDIFF_TOL
@@ -57,11 +58,14 @@ BENCHFILTER ?= .
 BENCHTIME ?= 1s
 BENCHDATE := $(shell date +%Y-%m-%d)
 
-# The reduced hot-path set the CI perf gate re-measures. Time-based
-# -benchtime keeps ns/op out of one-shot noise on the nanosecond-scale
-# paths while bounding the gate's wall-clock on the millisecond-scale
-# ones; B/op and allocs/op move little with the iteration count.
-BENCH_CI_FILTER := 'LocalAccess$$|PageMigration$$|FaultPath$$|ReclaimFault$$|PickManyThreads|TraceOverhead|NewMachine'
+# The reduced hot-path set the CI perf gate re-measures, plus one
+# end-to-end row per Table 3 application (BenchmarkTable3/<app>: the
+# paper's three runs at the small sizes, one simulation at a time).
+# Time-based -benchtime keeps ns/op out of one-shot noise on the
+# nanosecond-scale paths while bounding the gate's wall-clock on the
+# millisecond-scale ones; B/op and allocs/op move little with the
+# iteration count.
+BENCH_CI_FILTER := 'LocalAccess$$|PageMigration$$|FaultPath$$|ReclaimFault$$|PickManyThreads|TraceOverhead|NewMachine|Table3$$'
 BENCH_CI_TIME := 300ms
 BENCH_CI_ROUNDS := 5
 BENCH_CI_DIR := .bench_ci
