@@ -169,18 +169,40 @@ type refCol struct {
 	fetches, stores uint64
 }
 
+// Row is a processor's charge row, indexed by frame node + 1: column 0 is
+// global memory, column home+1 the processor's local memory, and every
+// other column a remote node. NewMachine fills the costs once from the
+// machine's spec, so a reference, page copy or zero-fill neither looks up
+// its latency nor classifies its destination.
+type Row []refCol
+
+// Fetch charges th for a 32-bit fetch from frame f at the row's price and
+// counts it. It charges no interconnect queueing, so on its own it prices
+// a fetch only on an uncontended machine; ChargeFetch adds the link.
+//
+//numalint:hotpath
+func (r Row) Fetch(th *sim.Thread, f *mem.Frame) {
+	c := &r[f.Proc()+1]
+	th.Advance(c.fetch)
+	c.fetches++
+}
+
+// Store charges th for a 32-bit store to frame f at the row's price and
+// counts it; like Fetch, it charges no interconnect queueing.
+//
+//numalint:hotpath
+func (r Row) Store(th *sim.Thread, f *mem.Frame) {
+	c := &r[f.Proc()+1]
+	th.Advance(c.store)
+	c.stores++
+}
+
 // Processor is one ACE processor module.
 type Processor struct {
 	id   int
 	home int
 	res  *sim.Resource
-	// row is the processor's charge row, indexed by frame node + 1:
-	// column 0 is global memory, column home+1 the processor's local
-	// memory, and every other column a remote node. NewMachine fills the
-	// costs once from the machine's spec, so a reference, page copy or
-	// zero-fill neither looks up its latency nor classifies its
-	// destination.
-	row []refCol
+	row  Row
 	// Faults counts page faults taken on this processor.
 	Faults uint64
 }
@@ -192,6 +214,12 @@ func (p *Processor) ID() int { return p.id }
 //
 //numalint:hotpath
 func (p *Processor) Resource() *sim.Resource { return p.res }
+
+// Row returns the processor's charge row. The row is shared, not copied:
+// charges through it count in the processor's Refs.
+//
+//numalint:hotpath
+func (p *Processor) Row() Row { return p.row }
 
 // Refs returns the processor's reference counters, classified by charge
 // row column: column 0 is global, the home column local, the rest remote.
@@ -257,7 +285,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.mmus = make([]*mmu.MMU, cfg.NProc)
 	// Every processor's charge row is a slice of one allocation.
 	ncol := spec.NNodes() + 1
-	rows := make([]refCol, cfg.NProc*ncol)
+	rows := make(Row, cfg.NProc*ncol)
 	for i := range m.procs {
 		row := rows[i*ncol : (i+1)*ncol : (i+1)*ncol]
 		for col := range row {
@@ -383,9 +411,7 @@ func (m *Machine) PageOff(va uint32) int { return int(va) & (m.cfg.PageSize - 1)
 //
 //numalint:hotpath
 func (m *Machine) ChargeFetch(th *sim.Thread, proc int, f *mem.Frame) {
-	c := &m.procs[proc].row[f.Proc()+1]
-	th.Advance(c.fetch)
-	c.fetches++
+	m.procs[proc].row.Fetch(th, f)
 	if m.contended {
 		m.chargeLink(th, proc, f, 4, false)
 	}
@@ -397,9 +423,7 @@ func (m *Machine) ChargeFetch(th *sim.Thread, proc int, f *mem.Frame) {
 //
 //numalint:hotpath
 func (m *Machine) ChargeStore(th *sim.Thread, proc int, f *mem.Frame) {
-	c := &m.procs[proc].row[f.Proc()+1]
-	th.Advance(c.store)
-	c.stores++
+	m.procs[proc].row.Store(th, f)
 	if m.contended {
 		m.chargeLink(th, proc, f, 4, false)
 	}

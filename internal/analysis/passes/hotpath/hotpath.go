@@ -68,6 +68,7 @@ var Analyzer = &analysis.Analyzer{
 var Contracts = map[string]bool{
 	// mmu: translation, mapping and protection on the per-processor MMU.
 	"(*numasim/internal/mmu.MMU).Translate":   true,
+	"(*numasim/internal/mmu.MMU).Probe":       true,
 	"(*numasim/internal/mmu.MMU).Enter":       true,
 	"(*numasim/internal/mmu.MMU).Remove":      true,
 	"(*numasim/internal/mmu.MMU).RemoveFrame": true,
@@ -137,6 +138,9 @@ var Contracts = map[string]bool{
 	"(*numasim/internal/ace.Machine).NProc":         true,
 	"(*numasim/internal/ace.Machine).Memory":        true,
 	"(*numasim/internal/ace.Processor).Resource":    true,
+	"(*numasim/internal/ace.Processor).Row":         true,
+	"(numasim/internal/ace.Row).Fetch":              true,
+	"(numasim/internal/ace.Row).Store":              true,
 
 	// numa: the per-reference protocol entry point and page accessors.
 	"(*numasim/internal/numa.Manager).Access":       true,

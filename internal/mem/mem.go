@@ -137,10 +137,25 @@ func allZero(b []byte) bool {
 	return true
 }
 
+// checkOff panics unless [off, off+size) lies inside the frame. One
+// unsigned compare covers both ends, since a negative off converts to a
+// huge uint, and NewPool's minimum page size keeps pageSize-size from
+// going negative. The message is formatted only when the panic is, so
+// checkOff and the six accessors built on it inline.
 func (f *Frame) checkOff(off, size int) {
-	if off < 0 || off+size > f.pageSize {
-		panic(fmt.Sprintf("mem: access [%d,%d) outside %d-byte frame %s", off, off+size, f.pageSize, f))
+	if uint(off) > uint(f.pageSize-size) {
+		panic(&boundsError{f, off, size})
 	}
+}
+
+// boundsError is the panic value of an access outside a frame.
+type boundsError struct {
+	f         *Frame
+	off, size int
+}
+
+func (e *boundsError) Error() string {
+	return fmt.Sprintf("mem: access [%d,%d) outside %d-byte frame %s", e.off, e.off+e.size, e.f.pageSize, e.f)
 }
 
 // Load32 reads the 32-bit word at byte offset off.
@@ -228,11 +243,16 @@ type Pool struct {
 // block doubles the one before it.
 const firstBlock = 64
 
-// NewPool creates a pool of n frames of the given size. For Local pools,
-// proc names the owning processor; Global pools use proc -1.
+// maxAccess is the widest frame access, Load64 and Store64's 8 bytes; a
+// page holds at least one.
+const maxAccess = 8
+
+// NewPool creates a pool of n frames of the given size, a power of two of
+// at least maxAccess bytes. For Local pools, proc names the owning
+// processor; Global pools use proc -1.
 func NewPool(kind Kind, proc, n, pageSize int) *Pool {
-	if pageSize <= 0 || pageSize&(pageSize-1) != 0 {
-		panic(fmt.Sprintf("mem: page size %d is not a power of two", pageSize))
+	if pageSize < maxAccess || pageSize&(pageSize-1) != 0 {
+		panic(fmt.Sprintf("mem: page size %d is not a power of two of at least %d bytes", pageSize, maxAccess))
 	}
 	if n < 0 {
 		panic(fmt.Sprintf("mem: negative frame count %d", n))

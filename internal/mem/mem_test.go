@@ -311,23 +311,43 @@ func TestFrameWordAccess(t *testing.T) {
 	}
 }
 
+// TestFrameBoundsPanic drives every accessor one byte past each end of
+// a 512-byte frame and at its last in-range offset, on an untouched frame
+// (no data yet, so the bounds check is the only guard) and a touched one.
 func TestFrameBoundsPanic(t *testing.T) {
-	p := NewPool(Global, -1, 1, 512)
-	f, _ := p.Alloc()
-	for _, fn := range []func(){
-		func() { f.Load32(510) },
-		func() { f.Store32(-1, 0) },
-		func() { f.Load64(508) },
-		func() { f.Load8(512) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("out-of-bounds access should panic")
-				}
-			}()
-			fn()
-		}()
+	accessors := []struct {
+		name string
+		size int
+		do   func(f *Frame, off int)
+	}{
+		{"Load8", 1, func(f *Frame, off int) { f.Load8(off) }},
+		{"Store8", 1, func(f *Frame, off int) { f.Store8(off, 1) }},
+		{"Load32", 4, func(f *Frame, off int) { f.Load32(off) }},
+		{"Store32", 4, func(f *Frame, off int) { f.Store32(off, 1) }},
+		{"Load64", 8, func(f *Frame, off int) { f.Load64(off) }},
+		{"Store64", 8, func(f *Frame, off int) { f.Store64(off, 1) }},
+	}
+	for _, touched := range []bool{false, true} {
+		for _, a := range accessors {
+			p := NewPool(Global, -1, 1, 512)
+			f, _ := p.Alloc()
+			if touched {
+				f.Data()
+			}
+			for _, off := range []int{-1, 512 - a.size + 1} {
+				want := fmt.Sprintf("mem: access [%d,%d) outside 512-byte frame global[0]", off, off+a.size)
+				func() {
+					defer func() {
+						if r := recover(); fmt.Sprint(r) != want {
+							t.Errorf("%s(%d), touched %v: panic %v, want %q", a.name, off, touched, r, want)
+						}
+					}()
+					a.do(f, off)
+				}()
+			}
+			a.do(f, 0)
+			a.do(f, 512-a.size)
+		}
 	}
 }
 

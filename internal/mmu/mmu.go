@@ -293,28 +293,39 @@ func (m *MMU) Lookup(key Key) *PTE {
 	return m.fwd.get(split(key))
 }
 
+// Probe is the TLB-hit half of Translate: it returns the frame the TLB
+// caches for key when that translation grants need (ProtRead for a load,
+// ProtWrite for a store), and nil otherwise. It is small enough to inline
+// into the reference path; on nil the caller goes on to Translate.
+//
+//numalint:hotpath
+func (m *MMU) Probe(key Key, need Prot) *mem.Frame {
+	s := &m.tlb[int(key)&(tlbSize-1)]
+	if pte := s.pte; pte != nil && s.key == key && pte.Prot&need != 0 {
+		return pte.Frame
+	}
+	return nil
+}
+
 // Translate resolves an access. It returns the frame to access if the
 // translation exists with sufficient permission, or nil to signal a fault.
-// This is the hot path: it goes through the direct-mapped TLB first.
+// It probes the direct-mapped TLB first; on a miss it looks the key up in
+// the forward table and caches what it finds, and the probe of the filled
+// slot checks that entry's permission.
 //
 //numalint:hotpath
 func (m *MMU) Translate(key Key, write bool) *mem.Frame {
-	s := &m.tlb[int(key)&(tlbSize-1)]
-	pte := s.pte
-	if pte == nil || s.key != key {
-		pte = m.Lookup(key)
-		if pte == nil {
-			return nil
-		}
-		s.key = key
-		s.pte = pte
-	}
+	need := ProtRead
 	if write {
-		if !pte.Prot.CanWrite() {
-			return nil
-		}
-	} else if !pte.Prot.CanRead() {
+		need = ProtWrite
+	}
+	if f := m.Probe(key, need); f != nil {
+		return f
+	}
+	pte := m.Lookup(key)
+	if pte == nil {
 		return nil
 	}
-	return pte.Frame
+	m.tlbFill(key, pte)
+	return m.Probe(key, need)
 }
