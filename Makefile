@@ -58,14 +58,16 @@ BENCHFILTER ?= .
 BENCHTIME ?= 1s
 BENCHDATE := $(shell date +%Y-%m-%d)
 
-# The reduced hot-path set the CI perf gate re-measures, plus one
-# end-to-end row per Table 3 application (BenchmarkTable3/<app>: the
-# paper's three runs at the small sizes, one simulation at a time).
+# The reduced hot-path set the CI perf gate re-measures, with a row per
+# Context accessor on a TLB hit (BenchmarkAccessor/<accessor>, and a
+# remote Load32 on 4socket), plus one end-to-end row per Table 3
+# application (BenchmarkTable3/<app>: the paper's three runs at the small
+# sizes, one simulation at a time).
 # Time-based -benchtime keeps ns/op out of one-shot noise on the
 # nanosecond-scale paths while bounding the gate's wall-clock on the
 # millisecond-scale ones; B/op and allocs/op move little with the
 # iteration count.
-BENCH_CI_FILTER := 'LocalAccess$$|PageMigration$$|FaultPath$$|ReclaimFault$$|PickManyThreads|TraceOverhead|NewMachine|Table3$$'
+BENCH_CI_FILTER := 'LocalAccess$$|Accessor$$|PageMigration$$|FaultPath$$|ReclaimFault$$|PickManyThreads|TraceOverhead|NewMachine|Table3$$'
 BENCH_CI_TIME := 300ms
 BENCH_CI_ROUNDS := 5
 BENCH_CI_DIR := .bench_ci

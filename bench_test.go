@@ -177,6 +177,66 @@ func BenchmarkLocalAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessor measures each Context accessor on a TLB hit to a
+// local frame, a row per accessor, and a Load32 from another node's
+// memory on contended 4socket, which charges through the machine and its
+// interconnect. Each 32-bit word of a row is one simulated reference.
+func BenchmarkAccessor(b *testing.B) {
+	for _, a := range []struct {
+		name string
+		do   func(c *numasim.Context, va uint32)
+	}{
+		{"Load8", func(c *numasim.Context, va uint32) { c.Load8(va) }},
+		{"Store8", func(c *numasim.Context, va uint32) { c.Store8(va, 1) }},
+		{"Load32", func(c *numasim.Context, va uint32) { c.Load32(va) }},
+		{"Store32", func(c *numasim.Context, va uint32) { c.Store32(va, 1) }},
+		{"Load64", func(c *numasim.Context, va uint32) { c.Load64(va) }},
+		{"Store64", func(c *numasim.Context, va uint32) { c.Store64(va, 1) }},
+		{"TestAndSet", func(c *numasim.Context, va uint32) { c.TestAndSet(va) }},
+		{"FetchOr32", func(c *numasim.Context, va uint32) { c.FetchOr32(va, 1) }},
+	} {
+		b.Run(a.name, func(b *testing.B) {
+			sys := newSystem(b, 1, numasim.AllLocalPolicy())
+			benchAccess(b, sys, -1, a.do)
+		})
+	}
+	b.Run("Remote4socket/Load32", func(b *testing.B) {
+		cfg := numasim.DefaultConfig()
+		cfg.NProc, cfg.Topology = 4, "4socket"
+		sys, err := numasim.New(numasim.WithConfig(cfg), numasim.WithPolicy(numasim.PragmaPolicy(nil)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchAccess(b, sys, 1, func(c *numasim.Context, va uint32) { c.Load32(va) })
+		if r := sys.Machine.Proc(0).Refs(); r.RemoteFetch < uint64(b.N) {
+			b.Fatalf("cpu0 made %d remote fetches, want at least %d", r.RemoteFetch, b.N)
+		}
+	})
+}
+
+// benchAccess times b.N calls of do on one word of a fresh page, from one
+// thread on cpu0, after a store has mapped the page writable. A home of 0
+// or more places the page remotely there (§4.4).
+func benchAccess(b *testing.B, sys *numasim.System, home int, do func(c *numasim.Context, va uint32)) {
+	b.Helper()
+	va := sys.Runtime.Alloc("data", 4096)
+	b.ReportAllocs()
+	err := sys.Runtime.Run(1, func(id int, c *numasim.Context) {
+		if home >= 0 {
+			c.Task().SetHome(va, home)
+		}
+		c.Store32(va, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			do(c, va)
+		}
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // benchMachine keeps BenchmarkNewMachine's result live.
 var benchMachine *ace.Machine
 
