@@ -144,8 +144,10 @@ func (s *Scheduler) Spawn(name string, task *vm.Task, start sim.Time, fn func(*v
 	proc := s.pick()
 	s.live[proc]++
 	th := s.kernel.Machine().Engine().Spawn(name, start, func(th *sim.Thread) {
-		defer func() { s.live[proc]-- }()
 		c := vm.NewContext(s.kernel, task, th, proc)
+		// migrate and hop move the count with the thread, so it leaves
+		// the processor it ends on.
+		defer func() { s.live[c.Proc()]-- }()
 		if s.mode == NoAffinity {
 			c.OnQuantum = s.hop
 		} else {
@@ -191,6 +193,8 @@ func (s *Scheduler) hop(c *vm.Context) {
 			next = (next + 1) % n
 		}
 	}
+	s.live[c.Proc()]--
+	s.live[next]++
 	c.MigrateTo(next)
 	c.Thread().Yield()
 }
@@ -277,6 +281,8 @@ func (s *Scheduler) migrate(c *vm.Context, node int) {
 	s.stats.NodeThreads[node]++
 	s.stats.Migrations++
 	s.stats.NodeMigrations[node]++
+	s.live[from]--
+	s.live[target]++
 	c.MigrateTo(target)
 	if bus := s.kernel.Machine().Bus(); bus.Enabled() {
 		bus.Emit(simtrace.Event{

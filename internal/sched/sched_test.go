@@ -156,3 +156,68 @@ func TestMigrateHintRejections(t *testing.T) {
 		t.Errorf("no-affinity HintsRejected = %d, want 1", got)
 	}
 }
+
+// TestFailoverSpreadsByLiveCounts fails node 0 of an 8-processor
+// 4socket, which homes cpu0 and cpu4 there. Both threads fail over to
+// node 1, whose cpu1 and cpu5 run one thread each, and the live counts
+// must follow the first move so the second lands on the other processor.
+func TestFailoverSpreadsByLiveCounts(t *testing.T) {
+	cfg := ace.DefaultConfig()
+	cfg.NProc, cfg.Topology = 8, "4socket"
+	cfg.GlobalFrames, cfg.LocalFrames = 64, 32
+	k := vm.NewKernel(ace.MustMachine(cfg), policy.NewDefault())
+	s := sched.New(k, sched.Affinity)
+	task := k.NewTask("t")
+	end := make([]int, cfg.NProc)
+	for i := range end {
+		s.Spawn("w", task, 0, func(c *vm.Context) {
+			for range 4 {
+				c.Compute(1000) // each call ends a quantum
+			}
+			end[i] = c.Proc()
+			if i == 0 && (s.Live(0) != 0 || s.Live(end[0]) == 0) {
+				t.Errorf("after failover cpu0 counts %d threads and cpu%d %d",
+					s.Live(0), end[0], s.Live(end[0]))
+			}
+		})
+	}
+	s.FailNode(0)
+	if err := k.Machine().Engine().Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 4} {
+		if home := k.Machine().Home(end[i]); home != 1 {
+			t.Errorf("thread from cpu%d ended on cpu%d of node %d, want node 1", i, end[i], home)
+		}
+	}
+	if end[0] == end[4] {
+		t.Errorf("both failed-over threads ended on cpu%d; cpu%d runs one thread less", end[0], 6-end[0])
+	}
+	for p := range cfg.NProc {
+		if s.Live(p) != 0 {
+			t.Errorf("cpu%d still counts %d live threads", p, s.Live(p))
+		}
+	}
+}
+
+// TestHopMovesLiveCount requires a no-affinity hop to move the thread's
+// live count with it.
+func TestHopMovesLiveCount(t *testing.T) {
+	k := newKernel(2)
+	s := sched.New(k, sched.NoAffinity)
+	task := k.NewTask("t")
+	s.Spawn("w", task, 0, func(c *vm.Context) {
+		for range 3 {
+			c.Compute(1000) // each call ends a quantum, and the thread hops
+			if s.Live(c.Proc()) != 1 || s.Live(1-c.Proc()) != 0 {
+				t.Errorf("on cpu%d: live counts %d %d", c.Proc(), s.Live(0), s.Live(1))
+			}
+		}
+	})
+	if err := k.Machine().Engine().Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Live(0) != 0 || s.Live(1) != 0 {
+		t.Errorf("live counts not drained: %d %d", s.Live(0), s.Live(1))
+	}
+}
