@@ -9,10 +9,9 @@
 #   make audit    - run the protocol-fuzz suite with full online
 #                   auditing (every protocol action re-validates the
 #                   directory invariants; violations die with forensics)
-#   make lint     - run the numalint analyzer suite (determinism,
-#                   maporder, statemachine, units, violation, hotpath,
-#                   atomicmix) via go vet -vettool
-#   make numalint - build the numalint binary and print its path
+#   make lint     - build bin/numalint and run its analyzer suite
+#                   (determinism, maporder, statemachine, units,
+#                   violation, hotpath, atomicmix) over ./...
 #   make bench    - run the benchmark suite (tables, ablations, the
 #                   simulator hot-path microbenchmarks, and the simtrace
 #                   overhead check: BenchmarkTraceOverhead/off must stay
@@ -76,7 +75,7 @@ BENCHDIFF_TOL ?= 0.20
 # passes the pull request's base, or HEAD~1 on a push.
 BENCH_BASE ?= HEAD
 
-.PHONY: check build vet lint numalint test bench bench-json bench-ci examples tables pressure audit topo tournament avail
+.PHONY: check build vet lint test bench bench-json bench-ci examples tables pressure audit topo tournament avail
 
 check: build vet lint test audit pressure topo tournament avail examples
 
@@ -90,15 +89,9 @@ vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
 
-# numalint builds the analyzer binary and prints its absolute path, so it
-# composes with go vet: go vet -vettool=$$(make -s numalint) ./...
-numalint:
-	@$(GO) build -o $(NUMALINT) ./cmd/numalint
-	@echo $(CURDIR)/$(NUMALINT)
-
 lint:
 	$(GO) build -o $(NUMALINT) ./cmd/numalint
-	$(GO) vet -vettool=$(CURDIR)/$(NUMALINT) ./...
+	$(NUMALINT) ./...
 
 test:
 	$(GO) test -race ./...

@@ -8,18 +8,18 @@
 // package call graph) and atomicmix (no field accessed both through
 // sync/atomic and plain loads/stores).
 //
-// Two modes share one binary:
+//	numalint [-list] [-only a,b] [packages]    # packages default to ./...
 //
-//	numalint ./...                     # standalone: analyze packages
-//	go vet -vettool=$(make numalint) ./...   # under the go build cache
-//
-// The vettool mode is selected automatically when the go command invokes
-// the binary with -V=full, -flags or a .cfg unit file.
+// It type-checks the named packages and their in-module dependencies from
+// source (internal/analysis/load), so a declaration's //numalint:
+// directive holds in every package that uses it, and reports findings in
+// the named packages only. Exit status: 0 clean, 1 error, 2 findings.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,7 +33,6 @@ import (
 	"numasim/internal/analysis/passes/statemachine"
 	"numasim/internal/analysis/passes/units"
 	"numasim/internal/analysis/passes/violation"
-	"numasim/internal/analysis/vettool"
 )
 
 var analyzers = []*analysis.Analyzer{
@@ -48,14 +47,6 @@ var analyzers = []*analysis.Analyzer{
 
 func main() {
 	progname := strings.TrimSuffix(filepath.Base(os.Args[0]), ".exe")
-	args := os.Args[1:]
-
-	// The go command's vettool protocol: version/flags queries, or a
-	// single .cfg compilation unit.
-	if len(args) == 1 && (strings.HasPrefix(args[0], "-V") || args[0] == "-flags" || filepath.Ext(args[0]) == ".cfg") {
-		os.Exit(vettool.Main(progname, args, analyzers))
-	}
-
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default all)")
@@ -65,7 +56,7 @@ func main() {
 			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
 	}
-	fs.Parse(args)
+	fs.Parse(os.Args[1:])
 
 	if *list {
 		for _, a := range analyzers {
@@ -101,26 +92,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
 		os.Exit(1)
 	}
-	pkgs, err := load.Packages(wd, patterns...)
+	_, total, err := lint(os.Stderr, wd, patterns, selected)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
 		os.Exit(1)
-	}
-
-	total := 0
-	for _, pkg := range pkgs {
-		findings, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, selected)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %s: %v\n", progname, pkg.PkgPath, err)
-			os.Exit(1)
-		}
-		for _, f := range findings {
-			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", pkg.Fset.Position(f.Diag.Pos), f.Analyzer.Name, f.Diag.Message)
-		}
-		total += len(findings)
 	}
 	if total > 0 {
 		fmt.Fprintf(os.Stderr, "%s: %d finding(s)\n", progname, total)
 		os.Exit(2)
 	}
+}
+
+// lint loads the packages matching patterns under dir, applies the
+// analyzers to each and writes one line per finding to w. It returns the
+// number of packages analyzed and of findings.
+func lint(w io.Writer, dir string, patterns []string, analyzers []*analysis.Analyzer) (npkgs, total int, err error) {
+	pkgs, marks, err := load.Packages(dir, patterns...)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, pkg := range pkgs {
+		findings, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, marks, analyzers)
+		if err != nil {
+			return len(pkgs), total, fmt.Errorf("%s: %v", pkg.PkgPath, err)
+		}
+		for _, f := range findings {
+			fmt.Fprintf(w, "%s: [%s] %s\n", pkg.Fset.Position(f.Diag.Pos), f.Analyzer.Name, f.Diag.Message)
+		}
+		total += len(findings)
+	}
+	return len(pkgs), total, nil
 }

@@ -4,15 +4,16 @@
 //
 // It defines the Analyzer/Pass/Diagnostic vocabulary used by the numalint
 // analyzers (internal/analysis/passes/...), which statically enforce the
-// simulator's determinism, protocol and units invariants. Drivers live
-// alongside it:
+// simulator's determinism, protocol and units invariants, and Marks, the
+// index through which a pass reads the //numalint: directive on any
+// loaded declaration. Two packages feed it:
 //
-//   - internal/analysis/load type-checks packages of this module via
-//     `go list -export` (the standalone numalint mode);
-//   - internal/analysis/vettool speaks the `go vet -vettool` unit-checker
-//     protocol, so the same analyzers run under the build cache;
-//   - internal/analysis/analysistest runs an analyzer over a fixture
-//     directory and checks its diagnostics against `// want` comments.
+//   - internal/analysis/load type-checks the named packages and their
+//     in-module dependencies from source and indexes their directives
+//     (cmd/numalint, the one driver);
+//   - internal/analysis/analysistest runs analyzers over a fixture
+//     directory or fixture module and checks their diagnostics against
+//     `// want` comments.
 //
 // Analyzers never inspect *_test.go files: test code may legitimately
 // exercise nondeterminism or partial switches, and the invariants guarded
@@ -48,7 +49,16 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Report delivers one diagnostic.
 	Report func(Diagnostic)
+
+	marks Marks
 }
+
+// Marked reports whether the declaration named key carries the
+// doc-comment directive //numalint:<name>, in whichever loaded package it
+// is declared. key is types.Func.FullName for a function or method (an
+// interface method included) and TypeKey for a named type. A directive is
+// its declaration's contract with every package that uses it.
+func (p *Pass) Marked(key, name string) bool { return p.marks[mark{key, name}] }
 
 // Diagnostic is one finding.
 type Diagnostic struct {
@@ -116,6 +126,47 @@ func Directives(file *ast.File) []Directive {
 		}
 	}
 	return out
+}
+
+// Marks indexes doc-comment directives by the declaration they head.
+// Export data carries no comments, so a driver builds one index over the
+// source of every package it loads and hands it to each pass.
+type Marks map[mark]bool
+
+type mark struct{ key, name string }
+
+// Add indexes the directives heading one type-checked package's function,
+// method, interface-method and type declarations.
+func (m Marks) Add(files []*ast.File, info *types.Info) {
+	for _, f := range files {
+		for _, d := range Directives(f) {
+			var names []*ast.Ident
+			switch n := d.Node.(type) {
+			case *ast.FuncDecl:
+				names = []*ast.Ident{n.Name}
+			case *ast.TypeSpec:
+				names = []*ast.Ident{n.Name}
+			case *ast.GenDecl:
+				for _, spec := range n.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						names = append(names, ts.Name)
+					}
+				}
+			case *ast.Field:
+				names = n.Names // struct fields define *types.Var: skipped below
+			}
+			for _, id := range names {
+				switch obj := info.Defs[id].(type) {
+				case *types.Func:
+					m[mark{obj.FullName(), d.Name}] = true
+				case *types.TypeName:
+					if n, ok := obj.Type().(*types.Named); ok {
+						m[mark{TypeKey(n), d.Name}] = true
+					}
+				}
+			}
+		}
+	}
 }
 
 // HasPackageDirective reports whether any file of the pass carries the

@@ -1,22 +1,24 @@
-// Package analysistest runs a numalint analyzer over a fixture directory
-// and checks its diagnostics against // want comments, mirroring
+// Package analysistest runs numalint analyzers over fixtures and checks
+// their diagnostics against // want comments, mirroring
 // golang.org/x/tools/go/analysis/analysistest on the standard library
 // only.
 //
-// A fixture is a flat directory of Go files (conventionally under a
-// testdata/src/<name> tree, which the go tool ignores). Each line that
-// should be diagnosed carries a comment of the form
+// A fixture is either a flat directory of Go files forming one package
+// that imports only the standard library (Run; conventionally under a
+// testdata/src/<name> tree, which the go tool ignores), or a module with
+// its own go.mod, loaded like the repository itself (RunModule), for
+// checks that span packages. Each line that should be diagnosed carries
+// a comment of the form
 //
 //	// want `regexp`
 //
 // (backquoted or double-quoted; several patterns may follow one want for
-// lines with several findings). The fixture is type-checked against real
-// export data — stdlib and module imports both work — resolved lazily
-// through `go list -export`.
+// lines with several findings).
 package analysistest
 
 import (
 	"fmt"
+	"go/importer"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -76,17 +78,52 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, opts ...Option) {
 	}
 
 	fset := token.NewFileSet()
-	exp := &load.Exports{Files: make(map[string]string)}
-	pkg, err := load.Check(cfg.importPath, fset, files, exp.Importer(fset))
+	pkg, err := load.Check(cfg.importPath, fset, files, importer.ForCompiler(fset, "gc", nil))
 	if err != nil {
 		t.Fatalf("analysistest: type-checking %s: %v", dir, err)
 	}
-
-	findings, err := analysis.Run(fset, pkg.Files, pkg.Types, pkg.TypesInfo, []*analysis.Analyzer{a})
+	marks := make(analysis.Marks)
+	marks.Add(pkg.Files, pkg.TypesInfo)
+	findings, err := analysis.Run(fset, pkg.Files, pkg.Types, pkg.TypesInfo, marks, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analysistest: running %s: %v", a.Name, err)
 	}
+	check(t, fset, files, findings)
+}
 
+// RunModule loads every package of the fixture module rooted at dir (a
+// directory holding a go.mod) as cmd/numalint loads the repository,
+// applies the analyzers to each, and reports any mismatch with the want
+// comments of all its files.
+func RunModule(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
+	t.Helper()
+	pkgs, marks, err := load.Packages(dir, "./...")
+	if err != nil {
+		t.Fatalf("analysistest: loading %s: %v", dir, err)
+	}
+	var fset *token.FileSet
+	var files []string
+	var findings []analysis.Finding
+	for _, pkg := range pkgs {
+		fset = pkg.Fset // shared by every package of one load
+		for _, f := range pkg.Files {
+			files = append(files, fset.Position(f.Package).Filename)
+		}
+		got, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, marks, analyzers)
+		if err != nil {
+			t.Fatalf("analysistest: %s: %v", pkg.PkgPath, err)
+		}
+		findings = append(findings, got...)
+	}
+	if len(files) == 0 {
+		t.Fatalf("analysistest: no Go files in %s", dir)
+	}
+	check(t, fset, files, findings)
+}
+
+// check matches findings against the want comments in files.
+func check(t *testing.T, fset *token.FileSet, files []string, findings []analysis.Finding) {
+	t.Helper()
 	wants := parseWants(t, files)
 	type key struct {
 		file string

@@ -1,11 +1,15 @@
 // Package load type-checks packages of this module for the numalint
 // analyzers without any dependency outside the standard library.
 //
-// It drives `go list -deps -export -json`, which compiles (or fetches from
-// the build cache) the export data of every dependency, then parses the
-// target packages from source and type-checks them against that export
-// data via the standard gc importer. The result is the same typed syntax
-// an x/tools-based driver would hand an analyzer.
+// It drives `go list -deps -export -json`, which names every package the
+// patterns need, dependencies first, and compiles (or fetches from the
+// build cache) the export data of each. Packages outside the standard
+// library are parsed and type-checked from source in that order, each
+// against the ones before it, so one set of type objects spans the module
+// and every doc comment is read into the directive index
+// (analysis.Marks); standard-library imports come from export data. The
+// result is the same typed syntax an x/tools-based driver would hand an
+// analyzer.
 package load
 
 import (
@@ -23,7 +27,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync"
 
 	"numasim/internal/analysis"
 )
@@ -31,7 +34,6 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	PkgPath   string
-	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File // non-test files, parsed with comments
 	Types     *types.Package
@@ -48,80 +50,6 @@ type listPkg struct {
 	Standard   bool
 }
 
-// Exports resolves import paths to compiled export data. The zero value
-// resolves lazily by shelling out to `go list -export`; prefilled maps
-// (the vettool protocol's PackageFile) take precedence.
-type Exports struct {
-	mu sync.Mutex
-	// Files maps a package path to its export data file.
-	Files map[string]string
-	// ImportMap maps source-level import paths to package paths
-	// (vendoring or test-variant indirection); identity when absent.
-	ImportMap map[string]string
-	// Dir is the working directory for lazy `go list` calls.
-	Dir string
-	// NoList disables lazy resolution (vettool mode: the go command has
-	// already supplied every legal import).
-	NoList bool
-}
-
-// Lookup returns a reader of the export data for path.
-func (e *Exports) Lookup(path string) (io.ReadCloser, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p, ok := e.ImportMap[path]; ok {
-		path = p
-	}
-	if e.Files == nil {
-		e.Files = make(map[string]string)
-	}
-	file, ok := e.Files[path]
-	if !ok {
-		if e.NoList {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		if err := e.list(path); err != nil {
-			return nil, err
-		}
-		if file, ok = e.Files[path]; !ok {
-			return nil, fmt.Errorf("go list produced no export data for %q", path)
-		}
-	}
-	return os.Open(file)
-}
-
-// list resolves path (and its dependencies, cheaply, since they share
-// build-cache entries) into e.Files.
-func (e *Exports) list(patterns ...string) error {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export,DepOnly,Standard,Dir,GoFiles"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = e.Dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
-	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("go list %v: decoding output: %v", patterns, err)
-		}
-		if p.Export != "" {
-			e.Files[p.ImportPath] = p.Export
-		}
-	}
-	return nil
-}
-
-// Importer returns a types.Importer backed by the export map.
-func (e *Exports) Importer(fset *token.FileSet) types.Importer {
-	return importer.ForCompiler(fset, "gc", e.Lookup)
-}
-
 // NewInfo allocates a fully populated types.Info.
 func NewInfo() *types.Info {
 	return &types.Info{
@@ -136,7 +64,8 @@ func NewInfo() *types.Info {
 }
 
 // Check parses and type-checks one package from its file list. Test files
-// are dropped (analyzers do not inspect them). sizes may be nil.
+// are dropped (analyzers do not inspect them). imp may be nil for a
+// package without imports.
 func Check(pkgPath string, fset *token.FileSet, filenames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
@@ -172,10 +101,16 @@ func Check(pkgPath string, fset *token.FileSet, filenames []string, imp types.Im
 	}, nil
 }
 
-// Packages loads, parses and type-checks the packages matching the go
-// list patterns (e.g. "./..."), in deterministic import-path order.
-func Packages(dir string, patterns ...string) ([]*Package, error) {
-	exp := &Exports{Files: make(map[string]string), Dir: dir}
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// Packages loads the packages matching the go list patterns (e.g.
+// "./...") under dir, with their dependencies outside the standard
+// library, and returns the matched ones in import-path order together
+// with the directive index over every package checked from source.
+func Packages(dir string, patterns ...string) ([]*Package, analysis.Marks, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export,DepOnly,Standard,Dir,GoFiles"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -183,39 +118,53 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
 	}
-	var targets []listPkg
+	fset := token.NewFileSet()
+	exports := make(map[string]string)
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	checked := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return gc.Import(path)
+	})
+
+	marks := make(analysis.Marks)
+	var targets []*Package
 	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
+	for { // dependencies precede their importers
 		var p listPkg
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("go list %v: decoding output: %v", patterns, err)
+			return nil, nil, fmt.Errorf("go list %v: decoding output: %v", patterns, err)
 		}
-		if p.Export != "" {
-			exp.Files[p.ImportPath] = p.Export
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+			continue
 		}
-		if !p.DepOnly && !p.Standard {
-			targets = append(targets, p)
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-
-	var pkgs []*Package
-	for _, t := range targets {
-		fset := token.NewFileSet()
 		var names []string
-		for _, g := range t.GoFiles {
-			names = append(names, filepath.Join(t.Dir, g))
+		for _, g := range p.GoFiles {
+			names = append(names, filepath.Join(p.Dir, g))
 		}
-		pkg, err := Check(t.ImportPath, fset, names, exp.Importer(fset))
+		pkg, err := Check(p.ImportPath, fset, names, imp)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %v", t.ImportPath, err)
+			return nil, nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 		}
-		pkg.Dir = t.Dir
-		pkgs = append(pkgs, pkg)
+		checked[p.ImportPath] = pkg.Types
+		marks.Add(pkg.Files, pkg.TypesInfo)
+		if !p.DepOnly {
+			targets = append(targets, pkg)
+		}
 	}
-	return pkgs, nil
+	sort.Slice(targets, func(i, j int) bool { return targets[i].PkgPath < targets[j].PkgPath })
+	return targets, marks, nil
 }

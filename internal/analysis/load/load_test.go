@@ -76,7 +76,7 @@ func TestCheckGood(t *testing.T) {
 
 func TestPackagesMissingPattern(t *testing.T) {
 	root := moduleRoot(t)
-	_, err := load.Packages(root, "./does/not/exist")
+	_, _, err := load.Packages(root, "./does/not/exist")
 	if err == nil {
 		t.Fatal("want an error for a pattern matching no package, got nil")
 	}

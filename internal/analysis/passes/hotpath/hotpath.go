@@ -20,14 +20,15 @@
 //   - map iteration, function literals, method values, go statements;
 //   - any call into fmt or reflect.
 //
-// Calls may only target other hot-path-vetted functions: same-package
-// functions are walked transitively; cross-package calls must appear in
-// the Contracts table (and the named function must itself be annotated
-// //numalint:hotpath in its defining package — the analyzer enforces the
-// annotation when it analyzes that package); interface dispatch must
-// appear in InterfaceContracts, whose implementations are in turn forced
-// to be annotated wherever they are declared. Calls through function
-// values and function-typed fields cannot be verified and are reported.
+// Calls may only target other hot-path-vetted functions. Same-package
+// functions are walked transitively. A cross-package call is accepted
+// exactly when the callee carries //numalint:hotpath in its own package,
+// where the analyzer proves it; the directive is the callee's contract.
+// Interface dispatch is accepted exactly when the interface method
+// carries //numalint:hotpath, and every method that implements such an
+// interface method must then be annotated hotpath (or coldpath) wherever
+// it is declared. Calls through function values and function-typed
+// fields cannot be verified and are reported.
 //
 // The escape hatch mirrors the determinism pass's hostside directive:
 //
@@ -46,7 +47,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"numasim/internal/analysis"
@@ -58,142 +58,6 @@ var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc:  "prove //numalint:hotpath functions transitively allocation-free",
 	Run:  run,
-}
-
-// Contracts lists cross-package functions that hot paths may call, keyed
-// by types.Func.FullName. Each entry is a promise enforced on both sides:
-// call sites may trust it, and when the analyzer reaches the defining
-// package it requires the function to exist and carry //numalint:hotpath
-// (a stale or unannotated entry is itself a diagnostic).
-var Contracts = map[string]bool{
-	// mmu: translation, mapping and protection on the per-processor MMU.
-	"(*numasim/internal/mmu.MMU).Translate":   true,
-	"(*numasim/internal/mmu.MMU).Probe":       true,
-	"(*numasim/internal/mmu.MMU).Enter":       true,
-	"(*numasim/internal/mmu.MMU).Remove":      true,
-	"(*numasim/internal/mmu.MMU).RemoveFrame": true,
-	"(*numasim/internal/mmu.MMU).Protect":     true,
-	"(*numasim/internal/mmu.MMU).Lookup":      true,
-	"(numasim/internal/mmu.Prot).CanRead":     true,
-	"(numasim/internal/mmu.Prot).CanWrite":    true,
-
-	// mem: frame accessors and pool alloc/release.
-	"(*numasim/internal/mem.Frame).Load8":    true,
-	"(*numasim/internal/mem.Frame).Store8":   true,
-	"(*numasim/internal/mem.Frame).Load32":   true,
-	"(*numasim/internal/mem.Frame).Store32":  true,
-	"(*numasim/internal/mem.Frame).Load64":   true,
-	"(*numasim/internal/mem.Frame).Store64":  true,
-	"(*numasim/internal/mem.Frame).Data":     true,
-	"(*numasim/internal/mem.Frame).Zero":     true,
-	"(*numasim/internal/mem.Frame).CopyFrom": true,
-	"(*numasim/internal/mem.Frame).Kind":     true,
-	"(*numasim/internal/mem.Frame).Proc":     true,
-	"(*numasim/internal/mem.Frame).Index":    true,
-	"(*numasim/internal/mem.Frame).PageSize": true,
-	"(*numasim/internal/mem.Pool).Alloc":     true,
-	"(*numasim/internal/mem.Pool).Release":   true,
-	"(*numasim/internal/mem.Pool).Free":      true,
-	"(*numasim/internal/mem.Pool).Size":      true,
-	"(*numasim/internal/mem.Memory).Local":   true,
-	"(*numasim/internal/mem.Memory).Global":  true,
-
-	// sim: virtual-time accounting on the running thread.
-	"(*numasim/internal/sim.Thread).Advance":    true,
-	"(*numasim/internal/sim.Thread).AdvanceSys": true,
-	"(*numasim/internal/sim.Thread).Clock":      true,
-	"(*numasim/internal/sim.Thread).ID":         true,
-
-	// topology: latency-matrix lookups and link charging.
-	"(*numasim/internal/topology.Spec).NNodes":             true,
-	"(*numasim/internal/topology.Spec).NProcs":             true,
-	"(*numasim/internal/topology.Spec).Home":               true,
-	"(*numasim/internal/topology.Spec).NodeProcs":          true,
-	"(*numasim/internal/topology.Spec).Col":                true,
-	"(*numasim/internal/topology.Spec).FetchLatency":       true,
-	"(*numasim/internal/topology.Spec).StoreLatency":       true,
-	"(*numasim/internal/topology.Spec).Contended":          true,
-	"(*numasim/internal/topology.Spec).Dist":               true,
-	"(*numasim/internal/topology.Topology).Spec":           true,
-	"(*numasim/internal/topology.Topology).Contended":      true,
-	"(*numasim/internal/topology.Topology).ChargeTransfer": true,
-
-	// ace: per-reference cost charging and machine accessors.
-	"(*numasim/internal/ace.Machine).ChargeFetch":   true,
-	"(*numasim/internal/ace.Machine).ChargeStore":   true,
-	"(*numasim/internal/ace.Machine).ChargeCopySys": true,
-	"(*numasim/internal/ace.Machine).ChargeZeroSys": true,
-	"(*numasim/internal/ace.Machine).NNodes":        true,
-	"(*numasim/internal/ace.Machine).Home":          true,
-	"(*numasim/internal/ace.Machine).NodeProcs":     true,
-	"(*numasim/internal/ace.Machine).Topo":          true,
-	"(*numasim/internal/ace.Machine).MMU":           true,
-	"(*numasim/internal/ace.Machine).Cost":          true,
-	"(*numasim/internal/ace.Machine).Proc":          true,
-	"(*numasim/internal/ace.Machine).Bus":           true,
-	"(*numasim/internal/ace.Machine).PageSize":      true,
-	"(*numasim/internal/ace.Machine).PageShift":     true,
-	"(*numasim/internal/ace.Machine).VPN":           true,
-	"(*numasim/internal/ace.Machine).PageOff":       true,
-	"(*numasim/internal/ace.Machine).NProc":         true,
-	"(*numasim/internal/ace.Machine).Memory":        true,
-	"(*numasim/internal/ace.Processor).Resource":    true,
-	"(*numasim/internal/ace.Processor).Row":         true,
-	"(numasim/internal/ace.Row).Fetch":              true,
-	"(numasim/internal/ace.Row).Store":              true,
-
-	// numa: the per-reference protocol entry point and page accessors.
-	"(*numasim/internal/numa.Manager).Access":       true,
-	"(*numasim/internal/numa.Manager).MaybeSweep":   true,
-	"(*numasim/internal/numa.Manager).MarkFilled":   true,
-	"(*numasim/internal/numa.Manager).MarkZeroFill": true,
-	"(*numasim/internal/numa.Page).ID":              true,
-	"(*numasim/internal/numa.Page).Hint":            true,
-	"(*numasim/internal/numa.Page).SetHint":         true,
-	"(*numasim/internal/numa.Page).Home":            true,
-	"(*numasim/internal/numa.Page).SetHome":         true,
-	"(*numasim/internal/numa.Page).State":           true,
-	"(*numasim/internal/numa.Page).Moves":           true,
-	"(*numasim/internal/numa.Page).LastMoveAt":      true,
-	"(*numasim/internal/numa.Page).LastRequestAt":   true,
-	"(*numasim/internal/numa.Page).EverWritten":     true,
-	"(*numasim/internal/numa.Page).Pinned":          true,
-	"(*numasim/internal/numa.Page).Authoritative":   true,
-	"(*numasim/internal/numa.Page).GlobalFrame":     true,
-	"(*numasim/internal/numa.Page).Copy":            true,
-	"(*numasim/internal/numa.Page).NodeHeat":        true,
-	"(*numasim/internal/numa.Page).MoveHeat":        true,
-	"(*numasim/internal/numa.Page).TotalHeat":       true,
-	"(*numasim/internal/numa.Page).HotNode":         true,
-	"(*numasim/internal/numa.Page).PolicyWord":      true,
-	"(*numasim/internal/numa.Page).SetPolicyWord":   true,
-
-	// pmap: VPN-indexed residency lookups and mapping entry.
-	"(*numasim/internal/pmap.Pmap).Key":         true,
-	"(*numasim/internal/pmap.Pmap).Resident":    true,
-	"(*numasim/internal/pmap.Pmap).Enter":       true,
-	"(*numasim/internal/pmap.Manager).CopyPage": true,
-	"(*numasim/internal/pmap.Manager).ZeroPage": true,
-
-	// simtrace: the (batched) event bus.
-	"(*numasim/internal/simtrace.Bus).Enabled": true,
-	"(*numasim/internal/simtrace.Bus).Emit":    true,
-}
-
-// InterfaceContracts lists interface methods hot paths may dispatch
-// through, keyed by the interface method's FullName. The obligation
-// transfers to the implementations: whenever the analyzer sees a package
-// declare a type implementing the interface, the implementing method must
-// itself be annotated //numalint:hotpath and is checked as a root.
-var InterfaceContracts = map[string]bool{
-	"(numasim/internal/numa.Policy).CachePolicy":                     true,
-	"(numasim/internal/numa.Policy).Name":                            true,
-	"(numasim/internal/numa.ReconsideringPolicy).ReconsiderInterval": true,
-	// The co-placement channel (internal/numa/policyapi.go): thread
-	// migration advice and the scheduler's side of it run per protocol
-	// request.
-	"(numasim/internal/numa.ThreadAdvisor).AdviseThread": true,
-	"(numasim/internal/numa.ThreadMover).MigrateHint":    true,
 }
 
 // cleanStd are standard-library packages whose exported functions are
@@ -234,27 +98,33 @@ func run(pass *analysis.Pass) error {
 		via:   make(map[*types.Func]*types.Func),
 	}
 	c.collectDirectives()
-	c.checkContracts()
-	c.enforceInterfaceContracts()
+	c.enforceImplementations()
 	c.walk()
 	return nil
 }
 
 // collectDirectives gathers hotpath roots, coldpath sanctions and
-// in-body exempt spans from every file.
+// in-body exempt spans from every file. A hotpath interface method is a
+// contract for its callers and implementations, not a root.
 func (c *checker) collectDirectives() {
 	for _, f := range c.pass.Files {
 		for _, d := range analysis.Directives(f) {
 			switch d.Name {
 			case "hotpath":
-				fd, ok := d.Node.(*ast.FuncDecl)
-				if !ok {
-					c.pass.Reportf(d.Pos, "//numalint:hotpath must be on a function's doc comment")
+				switch n := d.Node.(type) {
+				case *ast.FuncDecl:
+					if obj, ok := c.pass.TypesInfo.Defs[n.Name].(*types.Func); ok {
+						c.roots = append(c.roots, obj)
+					}
 					continue
+				case *ast.Field:
+					if len(n.Names) == 1 {
+						if _, ok := c.pass.TypesInfo.Defs[n.Names[0]].(*types.Func); ok {
+							continue
+						}
+					}
 				}
-				if obj, ok := c.pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					c.roots = append(c.roots, obj)
-				}
+				c.pass.Reportf(d.Pos, "//numalint:hotpath must be on a function's or interface method's doc comment")
 			case "coldpath":
 				if fd, ok := d.Node.(*ast.FuncDecl); ok {
 					if obj, ok := c.pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
@@ -351,107 +221,99 @@ func inSpans(spans []span, p token.Pos) bool {
 	return false
 }
 
-// checkContracts verifies that every Contracts entry naming this package
-// resolves to a declared, annotated function.
-func (c *checker) checkContracts() {
-	mine := make(map[string]bool)
-	for key := range Contracts {
-		if contractPkg(key) == c.pass.Pkg.Path() {
-			mine[key] = false
-		}
-	}
-	if len(mine) == 0 {
-		return
-	}
+// enforceImplementations makes a root of every method this package
+// declares that implements a //numalint:hotpath interface method of a
+// named interface in its import graph, and reports it unless it is
+// annotated hotpath or coldpath itself.
+func (c *checker) enforceImplementations() {
 	rootSet := make(map[*types.Func]bool, len(c.roots))
 	for _, r := range c.roots {
 		rootSet[r] = true
 	}
-	for fn, node := range c.graph.Nodes {
-		key := fn.FullName()
-		if _, ok := mine[key]; !ok {
+	hot := c.hotInterfaces()
+	scope := c.pass.Pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
 			continue
 		}
-		mine[key] = true
-		if !rootSet[fn] {
-			c.pass.Reportf(node.Decl.Pos(),
-				"%s is a cross-package hotpath contract but is not annotated //numalint:hotpath", key)
+		named, ok := tn.Type().(*types.Named)
+		if !ok || types.IsInterface(named) {
+			continue
 		}
-	}
-	for _, key := range sortedKeys(mine) {
-		if !mine[key] {
-			c.pass.Reportf(c.pass.Files[0].Package,
-				"stale hotpath contract: %s names no function declared in %s", key, c.pass.Pkg.Path())
+		for _, h := range hot {
+			var recv types.Type
+			switch {
+			case types.Implements(named, h.iface):
+				recv = named
+			case types.Implements(types.NewPointer(named), h.iface):
+				recv = types.NewPointer(named)
+			default:
+				continue
+			}
+			for _, m := range h.methods {
+				sel, _, _ := types.LookupFieldOrMethod(recv, true, c.pass.Pkg, m.Name())
+				impl, ok := sel.(*types.Func)
+				if !ok || impl.Pkg() != c.pass.Pkg {
+					continue
+				}
+				node := c.graph.Node(impl)
+				if node == nil {
+					continue // promoted method from an embedded foreign type
+				}
+				if !rootSet[impl] && !c.cold[impl] {
+					c.pass.Reportf(node.Decl.Pos(),
+						"%s implements hot-path interface method %s and must be annotated //numalint:hotpath (or //numalint:coldpath with a reason)",
+						shortName(impl), m.FullName())
+					rootSet[impl] = true // still walk it so chain diagnostics appear once
+				}
+				c.roots = appendUnique(c.roots, impl)
+			}
 		}
 	}
 }
 
-// enforceInterfaceContracts turns InterfaceContracts obligations into
-// roots: any type this package declares that implements a contract
-// interface must annotate its locally-declared implementing method.
-func (c *checker) enforceInterfaceContracts() {
-	rootSet := make(map[*types.Func]bool, len(c.roots))
-	for _, r := range c.roots {
-		rootSet[r] = true
-	}
-	for _, key := range sortedKeys(InterfaceContracts) {
-		ifacePkg, ifaceName, method, ok := splitInterfaceKey(key)
-		if !ok {
-			continue
-		}
-		pkg := findPackage(c.pass.Pkg, ifacePkg)
-		if pkg == nil {
-			continue // interface's package not in this compilation's import graph
-		}
-		obj, ok := pkg.Scope().Lookup(ifaceName).(*types.TypeName)
-		if !ok {
-			if pkg == c.pass.Pkg {
-				c.pass.Reportf(c.pass.Files[0].Package,
-					"stale hotpath interface contract: %s names no interface in %s", key, ifacePkg)
-			}
-			continue
-		}
-		iface, ok := obj.Type().Underlying().(*types.Interface)
-		if !ok {
-			continue
-		}
-		scope := c.pass.Pkg.Scope()
+// hotInterface is a named interface with its //numalint:hotpath methods.
+type hotInterface struct {
+	iface   *types.Interface
+	methods []*types.Func
+}
+
+// hotInterfaces lists the named interfaces declared in this package or
+// any package it imports, directly or not, that have a //numalint:hotpath
+// method, in import-graph order.
+func (c *checker) hotInterfaces() []hotInterface {
+	var out []hotInterface
+	seen := map[*types.Package]bool{c.pass.Pkg: true}
+	for queue := []*types.Package{c.pass.Pkg}; len(queue) > 0; queue = queue[1:] {
+		scope := queue[0].Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
 			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
+			iface, ok := tn.Type().Underlying().(*types.Interface)
+			if !ok {
 				continue
 			}
-			var recv types.Type
-			switch {
-			case types.Implements(named, iface):
-				recv = named
-			case types.Implements(types.NewPointer(named), iface):
-				recv = types.NewPointer(named)
-			default:
-				continue
+			h := hotInterface{iface: iface}
+			for i := 0; i < iface.NumMethods(); i++ {
+				if m := iface.Method(i); c.pass.Marked(m.FullName(), "hotpath") {
+					h.methods = append(h.methods, m)
+				}
 			}
-			sel, _, _ := types.LookupFieldOrMethod(recv, true, c.pass.Pkg, method)
-			impl, ok := sel.(*types.Func)
-			if !ok || impl.Pkg() != c.pass.Pkg {
-				continue
+			if len(h.methods) > 0 {
+				out = append(out, h)
 			}
-			node := c.graph.Node(impl)
-			if node == nil {
-				continue // promoted method from an embedded foreign type
+		}
+		for _, imp := range queue[0].Imports() {
+			if !seen[imp] {
+				seen[imp] = true
+				queue = append(queue, imp)
 			}
-			if !rootSet[impl] && !c.cold[impl] {
-				c.pass.Reportf(node.Decl.Pos(),
-					"%s implements hot-path interface method %s and must be annotated //numalint:hotpath (or //numalint:coldpath with a reason)",
-					shortName(impl), key)
-				rootSet[impl] = true // still walk it so chain diagnostics appear once
-			}
-			c.roots = appendUnique(c.roots, impl)
 		}
 	}
+	return out
 }
 
 // walk runs the BFS from every root, checking each newly reached
@@ -491,8 +353,8 @@ func (c *checker) walk() {
 }
 
 // checkEdge vets one call-graph edge. It returns a same-package target to
-// walk into, or a non-empty diagnostic, or neither (the edge is satisfied
-// by a contract).
+// walk into, or a non-empty diagnostic, or neither (the callee's
+// //numalint:hotpath directive vouches for it).
 func (c *checker) checkEdge(e callgraph.Edge) (*types.Func, string) {
 	if e.Callee == nil {
 		return nil, fmt.Sprintf("%s to %s cannot be verified; annotate the slow path //numalint:coldpath or call a named function",
@@ -500,10 +362,10 @@ func (c *checker) checkEdge(e callgraph.Edge) (*types.Func, string) {
 	}
 	name := e.Callee.FullName()
 	if e.Interface {
-		if InterfaceContracts[name] {
+		if c.pass.Marked(name, "hotpath") {
 			return nil, ""
 		}
-		return nil, fmt.Sprintf("interface dispatch %s %s is not a hot-path interface contract", e.Kind, name)
+		return nil, fmt.Sprintf("interface dispatch %s %s is not annotated //numalint:hotpath", e.Kind, name)
 	}
 	pkg := e.Callee.Pkg()
 	if pkg == c.pass.Pkg {
@@ -514,25 +376,19 @@ func (c *checker) checkEdge(e callgraph.Edge) (*types.Func, string) {
 			return e.Callee, ""
 		}
 		// Declared without syntax in this package (embedding, instantiation).
-		if Contracts[name] {
-			return nil, ""
-		}
 		return nil, fmt.Sprintf("%s of %s has no body to verify in this package", e.Kind, name)
 	}
 	if pkg == nil {
 		return nil, fmt.Sprintf("%s of %s cannot be attributed to a package", e.Kind, name)
 	}
 	path := pkg.Path()
-	if cleanStd[path] {
-		return nil, ""
-	}
-	if Contracts[name] {
+	if cleanStd[path] || c.pass.Marked(name, "hotpath") {
 		return nil, ""
 	}
 	if path == "fmt" || path == "reflect" {
 		return nil, fmt.Sprintf("%s of %s allocates (formatting and reflection are banned on hot paths)", e.Kind, name)
 	}
-	return nil, fmt.Sprintf("%s of %s which is not hotpath-vetted; add a contract and annotate it, or guard the branch //numalint:coldpath",
+	return nil, fmt.Sprintf("%s of %s which is not annotated //numalint:hotpath; annotate it in its package, or guard the branch //numalint:coldpath",
 		e.Kind, name)
 }
 
@@ -781,64 +637,6 @@ func shortName(fn *types.Func) string {
 	return fn.Name()
 }
 
-// contractPkg extracts the defining package path from a FullName key:
-// "pkg/path.F", "(pkg/path.T).M" or "(*pkg/path.T).M".
-func contractPkg(key string) string {
-	s := key
-	if strings.HasPrefix(s, "(") {
-		s = strings.TrimPrefix(s[1:], "*")
-		if i := strings.Index(s, ")"); i >= 0 {
-			s = s[:i]
-		}
-	}
-	i := strings.LastIndex(s, ".")
-	if i < 0 {
-		return ""
-	}
-	return s[:i]
-}
-
-// splitInterfaceKey parses "(pkg/path.Iface).Method".
-func splitInterfaceKey(key string) (pkg, iface, method string, ok bool) {
-	if !strings.HasPrefix(key, "(") {
-		return "", "", "", false
-	}
-	rp := strings.Index(key, ")")
-	if rp < 0 || rp+2 > len(key) || key[rp+1] != '.' {
-		return "", "", "", false
-	}
-	qual := key[1:rp]
-	method = key[rp+2:]
-	i := strings.LastIndex(qual, ".")
-	if i < 0 {
-		return "", "", "", false
-	}
-	return qual[:i], qual[i+1:], method, method != ""
-}
-
-// findPackage locates path in pkg's transitive import graph.
-func findPackage(pkg *types.Package, path string) *types.Package {
-	if pkg.Path() == path {
-		return pkg
-	}
-	seen := map[*types.Package]bool{pkg: true}
-	stack := []*types.Package{pkg}
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, imp := range p.Imports() {
-			if imp.Path() == path {
-				return imp
-			}
-			if !seen[imp] {
-				seen[imp] = true
-				stack = append(stack, imp)
-			}
-		}
-	}
-	return nil
-}
-
 func appendUnique(fns []*types.Func, fn *types.Func) []*types.Func {
 	for _, f := range fns {
 		if f == fn {
@@ -857,15 +655,4 @@ func enclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-// sortedKeys returns m's keys in sorted order, keeping every iteration
-// that can influence diagnostics deterministic.
-func sortedKeys(m map[string]bool) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

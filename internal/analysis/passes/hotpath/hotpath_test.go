@@ -16,23 +16,6 @@ func TestColdpathEscapes(t *testing.T) {
 	analysistest.Run(t, filepath.Join(analysistest.TestData(), "coldpath"), hotpath.Analyzer)
 }
 
-func TestContractEnforcement(t *testing.T) {
-	// Register fixture-keyed contracts: one unannotated, one annotated, one
-	// naming no declared function (stale).
-	for _, key := range []string{
-		"(fixture/contracts.T).Hot",
-		"(fixture/contracts.T).Vetted",
-		"fixture/contracts.Missing",
-	} {
-		hotpath.Contracts[key] = true
-		defer delete(hotpath.Contracts, key)
-	}
-	analysistest.Run(t, filepath.Join(analysistest.TestData(), "contracts"), hotpath.Analyzer)
-}
-
 func TestInterfaceContractEnforcement(t *testing.T) {
-	key := "(fixture/ifacecontract.Policy).Decide"
-	hotpath.InterfaceContracts[key] = true
-	defer delete(hotpath.InterfaceContracts, key)
 	analysistest.Run(t, filepath.Join(analysistest.TestData(), "ifacecontract"), hotpath.Analyzer)
 }

@@ -1,11 +1,13 @@
-// Package ifacecontract exercises interface-contract auto-enforcement:
-// the test registers (fixture/ifacecontract.Policy).Decide before running
-// the analyzer, so every implementing type declared here must annotate its
-// Decide method hotpath or coldpath.
+// Package ifacecontract exercises interface-contract enforcement:
+// Policy.Decide is annotated hotpath, so every implementing type declared
+// here must annotate its Decide method hotpath or coldpath.
 package ifacecontract
 
 // Policy is the contract interface.
-type Policy interface{ Decide(n int) int }
+type Policy interface {
+	//numalint:hotpath
+	Decide(n int) int
+}
 
 // good annotates its implementation and stays clean.
 type good struct{}

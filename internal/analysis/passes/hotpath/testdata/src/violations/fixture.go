@@ -11,7 +11,7 @@ type T struct{ n int }
 // M is hot-clean on its own.
 func (t T) M() int { return t.n }
 
-// I is a local interface with no InterfaceContracts entry.
+// I is a local interface whose method carries no hotpath directive.
 type I interface{ M() int }
 
 // Root is a hot-path root covering every forbidden operation.
@@ -51,11 +51,11 @@ func RootBox(n int) any {
 	return n // want `return boxes int into interface`
 }
 
-// RootIface checks interface dispatch without a contract.
+// RootIface checks dispatch through an unannotated interface method.
 //
 //numalint:hotpath
 func RootIface(i I) int {
-	return i.M() // want `interface dispatch call \(fixture/violations\.I\)\.M is not a hot-path interface contract`
+	return i.M() // want `interface dispatch call \(fixture/violations\.I\)\.M is not annotated //numalint:hotpath`
 }
 
 // RootMethodValue checks the method-value closure report.

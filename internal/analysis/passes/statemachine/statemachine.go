@@ -6,11 +6,11 @@
 //
 // # Exhaustive switches
 //
-// Every `switch` whose tag has a registered state-enum type (numa.State,
-// sim.State, or any type whose declaration carries //numalint:stateenum)
-// must either cover all of the type's declared constants or carry a
-// default clause. A new protocol state can then never silently fall
-// through an existing switch.
+// Every `switch` whose tag has a state-enum type (numa.State, sim.State:
+// any type whose declaration carries //numalint:stateenum, in this
+// package or another) must either cover all of the type's declared
+// constants or carry a default clause. A new protocol state can then
+// never silently fall through an existing switch.
 //
 // # Guarded transitions
 //
@@ -45,21 +45,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// KnownEnums registers state-enum types by "path.Name"; packages may add
-// their own with //numalint:stateenum.
-var KnownEnums = map[string]bool{
-	"numasim/internal/numa.State": true,
-	"numasim/internal/sim.State":  true,
-}
-
 func run(pass *analysis.Pass) error {
-	enums := collectEnums(pass)
 	isEnum := func(t types.Type) *types.Named {
-		n := analysis.NamedType(t)
-		if n == nil {
-			return nil
-		}
-		if KnownEnums[analysis.TypeKey(n)] || enums[n.Obj()] {
+		if n := analysis.NamedType(t); n != nil && pass.Marked(analysis.TypeKey(n), "stateenum") {
 			return n
 		}
 		return nil
@@ -90,33 +78,6 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
-}
-
-// collectEnums finds in-package types marked //numalint:stateenum.
-func collectEnums(pass *analysis.Pass) map[*types.TypeName]bool {
-	out := make(map[*types.TypeName]bool)
-	for _, f := range pass.Files {
-		for _, d := range analysis.Directives(f) {
-			if d.Name != "stateenum" || d.Node == nil {
-				continue
-			}
-			switch n := d.Node.(type) {
-			case *ast.TypeSpec:
-				if obj, ok := pass.TypesInfo.Defs[n.Name].(*types.TypeName); ok {
-					out[obj] = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range n.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok {
-						if obj, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName); ok {
-							out[obj] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 // checkExhaustive verifies that a switch over enum covers every declared
@@ -178,7 +139,7 @@ func findGuard(pass *analysis.Pass, isEnum func(types.Type) *types.Named) (*type
 			}
 			enum := isEnum(sig.Params().At(0).Type())
 			if enum == nil {
-				pass.Reportf(fd.Pos(), "//numalint:stateguard parameter type is not a registered state enum")
+				pass.Reportf(fd.Pos(), "//numalint:stateguard parameter type is not a //numalint:stateenum type")
 				continue
 			}
 			return obj, enum

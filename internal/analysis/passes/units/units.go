@@ -18,8 +18,8 @@
 //
 // Multiplication and division are exempt: they legitimately change
 // dimension (a Ticks/Ticks ratio is a plain number). Untyped constants
-// carry no unit. Types join the unit set via the built-in registry or a
-// //numalint:unit directive on their declaration.
+// carry no unit. A type joins the unit set through a //numalint:unit
+// directive on its declaration, which every package using it reads.
 package units
 
 import (
@@ -37,14 +37,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// KnownUnits registers unit types by "path.Name"; packages may add their
-// own with //numalint:unit.
-var KnownUnits = map[string]bool{
-	"numasim/internal/sim.Time":           true,
-	"numasim/internal/sim.Ticks":          true,
-	"numasim/internal/metrics.WallMicros": true,
-}
-
 // mixingOps are the operators for which operands must share a unit.
 var mixingOps = map[token.Token]bool{
 	token.ADD: true, token.SUB: true,
@@ -57,13 +49,8 @@ var mixingAssignOps = map[token.Token]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	local := collectLocalUnits(pass)
 	unitOf := func(t types.Type) *types.Named {
-		n := analysis.NamedType(t)
-		if n == nil {
-			return nil
-		}
-		if KnownUnits[analysis.TypeKey(n)] || local[n.Obj()] {
+		if n := analysis.NamedType(t); n != nil && pass.Marked(analysis.TypeKey(n), "unit") {
 			return n
 		}
 		return nil
@@ -87,33 +74,6 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
-}
-
-// collectLocalUnits finds in-package types marked //numalint:unit.
-func collectLocalUnits(pass *analysis.Pass) map[*types.TypeName]bool {
-	out := make(map[*types.TypeName]bool)
-	for _, f := range pass.Files {
-		for _, d := range analysis.Directives(f) {
-			if d.Name != "unit" || d.Node == nil {
-				continue
-			}
-			switch n := d.Node.(type) {
-			case *ast.TypeSpec:
-				if obj, ok := pass.TypesInfo.Defs[n.Name].(*types.TypeName); ok {
-					out[obj] = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range n.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok {
-						if obj, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName); ok {
-							out[obj] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 func checkPair(pass *analysis.Pass, unitOf func(types.Type) *types.Named, x, y ast.Expr, pos token.Pos, op string) {

@@ -13,9 +13,10 @@ type Finding struct {
 	Diag     Diagnostic
 }
 
-// Run applies every analyzer to one type-checked package and returns the
-// findings sorted by file position (deterministic across runs).
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Finding, error) {
+// Run applies every analyzer to one type-checked package, reading
+// declarations' directives from marks, and returns the findings sorted by
+// file position (deterministic across runs).
+func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, marks Marks, analyzers []*Analyzer) ([]Finding, error) {
 	var findings []Finding
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -24,6 +25,7 @@ func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
+			marks:     marks,
 			Report: func(d Diagnostic) {
 				findings = append(findings, Finding{Analyzer: a, Diag: d})
 			},

@@ -56,8 +56,10 @@ type Options struct {
 	// safe for concurrent Emit (simtrace.CountingSink is). It feeds the
 	// tables -timing event-count report; it never affects table contents.
 	TraceSink simtrace.Sink
-	// App selects the application for single-app experiments (the pressure
-	// sweep; default Gfetch). Table experiments ignore it.
+	// App restricts an experiment to one application: single-app
+	// experiments default to their own choice, and the pressure and
+	// availability sweeps run the whole mix without it. Table
+	// experiments ignore it.
 	App string
 	// PressureFrames are the local-frame budgets the pressure sweep
 	// measures (empty: DefaultPressureFrames).

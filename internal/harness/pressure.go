@@ -42,20 +42,6 @@ type PressureRow struct {
 	Err string
 }
 
-// PressureSweep measures one application under the options' policy at
-// each local-frame budget in frames, plus an unconstrained baseline. An
-// empty frames slice selects DefaultPressureFrames; an empty app selects
-// opts.App or Gfetch.
-func PressureSweep(opts Options, app string, frames []int) ([]PressureRow, error) {
-	if app == "" {
-		app = opts.App
-	}
-	if app == "" {
-		app = "Gfetch"
-	}
-	return PressureSweepAll(opts, []string{app}, frames)
-}
-
 // PressureSweepAll measures every listed application at every budget.
 // All (application, budget) pairs run concurrently (bounded by
 // opts.Parallelism); each is an independent deterministic simulation, so

@@ -12,7 +12,7 @@ import (
 // application under a tight budget really does evict.
 func TestPressureSweepShape(t *testing.T) {
 	opts := Options{NProc: 3, Small: true}
-	rows, err := PressureSweep(opts, "FFT", []int{4, 2})
+	rows, err := PressureSweepAll(opts, []string{"FFT"}, []int{4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestPressureSweepParallelDeterminism(t *testing.T) {
 	seq := Options{NProc: 3, Small: true, Parallelism: 1, Chaos: cc}
 	par := Options{NProc: 3, Small: true, Parallelism: 4, Chaos: cc}
 
-	a, err := PressureSweep(seq, "IMatMult", []int{16, 4})
+	a, err := PressureSweepAll(seq, []string{"IMatMult"}, []int{16, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PressureSweep(par, "IMatMult", []int{16, 4})
+	b, err := PressureSweepAll(par, []string{"IMatMult"}, []int{16, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestPressureSweepChaosDisabledIsInert(t *testing.T) {
 	plain := Options{NProc: 3, Small: true}
 	seeded := Options{NProc: 3, Small: true, Chaos: chaos.Config{Seed: 99}}
 
-	a, err := PressureSweep(plain, "Gfetch", []int{8})
+	a, err := PressureSweepAll(plain, []string{"Gfetch"}, []int{8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PressureSweep(seeded, "Gfetch", []int{8})
+	b, err := PressureSweepAll(seeded, []string{"Gfetch"}, []int{8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestPressureSweepSeedsDiffer(t *testing.T) {
 			MaxRetries: chaos.DefaultMaxRetries, Backoff: chaos.DefaultBackoff,
 			MoveDelay: chaos.DefaultMoveDelay}}
 	}
-	a, err := PressureSweep(mk(1), "IMatMult", []int{4})
+	a, err := PressureSweepAll(mk(1), []string{"IMatMult"}, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PressureSweep(mk(2), "IMatMult", []int{4})
+	b, err := PressureSweepAll(mk(2), []string{"IMatMult"}, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ type RunResult struct {
 	// with a bandwidth model; nil on uncontended machines (the ACE).
 	Links []topology.LinkStats
 	// Sched holds the scheduler's counters: spawns, the co-placement
-	// channel's hint traffic, and per-node thread homes.
+	// channel's hint traffic, migrations and failovers.
 	Sched sched.Stats
 }
 

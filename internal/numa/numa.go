@@ -106,6 +106,9 @@ func (l Location) String() string {
 // pages, as for a policy without the capability.
 type ReconsideringPolicy interface {
 	Policy
+	// ReconsiderInterval is the sweep interval NewManager reads.
+	//
+	//numalint:hotpath
 	ReconsiderInterval() sim.Time
 }
 
@@ -116,8 +119,12 @@ type Policy interface {
 	// write reports whether the faulting access was a store; maxProt is the
 	// loosest protection the machine-independent VM system permits for the
 	// mapping (the paper's first pmap_enter protection argument).
+	//
+	//numalint:hotpath
 	CachePolicy(pg *Page, proc int, write bool, maxProt mmu.Prot) Location
 	// Name identifies the policy in reports.
+	//
+	//numalint:hotpath
 	Name() string
 }
 

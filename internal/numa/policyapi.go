@@ -51,6 +51,8 @@ type ThreadAdvisor interface {
 	// home node; returning (target, true) with target != node proposes
 	// the move. It runs on the protocol hot path: implementations must
 	// not allocate.
+	//
+	//numalint:hotpath
 	AdviseThread(pg *Page, spec *topology.Spec, node int) (int, bool)
 }
 
@@ -60,6 +62,7 @@ type ThreadAdvisor interface {
 // rejected (unknown thread, out-of-range node). It is called from the
 // protocol hot path: implementations must not allocate.
 type ThreadMover interface {
+	//numalint:hotpath
 	MigrateHint(th *sim.Thread, node int) bool
 }
 

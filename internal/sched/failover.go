@@ -14,12 +14,12 @@ import "numasim/internal/vm"
 // and hint migrations avoid them; threads currently bound there fail
 // over at their next quantum boundary.
 func (s *Scheduler) FailNode(node int) {
-	if node < 0 || node >= len(s.stats.NodeThreads) {
+	if node < 0 || node >= s.nnodes {
 		return
 	}
 	if s.deadProc == nil {
 		s.deadProc = make([]bool, len(s.live))
-		s.deadNode = make([]bool, len(s.stats.NodeThreads))
+		s.deadNode = make([]bool, s.nnodes)
 	}
 	if s.deadNode[node] {
 		return

@@ -53,24 +53,20 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // Stats counts scheduler events: thread spawns, the migration-hint
-// traffic of the co-placement channel (numa.ThreadMover), and where
-// threads ended up. NodeThreads counts each thread once, at the node
-// it was last bound to (spawn binding, updated by hint migrations);
-// NodeMigrations counts hint migrations into each node.
+// traffic of the co-placement channel (numa.ThreadMover) and failovers.
 type Stats struct {
-	Spawns         uint64
-	HintsAccepted  uint64
-	HintsRejected  uint64
-	Migrations     uint64 // accepted hints applied at quantum boundaries
-	Failovers      uint64 // threads moved off dead processors at quantum boundaries
-	NodeThreads    []int
-	NodeMigrations []int
+	Spawns        uint64
+	HintsAccepted uint64
+	HintsRejected uint64
+	Migrations    uint64 // accepted hints applied at quantum boundaries
+	Failovers     uint64 // threads moved off dead processors at quantum boundaries
 }
 
 // Scheduler assigns simulated threads to processors.
 type Scheduler struct {
 	kernel *vm.Kernel
 	mode   Mode
+	nnodes int   // the machine's node count, bounding hint and failure nodes
 	live   []int // live thread count per processor
 	next   int   // next processor for sequential assignment
 
@@ -93,15 +89,11 @@ type Scheduler struct {
 
 // New creates a scheduler for the kernel's machine.
 func New(k *vm.Kernel, mode Mode) *Scheduler {
-	nnodes := k.Machine().NNodes()
 	return &Scheduler{
 		kernel: k,
 		mode:   mode,
+		nnodes: k.Machine().NNodes(),
 		live:   make([]int, k.Machine().NProc()),
-		stats: Stats{
-			NodeThreads:    make([]int, nnodes),
-			NodeMigrations: make([]int, nnodes),
-		},
 	}
 }
 
@@ -179,7 +171,6 @@ func (s *Scheduler) track(th *sim.Thread, node int) {
 	s.hint[id] = -1
 	s.homeNode[id] = int32(node)
 	s.stats.Spawns++
-	s.stats.NodeThreads[node]++
 }
 
 // hop migrates a thread to the next processor in round-robin order, the
@@ -214,7 +205,7 @@ func (s *Scheduler) Live(p int) int { return s.live[p] }
 //numalint:hotpath
 func (s *Scheduler) MigrateHint(th *sim.Thread, node int) bool {
 	id := int(th.ID())
-	if s.mode != Affinity || node < 0 || node >= len(s.stats.NodeThreads) ||
+	if s.mode != Affinity || node < 0 || node >= s.nnodes ||
 		id >= len(s.hint) || s.homeNode[id] < 0 ||
 		(s.deadNode != nil && s.deadNode[node]) {
 		s.stats.HintsRejected++
@@ -273,14 +264,8 @@ func (s *Scheduler) migrate(c *vm.Context, node int) {
 	if target == from {
 		return
 	}
-	id := int(c.Thread().ID())
-	if old := s.homeNode[id]; old >= 0 {
-		s.stats.NodeThreads[old]--
-	}
-	s.homeNode[id] = int32(node)
-	s.stats.NodeThreads[node]++
+	s.homeNode[c.Thread().ID()] = int32(node)
 	s.stats.Migrations++
-	s.stats.NodeMigrations[node]++
 	s.live[from]--
 	s.live[target]++
 	c.MigrateTo(target)
@@ -293,10 +278,5 @@ func (s *Scheduler) migrate(c *vm.Context, node int) {
 	}
 }
 
-// Stats returns a copy of the scheduler's counters (slices cloned).
-func (s *Scheduler) Stats() Stats {
-	st := s.stats
-	st.NodeThreads = append([]int(nil), s.stats.NodeThreads...)
-	st.NodeMigrations = append([]int(nil), s.stats.NodeMigrations...)
-	return st
-}
+// Stats returns the scheduler's counters.
+func (s *Scheduler) Stats() Stats { return s.stats }
