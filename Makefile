@@ -23,7 +23,7 @@
 #                   compare two runs with cmd/benchdiff)
 #   make bench-ci - the CI perf gate, an A/B run on one host: measure
 #                   the reduced hot-path set and the end-to-end Table 3
-#                   rows with the test binaries of
+#                   and availability rows with the test binaries of
 #                   BENCH_BASE (default HEAD) and of the working tree in
 #                   alternation, and fail if any median ns/op, or any
 #                   B/op or allocs/op, regressed more than BENCHDIFF_TOL
@@ -59,14 +59,17 @@ BENCHDATE := $(shell date +%Y-%m-%d)
 
 # The reduced hot-path set the CI perf gate re-measures, with a row per
 # Context accessor on a TLB hit (BenchmarkAccessor/<accessor>, and a
-# remote Load32 on 4socket), plus one end-to-end row per Table 3
-# application (BenchmarkTable3/<app>: the paper's three runs at the small
-# sizes, one simulation at a time).
+# remote and a local Load32 on 4socket), plus one end-to-end row per
+# Table 3 application (BenchmarkTable3/<app>: the paper's three runs at
+# the small sizes, one simulation at a time) and one per availability
+# application (BenchmarkAvailability/<app>: its failure schedules on the
+# small 4-processor 4socket machine, which gates the contended and
+# degraded interconnect path as the Table 3 rows gate the ACE).
 # Time-based -benchtime keeps ns/op out of one-shot noise on the
 # nanosecond-scale paths while bounding the gate's wall-clock on the
 # millisecond-scale ones; B/op and allocs/op move little with the
 # iteration count.
-BENCH_CI_FILTER := 'LocalAccess$$|Accessor$$|PageMigration$$|FaultPath$$|ReclaimFault$$|PickManyThreads|TraceOverhead|NewMachine|Table3$$'
+BENCH_CI_FILTER := 'LocalAccess$$|Accessor$$|PageMigration$$|FaultPath$$|ReclaimFault$$|PickManyThreads|TraceOverhead|NewMachine|Table3$$|Availability$$'
 BENCH_CI_TIME := 300ms
 BENCH_CI_ROUNDS := 5
 BENCH_CI_DIR := .bench_ci

@@ -54,6 +54,29 @@ func BenchmarkTable3(b *testing.B) {
 	}
 }
 
+// BenchmarkAvailability runs each application's row of the availability
+// sweep (every failure schedule, at the small sizes on the contended
+// 4-processor 4socket machine, one simulation at a time): the end-to-end
+// cost of the interconnect model, healthy, degraded and rerouted.
+func BenchmarkAvailability(b *testing.B) {
+	opts := numasim.HarnessOptions{NProc: 4, Small: true, Parallelism: 1, Topology: "4socket"}
+	for _, app := range harness.AvailabilityApps {
+		b.Run(app, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows, err := harness.AvailabilitySweep(opts, []string{app})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, r := range rows {
+					if r.Err != "" {
+						b.Fatalf("%s under %s: %s", r.App, r.Schedule, r.Err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTable4 regenerates each row of the paper's Table 4 (E6),
 // reporting the measured overhead ratio.
 func BenchmarkTable4(b *testing.B) {
@@ -178,9 +201,11 @@ func BenchmarkLocalAccess(b *testing.B) {
 }
 
 // BenchmarkAccessor measures each Context accessor on a TLB hit to a
-// local frame, a row per accessor, and a Load32 from another node's
-// memory on contended 4socket, which charges through the machine and its
-// interconnect. Each 32-bit word of a row is one simulated reference.
+// local frame, a row per accessor, and two Load32 rows on contended
+// 4socket: from another node's memory, which charges through the machine
+// and its interconnect, and from the processor's own node, which crosses
+// no link and is charged by its row alone. Each 32-bit word of a row is
+// one simulated reference.
 func BenchmarkAccessor(b *testing.B) {
 	for _, a := range []struct {
 		name string
@@ -201,17 +226,37 @@ func BenchmarkAccessor(b *testing.B) {
 		})
 	}
 	b.Run("Remote4socket/Load32", func(b *testing.B) {
-		cfg := numasim.DefaultConfig()
-		cfg.NProc, cfg.Topology = 4, "4socket"
-		sys, err := numasim.New(numasim.WithConfig(cfg), numasim.WithPolicy(numasim.PragmaPolicy(nil)))
-		if err != nil {
-			b.Fatal(err)
-		}
+		sys := fourSocket(b, numasim.PragmaPolicy(nil))
 		benchAccess(b, sys, 1, func(c *numasim.Context, va uint32) { c.Load32(va) })
 		if r := sys.Machine.Proc(0).Refs(); r.RemoteFetch < uint64(b.N) {
 			b.Fatalf("cpu0 made %d remote fetches, want at least %d", r.RemoteFetch, b.N)
 		}
 	})
+	b.Run("Local4socket/Load32", func(b *testing.B) {
+		sys := fourSocket(b, numasim.AllLocalPolicy())
+		benchAccess(b, sys, -1, func(c *numasim.Context, va uint32) { c.Load32(va) })
+		if r := sys.Machine.Proc(0).Refs(); r.LocalFetch < uint64(b.N) {
+			b.Fatalf("cpu0 made %d local fetches, want at least %d", r.LocalFetch, b.N)
+		}
+		for _, l := range sys.Machine.Topo().LinkStats() {
+			if l.Xfers != 0 {
+				b.Fatalf("link %s carried %d transfers, want none", l.Name, l.Xfers)
+			}
+		}
+	})
+}
+
+// fourSocket builds a 4-processor system on the contended 4socket
+// topology under pol.
+func fourSocket(b *testing.B, pol numasim.Policy) *numasim.System {
+	b.Helper()
+	cfg := numasim.DefaultConfig()
+	cfg.NProc, cfg.Topology = 4, "4socket"
+	sys, err := numasim.New(numasim.WithConfig(cfg), numasim.WithPolicy(pol))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sys
 }
 
 // benchAccess times b.N calls of do on one word of a fresh page, from one

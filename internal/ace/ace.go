@@ -162,39 +162,45 @@ func (r *RefStats) Add(other RefStats) {
 }
 
 // refCol is one column of a processor's charge row: what a 32-bit fetch
-// and store from the processor to one memory cost, and how many of each
-// the processor has made.
+// and store from the processor to one memory cost, how many of each the
+// processor has made, and whether a transfer to the memory is routed
+// over the interconnect (topology.Spec.Routed).
 type refCol struct {
 	fetch, store    sim.Time
 	fetches, stores uint64
+	routed          bool
 }
 
 // Row is a processor's charge row, indexed by frame node + 1: column 0 is
 // global memory, column home+1 the processor's local memory, and every
-// other column a remote node. NewMachine fills the costs once from the
-// machine's spec, so a reference, page copy or zero-fill neither looks up
-// its latency nor classifies its destination.
+// other column a remote node. NewMachine fills the costs and routed flags
+// once from the machine's spec, so a reference, page copy or zero-fill
+// neither looks up its latency nor classifies its destination, and only
+// a routed one calls the link model.
 type Row []refCol
 
 // Fetch charges th for a 32-bit fetch from frame f at the row's price and
-// counts it. It charges no interconnect queueing, so on its own it prices
-// a fetch only on an uncontended machine; ChargeFetch adds the link.
+// counts it. It reports whether f's column is routed: only then may the
+// fetch also queue on the interconnect, and the caller charges that
+// through Machine.ChargeLink. An unrouted fetch is fully priced here.
 //
 //numalint:hotpath
-func (r Row) Fetch(th *sim.Thread, f *mem.Frame) {
+func (r Row) Fetch(th *sim.Thread, f *mem.Frame) bool {
 	c := &r[f.Proc()+1]
 	th.Advance(c.fetch)
 	c.fetches++
+	return c.routed
 }
 
 // Store charges th for a 32-bit store to frame f at the row's price and
-// counts it; like Fetch, it charges no interconnect queueing.
+// counts it. Like Fetch, it reports whether f's column is routed.
 //
 //numalint:hotpath
-func (r Row) Store(th *sim.Thread, f *mem.Frame) {
+func (r Row) Store(th *sim.Thread, f *mem.Frame) bool {
 	c := &r[f.Proc()+1]
 	th.Advance(c.store)
 	c.stores++
+	return c.routed
 }
 
 // Processor is one ACE processor module.
@@ -252,9 +258,6 @@ type Machine struct {
 	memory *mem.Memory
 	mmus   []*mmu.MMU
 	bus    *simtrace.Bus
-	// contended caches spec.Contended(): only then can a reference wait
-	// on an interconnect link.
-	contended bool
 }
 
 // NewMachine builds a machine from cfg, reporting invalid configuration
@@ -272,13 +275,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("ace: topology %s has %d processors, config has %d", spec.Name(), spec.NProcs(), cfg.NProc)
 	}
 	m := &Machine{
-		cfg:       cfg,
-		spec:      spec,
-		topo:      topology.New(spec),
-		engine:    sim.NewEngine(),
-		memory:    mem.NewMemory(spec.NNodes(), cfg.GlobalFrames, cfg.LocalFrames, cfg.PageSize),
-		bus:       simtrace.NewBus(),
-		contended: spec.Contended(),
+		cfg:    cfg,
+		spec:   spec,
+		topo:   topology.New(spec),
+		engine: sim.NewEngine(),
+		memory: mem.NewMemory(spec.NNodes(), cfg.GlobalFrames, cfg.LocalFrames, cfg.PageSize),
+		bus:    simtrace.NewBus(),
 	}
 	m.engine.Bus = m.bus
 	m.procs = make([]Processor, cfg.NProc)
@@ -292,7 +294,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			// Column col holds node col-1; spec.Col maps column 0's -1
 			// (mem's node for global frames) to the interleave column.
 			sc := spec.Col(col - 1)
-			row[col] = refCol{fetch: spec.FetchLatency(i, sc), store: spec.StoreLatency(i, sc)}
+			row[col] = refCol{fetch: spec.FetchLatency(i, sc), store: spec.StoreLatency(i, sc), routed: spec.Routed(i, sc)}
 		}
 		m.procs[i] = Processor{id: i, home: spec.Home(i), res: &sim.Resource{Name: fmt.Sprintf("cpu%d", i), ID: i}, row: row}
 		m.mmus[i] = mmu.New(i)
@@ -406,39 +408,46 @@ func (m *Machine) VPN(va uint32) uint32 { return va >> m.PageShift() }
 func (m *Machine) PageOff(va uint32) int { return int(va) & (m.cfg.PageSize - 1) }
 
 // ChargeFetch charges th for a 32-bit fetch from frame f by processor proc
-// and counts it, both in proc's charge row. On contended topologies the
-// fetch also pays any queueing delay on the interconnect route to f's node.
+// and counts it, both in proc's charge row. A fetch over a routed column
+// also pays any queueing delay on the interconnect route to f's node.
 //
 //numalint:hotpath
 func (m *Machine) ChargeFetch(th *sim.Thread, proc int, f *mem.Frame) {
-	m.procs[proc].row.Fetch(th, f)
-	if m.contended {
-		m.chargeLink(th, proc, f, 4, false)
+	if m.procs[proc].row.Fetch(th, f) {
+		m.ChargeLink(th, proc, f)
 	}
 }
 
 // ChargeStore charges th for a 32-bit store to frame f by processor proc
-// and counts it, both in proc's charge row. On contended topologies the
-// store also pays any queueing delay on the interconnect route to f's node.
+// and counts it, both in proc's charge row. A store over a routed column
+// also pays any queueing delay on the interconnect route to f's node.
 //
 //numalint:hotpath
 func (m *Machine) ChargeStore(th *sim.Thread, proc int, f *mem.Frame) {
-	m.procs[proc].row.Store(th, f)
-	if m.contended {
-		m.chargeLink(th, proc, f, 4, false)
+	if m.procs[proc].row.Store(th, f) {
+		m.ChargeLink(th, proc, f)
 	}
+}
+
+// ChargeLink charges th, as user time, for the queueing delay a 32-bit
+// reference by processor proc to frame f waits on the interconnect. It
+// is the link half of a reference whose row charge (Row.Fetch or
+// Row.Store) reported a routed column; the row has already priced and
+// counted the reference itself.
+//
+//numalint:hotpath
+func (m *Machine) ChargeLink(th *sim.Thread, proc int, f *mem.Frame) {
+	m.chargeLink(th, proc, f, 4, false)
 }
 
 // chargeLink routes a transfer touching frame f over the interconnect and
 // charges th for any queueing delay the busy links imposed — as system
-// time for kernel page operations (sys true), user time otherwise. On
-// uncontended topologies (the ACE) this is a single branch and no charge.
+// time for kernel page operations (sys true), user time otherwise. Callers
+// call it only for a routed column of proc's charge row: for any other,
+// the topology would charge nothing and change nothing.
 //
 //numalint:hotpath
 func (m *Machine) chargeLink(th *sim.Thread, proc int, f *mem.Frame, bytes int, sys bool) {
-	if !m.contended {
-		return
-	}
 	wait := m.topo.ChargeTransfer(th.Clock(), proc, m.spec.Col(f.Proc()), bytes)
 	if wait == 0 {
 		return
@@ -459,26 +468,34 @@ func (m *Machine) chargeLink(th *sim.Thread, proc int, f *mem.Frame, bytes int, 
 // ChargeCopySys charges th, as system time, for processor proc copying a
 // full page from src to dst at memory speed (a fetch and a store a word,
 // priced from proc's charge row) plus any interconnect queueing delay on
-// the two transfers. All kernel page-copy sites (NUMA protocol moves,
-// pmap's physical copy) charge through here so contention applies
-// uniformly.
+// the two transfers, each over a routed column. All kernel page-copy
+// sites (NUMA protocol moves, pmap's physical copy) charge through here
+// so contention applies uniformly.
 //
 //numalint:hotpath
 func (m *Machine) ChargeCopySys(th *sim.Thread, src, dst *mem.Frame, proc int) {
 	row := m.procs[proc].row
-	th.AdvanceSys(sim.Time(m.cfg.PageSize/4) * (row[src.Proc()+1].fetch + row[dst.Proc()+1].store))
-	m.chargeLink(th, proc, src, m.cfg.PageSize, true)
-	m.chargeLink(th, proc, dst, m.cfg.PageSize, true)
+	from, to := &row[src.Proc()+1], &row[dst.Proc()+1]
+	th.AdvanceSys(sim.Time(m.cfg.PageSize/4) * (from.fetch + to.store))
+	if from.routed {
+		m.chargeLink(th, proc, src, m.cfg.PageSize, true)
+	}
+	if to.routed {
+		m.chargeLink(th, proc, dst, m.cfg.PageSize, true)
+	}
 }
 
 // ChargeZeroSys charges th, as system time, for processor proc
 // zero-filling a page, a store per word priced from proc's charge row,
-// plus any interconnect queueing delay.
+// plus any interconnect queueing delay over a routed column.
 //
 //numalint:hotpath
 func (m *Machine) ChargeZeroSys(th *sim.Thread, dst *mem.Frame, proc int) {
-	th.AdvanceSys(sim.Time(m.cfg.PageSize/4) * m.procs[proc].row[dst.Proc()+1].store)
-	m.chargeLink(th, proc, dst, m.cfg.PageSize, true)
+	to := &m.procs[proc].row[dst.Proc()+1]
+	th.AdvanceSys(sim.Time(m.cfg.PageSize/4) * to.store)
+	if to.routed {
+		m.chargeLink(th, proc, dst, m.cfg.PageSize, true)
+	}
 }
 
 // TotalRefs sums reference statistics across all processors.

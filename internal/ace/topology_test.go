@@ -52,6 +52,28 @@ func TestCopyZeroChargesFromSpec(t *testing.T) {
 	}
 }
 
+// TestRowRoutedMatchesSpec: every processor's charge row routes exactly
+// the columns topology.Spec.Routed names, on every registered topology at
+// 1–8 processors.
+func TestRowRoutedMatchesSpec(t *testing.T) {
+	for _, name := range topology.Names() {
+		for nproc := 1; nproc <= 8; nproc++ {
+			cfg := DefaultConfig()
+			cfg.NProc, cfg.Topology = nproc, name
+			cfg.GlobalFrames, cfg.LocalFrames = 4, 4
+			m := MustMachine(cfg)
+			spec := m.Spec()
+			for p := 0; p < nproc; p++ {
+				for col, c := range m.Proc(p).Row() {
+					if want := spec.Routed(p, spec.Col(col-1)); c.routed != want {
+						t.Errorf("%s/%d: cpu%d row column %d routed = %v, want %v", name, nproc, p, col, c.routed, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSpecForConfigShapes: "" and "ace" produce the two-level spec, the
 // registered names produce their shapes, Topo overrides everything, and a
 // processor-count mismatch is rejected by NewMachine.

@@ -141,6 +141,17 @@ func (s *Spec) StoreLatency(proc, col int) sim.Time {
 //numalint:hotpath
 func (s *Spec) Contended() bool { return s.contended }
 
+// Routed reports whether a transfer between processor proc and
+// latency-matrix column col reaches the link model: on a contended spec,
+// every column but the processor's home node. The interleave column is
+// no processor's home, so it is always routed there, and each transfer to
+// it advances the round-robin cursor. For an unrouted pair ChargeTransfer
+// returns 0 before it touches any link, cursor or counter, healthy or
+// degraded, so a caller may skip the call.
+func (s *Spec) Routed(proc, col int) bool {
+	return s.contended && col != s.homeOf[proc]
+}
+
 // GOverL returns the G/L ratio of §2.2 for a reference mix with the given
 // store fraction: processor 0's interleave-column latency over its home
 // column's. On the ACE that is the paper's 2.3 for pure fetches and about
@@ -431,20 +442,16 @@ func New(spec *Spec) *Topology {
 //numalint:hotpath
 func (t *Topology) Spec() *Spec { return t.spec }
 
-// Contended reports whether transfers contend on links.
-//
-//numalint:hotpath
-func (t *Topology) Contended() bool { return t.spec.contended }
-
 // ChargeTransfer routes a transfer of bytes between processor proc's
 // home node and latency-matrix column col at virtual time now. Each link
 // on the route absorbs the transfer's service time into its token-bucket
 // clock; the returned value is the queueing delay the transfer waited on
 // busy links, which the caller charges on top of the base latency (the
-// base latency already covers the uncontended transfer). Local traffic,
-// uncontended specs and unrouted pairs wait nothing. Column NNodes (the
-// interleaved global memory) is resolved to a target node by a
-// deterministic round-robin cursor.
+// base latency already covers the uncontended transfer). Local traffic
+// and uncontended specs, the pairs Spec.Routed rejects, wait nothing and
+// change no state; pairs without a modelled route wait nothing. Column
+// NNodes (the interleaved global memory) is resolved to a target node by
+// a deterministic round-robin cursor.
 //
 //numalint:hotpath
 func (t *Topology) ChargeTransfer(now sim.Time, proc, col, bytes int) sim.Time {

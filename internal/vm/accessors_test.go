@@ -191,27 +191,39 @@ var accessors = []accessor{
 }
 
 // charged runs a at va on c, once the page is mapped writable on c's
-// processor, and returns the user time and the references the access
-// added to c's processor's row.
-func charged(c *vm.Context, a accessor, va uint32) (sim.Time, ace.RefStats) {
+// processor, and returns the user time, the references the access added
+// to c's processor's row, and the transfers it added to the machine's
+// interconnect links.
+func charged(c *vm.Context, a accessor, va uint32) (sim.Time, ace.RefStats, uint64) {
 	c.Store32(va, 0)
-	p := c.Kernel().Machine().Proc(c.Proc())
-	t0, r0 := c.Thread().UserTime(), p.Refs()
+	m := c.Kernel().Machine()
+	p := m.Proc(c.Proc())
+	t0, r0, x0 := c.Thread().UserTime(), p.Refs(), linkXfers(m)
 	a.do(c, va)
 	r := p.Refs()
 	return c.Thread().UserTime() - t0, ace.RefStats{
 		LocalFetch: r.LocalFetch - r0.LocalFetch, LocalStore: r.LocalStore - r0.LocalStore,
 		GlobalFetch: r.GlobalFetch - r0.GlobalFetch, GlobalStore: r.GlobalStore - r0.GlobalStore,
 		RemoteFetch: r.RemoteFetch - r0.RemoteFetch, RemoteStore: r.RemoteStore - r0.RemoteStore,
+	}, linkXfers(m) - x0
+}
+
+// linkXfers sums the transfers every interconnect link of m has carried.
+func linkXfers(m *ace.Machine) uint64 {
+	var n uint64
+	for _, l := range m.Topo().LinkStats() {
+		n += l.Xfers
 	}
+	return n
 }
 
 // TestAccessorsChargeTheirRow requires every accessor to charge each
 // 32-bit word it references once, at its processor's row price, and to
-// count it in that processor's row: on the uncontended ACE exactly, for
-// a local and a global frame; on contended 4socket through the machine,
-// where a reference may also queue on a link; and on the new processor
-// after MigrateTo.
+// count it in that processor's row, on the new processor after MigrateTo.
+// A reference to a column the row does not route is charged exactly that
+// price and moves no link: every reference on the uncontended ACE, and a
+// local one on contended 4socket. A global reference on 4socket crosses
+// the interconnect, so it costs at least the row's price.
 func TestAccessorsChargeTheirRow(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -221,6 +233,7 @@ func TestAccessorsChargeTheirRow(t *testing.T) {
 	}{
 		{"ace/local", "", policy.AllLocal{}, false},
 		{"ace/global", "", policy.AllGlobal{}, true},
+		{"4socket/local", "4socket", policy.AllLocal{}, false},
 		{"4socket/global", "4socket", policy.AllGlobal{}, true},
 	}
 	for _, tc := range cases {
@@ -238,16 +251,16 @@ func TestAccessorsChargeTheirRow(t *testing.T) {
 							col, want = spec.NNodes(), ace.RefStats{GlobalFetch: a.fetches, GlobalStore: a.stores}
 						}
 						price := sim.Time(a.fetches)*spec.FetchLatency(proc, col) + sim.Time(a.stores)*spec.StoreLatency(proc, col)
-						user, refs := charged(c, a, va)
+						user, refs, xfers := charged(c, a, va)
 						if refs != want {
 							t.Errorf("cpu%d: counted %+v, want %+v", proc, refs, want)
 						}
-						if spec.Contended() {
+						if spec.Routed(proc, col) {
 							if user < price {
 								t.Errorf("cpu%d: charged %v, want at least the row's %v", proc, user, price)
 							}
-						} else if user != price {
-							t.Errorf("cpu%d: charged %v, want the row's %v", proc, user, price)
+						} else if user != price || xfers != 0 {
+							t.Errorf("cpu%d: charged %v and %d link transfers, want the row's %v and none", proc, user, xfers, price)
 						}
 					}
 				})

@@ -682,13 +682,12 @@ type Context struct {
 	// Hot-path caches: every Load/Store goes through these, so the
 	// indirections through kernel, machine and task are resolved once here
 	// (and again on migration) instead of per reference.
-	mach      *ace.Machine
-	hw        *mmu.MMU   // current processor's MMU
-	row       ace.Row    // current processor's charge row
-	contended bool       // references may queue on links: charge through mach
-	pm        *pmap.Pmap // the task's pmap (for key composition)
-	pageMask  uint32     // PageSize-1, for offset extraction
-	quantum   sim.Time   // the machine's scheduling quantum
+	mach     *ace.Machine
+	hw       *mmu.MMU   // current processor's MMU
+	row      ace.Row    // current processor's charge row
+	pm       *pmap.Pmap // the task's pmap (for key composition)
+	pageMask uint32     // PageSize-1, for offset extraction
+	quantum  sim.Time   // the machine's scheduling quantum
 
 	sliceEnd sim.Time
 	// OnQuantum, if set, is invoked when the scheduling quantum expires,
@@ -702,17 +701,16 @@ type Context struct {
 func NewContext(k *Kernel, task *Task, th *sim.Thread, proc int) *Context {
 	th.Bind(k.machine.Proc(proc).Resource())
 	return &Context{
-		kernel:    k,
-		task:      task,
-		th:        th,
-		proc:      proc,
-		mach:      k.machine,
-		hw:        k.machine.MMU(proc),
-		row:       k.machine.Proc(proc).Row(),
-		contended: k.machine.Spec().Contended(),
-		pm:        task.pm,
-		pageMask:  uint32(k.machine.PageSize() - 1),
-		quantum:   k.machine.Config().Quantum,
+		kernel:   k,
+		task:     task,
+		th:       th,
+		proc:     proc,
+		mach:     k.machine,
+		hw:       k.machine.MMU(proc),
+		row:      k.machine.Proc(proc).Row(),
+		pm:       task.pm,
+		pageMask: uint32(k.machine.PageSize() - 1),
+		quantum:  k.machine.Config().Quantum,
 	}
 }
 
@@ -826,10 +824,11 @@ func (c *Context) translate(va uint32, write bool) *mem.Frame {
 }
 
 // refFetch is the folded translate+trace+charge path for one 32-bit read.
-// On a TLB hit the probe inlines, and on an uncontended machine so does
-// the charge to the cached row, so the read calls nothing below refFetch.
-// A contended machine charges through the machine, which adds any link
-// queueing.
+// On a TLB hit the probe inlines, and so does the charge to the cached
+// row, so a read from a column the row does not route (every column on
+// an uncontended machine, the home node on a contended one) calls
+// nothing below refFetch. Only a routed read calls the machine, which
+// adds any link queueing.
 func (c *Context) refFetch(va uint32) *mem.Frame {
 	f := c.hw.Probe(c.pm.Key(va), mmu.ProtRead)
 	if f == nil {
@@ -839,10 +838,8 @@ func (c *Context) refFetch(va uint32) *mem.Frame {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
 		c.kernel.RefTrace(c.proc, va, false)
 	}
-	if c.contended {
-		c.mach.ChargeFetch(c.th, c.proc, f)
-	} else {
-		c.row.Fetch(c.th, f)
+	if c.row.Fetch(c.th, f) {
+		c.mach.ChargeLink(c.th, c.proc, f)
 	}
 	return f
 }
@@ -857,10 +854,8 @@ func (c *Context) refStore(va uint32) *mem.Frame {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
 		c.kernel.RefTrace(c.proc, va, true)
 	}
-	if c.contended {
-		c.mach.ChargeStore(c.th, c.proc, f)
-	} else {
-		c.row.Store(c.th, f)
+	if c.row.Store(c.th, f) {
+		c.mach.ChargeLink(c.th, c.proc, f)
 	}
 	return f
 }
@@ -877,12 +872,11 @@ func (c *Context) refUpdate(va uint32) *mem.Frame {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
 		c.kernel.RefTrace(c.proc, va, true)
 	}
-	if c.contended {
-		c.mach.ChargeFetch(c.th, c.proc, f)
-		c.mach.ChargeStore(c.th, c.proc, f)
-	} else {
-		c.row.Fetch(c.th, f)
-		c.row.Store(c.th, f)
+	if c.row.Fetch(c.th, f) {
+		c.mach.ChargeLink(c.th, c.proc, f)
+	}
+	if c.row.Store(c.th, f) {
+		c.mach.ChargeLink(c.th, c.proc, f)
 	}
 	return f
 }
@@ -936,10 +930,8 @@ func (c *Context) Load64(va uint32) uint64 {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
 		c.kernel.RefTrace(c.proc, va+4, false)
 	}
-	if c.contended {
-		c.mach.ChargeFetch(c.th, c.proc, f)
-	} else {
-		c.row.Fetch(c.th, f)
+	if c.row.Fetch(c.th, f) {
+		c.mach.ChargeLink(c.th, c.proc, f)
 	}
 	v := f.Load64(int(va & c.pageMask))
 	c.tick()
@@ -956,10 +948,8 @@ func (c *Context) Store64(va uint32, v uint64) {
 		//numalint:coldpath instrumentation: the reference-trace hook is nil outside trace captures
 		c.kernel.RefTrace(c.proc, va+4, true)
 	}
-	if c.contended {
-		c.mach.ChargeStore(c.th, c.proc, f)
-	} else {
-		c.row.Store(c.th, f)
+	if c.row.Store(c.th, f) {
+		c.mach.ChargeLink(c.th, c.proc, f)
 	}
 	f.Store64(int(va&c.pageMask), v)
 	c.tick()
