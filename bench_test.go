@@ -287,7 +287,9 @@ var benchMachine *ace.Machine
 
 // BenchmarkNewMachine prices building a machine at the paper's memory
 // size, which every run pays once. Frame records are made on first
-// allocation, so B/op does not grow with the number of frames.
+// allocation, so B/op does not grow with the number of frames, and every
+// machine of a shape shares one topology spec, so allocs/op does not
+// grow with the number of processors.
 func BenchmarkNewMachine(b *testing.B) {
 	for _, topo := range []string{"ace", "4socket", "mesh8"} {
 		b.Run(topo, func(b *testing.B) {

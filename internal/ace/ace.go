@@ -13,6 +13,7 @@ package ace
 
 import (
 	"fmt"
+	"strconv"
 
 	"numasim/internal/mem"
 	"numasim/internal/mmu"
@@ -207,7 +208,7 @@ func (r Row) Store(th *sim.Thread, f *mem.Frame) bool {
 type Processor struct {
 	id   int
 	home int
-	res  *sim.Resource
+	res  sim.Resource
 	row  Row
 	// Faults counts page faults taken on this processor.
 	Faults uint64
@@ -219,7 +220,7 @@ func (p *Processor) ID() int { return p.id }
 // Resource returns the sim resource representing the CPU's execution unit.
 //
 //numalint:hotpath
-func (p *Processor) Resource() *sim.Resource { return p.res }
+func (p *Processor) Resource() *sim.Resource { return &p.res }
 
 // Row returns the processor's charge row. The row is shared, not copied:
 // charges through it count in the processor's Refs.
@@ -256,13 +257,33 @@ type Machine struct {
 	engine *sim.Engine
 	procs  []Processor
 	memory *mem.Memory
-	mmus   []*mmu.MMU
+	mmus   []mmu.MMU // indexed, never ranged by value: each is over 1 KiB
 	bus    *simtrace.Bus
+}
+
+// cpuNames holds the resource names of the first 64 processors, made
+// once, so a build formats no name.
+var cpuNames = func() (names [64]string) {
+	for i := range names {
+		names[i] = "cpu" + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// cpuName returns processor i's resource name ("cpu3"), which state dumps
+// print.
+func cpuName(i int) string {
+	if i < len(cpuNames) {
+		return cpuNames[i]
+	}
+	return "cpu" + strconv.Itoa(i)
 }
 
 // NewMachine builds a machine from cfg, reporting invalid configuration
 // as an error the caller can propagate. Static, known-good configurations
-// (tests, examples) may use MustMachine instead.
+// (tests, examples) may use MustMachine instead. The topology spec comes
+// shared from topology.ByName (or as given in cfg.Topo), and the build
+// makes the same number of allocations at any processor or node count.
 func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -284,7 +305,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	m.engine.Bus = m.bus
 	m.procs = make([]Processor, cfg.NProc)
-	m.mmus = make([]*mmu.MMU, cfg.NProc)
+	m.mmus = mmu.NewSet(cfg.NProc)
 	// Every processor's charge row is a slice of one allocation.
 	ncol := spec.NNodes() + 1
 	rows := make(Row, cfg.NProc*ncol)
@@ -296,8 +317,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			sc := spec.Col(col - 1)
 			row[col] = refCol{fetch: spec.FetchLatency(i, sc), store: spec.StoreLatency(i, sc), routed: spec.Routed(i, sc)}
 		}
-		m.procs[i] = Processor{id: i, home: spec.Home(i), res: &sim.Resource{Name: fmt.Sprintf("cpu%d", i), ID: i}, row: row}
-		m.mmus[i] = mmu.New(i)
+		m.procs[i] = Processor{id: i, home: spec.Home(i), res: sim.Resource{Name: cpuName(i), ID: i}, row: row}
 	}
 	return m, nil
 }
@@ -384,7 +404,7 @@ func (m *Machine) Memory() *mem.Memory { return m.memory }
 // MMU returns processor i's MMU.
 //
 //numalint:hotpath
-func (m *Machine) MMU(i int) *mmu.MMU { return m.mmus[i] }
+func (m *Machine) MMU(i int) *mmu.MMU { return &m.mmus[i] }
 
 // PageShift returns log2 of the page size.
 //

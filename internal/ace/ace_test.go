@@ -134,6 +134,14 @@ func TestNewMachine(t *testing.T) {
 	if m.Engine() == nil {
 		t.Error("nil engine")
 	}
+	// State dumps print the resource names, past the name table too.
+	cfg.NProc, cfg.Topology = 70, "4socket"
+	m = MustMachine(cfg)
+	for i := 0; i < cfg.NProc; i++ {
+		if r := m.Proc(i).Resource(); r.Name != fmt.Sprintf("cpu%d", i) || r.ID != i {
+			t.Errorf("proc %d's resource is %q, id %d", i, r.Name, r.ID)
+		}
+	}
 }
 
 func TestNewMachineBadConfig(t *testing.T) {
@@ -158,11 +166,6 @@ func TestNewMachineCostIsIndependentOfMemorySize(t *testing.T) {
 		cfg.NProc, cfg.Topology = 4, topo
 		cfg.GlobalFrames, cfg.LocalFrames = frames, frames
 		var before, after runtime.MemStats
-		// A collection during the build empties sync.Pools such as fmt's
-		// printer cache, and the build's Sprintf calls then allocate
-		// anew. Finish one first: the build alone allocates too little to
-		// start another.
-		runtime.GC()
 		runtime.ReadMemStats(&before)
 		m, err := NewMachine(cfg)
 		runtime.ReadMemStats(&after)
@@ -174,9 +177,31 @@ func TestNewMachineCostIsIndependentOfMemorySize(t *testing.T) {
 	}
 	for _, topo := range []string{"ace", "4socket", "mesh8"} {
 		t.Run(topo, func(t *testing.T) {
+			// A shape's first build also builds its shared spec.
+			build(t, topo, 2048)
 			small, large := build(t, topo, 2048), build(t, topo, 1<<18)
 			if d := int64(large) - int64(small); d > 1024 || d < -1024 {
 				t.Errorf("NewMachine allocated %d bytes at 2^18 frames, %d at 2048; want within 1 KiB", large, small)
+			}
+		})
+	}
+}
+
+// TestNewMachineAllocsAreFixed: once a shape's spec is built, building a
+// machine of that shape makes the same few allocations at any processor
+// count, so nothing is allocated per processor or per node.
+func TestNewMachineAllocsAreFixed(t *testing.T) {
+	for _, topo := range []string{"ace", "4socket", "mesh8"} {
+		t.Run(topo, func(t *testing.T) {
+			var counts []float64
+			for _, nproc := range []int{1, 4, 8} {
+				cfg := DefaultConfig()
+				cfg.NProc, cfg.Topology = nproc, topo
+				MustMachine(cfg)
+				counts = append(counts, testing.AllocsPerRun(20, func() { MustMachine(cfg) }))
+			}
+			if counts[0] > 12 || counts[1] != counts[0] || counts[2] != counts[0] {
+				t.Errorf("NewMachine made %v allocations at 1, 4 and 8 processors; want one count, at most 12", counts)
 			}
 		})
 	}

@@ -229,9 +229,8 @@ func (e *ErrNoFrames) Error() string {
 // the frames its run touches: a released frame is handed out again LIFO,
 // and otherwise the lowest index never handed out is made.
 type Pool struct {
-	name     string
 	kind     Kind
-	proc     int
+	node     int // the node of a Local pool; -1 for Global
 	pageSize int
 	size     int
 	made     int      // records made so far: frames [0, made)
@@ -247,10 +246,10 @@ const firstBlock = 64
 // page holds at least one.
 const maxAccess = 8
 
-// NewPool creates a pool of n frames of the given size, a power of two of
-// at least maxAccess bytes. For Local pools, proc names the owning
-// processor; Global pools use proc -1.
-func NewPool(kind Kind, proc, n, pageSize int) *Pool {
+// init sets p up as an empty pool of n frames of the given size, a power
+// of two of at least maxAccess bytes. For a Local pool, node names the
+// node it serves; a Global pool's node is -1.
+func (p *Pool) init(kind Kind, node, n, pageSize int) {
 	if pageSize < maxAccess || pageSize&(pageSize-1) != 0 {
 		panic(fmt.Sprintf("mem: page size %d is not a power of two of at least %d bytes", pageSize, maxAccess))
 	}
@@ -258,17 +257,19 @@ func NewPool(kind Kind, proc, n, pageSize int) *Pool {
 		panic(fmt.Sprintf("mem: negative frame count %d", n))
 	}
 	if kind == Global {
-		proc = -1
+		node = -1
 	}
-	name := "global memory"
-	if kind == Local {
-		name = fmt.Sprintf("local memory of cpu%d", proc)
-	}
-	return &Pool{name: name, kind: kind, proc: proc, pageSize: pageSize, size: n}
+	*p = Pool{kind: kind, node: node, pageSize: pageSize, size: n}
 }
 
-// Name returns a human-readable pool name.
-func (p *Pool) Name() string { return p.name }
+// Name returns a human-readable pool name. A local pool's is formatted on
+// each call, so building a memory formats nothing.
+func (p *Pool) Name() string {
+	if p.kind == Global {
+		return "global memory"
+	}
+	return fmt.Sprintf("local memory of node%d", p.node)
+}
 
 // Size reports the total number of frames.
 //
@@ -297,7 +298,7 @@ func (p *Pool) Alloc() (*Frame, error) {
 	}
 	if p.made == p.size {
 		//numalint:coldpath exhaustion: the caller falls back to reclaim or global memory
-		return nil, &ErrNoFrames{Pool: p.name}
+		return nil, &ErrNoFrames{Pool: p.Name()}
 	}
 	if len(p.block) == 0 {
 		//numalint:coldpath growth: blocks double, so a pool of n frames grows O(log n) times
@@ -309,7 +310,7 @@ func (p *Pool) Alloc() (*Frame, error) {
 	}
 	f := &p.block[0]
 	p.block = p.block[1:]
-	*f = Frame{kind: p.kind, proc: p.proc, index: p.made, pageSize: p.pageSize, inUse: true}
+	*f = Frame{kind: p.kind, proc: p.node, index: p.made, pageSize: p.pageSize, inUse: true}
 	p.made++
 	return f, nil
 }
@@ -318,8 +319,8 @@ func (p *Pool) Alloc() (*Frame, error) {
 //
 //numalint:hotpath
 func (p *Pool) Release(f *Frame) {
-	if f.kind != p.kind || f.proc != p.proc {
-		panic(fmt.Sprintf("mem: frame %s released to wrong pool %s", f, p.name))
+	if f.kind != p.kind || f.proc != p.node {
+		panic(fmt.Sprintf("mem: frame %s released to wrong pool %s", f, p.Name()))
 	}
 	if !f.inUse {
 		panic(fmt.Sprintf("mem: double free of frame %s", f))
@@ -333,19 +334,19 @@ func (p *Pool) Release(f *Frame) {
 // topologies home several processors on one pool.
 type Memory struct {
 	pageSize int
-	global   *Pool
-	local    []*Pool
+	global   Pool
+	local    []Pool // indexed, never ranged by value: callers hold *Pool
 }
 
 // NewMemory builds the physical memory of a machine with nnodes memory
 // nodes, globalFrames frames of global memory and localFrames frames of
-// local memory per node.
+// local memory per node: the pools live in two allocations, whatever the
+// node count. The page size must be a power of two of at least 8 bytes.
 func NewMemory(nnodes, globalFrames, localFrames, pageSize int) *Memory {
-	m := &Memory{pageSize: pageSize}
-	m.global = NewPool(Global, -1, globalFrames, pageSize)
-	m.local = make([]*Pool, nnodes)
+	m := &Memory{pageSize: pageSize, local: make([]Pool, nnodes)}
+	m.global.init(Global, -1, globalFrames, pageSize)
 	for i := range m.local {
-		m.local[i] = NewPool(Local, i, localFrames, pageSize)
+		m.local[i].init(Local, i, localFrames, pageSize)
 	}
 	return m
 }
@@ -356,12 +357,12 @@ func (m *Memory) PageSize() int { return m.pageSize }
 // Global returns the global memory pool.
 //
 //numalint:hotpath
-func (m *Memory) Global() *Pool { return m.global }
+func (m *Memory) Global() *Pool { return &m.global }
 
 // Local returns node p's local memory pool.
 //
 //numalint:hotpath
-func (m *Memory) Local(p int) *Pool { return m.local[p] }
+func (m *Memory) Local(p int) *Pool { return &m.local[p] }
 
 // NProc reports the number of local pools (nodes; historical name from the
 // one-node-per-processor ACE).

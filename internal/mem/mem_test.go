@@ -18,8 +18,15 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// newPool makes a standalone pool, as NewMemory makes each of its own.
+func newPool(kind Kind, node, n, pageSize int) *Pool {
+	p := new(Pool)
+	p.init(kind, node, n, pageSize)
+	return p
+}
+
 func TestPoolAllocRelease(t *testing.T) {
-	p := NewPool(Global, 0, 4, 4096)
+	p := newPool(Global, 0, 4, 4096)
 	if p.Size() != 4 || p.Free() != 4 || p.InUse() != 0 {
 		t.Fatalf("fresh pool size=%d free=%d inuse=%d", p.Size(), p.Free(), p.InUse())
 	}
@@ -53,7 +60,7 @@ func TestPoolAllocRelease(t *testing.T) {
 }
 
 func TestPoolAllocOrder(t *testing.T) {
-	p := NewPool(Local, 3, 3, 1024)
+	p := newPool(Local, 3, 3, 1024)
 	for want := 0; want < 3; want++ {
 		f, err := p.Alloc()
 		if err != nil {
@@ -88,7 +95,7 @@ var blockEdge = []int{0, firstBlock}
 
 func TestDoubleFreePanics(t *testing.T) {
 	for _, idx := range blockEdge {
-		p := NewPool(Global, -1, firstBlock+1, 512)
+		p := newPool(Global, -1, firstBlock+1, 512)
 		f := allocThrough(t, p, idx)
 		p.Release(f)
 		func() {
@@ -104,8 +111,8 @@ func TestDoubleFreePanics(t *testing.T) {
 
 func TestWrongPoolReleasePanics(t *testing.T) {
 	for _, idx := range blockEdge {
-		p0 := NewPool(Local, 0, firstBlock+1, 512)
-		p1 := NewPool(Local, 1, firstBlock+1, 512)
+		p0 := newPool(Local, 0, firstBlock+1, 512)
+		p1 := newPool(Local, 1, firstBlock+1, 512)
 		f := allocThrough(t, p0, idx)
 		func() {
 			defer func() {
@@ -124,7 +131,7 @@ func TestBadPageSizePanics(t *testing.T) {
 			t.Fatal("non power-of-two page size should panic")
 		}
 	}()
-	NewPool(Global, -1, 1, 1000)
+	newPool(Global, -1, 1, 1000)
 }
 
 func TestNegativeFrameCountPanics(t *testing.T) {
@@ -133,7 +140,7 @@ func TestNegativeFrameCountPanics(t *testing.T) {
 			t.Fatal("negative frame count should panic")
 		}
 	}()
-	NewPool(Global, -1, -1, 4096)
+	newPool(Global, -1, -1, 4096)
 }
 
 // poolModel is an eager frame pool: every index sits on a LIFO free list
@@ -175,7 +182,7 @@ func TestPoolMatchesEagerModel(t *testing.T) {
 }
 
 func runPoolScript(t *testing.T, size int, rng *rand.Rand) {
-	p := NewPool(Local, 2, size, 256)
+	p := newPool(Local, 2, size, 256)
 	m := newPoolModel(size)
 	records := make(map[int]*Frame) // every frame handed out, by index
 	var held []int                  // indices in use
@@ -264,7 +271,7 @@ func TestPoolReuseDoesNotAllocate(t *testing.T) {
 	pools := make([]*Pool, runs+1)
 	frames := make([][]*Frame, runs+1)
 	for i := range pools {
-		pools[i] = NewPool(Global, -1, size, 256)
+		pools[i] = newPool(Global, -1, size, 256)
 		for j := 0; j < size; j++ {
 			frames[i] = append(frames[i], allocThrough(t, pools[i], j))
 		}
@@ -292,7 +299,7 @@ func TestPoolReuseDoesNotAllocate(t *testing.T) {
 }
 
 func TestFrameWordAccess(t *testing.T) {
-	p := NewPool(Global, -1, 1, 4096)
+	p := newPool(Global, -1, 1, 4096)
 	f, _ := p.Alloc()
 	if f.Load32(0) != 0 || f.Load64(8) != 0 || f.Load8(100) != 0 {
 		t.Error("untouched frame must read zero")
@@ -329,7 +336,7 @@ func TestFrameBoundsPanic(t *testing.T) {
 	}
 	for _, touched := range []bool{false, true} {
 		for _, a := range accessors {
-			p := NewPool(Global, -1, 1, 512)
+			p := newPool(Global, -1, 1, 512)
 			f, _ := p.Alloc()
 			if touched {
 				f.Data()
@@ -352,7 +359,7 @@ func TestFrameBoundsPanic(t *testing.T) {
 }
 
 func TestZeroAndCopy(t *testing.T) {
-	p := NewPool(Global, -1, 2, 256)
+	p := newPool(Global, -1, 2, 256)
 	a, _ := p.Alloc()
 	b, _ := p.Alloc()
 	a.Store32(4, 42)
@@ -368,7 +375,7 @@ func TestZeroAndCopy(t *testing.T) {
 		t.Error("Zero of source affected copy")
 	}
 	// Copying from a never-touched frame zeroes the destination.
-	c := NewPool(Global, -1, 1, 256)
+	c := newPool(Global, -1, 1, 256)
 	fresh, _ := c.Alloc()
 	b.CopyFrom(fresh)
 	if b.Load32(4) != 0 {
@@ -377,7 +384,7 @@ func TestZeroAndCopy(t *testing.T) {
 }
 
 func TestZeroUntouchedIsNoop(t *testing.T) {
-	p := NewPool(Global, -1, 1, 256)
+	p := newPool(Global, -1, 1, 256)
 	f, _ := p.Alloc()
 	f.Zero() // must not allocate
 	if f.data != nil {
@@ -386,7 +393,7 @@ func TestZeroUntouchedIsNoop(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	p := NewPool(Global, -1, 3, 128)
+	p := newPool(Global, -1, 3, 128)
 	a, _ := p.Alloc()
 	b, _ := p.Alloc()
 	c, _ := p.Alloc()
@@ -404,8 +411,8 @@ func TestEqual(t *testing.T) {
 }
 
 func TestCopyMismatchedSizesPanics(t *testing.T) {
-	a, _ := NewPool(Global, -1, 1, 256).Alloc()
-	b, _ := NewPool(Global, -1, 1, 512).Alloc()
+	a, _ := newPool(Global, -1, 1, 256).Alloc()
+	b, _ := newPool(Global, -1, 1, 512).Alloc()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched copy should panic")
@@ -425,9 +432,15 @@ func TestMemoryAggregate(t *testing.T) {
 	if m.Global().Size() != 16 {
 		t.Errorf("global size = %d", m.Global().Size())
 	}
+	if got := m.Global().Name(); got != "global memory" {
+		t.Errorf("global pool named %q", got)
+	}
 	for i := 0; i < 4; i++ {
 		if m.Local(i).Size() != 8 {
 			t.Errorf("local %d size = %d", i, m.Local(i).Size())
+		}
+		if got, want := m.Local(i).Name(), fmt.Sprintf("local memory of node%d", i); got != want {
+			t.Errorf("local pool %d named %q, want %q", i, got, want)
 		}
 		f, err := m.Local(i).Alloc()
 		if err != nil {
@@ -442,7 +455,7 @@ func TestMemoryAggregate(t *testing.T) {
 // Property: a round trip of any word through a frame preserves the value,
 // and neighbouring words are untouched.
 func TestStoreLoadRoundTrip(t *testing.T) {
-	p := NewPool(Global, -1, 1, 4096)
+	p := newPool(Global, -1, 1, 4096)
 	f, _ := p.Alloc()
 	prop := func(off uint16, v uint32, w uint64) bool {
 		o32 := int(off) % (4096 - 4)
@@ -461,8 +474,8 @@ func TestStoreLoadRoundTrip(t *testing.T) {
 }
 
 func TestFrameString(t *testing.T) {
-	g, _ := NewPool(Global, -1, 1, 256).Alloc()
-	l, _ := NewPool(Local, 2, 1, 256).Alloc()
+	g, _ := newPool(Global, -1, 1, 256).Alloc()
+	l, _ := newPool(Local, 2, 1, 256).Alloc()
 	if g.String() != "global[0]" {
 		t.Errorf("global string = %q", g.String())
 	}

@@ -144,8 +144,16 @@ type MMU struct {
 	tlb [tlbSize]tlbSlot
 }
 
-// New creates the MMU for processor proc.
-func New(proc int) *MMU { return &MMU{proc: proc} }
+// NewSet creates the MMUs of processors 0 through nproc-1, as one slice
+// in one allocation. An MMU is large (its TLB alone is 1 KiB), so index
+// the slice rather than copy its elements.
+func NewSet(nproc int) []MMU {
+	ms := make([]MMU, nproc)
+	for i := range ms {
+		ms[i].proc = i
+	}
+	return ms
+}
 
 // Proc reports which processor this MMU belongs to.
 func (m *MMU) Proc() int { return m.proc }

@@ -50,7 +50,7 @@ func TestProtBits(t *testing.T) {
 
 func TestEnterTranslate(t *testing.T) {
 	f := frames(2)
-	m := New(0)
+	m := &NewSet(1)[0]
 	if m.Translate(5, false) != nil {
 		t.Error("translate on empty MMU should fault")
 	}
@@ -79,7 +79,7 @@ func TestEnterTranslate(t *testing.T) {
 
 func TestRosettaAliasRestriction(t *testing.T) {
 	f := frames(1)
-	m := New(0)
+	m := &NewSet(1)[0]
 	m.Enter(10, f[0], ProtReadWrite)
 	m.Enter(20, f[0], ProtReadWrite) // same frame, new VA: old VA must drop
 	if m.Translate(10, false) != nil {
@@ -101,7 +101,7 @@ func TestRosettaAliasRestriction(t *testing.T) {
 
 func TestReEnterSameVPNSameFrame(t *testing.T) {
 	f := frames(1)
-	m := New(0)
+	m := &NewSet(1)[0]
 	m.Enter(10, f[0], ProtRead)
 	m.Enter(10, f[0], ProtReadWrite) // upgrade in place; not an alias drop
 	if s := m.Stats(); s.AliasDrops != 0 {
@@ -114,7 +114,7 @@ func TestReEnterSameVPNSameFrame(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	f := frames(1)
-	m := New(0)
+	m := &NewSet(1)[0]
 	m.Enter(7, f[0], ProtRead)
 	m.Remove(7)
 	if m.Translate(7, false) != nil {
@@ -128,7 +128,7 @@ func TestRemove(t *testing.T) {
 
 func TestRemoveFrame(t *testing.T) {
 	f := frames(2)
-	m := New(0)
+	m := &NewSet(1)[0]
 	m.Enter(1, f[0], ProtRead)
 	m.Enter(2, f[1], ProtRead)
 	if !m.RemoveFrame(f[0]) {
@@ -147,7 +147,7 @@ func TestRemoveFrame(t *testing.T) {
 
 func TestProtect(t *testing.T) {
 	f := frames(1)
-	m := New(0)
+	m := &NewSet(1)[0]
 	m.Enter(3, f[0], ProtReadWrite)
 	m.Protect(3, ProtRead) // tighten
 	if m.Translate(3, true) != nil {
@@ -169,7 +169,7 @@ func TestProtect(t *testing.T) {
 
 func TestTLBInvalidation(t *testing.T) {
 	f := frames(2)
-	m := New(0)
+	m := &NewSet(1)[0]
 	m.Enter(4, f[0], ProtReadWrite)
 	if m.Translate(4, true) != f[0] { // warm the TLB
 		t.Fatal("initial translate failed")
@@ -189,7 +189,7 @@ func TestTLBInvalidation(t *testing.T) {
 }
 
 func TestEnterNilFramePanics(t *testing.T) {
-	m := New(0)
+	m := &NewSet(1)[0]
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
@@ -199,7 +199,7 @@ func TestEnterNilFramePanics(t *testing.T) {
 }
 
 func TestEnterNoPermPanics(t *testing.T) {
-	m := New(0)
+	m := &NewSet(1)[0]
 	f := frames(1)
 	defer func() {
 		if recover() == nil {
@@ -211,7 +211,7 @@ func TestEnterNoPermPanics(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	f := frames(1)
-	m := New(0)
+	m := &NewSet(1)[0]
 	m.Enter(11, f[0], ProtRead)
 	pte := m.Lookup(11)
 	if pte == nil || pte.Frame != f[0] || pte.Prot != ProtRead || pte.Key != 11 {
@@ -234,7 +234,7 @@ func TestFrameFromAnotherMemoryPanics(t *testing.T) {
 		{"RemoveFrame", func(m *MMU) { m.RemoveFrame(other) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := New(0)
+			m := &NewSet(1)[0]
 			m.Enter(1, f, ProtRead)
 			defer func() {
 				if recover() == nil {
@@ -250,7 +250,7 @@ func TestFrameFromAnotherMemoryPanics(t *testing.T) {
 // zero allocations once its tables have grown and its PTEs exist.
 func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	f := frames(2)
-	m := New(0)
+	m := &NewSet(1)[0]
 	a, b := Key(1)<<32|70, Key(0)<<32|9
 	cycle := func() {
 		m.Enter(a, f[0], ProtReadWrite)
@@ -375,7 +375,7 @@ func TestMMUMatchesMapModel(t *testing.T) {
 				}
 			}
 
-			m, model := New(3), newMapMMU()
+			m, model := &NewSet(4)[3], newMapMMU()
 			for step := 0; step < 400; step++ {
 				key := keys[rng.Intn(len(keys))]
 				if rng.Intn(10) == 0 {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"sync"
 
 	"numasim/internal/sim"
 )
@@ -171,15 +172,40 @@ var builders = []struct {
 	{"mesh8", Mesh8},
 }
 
-// ByName builds the topology named name for nprocs processors; the empty
-// name selects the ACE.
+// specKey names one shared spec: a builder's name and a processor count.
+type specKey struct {
+	name   string
+	nprocs int
+}
+
+// specs memoizes ByName, a specKey to the *Spec built for it. A Spec is
+// immutable, so every machine of one shape can share one. It holds one
+// entry per shape and processor count ever asked for, and a failed build
+// stores nothing.
+var specs sync.Map
+
+// ByName returns the topology named name for nprocs processors; the empty
+// name selects the ACE. Every call with the same name and count returns
+// the same *Spec, built on the first call, so it must be treated as
+// immutable like every Spec. Use the named builder for a spec of one's own.
 func ByName(name string, nprocs int) (*Spec, error) {
 	if name == "" {
 		name = "ace"
 	}
+	key := specKey{name, nprocs}
+	if s, ok := specs.Load(key); ok {
+		return s.(*Spec), nil
+	}
 	for _, b := range builders {
 		if b.name == name {
-			return b.build(nprocs)
+			s, err := b.build(nprocs)
+			if err != nil {
+				return nil, err
+			}
+			// Concurrent first calls may each build; all return the spec
+			// stored first.
+			shared, _ := specs.LoadOrStore(key, s)
+			return shared.(*Spec), nil
 		}
 	}
 	return nil, fmt.Errorf("topology: unknown topology %q (have: %v)", name, Names())

@@ -9,8 +9,8 @@
 //
 //   - Spec is the immutable shape — node count, home map, distance and
 //     latency matrices, links and routes. A Spec is safe to share between
-//     machines running concurrently; the harness reuses one Spec across
-//     every run of a sweep.
+//     machines running concurrently: ByName returns one shared Spec per
+//     shape and processor count, which every machine of that shape uses.
 //   - Topology is the per-machine runtime — the per-link token-bucket
 //     clocks and transfer counters. Each machine owns a fresh Topology,
 //     so the parallel harness stays byte-identical at any -parallel.
@@ -102,7 +102,8 @@ func (s *Spec) NProcs() int { return s.nprocs }
 func (s *Spec) Home(proc int) int { return s.homeOf[proc] }
 
 // NodeProcs returns the processors homed on node, in ascending order.
-// The returned slice is the spec's own and must not be mutated.
+// The returned slice is the spec's own, shared by every machine of the
+// shape, and nothing may write through it.
 //
 //numalint:hotpath
 func (s *Spec) NodeProcs(node int) []int { return s.nodeProcs[node] }
@@ -185,11 +186,13 @@ func (s *Spec) Dist(a, b int) int { return s.dist[a*s.nnodes+b] }
 // Ranked returns every node ordered by ascending distance from node
 // (ties broken by node id), so Ranked(n)[0] == n and the tail is the
 // distance-ranked remotes a placement policy walks. The returned slice
-// is the spec's own and must not be mutated.
+// is the spec's own, shared by every machine of the shape, and nothing
+// may write through it.
 func (s *Spec) Ranked(node int) []int { return s.ranked[node] }
 
 // Links returns the spec's interconnect links (nil when uncontended).
-// The returned slice is the spec's own and must not be mutated.
+// The returned slice is the spec's own, shared by every machine of the
+// shape, and nothing may write through it.
 func (s *Spec) Links() []Link { return s.links }
 
 // validate checks the derived spec for structural consistency.

@@ -192,49 +192,61 @@ var accessors = []accessor{
 
 // charged runs a at va on c, once the page is mapped writable on c's
 // processor, and returns the user time, the references the access added
-// to c's processor's row, and the transfers it added to the machine's
-// interconnect links.
-func charged(c *vm.Context, a accessor, va uint32) (sim.Time, ace.RefStats, uint64) {
+// to c's processor's row, and the transfers and queueing delay it added
+// to the machine's interconnect links.
+func charged(c *vm.Context, a accessor, va uint32) (sim.Time, ace.RefStats, uint64, sim.Time) {
 	c.Store32(va, 0)
 	m := c.Kernel().Machine()
 	p := m.Proc(c.Proc())
-	t0, r0, x0 := c.Thread().UserTime(), p.Refs(), linkXfers(m)
+	t0, r0 := c.Thread().UserTime(), p.Refs()
+	x0, w0 := linkTotals(m)
 	a.do(c, va)
 	r := p.Refs()
+	x1, w1 := linkTotals(m)
 	return c.Thread().UserTime() - t0, ace.RefStats{
 		LocalFetch: r.LocalFetch - r0.LocalFetch, LocalStore: r.LocalStore - r0.LocalStore,
 		GlobalFetch: r.GlobalFetch - r0.GlobalFetch, GlobalStore: r.GlobalStore - r0.GlobalStore,
 		RemoteFetch: r.RemoteFetch - r0.RemoteFetch, RemoteStore: r.RemoteStore - r0.RemoteStore,
-	}, linkXfers(m) - x0
+	}, x1 - x0, w1 - w0
 }
 
-// linkXfers sums the transfers every interconnect link of m has carried.
-func linkXfers(m *ace.Machine) uint64 {
-	var n uint64
+// linkTotals sums the transfers every interconnect link of m has carried
+// and the queueing delay they waited.
+func linkTotals(m *ace.Machine) (xfers uint64, waited sim.Time) {
 	for _, l := range m.Topo().LinkStats() {
-		n += l.Xfers
+		xfers += l.Xfers
+		waited += l.Waited
 	}
-	return n
+	return xfers, waited
 }
+
+// Where a case's page lives, relative to the referencing processor.
+const (
+	atLocal  = iota // the processor's own node
+	atGlobal        // global memory
+	atRemote        // the node of processor 2, home to neither cpu0 nor cpu1
+)
 
 // TestAccessorsChargeTheirRow requires every accessor to charge each
-// 32-bit word it references once, at its processor's row price, and to
-// count it in that processor's row, on the new processor after MigrateTo.
-// A reference to a column the row does not route is charged exactly that
-// price and moves no link: every reference on the uncontended ACE, and a
-// local one on contended 4socket. A global reference on 4socket crosses
-// the interconnect, so it costs at least the row's price.
+// 32-bit word it references once, at its processor's row price plus any
+// queueing on the interconnect, and to count it in that processor's row,
+// on the new processor after MigrateTo. A reference to a column the row
+// does not route moves no link: every reference on the uncontended ACE,
+// and a local one on contended 4socket. A remote reference on 4socket
+// crosses exactly one link, so each word must move one transfer: a
+// reference path that skips its link charge fails here.
 func TestAccessorsChargeTheirRow(t *testing.T) {
 	cases := []struct {
-		name   string
-		topo   string
-		pol    numa.Policy
-		global bool // the policy places the page in global memory
+		name  string
+		topo  string
+		pol   numa.Policy
+		where int
 	}{
-		{"ace/local", "", policy.AllLocal{}, false},
-		{"ace/global", "", policy.AllGlobal{}, true},
-		{"4socket/local", "4socket", policy.AllLocal{}, false},
-		{"4socket/global", "4socket", policy.AllGlobal{}, true},
+		{"ace/local", "", policy.AllLocal{}, atLocal},
+		{"ace/global", "", policy.AllGlobal{}, atGlobal},
+		{"4socket/local", "4socket", policy.AllLocal{}, atLocal},
+		{"4socket/global", "4socket", policy.AllGlobal{}, atGlobal},
+		{"4socket/remote", "4socket", policy.NewPragma(nil), atRemote},
 	}
 	for _, tc := range cases {
 		for _, a := range accessors {
@@ -243,24 +255,39 @@ func TestAccessorsChargeTheirRow(t *testing.T) {
 				cfg.Topology = tc.topo
 				run1(t, cfg, tc.pol, func(c *vm.Context) {
 					va := c.Task().Allocate("w", 4096, mmu.ProtReadWrite)
+					if tc.where == atRemote {
+						c.Task().SetHome(va, 2)
+					}
 					for _, proc := range []int{0, 1} {
 						c.MigrateTo(proc)
 						spec := c.Kernel().Machine().Spec()
-						col, want := spec.Home(proc), ace.RefStats{LocalFetch: a.fetches, LocalStore: a.stores}
-						if tc.global {
+						var col int
+						var want ace.RefStats
+						switch tc.where {
+						case atLocal:
+							col, want = spec.Home(proc), ace.RefStats{LocalFetch: a.fetches, LocalStore: a.stores}
+						case atGlobal:
 							col, want = spec.NNodes(), ace.RefStats{GlobalFetch: a.fetches, GlobalStore: a.stores}
+						case atRemote:
+							col, want = spec.Home(2), ace.RefStats{RemoteFetch: a.fetches, RemoteStore: a.stores}
 						}
 						price := sim.Time(a.fetches)*spec.FetchLatency(proc, col) + sim.Time(a.stores)*spec.StoreLatency(proc, col)
-						user, refs, xfers := charged(c, a, va)
+						user, refs, xfers, waited := charged(c, a, va)
 						if refs != want {
 							t.Errorf("cpu%d: counted %+v, want %+v", proc, refs, want)
 						}
-						if spec.Routed(proc, col) {
-							if user < price {
-								t.Errorf("cpu%d: charged %v, want at least the row's %v", proc, user, price)
+						if user != price+waited {
+							t.Errorf("cpu%d: charged %v, want the row's %v plus the links' %v of queueing", proc, user, price, waited)
+						}
+						switch {
+						case tc.where == atRemote:
+							if xfers != a.fetches+a.stores {
+								t.Errorf("cpu%d: %d link transfers, want one per word, %d", proc, xfers, a.fetches+a.stores)
 							}
-						} else if user != price || xfers != 0 {
-							t.Errorf("cpu%d: charged %v and %d link transfers, want the row's %v and none", proc, user, xfers, price)
+						case !spec.Routed(proc, col):
+							if xfers != 0 {
+								t.Errorf("cpu%d: %d link transfers on an unrouted column, want none", proc, xfers)
+							}
 						}
 					}
 				})
