@@ -11,7 +11,7 @@
 #                   directory invariants; violations die with forensics)
 #   make lint     - build bin/numalint and run its analyzer suite
 #                   (determinism, maporder, statemachine, units,
-#                   violation, hotpath, atomicmix) over ./...
+#                   violation, hotpath, atomicmix, callers) over ./...
 #   make bench    - run the benchmark suite (tables, ablations, the
 #                   simulator hot-path microbenchmarks, and the simtrace
 #                   overhead check: BenchmarkTraceOverhead/off must stay

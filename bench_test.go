@@ -377,9 +377,9 @@ func BenchmarkFaultPath(b *testing.B) {
 	b.ResetTimer()
 	err := sys.Runtime.Run(1, func(id int, c *numasim.Context) {
 		c.Store32(va, 1) // materialize the page
-		pm := c.Kernel().Pmap()
+		pm := c.Task().Kernel().Pmap()
 		for i := 0; i < b.N; i++ {
-			if pg := c.Task().Pmap().Resident(va); pg != nil {
+			if pg := c.Task().EntryAt(va).Object().Page(0); pg != nil {
 				pm.RemoveAll(c.Thread(), pg)
 			}
 			c.Load32(va)

@@ -118,8 +118,8 @@ func runOne(app string, opts harness.Options, r report) (string, error) {
 	}
 	fmt.Fprintf(&b, "  mmu:         %d alias drops (Rosetta one-VA-per-frame rule)\n", aliasDrops)
 	vs := res.VM
-	fmt.Fprintf(&b, "  paging:      %d zero-fills, %d pageouts, %d pageins, %d COW copies\n",
-		vs.ZeroFillFaults, vs.Pageouts, vs.Pageins, vs.COWCopies)
+	fmt.Fprintf(&b, "  paging:      %d zero-fills, %d pageouts, %d pageins\n",
+		vs.ZeroFillFaults, vs.Pageouts, vs.Pageins)
 	if res.Links != nil {
 		fmt.Fprintf(&b, "  interconnect (%s):\n", machine.Spec().Name())
 		for _, l := range res.Links {

@@ -5,15 +5,18 @@
 // simulated-time and wall-clock scales), violation (protocol panics in
 // internal/numa must carry a typed ProtocolViolationError), hotpath
 // (//numalint:hotpath functions are transitively allocation-free over the
-// package call graph) and atomicmix (no field accessed both through
-// sync/atomic and plain loads/stores).
+// package call graph), atomicmix (no field accessed both through
+// sync/atomic and plain loads/stores) and callers (every function, method
+// and type under internal/ has a caller in non-test code, or a
+// //numalint:api line naming the callers the module cannot show).
 //
 //	numalint [-list] [-only a,b] [packages]    # packages default to ./...
 //
-// It type-checks the named packages and their in-module dependencies from
-// source (internal/analysis/load), so a declaration's //numalint:
-// directive holds in every package that uses it, and reports findings in
-// the named packages only. Exit status: 0 clean, 1 error, 2 findings.
+// It type-checks every package of the module from source
+// (internal/analysis/load), so a declaration's //numalint: directive holds
+// in every package that uses it and a use anywhere in the module counts,
+// and reports findings in the named packages only. Exit status: 0 clean,
+// 1 error, 2 findings.
 package main
 
 import (
@@ -27,6 +30,7 @@ import (
 	"numasim/internal/analysis"
 	"numasim/internal/analysis/load"
 	"numasim/internal/analysis/passes/atomicmix"
+	"numasim/internal/analysis/passes/callers"
 	"numasim/internal/analysis/passes/determinism"
 	"numasim/internal/analysis/passes/hotpath"
 	"numasim/internal/analysis/passes/maporder"
@@ -43,6 +47,7 @@ var analyzers = []*analysis.Analyzer{
 	violation.Analyzer,
 	hotpath.Analyzer,
 	atomicmix.Analyzer,
+	callers.Analyzer,
 }
 
 func main() {
@@ -107,12 +112,12 @@ func main() {
 // analyzers to each and writes one line per finding to w. It returns the
 // number of packages analyzed and of findings.
 func lint(w io.Writer, dir string, patterns []string, analyzers []*analysis.Analyzer) (npkgs, total int, err error) {
-	pkgs, marks, err := load.Packages(dir, patterns...)
+	pkgs, index, err := load.Packages(dir, patterns...)
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, pkg := range pkgs {
-		findings, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, marks, analyzers)
+		findings, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, index, analyzers)
 		if err != nil {
 			return len(pkgs), total, fmt.Errorf("%s: %v", pkg.PkgPath, err)
 		}

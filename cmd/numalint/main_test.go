@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"numasim/internal/analysis"
 	"numasim/internal/analysis/analysistest"
+	"numasim/internal/analysis/passes/callers"
 )
 
 // moduleRoot is the repository root, two levels above cmd/numalint.
@@ -39,15 +41,17 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 }
 
-// TestPackagesAreCleanAlone lints single packages. Their in-module
-// dependencies are loaded for their directives but not analyzed, so a
-// hot call into another package is accepted on the callee's own
-// //numalint:hotpath directive alone.
+// TestPackagesAreCleanAlone lints single packages. The rest of the
+// module is loaded for its directives and uses but not analyzed, so a hot
+// call into another package is accepted on the callee's own
+// //numalint:hotpath directive alone, and an exported name that only
+// another package calls still has a caller. sim's and topology's exports
+// are the ones other packages' tests read most.
 func TestPackagesAreCleanAlone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks most of the module")
 	}
-	for _, pattern := range []string{"./internal/vm", "./internal/policy"} {
+	for _, pattern := range []string{"./internal/vm", "./internal/policy", "./internal/sim", "./internal/topology"} {
 		var out strings.Builder
 		npkgs, n, err := lint(&out, moduleRoot(t), []string{pattern}, analyzers)
 		if err != nil {
@@ -67,4 +71,19 @@ func TestPackagesAreCleanAlone(t *testing.T) {
 // the contracts every analyzer checks the other package's uses against.
 func TestCrossPackageDirectives(t *testing.T) {
 	analysistest.RunModule(t, filepath.Join("testdata", "xpkg"), analyzers...)
+}
+
+// TestCallersSeesUnnamedPackages lints one package of a fixture module:
+// the callers pass counts a use in a package the command line does not
+// name, so lib.UsedByApp, whose only caller is app, is not reported and
+// lib.Unused is.
+func TestCallersSeesUnnamedPackages(t *testing.T) {
+	var out strings.Builder
+	npkgs, n, err := lint(&out, filepath.Join("testdata", "callers"), []string{"./internal/lib"}, []*analysis.Analyzer{callers.Analyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if npkgs != 1 || n != 1 || !strings.Contains(out.String(), "Unused has no caller") {
+		t.Errorf("numalint ./internal/lib analyzed %d packages and reported %d finding(s), want 1 and only lib.Unused:\n%s", npkgs, n, out.String())
+	}
 }

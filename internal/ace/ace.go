@@ -214,9 +214,6 @@ type Processor struct {
 	Faults uint64
 }
 
-// ID returns the processor number.
-func (p *Processor) ID() int { return p.id }
-
 // Resource returns the sim resource representing the CPU's execution unit.
 //
 //numalint:hotpath
@@ -325,6 +322,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 // MustMachine builds a machine from a configuration that is known to be
 // valid, panicking otherwise. For tests and static setups only; code with
 // an error path should call NewMachine.
+//
+//numalint:api the test rigs of ace, numa, pmap, policy, sched, vm, workloads and the numasim benchmarks build their machines with it
 func MustMachine(cfg Config) *Machine {
 	m, err := NewMachine(cfg)
 	if err != nil {
@@ -416,16 +415,6 @@ func (m *Machine) PageShift() uint {
 	}
 	return s
 }
-
-// VPN returns the virtual page number of va.
-//
-//numalint:hotpath
-func (m *Machine) VPN(va uint32) uint32 { return va >> m.PageShift() }
-
-// PageOff returns va's offset within its page.
-//
-//numalint:hotpath
-func (m *Machine) PageOff(va uint32) int { return int(va) & (m.cfg.PageSize - 1) }
 
 // ChargeFetch charges th for a 32-bit fetch from frame f by processor proc
 // and counts it, both in proc's charge row. A fetch over a routed column

@@ -121,15 +121,12 @@ func TestNewMachine(t *testing.T) {
 		t.Errorf("NProc = %d", m.NProc())
 	}
 	for i := 0; i < 3; i++ {
-		if m.Proc(i).ID() != i {
-			t.Errorf("proc %d has id %d", i, m.Proc(i).ID())
+		if m.Proc(i).id != i {
+			t.Errorf("proc %d has id %d", i, m.Proc(i).id)
 		}
-		if m.MMU(i).Proc() != i {
-			t.Errorf("mmu %d has proc %d", i, m.MMU(i).Proc())
+		if got, want := m.Memory().Local(i).Name(), fmt.Sprintf("local memory of node%d", i); got != want {
+			t.Errorf("pool %d is %q, want %q", i, got, want)
 		}
-	}
-	if m.Memory().NProc() != 3 {
-		t.Error("memory pools mismatch")
 	}
 	if m.Engine() == nil {
 		t.Error("nil engine")
@@ -214,11 +211,11 @@ func TestVPNAndOffset(t *testing.T) {
 	if m.PageShift() != 12 {
 		t.Errorf("PageShift = %d", m.PageShift())
 	}
-	if m.VPN(0x12345) != 0x12 {
-		t.Errorf("VPN = %#x", m.VPN(0x12345))
+	if vpn := uint32(0x12345) >> m.PageShift(); vpn != 0x12 {
+		t.Errorf("VPN = %#x", vpn)
 	}
-	if m.PageOff(0x12345) != 0x345 {
-		t.Errorf("PageOff = %#x", m.PageOff(0x12345))
+	if off := 0x12345 & (m.PageSize() - 1); off != 0x345 {
+		t.Errorf("page offset = %#x", off)
 	}
 }
 

@@ -86,8 +86,8 @@ func TestSpecForConfigShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("topology %q: %v", name, err)
 		}
-		if spec.NNodes() != 4 || spec.Contended() {
-			t.Errorf("topology %q: %d nodes contended=%v, want the 4-node uncontended ACE", name, spec.NNodes(), spec.Contended())
+		if spec.NNodes() != 4 || spec.Routed(0, 1) {
+			t.Errorf("topology %q: %d nodes routed=%v, want the 4-node uncontended ACE", name, spec.NNodes(), spec.Routed(0, 1))
 		}
 	}
 	cfg.Topology = "4socket"
@@ -95,8 +95,8 @@ func TestSpecForConfigShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.NNodes() != 4 || !spec.Contended() {
-		t.Errorf("4socket: %d nodes contended=%v", spec.NNodes(), spec.Contended())
+	if spec.NNodes() != 4 || !spec.Routed(0, 1) {
+		t.Errorf("4socket: %d nodes routed=%v", spec.NNodes(), spec.Routed(0, 1))
 	}
 	override, err := topology.Mesh8(4)
 	if err != nil {
@@ -130,8 +130,8 @@ func TestMachineTopologyAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NNodes() != 4 || m.Memory().NProc() != 4 {
-		t.Errorf("4socket machine: %d nodes, %d local pools", m.NNodes(), m.Memory().NProc())
+	if m.NNodes() != 4 || m.Memory().Local(3).Name() != "local memory of node3" {
+		t.Errorf("4socket machine: %d nodes, last local pool %q", m.NNodes(), m.Memory().Local(3).Name())
 	}
 	for p := 0; p < 6; p++ {
 		if got, want := m.Home(p), p%4; got != want {
@@ -141,7 +141,7 @@ func TestMachineTopologyAccessors(t *testing.T) {
 	if got := m.NodeProcs(1); len(got) != 2 || got[0] != 1 || got[1] != 5 {
 		t.Errorf("NodeProcs(1) = %v, want [1 5]", got)
 	}
-	if m.Topo() == nil || m.Topo().Spec() != m.Spec() {
-		t.Error("machine runtime topology does not wrap its spec")
+	if m.Topo() == nil || len(m.Topo().LinkStats()) != 6 {
+		t.Error("machine runtime topology does not carry 4socket's six links")
 	}
 }

@@ -4,13 +4,13 @@
 //
 // It defines the Analyzer/Pass/Diagnostic vocabulary used by the numalint
 // analyzers (internal/analysis/passes/...), which statically enforce the
-// simulator's determinism, protocol and units invariants, and Marks, the
-// index through which a pass reads the //numalint: directive on any
-// loaded declaration. Two packages feed it:
+// simulator's determinism, protocol and units invariants, and Index,
+// through which a pass reads the //numalint: directive on any loaded
+// declaration and the uses of it. Two packages feed it:
 //
-//   - internal/analysis/load type-checks the named packages and their
-//     in-module dependencies from source and indexes their directives
-//     (cmd/numalint, the one driver);
+//   - internal/analysis/load type-checks every package of the module
+//     from source and indexes their directives and uses (cmd/numalint,
+//     the one driver);
 //   - internal/analysis/analysistest runs analyzers over a fixture
 //     directory or fixture module and checks their diagnostics against
 //     `// want` comments.
@@ -50,7 +50,7 @@ type Pass struct {
 	// Report delivers one diagnostic.
 	Report func(Diagnostic)
 
-	marks Marks
+	index *Index
 }
 
 // Marked reports whether the declaration named key carries the
@@ -58,7 +58,28 @@ type Pass struct {
 // is declared. key is types.Func.FullName for a function or method (an
 // interface method included) and TypeKey for a named type. A directive is
 // its declaration's contract with every package that uses it.
-func (p *Pass) Marked(key, name string) bool { return p.marks[mark{key, name}] }
+func (p *Pass) Marked(key, name string) bool { return p.index.marks[mark{key, name}] }
+
+// Used reports whether non-test code in a loaded package refers to obj,
+// a function, method or package-level named type, outside obj's own
+// declaration.
+func (p *Pass) Used(obj types.Object) bool { return p.index.used[obj] }
+
+// Satisfies reports whether the method fn satisfies a method of an
+// indexed interface that its receiver's type implements, so a call
+// through the interface reaches it without naming it.
+func (p *Pass) Satisfies(fn *types.Func) bool {
+	recv := NamedType(fn.Type().(*types.Signature).Recv().Type())
+	if recv == nil {
+		return false
+	}
+	for _, iface := range p.index.ifaces[fn.Name()] {
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			return true
+		}
+	}
+	return false
+}
 
 // Diagnostic is one finding.
 type Diagnostic struct {
@@ -128,16 +149,112 @@ func Directives(file *ast.File) []Directive {
 	return out
 }
 
-// Marks indexes doc-comment directives by the declaration they head.
-// Export data carries no comments, so a driver builds one index over the
-// source of every package it loads and hands it to each pass.
-type Marks map[mark]bool
+// Index is what a driver learns from the source of every package it
+// loads, for passes that look past the package they analyze: the
+// directives heading each declaration, which functions, methods and
+// named types non-test code uses, and the interfaces a method may
+// satisfy. Export data carries no comments and test files are never
+// loaded, so a driver builds one index over the source of every package
+// it loads and hands it to each pass.
+type Index struct {
+	marks map[mark]bool
+	// decls spans each function, method and package-level named type's
+	// own declaration; a use inside it does not count.
+	decls map[types.Object]span
+	used  map[types.Object]bool
+	// ifaces holds, by method name, the named interfaces declared in an
+	// indexed package or in a package one imports, and error.
+	ifaces map[string][]*types.Interface
+	scoped map[*types.Package]bool // packages whose interfaces are in ifaces
+}
 
 type mark struct{ key, name string }
 
-// Add indexes the directives heading one type-checked package's function,
-// method, interface-method and type declarations.
-func (m Marks) Add(files []*ast.File, info *types.Info) {
+type span struct{ pos, end token.Pos }
+
+// NewIndex returns an empty index.
+func NewIndex() *Index {
+	x := &Index{
+		marks:  make(map[mark]bool),
+		decls:  make(map[types.Object]span),
+		used:   make(map[types.Object]bool),
+		ifaces: make(map[string][]*types.Interface),
+		scoped: make(map[*types.Package]bool),
+	}
+	x.addInterface(types.Universe.Lookup("error"))
+	return x
+}
+
+// Add indexes one type-checked package. Packages are added dependencies
+// first, as a driver checks them, so a declaration is indexed before
+// any use of it in another package.
+func (x *Index) Add(pkg *types.Package, files []*ast.File, info *types.Info) {
+	x.addMarks(files, info)
+	// A method's receiver is not a use of its type: a type that only
+	// its own methods name has no values.
+	receivers := make(map[*ast.Ident]bool)
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if obj := info.Defs[d.Name]; obj != nil {
+					x.decls[obj] = span{d.Pos(), d.End()}
+				}
+				if d.Recv != nil {
+					ast.Inspect(d.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							receivers[id] = true
+						}
+						return true
+					})
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && info.Defs[ts.Name] != nil {
+						x.decls[info.Defs[ts.Name]] = span{ts.Pos(), ts.End()}
+					}
+				}
+			}
+		}
+	}
+	for id, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if s, ok := x.decls[obj]; receivers[id] || !ok || s.pos <= id.Pos() && id.Pos() < s.end {
+			continue
+		}
+		x.used[obj] = true
+	}
+	for _, p := range append([]*types.Package{pkg}, pkg.Imports()...) {
+		if x.scoped[p] {
+			continue
+		}
+		x.scoped[p] = true
+		for _, name := range p.Scope().Names() {
+			x.addInterface(p.Scope().Lookup(name))
+		}
+	}
+}
+
+func (x *Index) addInterface(obj types.Object) {
+	tn, ok := obj.(*types.TypeName)
+	if !ok || tn.IsAlias() {
+		return
+	}
+	iface, ok := tn.Type().Underlying().(*types.Interface)
+	if !ok {
+		return
+	}
+	for i := 0; i < iface.NumMethods(); i++ {
+		name := iface.Method(i).Name()
+		x.ifaces[name] = append(x.ifaces[name], iface)
+	}
+}
+
+// addMarks indexes the directives heading the function, method,
+// interface-method and type declarations of one package.
+func (x *Index) addMarks(files []*ast.File, info *types.Info) {
 	for _, f := range files {
 		for _, d := range Directives(f) {
 			var names []*ast.Ident
@@ -158,10 +275,10 @@ func (m Marks) Add(files []*ast.File, info *types.Info) {
 			for _, id := range names {
 				switch obj := info.Defs[id].(type) {
 				case *types.Func:
-					m[mark{obj.FullName(), d.Name}] = true
+					x.marks[mark{obj.FullName(), d.Name}] = true
 				case *types.TypeName:
 					if n, ok := obj.Type().(*types.Named); ok {
-						m[mark{TypeKey(n), d.Name}] = true
+						x.marks[mark{TypeKey(n), d.Name}] = true
 					}
 				}
 			}

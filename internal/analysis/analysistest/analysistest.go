@@ -41,11 +41,15 @@ type config struct {
 // WithImportPath type-checks the fixture under the given import path,
 // letting tests exercise path-keyed analyzer configuration (e.g. the
 // determinism analyzer's restricted-package list).
+//
+//numalint:api the fixture tests of the callers, determinism and violation passes
 func WithImportPath(path string) Option {
 	return func(c *config) { c.importPath = path }
 }
 
 // TestData returns the caller package's testdata/src root.
+//
+//numalint:api every pass's fixture test under internal/analysis/passes
 func TestData() string {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -56,6 +60,8 @@ func TestData() string {
 
 // Run applies the analyzer to the fixture directory and reports any
 // mismatch between its diagnostics and the fixture's want comments.
+//
+//numalint:api every pass's fixture test under internal/analysis/passes
 func Run(t *testing.T, dir string, a *analysis.Analyzer, opts ...Option) {
 	t.Helper()
 	cfg := config{importPath: "fixture/" + filepath.Base(dir)}
@@ -82,9 +88,9 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, opts ...Option) {
 	if err != nil {
 		t.Fatalf("analysistest: type-checking %s: %v", dir, err)
 	}
-	marks := make(analysis.Marks)
-	marks.Add(pkg.Files, pkg.TypesInfo)
-	findings, err := analysis.Run(fset, pkg.Files, pkg.Types, pkg.TypesInfo, marks, []*analysis.Analyzer{a})
+	index := analysis.NewIndex()
+	index.Add(pkg.Types, pkg.Files, pkg.TypesInfo)
+	findings, err := analysis.Run(fset, pkg.Files, pkg.Types, pkg.TypesInfo, index, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analysistest: running %s: %v", a.Name, err)
 	}
@@ -95,9 +101,11 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, opts ...Option) {
 // directory holding a go.mod) as cmd/numalint loads the repository,
 // applies the analyzers to each, and reports any mismatch with the want
 // comments of all its files.
+//
+//numalint:api TestCrossPackageDirectives (cmd/numalint)
 func RunModule(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	pkgs, marks, err := load.Packages(dir, "./...")
+	pkgs, index, err := load.Packages(dir, "./...")
 	if err != nil {
 		t.Fatalf("analysistest: loading %s: %v", dir, err)
 	}
@@ -109,7 +117,7 @@ func RunModule(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 		for _, f := range pkg.Files {
 			files = append(files, fset.Position(f.Package).Filename)
 		}
-		got, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, marks, analyzers)
+		got, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, index, analyzers)
 		if err != nil {
 			t.Fatalf("analysistest: %s: %v", pkg.PkgPath, err)
 		}

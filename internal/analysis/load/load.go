@@ -1,15 +1,16 @@
 // Package load type-checks packages of this module for the numalint
 // analyzers without any dependency outside the standard library.
 //
-// It drives `go list -deps -export -json`, which names every package the
-// patterns need, dependencies first, and compiles (or fetches from the
-// build cache) the export data of each. Packages outside the standard
-// library are parsed and type-checked from source in that order, each
-// against the ones before it, so one set of type objects spans the module
-// and every doc comment is read into the directive index
-// (analysis.Marks); standard-library imports come from export data. The
-// result is the same typed syntax an x/tools-based driver would hand an
-// analyzer.
+// It drives `go list -deps -export -json` over every package of the
+// module and the named patterns, which names each package dependencies
+// first, and compiles (or fetches from the build cache) the export data
+// of each. Packages outside the standard library are parsed and
+// type-checked from source in that order, each against the ones before
+// it, so one set of type objects spans the module, and every package's
+// doc comments and uses are read into one index (analysis.Index);
+// standard-library imports come from export data. The result is the same
+// typed syntax an x/tools-based driver would hand an analyzer, and the
+// index is the same whichever patterns are named.
 package load
 
 import (
@@ -46,7 +47,7 @@ type listPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	DepOnly    bool
+	Match      []string // the command-line patterns that name the package
 	Standard   bool
 }
 
@@ -106,12 +107,16 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// Packages loads the packages matching the go list patterns (e.g.
-// "./...") under dir, with their dependencies outside the standard
-// library, and returns the matched ones in import-path order together
-// with the directive index over every package checked from source.
-func Packages(dir string, patterns ...string) ([]*Package, analysis.Marks, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export,DepOnly,Standard,Dir,GoFiles"}, patterns...)
+// Packages loads every package of the module that holds dir, with its
+// dependencies outside the standard library, and returns the packages
+// matching the go list patterns (e.g. "./...") under dir in import-path
+// order, together with the index over every package checked from source.
+func Packages(dir string, patterns ...string) ([]*Package, *analysis.Index, error) {
+	root, err := moduleRoot(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export,Match,Standard,Dir,GoFiles", filepath.Join(root, "...")}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -119,6 +124,10 @@ func Packages(dir string, patterns ...string) ([]*Package, analysis.Marks, error
 	out, err := cmd.Output()
 	if err != nil {
 		return nil, nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+	}
+	named := make(map[string]bool)
+	for _, p := range patterns {
+		named[p] = true
 	}
 	fset := token.NewFileSet()
 	exports := make(map[string]string)
@@ -137,7 +146,7 @@ func Packages(dir string, patterns ...string) ([]*Package, analysis.Marks, error
 		return gc.Import(path)
 	})
 
-	marks := make(analysis.Marks)
+	index := analysis.NewIndex()
 	var targets []*Package
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for { // dependencies precede their importers
@@ -160,11 +169,30 @@ func Packages(dir string, patterns ...string) ([]*Package, analysis.Marks, error
 			return nil, nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = pkg.Types
-		marks.Add(pkg.Files, pkg.TypesInfo)
-		if !p.DepOnly {
-			targets = append(targets, pkg)
+		index.Add(pkg.Types, pkg.Files, pkg.TypesInfo)
+		for _, m := range p.Match {
+			if named[m] {
+				targets = append(targets, pkg)
+				break
+			}
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].PkgPath < targets[j].PkgPath })
-	return targets, marks, nil
+	return targets, index, nil
+}
+
+// moduleRoot returns the directory of the go.mod that governs dir.
+func moduleRoot(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	for d := dir; ; d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
+		}
+		if filepath.Dir(d) == d {
+			return "", fmt.Errorf("no go.mod at or above %s", dir)
+		}
+	}
 }

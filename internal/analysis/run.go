@@ -14,9 +14,9 @@ type Finding struct {
 }
 
 // Run applies every analyzer to one type-checked package, reading
-// declarations' directives from marks, and returns the findings sorted by
-// file position (deterministic across runs).
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, marks Marks, analyzers []*Analyzer) ([]Finding, error) {
+// declarations' directives and uses from index, and returns the findings
+// sorted by file position (deterministic across runs).
+func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, index *Index, analyzers []*Analyzer) ([]Finding, error) {
 	var findings []Finding
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -25,7 +25,7 @@ func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-			marks:     marks,
+			index:     index,
 			Report: func(d Diagnostic) {
 				findings = append(findings, Finding{Analyzer: a, Diag: d})
 			},

@@ -61,41 +61,15 @@ type Config struct {
 	Health []HealthEvent
 }
 
-// Defaults for WithDefaults.
+// DefaultMaxRetries, DefaultBackoff and DefaultMoveDelay are the retry
+// and delay parameters a run's chaos flags inject with. The virtual-time
+// ones are sized against the ACE's fault-handling costs (a retry should
+// cost about as much as losing the fault and taking it again).
 const (
-	DefaultFailProb   = 0.05
 	DefaultMaxRetries = 3
-	DefaultDelayProb  = 0.10
+	DefaultBackoff    = 200 * sim.Microsecond
+	DefaultMoveDelay  = 100 * sim.Microsecond
 )
-
-// DefaultBackoff and DefaultMoveDelay are virtual-time defaults sized
-// against the ACE's fault-handling costs (a retry should cost about as
-// much as losing the fault and taking it again).
-const (
-	DefaultBackoff   = 200 * sim.Microsecond
-	DefaultMoveDelay = 100 * sim.Microsecond
-)
-
-// WithDefaults fills in the conventional injection rates for a config
-// that names only a seed, leaving explicitly set fields alone.
-func (c Config) WithDefaults() Config {
-	if c.FailProb == 0 {
-		c.FailProb = DefaultFailProb
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = DefaultMaxRetries
-	}
-	if c.Backoff == 0 {
-		c.Backoff = DefaultBackoff
-	}
-	if c.DelayProb == 0 {
-		c.DelayProb = DefaultDelayProb
-	}
-	if c.MoveDelay == 0 {
-		c.MoveDelay = DefaultMoveDelay
-	}
-	return c
-}
 
 // Enabled reports whether the config injects anything at all.
 func (c Config) Enabled() bool {
@@ -132,10 +106,6 @@ type Injector struct {
 	state uint64
 	seq   uint64
 
-	// Counters for reports and tests.
-	failures uint64
-	delays   uint64
-
 	// One-shot latches for the crash-drill modes.
 	panicked bool
 	stalled  bool
@@ -149,15 +119,6 @@ func New(cfg Config) *Injector {
 	}
 	return &Injector{cfg: cfg, state: mix64(uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15)}
 }
-
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
-// Failures reports how many allocation failures have been injected.
-func (in *Injector) Failures() uint64 { return in.failures }
-
-// Delays reports how many page moves have been delayed.
-func (in *Injector) Delays() uint64 { return in.delays }
 
 // draw advances the PRNG, folding the virtual time of the query and a
 // per-injector sequence number into the stream. The result is uniform in
@@ -180,11 +141,7 @@ func (in *Injector) chance(now sim.Time, salt uint64, p float64) bool {
 // FailLocalAlloc reports whether one local-frame allocation attempt by
 // proc at virtual time now fails transiently.
 func (in *Injector) FailLocalAlloc(now sim.Time, proc int) bool {
-	if !in.chance(now, uint64(proc)<<1, in.cfg.FailProb) {
-		return false
-	}
-	in.failures++
-	return true
+	return in.chance(now, uint64(proc)<<1, in.cfg.FailProb)
 }
 
 // MoveDelay returns the extra virtual time to charge a page move
@@ -193,7 +150,6 @@ func (in *Injector) MoveDelay(now sim.Time, proc int) sim.Time {
 	if in.cfg.MoveDelay <= 0 || !in.chance(now, uint64(proc)<<1|1, in.cfg.DelayProb) {
 		return 0
 	}
-	in.delays++
 	// Uniform in (0, MoveDelay], never zero: a delayed move always costs.
 	return sim.Time(in.draw(now, 0)%uint64(in.cfg.MoveDelay)) + 1
 }
@@ -235,44 +191,3 @@ func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-// Scripted replays an explicit allocation-failure schedule: call k of
-// FailLocalAlloc fails iff Fail[k] (out-of-range calls succeed). It backs
-// the protocol fuzz suite's pressure extension, where the failure
-// schedule must be part of the seeded script rather than drawn from a
-// second stream. MoveDelay never delays.
-type Scripted struct {
-	Fail    []bool
-	Retries int
-	Wait    sim.Time
-
-	calls    uint64
-	failures uint64
-}
-
-// FailLocalAlloc implements the injector contract by replaying the script.
-func (s *Scripted) FailLocalAlloc(now sim.Time, proc int) bool {
-	i := s.calls
-	s.calls++
-	if i < uint64(len(s.Fail)) && s.Fail[i] {
-		s.failures++
-		return true
-	}
-	return false
-}
-
-// MoveDelay implements the injector contract; scripted runs never delay.
-func (s *Scripted) MoveDelay(now sim.Time, proc int) sim.Time { return 0 }
-
-// Disrupt implements the injector contract; scripted runs never crash or
-// stall.
-func (s *Scripted) Disrupt(now sim.Time, proc int) bool { return false }
-
-// MaxRetries implements the injector contract.
-func (s *Scripted) MaxRetries() int { return s.Retries }
-
-// RetryBackoff implements the injector contract with a fixed wait.
-func (s *Scripted) RetryBackoff(attempt int) sim.Time { return s.Wait }
-
-// Failures reports how many scripted failures have fired.
-func (s *Scripted) Failures() uint64 { return s.failures }

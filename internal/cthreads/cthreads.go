@@ -29,8 +29,6 @@ type Runtime struct {
 	// locks per page, as a real loader would.
 	syncVA  uint32
 	syncOff uint32
-
-	threads []*Thread
 }
 
 // New creates a C-Threads runtime on kernel with the given scheduling
@@ -61,9 +59,6 @@ func (r *Runtime) Kernel() *vm.Kernel { return r.kernel }
 // Task returns the shared address space.
 func (r *Runtime) Task() *vm.Task { return r.task }
 
-// Scheduler returns the runtime's scheduler.
-func (r *Runtime) Scheduler() *sched.Scheduler { return r.sched }
-
 // Alloc allocates a shared read-write region. Like data placed by the
 // C-Threads loader, everything is potentially shared; segregation into
 // pages is the only placement control an application has.
@@ -73,37 +68,18 @@ func (r *Runtime) Alloc(name string, size uint32) uint32 {
 
 // Thread is a forked C-thread.
 type Thread struct {
-	name string
-	th   *sim.Thread
+	th *sim.Thread
 }
-
-// Name returns the thread's name.
-func (t *Thread) Name() string { return t.name }
-
-// Sim returns the underlying simulated thread.
-func (t *Thread) Sim() *sim.Thread { return t.th }
 
 // Fork starts fn on a new thread in the shared task, bound to a processor
 // by the affinity rule. start is the new thread's initial virtual time.
 func (r *Runtime) Fork(name string, start sim.Time, fn func(*vm.Context)) *Thread {
-	t := &Thread{name: name}
-	t.th = r.sched.Spawn(name, r.task, start, fn)
-	r.threads = append(r.threads, t)
-	return t
+	return &Thread{th: r.sched.Spawn(name, r.task, start, fn)}
 }
 
 // Join blocks c's thread until t finishes.
 func (t *Thread) Join(c *vm.Context) {
 	t.th.Join(c.Thread())
-}
-
-// JoinAll joins every thread forked so far.
-func (r *Runtime) JoinAll(c *vm.Context) {
-	for _, t := range r.threads {
-		if t.th != c.Thread() {
-			t.Join(c)
-		}
-	}
 }
 
 // Start forks one thread per processor without running the engine (so
@@ -129,16 +105,10 @@ func (r *Runtime) Run(nworkers int, fn func(id int, c *vm.Context)) error {
 	return r.kernel.Machine().Engine().Run()
 }
 
-// StartMain forks a coordinating thread (which may itself Fork workers and
-// JoinAll them) without running the engine.
+// StartMain forks a coordinating thread (which may itself fork workers and
+// join them) without running the engine.
 func (r *Runtime) StartMain(fn func(c *vm.Context)) {
 	r.Fork("main", 0, fn)
-}
-
-// Main spawns a coordinating thread and runs the simulation to completion.
-func (r *Runtime) Main(fn func(c *vm.Context)) error {
-	r.StartMain(fn)
-	return r.kernel.Machine().Engine().Run()
 }
 
 // ForkWorkers forks n workers from a running coordinator thread, starting
@@ -167,6 +137,8 @@ type SpinLock struct {
 
 // NewSpinLock allocates a lock word from the runtime's sync pages (several
 // locks share a page, as a loader would lay them out).
+//
+//numalint:api numasim.Runtime re-exports it; TestPublicAPIEndToEnd (numasim) and the cthreads tests call it
 func (r *Runtime) NewSpinLock() *SpinLock {
 	ps := uint32(r.kernel.Machine().PageSize())
 	if r.syncVA == 0 || r.syncOff+4 > ps {
@@ -181,9 +153,6 @@ func (r *Runtime) NewSpinLock() *SpinLock {
 // NewSpinLockAt places a lock word at an application-chosen address, the
 // manual segregation tool the paper's tuned applications use.
 func NewSpinLockAt(va uint32) *SpinLock { return &SpinLock{va: va} }
-
-// VA returns the lock word's address.
-func (l *SpinLock) VA() uint32 { return l.va }
 
 // Lock acquires the lock with test-and-set. On contention the C-Threads
 // runtime yields the processor between probes (cthread_yield), with
@@ -249,6 +218,8 @@ type Cond struct {
 
 // Wait atomically releases mu and suspends the thread until Signal or
 // Broadcast, then reacquires mu.
+//
+//numalint:api numasim.Cond re-exports it; the cthreads tests call it
 func (cv *Cond) Wait(c *vm.Context, mu *Mutex) {
 	th := c.Thread()
 	cv.waiters = append(cv.waiters, th)
@@ -258,6 +229,8 @@ func (cv *Cond) Wait(c *vm.Context, mu *Mutex) {
 }
 
 // Signal wakes one waiter.
+//
+//numalint:api numasim.Cond re-exports it; the cthreads tests call it
 func (cv *Cond) Signal(c *vm.Context) {
 	if len(cv.waiters) == 0 {
 		return
@@ -268,6 +241,8 @@ func (cv *Cond) Signal(c *vm.Context) {
 }
 
 // Broadcast wakes every waiter.
+//
+//numalint:api numasim.Cond re-exports it; the cthreads tests call it
 func (cv *Cond) Broadcast(c *vm.Context) {
 	at := c.Thread().Clock()
 	for _, w := range cv.waiters {

@@ -21,6 +21,13 @@ func newRuntime(nproc int, mode sched.Mode) *cthreads.Runtime {
 	return cthreads.New(k, mode)
 }
 
+// runMain forks fn as the coordinating thread and runs the simulation to
+// completion.
+func runMain(r *cthreads.Runtime, fn func(c *vm.Context)) error {
+	r.StartMain(fn)
+	return r.Kernel().Machine().Engine().Run()
+}
+
 func TestRunBindsOneWorkerPerProcessor(t *testing.T) {
 	r := newRuntime(4, sched.Affinity)
 	procs := make([]int, 4)
@@ -70,10 +77,10 @@ func TestSpinLocksShareSyncPage(t *testing.T) {
 	r := newRuntime(2, sched.Affinity)
 	a := r.NewSpinLock()
 	b := r.NewSpinLock()
-	if a.VA()/4096 != b.VA()/4096 {
+	if cthreads.LockVA(a)/4096 != cthreads.LockVA(b)/4096 {
 		t.Error("two fresh locks should share a sync page (loader-style layout)")
 	}
-	if a.VA() == b.VA() {
+	if cthreads.LockVA(a) == cthreads.LockVA(b) {
 		t.Error("distinct locks share a word")
 	}
 }
@@ -214,7 +221,7 @@ func TestWorkPileBatch(t *testing.T) {
 func TestMainForkJoin(t *testing.T) {
 	r := newRuntime(3, sched.Affinity)
 	data := r.Alloc("data", 3*4)
-	err := r.Main(func(c *vm.Context) {
+	err := runMain(r, func(c *vm.Context) {
 		workers := r.ForkWorkers(c, 3, func(id int, wc *vm.Context) {
 			wc.Store32(data+uint32(id)*4, uint32(id)+1)
 		})
@@ -249,8 +256,8 @@ func TestNoAffinityHops(t *testing.T) {
 	if len(procsSeen) < 2 {
 		t.Errorf("no-affinity thread stayed on %v", procsSeen)
 	}
-	if r.Scheduler().Mode() != sched.NoAffinity || r.Scheduler().Mode().String() != "no-affinity" {
-		t.Error("mode accessors wrong")
+	if sched.NoAffinity.String() != "no-affinity" {
+		t.Error("mode string wrong")
 	}
 }
 
@@ -278,7 +285,7 @@ func TestAffinityBinding(t *testing.T) {
 func TestSchedulerSkipsBusyProcessors(t *testing.T) {
 	r := newRuntime(4, sched.Affinity)
 	var procs []int
-	err := r.Main(func(c *vm.Context) {
+	err := runMain(r, func(c *vm.Context) {
 		// Main occupies one processor; three workers must land on the
 		// three others.
 		ws := r.ForkWorkers(c, 3, func(id int, wc *vm.Context) {

@@ -39,33 +39,10 @@ func TestBroadcastWakesAll(t *testing.T) {
 	}
 }
 
-func TestJoinAllAndAccessors(t *testing.T) {
-	r := newRuntime(2, sched.Affinity)
-	if r.Kernel() == nil {
-		t.Fatal("nil kernel")
-	}
-	data := r.Alloc("d", 8)
-	err := r.Main(func(c *vm.Context) {
-		th := r.Fork("child", c.Thread().Clock(), func(wc *vm.Context) {
-			wc.Store32(data, 9)
-		})
-		if th.Name() != "child" || th.Sim() == nil {
-			t.Error("thread accessors wrong")
-		}
-		r.JoinAll(c)
-		if c.Load32(data) != 9 {
-			t.Error("JoinAll returned before child finished")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNewSharedRuntimesShareMachine(t *testing.T) {
-	r1 := newRuntime(2, sched.Affinity)
-	k := r1.Kernel()
-	s := r1.Scheduler()
+	k := newRuntime(2, sched.Affinity).Kernel()
+	s := sched.New(k, sched.Affinity)
+	r1 := cthreads.NewShared(k, s, "first")
 	r2 := cthreads.NewShared(k, s, "second")
 	if r2.Task() == r1.Task() {
 		t.Fatal("shared runtimes must have distinct address spaces")

@@ -60,14 +60,6 @@ func (f *Frame) Proc() int { return f.proc }
 //numalint:hotpath
 func (f *Frame) Index() int { return f.index }
 
-// PageSize reports the frame's size in bytes.
-//
-//numalint:hotpath
-func (f *Frame) PageSize() int { return f.pageSize }
-
-// InUse reports whether the frame is currently allocated.
-func (f *Frame) InUse() bool { return f.inUse }
-
 // String identifies the frame for diagnostics.
 func (f *Frame) String() string {
 	if f.kind == Global {
@@ -111,30 +103,6 @@ func (f *Frame) CopyFrom(src *Frame) {
 		return
 	}
 	copy(f.Data(), src.data)
-}
-
-// Equal reports whether two frames hold identical contents.
-func (f *Frame) Equal(other *Frame) bool {
-	a, b := f.data, other.data
-	switch {
-	case a == nil && b == nil:
-		return true
-	case a == nil:
-		return allZero(b)
-	case b == nil:
-		return allZero(a)
-	default:
-		return string(a) == string(b)
-	}
-}
-
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // checkOff panics unless [off, off+size) lies inside the frame. One
@@ -281,9 +249,6 @@ func (p *Pool) Size() int { return p.size }
 //numalint:hotpath
 func (p *Pool) Free() int { return p.size - p.made + len(p.free) }
 
-// InUse reports the number of allocated frames.
-func (p *Pool) InUse() int { return p.made - len(p.free) }
-
 // Alloc takes a frame from the pool. The frame's previous contents are
 // undefined; callers that need zeroed memory must call Zero (the pmap layer
 // does this lazily, per §2.3.1).
@@ -351,9 +316,6 @@ func NewMemory(nnodes, globalFrames, localFrames, pageSize int) *Memory {
 	return m
 }
 
-// PageSize reports the machine page size in bytes.
-func (m *Memory) PageSize() int { return m.pageSize }
-
 // Global returns the global memory pool.
 //
 //numalint:hotpath
@@ -363,7 +325,3 @@ func (m *Memory) Global() *Pool { return &m.global }
 //
 //numalint:hotpath
 func (m *Memory) Local(p int) *Pool { return &m.local[p] }
-
-// NProc reports the number of local pools (nodes; historical name from the
-// one-node-per-processor ACE).
-func (m *Memory) NProc() int { return len(m.local) }

@@ -27,8 +27,8 @@ func newPool(kind Kind, node, n, pageSize int) *Pool {
 
 func TestPoolAllocRelease(t *testing.T) {
 	p := newPool(Global, 0, 4, 4096)
-	if p.Size() != 4 || p.Free() != 4 || p.InUse() != 0 {
-		t.Fatalf("fresh pool size=%d free=%d inuse=%d", p.Size(), p.Free(), p.InUse())
+	if p.Size() != 4 || p.Free() != 4 {
+		t.Fatalf("fresh pool size=%d free=%d", p.Size(), p.Free())
 	}
 	var frames []*Frame
 	for i := 0; i < 4; i++ {
@@ -36,7 +36,7 @@ func TestPoolAllocRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !f.InUse() {
+		if !f.inUse {
 			t.Error("allocated frame not marked in use")
 		}
 		frames = append(frames, f)
@@ -191,9 +191,9 @@ func runPoolScript(t *testing.T, size int, rng *rand.Rand) {
 		t.Helper()
 		step++
 		free := len(m.free)
-		if p.Size() != size || p.Free() != free || p.InUse() != size-free {
+		if p.Size() != size || p.Free() != free || p.made-len(p.free) != size-free {
 			t.Fatalf("step %d (%s): size %d free %d in use %d, model %d %d %d",
-				step, op, p.Size(), p.Free(), p.InUse(), size, free, size-free)
+				step, op, p.Size(), p.Free(), p.made-len(p.free), size, free, size-free)
 		}
 	}
 	alloc := func() bool {
@@ -218,9 +218,9 @@ func runPoolScript(t *testing.T, size int, rng *rand.Rand) {
 		if prev, seen := records[want]; seen && prev != f {
 			t.Fatalf("step %d: frame %d came back as a different record", step, want)
 		}
-		if !f.InUse() || f.Kind() != Local || f.Proc() != 2 || f.PageSize() != 256 {
+		if !f.inUse || f.Kind() != Local || f.Proc() != 2 || f.pageSize != 256 {
 			t.Fatalf("step %d: frame %s has in use %v, kind %v, proc %d, page size %d",
-				step, f, f.InUse(), f.Kind(), f.Proc(), f.PageSize())
+				step, f, f.inUse, f.Kind(), f.Proc(), f.pageSize)
 		}
 		records[want] = f
 		held = append(held, want)
@@ -392,24 +392,6 @@ func TestZeroUntouchedIsNoop(t *testing.T) {
 	}
 }
 
-func TestEqual(t *testing.T) {
-	p := newPool(Global, -1, 3, 128)
-	a, _ := p.Alloc()
-	b, _ := p.Alloc()
-	c, _ := p.Alloc()
-	if !a.Equal(b) {
-		t.Error("two untouched frames must be equal")
-	}
-	b.Store32(0, 0) // touched but still zero
-	if !a.Equal(b) || !b.Equal(a) {
-		t.Error("untouched vs explicit-zero frames must be equal")
-	}
-	c.Store32(0, 9)
-	if a.Equal(c) || c.Equal(a) {
-		t.Error("different contents must not be equal")
-	}
-}
-
 func TestCopyMismatchedSizesPanics(t *testing.T) {
 	a, _ := newPool(Global, -1, 1, 256).Alloc()
 	b, _ := newPool(Global, -1, 1, 512).Alloc()
@@ -423,11 +405,11 @@ func TestCopyMismatchedSizesPanics(t *testing.T) {
 
 func TestMemoryAggregate(t *testing.T) {
 	m := NewMemory(4, 16, 8, 4096)
-	if m.NProc() != 4 {
-		t.Errorf("NProc = %d", m.NProc())
+	if len(m.local) != 4 {
+		t.Errorf("local pools = %d", len(m.local))
 	}
-	if m.PageSize() != 4096 {
-		t.Errorf("PageSize = %d", m.PageSize())
+	if m.pageSize != 4096 {
+		t.Errorf("page size = %d", m.pageSize)
 	}
 	if m.Global().Size() != 16 {
 		t.Errorf("global size = %d", m.Global().Size())

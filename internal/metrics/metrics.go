@@ -94,6 +94,10 @@ type RunError struct {
 }
 
 func (e *RunError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the underlying failure.
+//
+//numalint:api errors.As reaches it through an anonymous interface, as harness.extractForensics does for the typed causes
 func (e *RunError) Unwrap() error { return e.Err }
 
 // RunResult is the outcome of one instrumented run.
@@ -325,10 +329,4 @@ func Derive(tGlobal, tNuma, tLocal sim.Ticks, gOverL float64) (alpha, beta, gamm
 		alpha = 1
 	}
 	return alpha, beta, gamma
-}
-
-// ModelPredictTnuma applies equation (2): the predicted T_numa for given
-// α, β and T_local.
-func ModelPredictTnuma(tLocal sim.Ticks, alpha, beta, gOverL float64) sim.Ticks {
-	return sim.Ticks(float64(tLocal) * ((1 - beta) + beta*(alpha+(1-alpha)*gOverL)))
 }

@@ -66,23 +66,6 @@ func TestDeriveClamps(t *testing.T) {
 	}
 }
 
-func TestModelPredictTnuma(t *testing.T) {
-	// Equation (2) must be the inverse of Derive: predicting T_numa from
-	// the derived parameters reproduces the measured T_numa.
-	tGlobal, tNuma, tLocal := sim.Ticks(82.1), sim.Ticks(69.0), sim.Ticks(68.2)
-	gl := 2.3
-	alpha, beta, _ := metrics.Derive(tGlobal, tNuma, tLocal, gl)
-	pred := metrics.ModelPredictTnuma(tLocal, alpha, beta, gl)
-	if math.Abs(float64(pred-tNuma)) > 1e-9 {
-		t.Errorf("model round trip: predicted %.6f, measured %.6f", pred, tNuma)
-	}
-	// And with α=0 it must reproduce T_global (equation 3).
-	predG := metrics.ModelPredictTnuma(tLocal, 0, beta, gl)
-	if math.Abs(float64(predG-tGlobal)) > 1e-9 {
-		t.Errorf("α=0 prediction %.6f, want T_global %.6f", predG, tGlobal)
-	}
-}
-
 func TestRunCollectsEverything(t *testing.T) {
 	cfg := ace.DefaultConfig()
 	cfg.NProc = 3

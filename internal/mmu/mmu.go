@@ -27,11 +27,6 @@ const (
 	ProtReadWrite = ProtRead | ProtWrite
 )
 
-// CanRead reports whether the protection permits loads.
-//
-//numalint:hotpath
-func (p Prot) CanRead() bool { return p&ProtRead != 0 }
-
 // CanWrite reports whether the protection permits stores.
 //
 //numalint:hotpath
@@ -70,7 +65,6 @@ type Stats struct {
 	Enters     uint64 // translations installed
 	Removes    uint64 // translations dropped
 	AliasDrops uint64 // translations displaced by the one-VA-per-frame rule
-	Protects   uint64 // protection changes
 }
 
 // tlbSize is the number of direct-mapped software-TLB slots. Keys are
@@ -154,9 +148,6 @@ func NewSet(nproc int) []MMU {
 	}
 	return ms
 }
-
-// Proc reports which processor this MMU belongs to.
-func (m *MMU) Proc() int { return m.proc }
 
 // Stats returns a copy of the MMU's event counters.
 func (m *MMU) Stats() Stats { return m.stats }
@@ -250,16 +241,6 @@ func (m *MMU) Enter(key Key, frame *mem.Frame, prot Prot) {
 	m.tlbFill(key, pte)
 }
 
-// Remove drops the translation for vpn, if any.
-//
-//numalint:hotpath
-func (m *MMU) Remove(key Key) {
-	if pte := m.Lookup(key); pte != nil {
-		m.drop(pte)
-		m.stats.Removes++
-	}
-}
-
 // RemoveFrame drops the translation (there is at most one) mapping frame on
 // this processor. It reports whether a translation existed.
 //
@@ -272,26 +253,6 @@ func (m *MMU) RemoveFrame(frame *mem.Frame) bool {
 	m.drop(pte)
 	m.stats.Removes++
 	return true
-}
-
-// Protect changes the protection of the translation for vpn, if present.
-// Raising as well as lowering is permitted; the pmap layer uses lowering to
-// provoke the faults that drive the NUMA protocol. ProtNone removes the
-// translation.
-//
-//numalint:hotpath
-func (m *MMU) Protect(key Key, prot Prot) {
-	if pte := m.Lookup(key); pte != nil {
-		if prot == ProtNone {
-			m.drop(pte)
-			m.stats.Removes++
-			return
-		}
-		// The TLB caches the PTE pointer, so the change is visible to
-		// cached translations without invalidation.
-		pte.Prot = prot
-		m.stats.Protects++
-	}
 }
 
 // Lookup returns the translation for vpn, or nil.

@@ -32,13 +32,13 @@ func framesFrom(pool *mem.Pool, n int) []*mem.Frame {
 }
 
 func TestProtBits(t *testing.T) {
-	if ProtNone.CanRead() || ProtNone.CanWrite() {
+	if ProtNone&ProtRead != 0 || ProtNone.CanWrite() {
 		t.Error("ProtNone grants access")
 	}
-	if !ProtRead.CanRead() || ProtRead.CanWrite() {
+	if ProtRead&ProtRead == 0 || ProtRead.CanWrite() {
 		t.Error("ProtRead wrong")
 	}
-	if !ProtReadWrite.CanRead() || !ProtReadWrite.CanWrite() {
+	if ProtReadWrite&ProtRead == 0 || !ProtReadWrite.CanWrite() {
 		t.Error("ProtReadWrite wrong")
 	}
 	for p, want := range map[Prot]string{ProtNone: "---", ProtRead: "r--", ProtWrite: "-w-", ProtReadWrite: "rw-"} {
@@ -112,20 +112,6 @@ func TestReEnterSameVPNSameFrame(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	f := frames(1)
-	m := &NewSet(1)[0]
-	m.Enter(7, f[0], ProtRead)
-	m.Remove(7)
-	if m.Translate(7, false) != nil {
-		t.Error("removed mapping still translates")
-	}
-	m.Remove(7) // idempotent
-	if s := m.Stats(); s.Removes != 1 {
-		t.Errorf("Removes = %d, want 1", s.Removes)
-	}
-}
-
 func TestRemoveFrame(t *testing.T) {
 	f := frames(2)
 	m := &NewSet(1)[0]
@@ -145,28 +131,6 @@ func TestRemoveFrame(t *testing.T) {
 	}
 }
 
-func TestProtect(t *testing.T) {
-	f := frames(1)
-	m := &NewSet(1)[0]
-	m.Enter(3, f[0], ProtReadWrite)
-	m.Protect(3, ProtRead) // tighten
-	if m.Translate(3, true) != nil {
-		t.Error("write after tighten should fault")
-	}
-	if m.Translate(3, false) != f[0] {
-		t.Error("read after tighten should succeed")
-	}
-	m.Protect(3, ProtReadWrite) // loosen again
-	if m.Translate(3, true) != f[0] {
-		t.Error("write after loosen should succeed")
-	}
-	m.Protect(3, ProtNone) // equivalent to removal
-	if m.Translate(3, false) != nil {
-		t.Error("ProtNone should remove mapping")
-	}
-	m.Protect(99, ProtRead) // absent: no-op
-}
-
 func TestTLBInvalidation(t *testing.T) {
 	f := frames(2)
 	m := &NewSet(1)[0]
@@ -174,15 +138,15 @@ func TestTLBInvalidation(t *testing.T) {
 	if m.Translate(4, true) != f[0] { // warm the TLB
 		t.Fatal("initial translate failed")
 	}
-	m.Protect(4, ProtRead)
+	m.Enter(4, f[0], ProtRead)
 	if m.Translate(4, true) != nil {
-		t.Error("stale TLB allowed write after Protect")
+		t.Error("stale TLB allowed write after a read-only Enter")
 	}
 	m.Enter(4, f[1], ProtReadWrite)
 	if m.Translate(4, false) != f[1] {
 		t.Error("stale TLB served old frame after Enter")
 	}
-	m.Remove(4)
+	m.RemoveFrame(f[1])
 	if m.Translate(4, false) != nil {
 		t.Error("stale TLB served removed mapping")
 	}
@@ -255,13 +219,13 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	cycle := func() {
 		m.Enter(a, f[0], ProtReadWrite)
 		m.Enter(b, f[1], ProtRead)
-		m.Protect(a, ProtRead)
+		m.Enter(a, f[0], ProtRead)
 		m.RemoveFrame(f[0])
-		m.Remove(b)
+		m.RemoveFrame(f[1])
 	}
 	cycle() // warm up: grow the tables and make the PTEs
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
-		t.Errorf("warm Enter/Protect/RemoveFrame/Remove cycle: %v allocs, want 0", n)
+		t.Errorf("warm Enter/RemoveFrame cycle: %v allocs, want 0", n)
 	}
 }
 
@@ -297,14 +261,6 @@ func (m *mapMMU) Enter(key Key, frame *mem.Frame, prot Prot) {
 	m.stats.Enters++
 }
 
-func (m *mapMMU) Remove(key Key) {
-	if pte, ok := m.pt[key]; ok {
-		delete(m.pt, key)
-		delete(m.byFrm, pte.Frame)
-		m.stats.Removes++
-	}
-}
-
 func (m *mapMMU) RemoveFrame(frame *mem.Frame) bool {
 	pte, ok := m.byFrm[frame]
 	if !ok {
@@ -316,22 +272,11 @@ func (m *mapMMU) RemoveFrame(frame *mem.Frame) bool {
 	return true
 }
 
-func (m *mapMMU) Protect(key Key, prot Prot) {
-	if pte, ok := m.pt[key]; ok {
-		if prot == ProtNone {
-			m.Remove(key)
-			return
-		}
-		pte.Prot = prot
-		m.stats.Protects++
-	}
-}
-
 func (m *mapMMU) Lookup(key Key) *PTE { return m.pt[key] }
 
 func (m *mapMMU) Translate(key Key, write bool) *mem.Frame {
 	pte := m.pt[key]
-	if pte == nil || write && !pte.Prot.CanWrite() || !write && !pte.Prot.CanRead() {
+	if pte == nil || write && !pte.Prot.CanWrite() || !write && pte.Prot&ProtRead == 0 {
 		return nil
 	}
 	return pte.Frame
@@ -403,20 +348,11 @@ func TestMMUMatchesMapModel(t *testing.T) {
 					}
 					m.Enter(key, frame, prot)
 					model.Enter(key, frame, prot)
-				case r < 47:
-					op = fmt.Sprintf("Remove(%#x)", key)
-					m.Remove(key)
-					model.Remove(key)
 				case r < 59:
 					op = fmt.Sprintf("RemoveFrame(%s)", frame)
 					if got, want := m.RemoveFrame(frame), model.RemoveFrame(frame); got != want {
 						t.Fatalf("step %d: %s = %v, model %v", step, op, got, want)
 					}
-				case r < 74:
-					prot := Prot(rng.Intn(4))
-					op = fmt.Sprintf("Protect(%#x, %s)", key, prot)
-					m.Protect(key, prot)
-					model.Protect(key, prot)
 				case r < 90:
 					write := rng.Intn(2) == 0
 					op = fmt.Sprintf("Translate(%#x, %v)", key, write)

@@ -83,9 +83,6 @@ func (n *Manager) EnableAudit(stride int, ring *simtrace.RingSink) {
 	}
 }
 
-// AuditStride returns the configured sampling stride (0 = auditing off).
-func (n *Manager) AuditStride() int { return n.auditStride }
-
 // maybeAudit runs the incremental audit according to the sampling stride.
 // pg is the page the protocol just acted on.
 //

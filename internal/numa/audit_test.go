@@ -66,8 +66,8 @@ func auditRig(t *testing.T) (*Manager, *Page, *simtrace.RingSink) {
 
 func TestAuditStride(t *testing.T) {
 	n, _, _ := auditRig(t)
-	if n.AuditStride() != 1 {
-		t.Errorf("AuditStride = %d, want 1", n.AuditStride())
+	if n.auditStride != 1 {
+		t.Errorf("audit stride = %d, want 1", n.auditStride)
 	}
 }
 

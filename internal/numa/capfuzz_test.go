@@ -126,7 +126,7 @@ func capFuzzScript(t *testing.T, seed int64, pragma bool) []int {
 	}
 	n := numa.NewManager(m, bound)
 	// A short epoch so the heat counters decay within the run.
-	n.SetHeatEpoch(sim.Millisecond)
+	numa.SetHeatEpoch(n, sim.Millisecond)
 	mover := &fakeMover{}
 	n.SetThreadMover(mover)
 
@@ -170,10 +170,8 @@ func capFuzzScript(t *testing.T, seed int64, pragma bool) []int {
 					}
 					// Keep virtual time moving so heat epochs elapse.
 					th.Idle(200 * sim.Microsecond)
-				case r < 80:
-					n.PrepareEvict(th, pg)
 				case r < 90:
-					n.MigrateOwner(th, pg, rng.Intn(cfg.NProc))
+					n.PrepareEvict(th, pg)
 				default:
 					n.FreePageSync(n.FreePage(th, pg))
 					pages[i] = nil

@@ -35,13 +35,6 @@ const (
 	evacBackoff    = 200 * sim.Microsecond
 )
 
-// NodeOffline reports whether node is quarantined by a failure schedule.
-//
-//numalint:hotpath
-func (n *Manager) NodeOffline(node int) bool {
-	return n.offline != nil && n.offline[node]
-}
-
 // degradeOffline demotes placement answers aimed at quarantined nodes:
 // a LOCAL answer for a faulting processor homed on an offline node, or a
 // remote placement whose home node is offline, proceeds against global

@@ -289,7 +289,7 @@ func TestRevivedNodeStartsCold(t *testing.T) {
 				t.Errorf("seed %d: revived node%d pool holds %d frames", seed, victim,
 					pool.Size()-pool.Free())
 			}
-			if n.NodeOffline(victim) {
+			if n.offline[victim] {
 				t.Errorf("seed %d: node%d still quarantined after revival", seed, victim)
 			}
 

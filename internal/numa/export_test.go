@@ -1,6 +1,18 @@
 package numa
 
-import "fmt"
+import (
+	"fmt"
+
+	"numasim/internal/mem"
+	"numasim/internal/sim"
+)
+
+// LocalCopy returns node's local replica of pg, or nil.
+func LocalCopy(pg *Page, node int) *mem.Frame { return pg.copies[node] }
+
+// SetHeatEpoch shortens the decay period of n's heat counters, so that a
+// short fuzz run sees them decay.
+func SetHeatEpoch(n *Manager, d sim.Time) { n.heatEpoch = d }
 
 // CheckMapModel compares the manager's dense hot state with the map form
 // it replaced, rebuilt from pages, the pages the caller holds live (nil

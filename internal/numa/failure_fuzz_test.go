@@ -47,8 +47,7 @@ func failureFuzzConfig(t *testing.T, seed int64, cfg ace.Config) {
 	m.AttachSink(simtrace.Tee(ring, checker))
 	n.EnableAudit(1, ring)
 
-	links := m.Spec().Links()
-	severed := make([]bool, len(links))
+	severed := make([]bool, len(m.Topo().LinkStats()))
 	offline := make([]bool, nnodes)
 	online := nnodes
 
@@ -88,10 +87,8 @@ func failureFuzzConfig(t *testing.T, seed int64, cfg ace.Config) {
 					} else if got := f.Load32(0); got != oracle[i] {
 						return fmt.Errorf("op %d: page%d read %#x, oracle %#x", op, pg.ID(), got, oracle[i])
 					}
-				case r < 62:
-					n.PrepareEvict(th, pg)
 				case r < 70:
-					n.MigrateOwner(th, pg, rng.Intn(cfg.NProc))
+					n.PrepareEvict(th, pg)
 				case r < 75:
 					n.FreePageSync(n.FreePage(th, pg))
 					pages[i] = nil
@@ -128,10 +125,10 @@ func failureFuzzConfig(t *testing.T, seed int64, cfg ace.Config) {
 						offline[node] = false
 						online++
 					}
-				case r < 97 && len(links) > 0:
+				case r < 97 && len(severed) > 0:
 					// Link churn mid-script: sever or restore a random link,
 					// rerouting any transfer the next access charges.
-					li := rng.Intn(len(links))
+					li := rng.Intn(len(severed))
 					if severed[li] {
 						m.Topo().RestoreLink(li)
 					} else {

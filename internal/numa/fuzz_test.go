@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"numasim/internal/ace"
-	"numasim/internal/chaos"
 	"numasim/internal/mmu"
 	"numasim/internal/numa"
 	"numasim/internal/policy"
@@ -96,6 +95,28 @@ func fuzzScript(t *testing.T, seed int64, pressure bool) uint64 {
 	return fuzzConfig(t, seed, pressure, cfg)
 }
 
+// scriptedChaos replays an explicit allocation-failure schedule: call k
+// of FailLocalAlloc fails iff fail[k] (out-of-range calls succeed), so the
+// pressure fuzz's failure schedule is part of its seeded script rather
+// than drawn from a second stream. It never delays, crashes or stalls.
+type scriptedChaos struct {
+	fail    []bool
+	retries int
+	wait    sim.Time
+	calls   int
+}
+
+func (s *scriptedChaos) FailLocalAlloc(now sim.Time, proc int) bool {
+	i := s.calls
+	s.calls++
+	return i < len(s.fail) && s.fail[i]
+}
+
+func (s *scriptedChaos) MoveDelay(now sim.Time, proc int) sim.Time { return 0 }
+func (s *scriptedChaos) Disrupt(now sim.Time, proc int) bool       { return false }
+func (s *scriptedChaos) MaxRetries() int                           { return s.retries }
+func (s *scriptedChaos) RetryBackoff(attempt int) sim.Time         { return s.wait }
+
 // fuzzConfig is fuzzScript against an arbitrary machine configuration; the
 // multi-node topology fuzz feeds it random Custom specs via cfg.Topo.
 func fuzzConfig(t *testing.T, seed int64, pressure bool, cfg ace.Config) uint64 {
@@ -126,7 +147,7 @@ func fuzzConfig(t *testing.T, seed int64, pressure bool, cfg ace.Config) uint64 
 		for i := range fails {
 			fails[i] = rng.Intn(4) == 0
 		}
-		n.SetChaos(&chaos.Scripted{Fail: fails, Retries: 2, Wait: 50 * sim.Microsecond})
+		n.SetChaos(&scriptedChaos{fail: fails, retries: 2, wait: 50 * sim.Microsecond})
 	}
 
 	ring := simtrace.NewRingSink(256)
@@ -177,10 +198,8 @@ func fuzzConfig(t *testing.T, seed int64, pressure bool, cfg ace.Config) uint64 
 					} else if got := f.Load32(0); got != oracle[i] {
 						return fmt.Errorf("op %d: page%d read %#x, oracle %#x", op, pg.ID(), got, oracle[i])
 					}
-				case r < 80:
-					n.PrepareEvict(th, pg)
 				case r < 90:
-					n.MigrateOwner(th, pg, rng.Intn(cfg.NProc))
+					n.PrepareEvict(th, pg)
 				case r < 95:
 					n.FreePageSync(n.FreePage(th, pg))
 					// Check before NewPage, which reuses the freed record

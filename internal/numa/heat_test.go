@@ -133,7 +133,7 @@ func TestHeatSurvivesOlderRequest(t *testing.T) {
 	cfg.NProc = 2
 	m := ace.MustMachine(cfg)
 	n := NewManager(m, localPolicy{})
-	n.SetHeatEpoch(epoch)
+	n.heatEpoch = epoch
 	var pg, other *Page
 	m.Engine().Spawn("ahead", 0, func(th *sim.Thread) {
 		var err error

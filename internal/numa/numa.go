@@ -225,11 +225,6 @@ func (p *Page) Hint() Hint { return p.hint }
 //numalint:hotpath
 func (p *Page) SetHint(h Hint) { p.hint = h }
 
-// Home returns the processor named by a remote-placement pragma, or -1.
-//
-//numalint:hotpath
-func (p *Page) Home() int { return p.home }
-
 // SetHome names the page's home processor for remote placement (§4.4).
 //
 //numalint:hotpath
@@ -247,12 +242,9 @@ func (p *Page) State() State { return p.state }
 
 // Owner returns the node holding the local-writable copy, or -1. On the
 // ACE topology node indices coincide with processor indices.
-func (p *Page) Owner() int { return p.owner }
-
-// Copy returns node's local replica, or nil.
 //
-//numalint:hotpath
-func (p *Page) Copy(node int) *mem.Frame { return p.copies[node] }
+//numalint:api numasim.Page re-exports it beside State and NCopies; the numa, pmap and vm tests read a local-writable page's owner through it
+func (p *Page) Owner() int { return p.owner }
 
 // NCopies reports how many local replicas exist.
 func (p *Page) NCopies() int {
@@ -469,14 +461,8 @@ func NewManager(machine *ace.Machine, pol Policy) *Manager {
 // (nil disables injection). Install before the simulation runs.
 func (n *Manager) SetChaos(inj Injector) { n.chaos = inj }
 
-// Policy returns the manager's placement policy.
-func (n *Manager) Policy() Policy { return n.policy }
-
 // Stats returns a copy of the manager's counters.
 func (n *Manager) Stats() Stats { return n.stats }
-
-// Machine returns the machine this manager runs on.
-func (n *Manager) Machine() *ace.Machine { return n.machine }
 
 // SetReplication enables or disables read replication (enabled by
 // default). With replication off, read-only pages migrate their single
@@ -582,28 +568,6 @@ func (n *Manager) AdoptPage(global *mem.Frame) *Page {
 	pg.global = global
 	n.adopt(pg)
 	return pg
-}
-
-// MarkZeroFill records that the page must read as zeros on its next
-// materialization (the Mach pmap_zero_page, lazily evaluated per §2.3.1).
-// It may only be applied to a quiescent page.
-//
-//numalint:hotpath
-func (n *Manager) MarkZeroFill(pg *Page) {
-	if pg.NCopies() != 0 || pg.state != ReadOnly {
-		panic(n.violation(pg, "numa: MarkZeroFill on an active page"))
-	}
-	pg.global.Zero()
-	pg.needZero = true
-}
-
-// MarkFilled records that the page's global frame already holds valid data
-// (e.g. after pmap_copy_page or pagein), cancelling any pending lazy
-// zero-fill.
-//
-//numalint:hotpath
-func (n *Manager) MarkFilled(pg *Page) {
-	pg.needZero = false
 }
 
 // Access handles one request from the pmap layer: processor proc faulted on
@@ -1026,29 +990,6 @@ func (n *Manager) unmapAll(th *sim.Thread, pg *Page) {
 		}
 	}
 	n.emitAction(th, pg, -1, "unmap all")
-}
-
-// MigrateOwner moves a local-writable page's copy from its current owner
-// node to newProc's home node — the §4.7 load-balancing primitive ("we
-// will need to migrate processes to new homes and move their local pages
-// with them"). The copy is charged to th at memory speed; pages in other
-// states are left where they are. The transfer does not count against the
-// page's move budget: it is scheduler-initiated, not "in response to
-// writes".
-func (n *Manager) MigrateOwner(th *sim.Thread, pg *Page, newProc int) {
-	n.now = th.Clock()
-	node := n.machine.Home(newProc)
-	if pg.state != LocalWritable || pg.owner == node {
-		return
-	}
-	if n.offline != nil && n.offline[node] {
-		return // quarantined destination: leave the page where it is
-	}
-	if n.machine.Memory().Local(node).Free() == 0 {
-		return // destination full: leave the page; faults will sort it out
-	}
-	n.moveOwner(th, pg, node, newProc)
-	n.maybeAudit(pg)
 }
 
 // moveOwner moves a local-writable page's authoritative copy from its

@@ -204,8 +204,8 @@ func runTransitionCases(t *testing.T, cases []transitionCase) {
 						t.Errorf("global-writable page has %d copies", pg.NCopies())
 					}
 				default:
-					if frame != pg.Copy(0) {
-						t.Errorf("frame = %v, want cpu0 local copy %v", frame, pg.Copy(0))
+					if frame != numa.LocalCopy(pg, 0) {
+						t.Errorf("frame = %v, want cpu0 local copy %v", frame, numa.LocalCopy(pg, 0))
 					}
 				}
 				// Protection: reads resolve with the strictest permission
@@ -329,9 +329,9 @@ func TestPinTransition(t *testing.T) {
 func TestLazyZeroFill(t *testing.T) {
 	rig(t, 2, func(th *sim.Thread, m *ace.Machine, n *numa.Manager, forced *policy.Forced) {
 		pg, _ := n.NewPage()
-		before := th.SysTime()
+		before := m.Engine().TotalSysTime()
 		n.Access(th, pg, 0, true, mmu.ProtReadWrite)
-		elapsed := th.SysTime() - before
+		elapsed := m.Engine().TotalSysTime() - before
 		// One NUMA op plus a zero-fill at the local store's 840ns a word;
 		// no global copy.
 		want := m.Cost().NUMAOp + sim.Time(m.PageSize()/4)*840*sim.Nanosecond
@@ -662,7 +662,7 @@ func TestInvariants(t *testing.T) {
 					t.Fatalf("step %d: read-only page has owner %d", step, pg.Owner())
 				}
 			case numa.LocalWritable:
-				if pg.Owner() < 0 || pg.NCopies() != 1 || pg.Copy(pg.Owner()) == nil {
+				if pg.Owner() < 0 || pg.NCopies() != 1 || numa.LocalCopy(pg, pg.Owner()) == nil {
 					t.Fatalf("step %d: local-writable page owner=%d copies=%d", step, pg.Owner(), pg.NCopies())
 				}
 			case numa.GlobalWritable:
@@ -690,17 +690,17 @@ func TestSystemTimeCharged(t *testing.T) {
 		pg, _ := n.NewPage()
 		n.Access(th, pg, 0, true, mmu.ProtReadWrite)
 		n.Access(th, pg, 1, true, mmu.ProtReadWrite) // sync + copy
-		if th.UserTime() != 0 {
-			t.Errorf("protocol charged %v as user time", th.UserTime())
+		if m.Engine().TotalUserTime() != 0 {
+			t.Errorf("protocol charged %v as user time", m.Engine().TotalUserTime())
 		}
-		if th.SysTime() == 0 {
+		if m.Engine().TotalSysTime() == 0 {
 			t.Error("protocol charged no system time")
 		}
 		// The migration must include a page copy each way at memory speed:
 		// at least a global fetch and a global store (1500ns + 1400ns) a word.
 		minCost := sim.Time(m.PageSize()/4) * (1500*sim.Nanosecond + 1400*sim.Nanosecond)
-		if th.SysTime() < minCost {
-			t.Errorf("sys time %v implausibly small (< one page copy %v)", th.SysTime(), minCost)
+		if m.Engine().TotalSysTime() < minCost {
+			t.Errorf("sys time %v implausibly small (< one page copy %v)", m.Engine().TotalSysTime(), minCost)
 		}
 	})
 }

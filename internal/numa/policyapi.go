@@ -72,16 +72,6 @@ type ThreadMover interface {
 // simulation runs; nil disconnects the channel.
 func (n *Manager) SetThreadMover(m ThreadMover) { n.mover = m }
 
-// SetHeatEpoch overrides the decay period of the per-page heat
-// counters (DefaultHeatEpoch otherwise). Install before the simulation
-// runs; d must be positive.
-func (n *Manager) SetHeatEpoch(d sim.Time) {
-	if d <= 0 {
-		panic(newViolation(nil, nil, "numa: non-positive heat epoch %v", d))
-	}
-	n.heatEpoch = d
-}
-
 // observeAccess decays the page's counters to the request's heat epoch
 // and counts the request against node. Called from Access on every
 // request, before the policy is consulted. Thread clocks interleave, so

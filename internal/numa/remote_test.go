@@ -36,7 +36,7 @@ func TestRemotePlacement(t *testing.T) {
 		if pg.State() != numa.Remote {
 			t.Fatalf("state = %v, want remote", pg.State())
 		}
-		if f != pg.Copy(1) || f.Proc() != 1 {
+		if f != numa.LocalCopy(pg, 1) || f.Proc() != 1 {
 			t.Errorf("frame = %v, want cpu1's local frame", f)
 		}
 		if !prot.CanWrite() {
@@ -68,9 +68,9 @@ func TestRemoteAccessCosts(t *testing.T) {
 		f, _ := n.Access(th, pg, 1, true, mmu.ProtReadWrite)
 		// Home accesses are local, others remote.
 		charged := func(charge func()) sim.Time {
-			before := th.UserTime()
+			before := m.Engine().TotalUserTime()
 			charge()
-			return th.UserTime() - before
+			return m.Engine().TotalUserTime() - before
 		}
 		if got := charged(func() { m.ChargeFetch(th, 0, f) }); got != 650*sim.Nanosecond {
 			t.Errorf("home fetch cost %v, want the local 650ns", got)

@@ -29,11 +29,10 @@ import (
 // reduced at almost any time, and will be re-entered on the resulting
 // faults.
 type Pmap struct {
-	mgr     *Manager
-	space   uint32 // address-space id, packed into MMU keys
-	shift   uint   // page shift
-	res     resTable
-	destroy bool
+	mgr   *Manager
+	space uint32 // address-space id, packed into MMU keys
+	shift uint   // page shift
+	res   resTable
 }
 
 // Manager is the pmap manager: one per machine, coordinating all pmaps.
@@ -44,7 +43,7 @@ type Manager struct {
 	machine   *ace.Machine
 	numa      *numa.Manager
 	nextSpace uint32
-	pmaps     []*Pmap // indexed by space id; nil after Destroy
+	pmaps     []*Pmap // indexed by space id
 }
 
 // NewManager creates the pmap manager for machine, placing pages through
@@ -55,12 +54,6 @@ func NewManager(machine *ace.Machine, nm *numa.Manager) *Manager {
 		numa:    nm,
 	}
 }
-
-// NUMA returns the NUMA manager this pmap manager drives.
-func (m *Manager) NUMA() *numa.Manager { return m.numa }
-
-// Machine returns the underlying machine.
-func (m *Manager) Machine() *ace.Machine { return m.machine }
 
 // Create makes a new pmap (a new address space).
 func (m *Manager) Create() *Pmap {
@@ -74,41 +67,11 @@ func (m *Manager) Create() *Pmap {
 	return p
 }
 
-// Destroy removes every mapping of the pmap and retires it. The dense
-// residency table is walked in VPN order: removal releases frames back to
-// the allocators, so any other order would reorder free lists and leak
-// nondeterminism into later placements (the old map form needed an
-// explicit sort here).
-func (m *Manager) Destroy(th *sim.Thread, p *Pmap) {
-	for vpn := range p.res.pages {
-		if p.res.pages[vpn] != nil {
-			p.removeVPN(th, uint32(vpn))
-		}
-	}
-	p.destroy = true
-	m.pmaps[p.space] = nil
-}
-
-// Space returns the pmap's address-space id.
-func (p *Pmap) Space() uint32 { return p.space }
-
 // Key composes the MMU key for virtual address va in this address space.
 //
 //numalint:hotpath
 func (p *Pmap) Key(va uint32) mmu.Key {
 	return mmu.Key(p.space)<<32 | mmu.Key(va>>p.shift)
-}
-
-func (p *Pmap) keyOfVPN(vpn uint32) mmu.Key {
-	return mmu.Key(p.space)<<32 | mmu.Key(vpn)
-}
-
-// Resident returns the logical page resident at va, or nil. The pmap is a
-// cache; absence means only that no mapping was entered through this pmap.
-//
-//numalint:hotpath
-func (p *Pmap) Resident(va uint32) *numa.Page {
-	return p.res.get(va >> p.shift)
 }
 
 // Enter resolves a fault: it establishes a translation for va on processor
@@ -118,9 +81,6 @@ func (p *Pmap) Resident(va uint32) *numa.Page {
 //
 //numalint:hotpath
 func (p *Pmap) Enter(th *sim.Thread, proc int, va uint32, pg *numa.Page, maxProt, minProt mmu.Prot) {
-	if p.destroy {
-		panic("pmap: Enter on destroyed pmap")
-	}
 	if minProt&^maxProt != 0 {
 		panic(fmt.Sprintf("pmap: min protection %v exceeds max %v", minProt, maxProt))
 	}
@@ -146,49 +106,6 @@ func (p *Pmap) Enter(th *sim.Thread, proc int, va uint32, pg *numa.Page, maxProt
 	}
 }
 
-// Protect tightens (or loosens) the protection of all resident pages in
-// [va, va+len) to prot on every processor. With ProtNone it removes the
-// mappings, per the Mach pmap_protect semantics.
-func (p *Pmap) Protect(th *sim.Thread, va, length uint32, prot mmu.Prot) {
-	cost := p.mgr.machine.Cost()
-	first := va >> p.shift
-	last := (va + length - 1) >> p.shift
-	for vpn := first; vpn <= last; vpn++ {
-		if p.res.get(vpn) == nil {
-			continue
-		}
-		key := p.keyOfVPN(vpn)
-		for i := 0; i < p.mgr.machine.NProc(); i++ {
-			p.mgr.machine.MMU(i).Protect(key, prot)
-			th.AdvanceSys(cost.MMUOp)
-		}
-		if prot == mmu.ProtNone {
-			p.res.del(vpn)
-		}
-	}
-}
-
-// Remove drops all mappings in [va, va+len) on every processor.
-func (p *Pmap) Remove(th *sim.Thread, va, length uint32) {
-	first := va >> p.shift
-	last := (va + length - 1) >> p.shift
-	for vpn := first; vpn <= last; vpn++ {
-		if p.res.get(vpn) != nil {
-			p.removeVPN(th, vpn)
-		}
-	}
-}
-
-func (p *Pmap) removeVPN(th *sim.Thread, vpn uint32) {
-	key := p.keyOfVPN(vpn)
-	cost := p.mgr.machine.Cost()
-	for i := 0; i < p.mgr.machine.NProc(); i++ {
-		p.mgr.machine.MMU(i).Remove(key)
-		th.AdvanceSys(cost.MMUOp)
-	}
-	p.res.del(vpn)
-}
-
 // RemoveAll removes a single logical page from every pmap on every
 // processor (the Mach pmap_remove_all, used by pageout). It quiesces the
 // page through the NUMA manager, which also syncs dirty copies back to
@@ -203,37 +120,12 @@ func (m *Manager) RemoveAll(th *sim.Thread, pg *numa.Page) {
 // map iteration).
 func (m *Manager) dropResidency(pg *numa.Page) {
 	for _, p := range m.pmaps {
-		if p == nil {
-			continue
-		}
 		for vpn, rpg := range p.res.pages {
 			if rpg == pg {
 				p.res.del(uint32(vpn))
 			}
 		}
 	}
-}
-
-// ZeroPage records that a page must read as zeros. Zero-filling is lazily
-// evaluated: the zeros are written at pmap_enter time, once the target
-// processor is known, "to avoid writing zeros into global memory and
-// immediately copying them" (§2.3.1).
-//
-//numalint:hotpath
-func (m *Manager) ZeroPage(pg *numa.Page) {
-	m.numa.MarkZeroFill(pg)
-}
-
-// CopyPage copies the current contents of src into dst's global frame on
-// behalf of processor proc (the Mach pmap_copy_page).
-//
-//numalint:hotpath
-func (m *Manager) CopyPage(th *sim.Thread, src, dst *numa.Page, proc int) {
-	from := src.Authoritative()
-	to := dst.GlobalFrame()
-	to.CopyFrom(from)
-	m.numa.MarkFilled(dst)
-	m.machine.ChargeCopySys(th, from, to, proc)
 }
 
 // FreePage starts lazy cleanup of a freed logical page and returns a tag

@@ -12,7 +12,7 @@ import (
 	"numasim/internal/sim"
 )
 
-func rig(t *testing.T, nproc int, pol numa.Policy, body func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager)) {
+func rig(t *testing.T, nproc int, pol numa.Policy, body func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager)) {
 	t.Helper()
 	cfg := ace.DefaultConfig()
 	cfg.NProc = nproc
@@ -25,7 +25,7 @@ func rig(t *testing.T, nproc int, pol numa.Policy, body func(th *sim.Thread, m *
 	nm := numa.NewManager(machine, pol)
 	pm := pmap.NewManager(machine, nm)
 	machine.Engine().Spawn("test", 0, func(th *sim.Thread) {
-		body(th, machine, pm)
+		body(th, machine, pm, nm)
 	})
 	if err := machine.Engine().Run(); err != nil {
 		t.Fatal(err)
@@ -33,9 +33,9 @@ func rig(t *testing.T, nproc int, pol numa.Policy, body func(th *sim.Thread, m *
 }
 
 func TestEnterInstallsTranslation(t *testing.T) {
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
+	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager) {
 		p := pm.Create()
-		pg, err := pm.NUMA().NewPage()
+		pg, err := nm.NewPage()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,14 +45,8 @@ func TestEnterInstallsTranslation(t *testing.T) {
 		if f == nil {
 			t.Fatal("no writable translation after Enter")
 		}
-		if f != pg.Copy(0) {
+		if f != pg.Authoritative() || f.Kind() != mem.Local || f.Proc() != 0 {
 			t.Error("translation does not point at cpu0's local copy")
-		}
-		if p.Resident(va) != pg {
-			t.Error("Resident lookup failed")
-		}
-		if p.Resident(0x9000) != nil {
-			t.Error("Resident of unmapped va should be nil")
 		}
 	})
 }
@@ -61,9 +55,9 @@ func TestEnterInstallsTranslation(t *testing.T) {
 // writable page maps it read-only, so a later write faults again and the
 // NUMA manager sees it.
 func TestMinMaxProtection(t *testing.T) {
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
+	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager) {
 		p := pm.Create()
-		pg, _ := pm.NUMA().NewPage()
+		pg, _ := nm.NewPage()
 		const va = 0x2000
 		p.Enter(th, 0, va, pg, mmu.ProtReadWrite, mmu.ProtRead)
 		if m.MMU(0).Translate(p.Key(va), false) == nil {
@@ -89,9 +83,9 @@ func TestMinMaxProtection(t *testing.T) {
 // TestTargetProcessor verifies extension 3: Enter creates the mapping only
 // on the named processor.
 func TestTargetProcessor(t *testing.T) {
-	rig(t, 3, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
+	rig(t, 3, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager) {
 		p := pm.Create()
-		pg, _ := pm.NUMA().NewPage()
+		pg, _ := nm.NewPage()
 		const va = 0x3000
 		p.Enter(th, 1, va, pg, mmu.ProtReadWrite, mmu.ProtRead)
 		if m.MMU(1).Translate(p.Key(va), false) == nil {
@@ -106,9 +100,9 @@ func TestTargetProcessor(t *testing.T) {
 }
 
 func TestEnterMinExceedsMaxPanics(t *testing.T) {
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
+	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager) {
 		p := pm.Create()
-		pg, _ := pm.NUMA().NewPage()
+		pg, _ := nm.NewPage()
 		defer func() {
 			if recover() == nil {
 				t.Error("want panic")
@@ -119,9 +113,9 @@ func TestEnterMinExceedsMaxPanics(t *testing.T) {
 }
 
 func TestNoDowngradeOfExistingMapping(t *testing.T) {
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
+	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager) {
 		p := pm.Create()
-		pg, _ := pm.NUMA().NewPage()
+		pg, _ := nm.NewPage()
 		const va = 0x4000
 		p.Enter(th, 0, va, pg, mmu.ProtReadWrite, mmu.ProtWrite)
 		// A subsequent read fault (e.g. after an alias drop reinstated)
@@ -133,58 +127,12 @@ func TestNoDowngradeOfExistingMapping(t *testing.T) {
 	})
 }
 
-func TestProtectAndRemove(t *testing.T) {
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
-		p := pm.Create()
-		ps := uint32(m.PageSize())
-		var pages []*numa.Page
-		for i := uint32(0); i < 3; i++ {
-			pg, _ := pm.NUMA().NewPage()
-			pages = append(pages, pg)
-			p.Enter(th, 0, 0x10000+i*ps, pg, mmu.ProtReadWrite, mmu.ProtWrite)
-		}
-		// Tighten the middle page only.
-		p.Protect(th, 0x10000+ps, ps, mmu.ProtRead)
-		if m.MMU(0).Translate(p.Key(0x10000+ps), true) != nil {
-			t.Error("protect did not tighten")
-		}
-		if m.MMU(0).Translate(p.Key(0x10000), true) == nil {
-			t.Error("protect touched neighbouring page")
-		}
-		// Remove the whole range.
-		p.Remove(th, 0x10000, 3*ps)
-		for i := uint32(0); i < 3; i++ {
-			if m.MMU(0).Translate(p.Key(0x10000+i*ps), false) != nil {
-				t.Errorf("page %d still mapped after Remove", i)
-			}
-			if p.Resident(0x10000+i*ps) != nil {
-				t.Errorf("page %d still resident after Remove", i)
-			}
-		}
-	})
-}
-
-func TestProtectNoneRemoves(t *testing.T) {
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
-		p := pm.Create()
-		pg, _ := pm.NUMA().NewPage()
-		p.Enter(th, 0, 0x1000, pg, mmu.ProtReadWrite, mmu.ProtWrite)
-		p.Protect(th, 0x1000, uint32(m.PageSize()), mmu.ProtNone)
-		if m.MMU(0).Translate(p.Key(0x1000), false) != nil {
-			t.Error("ProtNone did not remove mapping")
-		}
-		if p.Resident(0x1000) != nil {
-			t.Error("ProtNone left page resident")
-		}
-	})
-}
-
 func TestRemoveAllQuiesces(t *testing.T) {
-	rig(t, 3, policy.NeverPin(), func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
+	rig(t, 3, policy.NeverPin(), func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager) {
 		p := pm.Create()
-		pg, _ := pm.NUMA().NewPage()
+		pg, _ := nm.NewPage()
 		p.Enter(th, 0, 0x1000, pg, mmu.ProtReadWrite, mmu.ProtWrite)
-		pg.Copy(0).Store32(0, 77)
+		pg.Authoritative().Store32(0, 77)
 		p.Enter(th, 1, 0x1000, pg, mmu.ProtReadWrite, mmu.ProtRead)
 		pm.RemoveAll(th, pg)
 		if pg.NCopies() != 0 {
@@ -198,22 +146,19 @@ func TestRemoveAllQuiesces(t *testing.T) {
 				t.Errorf("cpu%d still maps page after RemoveAll", i)
 			}
 		}
-		if p.Resident(0x1000) != nil {
-			t.Error("page still resident after RemoveAll")
-		}
 	})
 }
 
 func TestTwoSpacesShareOnePage(t *testing.T) {
 	// Two address spaces on different processors map the same logical page:
 	// the page replicates and both spaces read the same contents.
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
+	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager) {
 		pa := pm.Create()
 		pb := pm.Create()
-		if pa.Space() == pb.Space() {
+		if pa.Key(0x1000) == pb.Key(0x1000) {
 			t.Fatal("spaces not distinct")
 		}
-		pg, _ := pm.NUMA().NewPage()
+		pg, _ := nm.NewPage()
 		pa.Enter(th, 0, 0x1000, pg, mmu.ProtReadWrite, mmu.ProtWrite)
 		f := m.MMU(0).Translate(pa.Key(0x1000), true)
 		f.Store32(8, 123)
@@ -229,10 +174,10 @@ func TestRosettaCrossSpaceAlias(t *testing.T) {
 	// Two spaces on the SAME processor mapping the same page: the hardware
 	// allows one virtual address per frame per processor, so the second
 	// Enter displaces the first.
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
+	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager) {
 		pa := pm.Create()
 		pb := pm.Create()
-		pg, _ := pm.NUMA().NewPage()
+		pg, _ := nm.NewPage()
 		pa.Enter(th, 0, 0x1000, pg, mmu.ProtReadWrite, mmu.ProtWrite)
 		pb.Enter(th, 0, 0x8000, pg, mmu.ProtReadWrite, mmu.ProtWrite)
 		if m.MMU(0).Translate(pa.Key(0x1000), false) != nil {
@@ -247,59 +192,10 @@ func TestRosettaCrossSpaceAlias(t *testing.T) {
 	})
 }
 
-func TestDestroyPmap(t *testing.T) {
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
-		p := pm.Create()
-		pg, _ := pm.NUMA().NewPage()
-		p.Enter(th, 0, 0x1000, pg, mmu.ProtReadWrite, mmu.ProtWrite)
-		pm.Destroy(th, p)
-		if m.MMU(0).Translate(p.Key(0x1000), false) != nil {
-			t.Error("mapping survives Destroy")
-		}
-		defer func() {
-			if recover() == nil {
-				t.Error("Enter after Destroy should panic")
-			}
-		}()
-		p.Enter(th, 0, 0x2000, pg, mmu.ProtReadWrite, mmu.ProtRead)
-	})
-}
-
-func TestZeroPageAndCopyPage(t *testing.T) {
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
-		src, _ := pm.NUMA().NewPage()
-		dst, _ := pm.NUMA().NewPage()
-		p := pm.Create()
-		p.Enter(th, 0, 0x1000, src, mmu.ProtReadWrite, mmu.ProtWrite)
-		f := m.MMU(0).Translate(p.Key(0x1000), true)
-		f.Store32(0, 55)
-		pm.CopyPage(th, src, dst, 0)
-		if dst.GlobalFrame().Load32(0) != 55 {
-			t.Error("CopyPage did not copy authoritative contents")
-		}
-		// After CopyPage the destination must not zero-fill over the data.
-		p2 := pm.Create()
-		p2.Enter(th, 1, 0x1000, dst, mmu.ProtReadWrite, mmu.ProtRead)
-		g := m.MMU(1).Translate(p2.Key(0x1000), false)
-		if g.Load32(0) != 55 {
-			t.Error("zero-fill clobbered copied page")
-		}
-		// ZeroPage re-arms zero fill on a quiescent page.
-		pm.RemoveAll(th, dst)
-		pm.ZeroPage(dst)
-		p3 := pm.Create()
-		p3.Enter(th, 0, 0x9000, dst, mmu.ProtReadWrite, mmu.ProtRead)
-		h := m.MMU(0).Translate(p3.Key(0x9000), false)
-		if h.Load32(0) != 0 {
-			t.Error("ZeroPage did not zero")
-		}
-	})
-}
-
 func TestFreePageViaPmap(t *testing.T) {
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
+	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager) {
 		p := pm.Create()
-		pg, _ := pm.NUMA().NewPage()
+		pg, _ := nm.NewPage()
 		p.Enter(th, 0, 0x1000, pg, mmu.ProtReadWrite, mmu.ProtWrite)
 		free := m.Memory().Global().Free()
 		tag := pm.FreePage(th, pg)
@@ -310,9 +206,6 @@ func TestFreePageViaPmap(t *testing.T) {
 		if m.MMU(0).Translate(p.Key(0x1000), false) != nil {
 			t.Error("mapping survives FreePage")
 		}
-		if p.Resident(0x1000) != nil {
-			t.Error("resident record survives FreePage")
-		}
 	})
 }
 
@@ -320,9 +213,9 @@ func TestFreePageViaPmap(t *testing.T) {
 // Enter, retry — checking that protections drive the protocol exactly as
 // §2.3.1 describes.
 func TestFaultDrivenProtocol(t *testing.T) {
-	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager) {
+	rig(t, 2, nil, func(th *sim.Thread, m *ace.Machine, pm *pmap.Manager, nm *numa.Manager) {
 		p := pm.Create()
-		pg, _ := pm.NUMA().NewPage()
+		pg, _ := nm.NewPage()
 		const va = 0x7000
 
 		access := func(proc int, write bool) *mem.Frame {

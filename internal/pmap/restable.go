@@ -12,14 +12,6 @@ type resTable struct {
 	pages []*numa.Page // indexed by VPN; nil = no mapping entered
 }
 
-// get returns the page resident at vpn, or nil.
-func (t *resTable) get(vpn uint32) *numa.Page {
-	if int(vpn) >= len(t.pages) {
-		return nil
-	}
-	return t.pages[vpn]
-}
-
 // set records pg as resident at vpn, growing the table as needed.
 //
 //numalint:hotpath

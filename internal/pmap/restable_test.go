@@ -13,9 +13,8 @@ import (
 )
 
 // TestResidencyTableOracle drives the dense VPN-indexed residency tables
-// through seeded scripts of pmap operations — enter, protect (including
-// the removing ProtNone form), remove, whole-page removal, page free and
-// address-space destruction. The test keeps the map form of each table
+// through seeded scripts of pmap operations — enter, whole-page removal
+// and page free. The test keeps the map form of each table
 // itself, applying each step's residency rule to it, and asserts that
 // every table holds the same entries as its model after every step.
 func TestResidencyTableOracle(t *testing.T) {
@@ -64,13 +63,6 @@ func resOracleScript(t *testing.T, seed int64) {
 				}
 				pages[i] = pg
 			}
-			// clearRange applies a removing step's rule: every entry of
-			// model in [vpn, vpn+n) goes.
-			clearRange := func(model map[uint32]*numa.Page, vpn, n uint32) {
-				for v := vpn; v < vpn+n; v++ {
-					delete(model, v)
-				}
-			}
 			// drop applies RemoveAll's and FreePage's rule: pg leaves every
 			// address space.
 			drop := func(pg *numa.Page) {
@@ -107,24 +99,10 @@ func resOracleScript(t *testing.T, seed int64) {
 					}
 					p.Enter(th, proc, vaOf(vpn), pg, mmu.ProtReadWrite, minProt)
 					model[vpn] = pg
-				case r < 65:
-					prot := mmu.ProtRead
-					if rng.Intn(3) == 0 {
-						prot = mmu.ProtNone // the removing form
-					}
-					n := uint32(1 + rng.Intn(4))
-					p.Protect(th, vaOf(vpn), n<<shift, prot)
-					if prot == mmu.ProtNone {
-						clearRange(model, vpn, n)
-					}
-				case r < 75:
-					n := uint32(1 + rng.Intn(4))
-					p.Remove(th, vaOf(vpn), n<<shift)
-					clearRange(model, vpn, n)
 				case r < 85:
 					pm.RemoveAll(th, pg)
 					drop(pg)
-				case r < 93:
+				default:
 					pm.FreePageSync(pm.FreePage(th, pg))
 					drop(pg)
 					fresh, err := nm.NewPage()
@@ -132,16 +110,6 @@ func resOracleScript(t *testing.T, seed int64) {
 						return err
 					}
 					pages[pi] = fresh
-				default:
-					// Tear down one address space and open a fresh one; its
-					// dense table must drain to empty, as its model does.
-					di := rng.Intn(npmaps)
-					pm.Destroy(th, pmaps[di])
-					clear(models[di])
-					if err := checkModel(&pmaps[di].res, models[di]); err != nil {
-						return fmt.Errorf("op %d: destroyed pmap: %w", op, err)
-					}
-					pmaps[di] = pm.Create()
 				}
 				if err := checkAll(op); err != nil {
 					return err

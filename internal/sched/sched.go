@@ -97,9 +97,6 @@ func New(k *vm.Kernel, mode Mode) *Scheduler {
 	}
 }
 
-// Mode returns the scheduling discipline.
-func (s *Scheduler) Mode() Mode { return s.mode }
-
 // pick assigns a processor for a new thread: sequentially by number,
 // skipping busy processors unless all are busy (§4.7). Dead processors
 // are never picked unless every processor is dead (a degenerate
@@ -189,9 +186,6 @@ func (s *Scheduler) hop(c *vm.Context) {
 	c.MigrateTo(next)
 	c.Thread().Yield()
 }
-
-// Live reports the number of live threads bound to processor p.
-func (s *Scheduler) Live(p int) int { return s.live[p] }
 
 // MigrateHint records a request to rebind th to a processor homed on
 // node, applied at the thread's next quantum boundary. It implements

@@ -58,17 +58,10 @@ func TestReuseAfterExit(t *testing.T) {
 	if err := k.Machine().Engine().Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Live(0) != 0 || s.Live(1) != 0 {
-		t.Errorf("live counts not drained: %d %d", s.Live(0), s.Live(1))
+	if sched.Live(s, 0) != 0 || sched.Live(s, 1) != 0 {
+		t.Errorf("live counts not drained: %d %d", sched.Live(s, 0), sched.Live(s, 1))
 	}
 	_ = secondProc // assignment rule is round-robin over free CPUs; b may take 0 or 1
-}
-
-func TestModeAccessor(t *testing.T) {
-	k := newKernel(1)
-	if sched.New(k, sched.NoAffinity).Mode() != sched.NoAffinity {
-		t.Error("mode accessor wrong")
-	}
 }
 
 // TestMigrateHint covers the explicit migration API: an accepted hint
@@ -169,9 +162,9 @@ func TestFailoverSpreadsByLiveCounts(t *testing.T) {
 				c.Compute(1000) // each call ends a quantum
 			}
 			end[i] = c.Proc()
-			if i == 0 && (s.Live(0) != 0 || s.Live(end[0]) == 0) {
+			if i == 0 && (sched.Live(s, 0) != 0 || sched.Live(s, end[0]) == 0) {
 				t.Errorf("after failover cpu0 counts %d threads and cpu%d %d",
-					s.Live(0), end[0], s.Live(end[0]))
+					sched.Live(s, 0), end[0], sched.Live(s, end[0]))
 			}
 		})
 	}
@@ -188,8 +181,8 @@ func TestFailoverSpreadsByLiveCounts(t *testing.T) {
 		t.Errorf("both failed-over threads ended on cpu%d; cpu%d runs one thread less", end[0], 6-end[0])
 	}
 	for p := range cfg.NProc {
-		if s.Live(p) != 0 {
-			t.Errorf("cpu%d still counts %d live threads", p, s.Live(p))
+		if sched.Live(s, p) != 0 {
+			t.Errorf("cpu%d still counts %d live threads", p, sched.Live(s, p))
 		}
 	}
 }
@@ -203,15 +196,15 @@ func TestHopMovesLiveCount(t *testing.T) {
 	s.Spawn("w", task, 0, func(c *vm.Context) {
 		for range 3 {
 			c.Compute(1000) // each call ends a quantum, and the thread hops
-			if s.Live(c.Proc()) != 1 || s.Live(1-c.Proc()) != 0 {
-				t.Errorf("on cpu%d: live counts %d %d", c.Proc(), s.Live(0), s.Live(1))
+			if sched.Live(s, c.Proc()) != 1 || sched.Live(s, 1-c.Proc()) != 0 {
+				t.Errorf("on cpu%d: live counts %d %d", c.Proc(), sched.Live(s, 0), sched.Live(s, 1))
 			}
 		}
 	})
 	if err := k.Machine().Engine().Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Live(0) != 0 || s.Live(1) != 0 {
-		t.Errorf("live counts not drained: %d %d", s.Live(0), s.Live(1))
+	if sched.Live(s, 0) != 0 || sched.Live(s, 1) != 0 {
+		t.Errorf("live counts not drained: %d %d", sched.Live(s, 0), sched.Live(s, 1))
 	}
 }

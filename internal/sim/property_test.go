@@ -152,7 +152,7 @@ func scheduleTrace(seed int64, linear bool) (schedule []int64, err error) {
 	err = e.Run()
 	schedule = dispatches(sink.Events())
 	for _, t := range threads {
-		schedule = append(schedule, int64(t.Clock()), int64(t.UserTime()), int64(t.SysTime()))
+		schedule = append(schedule, int64(t.Clock()), int64(t.user), int64(t.sys))
 	}
 	return schedule, err
 }

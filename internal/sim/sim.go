@@ -116,9 +116,6 @@ type Resource struct {
 	freeAt Time
 }
 
-// FreeAt reports the virtual time at which the resource next becomes free.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
 // Thread is a simulated thread of control.
 type Thread struct {
 	engine *Engine
@@ -152,28 +149,10 @@ type Thread struct {
 //numalint:hotpath
 func (t *Thread) ID() int { return t.id }
 
-// Name returns the thread's diagnostic name.
-func (t *Thread) Name() string { return t.name }
-
-// State returns the thread's scheduling state.
-func (t *Thread) State() State { return t.state }
-
 // Clock returns the thread's current virtual time.
 //
 //numalint:hotpath
 func (t *Thread) Clock() Time { return t.clock }
-
-// UserTime returns the accumulated user-mode virtual time.
-func (t *Thread) UserTime() Time { return t.user }
-
-// SysTime returns the accumulated system-mode virtual time.
-func (t *Thread) SysTime() Time { return t.sys }
-
-// Err returns the thread's terminal error, if any.
-func (t *Thread) Err() error { return t.err }
-
-// Resource returns the resource the thread is bound to, or nil.
-func (t *Thread) Resource() *Resource { return t.res }
 
 // Bind binds the thread to an exclusive resource, acquiring it immediately:
 // if the resource is busy until some later virtual time, the thread idles
@@ -624,9 +603,6 @@ func (e *Engine) abort() {
 		}
 	}
 }
-
-// Threads returns all threads ever spawned, in creation order.
-func (e *Engine) Threads() []*Thread { return e.threads }
 
 // TotalUserTime sums user time across all threads — the paper's "total user
 // time across all processors" (T in §3.1).

@@ -165,8 +165,8 @@ func TestResourceWaitIsNotUserTime(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if t2.UserTime() != 50*Microsecond {
-		t.Errorf("t2 user time = %v, want 50µs (queue wait must not count)", t2.UserTime())
+	if t2.user != 50*Microsecond {
+		t.Errorf("t2 user time = %v, want 50µs (queue wait must not count)", t2.user)
 	}
 }
 
@@ -278,8 +278,8 @@ func TestAbortTearsDownBlocked(t *testing.T) {
 	if err := e.Run(); err == nil {
 		t.Fatal("want error")
 	}
-	if blocked.State() != Done || blocked.Err() != ErrAborted {
-		t.Errorf("blocked thread state=%v err=%v, want done/ErrAborted", blocked.State(), blocked.Err())
+	if blocked.state != Done || blocked.err != ErrAborted {
+		t.Errorf("blocked thread state=%v err=%v, want done/ErrAborted", blocked.state, blocked.err)
 	}
 }
 
@@ -293,8 +293,8 @@ func TestSysTimeAccounting(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if th.UserTime() != 10*Microsecond || th.SysTime() != 5*Microsecond {
-		t.Errorf("user=%v sys=%v, want 10µs/5µs", th.UserTime(), th.SysTime())
+	if th.user != 10*Microsecond || th.sys != 5*Microsecond {
+		t.Errorf("user=%v sys=%v, want 10µs/5µs", th.user, th.sys)
 	}
 	if th.Clock() != 115*Microsecond {
 		t.Errorf("clock=%v, want 115µs", th.Clock())

@@ -39,8 +39,8 @@ func TestDeadlockErrorIsTyped(t *testing.T) {
 	// Clean teardown: both threads finished with the abort sentinel, so a
 	// -race run proves no goroutine is left parked on the engine.
 	for _, th := range []*Thread{b1, b2} {
-		if th.State() != Done || th.Err() != ErrAborted {
-			t.Errorf("thread %s state=%v err=%v, want done/ErrAborted", th.Name(), th.State(), th.Err())
+		if th.state != Done || th.err != ErrAborted {
+			t.Errorf("thread %s state=%v err=%v, want done/ErrAborted", th.name, th.state, th.err)
 		}
 	}
 }
@@ -72,8 +72,8 @@ func TestStallWatchdog(t *testing.T) {
 	if st.Dump == nil || !strings.Contains(st.Dump.Render(), "spinner") {
 		t.Error("stall dump missing the spinning thread")
 	}
-	if bystander.State() != Done || bystander.Err() != ErrAborted {
-		t.Errorf("bystander state=%v err=%v, want done/ErrAborted", bystander.State(), bystander.Err())
+	if bystander.state != Done || bystander.err != ErrAborted {
+		t.Errorf("bystander state=%v err=%v, want done/ErrAborted", bystander.state, bystander.err)
 	}
 }
 
@@ -130,8 +130,8 @@ func TestStopAbandonsRun(t *testing.T) {
 	if stopped.Dump == nil || !strings.Contains(stopped.Dump.Render(), "worker") {
 		t.Error("stop dump missing thread table")
 	}
-	if th.State() != Done || th.Err() != ErrAborted {
-		t.Errorf("worker state=%v err=%v, want done/ErrAborted", th.State(), th.Err())
+	if th.state != Done || th.err != ErrAborted {
+		t.Errorf("worker state=%v err=%v, want done/ErrAborted", th.state, th.err)
 	}
 }
 
@@ -183,12 +183,12 @@ func TestAbortTearsDownEveryThread(t *testing.T) {
 			t.Errorf("%s: late thread ran = %v, want %v", c.name, lateRan, c.lateRuns)
 		}
 		for _, th := range []*Thread{blocked, late} {
-			if th.State() != Done || th.Err() != ErrAborted {
-				t.Errorf("%s: %s state=%v err=%v, want done/ErrAborted", c.name, th.Name(), th.State(), th.Err())
+			if th.state != Done || th.err != ErrAborted {
+				t.Errorf("%s: %s state=%v err=%v, want done/ErrAborted", c.name, th.name, th.state, th.err)
 			}
 		}
-		if culprit.State() != Done {
-			t.Errorf("%s: culprit state=%v, want done", c.name, culprit.State())
+		if culprit.state != Done {
+			t.Errorf("%s: culprit state=%v, want done", c.name, culprit.state)
 		}
 	}
 	before := runtime.NumGoroutine()

@@ -261,14 +261,6 @@ func (b *Bus) Attach(s Sink) {
 	}
 }
 
-// Sink returns the attached sink, or nil.
-func (b *Bus) Sink() Sink {
-	if b == nil {
-		return nil
-	}
-	return b.sink
-}
-
 // Enabled reports whether events are being consumed. Emission sites check
 // it before constructing an Event — this is the whole zero-cost-when-off
 // contract.

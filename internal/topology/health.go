@@ -12,7 +12,8 @@ package topology
 
 import "numasim/internal/sim"
 
-// LinkIndex resolves a link name ("node0-node1") to its index in Links.
+// LinkIndex resolves a link name ("node0-node1") to its index, the
+// link's position in LinkStats.
 func (s *Spec) LinkIndex(name string) (int, bool) {
 	for i, l := range s.links {
 		if l.Name == name {
@@ -20,46 +21,6 @@ func (s *Spec) LinkIndex(name string) (int, bool) {
 		}
 	}
 	return -1, false
-}
-
-// Degraded reports whether any health mutation has ever been applied.
-func (t *Topology) Degraded() bool { return t.degraded }
-
-// NodeHealthy reports whether node is online. Always true on a machine
-// with no health mutations.
-//
-//numalint:hotpath
-func (t *Topology) NodeHealthy(node int) bool {
-	return !t.degraded || !t.nodeDown[node]
-}
-
-// LinkSevered reports whether link li is unusable (explicitly severed or
-// an endpoint node is down).
-func (t *Topology) LinkSevered(li int) bool {
-	return t.degraded && t.linkDown[li]
-}
-
-// LinkPerByte returns link li's current per-byte service time, including
-// any degrade override.
-func (t *Topology) LinkPerByte(li int) sim.Time {
-	if t.degraded {
-		return t.perByte[li]
-	}
-	return t.spec.links[li].PerByte
-}
-
-// Route returns the current route between two nodes (the runtime route
-// when degraded, the spec route otherwise). The slice is owned by the
-// topology and must not be mutated; nil means the pair exchanges traffic
-// without a modelled link.
-func (t *Topology) Route(src, dst int) []int {
-	if src == dst {
-		return nil
-	}
-	if t.degraded {
-		return t.routes[src*t.spec.nnodes+dst]
-	}
-	return t.spec.routes[src*t.spec.nnodes+dst]
 }
 
 // SetNodeHealth marks node offline (healthy == false) or back online.

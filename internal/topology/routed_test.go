@@ -75,7 +75,7 @@ func TestRoutedColumns(t *testing.T) {
 	for _, s := range append(routedSpecs(t), plain) {
 		for proc := 0; proc < s.NProcs(); proc++ {
 			for col := 0; col <= s.NNodes(); col++ {
-				want := s.Contended() && (col == s.NNodes() || col != s.Home(proc))
+				want := s.contended && (col == s.NNodes() || col != s.Home(proc))
 				if got := s.Routed(proc, col); got != want {
 					t.Errorf("%s/%d: Routed(cpu%d, col %d) = %v, want %v", s.Name(), s.NProcs(), proc, col, got, want)
 				}
@@ -119,13 +119,13 @@ func TestUnroutedTransfersAreInert(t *testing.T) {
 				{"healthy", func(*Topology) {}},
 				{"node down", func(tp *Topology) { tp.SetNodeHealth(s.NNodes()-1, false) }},
 				{"link severed", func(tp *Topology) {
-					if len(s.Links()) > 0 {
+					if len(s.links) > 0 {
 						tp.SeverLink(0)
 					}
 				}},
 				{"link degraded", func(tp *Topology) {
-					if len(s.Links()) > 0 {
-						tp.DegradeLink(len(s.Links())/2, 3)
+					if len(s.links) > 0 {
+						tp.DegradeLink(len(s.links)/2, 3)
 					}
 				}},
 			}

@@ -12,7 +12,7 @@ import (
 func view(s *Spec) string {
 	var b strings.Builder
 	b.WriteString(s.Describe())
-	fmt.Fprintf(&b, "%s: %d nodes, %d processors, contended %v\n", s.Name(), s.NNodes(), s.NProcs(), s.Contended())
+	fmt.Fprintf(&b, "%s: %d nodes, %d processors, contended %v\n", s.Name(), s.NNodes(), s.NProcs(), s.contended)
 	for p := 0; p < s.NProcs(); p++ {
 		fmt.Fprintf(&b, "cpu%d home %d:", p, s.Home(p))
 		for col := 0; col <= s.NNodes(); col++ {
@@ -27,7 +27,7 @@ func view(s *Spec) string {
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "links %v\n", s.Links())
+	fmt.Fprintf(&b, "links %v\n", s.links)
 	return b.String()
 }
 

@@ -137,11 +137,6 @@ func (s *Spec) StoreLatency(proc, col int) sim.Time {
 	return s.store[proc*(s.nnodes+1)+col]
 }
 
-// Contended reports whether the spec models interconnect contention.
-//
-//numalint:hotpath
-func (s *Spec) Contended() bool { return s.contended }
-
 // Routed reports whether a transfer between processor proc and
 // latency-matrix column col reaches the link model: on a contended spec,
 // every column but the processor's home node. The interleave column is
@@ -189,11 +184,6 @@ func (s *Spec) Dist(a, b int) int { return s.dist[a*s.nnodes+b] }
 // is the spec's own, shared by every machine of the shape, and nothing
 // may write through it.
 func (s *Spec) Ranked(node int) []int { return s.ranked[node] }
-
-// Links returns the spec's interconnect links (nil when uncontended).
-// The returned slice is the spec's own, shared by every machine of the
-// shape, and nothing may write through it.
-func (s *Spec) Links() []Link { return s.links }
 
 // validate checks the derived spec for structural consistency.
 func (s *Spec) validate() error {
@@ -439,11 +429,6 @@ type Topology struct {
 func New(spec *Spec) *Topology {
 	return &Topology{spec: spec, links: make([]linkState, len(spec.links))}
 }
-
-// Spec returns the immutable shape.
-//
-//numalint:hotpath
-func (t *Topology) Spec() *Spec { return t.spec }
 
 // ChargeTransfer routes a transfer of bytes between processor proc's
 // home node and latency-matrix column col at virtual time now. Each link

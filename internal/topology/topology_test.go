@@ -80,7 +80,7 @@ func TestACESpecMatchesPublishedConstants(t *testing.T) {
 			}
 		}
 	}
-	if s.Contended() {
+	if s.contended {
 		t.Error("ACE spec models link contention; the paper's bus is fixed-latency")
 	}
 	// 1800/650 scaled to SLIT units: 27.
@@ -171,15 +171,15 @@ func TestBuilders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FourSocket(%d): %v", np, err)
 		}
-		if s.NNodes() != 4 || !s.Contended() || len(s.Links()) != 6 {
-			t.Errorf("FourSocket(%d): %d nodes, %d links, contended=%v", np, s.NNodes(), len(s.Links()), s.Contended())
+		if s.NNodes() != 4 || !s.contended || len(s.links) != 6 {
+			t.Errorf("FourSocket(%d): %d nodes, %d links, contended=%v", np, s.NNodes(), len(s.links), s.contended)
 		}
 		m, err := Mesh8(np)
 		if err != nil {
 			t.Fatalf("Mesh8(%d): %v", np, err)
 		}
-		if m.NNodes() != 8 || !m.Contended() || len(m.Links()) != 10 {
-			t.Errorf("Mesh8(%d): %d nodes, %d links, contended=%v", np, m.NNodes(), len(m.Links()), m.Contended())
+		if m.NNodes() != 8 || !m.contended || len(m.links) != 10 {
+			t.Errorf("Mesh8(%d): %d nodes, %d links, contended=%v", np, m.NNodes(), len(m.links), m.contended)
 		}
 		// Opposite corners of the 2x4 mesh are 4 hops: 10 + 6*4.
 		if d := m.Dist(0, 7); d != 34 {

@@ -122,9 +122,9 @@ func TestHotPathRootsZeroAlloc(t *testing.T) {
 		// page, then refault it through Kernel.Fault, placement and the
 		// pmap enter path (mirrors BenchmarkFaultPath, which reports
 		// 0 allocs/op).
-		pm := c.Kernel().Pmap()
+		pm := c.Task().Kernel().Pmap()
 		counts["Fault"] = testing.AllocsPerRun(50, func() {
-			if pg := c.Task().Pmap().Resident(base); pg != nil {
+			if pg := c.Task().EntryAt(base).Object().Page(0); pg != nil {
 				pm.RemoveAll(c.Thread(), pg)
 			}
 			_ = c.Load32(base)
@@ -164,13 +164,13 @@ func TestHeatPathZeroAlloc(t *testing.T) {
 	}
 	var fault float64
 	run1(t, smallCfg(2), pol, func(c *vm.Context) {
-		c.Kernel().NUMA().SetThreadMover(&heatMover{})
+		c.Task().Kernel().NUMA().SetThreadMover(&heatMover{})
 		base := c.Task().Allocate("data", 8192, mmu.ProtReadWrite)
 		c.Store32(base, 1)
 		_ = c.Load32(base)
-		pm := c.Kernel().Pmap()
+		pm := c.Task().Kernel().Pmap()
 		fault = testing.AllocsPerRun(50, func() {
-			if pg := c.Task().Pmap().Resident(base); pg != nil {
+			if pg := c.Task().EntryAt(base).Object().Page(0); pg != nil {
 				pm.RemoveAll(c.Thread(), pg)
 			}
 			_ = c.Load32(base)

@@ -70,9 +70,9 @@ func TestKernelChaos(t *testing.T) {
 						c.MigrateTo(rng.Intn(cfg.NProc))
 					}
 					if step%64 == 0 {
-						for _, e := range task.Entries() {
-							for i := 0; i < e.Object().Pages(); i++ {
-								if pg := e.Object().Page(i); pg != nil {
+						for _, base := range bases {
+							for i := 0; i < pagesPerRegion; i++ {
+								if pg := task.EntryAt(base).Object().Page(i); pg != nil {
 									if err := k.NUMA().CheckInvariants(pg); err != nil {
 										t.Fatalf("step %d: %v", step, err)
 									}

@@ -48,6 +48,9 @@ func (e *AccessError) Error() string {
 	return fmt.Sprintf("vm: %s fault at %#x: %v", kind, e.VA, e.Err)
 }
 
+// Unwrap returns the fault's cause.
+//
+//numalint:api errors.Is and errors.As reach it through an anonymous interface; numasim.AccessError re-exports it, and the vm tests match ErrNoMapping and ErrProtection through it
 func (e *AccessError) Unwrap() error { return e.Err }
 
 // Stats counts VM-level events.
@@ -55,8 +58,6 @@ type Stats struct {
 	ZeroFillFaults uint64
 	Pageouts       uint64
 	Pageins        uint64
-	COWReads       uint64 // reads resolved through a shared origin page
-	COWCopies      uint64 // pages privately copied on first write
 }
 
 // Object is a Mach VM object: a container of logical pages that address
@@ -66,20 +67,12 @@ type Object struct {
 	name   string
 	kernel *Kernel
 	slots  []slot
-	refs   int
-	freed  bool
 }
 
 type slot struct {
 	pg      *numa.Page
 	backing []byte // paged-out contents; nil if never paged out
 }
-
-// Name returns the object's diagnostic name.
-func (o *Object) Name() string { return o.name }
-
-// Pages returns the object's size in pages.
-func (o *Object) Pages() int { return len(o.slots) }
 
 // Page returns the resident logical page at index i, or nil.
 func (o *Object) Page(i int) *numa.Page { return o.slots[i].pg }
@@ -117,35 +110,16 @@ type Entry struct {
 	hint   numa.Hint
 	home   int // home processor for remote placement; -1 unset
 	name   string
-
-	// Copy-on-write state (Mach vm_copy, §2.1). A COW entry reads through
-	// the immutable origin object and copies pages into its private obj
-	// (the shadow) on first write.
-	cow       bool
-	origin    *Object
-	originOff uint32
 }
-
-// CopyOnWrite reports whether the region is a copy-on-write view.
-func (e *Entry) CopyOnWrite() bool { return e.cow }
 
 // Start returns the region's first virtual address.
 func (e *Entry) Start() uint32 { return e.start }
 
-// Length returns the region's size in bytes.
-func (e *Entry) Length() uint32 { return e.length }
-
 // End returns the first address past the region.
 func (e *Entry) End() uint32 { return e.start + e.length }
 
-// Prot returns the region's protection.
-func (e *Entry) Prot() mmu.Prot { return e.prot }
-
 // Object returns the backing VM object.
 func (e *Entry) Object() *Object { return e.obj }
-
-// Name returns the region's diagnostic name.
-func (e *Entry) Name() string { return e.name }
 
 // Task is a Mach task: an address space in which simulated threads run.
 type Task struct {
@@ -204,6 +178,8 @@ func (k *Kernel) Machine() *ace.Machine { return k.machine }
 func (k *Kernel) NUMA() *numa.Manager { return k.nm }
 
 // Pmap returns the kernel's pmap manager.
+//
+//numalint:api BenchmarkFaultPath (numasim) and the vm tests TestHotPathZeroAlloc and TestHeatPathZeroAlloc tear a page's mappings out through its RemoveAll
 func (k *Kernel) Pmap() *pmap.Manager { return k.pm }
 
 // Stats returns a copy of the kernel's counters.
@@ -232,17 +208,8 @@ func (k *Kernel) NewObject(name string, size uint32) *Object {
 	return &Object{name: name, kernel: k, slots: make([]slot, n)}
 }
 
-// Name returns the task's diagnostic name.
-func (t *Task) Name() string { return t.name }
-
 // Kernel returns the kernel the task belongs to.
 func (t *Task) Kernel() *Kernel { return t.kernel }
-
-// Pmap returns the task's pmap.
-func (t *Task) Pmap() *pmap.Pmap { return t.pm }
-
-// Entries returns the task's address map entries in address order.
-func (t *Task) Entries() []*Entry { return t.entries }
 
 // Allocate creates an anonymous zero-filled region of size bytes with the
 // given protection (the Mach vm_allocate) and returns its base address.
@@ -262,9 +229,6 @@ func (t *Task) Map(name string, obj *Object, objOff, length uint32, prot mmu.Pro
 	if length == 0 {
 		panic("vm: zero-length mapping")
 	}
-	if obj.freed {
-		panic("vm: mapping a freed object")
-	}
 	pages := (length + ps - 1) / ps
 	if int((objOff/ps)+pages) > len(obj.slots) {
 		panic(fmt.Sprintf("vm: mapping [%#x,+%#x) exceeds object %q (%d pages)", objOff, length, obj.name, len(obj.slots)))
@@ -279,121 +243,10 @@ func (t *Task) Map(name string, obj *Object, objOff, length uint32, prot mmu.Pro
 		home:   -1,
 		name:   name,
 	}
-	obj.refs++
 	t.entries = append(t.entries, e)
 	sort.Slice(t.entries, func(i, j int) bool { return t.entries[i].start < t.entries[j].start })
 	t.nextVA = va + e.length + ps // guard page
 	return va
-}
-
-// Deallocate removes the region containing va (the Mach vm_deallocate).
-// When the last mapping of an object goes away, its pages are freed.
-func (t *Task) Deallocate(th *sim.Thread, va uint32) {
-	for i, e := range t.entries {
-		if va >= e.start && va < e.End() {
-			t.pm.Remove(th, e.start, e.length)
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			e.obj.refs--
-			if e.obj.refs == 0 {
-				t.kernel.destroyObject(th, e.obj)
-			}
-			if e.cow {
-				e.origin.refs--
-				if e.origin.refs == 0 {
-					t.kernel.destroyObject(th, e.origin)
-				}
-			}
-			return
-		}
-	}
-	panic(fmt.Sprintf("vm: Deallocate of unmapped address %#x", va))
-}
-
-// CopyRegion makes a copy-on-write copy of the region containing srcVA
-// (the Mach vm_copy) and returns the new region's base address. Both the
-// source and the copy subsequently read the shared origin pages; the first
-// write on either side copies the page privately.
-func (t *Task) CopyRegion(th *sim.Thread, name string, srcVA uint32) uint32 {
-	e := t.find(srcVA)
-	if e == nil {
-		panic(fmt.Sprintf("vm: CopyRegion of unmapped address %#x", srcVA))
-	}
-	ps := uint32(t.kernel.machine.PageSize())
-	if !e.cow {
-		// Convert the source to COW: its object becomes the shared,
-		// now-immutable origin; the source reads through it and writes
-		// into a fresh private shadow.
-		shadow := t.kernel.NewObject(e.obj.name+"+shadow", e.length)
-		shadow.refs = 1
-		e.origin = e.obj
-		e.originOff = e.objOff
-		e.obj = shadow
-		e.objOff = 0
-		e.cow = true
-		// Existing writable hardware mappings must fault on the next
-		// write: reduce privileges (§2.1).
-		t.pm.Protect(th, e.start, e.length, mmu.ProtRead)
-	} else {
-		// Copy of a copy: flatten by pushing the source's private pages
-		// into a fresh origin? Keeping chains one level deep is enough
-		// here: the existing origin is shared again, and source-private
-		// pages are duplicated eagerly below.
-	}
-	// The new region shares the origin.
-	e.origin.refs++
-	newShadow := t.kernel.NewObject(name, e.length)
-	va := t.Map(name, newShadow, 0, e.length, e.prot)
-	ne := t.find(va)
-	ne.cow = true
-	ne.origin = e.origin
-	ne.originOff = e.originOff
-	ne.hint = e.hint
-	ne.home = e.home
-	// Pages the source has already privatized are not in the origin:
-	// duplicate them eagerly so the copy sees the source's current view.
-	for i := 0; i < int(e.length/ps); i++ {
-		ss := &e.obj.slots[int(e.objOff/ps)+i]
-		if ss.pg == nil && ss.backing == nil {
-			continue
-		}
-		src := t.kernel.materialize(th, e, e.obj, int(e.objOff/ps)+i)
-		pg := t.kernel.newPage(th)
-		pg.SetHint(ne.hint)
-		t.kernel.pm.CopyPage(th, src, pg, 0)
-		newShadow.slots[i].pg = pg
-		t.kernel.fifo = append(t.kernel.fifo, fifoRef{newShadow, i})
-		t.kernel.stats.COWCopies++
-	}
-	return va
-}
-
-// destroyObject frees every page of an unreferenced object.
-func (k *Kernel) destroyObject(th *sim.Thread, o *Object) {
-	for i := range o.slots {
-		if pg := o.slots[i].pg; pg != nil {
-			tag := k.pm.FreePage(th, pg)
-			k.pm.FreePageSync(tag)
-			o.slots[i].pg = nil
-		}
-		o.slots[i].backing = nil
-	}
-	o.freed = true
-}
-
-// Protect changes the protection of the region containing va (the Mach
-// vm_protect). Existing stricter hardware mappings are tightened; loosening
-// takes effect lazily via faults.
-func (t *Task) Protect(th *sim.Thread, va uint32, prot mmu.Prot) {
-	e := t.find(va)
-	if e == nil {
-		panic(fmt.Sprintf("vm: Protect of unmapped address %#x", va))
-	}
-	e.prot = prot
-	if prot == mmu.ProtNone {
-		t.pm.Remove(th, e.start, e.length)
-		return
-	}
-	t.pm.Protect(th, e.start, e.length, prot)
 }
 
 // SetHint attaches a placement pragma (§4.3) to the region containing va.
@@ -504,10 +357,7 @@ func (k *Kernel) fault(th *sim.Thread, task *Task, proc int, va uint32, write bo
 	}
 	ps := uint32(k.machine.PageSize())
 	idx := int((va - e.start + e.objOff) / ps)
-	if e.cow {
-		return k.faultCOW(th, task, e, proc, va, idx, write)
-	}
-	pg := k.materialize(th, e, e.obj, idx)
+	pg := k.materialize(th, e, idx)
 	minProt := mmu.ProtRead
 	if write {
 		minProt = mmu.ProtWrite
@@ -516,54 +366,10 @@ func (k *Kernel) fault(th *sim.Thread, task *Task, proc int, va uint32, write bo
 	return nil
 }
 
-// faultCOW resolves a fault on a copy-on-write region: reads before the
-// first write go to the shared origin page, provisionally mapped
-// read-only; the first write copies the origin page into the entry's
-// private shadow ("Mach may reduce privileges to implement copy-on-write",
-// §2.1).
-func (k *Kernel) faultCOW(th *sim.Thread, task *Task, e *Entry, proc int, va uint32, idx int, write bool) error {
-	originIdx := idx - int(e.objOff/uint32(k.machine.PageSize())) + int(e.originOff/uint32(k.machine.PageSize()))
-	s := &e.obj.slots[idx]
-	if s.pg == nil && s.backing == nil {
-		//numalint:coldpath first touch: COW read-through or copy break, once per shadow page
-		if !write {
-			// Read through the origin; cap the mapping at read-only so the
-			// first write still faults.
-			src := k.materialize(th, e, e.origin, originIdx)
-			task.pm.Enter(th, proc, va, src, mmu.ProtRead, mmu.ProtRead)
-			k.stats.COWReads++
-			return nil
-		}
-		// First write: break the sharing by copying the origin page into
-		// the shadow (skipping the copy when the origin was never touched).
-		pg := k.newPage(th)
-		pg.SetHint(e.hint)
-		if e.home >= 0 {
-			pg.SetHome(e.home)
-		}
-		os := &e.origin.slots[originIdx]
-		if os.pg != nil || os.backing != nil {
-			src := k.materialize(th, e, e.origin, originIdx)
-			k.pm.CopyPage(th, src, pg, proc)
-			k.stats.COWCopies++
-		} else {
-			k.stats.ZeroFillFaults++
-		}
-		s.pg = pg
-		k.fifo = append(k.fifo, fifoRef{e.obj, idx})
-	}
-	pg := k.materialize(th, e, e.obj, idx)
-	minProt := mmu.ProtRead
-	if write {
-		minProt = mmu.ProtWrite
-	}
-	task.pm.Enter(th, proc, va, pg, e.prot, minProt)
-	return nil
-}
-
-// materialize returns the resident logical page at obj[idx], paging it in
-// or creating it zero-filled as needed.
-func (k *Kernel) materialize(th *sim.Thread, e *Entry, obj *Object, idx int) *numa.Page {
+// materialize returns the resident logical page at index idx of e's
+// object, paging it in or creating it zero-filled as needed.
+func (k *Kernel) materialize(th *sim.Thread, e *Entry, idx int) *numa.Page {
+	obj := e.obj
 	s := &obj.slots[idx]
 	if s.pg == nil {
 		//numalint:coldpath first touch: pagein or zero-fill materialization, once per resident page
@@ -606,7 +412,7 @@ func (k *Kernel) pageoutOne(th *sim.Thread) bool {
 		ref := k.fifo[0]
 		k.fifo = k.fifo[1:]
 		s := &ref.obj.slots[ref.idx]
-		if ref.obj.freed || s.pg == nil {
+		if s.pg == nil {
 			continue // stale queue entry
 		}
 		pg := s.pg
@@ -714,9 +520,6 @@ func NewContext(k *Kernel, task *Task, th *sim.Thread, proc int) *Context {
 	}
 }
 
-// Kernel returns the kernel this context runs on.
-func (c *Context) Kernel() *Kernel { return c.kernel }
-
 // Task returns the context's task.
 func (c *Context) Task() *Task { return c.task }
 
@@ -735,48 +538,6 @@ func (c *Context) MigrateTo(proc int) {
 	c.hw = c.mach.MMU(proc)
 	c.row = c.mach.Proc(proc).Row()
 	c.th.Bind(c.mach.Proc(proc).Resource())
-}
-
-// MigrateWithPages moves the context to another processor and takes the
-// task's local-writable pages owned by the old processor along — the
-// paper's §4.7 prescription for load balancing long-lived compute-bound
-// applications ("migrate processes to new homes and move their local
-// pages with them"). In a task with several threads on the old processor
-// this is a blunt instrument (page-to-thread attribution does not exist,
-// which is presumably why the paper left it as future work); callers use
-// it for single-threaded tasks or whole-task moves. It returns the number
-// of pages moved.
-func (c *Context) MigrateWithPages(proc int) int {
-	if proc == c.proc {
-		return 0
-	}
-	old := c.proc
-	c.MigrateTo(proc)
-	moved := 0
-	ps := uint32(c.mach.PageSize())
-	oldNode := c.mach.Home(old)
-	newNode := c.mach.Home(proc)
-	for _, e := range c.task.entries {
-		for i := range e.obj.slots {
-			pg := e.obj.slots[i].pg
-			if pg == nil || pg.State() != numa.LocalWritable || pg.Owner() != oldNode {
-				continue
-			}
-			c.kernel.nm.MigrateOwner(c.th, pg, proc)
-			if pg.Owner() != newNode {
-				continue
-			}
-			moved++
-			// Re-establish the translation at the new home so the thread
-			// resumes without even a mapping fault.
-			off := uint32(i) * ps
-			if off >= e.objOff && off-e.objOff < e.length && e.prot.CanWrite() {
-				va := e.start + (off - e.objOff)
-				c.task.pm.Enter(c.th, proc, va, pg, e.prot, mmu.ProtWrite)
-			}
-		}
-	}
-	return moved
 }
 
 // tick yields the processor when the scheduling quantum has expired.
@@ -903,6 +664,7 @@ func (c *Context) Store32(va uint32, v uint32) {
 // Load8 loads the byte at va (charged as one reference, as on the ROMP).
 //
 //numalint:hotpath
+//numalint:api numasim.Context's byte load, beside Load32 and Load64; BenchmarkAccessor (numasim) and the vm accessor tests call it
 func (c *Context) Load8(va uint32) byte {
 	f := c.refFetch(va)
 	v := f.Load8(int(va & c.pageMask))
@@ -913,6 +675,7 @@ func (c *Context) Load8(va uint32) byte {
 // Store8 stores the byte at va.
 //
 //numalint:hotpath
+//numalint:api numasim.Context's byte store, beside Store32 and Store64; BenchmarkAccessor (numasim) and the vm accessor tests call it
 func (c *Context) Store8(va uint32, v byte) {
 	f := c.refStore(va)
 	f.Store8(int(va&c.pageMask), v)

@@ -118,7 +118,7 @@ func TestPublicConstants(t *testing.T) {
 	if numasim.DefaultThreshold != 4 {
 		t.Error("paper default threshold is 4")
 	}
-	if !numasim.ProtReadWrite.CanWrite() || !numasim.ProtRead.CanRead() {
+	if !numasim.ProtReadWrite.CanWrite() || numasim.ProtRead.CanWrite() {
 		t.Error("protections wrong")
 	}
 	if numasim.Second != 1000*numasim.Millisecond {

@@ -52,7 +52,8 @@ func TestFacadeNewOptions(t *testing.T) {
 		numasim.WithPolicy(numasim.ThresholdPolicy(2)),
 		numasim.WithSched(numasim.Affinity),
 		numasim.WithLocalFrames(2),
-		numasim.WithChaos(numasim.ChaosConfig{Seed: 7}.WithDefaults()),
+		numasim.WithChaos(numasim.ChaosConfig{Seed: 7, FailProb: 0.05, DelayProb: 0.10, MaxRetries: 3,
+			Backoff: 200 * numasim.Microsecond, MoveDelay: 100 * numasim.Microsecond}),
 		numasim.WithTraceSink(&sink),
 	)
 	if err != nil {
@@ -162,22 +163,15 @@ func runExperiment(t *testing.T, name string, opts numasim.HarnessOptions) strin
 	return res.Render()
 }
 
-func TestFacadeCopyOnWriteAndRemote(t *testing.T) {
+func TestFacadeRemotePlacement(t *testing.T) {
 	sys := newSystem(t, 2, numasim.PragmaPolicy(nil))
-	src := sys.Runtime.Alloc("src", 4096)
 	rem := sys.Runtime.Alloc("rem", 4096)
 	sys.Runtime.Task().SetHome(rem, 1)
 	err := sys.Runtime.Run(1, func(id int, c *numasim.Context) {
-		c.Store32(src, 10)
-		dst := c.Task().CopyRegion(c.Thread(), "copy", src)
-		c.Store32(dst, 20)
-		if c.Load32(src) != 10 || c.Load32(dst) != 20 {
-			t.Error("COW through facade failed")
-		}
 		c.Store32(rem, 30)
 		pg := c.Task().EntryAt(rem).Object().Page(0)
-		if pg.State() != numasim.RemotePlaced || pg.Home() != 1 {
-			t.Errorf("remote placement through facade: state=%v home=%d", pg.State(), pg.Home())
+		if f := pg.Authoritative(); pg.State() != numasim.RemotePlaced || f.Proc() != 1 {
+			t.Errorf("remote placement through facade: state=%v frame %v, want node 1's local memory", pg.State(), f)
 		}
 	})
 	if err != nil {
