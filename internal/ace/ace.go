@@ -206,7 +206,6 @@ func (r Row) Store(th *sim.Thread, f *mem.Frame) bool {
 
 // Processor is one ACE processor module.
 type Processor struct {
-	id   int
 	home int
 	res  sim.Resource
 	row  Row
@@ -314,7 +313,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			sc := spec.Col(col - 1)
 			row[col] = refCol{fetch: spec.FetchLatency(i, sc), store: spec.StoreLatency(i, sc), routed: spec.Routed(i, sc)}
 		}
-		m.procs[i] = Processor{id: i, home: spec.Home(i), res: sim.Resource{Name: cpuName(i), ID: i}, row: row}
+		m.procs[i] = Processor{home: spec.Home(i), res: sim.Resource{Name: cpuName(i), ID: i}, row: row}
 	}
 	return m, nil
 }

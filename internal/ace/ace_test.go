@@ -121,8 +121,8 @@ func TestNewMachine(t *testing.T) {
 		t.Errorf("NProc = %d", m.NProc())
 	}
 	for i := 0; i < 3; i++ {
-		if m.Proc(i).id != i {
-			t.Errorf("proc %d has id %d", i, m.Proc(i).id)
+		if id := m.Proc(i).Resource().ID; id != i {
+			t.Errorf("proc %d has id %d", i, id)
 		}
 		if got, want := m.Memory().Local(i).Name(), fmt.Sprintf("local memory of node%d", i); got != want {
 			t.Errorf("pool %d is %q, want %q", i, got, want)

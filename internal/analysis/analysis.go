@@ -191,8 +191,18 @@ func NewIndex() *Index {
 func (x *Index) Add(pkg *types.Package, files []*ast.File, info *types.Info) {
 	x.addMarks(files, info)
 	// A method's receiver is not a use of its type: a type that only
-	// its own methods name has no values.
-	receivers := make(map[*ast.Ident]bool)
+	// its own methods name has no values. Nor is a package-level blank
+	// assertion, var _ I = (*T)(nil) or T{}: it only checks that T
+	// implements I.
+	notUses := make(map[*ast.Ident]bool)
+	skip := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				notUses[id] = true
+			}
+			return true
+		})
+	}
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -201,17 +211,21 @@ func (x *Index) Add(pkg *types.Package, files []*ast.File, info *types.Info) {
 					x.decls[obj] = span{d.Pos(), d.End()}
 				}
 				if d.Recv != nil {
-					ast.Inspect(d.Recv, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok {
-							receivers[id] = true
-						}
-						return true
-					})
+					skip(d.Recv)
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok && info.Defs[ts.Name] != nil {
-						x.decls[info.Defs[ts.Name]] = span{ts.Pos(), ts.End()}
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						if info.Defs[sp.Name] != nil {
+							x.decls[info.Defs[sp.Name]] = span{sp.Pos(), sp.End()}
+						}
+					case *ast.ValueSpec:
+						if isAssertion(sp, info) {
+							for _, v := range sp.Values {
+								skip(v)
+							}
+						}
 					}
 				}
 			}
@@ -221,7 +235,7 @@ func (x *Index) Add(pkg *types.Package, files []*ast.File, info *types.Info) {
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin()
 		}
-		if s, ok := x.decls[obj]; receivers[id] || !ok || s.pos <= id.Pos() && id.Pos() < s.end {
+		if s, ok := x.decls[obj]; notUses[id] || !ok || s.pos <= id.Pos() && id.Pos() < s.end {
 			continue
 		}
 		x.used[obj] = true
@@ -235,6 +249,32 @@ func (x *Index) Add(pkg *types.Package, files []*ast.File, info *types.Info) {
 			x.addInterface(p.Scope().Lookup(name))
 		}
 	}
+}
+
+// isAssertion reports whether a package-level value spec is a blank
+// interface assertion: blank names, a declared type, and values that are
+// each a conversion, such as (*T)(nil), or a composite literal.
+func isAssertion(sp *ast.ValueSpec, info *types.Info) bool {
+	if sp.Type == nil || len(sp.Values) == 0 {
+		return false
+	}
+	for _, id := range sp.Names {
+		if id.Name != "_" {
+			return false
+		}
+	}
+	for _, v := range sp.Values {
+		switch e := ast.Unparen(v).(type) {
+		case *ast.CompositeLit:
+		case *ast.CallExpr:
+			if !info.Types[e.Fun].IsType() {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 func (x *Index) addInterface(obj types.Object) {

@@ -8,9 +8,10 @@
 // Uses come from the loader's index over every package of the module
 // (analysis.Index), whichever packages are named, so a use in a package
 // that is not being linted still counts. A method's receiver is not a
-// use of its type, and a function's own body is not a use of it, so a
-// recursive function with no other caller is reported. Two declarations
-// are exempt:
+// use of its type, nor is a package-level blank assertion such as
+// var _ I = (*T)(nil), and a function's own body is not a use of it, so
+// a recursive function with no other caller is reported. Two
+// declarations are exempt:
 //
 //   - a method that satisfies a method of an interface its type
 //     implements, declared in a loaded package or in a package one

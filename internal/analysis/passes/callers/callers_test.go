@@ -9,9 +9,10 @@ import (
 )
 
 // TestCallers checks the fixture as a package under internal/: test-only,
-// unreferenced and self-recursive declarations are reported, interface
-// methods and api-marked declarations are not, and an api line that is
-// not needed is.
+// unreferenced and self-recursive declarations are reported, and so are
+// types kept only by a blank interface assertion; interface methods and
+// api-marked declarations are not, and an api line that is not needed
+// is.
 func TestCallers(t *testing.T) {
 	analysistest.Run(t, filepath.Join(analysistest.TestData(), "callers"), callers.Analyzer,
 		analysistest.WithImportPath("fixture/internal/callers"))

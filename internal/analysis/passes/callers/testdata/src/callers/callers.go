@@ -49,6 +49,21 @@ type failure struct{}
 // Error satisfies error.
 func (failure) Error() string { return "failure" }
 
+// asserted and pointed are kept only by blank assertions that they
+// implement Shape, which check their method sets but make no values.
+type asserted struct{} // want `asserted has no caller`
+
+func (asserted) Area() int { return 0 }
+
+type pointed struct{} // want `pointed has no caller`
+
+func (*pointed) Area() int { return 0 }
+
+var (
+	_ Shape = asserted{}
+	_ Shape = (*pointed)(nil)
+)
+
 // orphan's only mention is its own method's receiver.
 type orphan struct{} // want `orphan has no caller`
 

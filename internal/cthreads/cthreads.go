@@ -34,21 +34,21 @@ type Runtime struct {
 // New creates a C-Threads runtime on kernel with the given scheduling
 // discipline.
 func New(k *vm.Kernel, mode sched.Mode) *Runtime {
-	return NewShared(k, sched.New(k, mode), "cthreads")
+	return NewShared(k, sched.New(k, mode))
 }
 
 // NewShared creates a C-Threads runtime (its own task/address space) on a
 // scheduler that may be shared with other runtimes. Several programs can
 // thus run concurrently on one machine — the multiprogrammed "application
 // mix" whose locality the paper's system manages as a whole.
-func NewShared(k *vm.Kernel, s *sched.Scheduler, name string) *Runtime {
+func NewShared(k *vm.Kernel, s *sched.Scheduler) *Runtime {
 	// Connect the co-placement channel: a ThreadAdvisor-capable policy
 	// can now ask the scheduler to migrate threads toward their hot
 	// pages. With any other policy the channel carries nothing.
 	k.NUMA().SetThreadMover(s)
 	return &Runtime{
 		kernel: k,
-		task:   k.NewTask(name),
+		task:   k.NewTask(),
 		sched:  s,
 	}
 }

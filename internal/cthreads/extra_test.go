@@ -42,8 +42,8 @@ func TestBroadcastWakesAll(t *testing.T) {
 func TestNewSharedRuntimesShareMachine(t *testing.T) {
 	k := newRuntime(2, sched.Affinity).Kernel()
 	s := sched.New(k, sched.Affinity)
-	r1 := cthreads.NewShared(k, s, "first")
-	r2 := cthreads.NewShared(k, s, "second")
+	r1 := cthreads.NewShared(k, s)
+	r2 := cthreads.NewShared(k, s)
 	if r2.Task() == r1.Task() {
 		t.Fatal("shared runtimes must have distinct address spaces")
 	}

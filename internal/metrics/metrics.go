@@ -232,7 +232,7 @@ func Run(spec RunSpec, ws ...workloads.Workload) (RunResult, error) {
 	}
 	finishes := make([]func() error, len(ws))
 	for i, w := range ws {
-		finishes[i] = w.Start(cthreads.NewShared(kernel, sys.Sched, w.Name()), workers)
+		finishes[i] = w.Start(cthreads.NewShared(kernel, sys.Sched), workers)
 	}
 	err = machine.Engine().Run()
 	for i := 0; err == nil && i < len(finishes); i++ {

@@ -107,7 +107,8 @@ func (n *Manager) maybeAudit(pg *Page) {
 // auditCheckPage validates one page's directory invariants: the
 // structural checks of CheckInvariants (exactly one writable copy,
 // replica sets consistent with the page state), every replica recorded in
-// the residency table, and pin monotonicity (a pin is only cleared by
+// the residency table, every replica of a read-only page holding its
+// global frame's contents, and pin monotonicity (a pin is only cleared by
 // FreePage).
 func (n *Manager) auditCheckPage(pg *Page) error {
 	if err := n.CheckInvariants(pg); err != nil {
@@ -120,6 +121,9 @@ func (n *Manager) auditCheckPage(pg *Page) error {
 		if n.shards[p].resident[c.Index()] != pg {
 			return fmt.Errorf("page%d copy on cpu%d frame %d is missing from the residency table",
 				pg.id, p, c.Index())
+		}
+		if pg.state == ReadOnly && !c.Equal(pg.global) {
+			return fmt.Errorf("page%d replica on node%d differs from its global frame", pg.id, p)
 		}
 		if n.offline != nil && n.offline[p] {
 			return fmt.Errorf("page%d holds a copy on offline node%d", pg.id, p)

@@ -91,6 +91,48 @@ func TestAuditCatchesStaleResidency(t *testing.T) {
 	}
 }
 
+// TestAuditCatchesDivergedReplica: cpu0 writes a page, then cpu1 reads
+// it, which syncs cpu0's dirty copy back and places a read-only replica on
+// cpu1 that shares the global frame's bytes. The audit accepts the
+// replica, and reports it once a store that no mapping allows makes it
+// differ.
+func TestAuditCatchesDivergedReplica(t *testing.T) {
+	cfg := ace.DefaultConfig()
+	cfg.NProc = 2
+	cfg.GlobalFrames = 8
+	cfg.LocalFrames = 4
+	cfg.PageSize = 256
+	m := ace.MustMachine(cfg)
+	n := NewManager(m, localPolicy{})
+	n.EnableAudit(1, nil)
+	var pg *Page
+	m.Engine().Spawn("setup", 0, func(th *sim.Thread) {
+		var err error
+		if pg, err = n.NewPage(); err != nil {
+			t.Error(err)
+			return
+		}
+		f, _ := n.Access(th, pg, 0, true, mmu.ProtReadWrite)
+		f.Store32(0, 7)
+		n.Access(th, pg, 1, false, mmu.ProtReadWrite)
+	})
+	if err := m.Engine().Run(); err != nil {
+		t.Fatal(err)
+	}
+	r := pg.copies[1]
+	if pg.state != ReadOnly || r == nil || r.Load32(0) != 7 || !r.Equal(pg.global) {
+		t.Fatalf("page state %v, replica %v: want a read-only replica holding 7", pg.state, r)
+	}
+	r.Store32(4, 1)
+	err := n.AuditAll()
+	if err == nil || !strings.Contains(err.Error(), "replica on node1 differs from its global frame") {
+		t.Errorf("err = %v, want diverged-replica report", err)
+	}
+	if pg.global.Load32(4) != 0 {
+		t.Error("a store to the replica reached the global frame it shares")
+	}
+}
+
 func TestAuditCatchesPinRegression(t *testing.T) {
 	n, pg, _ := auditRig(t)
 	pg.pinSeen = true // the audit saw it pinned once...

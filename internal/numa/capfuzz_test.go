@@ -27,7 +27,7 @@ import (
 // capability. The advice script is pre-generated, so runs are
 // reproducible.
 type capPolicy struct {
-	*policy.Scripted
+	*scripted
 	advice []capAdvice
 	pos    int
 }
@@ -108,12 +108,12 @@ func capFuzzScript(t *testing.T, seed int64, pragma bool) []int {
 	m := ace.MustMachine(cfg)
 
 	const nops = 120
-	pol := &capPolicy{Scripted: &policy.Scripted{}}
+	pol := &capPolicy{scripted: &scripted{}}
 	for i := 0; i < nops; i++ {
 		if rng.Intn(2) == 0 {
-			pol.Answers = append(pol.Answers, numa.Local)
+			pol.answers = append(pol.answers, numa.Local)
 		} else {
-			pol.Answers = append(pol.Answers, numa.Global)
+			pol.answers = append(pol.answers, numa.Global)
 		}
 		pol.advice = append(pol.advice, capAdvice{
 			target: rng.Intn(m.NNodes()),

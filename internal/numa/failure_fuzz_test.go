@@ -8,7 +8,6 @@ import (
 	"numasim/internal/ace"
 	"numasim/internal/mmu"
 	"numasim/internal/numa"
-	"numasim/internal/policy"
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
 	"numasim/internal/topology"
@@ -29,15 +28,15 @@ func failureFuzzConfig(t *testing.T, seed int64, cfg ace.Config) {
 	nnodes := m.NNodes()
 
 	const nops = 120
-	script := &policy.Scripted{}
+	script := &scripted{}
 	for i := 0; i < nops; i++ {
 		switch r := rng.Intn(10); {
 		case r < 5:
-			script.Answers = append(script.Answers, numa.Local)
+			script.answers = append(script.answers, numa.Local)
 		case r < 8:
-			script.Answers = append(script.Answers, numa.Global)
+			script.answers = append(script.answers, numa.Global)
 		default:
-			script.Answers = append(script.Answers, numa.PlaceRemote)
+			script.answers = append(script.answers, numa.PlaceRemote)
 		}
 	}
 	n := numa.NewManager(m, script)

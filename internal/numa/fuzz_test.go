@@ -8,7 +8,6 @@ import (
 	"numasim/internal/ace"
 	"numasim/internal/mmu"
 	"numasim/internal/numa"
-	"numasim/internal/policy"
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
 	"numasim/internal/topology"
@@ -95,6 +94,35 @@ func fuzzScript(t *testing.T, seed int64, pressure bool) uint64 {
 	return fuzzConfig(t, seed, pressure, cfg)
 }
 
+// scripted replays a pre-generated sequence of placement answers, one per
+// request, repeating the last answer when the script runs out (an empty
+// script answers LOCAL). It drives the manager through arbitrary decision
+// sequences deterministically, independent of any real policy's logic.
+type scripted struct {
+	answers []numa.Location
+	pos     int
+}
+
+// CachePolicy implements numa.Policy.
+//
+//numalint:hotpath
+func (s *scripted) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.Prot) numa.Location {
+	if len(s.answers) == 0 {
+		return numa.Local
+	}
+	if s.pos >= len(s.answers) {
+		return s.answers[len(s.answers)-1]
+	}
+	ans := s.answers[s.pos]
+	s.pos++
+	return ans
+}
+
+// Name implements numa.Policy.
+//
+//numalint:hotpath
+func (s *scripted) Name() string { return "scripted" }
+
 // scriptedChaos replays an explicit allocation-failure schedule: call k
 // of FailLocalAlloc fails iff fail[k] (out-of-range calls succeed), so the
 // pressure fuzz's failure schedule is part of its seeded script rather
@@ -124,19 +152,19 @@ func fuzzConfig(t *testing.T, seed int64, pressure bool, cfg ace.Config) uint64 
 	rng := rand.New(rand.NewSource(seed))
 	m := ace.MustMachine(cfg)
 
-	// Pre-generate the policy's answers so the run exercises Scripted too.
+	// Pre-generate the policy's answers so the run exercises scripted too.
 	// PlaceRemote answers are demoted to Global by the manager unless the
 	// page carries a home pragma.
 	const nops = 120
-	script := &policy.Scripted{}
+	script := &scripted{}
 	for i := 0; i < nops; i++ {
 		switch r := rng.Intn(10); {
 		case r < 5:
-			script.Answers = append(script.Answers, numa.Local)
+			script.answers = append(script.answers, numa.Local)
 		case r < 8:
-			script.Answers = append(script.Answers, numa.Global)
+			script.answers = append(script.answers, numa.Global)
 		default:
-			script.Answers = append(script.Answers, numa.PlaceRemote)
+			script.answers = append(script.answers, numa.PlaceRemote)
 		}
 	}
 	n := numa.NewManager(m, script)

@@ -694,7 +694,7 @@ func (n *Manager) toRemote(th *sim.Thread, pg *Page, proc int, maxProt mmu.Prot)
 	case GlobalWritable:
 		n.unmapAll(th, pg)
 	}
-	f := n.ensureCopy(th, pg, home, proc)
+	f := n.ensureCopy(th, pg, home, proc, false)
 	pg.setState(Remote)
 	pg.owner = home
 	n.stats.RemotePlaced++
@@ -741,11 +741,11 @@ func (n *Manager) readLocal(th *sim.Thread, pg *Page, proc, node int) (*mem.Fram
 		if n.noReplication && pg.copies[node] == nil && pg.NCopies() > 0 {
 			n.flushExcept(th, pg, node, "flush other")
 		}
-		f := n.ensureCopy(th, pg, node, proc)
+		f := n.ensureCopy(th, pg, node, proc, true)
 		return f, mmu.ProtRead
 	case GlobalWritable:
 		n.unmapAll(th, pg)
-		f := n.ensureCopy(th, pg, node, proc)
+		f := n.ensureCopy(th, pg, node, proc, true)
 		pg.setState(ReadOnly)
 		return f, mmu.ProtRead
 	case LocalWritable:
@@ -754,7 +754,7 @@ func (n *Manager) readLocal(th *sim.Thread, pg *Page, proc, node int) (*mem.Fram
 			return pg.copies[node], mmu.ProtRead
 		}
 		n.syncFlush(th, pg, pg.owner, proc, "sync&flush other")
-		f := n.ensureCopy(th, pg, node, proc)
+		f := n.ensureCopy(th, pg, node, proc, true)
 		pg.setState(ReadOnly)
 		pg.owner = -1
 		return f, mmu.ProtRead
@@ -769,12 +769,12 @@ func (n *Manager) writeLocal(th *sim.Thread, pg *Page, proc, node int, maxProt m
 	switch pg.state {
 	case ReadOnly:
 		n.flushExcept(th, pg, node, "flush other")
-		f := n.ensureCopy(th, pg, node, proc)
+		f := n.ensureCopy(th, pg, node, proc, false)
 		n.becomeOwner(pg, node)
 		return f, maxProt
 	case GlobalWritable:
 		n.unmapAll(th, pg)
-		f := n.ensureCopy(th, pg, node, proc)
+		f := n.ensureCopy(th, pg, node, proc, false)
 		// Coming home from global memory is not a transfer between
 		// processors, so it does not count against the move budget.
 		pg.setState(LocalWritable)
@@ -787,7 +787,7 @@ func (n *Manager) writeLocal(th *sim.Thread, pg *Page, proc, node int, maxProt m
 			return pg.copies[node], maxProt
 		}
 		n.syncFlush(th, pg, pg.owner, proc, "sync&flush other")
-		f := n.ensureCopy(th, pg, node, proc)
+		f := n.ensureCopy(th, pg, node, proc, false)
 		n.becomeOwner(pg, node)
 		return f, maxProt
 	default:
@@ -886,8 +886,11 @@ func (n *Manager) becomeOwner(pg *Page, node int) {
 // copying from global memory (or performing the pending lazy zero-fill) as
 // needed, and reports the replica's frame. The copy work is charged to
 // the faulting processor proc. The caller has verified that a local frame
-// is available.
-func (n *Manager) ensureCopy(th *sim.Thread, pg *Page, node, proc int) *mem.Frame {
+// is available. A read placement shares the global frame's bytes instead
+// of copying them (mem.Frame.ShareFrom): the charge is the same, and a
+// store to the replica would copy them first. A write placement copies,
+// since its first store would copy anyway.
+func (n *Manager) ensureCopy(th *sim.Thread, pg *Page, node, proc int, share bool) *mem.Frame {
 	if f := pg.copies[node]; f != nil {
 		return f
 	}
@@ -904,7 +907,11 @@ func (n *Manager) ensureCopy(th *sim.Thread, pg *Page, node, proc int) *mem.Fram
 		pg.needZero = false
 		n.stats.ZeroFills++
 	} else {
-		f.CopyFrom(pg.global)
+		if share {
+			f.ShareFrom(pg.global)
+		} else {
+			f.CopyFrom(pg.global)
+		}
 		n.machine.ChargeCopySys(th, pg.global, f, proc)
 		n.stats.Copies++
 		n.chargeMoveDelay(th, proc)

@@ -32,18 +32,14 @@ type Pmap struct {
 	mgr   *Manager
 	space uint32 // address-space id, packed into MMU keys
 	shift uint   // page shift
-	res   resTable
 }
 
 // Manager is the pmap manager: one per machine, coordinating all pmaps.
-// Live pmaps are held in a dense slice indexed by address-space id (ids
-// are monotonic and never reused), so whole-machine sweeps like RemoveAll
-// walk spaces in creation order with no map iteration.
+// Address-space ids are monotonic and never reused.
 type Manager struct {
 	machine   *ace.Machine
 	numa      *numa.Manager
 	nextSpace uint32
-	pmaps     []*Pmap // indexed by space id
 }
 
 // NewManager creates the pmap manager for machine, placing pages through
@@ -63,7 +59,6 @@ func (m *Manager) Create() *Pmap {
 		shift: m.machine.PageShift(),
 	}
 	m.nextSpace++
-	m.pmaps = append(m.pmaps, p)
 	return p
 }
 
@@ -97,7 +92,6 @@ func (p *Pmap) Enter(th *sim.Thread, proc int, va uint32, pg *numa.Page, maxProt
 	}
 	hw.Enter(key, frame, prot)
 	th.AdvanceSys(p.mgr.machine.Cost().MMUOp)
-	p.res.set(va>>p.shift, pg)
 	if bus := p.mgr.machine.Bus(); bus.Enabled() {
 		bus.Emit(simtrace.Event{
 			Kind: simtrace.KindMapEnter, Proc: int32(proc), Thread: int32(th.ID()),
@@ -112,26 +106,11 @@ func (p *Pmap) Enter(th *sim.Thread, proc int, va uint32, pg *numa.Page, maxProt
 // global memory.
 func (m *Manager) RemoveAll(th *sim.Thread, pg *numa.Page) {
 	m.numa.PrepareEvict(th, pg)
-	m.dropResidency(pg)
-}
-
-// dropResidency clears every pmap's residency record of pg, walking
-// spaces and VPNs in ascending order (deterministic by construction; no
-// map iteration).
-func (m *Manager) dropResidency(pg *numa.Page) {
-	for _, p := range m.pmaps {
-		for vpn, rpg := range p.res.pages {
-			if rpg == pg {
-				p.res.del(uint32(vpn))
-			}
-		}
-	}
 }
 
 // FreePage starts lazy cleanup of a freed logical page and returns a tag
 // (the paper's pmap_free_page).
 func (m *Manager) FreePage(th *sim.Thread, pg *numa.Page) *numa.FreeTag {
-	m.dropResidency(pg)
 	return m.numa.FreePage(th, pg)
 }
 

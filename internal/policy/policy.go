@@ -245,36 +245,6 @@ func (f *Forced) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.Pr
 //numalint:coldpath formats a report label; the manager only calls Name when tracing is on
 func (f *Forced) Name() string { return "forced-" + f.Answer.String() }
 
-// Scripted replays a pre-generated sequence of answers, one per request,
-// repeating the last answer when the script runs out (an empty script
-// answers LOCAL). It lets protocol tests — the seeded fuzz suite in
-// particular — drive the NUMA manager through arbitrary decision
-// sequences deterministically, independent of any real policy's logic.
-type Scripted struct {
-	Answers []numa.Location
-	pos     int
-}
-
-// CachePolicy implements numa.Policy.
-//
-//numalint:hotpath
-func (s *Scripted) CachePolicy(pg *numa.Page, proc int, write bool, maxProt mmu.Prot) numa.Location {
-	if len(s.Answers) == 0 {
-		return numa.Local
-	}
-	if s.pos >= len(s.Answers) {
-		return s.Answers[len(s.Answers)-1]
-	}
-	ans := s.Answers[s.pos]
-	s.pos++
-	return ans
-}
-
-// Name implements numa.Policy.
-//
-//numalint:hotpath
-func (s *Scripted) Name() string { return "scripted" }
-
 // Compile-time interface checks.
 var (
 	_ numa.Policy              = (*Threshold)(nil)
@@ -284,5 +254,4 @@ var (
 	_ numa.ThreadAdvisor       = (*Pragma)(nil)
 	_ numa.Policy              = (*Reconsider)(nil)
 	_ numa.Policy              = (*Forced)(nil)
-	_ numa.Policy              = (*Scripted)(nil)
 )

@@ -21,7 +21,7 @@ func newKernel(nproc int) *vm.Kernel {
 func TestSequentialAssignment(t *testing.T) {
 	k := newKernel(4)
 	s := sched.New(k, sched.Affinity)
-	task := k.NewTask("t")
+	task := k.NewTask()
 	var procs []int
 	for i := 0; i < 4; i++ {
 		s.Spawn("w", task, 0, func(c *vm.Context) {
@@ -43,7 +43,7 @@ func TestSequentialAssignment(t *testing.T) {
 func TestReuseAfterExit(t *testing.T) {
 	k := newKernel(2)
 	s := sched.New(k, sched.Affinity)
-	task := k.NewTask("t")
+	task := k.NewTask()
 	var first *sim.Thread
 	first = s.Spawn("a", task, 0, func(c *vm.Context) { c.Compute(1) })
 	var secondProc int
@@ -71,7 +71,7 @@ func TestReuseAfterExit(t *testing.T) {
 func TestMigrateHint(t *testing.T) {
 	k := newKernel(4)
 	s := sched.New(k, sched.Affinity)
-	task := k.NewTask("t")
+	task := k.NewTask()
 	var before, after int
 	var th *sim.Thread
 	th = s.Spawn("w", task, 0, func(c *vm.Context) {
@@ -102,7 +102,7 @@ func TestMigrateHint(t *testing.T) {
 func TestMigrateHintRejections(t *testing.T) {
 	k := newKernel(2)
 	s := sched.New(k, sched.Affinity)
-	task := k.NewTask("t")
+	task := k.NewTask()
 	var th *sim.Thread
 	th = s.Spawn("w", task, 0, func(c *vm.Context) {
 		if s.MigrateHint(th, -1) || s.MigrateHint(th, 99) {
@@ -128,7 +128,7 @@ func TestMigrateHintRejections(t *testing.T) {
 
 	k2 := newKernel(2)
 	s2 := sched.New(k2, sched.NoAffinity)
-	task2 := k2.NewTask("t")
+	task2 := k2.NewTask()
 	var th2 *sim.Thread
 	th2 = s2.Spawn("w", task2, 0, func(c *vm.Context) {
 		if s2.MigrateHint(th2, 1) {
@@ -154,7 +154,7 @@ func TestFailoverSpreadsByLiveCounts(t *testing.T) {
 	cfg.GlobalFrames, cfg.LocalFrames = 64, 32
 	k := vm.NewKernel(ace.MustMachine(cfg), policy.NewDefault())
 	s := sched.New(k, sched.Affinity)
-	task := k.NewTask("t")
+	task := k.NewTask()
 	end := make([]int, cfg.NProc)
 	for i := range end {
 		s.Spawn("w", task, 0, func(c *vm.Context) {
@@ -192,7 +192,7 @@ func TestFailoverSpreadsByLiveCounts(t *testing.T) {
 func TestHopMovesLiveCount(t *testing.T) {
 	k := newKernel(2)
 	s := sched.New(k, sched.NoAffinity)
-	task := k.NewTask("t")
+	task := k.NewTask()
 	s.Spawn("w", task, 0, func(c *vm.Context) {
 		for range 3 {
 			c.Compute(1000) // each call ends a quantum, and the thread hops

@@ -75,9 +75,8 @@ func (c *CountingSink) Render() string {
 // log FormatEvents(ring.Events()) to show the protocol history that led
 // to the bad state. Not safe for concurrent Emit.
 type RingSink struct {
-	buf   []Event
-	next  int
-	total int
+	buf  []Event
+	next int
 }
 
 // NewRingSink returns a ring buffer retaining the last cap events.
@@ -96,7 +95,6 @@ func (r *RingSink) Emit(ev Event) {
 		r.buf[r.next] = ev
 	}
 	r.next = (r.next + 1) % cap(r.buf)
-	r.total++
 }
 
 // EmitBatch implements BatchSink.

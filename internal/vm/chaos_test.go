@@ -29,7 +29,7 @@ func TestKernelChaos(t *testing.T) {
 			cfg.Quantum = 50 * sim.Microsecond
 			machine := ace.MustMachine(cfg)
 			k := vm.NewKernel(machine, policy.NewPragma(policy.NewThreshold(2)))
-			task := k.NewTask("chaos")
+			task := k.NewTask()
 
 			const regions = 4
 			const pagesPerRegion = 5
@@ -111,7 +111,7 @@ func TestKernelChaosParallel(t *testing.T) {
 	cfg.Quantum = 50 * sim.Microsecond
 	machine := ace.MustMachine(cfg)
 	k := vm.NewKernel(machine, policy.NewThreshold(2))
-	task := k.NewTask("chaos")
+	task := k.NewTask()
 	const pages = 24
 	ps := uint32(cfg.PageSize)
 	base := task.Allocate("shared", pages*ps, 3)

@@ -109,7 +109,6 @@ type Entry struct {
 	prot   mmu.Prot
 	hint   numa.Hint
 	home   int // home processor for remote placement; -1 unset
-	name   string
 }
 
 // Start returns the region's first virtual address.
@@ -127,7 +126,6 @@ type Task struct {
 	pm      *pmap.Pmap
 	entries []*Entry // sorted by start
 	nextVA  uint32
-	name    string
 }
 
 // Kernel ties the machine-independent VM system to one machine: it owns
@@ -186,12 +184,11 @@ func (k *Kernel) Pmap() *pmap.Manager { return k.pm }
 func (k *Kernel) Stats() Stats { return k.stats }
 
 // NewTask creates an empty address space.
-func (k *Kernel) NewTask(name string) *Task {
+func (k *Kernel) NewTask() *Task {
 	t := &Task{
 		kernel: k,
 		pm:     k.pm.Create(),
 		nextVA: 0x0001_0000,
-		name:   name,
 	}
 	k.tasks = append(k.tasks, t)
 	return t
@@ -216,12 +213,12 @@ func (t *Task) Kernel() *Kernel { return t.kernel }
 // Regions are separated by an unmapped guard page so that overruns fault.
 func (t *Task) Allocate(name string, size uint32, prot mmu.Prot) uint32 {
 	obj := t.kernel.NewObject(name, size)
-	return t.Map(name, obj, 0, size, prot)
+	return t.Map(obj, 0, size, prot)
 }
 
 // Map maps length bytes of obj starting at byte offset objOff (page
 // aligned) into the task (the Mach vm_map) and returns the base address.
-func (t *Task) Map(name string, obj *Object, objOff, length uint32, prot mmu.Prot) uint32 {
+func (t *Task) Map(obj *Object, objOff, length uint32, prot mmu.Prot) uint32 {
 	ps := uint32(t.kernel.machine.PageSize())
 	if objOff%ps != 0 {
 		panic(fmt.Sprintf("vm: object offset %#x not page aligned", objOff))
@@ -241,7 +238,6 @@ func (t *Task) Map(name string, obj *Object, objOff, length uint32, prot mmu.Pro
 		objOff: objOff,
 		prot:   prot,
 		home:   -1,
-		name:   name,
 	}
 	t.entries = append(t.entries, e)
 	sort.Slice(t.entries, func(i, j int) bool { return t.entries[i].start < t.entries[j].start })

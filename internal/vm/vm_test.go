@@ -29,7 +29,7 @@ func run1(t *testing.T, cfg ace.Config, pol numa.Policy, body func(c *vm.Context
 		pol = policy.NewDefault()
 	}
 	k := vm.NewKernel(machine, pol)
-	task := k.NewTask("t")
+	task := k.NewTask()
 	machine.Engine().Spawn("main", 0, func(th *sim.Thread) {
 		body(vm.NewContext(k, task, th, 0))
 	})
@@ -105,11 +105,11 @@ func TestProtectionViolation(t *testing.T) {
 func TestSharedObjectAcrossTasks(t *testing.T) {
 	machine := ace.MustMachine(smallCfg(2))
 	k := vm.NewKernel(machine, policy.NewDefault())
-	ta := k.NewTask("a")
-	tb := k.NewTask("b")
+	ta := k.NewTask()
+	tb := k.NewTask()
 	obj := k.NewObject("shared", 4096)
-	vaA := ta.Map("sh", obj, 0, 4096, mmu.ProtReadWrite)
-	vaB := tb.Map("sh", obj, 0, 4096, mmu.ProtReadWrite)
+	vaA := ta.Map(obj, 0, 4096, mmu.ProtReadWrite)
+	vaB := tb.Map(obj, 0, 4096, mmu.ProtReadWrite)
 	done := make(chan struct{}, 1)
 	machine.Engine().Spawn("a", 0, func(th *sim.Thread) {
 		ca := vm.NewContext(k, ta, th, 0)
@@ -131,7 +131,7 @@ func TestSharedObjectAcrossTasks(t *testing.T) {
 func TestMigrationBetweenProcessors(t *testing.T) {
 	machine := ace.MustMachine(smallCfg(2))
 	k := vm.NewKernel(machine, policy.NewDefault())
-	task := k.NewTask("t")
+	task := k.NewTask()
 	base := task.Allocate("shared", 4096, mmu.ProtReadWrite)
 	var w0 *sim.Thread
 	w0 = machine.Engine().Spawn("w0", 0, func(th *sim.Thread) {
@@ -161,7 +161,7 @@ func TestMigrationBetweenProcessors(t *testing.T) {
 func TestThresholdPinsViaContexts(t *testing.T) {
 	machine := ace.MustMachine(smallCfg(2))
 	k := vm.NewKernel(machine, policy.NewThreshold(2))
-	task := k.NewTask("t")
+	task := k.NewTask()
 	base := task.Allocate("pingpong", 4096, mmu.ProtReadWrite)
 	machine.Engine().Spawn("driver", 0, func(th *sim.Thread) {
 		c0 := vm.NewContext(k, task, th, 0)
@@ -193,7 +193,7 @@ func TestPageoutResetsPin(t *testing.T) {
 	cfg.GlobalFrames = 4 // tiny global memory forces pageout
 	machine := ace.MustMachine(cfg)
 	k := vm.NewKernel(machine, policy.NewThreshold(1))
-	task := k.NewTask("t")
+	task := k.NewTask()
 	hot := task.Allocate("hot", 4096, mmu.ProtReadWrite)
 	filler := task.Allocate("filler", 4*4096, mmu.ProtReadWrite)
 	machine.Engine().Spawn("main", 0, func(th *sim.Thread) {
@@ -246,7 +246,7 @@ func TestPageoutResetsPin(t *testing.T) {
 func TestPragmaHint(t *testing.T) {
 	machine := ace.MustMachine(smallCfg(2))
 	k := vm.NewKernel(machine, policy.NewPragma(nil))
-	task := k.NewTask("t")
+	task := k.NewTask()
 	base := task.Allocate("noncache", 4096, mmu.ProtReadWrite)
 	task.SetHint(base, numa.HintNoncacheable)
 	machine.Engine().Spawn("main", 0, func(th *sim.Thread) {
@@ -273,7 +273,7 @@ func TestUnixMasterSharing(t *testing.T) {
 		machine := ace.MustMachine(smallCfg(3))
 		k := vm.NewKernel(machine, policy.NewThreshold(1))
 		k.UnixMaster = master
-		task := k.NewTask("t")
+		task := k.NewTask()
 		stack := task.Allocate("stack", 4096, mmu.ProtReadWrite)
 		machine.Engine().Spawn("w", 0, func(th *sim.Thread) {
 			c := vm.NewContext(k, task, th, 2)
@@ -300,7 +300,7 @@ func TestQuantumHook(t *testing.T) {
 	cfg.Quantum = 10 * sim.Microsecond
 	machine := ace.MustMachine(cfg)
 	k := vm.NewKernel(machine, policy.NewDefault())
-	task := k.NewTask("t")
+	task := k.NewTask()
 	var fired int
 	machine.Engine().Spawn("w", 0, func(th *sim.Thread) {
 		c := vm.NewContext(k, task, th, 0)
@@ -318,7 +318,7 @@ func TestQuantumHook(t *testing.T) {
 func TestAllocationAlignmentAndGuards(t *testing.T) {
 	machine := ace.MustMachine(smallCfg(2))
 	k := vm.NewKernel(machine, policy.NewDefault())
-	task := k.NewTask("t")
+	task := k.NewTask()
 	a := task.Allocate("a", 100, mmu.ProtReadWrite) // rounds to one page
 	b := task.Allocate("b", 4097, mmu.ProtReadWrite)
 	if a%4096 != 0 || b%4096 != 0 {
@@ -339,12 +339,12 @@ func TestAllocationAlignmentAndGuards(t *testing.T) {
 func TestBadMapsPanic(t *testing.T) {
 	machine := ace.MustMachine(smallCfg(2))
 	k := vm.NewKernel(machine, policy.NewDefault())
-	task := k.NewTask("t")
+	task := k.NewTask()
 	obj := k.NewObject("o", 4096)
 	for name, fn := range map[string]func(){
-		"unaligned offset": func() { task.Map("x", obj, 100, 4096, mmu.ProtRead) },
-		"zero length":      func() { task.Map("x", obj, 0, 0, mmu.ProtRead) },
-		"beyond object":    func() { task.Map("x", obj, 0, 8192, mmu.ProtRead) },
+		"unaligned offset": func() { task.Map(obj, 100, 4096, mmu.ProtRead) },
+		"zero length":      func() { task.Map(obj, 0, 0, mmu.ProtRead) },
+		"beyond object":    func() { task.Map(obj, 0, 8192, mmu.ProtRead) },
 	} {
 		func() {
 			defer func() {
@@ -360,7 +360,7 @@ func TestBadMapsPanic(t *testing.T) {
 func TestSyscallStaysOnProcWithoutMaster(t *testing.T) {
 	machine := ace.MustMachine(smallCfg(2))
 	k := vm.NewKernel(machine, policy.NewDefault())
-	task := k.NewTask("t")
+	task := k.NewTask()
 	base := task.Allocate("d", 4096, mmu.ProtReadWrite)
 	machine.Engine().Spawn("w", 0, func(th *sim.Thread) {
 		c := vm.NewContext(k, task, th, 1)
@@ -387,7 +387,7 @@ func TestConcurrentCoherence(t *testing.T) {
 	cfg.Quantum = 50 * sim.Microsecond
 	machine := ace.MustMachine(cfg)
 	k := vm.NewKernel(machine, policy.NewThreshold(3))
-	task := k.NewTask("t")
+	task := k.NewTask()
 	const words = 256
 	base := task.Allocate("shared", words*4, mmu.ProtReadWrite)
 

@@ -104,6 +104,6 @@ func New(opts ...Option) (*System, error) {
 	}
 	return &System{
 		Machine: sys.Machine, Kernel: sys.Kernel,
-		Runtime: cthreads.NewShared(sys.Kernel, sys.Sched, "cthreads"),
+		Runtime: cthreads.NewShared(sys.Kernel, sys.Sched),
 	}, nil
 }
