@@ -12,6 +12,10 @@
 #   make lint     - build bin/numalint and run its analyzer suite
 #                   (determinism, maporder, statemachine, units,
 #                   violation, hotpath, atomicmix, callers) over ./...
+#   make inline   - require the compiler to inline the reference path:
+#                   each vm.Context accessor's mem.Frame accessor, and
+#                   the MMU probe, charge row and link charge in
+#                   refFetch, refStore and refUpdate
 #   make bench    - run the benchmark suite (tables, ablations, the
 #                   simulator hot-path microbenchmarks, and the simtrace
 #                   overhead check: BenchmarkTraceOverhead/off must stay
@@ -78,9 +82,9 @@ BENCHDIFF_TOL ?= 0.20
 # passes the pull request's base, or HEAD~1 on a push.
 BENCH_BASE ?= HEAD
 
-.PHONY: check build vet lint test bench bench-json bench-ci examples tables pressure audit topo tournament avail
+.PHONY: check build vet lint inline test bench bench-json bench-ci examples tables pressure audit topo tournament avail
 
-check: build vet lint test audit pressure topo tournament avail examples
+check: build vet lint inline test audit pressure topo tournament avail examples
 
 # bench/ is its own module, so the root ./... patterns do not reach it;
 # build, vet and test it explicitly, since it imports the harness.
@@ -99,6 +103,37 @@ lint:
 test:
 	$(GO) test -race ./...
 	cd bench && $(GO) test ./...
+
+# inline reads the compiler's inlining report for internal/vm, attributes
+# each inlined call to the function whose declaration precedes it, and
+# fails unless every caller:callee pair in INLINE_WANT is there. The
+# reference path's speed rests on these calls inlining (budget 80), and a
+# field or branch added to one of them can push it over silently.
+INLINE_WANT := \
+	Load32:mem.(*Frame).Load32 Store32:mem.(*Frame).Store32 \
+	Load8:mem.(*Frame).Load8 Store8:mem.(*Frame).Store8 \
+	Load64:mem.(*Frame).Load64 Store64:mem.(*Frame).Store64 \
+	TestAndSet:mem.(*Frame).Load32 TestAndSet:mem.(*Frame).Store32 \
+	FetchOr32:mem.(*Frame).Load32 FetchOr32:mem.(*Frame).Store32 \
+	refFetch:mmu.(*MMU).Probe refFetch:ace.Row.Fetch refFetch:ace.(*Machine).ChargeLink \
+	refStore:mmu.(*MMU).Probe refStore:ace.Row.Store refStore:ace.(*Machine).ChargeLink \
+	refUpdate:mmu.(*MMU).Probe refUpdate:ace.Row.Fetch refUpdate:ace.Row.Store \
+	refUpdate:ace.(*Machine).ChargeLink
+
+inline:
+	$(GO) build -gcflags=-m=2 -o /dev/null ./internal/vm 2>&1 | awk -F: -v want="$(INLINE_WANT)" ' \
+		$$1 != "internal/vm/vm.go" { next } \
+		$$4 ~ /^ (can|cannot) inline / && $$4 !~ /func[0-9]/ { \
+			name = $$4; sub(/^ (can|cannot) inline /, "", name); sub(/ .*/, "", name); \
+			sub(/^\(\*Context\)\./, "", name); start[$$2 + 0] = name; next } \
+		$$4 ~ /^ inlining call to / { callee = $$4; sub(/^ inlining call to /, "", callee); calls[$$2 + 0, callee] = 1 } \
+		END { \
+			for (k in calls) { split(k, kc, SUBSEP); fn = ""; best = 0; \
+				for (l in start) if (l + 0 <= kc[1] + 0 && l + 0 > best) { best = l + 0; fn = start[l] } \
+				got[fn ":" kc[2]] = 1 } \
+			n = split(want, w, " "); bad = 0; \
+			for (i = 1; i <= n; i++) if (!(w[i] in got)) { print "inline: not inlined: " w[i]; bad = 1 } \
+			if (bad) exit 1; print "inline: all " n " reference-path calls inline" }'
 
 bench:
 	$(GO) test -bench '$(BENCHFILTER)' -benchtime $(BENCHTIME) -benchmem -run '^$$' .
