@@ -415,28 +415,6 @@ func (m *Machine) PageShift() uint {
 	return s
 }
 
-// ChargeFetch charges th for a 32-bit fetch from frame f by processor proc
-// and counts it, both in proc's charge row. A fetch over a routed column
-// also pays any queueing delay on the interconnect route to f's node.
-//
-//numalint:hotpath
-func (m *Machine) ChargeFetch(th *sim.Thread, proc int, f *mem.Frame) {
-	if m.procs[proc].row.Fetch(th, f) {
-		m.ChargeLink(th, proc, f)
-	}
-}
-
-// ChargeStore charges th for a 32-bit store to frame f by processor proc
-// and counts it, both in proc's charge row. A store over a routed column
-// also pays any queueing delay on the interconnect route to f's node.
-//
-//numalint:hotpath
-func (m *Machine) ChargeStore(th *sim.Thread, proc int, f *mem.Frame) {
-	if m.procs[proc].row.Store(th, f) {
-		m.ChargeLink(th, proc, f)
-	}
-}
-
 // ChargeLink charges th, as user time, for the queueing delay a 32-bit
 // reference by processor proc to frame f waits on the interconnect. It
 // is the link half of a reference whose row charge (Row.Fetch or
@@ -473,34 +451,28 @@ func (m *Machine) chargeLink(th *sim.Thread, proc int, f *mem.Frame, bytes int, 
 	}
 }
 
-// ChargeCopySys charges th, as system time, for processor proc copying a
-// full page from src to dst at memory speed (a fetch and a store a word,
-// priced from proc's charge row) plus any interconnect queueing delay on
-// the two transfers, each over a routed column. All kernel page-copy
-// sites (NUMA protocol moves, pmap's physical copy) charge through here
-// so contention applies uniformly.
+// ChargePageSys charges th, as system time, for processor proc moving a
+// full page from src to dst at memory speed: a fetch a word from src and
+// a store a word to dst, priced together from proc's charge row, then any
+// interconnect queueing delay on each transfer over a routed column. A
+// nil src is a zero-fill or a pagein, whose bytes come from no frame; a
+// nil dst is a pageout, whose bytes go to none. Every kernel page
+// transfer charges through here, so contention applies uniformly.
 //
 //numalint:hotpath
-func (m *Machine) ChargeCopySys(th *sim.Thread, src, dst *mem.Frame, proc int) {
+func (m *Machine) ChargePageSys(th *sim.Thread, proc int, src, dst *mem.Frame) {
 	row := m.procs[proc].row
-	from, to := &row[src.Proc()+1], &row[dst.Proc()+1]
+	var from, to refCol
+	if src != nil {
+		from = row[src.Proc()+1]
+	}
+	if dst != nil {
+		to = row[dst.Proc()+1]
+	}
 	th.AdvanceSys(sim.Time(m.cfg.PageSize/4) * (from.fetch + to.store))
 	if from.routed {
 		m.chargeLink(th, proc, src, m.cfg.PageSize, true)
 	}
-	if to.routed {
-		m.chargeLink(th, proc, dst, m.cfg.PageSize, true)
-	}
-}
-
-// ChargeZeroSys charges th, as system time, for processor proc
-// zero-filling a page, a store per word priced from proc's charge row,
-// plus any interconnect queueing delay over a routed column.
-//
-//numalint:hotpath
-func (m *Machine) ChargeZeroSys(th *sim.Thread, dst *mem.Frame, proc int) {
-	to := &m.procs[proc].row[dst.Proc()+1]
-	th.AdvanceSys(sim.Time(m.cfg.PageSize/4) * to.store)
 	if to.routed {
 		m.chargeLink(th, proc, dst, m.cfg.PageSize, true)
 	}

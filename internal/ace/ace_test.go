@@ -35,10 +35,17 @@ func TestDefaultCostModelRatios(t *testing.T) {
 	}
 }
 
-// allocFrame takes a frame from node's local memory, or from global
-// memory when node is -1.
+// noFrame names the missing side of a page transfer: a zero-fill or a
+// pagein has no source frame, a pageout no destination frame.
+const noFrame = -2
+
+// allocFrame takes a frame from node's local memory, from global memory
+// when node is -1, or none when node is noFrame.
 func allocFrame(t *testing.T, m *Machine, node int) *mem.Frame {
 	t.Helper()
+	if node == noFrame {
+		return nil
+	}
 	pool := m.Memory().Global()
 	if node >= 0 {
 		pool = m.Memory().Local(node)
@@ -64,26 +71,27 @@ func sysCharge(t *testing.T, cfg Config, charge func(m *Machine, th *sim.Thread)
 
 // TestCopyZeroCost: on the ACE a page copy costs, per word, the
 // published fetch latency of its source plus the store latency of its
-// destination, and a zero-fill the store latency of its destination.
+// destination; a zero-fill or a pagein the store latency of its
+// destination; and a pageout the fetch latency of its source.
 func TestCopyZeroCost(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NProc, cfg.GlobalFrames, cfg.LocalFrames = 2, 4, 4
 	const ns = sim.Nanosecond
-	copyCost := func(src, dst int) sim.Time {
+	pageCost := func(src, dst int) sim.Time {
 		return sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
-			m.ChargeCopySys(th, allocFrame(t, m, src), allocFrame(t, m, dst), 0)
+			m.ChargePageSys(th, 0, allocFrame(t, m, src), allocFrame(t, m, dst))
 		})
 	}
 	for _, c := range []struct {
 		name      string
 		got, want sim.Time
 	}{
-		{"global to local", copyCost(-1, 0), 1024 * (1500*ns + 840*ns)},
-		{"local to global", copyCost(0, -1), 1024 * (650*ns + 1400*ns)},
-		{"remote to local", copyCost(1, 0), 1024 * (1800*ns + 840*ns)},
-		{"zero-fill local", sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
-			m.ChargeZeroSys(th, allocFrame(t, m, 0), 0)
-		}), 1024 * 840 * ns},
+		{"global to local", pageCost(-1, 0), 1024 * (1500*ns + 840*ns)},
+		{"local to global", pageCost(0, -1), 1024 * (650*ns + 1400*ns)},
+		{"remote to local", pageCost(1, 0), 1024 * (1800*ns + 840*ns)},
+		{"zero-fill local", pageCost(noFrame, 0), 1024 * 840 * ns},
+		{"pageout from global", pageCost(-1, noFrame), 1024 * 1500 * ns},
+		{"pagein to global", pageCost(noFrame, -1), 1024 * 1400 * ns},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s on cpu0 = %v, want %v", c.name, c.got, c.want)
@@ -285,10 +293,14 @@ func TestChargeAndCount(t *testing.T) {
 				}
 				m.Engine().Spawn(fmt.Sprintf("t%d", i), 0, func(th *sim.Thread) {
 					for _, r := range script {
+						// Charge as the reference path does: the row, then
+						// the link when the row reports a routed column.
+						charge := m.Proc(r.proc).Row().Fetch
 						if r.store {
-							m.ChargeStore(th, r.proc, frames[r.node])
-						} else {
-							m.ChargeFetch(th, r.proc, frames[r.node])
+							charge = m.Proc(r.proc).Row().Store
+						}
+						if f := frames[r.node]; charge(th, f) {
+							m.ChargeLink(th, r.proc, f)
 						}
 					}
 				})

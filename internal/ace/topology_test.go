@@ -7,10 +7,12 @@ import (
 	"numasim/internal/topology"
 )
 
-// TestCopyZeroChargesFromSpec: on every registered topology, a page copy
-// and a zero-fill cost PageSize/4 words at the spec's latencies, for a
-// local, a remote and a global frame, whichever side of the copy the
-// frame is on. The charging processor's home node is the other side.
+// TestCopyZeroChargesFromSpec: on every registered topology, a page copy,
+// a zero-fill, a pageout and a pagein cost PageSize/4 words at the spec's
+// latencies, for a local, a remote and a global frame, whichever side of
+// the transfer the frame is on. The other side of a copy is the charging
+// processor's home node; a zero-fill or a pagein stores a word to the
+// frame, and a pageout fetches one.
 func TestCopyZeroChargesFromSpec(t *testing.T) {
 	for _, name := range topology.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -29,23 +31,24 @@ func TestCopyZeroChargesFromSpec(t *testing.T) {
 				node int
 			}{{"local", home}, {"remote", spec.Ranked(home)[1]}, {"global", -1}} {
 				col, homeCol := spec.Col(c.node), spec.Col(home)
-				zero := sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
-					m.ChargeZeroSys(th, allocFrame(t, m, c.node), proc)
-				})
-				if want := words * spec.StoreLatency(proc, col); zero != want {
-					t.Errorf("zero-fill %s frame = %v, want %v", c.kind, zero, want)
+				charge := func(src, dst int) sim.Time {
+					return sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
+						m.ChargePageSys(th, proc, allocFrame(t, m, src), allocFrame(t, m, dst))
+					})
 				}
-				in := sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
-					m.ChargeCopySys(th, allocFrame(t, m, c.node), allocFrame(t, m, home), proc)
-				})
-				if want := words * (spec.FetchLatency(proc, col) + spec.StoreLatency(proc, homeCol)); in != want {
-					t.Errorf("copy from %s frame = %v, want %v", c.kind, in, want)
-				}
-				out := sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {
-					m.ChargeCopySys(th, allocFrame(t, m, home), allocFrame(t, m, c.node), proc)
-				})
-				if want := words * (spec.FetchLatency(proc, homeCol) + spec.StoreLatency(proc, col)); out != want {
-					t.Errorf("copy to %s frame = %v, want %v", c.kind, out, want)
+				fetch, store := spec.FetchLatency(proc, col), spec.StoreLatency(proc, col)
+				for _, x := range []struct {
+					op        string
+					got, want sim.Time
+				}{
+					{"zero-fill or pagein to", charge(noFrame, c.node), words * store},
+					{"pageout from", charge(c.node, noFrame), words * fetch},
+					{"copy from", charge(c.node, home), words * (fetch + spec.StoreLatency(proc, homeCol))},
+					{"copy to", charge(home, c.node), words * (spec.FetchLatency(proc, homeCol) + store)},
+				} {
+					if x.got != x.want {
+						t.Errorf("%s %s frame = %v, want %v", x.op, c.kind, x.got, x.want)
+					}
 				}
 			}
 		})

@@ -79,7 +79,6 @@ func (o Options) runs(app string, n int, vary func(i int, s *metrics.RunSpec)) (
 type SweepRow struct {
 	Param        string
 	Tnuma, Snuma sim.Ticks
-	Alpha, Gamma float64
 	Pins, Moves  uint64
 }
 

@@ -166,7 +166,7 @@ func (f *Frame) CopyFrom(src *Frame) {
 		f.Zero()
 	case f.shares(src):
 	default:
-		if src.lender == f {
+		if src.lender == f && src.writable {
 			src.endBorrow()
 		}
 		f.own()
@@ -186,6 +186,11 @@ func (f *Frame) ShareFrom(src *Frame) {
 		f.Zero()
 	case f.shares(src):
 	default:
+		// End f's borrow and stop f reading what it borrowed before src
+		// lends. If f was src's last borrower, src then takes its buffer
+		// back before lending it; and if src borrows from f, ending that
+		// borrow below cannot hand f the bytes f borrowed as its buffer.
+		f.own()
 		if src.writable {
 			// src reads its own buffer, so any borrow it has is moot:
 			// end it, and lend the buffer.
@@ -199,7 +204,6 @@ func (f *Frame) ShareFrom(src *Frame) {
 		if l.borrowers == math.MaxInt16 {
 			panic(fmt.Sprintf("mem: frame %s already lends to %d frames", l, l.borrowers))
 		}
-		f.endBorrow()
 		if l != f { // else f takes back the bytes it lent src
 			f.lender = l
 			l.borrowers++

@@ -538,6 +538,30 @@ func TestShareFrom(t *testing.T) {
 			}
 			return lend, lend, lend
 		}},
+		{"share again from a changed lender", func(t *testing.T, fs *frames, lend, _ []uint32) ([]uint32, []uint32, []uint32) {
+			fs.b1.Zero() // b0 is now the lender's only borrower
+			fs.lender.Store32(0, 5)
+			fs.b0.ShareFrom(fs.lender)
+			fs.lender.Store32(4, 6)
+			b0 := slices.Clone(lend)
+			b0[0] = 5
+			l := slices.Clone(b0)
+			l[1] = 6
+			return l, b0, make([]uint32, len(lend))
+		}},
+		{"copy from a borrower into its changed lender", func(t *testing.T, fs *frames, lend, _ []uint32) ([]uint32, []uint32, []uint32) {
+			// b1 still reads the bytes the lender lent, so its borrow
+			// stays, and a frame that borrows them from b1 borrows them
+			// from the lender.
+			fs.lender.Zero()
+			fs.lender.CopyFrom(fs.b1)
+			fs.other.ShareFrom(fs.b1)
+			fs.other.Zero()
+			fs.b1.Store32(0, 5)
+			b1 := slices.Clone(lend)
+			b1[0] = 5
+			return lend, lend, b1
+		}},
 		{"share from a borrower", func(t *testing.T, fs *frames, lend, _ []uint32) ([]uint32, []uint32, []uint32) {
 			fs.other.ShareFrom(fs.b0)
 			if fs.other.lender != fs.lender || fs.lender.borrowers != 3 {
@@ -635,6 +659,113 @@ func TestShareEndsWithoutAllocating(t *testing.T) {
 		}
 		if b.lender != nil || lender.borrowers != 0 || !lender.writable {
 			t.Errorf("%s: borrow did not end (lender counts %d)", e.name, lender.borrowers)
+		}
+	}
+}
+
+// TestShareMatchesCopyModel runs seeded random scripts of Alloc,
+// Release, ShareFrom, Store32, Zero and CopyFrom over a few frames of one
+// pool against a model that gives every frame its own bytes. After every
+// step, every frame in use reads the model's bytes, every frame counts
+// exactly the frames that borrow from it, and no free frame borrows.
+func TestShareMatchesCopyModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			runShareScript(t, rand.New(rand.NewSource(seed)))
+		})
+	}
+}
+
+func runShareScript(t *testing.T, rng *rand.Rand) {
+	const size, pageSize, steps = 6, 32, 2000
+	p := newPool(Global, -1, size, pageSize)
+	var made []*Frame              // every frame handed out, by index
+	model := map[*Frame][]uint32{} // the bytes each frame in use reads
+	var held []*Frame              // frames in use
+	pick := func() *Frame { return held[rng.Intn(len(held))] }
+	// sharer picks a frame in use that reads f's bytes, or any frame in
+	// use when none does, so copies and shares between sharers are common.
+	sharer := func(f *Frame) *Frame {
+		var cands []*Frame
+		for _, g := range held {
+			if g != f && g.shares(f) {
+				cands = append(cands, g)
+			}
+		}
+		if len(cands) == 0 {
+			return pick()
+		}
+		return cands[rng.Intn(len(cands))]
+	}
+	for step := 0; step < steps; step++ {
+		var op string
+		switch r := rng.Intn(10); {
+		case len(held) == 0 || r == 0 && len(held) < size:
+			f, err := p.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(f.index) == len(made) {
+				made = append(made, f)
+			}
+			held = append(held, f)
+			// Alloc leaves the contents undefined; the model takes them.
+			model[f] = words(f)
+			op = fmt.Sprintf("alloc %s", f)
+		case r == 1:
+			k := rng.Intn(len(held))
+			f := held[k]
+			if f.borrowers > 0 {
+				continue
+			}
+			held[k] = held[len(held)-1]
+			held = held[:len(held)-1]
+			delete(model, f)
+			p.Release(f)
+			op = fmt.Sprintf("release %s", f)
+		case r <= 4:
+			f, src := pick(), pick()
+			if rng.Intn(2) == 0 {
+				src = sharer(f)
+			}
+			f.ShareFrom(src)
+			model[f] = slices.Clone(model[src])
+			op = fmt.Sprintf("%s shares from %s", f, src)
+		case r <= 7:
+			f, i, v := pick(), rng.Intn(pageSize/4), rng.Uint32()
+			f.Store32(4*i, v)
+			model[f][i] = v
+			op = fmt.Sprintf("store %#x to word %d of %s", v, i, f)
+		case r == 8:
+			f := pick()
+			f.Zero()
+			clear(model[f])
+			op = fmt.Sprintf("zero %s", f)
+		default:
+			f := pick()
+			src := sharer(f)
+			f.CopyFrom(src)
+			model[f] = slices.Clone(model[src])
+			op = fmt.Sprintf("copy %s into %s", src, f)
+		}
+		for _, f := range held {
+			if got := words(f); !slices.Equal(got, model[f]) {
+				t.Fatalf("step %d (%s): %s reads %x, model %x", step, op, f, got, model[f])
+			}
+		}
+		for _, l := range made {
+			n := 0
+			for _, f := range made {
+				if f.lender == l {
+					n++
+				}
+			}
+			if int(l.borrowers) != n {
+				t.Fatalf("step %d (%s): %s counts %d borrowers, %d frames borrow from it", step, op, l, l.borrowers, n)
+			}
+			if !l.inUse && l.lender != nil {
+				t.Fatalf("step %d (%s): free frame %s still borrows from %s", step, op, l, l.lender)
+			}
 		}
 	}
 }

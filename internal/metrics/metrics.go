@@ -108,13 +108,12 @@ type RunResult struct {
 	Workers  int
 	// UserSec and SysSec are virtual seconds (sim.Ticks), the unit of
 	// every rendered table.
-	UserSec   sim.Ticks
-	SysSec    sim.Ticks
-	Refs      ace.RefStats
-	NUMA      numa.Stats
-	VM        vm.Stats
-	Faults    uint64
-	MMUEnters uint64
+	UserSec sim.Ticks
+	SysSec  sim.Ticks
+	Refs    ace.RefStats
+	NUMA    numa.Stats
+	VM      vm.Stats
+	Faults  uint64
 	// Links holds per-interconnect-link contention counters for topologies
 	// with a bandwidth model; nil on uncontended machines (the ACE).
 	Links []topology.LinkStats
@@ -241,24 +240,19 @@ func Run(spec RunSpec, ws ...workloads.Workload) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, sys.fail(name, fmt.Errorf("metrics: %s under %s: %w", name, spec.Policy.Name(), err))
 	}
-	var enters uint64
-	for i := 0; i < machine.NProc(); i++ {
-		enters += machine.MMU(i).Stats().Enters
-	}
 	return RunResult{
-		Workload:  name,
-		Policy:    spec.Policy.Name(),
-		NProc:     spec.Config.NProc,
-		Workers:   spec.Workers,
-		UserSec:   machine.Engine().TotalUserTime().Ticks(),
-		SysSec:    machine.Engine().TotalSysTime().Ticks(),
-		Refs:      machine.TotalRefs(),
-		NUMA:      kernel.NUMA().Stats(),
-		VM:        kernel.Stats(),
-		Faults:    machine.TotalFaults(),
-		MMUEnters: enters,
-		Links:     machine.Topo().LinkStats(),
-		Sched:     sys.Sched.Stats(),
+		Workload: name,
+		Policy:   spec.Policy.Name(),
+		NProc:    spec.Config.NProc,
+		Workers:  spec.Workers,
+		UserSec:  machine.Engine().TotalUserTime().Ticks(),
+		SysSec:   machine.Engine().TotalSysTime().Ticks(),
+		Refs:     machine.TotalRefs(),
+		NUMA:     kernel.NUMA().Stats(),
+		VM:       kernel.Stats(),
+		Faults:   machine.TotalFaults(),
+		Links:    machine.Topo().LinkStats(),
+		Sched:    sys.Sched.Stats(),
 	}, nil
 }
 

@@ -83,7 +83,7 @@ func TestRunCollectsEverything(t *testing.T) {
 	if res.UserSec <= 0 || res.SysSec <= 0 {
 		t.Error("no time accounted")
 	}
-	if res.Refs.Total() == 0 || res.Faults == 0 || res.MMUEnters == 0 {
+	if res.Refs.Total() == 0 || res.Faults == 0 {
 		t.Error("no activity counted")
 	}
 }

@@ -190,16 +190,7 @@ func (n *Manager) evacDest(th *sim.Thread, pg *Page, from int) int {
 	}
 	for attempt := 0; attempt < evacMaxRetries; attempt++ {
 		n.stats.EvacRetries++
-		wait := evacBackoff << uint(attempt)
-		th.Idle(wait)
-		th.AdvanceSys(n.machine.Cost().NUMAOp)
-		if n.bus.Enabled() {
-			n.bus.Emit(simtrace.Event{
-				Kind: simtrace.KindRetry, Proc: int32(n.nodeProc(from)), Thread: int32(th.ID()),
-				Time: int64(th.Clock()), Dur: int64(wait), Page: pg.id,
-				Arg: int64(attempt), Label: "evacuate",
-			})
-		}
+		n.backoff(th, pg, n.nodeProc(from), attempt, evacBackoff<<uint(attempt), "evacuate")
 		if dst := n.freeSurvivor(ranked); dst >= 0 {
 			return dst
 		}

@@ -711,16 +711,11 @@ func (n *Manager) demoteRemote(th *sim.Thread, pg *Page, requester int) {
 	if src == nil {
 		panic(n.violation(pg, "numa: remote page without a placed copy"))
 	}
-	cost := n.machine.Cost()
-	pg.global.CopyFrom(src)
-	n.machine.ChargeCopySys(th, src, pg.global, requester)
+	n.copyFrame(th, pg.global, src, requester)
 	n.stats.Syncs++
-	n.chargeMoveDelay(th, requester)
 	// Every processor may map the home frame; drop them all.
 	for p := 0; p < n.machine.NProc(); p++ {
-		if n.machine.MMU(p).RemoveFrame(src) {
-			th.AdvanceSys(cost.MMUOp)
-		}
+		n.unmap(th, p, src)
 	}
 	n.machine.Memory().Local(at).Release(src)
 	n.noteDrop(pg, at)
@@ -830,7 +825,7 @@ func (n *Manager) toGlobal(th *sim.Thread, pg *Page, proc, node int, maxProt mmu
 		}
 	}
 	if pg.needZero {
-		n.machine.ChargeZeroSys(th, pg.global, proc)
+		n.machine.ChargePageSys(th, proc, nil, pg.global)
 		pg.needZero = false
 		n.stats.ZeroFills++
 	}
@@ -903,7 +898,7 @@ func (n *Manager) ensureCopy(th *sim.Thread, pg *Page, node, proc int, share boo
 		// Lazy zero-fill directly into local memory, avoiding "writing
 		// zeros into global memory and immediately copying them" (§2.3.1).
 		f.Zero()
-		n.machine.ChargeZeroSys(th, f, proc)
+		n.machine.ChargePageSys(th, proc, nil, f)
 		pg.needZero = false
 		n.stats.ZeroFills++
 	} else {
@@ -912,7 +907,7 @@ func (n *Manager) ensureCopy(th *sim.Thread, pg *Page, node, proc int, share boo
 		} else {
 			f.CopyFrom(pg.global)
 		}
-		n.machine.ChargeCopySys(th, pg.global, f, proc)
+		n.machine.ChargePageSys(th, proc, pg.global, f)
 		n.stats.Copies++
 		n.chargeMoveDelay(th, proc)
 	}
@@ -931,10 +926,8 @@ func (n *Manager) syncFlush(th *sim.Thread, pg *Page, owner, requester int, labe
 	if src == nil {
 		panic(n.violation(pg, "numa: syncFlush without a local copy on cpu%d", owner))
 	}
-	pg.global.CopyFrom(src)
-	n.machine.ChargeCopySys(th, src, pg.global, requester)
+	n.copyFrame(th, pg.global, src, requester)
 	n.stats.Syncs++
-	n.chargeMoveDelay(th, requester)
 	n.dropCopy(th, pg, owner)
 	n.emitAction(th, pg, requester, label)
 }
@@ -946,22 +939,36 @@ func (n *Manager) dropCopy(th *sim.Thread, pg *Page, node int) {
 	if f == nil {
 		return
 	}
-	cost := n.machine.Cost()
 	for _, p := range n.machine.NodeProcs(node) {
-		if n.machine.MMU(p).RemoveFrame(f) {
-			th.AdvanceSys(cost.MMUOp)
-		}
+		n.unmap(th, p, f)
 	}
 	n.machine.Memory().Local(node).Release(f)
 	n.noteDrop(pg, node)
 	n.stats.Flushes++
 }
 
+// unmap drops processor p's translation of frame f, charging one MMU
+// operation, and reports whether p had one.
+func (n *Manager) unmap(th *sim.Thread, p int, f *mem.Frame) bool {
+	if !n.machine.MMU(p).RemoveFrame(f) {
+		return false
+	}
+	th.AdvanceSys(n.machine.Cost().MMUOp)
+	return true
+}
+
+// copyFrame copies src's page into dst, charging processor proc for the
+// copy and for any injected move delay. The caller counts it.
+func (n *Manager) copyFrame(th *sim.Thread, dst, src *mem.Frame, proc int) {
+	dst.CopyFrom(src)
+	n.machine.ChargePageSys(th, proc, src, dst)
+	n.chargeMoveDelay(th, proc)
+}
+
 // flushExcept drops every local replica except keep's (keep == -1 flushes
 // all), and also drops any read-only mappings of the global frame on the
 // processors of the flushed nodes.
 func (n *Manager) flushExcept(th *sim.Thread, pg *Page, keep int, label string) {
-	cost := n.machine.Cost()
 	acted := false
 	for node := range pg.copies {
 		if node == keep {
@@ -973,8 +980,7 @@ func (n *Manager) flushExcept(th *sim.Thread, pg *Page, keep int, label string) 
 		}
 		// A processor may map the global frame read-only (local fallback).
 		for _, p := range n.machine.NodeProcs(node) {
-			if n.machine.MMU(p).RemoveFrame(pg.global) {
-				th.AdvanceSys(cost.MMUOp)
+			if n.unmap(th, p, pg.global) {
 				acted = true
 			}
 		}
@@ -989,10 +995,8 @@ func (n *Manager) flushExcept(th *sim.Thread, pg *Page, keep int, label string) 
 // action is reported unconditionally: it is the protocol step, whether or
 // not translations happen to exist at the moment.
 func (n *Manager) unmapAll(th *sim.Thread, pg *Page) {
-	cost := n.machine.Cost()
 	for p := 0; p < n.machine.NProc(); p++ {
-		if n.machine.MMU(p).RemoveFrame(pg.global) {
-			th.AdvanceSys(cost.MMUOp)
+		if n.unmap(th, p, pg.global) {
 			n.stats.Unmaps++
 		}
 	}
@@ -1009,10 +1013,8 @@ func (n *Manager) moveOwner(th *sim.Thread, pg *Page, node, proc int) {
 	if err != nil {
 		panic(n.violation(pg, "numa: local pool %d unexpectedly empty: %v", node, err))
 	}
-	dst.CopyFrom(src)
-	n.machine.ChargeCopySys(th, src, dst, proc)
+	n.copyFrame(th, dst, src, proc)
 	n.stats.Copies++
-	n.chargeMoveDelay(th, proc)
 	n.dropCopy(th, pg, pg.owner)
 	n.noteCopy(pg, node, dst)
 	pg.owner = node
@@ -1083,7 +1085,6 @@ func (n *Manager) CheckInvariants(pg *Page) error {
 // FreeTag is the token returned by FreePage, redeemed by FreePageSync
 // (the paper's lazy pmap_free_page / pmap_free_page_sync pair, §2.3.3).
 type FreeTag struct {
-	pg   *Page
 	done bool
 }
 
@@ -1099,9 +1100,7 @@ func (n *Manager) FreePage(th *sim.Thread, pg *Page) *FreeTag {
 	for node := range pg.copies {
 		n.dropCopy(th, pg, node)
 		for _, p := range n.machine.NodeProcs(node) {
-			if n.machine.MMU(p).RemoveFrame(pg.global) {
-				th.AdvanceSys(n.machine.Cost().MMUOp)
-			}
+			n.unmap(th, p, pg.global)
 		}
 	}
 	n.machine.Memory().Global().Release(pg.global)
@@ -1135,7 +1134,7 @@ func (n *Manager) FreePage(th *sim.Thread, pg *Page) *FreeTag {
 	// it (with a fresh id). Cleanup is eager, so the reusable tag is
 	// always complete.
 	n.freePages = append(n.freePages, pg)
-	n.freeTag = FreeTag{pg: pg, done: true}
+	n.freeTag = FreeTag{done: true}
 	return &n.freeTag
 }
 

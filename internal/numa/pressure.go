@@ -29,19 +29,8 @@ func (n *Manager) admitLocal(th *sim.Thread, pg *Page, node, proc int) bool {
 				n.emitPressure(th, pg, node, proc, "chaos-fallback")
 				return false
 			}
-			// Wait out the transient condition in virtual time; the
-			// bookkeeping of re-issuing the allocation is system time.
-			wait := n.chaos.RetryBackoff(attempt)
-			th.Idle(wait)
-			th.AdvanceSys(n.machine.Cost().NUMAOp)
+			n.backoff(th, pg, proc, attempt, n.chaos.RetryBackoff(attempt), "")
 			n.stats.Retries++
-			if n.bus.Enabled() {
-				n.bus.Emit(simtrace.Event{
-					Kind: simtrace.KindRetry, Proc: int32(proc), Thread: int32(th.ID()),
-					Time: int64(th.Clock()), Dur: int64(wait), Page: pg.id,
-					Arg: int64(attempt),
-				})
-			}
 		}
 	}
 	if n.machine.Memory().Local(node).Free() > 0 {
@@ -137,6 +126,23 @@ func (n *Manager) chargeMoveDelay(th *sim.Thread, proc int) {
 	if d := n.chaos.MoveDelay(th.Clock(), proc); d > 0 {
 		th.Idle(d)
 		n.stats.ChaosDelays++
+	}
+}
+
+// backoff waits out a transient shortage before retry attempt of a
+// request for pg by processor proc: it idles th for wait, charges one
+// NUMA operation, the bookkeeping of re-issuing the request, as system
+// time, and reports the retry under label on the trace bus. The caller
+// counts it.
+func (n *Manager) backoff(th *sim.Thread, pg *Page, proc, attempt int, wait sim.Time, label string) {
+	th.Idle(wait)
+	th.AdvanceSys(n.machine.Cost().NUMAOp)
+	if n.bus.Enabled() {
+		n.bus.Emit(simtrace.Event{
+			Kind: simtrace.KindRetry, Proc: int32(proc), Thread: int32(th.ID()),
+			Time: int64(th.Clock()), Dur: int64(wait), Page: pg.id,
+			Arg: int64(attempt), Label: label,
+		})
 	}
 }
 

@@ -72,13 +72,14 @@ func TestRemoteAccessCosts(t *testing.T) {
 			charge()
 			return m.Engine().TotalUserTime() - before
 		}
-		if got := charged(func() { m.ChargeFetch(th, 0, f) }); got != 650*sim.Nanosecond {
+		// The ACE routes no column, so each row charge is the whole cost.
+		if got := charged(func() { m.Proc(0).Row().Fetch(th, f) }); got != 650*sim.Nanosecond {
 			t.Errorf("home fetch cost %v, want the local 650ns", got)
 		}
-		if got := charged(func() { m.ChargeFetch(th, 1, f) }); got != 1800*sim.Nanosecond {
+		if got := charged(func() { m.Proc(1).Row().Fetch(th, f) }); got != 1800*sim.Nanosecond {
 			t.Errorf("other fetch cost %v, want the remote 1800ns", got)
 		}
-		if got := charged(func() { m.ChargeStore(th, 1, f) }); got != 1700*sim.Nanosecond {
+		if got := charged(func() { m.Proc(1).Row().Store(th, f) }); got != 1700*sim.Nanosecond {
 			t.Errorf("other store cost %v, want the remote 1700ns", got)
 		}
 	})

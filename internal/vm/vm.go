@@ -64,9 +64,8 @@ type Stats struct {
 // spaces map. Objects may be mapped by several tasks, which is how memory
 // is shared.
 type Object struct {
-	name   string
-	kernel *Kernel
-	slots  []slot
+	name  string
+	slots []slot
 }
 
 type slot struct {
@@ -202,7 +201,7 @@ func (k *Kernel) NewObject(name string, size uint32) *Object {
 	if n == 0 {
 		n = 1
 	}
-	return &Object{name: name, kernel: k, slots: make([]slot, n)}
+	return &Object{name: name, slots: make([]slot, n)}
 }
 
 // Kernel returns the kernel the task belongs to.
@@ -353,7 +352,7 @@ func (k *Kernel) fault(th *sim.Thread, task *Task, proc int, va uint32, write bo
 	}
 	ps := uint32(k.machine.PageSize())
 	idx := int((va - e.start + e.objOff) / ps)
-	pg := k.materialize(th, e, idx)
+	pg := k.materialize(th, proc, e, idx)
 	minProt := mmu.ProtRead
 	if write {
 		minProt = mmu.ProtWrite
@@ -363,16 +362,17 @@ func (k *Kernel) fault(th *sim.Thread, task *Task, proc int, va uint32, write bo
 }
 
 // materialize returns the resident logical page at index idx of e's
-// object, paging it in or creating it zero-filled as needed.
-func (k *Kernel) materialize(th *sim.Thread, e *Entry, idx int) *numa.Page {
+// object, paging it in or creating it zero-filled as needed. proc is the
+// faulting processor, which pays for any pagein or pageout.
+func (k *Kernel) materialize(th *sim.Thread, proc int, e *Entry, idx int) *numa.Page {
 	obj := e.obj
 	s := &obj.slots[idx]
 	if s.pg == nil {
 		//numalint:coldpath first touch: pagein or zero-fill materialization, once per resident page
 		if s.backing != nil {
-			k.pagein(th, obj, idx)
+			k.pagein(th, proc, obj, idx)
 		} else {
-			s.pg = k.newPage(th)
+			s.pg = k.newPage(th, proc)
 			s.pg.SetHint(e.hint)
 			if e.home >= 0 {
 				s.pg.SetHome(e.home)
@@ -385,7 +385,7 @@ func (k *Kernel) materialize(th *sim.Thread, e *Entry, idx int) *numa.Page {
 }
 
 // newPage allocates a logical page, paging out victims as needed.
-func (k *Kernel) newPage(th *sim.Thread) *numa.Page {
+func (k *Kernel) newPage(th *sim.Thread, proc int) *numa.Page {
 	for {
 		pg, err := k.nm.NewPage()
 		if err == nil {
@@ -395,15 +395,16 @@ func (k *Kernel) newPage(th *sim.Thread) *numa.Page {
 		if !errors.As(err, &full) {
 			panic(err)
 		}
-		if !k.pageoutOne(th) {
+		if !k.pageoutOne(th, proc) {
 			panic("vm: out of memory and nothing to page out")
 		}
 	}
 }
 
-// pageoutOne evicts the oldest resident page to backing store. It reports
-// false when no page is evictable.
-func (k *Kernel) pageoutOne(th *sim.Thread) bool {
+// pageoutOne evicts the oldest resident page to backing store, charging
+// the write to processor proc. It reports false when no page is
+// evictable.
+func (k *Kernel) pageoutOne(th *sim.Thread, proc int) bool {
 	for len(k.fifo) > 0 {
 		ref := k.fifo[0]
 		k.fifo = k.fifo[1:]
@@ -414,7 +415,8 @@ func (k *Kernel) pageoutOne(th *sim.Thread) bool {
 		pg := s.pg
 		// Quiesce: sync dirty copies, drop all replicas and mappings.
 		k.pm.RemoveAll(th, pg)
-		// Write the page to backing store at global-memory read speed.
+		// Write the page to backing store: a fetch a word from the
+		// global frame, priced from proc's charge row.
 		var data []byte
 		if n := len(k.bufPool); n > 0 {
 			data = k.bufPool[n-1]
@@ -423,8 +425,7 @@ func (k *Kernel) pageoutOne(th *sim.Thread) bool {
 			data = make([]byte, k.machine.PageSize())
 		}
 		copy(data, pg.GlobalFrame().Data())
-		spec := k.machine.Spec()
-		th.AdvanceSys(sim.Time(k.machine.PageSize()/4) * spec.FetchLatency(0, spec.NNodes()))
+		k.machine.ChargePageSys(th, proc, pg.GlobalFrame(), nil)
 		s.backing = data
 		tag := k.pm.FreePage(th, pg)
 		k.pm.FreePageSync(tag)
@@ -442,10 +443,11 @@ func (k *Kernel) pageoutOne(th *sim.Thread) bool {
 	return false
 }
 
-// pagein brings a paged-out page back from backing store. The page's NUMA
-// placement state starts over, which is the only occasion on which a
-// pinning decision is reconsidered (§4.3 footnote 4).
-func (k *Kernel) pagein(th *sim.Thread, obj *Object, idx int) {
+// pagein brings a paged-out page back from backing store into a global
+// frame, charging the write to processor proc. The page's NUMA placement
+// state starts over, which is the only occasion on which a pinning
+// decision is reconsidered (§4.3 footnote 4).
+func (k *Kernel) pagein(th *sim.Thread, proc int, obj *Object, idx int) {
 	s := &obj.slots[idx]
 	var frame *mem.Frame
 	for {
@@ -454,13 +456,12 @@ func (k *Kernel) pagein(th *sim.Thread, obj *Object, idx int) {
 			frame = f
 			break
 		}
-		if !k.pageoutOne(th) {
+		if !k.pageoutOne(th, proc) {
 			panic("vm: out of memory during pagein")
 		}
 	}
 	copy(frame.Data(), s.backing)
-	spec := k.machine.Spec()
-	th.AdvanceSys(sim.Time(k.machine.PageSize()/4) * spec.StoreLatency(0, spec.NNodes()))
+	k.machine.ChargePageSys(th, proc, nil, frame)
 	k.bufPool = append(k.bufPool, s.backing)
 	s.backing = nil
 	s.pg = k.nm.AdoptPage(frame)
@@ -764,38 +765,27 @@ func (c *Context) FetchOr32(va uint32, bits uint32) uint32 {
 }
 
 // Compute charges n simple ALU/register instructions of user time.
-func (c *Context) Compute(n int) {
-	c.th.Advance(sim.Time(n) * c.mach.Cost().Instr)
-	c.tick()
-}
+func (c *Context) Compute(n int) { c.instr(n, c.mach.Cost().Instr) }
 
 // Mul charges n integer multiplies (software multiply on the ROMP).
-func (c *Context) Mul(n int) {
-	c.th.Advance(sim.Time(n) * c.mach.Cost().Mul)
-	c.tick()
-}
+func (c *Context) Mul(n int) { c.instr(n, c.mach.Cost().Mul) }
 
 // Div charges n integer divides ("division is expensive on the ACE").
-func (c *Context) Div(n int) {
-	c.th.Advance(sim.Time(n) * c.mach.Cost().Div)
-	c.tick()
-}
+func (c *Context) Div(n int) { c.instr(n, c.mach.Cost().Div) }
 
 // FAdd charges n floating additions/subtractions.
-func (c *Context) FAdd(n int) {
-	c.th.Advance(sim.Time(n) * c.mach.Cost().FAdd)
-	c.tick()
-}
+func (c *Context) FAdd(n int) { c.instr(n, c.mach.Cost().FAdd) }
 
 // FMul charges n floating multiplications.
-func (c *Context) FMul(n int) {
-	c.th.Advance(sim.Time(n) * c.mach.Cost().FMul)
-	c.tick()
-}
+func (c *Context) FMul(n int) { c.instr(n, c.mach.Cost().FMul) }
 
 // FDiv charges n floating divisions.
-func (c *Context) FDiv(n int) {
-	c.th.Advance(sim.Time(n) * c.mach.Cost().FDiv)
+func (c *Context) FDiv(n int) { c.instr(n, c.mach.Cost().FDiv) }
+
+// instr charges n instructions of user time at cost each, then yields if
+// the scheduling quantum has expired.
+func (c *Context) instr(n int, cost sim.Time) {
+	c.th.Advance(sim.Time(n) * cost)
 	c.tick()
 }
 
@@ -814,9 +804,12 @@ func (c *Context) Syscall(nInstr int, touches ...uint32) {
 	c.th.AdvanceSys(sim.Time(nInstr) * c.mach.Cost().Instr)
 	for _, va := range touches {
 		f := c.translate(va, true)
-		m := c.mach
-		m.ChargeFetch(c.th, c.proc, f)
-		m.ChargeStore(c.th, c.proc, f)
+		if c.row.Fetch(c.th, f) {
+			c.mach.ChargeLink(c.th, c.proc, f)
+		}
+		if c.row.Store(c.th, f) {
+			c.mach.ChargeLink(c.th, c.proc, f)
+		}
 		off := int(va & c.pageMask)
 		f.Store32(off, f.Load32(off))
 	}

@@ -243,6 +243,57 @@ func TestPageoutResetsPin(t *testing.T) {
 	}
 }
 
+// TestBackingStoreChargesFaultingRow: a pageout and a pagein are priced
+// from the faulting processor's charge row, like every page transfer. On
+// mesh8 each processor pays its own price for the interleaved global
+// memory: processor 5 pays 1,235 ns a fetch and 1,596 ns a store,
+// processor 0 1,430 and 1,848 ns. With the fault, NUMA and MMU costs
+// zeroed and every page in global memory, the system time of each of
+// processor 5's faults is its page transfers alone: a store a word for a
+// zero-fill or a pagein, a fetch a word for a pageout.
+func TestBackingStoreChargesFaultingRow(t *testing.T) {
+	cfg := ace.DefaultConfig()
+	cfg.NProc, cfg.Topology = 8, "mesh8"
+	cfg.GlobalFrames, cfg.LocalFrames = 2, 4 // the third page forces a pageout
+	cfg.Cost.FaultBase, cfg.Cost.NUMAOp, cfg.Cost.MMUOp = 0, 0, 0
+	machine := ace.MustMachine(cfg)
+	k := vm.NewKernel(machine, policy.AllGlobal{})
+	task := k.NewTask()
+	ps := uint32(cfg.PageSize)
+	base := task.Allocate("pages", 3*ps, mmu.ProtReadWrite)
+	words := sim.Time(cfg.PageSize / 4)
+	const fetch, store = 1235 * sim.Nanosecond, 1596 * sim.Nanosecond
+	machine.Engine().Spawn("main", 0, func(th *sim.Thread) {
+		c := vm.NewContext(k, task, th, 5)
+		for _, step := range []struct {
+			name  string
+			touch func()
+			want  sim.Time
+		}{
+			{"zero-fill page 0", func() { c.Store32(base, 7) }, words * store},
+			{"zero-fill page 1", func() { c.Store32(base+ps, 8) }, words * store},
+			{"page 0 out, zero-fill page 2", func() { c.Store32(base+2*ps, 9) }, words * (fetch + store)},
+			{"page 1 out, page 0 in", func() {
+				if got := c.Load32(base); got != 7 {
+					t.Errorf("paged-in word = %d, want 7", got)
+				}
+			}, words * (fetch + store)},
+		} {
+			before := machine.Engine().TotalSysTime()
+			step.touch()
+			if got := machine.Engine().TotalSysTime() - before; got != step.want {
+				t.Errorf("%s: system time %v, want %v", step.name, got, step.want)
+			}
+		}
+	})
+	if err := machine.Engine().Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := k.Stats(); st.Pageouts != 2 || st.Pageins != 1 {
+		t.Errorf("%d pageouts and %d pageins, want 2 and 1", st.Pageouts, st.Pageins)
+	}
+}
+
 func TestPragmaHint(t *testing.T) {
 	machine := ace.MustMachine(smallCfg(2))
 	k := vm.NewKernel(machine, policy.NewPragma(nil))
