@@ -118,6 +118,39 @@ func TestRegistryFreesMachines(t *testing.T) {
 	}
 }
 
+// TestRegistryClosesMachines: every registered experiment has closed each
+// run's memory before it builds the next machine, and the last one before
+// it returns, with no collection in between. So a run's frame bytes are
+// released when the run ends, not when the collector finds its machine.
+func TestRegistryClosesMachines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole registry")
+	}
+	for _, name := range Names() {
+		e, _ := Lookup(name)
+		var last *mem.Memory
+		built, open := 0, 0
+		opts := Options{NProc: 3, Small: true, Parallelism: 1}
+		opts.onMachine = func(m *ace.Machine) {
+			if last != nil && !last.Closed() {
+				open++
+			}
+			built++
+			last = m.Memory()
+		}
+		if _, err := e.Run(opts); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if last != nil && !last.Closed() {
+			open++
+		}
+		if open > 0 {
+			t.Errorf("%s: %d of %d machines were still open when the next was built or the experiment returned", name, open, built)
+		}
+	}
+}
+
 // collected runs the collector until live reaches zero, giving the
 // finalizer goroutine a moment after each cycle, and reports whether it
 // did within a bounded wait.

@@ -362,8 +362,9 @@ func (k *Kernel) fault(th *sim.Thread, task *Task, proc int, va uint32, write bo
 }
 
 // materialize returns the resident logical page at index idx of e's
-// object, paging it in or creating it zero-filled as needed. proc is the
-// faulting processor, which pays for any pagein or pageout.
+// object, paging it in or creating it zero-filled as needed, with e's
+// placement pragma either way. proc is the faulting processor, which pays
+// for any pagein or pageout.
 func (k *Kernel) materialize(th *sim.Thread, proc int, e *Entry, idx int) *numa.Page {
 	obj := e.obj
 	s := &obj.slots[idx]
@@ -373,12 +374,12 @@ func (k *Kernel) materialize(th *sim.Thread, proc int, e *Entry, idx int) *numa.
 			k.pagein(th, proc, obj, idx)
 		} else {
 			s.pg = k.newPage(th, proc)
-			s.pg.SetHint(e.hint)
-			if e.home >= 0 {
-				s.pg.SetHome(e.home)
-			}
 			k.stats.ZeroFillFaults++
 			k.fifo = append(k.fifo, fifoRef{obj, idx})
+		}
+		s.pg.SetHint(e.hint)
+		if e.home >= 0 {
+			s.pg.SetHome(e.home)
 		}
 	}
 	return s.pg
@@ -446,7 +447,8 @@ func (k *Kernel) pageoutOne(th *sim.Thread, proc int) bool {
 // pagein brings a paged-out page back from backing store into a global
 // frame, charging the write to processor proc. The page's NUMA placement
 // state starts over, which is the only occasion on which a pinning
-// decision is reconsidered (§4.3 footnote 4).
+// decision is reconsidered (§4.3 footnote 4); its region's pragma does
+// not, and materialize applies it again.
 func (k *Kernel) pagein(th *sim.Thread, proc int, obj *Object, idx int) {
 	s := &obj.slots[idx]
 	var frame *mem.Frame

@@ -316,6 +316,45 @@ func TestPragmaHint(t *testing.T) {
 	}
 }
 
+// TestPragmaSurvivesPageout: a region's pragma applies to its pages
+// however they become resident, so a noncacheable page that is paged out
+// and read back in stays noncacheable in global memory instead of being
+// cached as a local replica.
+func TestPragmaSurvivesPageout(t *testing.T) {
+	cfg := smallCfg(2)
+	cfg.GlobalFrames = 4 // tiny global memory forces pageout
+	machine := ace.MustMachine(cfg)
+	k := vm.NewKernel(machine, policy.NewPragma(nil))
+	task := k.NewTask()
+	base := task.Allocate("noncache", 4096, mmu.ProtReadWrite)
+	task.SetHint(base, numa.HintNoncacheable)
+	filler := task.Allocate("filler", 4*4096, mmu.ProtReadWrite)
+	machine.Engine().Spawn("main", 0, func(th *sim.Thread) {
+		c := vm.NewContext(k, task, th, 0)
+		c.Store32(base, 5)
+		for i := uint32(0); i < 4; i++ {
+			c.Store32(filler+i*4096, i)
+		}
+		if task.EntryAt(base).Object().Page(0) != nil {
+			t.Fatal("setup: the noncacheable page was not paged out")
+		}
+		if got := c.Load32(base); got != 5 {
+			t.Errorf("paged-in word = %d, want 5", got)
+		}
+		pg := task.EntryAt(base).Object().Page(0)
+		if pg.Hint() != numa.HintNoncacheable || pg.State() != numa.GlobalWritable || pg.NCopies() != 0 {
+			t.Errorf("paged-in page has hint %v, state %v and %d local copies; want noncacheable, global-writable and none",
+				pg.Hint(), pg.State(), pg.NCopies())
+		}
+	})
+	if err := machine.Engine().Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Stats().Pageins != 1 {
+		t.Errorf("%d pageins, want 1", k.Stats().Pageins)
+	}
+}
+
 // TestUnixMasterSharing is E12: with the Unix-master mode on, system calls
 // that touch user memory run on processor 0, dragging otherwise-private
 // pages into sharing with the master processor.
