@@ -6,7 +6,9 @@ import (
 )
 
 // benchPick measures the engine's pick cost with n always-ready threads,
-// under the heap-based ready queue or the reference linear scan.
+// under the heap-based ready queue or the reference linear scan. With one
+// thread the heap engine re-dispatches every yield in place and picks
+// nothing, while the linear scan still switches.
 func benchPick(b *testing.B, n int, linear bool) {
 	e := NewEngine()
 	e.linearPick = linear
@@ -15,7 +17,7 @@ func benchPick(b *testing.B, n int, linear bool) {
 		e.Spawn("t", 0, func(th *Thread) {
 			for j := 0; j < iters; j++ {
 				th.Advance(Microsecond)
-				th.Yield() // re-enqueue; every resume is one pick
+				th.Yield()
 			}
 		})
 	}

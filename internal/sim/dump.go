@@ -61,7 +61,7 @@ func (e *Engine) DumpState() *StateDump {
 	for _, t := range e.threads {
 		td := ThreadDump{
 			ID: t.id, Name: t.name, State: t.state, BlockedOn: t.blocked,
-			Clock: t.clock, User: t.user, Sys: t.sys,
+			Clock: t.clock, User: t.userTime(), Sys: t.sys,
 		}
 		if t.res != nil {
 			td.Resource = t.res.Name

@@ -9,13 +9,19 @@
 // switches straight back to the engine when it parks, on the same OS
 // thread and without a trip through the Go scheduler. The simulation is
 // therefore single-threaded — shared simulation state needs no locking —
-// and completely deterministic for a given program.
+// and completely deterministic for a given program. A yield that is
+// certain to win the next pick switches no coroutine: the engine
+// re-dispatches the thread in place.
 //
-// Threads advance their own clocks explicitly (Advance, AdvanceSys) and give
-// up control explicitly (Yield, Block). A thread may be bound to an exclusive
-// Resource (a simulated processor): while one thread runs on a resource, any
-// other thread bound to it cannot start before the first yields, which models
-// time-slicing without preemption.
+// Threads advance their own clocks explicitly (Advance, AdvanceSys, Idle)
+// and give up control explicitly (Yield, Block). A thread's user time is
+// derived, not accumulated: it is its clock less its system time and its
+// idle time, where idle time counts the spawn clock, Idle, and every jump
+// of the clock to a later time (waiting for a processor, a wake-up or a
+// join). A thread may be bound to an exclusive Resource (a simulated
+// processor): while one thread runs on a resource, any other thread bound
+// to it cannot start before the first yields, which models time-slicing
+// without preemption.
 package sim
 
 import (
@@ -124,8 +130,8 @@ type Thread struct {
 	state  State
 
 	clock Time // thread-local virtual "now"
-	user  Time // accumulated user time
 	sys   Time // accumulated system time
+	idle  Time // the spawn clock plus every clock jump that is not work
 
 	res *Resource // bound processor, may be nil
 
@@ -162,12 +168,14 @@ func (t *Thread) Bind(r *Resource) {
 		t.res.freeAt = t.clock
 	}
 	t.res = r
-	if r != nil && r.freeAt > t.clock {
-		t.clock = r.freeAt
+	if r != nil {
+		t.idleUntil(r.freeAt)
 	}
 }
 
-// Advance moves the thread's clock forward by d and accounts it as user time.
+// Advance moves the thread's clock forward by d and accounts it as user
+// time. It writes only the clock: user time is what the clock has gained
+// beyond system and idle time.
 //
 //numalint:hotpath
 func (t *Thread) Advance(d Time) {
@@ -175,8 +183,11 @@ func (t *Thread) Advance(d Time) {
 		panic("sim: negative Advance")
 	}
 	t.clock += d
-	t.user += d
 }
+
+// userTime returns the thread's user time so far: its clock less its
+// system and idle time.
+func (t *Thread) userTime() Time { return t.clock - t.sys - t.idle }
 
 // AdvanceSys moves the thread's clock forward by d and accounts it as system
 // time (kernel overhead such as fault handling and page copying).
@@ -190,22 +201,44 @@ func (t *Thread) AdvanceSys(d Time) {
 	t.sys += d
 }
 
-// Idle moves the thread's clock forward without accounting user or system
-// time (e.g. waiting for a processor or an I/O device).
+// Idle moves the thread's clock forward and accounts it as idle time,
+// neither user nor system time (e.g. waiting for an I/O device).
 func (t *Thread) Idle(d Time) {
 	if d < 0 {
 		panic("sim: negative Idle")
 	}
 	t.clock += d
+	t.idle += d
+}
+
+// idleUntil moves the thread's clock forward to at, if at is later, and
+// accounts the jump as idle time.
+func (t *Thread) idleUntil(at Time) {
+	if t.clock < at {
+		t.idle += at - t.clock
+		t.clock = at
+	}
 }
 
 // Yield returns control to the engine, letting other threads whose effective
-// clocks are not later than this thread's run first.
+// clocks are not later than this thread's run first. When the thread is
+// certain to win the next pick, the engine re-dispatches it in place,
+// without a coroutine switch: the dispatch has advanced the clock (so the
+// stall watchdog cannot fire), Stop is unset, and every ready thread's
+// heap key, a lower bound on its effective time, is later than the
+// thread's own effective time. linearPick keeps the switch, so the
+// scheduler-equivalence test compares both paths.
 func (t *Thread) Yield() {
 	t.mustBeRunning("Yield")
+	e := t.engine
+	if !e.linearPick && t.clock > e.spanStart && !e.stop.Load() &&
+		(len(e.ready) == 0 || e.ready[0].key > t.effTime()) {
+		e.redispatch(t)
+		return
+	}
 	t.state = Ready
-	t.seq = t.engine.nextSeq()
-	t.engine.readyPush(t)
+	t.seq = e.nextSeq()
+	e.readyPush(t)
 	t.park()
 }
 
@@ -226,9 +259,7 @@ func (t *Thread) Wake(at Time) {
 	}
 	t.state = Ready
 	t.blocked = ""
-	if t.clock < at {
-		t.clock = at
-	}
+	t.idleUntil(at)
 	t.seq = t.engine.nextSeq()
 	t.engine.readyPush(t)
 }
@@ -239,17 +270,11 @@ func (t *Thread) Join(caller *Thread) {
 	if t == caller {
 		panic("sim: thread joining itself")
 	}
-	if t.state == Done {
-		if caller.clock < t.clock {
-			caller.clock = t.clock
-		}
-		return
+	if t.state != Done {
+		t.joiners = append(t.joiners, caller)
+		caller.Block("join " + t.name)
 	}
-	t.joiners = append(t.joiners, caller)
-	caller.Block("join " + t.name)
-	if caller.clock < t.clock {
-		caller.clock = t.clock
-	}
+	caller.idleUntil(t.clock)
 }
 
 func (t *Thread) mustBeRunning(op string) {
@@ -278,6 +303,9 @@ type Engine struct {
 	// scheduler-equivalence property test uses it to drive both
 	// implementations on identical programs.
 	linearPick bool
+	// stop is set by Stop and checked at each dispatch boundary. It sits
+	// beside the two flags above, in a word they do not fill.
+	stop atomic.Bool
 	// Bus, if non-nil, receives structured dispatch and execution-span
 	// events. The engine only emits while a sink is attached.
 	Bus *simtrace.Bus
@@ -287,10 +315,10 @@ type Engine struct {
 	// DefaultStallLimit; a non-positive value disables the watchdog.
 	StallLimit int
 
-	stallRun int         // consecutive no-progress dispatches
-	frontier Time        // high-water mark of dispatch virtual time
-	stop     atomic.Bool // set by Stop, checked at each dispatch boundary
-	dumpers  []func() DumpSection
+	stallRun  int  // consecutive no-progress dispatches
+	frontier  Time // high-water mark of dispatch virtual time
+	spanStart Time // the running thread's clock at its dispatch
+	dumpers   []func() DumpSection
 }
 
 // DefaultStallLimit bounds consecutive zero-progress dispatches. Real
@@ -325,6 +353,7 @@ func (e *Engine) Spawn(name string, start Time, fn func(*Thread)) *Thread {
 		name:   name,
 		state:  Ready,
 		clock:  start,
+		idle:   start,
 		seq:    e.nextSeq(),
 	}
 	e.nextID++
@@ -512,32 +541,12 @@ func (e *Engine) Run() error {
 			}
 			return nil
 		}
-		// Waiting for the processor is idle time, not user time.
-		if et := t.effTime(); t.clock < et {
-			t.clock = et
-		}
 		t.state = Running
 		e.running = t
-		spanStart := t.clock
-		if e.Bus.Enabled() {
-			e.Bus.Emit(simtrace.Event{
-				Kind: simtrace.KindDispatch, Proc: resourceID(t.res),
-				Thread: int32(t.id), Time: int64(t.clock), Page: -1,
-			})
-		}
+		e.dispatch(t)
 		t.next() // runs until t parks or finishes
 		e.running = nil
-		if e.Bus.Enabled() && t.clock > spanStart {
-			e.Bus.Emit(simtrace.Event{
-				Kind: simtrace.KindSpan, Proc: resourceID(t.res),
-				Thread: int32(t.id), Time: int64(spanStart),
-				Dur: int64(t.clock - spanStart), Page: -1,
-				Label: t.name,
-			})
-		}
-		if t.res != nil && t.res.freeAt < t.clock {
-			t.res.freeAt = t.clock
-		}
+		e.endSpan(t)
 		if t.state == Done && t.err != nil && t.err != ErrAborted {
 			err := t.err
 			e.abort()
@@ -548,22 +557,64 @@ func (e *Engine) Run() error {
 		// of zero-progress dispatches at a frozen virtual time is a livelock
 		// (threads yielding to each other without charging any time), which
 		// the deadlock check above can never catch.
-		if t.clock > spanStart || spanStart > e.frontier {
+		if t.clock > e.spanStart || e.spanStart > e.frontier {
 			e.stallRun = 0
 			if t.clock > e.frontier {
 				e.frontier = t.clock
-			} else if spanStart > e.frontier {
-				e.frontier = spanStart
+			} else if e.spanStart > e.frontier {
+				e.frontier = e.spanStart
 			}
 		} else {
 			e.stallRun++
 			if e.StallLimit > 0 && e.stallRun >= e.StallLimit {
-				err := &StallError{At: spanStart, Dispatches: e.stallRun, Dump: e.DumpState()}
+				err := &StallError{At: e.spanStart, Dispatches: e.stallRun, Dump: e.DumpState()}
 				e.abort()
 				return err
 			}
 		}
 	}
+}
+
+// dispatch opens the span of t, which is about to run: a thread waiting
+// for its processor idles until the processor is free.
+func (e *Engine) dispatch(t *Thread) {
+	t.idleUntil(t.effTime())
+	e.spanStart = t.clock
+	if e.Bus.Enabled() {
+		e.Bus.Emit(simtrace.Event{
+			Kind: simtrace.KindDispatch, Proc: resourceID(t.res),
+			Thread: int32(t.id), Time: int64(t.clock), Page: -1,
+		})
+	}
+}
+
+// endSpan closes the span of t, which has just stopped running, and
+// frees its processor from t's clock on.
+func (e *Engine) endSpan(t *Thread) {
+	if e.Bus.Enabled() && t.clock > e.spanStart {
+		e.Bus.Emit(simtrace.Event{
+			Kind: simtrace.KindSpan, Proc: resourceID(t.res),
+			Thread: int32(t.id), Time: int64(e.spanStart),
+			Dur: int64(t.clock - e.spanStart), Page: -1,
+			Label: t.name,
+		})
+	}
+	if t.res != nil && t.res.freeAt < t.clock {
+		t.res.freeAt = t.clock
+	}
+}
+
+// redispatch does in place, for a yielding thread certain to win the next
+// pick, what Run does between its yield and that pick's dispatch: it
+// closes the span, records the progress that resets the stall watchdog,
+// and opens the next span, all without a coroutine switch.
+func (e *Engine) redispatch(t *Thread) {
+	e.endSpan(t)
+	e.stallRun = 0
+	if t.clock > e.frontier {
+		e.frontier = t.clock
+	}
+	e.dispatch(t)
 }
 
 // resourceID maps a bound resource to its trace processor number (-1 for
@@ -609,7 +660,7 @@ func (e *Engine) abort() {
 func (e *Engine) TotalUserTime() Time {
 	var sum Time
 	for _, t := range e.threads {
-		sum += t.user
+		sum += t.userTime()
 	}
 	return sum
 }

@@ -165,8 +165,8 @@ func TestResourceWaitIsNotUserTime(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if t2.user != 50*Microsecond {
-		t.Errorf("t2 user time = %v, want 50µs (queue wait must not count)", t2.user)
+	if t2.userTime() != 50*Microsecond {
+		t.Errorf("t2 user time = %v, want 50µs (queue wait must not count)", t2.userTime())
 	}
 }
 
@@ -293,8 +293,8 @@ func TestSysTimeAccounting(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if th.user != 10*Microsecond || th.sys != 5*Microsecond {
-		t.Errorf("user=%v sys=%v, want 10µs/5µs", th.user, th.sys)
+	if th.userTime() != 10*Microsecond || th.sys != 5*Microsecond {
+		t.Errorf("user=%v sys=%v, want 10µs/5µs", th.userTime(), th.sys)
 	}
 	if th.Clock() != 115*Microsecond {
 		t.Errorf("clock=%v, want 115µs", th.Clock())
@@ -352,7 +352,7 @@ func TestTraceHook(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if switches := len(dispatches(sink.Events())) / 2; switches != 3 {
+	if switches := len(dispatchEvents(sink.Events())); switches != 3 {
 		t.Errorf("switches = %d, want 3", switches)
 	}
 }
