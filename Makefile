@@ -108,7 +108,10 @@ test:
 # each inlined call to the function whose declaration precedes it, and
 # fails unless every caller:callee pair in INLINE_WANT is there. The
 # reference path's speed rests on these calls inlining (budget 80), and a
-# field or branch added to one of them can push it over silently.
+# field or branch added to one of them can push it over silently. The
+# per-reference clock is part of that path: each accessor's quantum check
+# (*Context).tick (cost 70) and the engine's sim.(*Thread).Advance, which
+# writes only the thread's clock.
 INLINE_WANT := \
 	Load32:mem.(*Frame).Load32 Store32:mem.(*Frame).Store32 \
 	Load8:mem.(*Frame).Load8 Store8:mem.(*Frame).Store8 \
@@ -118,7 +121,13 @@ INLINE_WANT := \
 	refFetch:mmu.(*MMU).Probe refFetch:ace.Row.Fetch refFetch:ace.(*Machine).ChargeLink \
 	refStore:mmu.(*MMU).Probe refStore:ace.Row.Store refStore:ace.(*Machine).ChargeLink \
 	refUpdate:mmu.(*MMU).Probe refUpdate:ace.Row.Fetch refUpdate:ace.Row.Store \
-	refUpdate:ace.(*Machine).ChargeLink
+	refUpdate:ace.(*Machine).ChargeLink \
+	Load32:(*Context).tick Store32:(*Context).tick \
+	Load8:(*Context).tick Store8:(*Context).tick \
+	Load64:(*Context).tick Store64:(*Context).tick \
+	TestAndSet:(*Context).tick FetchOr32:(*Context).tick instr:(*Context).tick \
+	refFetch:sim.(*Thread).Advance refStore:sim.(*Thread).Advance \
+	refUpdate:sim.(*Thread).Advance instr:sim.(*Thread).Advance
 
 inline:
 	$(GO) build -gcflags=-m=2 -o /dev/null ./internal/vm 2>&1 | awk -F: -v want="$(INLINE_WANT)" ' \
