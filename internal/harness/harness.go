@@ -77,16 +77,21 @@ type Options struct {
 	// Audit enables the NUMA manager's online auditor at this sampling
 	// stride for every run (0 off, 1 full, N sampled).
 	Audit int
-	// Timeout is the wall-clock budget per supervised run; 0 means no
-	// timeout. When it expires the supervisor stops the run's engine and
-	// reports a timeout failure.
+	// Timeout is the wall-clock budget per supervised unit; 0 means no
+	// timeout. When it expires supervise stops every engine the attempt
+	// built and reports a timeout failure. On its own it attaches no
+	// forensic ring.
 	Timeout time.Duration
-	// Retries is how many times the supervisor re-runs a failed unit
-	// before giving up (bounded retry; 0 = one attempt only).
+	// Retries is how many times supervise re-runs a failed unit before
+	// giving up (bounded retry; 0 = one attempt only). On its own it
+	// attaches no forensic ring.
 	Retries int
-	// ReproDir, when non-empty, is where the supervisor writes a repro
-	// bundle for each failed run (seed, config, flags, trace, state dump,
-	// ready-to-run command line).
+	// ReproDir, when non-empty, is where supervise writes a repro bundle
+	// for each failed attempt (seed, config, flags, trace, state dump,
+	// ready-to-run command line). It is the only option that attaches a
+	// forensic ring to every run (metrics.RunSpec.Forensics), since a
+	// bundle is the ring's only reader; the state dump is the engine's,
+	// taken before teardown.
 	ReproDir string
 	// KeepGoing lets parallel sweeps continue past failed runs and report
 	// partial results with per-run error summaries instead of aborting on
@@ -100,8 +105,8 @@ type Options struct {
 	Command string
 
 	// onMachine, when non-nil, is invoked for every machine a run builds.
-	// The supervisor installs it to reach engines for timeout teardown; it
-	// may be called concurrently when Parallelism > 1.
+	// supervise installs it to reach engines for timeout teardown; it may
+	// be called concurrently when Parallelism > 1.
 	onMachine func(*ace.Machine)
 	// slots is a semaphore of Parallelism tokens, one held by each
 	// simulation while it runs (see simulate). Copies of the options
@@ -165,20 +170,13 @@ func (o Options) policy() (numa.Policy, error) {
 	return policy.Parse(o.Policy)
 }
 
-// forensics reports whether runs should gather crash forensics (ring
-// buffer + state dump on failure): whenever a supervisor feature or the
-// auditor is on.
-func (o Options) forensics() bool {
-	return o.ReproDir != "" || o.Timeout > 0 || o.Retries > 0 || o.Audit > 0
-}
-
 // keepGoing reports whether sweeps should report partial results past
 // failed runs.
 func (o Options) keepGoing() bool { return o.KeepGoing || o.ReproDir != "" }
 
 // spec builds the spec every run starts from: the options' machine,
 // policy, workers, trace sink, chaos and robustness knobs (audit stride,
-// stall limit, forensics, the supervisor's machine hook), under the
+// stall limit, forensics, supervise's machine hook), under the
 // affinity scheduler. The robustness knobs are all zero for default
 // options, so unsupervised runs are bit-for-bit unchanged.
 func (o Options) spec() (metrics.RunSpec, error) {
@@ -189,13 +187,13 @@ func (o Options) spec() (metrics.RunSpec, error) {
 	return metrics.RunSpec{
 		Config: o.config(), Policy: pol, Workers: o.Workers, Sched: sched.Affinity,
 		TraceSink: o.TraceSink, Chaos: o.Chaos,
-		Audit: o.Audit, StallLimit: o.StallLimit, Forensics: o.forensics(),
+		Audit: o.Audit, StallLimit: o.StallLimit, Forensics: o.ReproDir != "",
 		OnMachine: o.onMachine,
 	}, nil
 }
 
 // run builds the named workload and simulates it once under the
-// options' supervisor, label naming the unit in repro bundles. vary,
+// options' supervision, label naming the unit in repro bundles. vary,
 // when non-nil, adjusts the spec before the run starts; it is called
 // afresh for every retry. The options must already carry their defaults.
 func (o Options) run(label, app string, vary func(*metrics.RunSpec)) (metrics.RunResult, error) {
@@ -283,21 +281,6 @@ func Evaluate(opts Options, app string) (metrics.Eval, error) {
 		return metrics.Eval{}, err
 	}
 	return metrics.NewEval(topo, probe.FetchHeavy(), res[0], res[1], res[2]), nil
-}
-
-// supervise runs one experiment unit under the options' supervisor —
-// panic recovery, wall-clock timeout, bounded retry, repro bundles — or
-// directly when no supervision is configured.
-func (o Options) supervise(label string, fn func(Options) error) error {
-	sup := o.supervisor()
-	if sup == nil {
-		return fn(o)
-	}
-	return sup.Do(label, func(observe func(*ace.Machine)) error {
-		oo := o
-		oo.onMachine = observe
-		return fn(oo)
-	})
 }
 
 // fmtF renders a float with sensible precision for the tables. It is

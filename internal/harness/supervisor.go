@@ -12,61 +12,37 @@ import (
 
 	"numasim/internal/ace"
 	"numasim/internal/metrics"
-	"numasim/internal/numa"
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
 )
 
-// Supervisor wraps each experiment unit — one table row, one sweep
-// point — in panic recovery, a wall-clock timeout, and bounded retry.
-// When a unit still fails it writes a repro bundle: everything needed to
-// re-run exactly the failing simulation (config, chaos script, recent
-// trace, machine-state dump, and the ready-to-run command line). The
+// supervise runs one experiment unit — one table row, one sweep point —
+// under the options' supervision: panic recovery, a wall-clock timeout
+// and bounded retry. fn receives the options with a machine hook that
+// every run it makes must install (spec does, through
+// metrics.RunSpec.OnMachine); the hook is how the wall-clock watchdog
+// reaches engines to stop them. When an attempt still fails and ReproDir
+// is set, supervise writes a repro bundle: everything needed to re-run
+// exactly the failing simulation (config, chaos script, recent trace,
+// machine-state dump, and the ready-to-run command line). The
 // deterministic engine makes the bundle an honest promise: the same seed
-// replays the same failure.
-type Supervisor struct {
-	// Timeout is the wall-clock budget per attempt; 0 means none. On
-	// expiry the supervisor stops every engine the attempt built, which
-	// surfaces as a sim.StoppedError from the run.
-	Timeout time.Duration
-	// Retries is how many times a failed unit is re-run before giving up
-	// (0 = single attempt).
-	Retries int
-	// ReproDir, when non-empty, receives one bundle directory per failed
-	// attempt.
-	ReproDir string
-
-	// opts are the options that built the supervised experiment, recorded
-	// in bundles so a reader sees the exact knobs.
-	opts Options
-}
-
-// supervisor builds the options' supervisor, or nil when no supervision
-// feature is requested — the nil path adds zero overhead and keeps
-// default runs byte-identical.
-func (o Options) supervisor() *Supervisor {
+// replays the same failure. supervise returns nil as soon as an attempt
+// succeeds, and the last attempt's error after the retry budget is
+// spent, annotated when its repro bundle could not be written. With no
+// Timeout, Retries or ReproDir it runs fn directly, so default runs pay
+// nothing and stay byte-identical.
+func (o Options) supervise(label string, fn func(Options) error) error {
 	if o.Timeout <= 0 && o.Retries <= 0 && o.ReproDir == "" {
-		return nil
+		return fn(o)
 	}
-	return &Supervisor{Timeout: o.Timeout, Retries: o.Retries, ReproDir: o.ReproDir, opts: o}
-}
-
-// Do runs one experiment unit under supervision. fn receives an observe
-// hook it must arrange to be called for every machine the unit builds
-// (the harness plumbs it through metrics.RunSpec.OnMachine); the hook is
-// how the wall-clock watchdog reaches engines to stop them. Do returns
-// nil as soon as an attempt succeeds, and the last attempt's error after
-// the retry budget is spent, annotated when its repro bundle could not be
-// written.
-func (s *Supervisor) Do(label string, fn func(observe func(*ace.Machine)) error) error {
 	var last error
-	for attempt := 1; attempt <= s.Retries+1; attempt++ {
-		err := s.attempt(label, fn)
+	for attempt := 1; attempt <= o.Retries+1; attempt++ {
+		err := o.attempt(label, fn)
 		if err == nil {
 			return nil
 		}
-		if s.ReproDir != "" {
-			if werr := s.writeBundle(label, attempt, err); werr != nil {
+		if o.ReproDir != "" {
+			if werr := o.writeBundle(label, attempt, err); werr != nil {
 				err = fmt.Errorf("%w (repro bundle not written: %v)", err, werr)
 			}
 		}
@@ -82,11 +58,11 @@ func (s *Supervisor) Do(label string, fn func(observe func(*ace.Machine)) error)
 // determinism-lint escape below.
 //
 //numalint:hostside
-func (s *Supervisor) attempt(label string, fn func(observe func(*ace.Machine)) error) (err error) {
+func (o Options) attempt(label string, fn func(Options) error) (err error) {
 	var mu sync.Mutex
 	var engines []*sim.Engine
 	timedOut := false
-	observe := func(m *ace.Machine) {
+	o.onMachine = func(m *ace.Machine) {
 		mu.Lock()
 		defer mu.Unlock()
 		if timedOut {
@@ -96,8 +72,8 @@ func (s *Supervisor) attempt(label string, fn func(observe func(*ace.Machine)) e
 		}
 		engines = append(engines, m.Engine())
 	}
-	if s.Timeout > 0 {
-		timer := time.AfterFunc(s.Timeout, func() {
+	if o.Timeout > 0 {
+		timer := time.AfterFunc(o.Timeout, func() {
 			mu.Lock()
 			defer mu.Unlock()
 			timedOut = true
@@ -115,35 +91,35 @@ func (s *Supervisor) attempt(label string, fn func(observe func(*ace.Machine)) e
 		expired := timedOut
 		mu.Unlock()
 		if expired && err != nil {
-			err = fmt.Errorf("harness: %s exceeded the %v wall-clock budget: %w", label, s.Timeout, err)
+			err = fmt.Errorf("harness: %s exceeded the %v wall-clock budget: %w", label, o.Timeout, err)
 		}
 	}()
-	return fn(observe)
+	return fn(o)
 }
 
 // writeBundle writes one repro bundle directory for a failed attempt.
-// The bundle holds error.txt (the failure, stack
-// included for panics), config.txt (machine, chaos and robustness knobs),
-// trace.txt (the forensic ring, oldest first), statedump.txt (the
-// machine-state dump at failure), and repro.sh (the recorded command
-// line, ready to re-run).
-func (s *Supervisor) writeBundle(label string, attempt int, runErr error) error {
-	dir, err := s.bundleDir(label, attempt)
+// The bundle holds error.txt (the failure, stack included for panics),
+// config.txt (machine, chaos and robustness knobs) and repro.sh (the
+// recorded command line, ready to re-run); a failed run's
+// *metrics.RunError adds trace.txt (the forensic ring, oldest first)
+// and statedump.txt (the machine-state dump at failure).
+func (o Options) writeBundle(label string, attempt int, runErr error) error {
+	dir, err := o.bundleDir(label, attempt)
 	if err != nil {
 		return err
 	}
-	dump, events := extractForensics(runErr)
 	files := map[string]string{
 		"error.txt":  runErr.Error() + "\n",
-		"config.txt": s.describe(label, attempt),
+		"config.txt": o.describe(label, attempt),
+		"repro.sh":   o.reproScript(label),
 	}
-	if len(events) > 0 {
-		files["trace.txt"] = simtrace.FormatEvents(events)
+	var re *metrics.RunError
+	if errors.As(runErr, &re) {
+		if len(re.Events) > 0 {
+			files["trace.txt"] = simtrace.FormatEvents(re.Events)
+		}
+		files["statedump.txt"] = re.Dump
 	}
-	if dump != "" {
-		files["statedump.txt"] = dump
-	}
-	files["repro.sh"] = s.reproScript(label)
 	for name, body := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			return err
@@ -156,8 +132,8 @@ func (s *Supervisor) writeBundle(label string, attempt int, runErr error) error 
 // past the first attempt and any name collisions. Only an existing path
 // counts as a collision; any other Stat failure (a ReproDir that is a
 // regular file, say) is left for MkdirAll to report.
-func (s *Supervisor) bundleDir(label string, attempt int) (string, error) {
-	base := filepath.Join(s.ReproDir, sanitizeLabel(label))
+func (o Options) bundleDir(label string, attempt int) (string, error) {
+	base := filepath.Join(o.ReproDir, sanitizeLabel(label))
 	if attempt > 1 {
 		base = fmt.Sprintf("%s-attempt%d", base, attempt)
 	}
@@ -183,39 +159,9 @@ func sanitizeLabel(label string) string {
 	}, label)
 }
 
-// extractForensics mines an error chain for the gathered forensics: the
-// rendered state dump and the forensic ring contents. metrics.RunError
-// carries both; engine errors and protocol violations carry their own.
-func extractForensics(err error) (dump string, events []simtrace.Event) {
-	var re *metrics.RunError
-	if errors.As(err, &re) {
-		dump, events = re.Dump, re.Events
-	}
-	if dump == "" {
-		var de *sim.DeadlockError
-		var st *sim.StallError
-		var so *sim.StoppedError
-		switch {
-		case errors.As(err, &de) && de.Dump != nil:
-			dump = de.Dump.Render()
-		case errors.As(err, &st) && st.Dump != nil:
-			dump = st.Dump.Render()
-		case errors.As(err, &so) && so.Dump != nil:
-			dump = so.Dump.Render()
-		}
-	}
-	if len(events) == 0 {
-		var pv *numa.ProtocolViolationError
-		if errors.As(err, &pv) {
-			events = pv.Trace
-		}
-	}
-	return dump, events
-}
-
 // describe renders the knobs that produced the failing run.
-func (s *Supervisor) describe(label string, attempt int) string {
-	o := s.opts.withDefaults()
+func (o Options) describe(label string, attempt int) string {
+	o = o.withDefaults()
 	var b strings.Builder
 	fmt.Fprintf(&b, "unit: %s (attempt %d)\n", label, attempt)
 	fmt.Fprintf(&b, "machine: %+v\n", o.config())
@@ -230,8 +176,8 @@ func (s *Supervisor) describe(label string, attempt int) string {
 // reproScript renders the bundle's ready-to-run command line. The
 // simulation is deterministic, so re-running the recorded command replays
 // the identical failure (same seed, same state dump).
-func (s *Supervisor) reproScript(label string) string {
-	cmd := s.opts.Command
+func (o Options) reproScript(label string) string {
+	cmd := o.Command
 	if cmd == "" {
 		cmd = "# (no command line was recorded; re-run the harness with the options in config.txt)"
 	}

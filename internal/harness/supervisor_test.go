@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"numasim/internal/ace"
 	"numasim/internal/chaos"
+	"numasim/internal/metrics"
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
 )
@@ -108,9 +111,18 @@ func TestMixAndRemoteRunSupervised(t *testing.T) {
 	}
 }
 
+// dumpLists reports whether a rendered state dump has a thread row for
+// name in the given scheduling state.
+func dumpLists(dump, name string, state sim.State) bool {
+	return regexp.MustCompile(`(?m)^ +\[ *\d+\] ` + name + ` +` + state.String() + ` `).MatchString(dump)
+}
+
 // TestSupervisorPanicWritesBundle: a chaos-injected panic mid-protocol
 // is recovered into an error, and the repro bundle carries the failure,
 // the config, the forensic trace, the state dump and the command line.
+// The dump is the engine's, taken before teardown: the panicking worker
+// is done, and the other, which the panic caught between quanta, is
+// still ready.
 func TestSupervisorPanicWritesBundle(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
@@ -134,8 +146,9 @@ func TestSupervisorPanicWritesBundle(t *testing.T) {
 		!strings.Contains(got, "chaos:") {
 		t.Errorf("config.txt missing unit or chaos description:\n%s", got)
 	}
-	if got := files["statedump.txt"]; !strings.Contains(got, "=== machine state at ") {
-		t.Errorf("statedump.txt missing dump:\n%s", got)
+	if got := files["statedump.txt"]; !strings.Contains(got, "=== machine state at ") ||
+		!dumpLists(got, "worker0", sim.Done) || !dumpLists(got, "worker1", sim.Ready) {
+		t.Errorf("statedump.txt missing dump, or not taken before teardown (want worker0 done, worker1 ready):\n%s", got)
 	}
 	if got := files["trace.txt"]; got == "" {
 		t.Error("trace.txt missing or empty; the forensic ring was not captured")
@@ -272,21 +285,25 @@ func TestSupervisorTimeout(t *testing.T) {
 
 // TestStallWatchdogKillsDrill: with the virtual-time watchdog on (a low
 // limit keeps the test fast), the same stall drill dies deterministically
-// with a typed StallError carrying the dump — no wall clock involved.
+// with a typed StallError — no wall clock involved — and its bundle's
+// dump, taken before teardown, shows both workers still ready: the
+// spinner and the worker it starves.
 func TestStallWatchdogKillsDrill(t *testing.T) {
+	dir := t.TempDir()
 	opts := Options{
 		NProc: 2, Small: true, Parallelism: 1,
 		Chaos:      chaos.Config{StallAt: sim.Millisecond},
 		StallLimit: 256,
-		KeepGoing:  true,
+		ReproDir:   dir,
 	}.withDefaults()
 	err := drill(opts)
 	var stall *sim.StallError
 	if !errors.As(err, &stall) {
 		t.Fatalf("err = %v, want *sim.StallError", err)
 	}
-	if stall.Dump == nil {
-		t.Error("stall error carries no dump")
+	_, files := bundleFiles(t, dir)
+	if got := files["statedump.txt"]; !dumpLists(got, "worker0", sim.Ready) || !dumpLists(got, "worker1", sim.Ready) {
+		t.Errorf("statedump.txt does not list both workers as ready:\n%s", got)
 	}
 }
 
@@ -398,20 +415,50 @@ func TestPoolRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestSupervisorOffIsFree: with no robustness features requested there
-// is no supervisor at all, so the default path cannot slow down or
-// reorder anything.
+// TestSupervisorOffIsFree: with no robustness features requested
+// supervise runs the unit directly, with no machine hook, so the default
+// path cannot slow down or reorder anything; Timeout, Retries and
+// ReproDir each install the hook. Only ReproDir attaches the forensic
+// ring, its bundles being the ring's only reader: a run supervised with
+// Timeout or Retries alone builds a machine with no trace sink.
 func TestSupervisorOffIsFree(t *testing.T) {
-	if s := (Options{}).supervisor(); s != nil {
-		t.Errorf("zero options built a supervisor: %+v", s)
-	}
-	if s := (Options{Timeout: time.Second}).supervisor(); s == nil {
-		t.Error("timeout did not enable supervision")
-	}
-	if s := (Options{ReproDir: "x"}).supervisor(); s == nil {
-		t.Error("repro dir did not enable supervision")
-	}
-	if s := (Options{Retries: 1}).supervisor(); s == nil {
-		t.Error("retries did not enable supervision")
+	for _, c := range []struct {
+		name       string
+		opts       Options
+		hook, ring bool // whether supervise installs the hook; whether the run's machine gets a trace sink
+	}{
+		{"zero", Options{}, false, false},
+		{"timeout", Options{Timeout: time.Minute}, true, false},
+		{"retries", Options{Retries: 1}, true, false},
+		{"repro dir", Options{ReproDir: t.TempDir()}, true, true},
+	} {
+		hooked := false
+		if err := c.opts.supervise(c.name, func(o Options) error {
+			hooked = o.onMachine != nil
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if hooked != c.hook {
+			t.Errorf("%s: machine hook installed = %v, want %v", c.name, hooked, c.hook)
+		}
+
+		o := c.opts
+		o.NProc, o.Small, o.Parallelism = 2, true, 1
+		var enabled []bool
+		if _, err := o.RunApp("Gfetch", func(s *metrics.RunSpec) {
+			observe := s.OnMachine
+			s.OnMachine = func(m *ace.Machine) {
+				enabled = append(enabled, m.Bus().Enabled())
+				if observe != nil {
+					observe(m)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(enabled) != 1 || enabled[0] != c.ring {
+			t.Errorf("%s: machines' buses enabled = %v, want one machine with %v", c.name, enabled, c.ring)
+		}
 	}
 }

@@ -60,7 +60,8 @@ type RunSpec struct {
 	Audit int
 	// Forensics attaches a per-run forensic ring buffer and converts any
 	// failure into a *RunError carrying the ring contents and a rendered
-	// machine-state dump (the raw material of a repro bundle).
+	// machine-state dump (the raw material of a repro bundle, the ring's
+	// only reader).
 	Forensics bool
 	// StallLimit overrides the engine's stall-watchdog threshold for this
 	// run (0 keeps the engine default).
@@ -79,17 +80,17 @@ type RunSpec struct {
 // protocol episode without retaining the whole run.
 const forensicRingCap = 256
 
-// RunError wraps a failed instrumented run with the forensics gathered
-// before teardown. It unwraps to the underlying failure, so errors.As
-// still reaches typed causes such as numa.ProtocolViolationError or
-// sim.StallError.
+// RunError wraps a failed instrumented run with its forensics. It
+// unwraps to the underlying failure, so errors.As still reaches typed
+// causes such as numa.ProtocolViolationError or sim.StallError.
 type RunError struct {
-	Workload string
-	Policy   string
-	Err      error
+	Err error
 	// Events is the forensic ring's contents at failure, oldest first.
 	Events []simtrace.Event
-	// Dump is the rendered machine-state dump (sim.StateDump.Render).
+	// Dump is the rendered machine-state dump (sim.StateDump.Render): the
+	// engine's FailureDump, taken before teardown finished any thread,
+	// or, for a run that finished but failed its verification, the
+	// machine's state after the run.
 	Dump string
 }
 
@@ -97,7 +98,7 @@ func (e *RunError) Error() string { return e.Err.Error() }
 
 // Unwrap returns the underlying failure.
 //
-//numalint:api errors.As reaches it through an anonymous interface, as harness.extractForensics does for the typed causes
+//numalint:api errors.As reaches it through an anonymous interface, as harness's TestStallWatchdogKillsDrill does for sim.StallError in a repro-bundle run
 func (e *RunError) Unwrap() error { return e.Err }
 
 // RunResult is the outcome of one instrumented run.
@@ -192,18 +193,16 @@ func Build(spec RunSpec) (*System, error) {
 // fail returns a failed run's error, wrapped in a *RunError carrying the
 // forensic ring's contents and the rendered machine-state dump when the
 // spec asked for forensics.
-func (s *System) fail(workload string, err error) error {
+func (s *System) fail(err error) error {
 	if !s.spec.Forensics {
 		return err
 	}
-	re := &RunError{
-		Workload: workload, Policy: s.spec.Policy.Name(), Err: err,
-		Dump: s.Machine.Engine().DumpState().Render(),
+	engine := s.Machine.Engine()
+	dump := engine.FailureDump()
+	if dump == nil {
+		dump = engine.DumpState()
 	}
-	if s.ring != nil {
-		re.Events = s.ring.Events()
-	}
-	return re
+	return &RunError{Err: err, Events: s.ring.Events(), Dump: dump.Render()}
 }
 
 // Run builds a fresh system per spec and runs the workloads on it
@@ -244,7 +243,7 @@ func Run(spec RunSpec, ws ...workloads.Workload) (RunResult, error) {
 		err = finishes[i]()
 	}
 	if err != nil {
-		return RunResult{}, sys.fail(name, fmt.Errorf("metrics: %s under %s: %w", name, spec.Policy.Name(), err))
+		return RunResult{}, sys.fail(fmt.Errorf("metrics: %s under %s: %w", name, spec.Policy.Name(), err))
 	}
 	return RunResult{
 		Workload: name,

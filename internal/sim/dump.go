@@ -35,9 +35,10 @@ type DumpSection struct {
 
 // StateDump is a structured snapshot of the whole simulated machine:
 // every thread's scheduling state and clocks, every bound resource, and
-// any registered subsystem sections. The engine produces one whenever a
-// run dies abnormally (deadlock, stall, external stop), and callers can
-// take one on demand with Engine.DumpState for crash forensics.
+// any registered subsystem sections. The engine takes one whenever a run
+// fails (Stop, deadlock, a thread's error or panic, stall), before it
+// tears any thread down, and keeps it for FailureDump; callers can take
+// one on demand with Engine.DumpState.
 type StateDump struct {
 	Now       Time // virtual-time frontier: the largest thread clock
 	Threads   []ThreadDump
@@ -83,6 +84,11 @@ func (e *Engine) DumpState() *StateDump {
 	return d
 }
 
+// FailureDump returns the machine-state dump the engine took when the run
+// failed, before teardown finished any thread, or nil if the run has not
+// failed.
+func (e *Engine) FailureDump() *StateDump { return e.failure }
+
 // Render formats the dump as the plain-text block written into repro
 // bundles and failure reports.
 func (d *StateDump) Render() string {
@@ -116,11 +122,9 @@ func (d *StateDump) Render() string {
 }
 
 // DeadlockError reports total deadlock: no thread is runnable but blocked
-// threads remain. It carries a full machine-state dump taken before the
-// engine tore the threads down.
+// threads remain.
 type DeadlockError struct {
 	Blocked []string // "name(reason)" per blocked thread, sorted
-	Dump    *StateDump
 }
 
 func (e *DeadlockError) Error() string {
@@ -134,7 +138,6 @@ func (e *DeadlockError) Error() string {
 type StallError struct {
 	At         Time // the frozen virtual time
 	Dispatches int  // consecutive dispatches without progress
-	Dump       *StateDump
 }
 
 func (e *StallError) Error() string {
@@ -143,10 +146,8 @@ func (e *StallError) Error() string {
 }
 
 // StoppedError reports that the run was abandoned because Engine.Stop was
-// called (typically by a wall-clock watchdog in the harness supervisor).
-type StoppedError struct {
-	Dump *StateDump
-}
+// called (typically by the harness's wall-clock watchdog).
+type StoppedError struct{}
 
 func (e *StoppedError) Error() string {
 	return "sim: engine stopped by watchdog"

@@ -296,7 +296,7 @@ type Engine struct {
 	threads []*Thread
 	ready   []*Thread // min-heap on (key, seq); key lower-bounds effTime
 	running *Thread
-	nextID  int
+	failure *StateDump // taken by abort before teardown; nil until a run fails
 	seq     uint64
 	started bool
 	// linearPick forces the O(n) ready scan instead of the heap; the
@@ -349,14 +349,13 @@ func (e *Engine) nextSeq() uint64 {
 func (e *Engine) Spawn(name string, start Time, fn func(*Thread)) *Thread {
 	t := &Thread{
 		engine: e,
-		id:     e.nextID,
+		id:     len(e.threads),
 		name:   name,
 		state:  Ready,
 		clock:  start,
 		idle:   start,
 		seq:    e.nextSeq(),
 	}
-	e.nextID++
 	e.threads = append(e.threads, t)
 	e.readyPush(t)
 	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
@@ -517,7 +516,8 @@ func (e *Engine) readyFix(i int) {
 
 // Run executes the simulation until every thread has finished. It returns
 // the first thread error encountered (aborting all other threads), or a
-// deadlock error if blocked threads remain with nothing ready.
+// deadlock error if blocked threads remain with nothing ready. A failed
+// run leaves its machine-state dump in FailureDump.
 func (e *Engine) Run() error {
 	if e.started {
 		return errors.New("sim: engine already run")
@@ -528,16 +528,14 @@ func (e *Engine) Run() error {
 	defer e.Bus.Flush()
 	for {
 		if e.stop.Load() {
-			err := &StoppedError{Dump: e.DumpState()}
 			e.abort()
-			return err
+			return &StoppedError{}
 		}
 		t := e.pick()
 		if t == nil {
 			if stuck := e.blockedList(); len(stuck) > 0 {
-				err := &DeadlockError{Blocked: stuck, Dump: e.DumpState()}
 				e.abort()
-				return err
+				return &DeadlockError{Blocked: stuck}
 			}
 			return nil
 		}
@@ -567,9 +565,8 @@ func (e *Engine) Run() error {
 		} else {
 			e.stallRun++
 			if e.StallLimit > 0 && e.stallRun >= e.StallLimit {
-				err := &StallError{At: e.spanStart, Dispatches: e.stallRun, Dump: e.DumpState()}
 				e.abort()
-				return err
+				return &StallError{At: e.spanStart, Dispatches: e.stallRun}
 			}
 		}
 	}
@@ -639,11 +636,15 @@ func (e *Engine) blockedList() []string {
 	return names
 }
 
-// abort tears down every live thread so their coroutines exit. Stopping a
-// started thread makes its pending park unwind with abortSignal, which top
-// turns into ErrAborted; a thread that never ran has no stack to unwind,
-// so it finishes here.
+// abort ends a failed run, and Run's four failure exits (Stop, deadlock,
+// a thread's error, stall) are its only callers. It first dumps the
+// machine for FailureDump, while every bystander still shows the state
+// the failure caught it in, then tears down every live thread so their
+// coroutines exit. Stopping a started thread makes its pending park
+// unwind with abortSignal, which top turns into ErrAborted; a thread
+// that never ran has no stack to unwind, so it finishes here.
 func (e *Engine) abort() {
+	e.failure = e.DumpState()
 	for _, t := range e.threads {
 		if t.state == Ready || t.state == Blocked {
 			t.state = Running

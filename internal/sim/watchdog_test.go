@@ -11,8 +11,9 @@ import (
 )
 
 // TestDeadlockErrorIsTyped: a total deadlock returns a *DeadlockError
-// carrying the sorted blocked-thread list and a full state dump, and the
-// engine still tears every thread down cleanly afterwards.
+// carrying the sorted blocked-thread list, leaves a full state dump in
+// FailureDump, and the engine still tears every thread down cleanly
+// afterwards.
 func TestDeadlockErrorIsTyped(t *testing.T) {
 	e := NewEngine()
 	b1 := e.Spawn("writer", 0, func(th *Thread) { th.Block("page lock") })
@@ -29,10 +30,11 @@ func TestDeadlockErrorIsTyped(t *testing.T) {
 	if len(dl.Blocked) != 2 || dl.Blocked[0] != want[0] || dl.Blocked[1] != want[1] {
 		t.Errorf("Blocked = %v, want %v (sorted)", dl.Blocked, want)
 	}
-	if dl.Dump == nil {
-		t.Fatal("deadlock error carries no state dump")
+	dump := e.FailureDump()
+	if dump == nil {
+		t.Fatal("deadlocked run left no failure dump")
 	}
-	r := dl.Dump.Render()
+	r := dump.Render()
 	for _, frag := range []string{`blocked on "page lock"`, `blocked on "barrier"`, "threads (2)"} {
 		if !strings.Contains(r, frag) {
 			t.Errorf("dump missing %q:\n%s", frag, r)
@@ -71,7 +73,7 @@ func TestStallWatchdog(t *testing.T) {
 	if st.At != 0 {
 		t.Errorf("At = %v, want the frozen virtual time 0", st.At)
 	}
-	if st.Dump == nil || !strings.Contains(st.Dump.Render(), "spinner") {
+	if dump := e.FailureDump(); dump == nil || !strings.Contains(dump.Render(), "spinner") {
 		t.Error("stall dump missing the spinning thread")
 	}
 	if bystander.state != Done || bystander.err != ErrAborted {
@@ -112,9 +114,9 @@ func TestProgressResetsStallCounter(t *testing.T) {
 	}
 }
 
-// TestStopAbandonsRun: Engine.Stop (the harness supervisor's wall-clock
-// watchdog hook) makes Run return a typed StoppedError with a dump and
-// abort every thread at the next dispatch boundary. A lone thread that
+// TestStopAbandonsRun: Engine.Stop (the harness's wall-clock watchdog
+// hook) makes Run return a typed StoppedError, leave a dump in
+// FailureDump and abort every thread at the next dispatch boundary. A lone thread that
 // advances and yields wins every pick, so the engine re-dispatches it in
 // place and it never returns to Run: its own Yield must see the stop,
 // whether the thread or another goroutine set it. Each loop is bounded,
@@ -164,7 +166,7 @@ func TestStopAbandonsRun(t *testing.T) {
 		if !errors.As(err, &stopped) {
 			t.Fatalf("%s: err = %#v, want *StoppedError", c.name, err)
 		}
-		if stopped.Dump == nil || !strings.Contains(stopped.Dump.Render(), "worker") {
+		if dump := e.FailureDump(); dump == nil || !strings.Contains(dump.Render(), "worker") {
 			t.Errorf("%s: stop dump missing thread table", c.name)
 		}
 		if th.state != Done || th.err != ErrAborted {
@@ -187,7 +189,9 @@ func TestStopAbandonsRun(t *testing.T) {
 // every thread deadlocks, the stall watchdog fires or Stop is called —
 // teardown finishes every bystander with ErrAborted: one blocked forever,
 // and one spawned at a later clock that never starts (except under
-// deadlock, where it must run and block before nothing is ready). Many
+// deadlock, where it must run and block before nothing is ready). The
+// failure dump is taken before that teardown, so it shows each bystander
+// as the failure caught it; a run that ends cleanly leaves none. Many
 // such runs leave no thread's goroutine behind.
 func TestAbortTearsDownEveryThread(t *testing.T) {
 	cases := []struct {
@@ -230,6 +234,22 @@ func TestAbortTearsDownEveryThread(t *testing.T) {
 		if lateRan != c.lateRuns {
 			t.Errorf("%s: late thread ran = %v, want %v", c.name, lateRan, c.lateRuns)
 		}
+		wantLate := ThreadDump{ID: 2, Name: "late", State: Ready, Clock: Second}
+		if c.lateRuns {
+			wantLate.State, wantLate.BlockedOn = Blocked, "late"
+		}
+		dump := e.FailureDump()
+		if dump == nil {
+			t.Fatalf("%s: failed run left no failure dump", c.name)
+		}
+		for _, want := range []ThreadDump{
+			{ID: 0, Name: "blocked", State: Blocked, BlockedOn: "forever"},
+			wantLate,
+		} {
+			if got := dump.Threads[want.ID]; got != want {
+				t.Errorf("%s: failure dump has %+v, want %+v", c.name, got, want)
+			}
+		}
 		for _, th := range []*Thread{blocked, late} {
 			if th.state != Done || th.err != ErrAborted {
 				t.Errorf("%s: %s state=%v err=%v, want done/ErrAborted", c.name, th.name, th.state, th.err)
@@ -238,6 +258,11 @@ func TestAbortTearsDownEveryThread(t *testing.T) {
 		if culprit.state != Done {
 			t.Errorf("%s: culprit state=%v, want done", c.name, culprit.state)
 		}
+	}
+	e := NewEngine()
+	e.Spawn("clean", 0, func(th *Thread) { th.Advance(Microsecond) })
+	if err := e.Run(); err != nil || e.FailureDump() != nil {
+		t.Errorf("clean run: err = %v, failure dump = %v, want neither", err, e.FailureDump())
 	}
 	before := runtime.NumGoroutine()
 	for n := 0; n < 50; n++ {
