@@ -203,9 +203,7 @@ func (n *Manager) register(pg *Page) {
 	n.dir.add(pg)
 }
 
-// unregister removes a freed page from the directory; its slot's
-// generation stamp is bumped so a stale handle cannot evict a later
-// occupant.
+// unregister removes a freed page from the directory.
 func (n *Manager) unregister(pg *Page) {
 	n.dir.remove(pg)
 }

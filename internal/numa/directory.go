@@ -1,7 +1,6 @@
 package numa
 
-// This file holds the manager's dense hot state: the generation-stamped
-// live-page directory (which pages exist, in stable slot order) and the
+// This file holds the manager's dense hot state: the live-page directory (which pages exist, in stable slot order) and the
 // per-processor residency shards the clock reclaimer sweeps. Both used
 // map- or swap-indexed forms; the dense forms are page-index-addressed
 // slices so the fault path never hashes and whole-directory sweeps are
@@ -9,26 +8,17 @@ package numa
 // script holds and compare them with these, entry by entry, after every
 // step.
 
-// dirSlot is one slot of the live-page directory. gen is bumped each time
-// the slot is vacated, so a stale *Page handle (freed, slot since reused)
-// can never unregister the slot's new occupant: remove checks both the
-// pointer and the generation stamp.
-type dirSlot struct {
-	pg  *Page
-	gen uint32
-}
-
 // directory is the dense live-page index behind AuditAll, the state-dump
 // summary, and page registration. Slots are reused LIFO through a free
 // list; iteration is by ascending slot index, which is deterministic by
 // construction (no map iteration anywhere).
 type directory struct {
-	slots []dirSlot
+	slots []*Page
 	free  []int32 // vacated slot indices, reused LIFO
 }
 
 // add registers pg in the first free slot (or a fresh one) and stamps the
-// page with its slot and generation.
+// page with its slot.
 func (d *directory) add(pg *Page) {
 	var idx int32
 	if k := len(d.free); k > 0 {
@@ -36,28 +26,22 @@ func (d *directory) add(pg *Page) {
 		d.free = d.free[:k-1]
 	} else {
 		idx = int32(len(d.slots))
-		d.slots = append(d.slots, dirSlot{})
+		d.slots = append(d.slots, nil)
 	}
-	s := &d.slots[idx]
-	s.pg = pg
+	d.slots[idx] = pg
 	pg.slot = idx
-	pg.gen = s.gen
 }
 
-// remove vacates pg's slot and bumps its generation. A page whose stamp
-// no longer matches (already freed, slot reused) is ignored, mirroring
-// the old swap-remove index's tolerance of double unregister.
+// remove vacates pg's slot. A page already removed holds slot -1 until
+// it is added again (a recycled record is re-added with a fresh slot), so
+// a second remove is ignored, mirroring the old swap-remove index's
+// tolerance of double unregister.
 func (d *directory) remove(pg *Page) {
 	idx := pg.slot
-	if idx < 0 || int(idx) >= len(d.slots) {
+	if idx < 0 {
 		return
 	}
-	s := &d.slots[idx]
-	if s.pg != pg || s.gen != pg.gen {
-		return
-	}
-	s.pg = nil
-	s.gen++
+	d.slots[idx] = nil
 	pg.slot = -1
 	d.free = append(d.free, idx)
 }
@@ -65,8 +49,8 @@ func (d *directory) remove(pg *Page) {
 // forEach visits every live page in ascending slot order and stops at the
 // first error.
 func (d *directory) forEach(fn func(*Page) error) error {
-	for i := range d.slots {
-		if pg := d.slots[i].pg; pg != nil {
+	for _, pg := range d.slots {
+		if pg != nil {
 			if err := fn(pg); err != nil {
 				return err
 			}

@@ -368,7 +368,7 @@ func TestProtocolFuzzTopology(t *testing.T) {
 // fuzzScript rebuilds the map form of the directory and the residency
 // shards from the pages it holds, and compares it with the dense forms
 // after every operation and between each free and the next allocation.
-// A pass means the dense, generation-stamped forms stayed identical to
+// A pass means the dense, slot-stamped forms stayed identical to
 // the old map forms across create/free/reuse cycles, replication,
 // migration, eviction and remote placement.
 func TestDenseDirectoryOracle(t *testing.T) {

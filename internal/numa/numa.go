@@ -168,15 +168,12 @@ type Page struct {
 	heatEpoch uint32
 	pword     uint64
 
-	// mgr is the owning manager (set on adoption); slot/gen locate the
-	// page in the manager's dense live-page directory (slot -1 after
-	// FreePage; gen guards against stale handles once the slot is
-	// reused). pinSeen is the auditor's pin-monotonicity shadow: once the
-	// auditor has observed the pin bit set, it must stay set until
-	// FreePage.
+	// mgr is the owning manager (set on adoption); slot locates the page
+	// in the manager's dense live-page directory (-1 after FreePage).
+	// pinSeen is the auditor's pin-monotonicity shadow: once the auditor
+	// has observed the pin bit set, it must stay set until FreePage.
 	mgr     *Manager
 	slot    int32
-	gen     uint32
 	pinSeen bool
 }
 
