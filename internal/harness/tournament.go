@@ -54,8 +54,9 @@ type TournamentRow struct {
 	LocalFrac float64
 	Moves     uint64
 	Pins      uint64
-	// Hints and Migrations count the co-placement channel's traffic:
-	// accepted scheduler hints and the thread migrations they caused.
+	// Hints counts the co-placement channel's accepted scheduler hints;
+	// Migrations counts every thread migration, those the hints caused
+	// and failovers off dead processors alike.
 	Hints      uint64
 	Migrations uint64
 }

@@ -58,7 +58,7 @@ type Stats struct {
 	Spawns        uint64
 	HintsAccepted uint64
 	HintsRejected uint64
-	Migrations    uint64 // accepted hints applied at quantum boundaries
+	Migrations    uint64 // threads rebound at quantum boundaries: applied hints and failovers alike
 	Failovers     uint64 // threads moved off dead processors at quantum boundaries
 }
 

@@ -84,9 +84,10 @@ const (
 	// toward a node (Arg: the advised node, Arg2: 1 if the scheduler
 	// accepted the hint, 0 if it rejected it, Label: policy name).
 	KindSchedHint
-	// KindSchedMigrate: the scheduler applied an accepted hint at a
-	// quantum boundary, rebinding the thread (Proc: the new processor,
-	// Arg: the target node, Arg2: the processor left behind).
+	// KindSchedMigrate: the scheduler rebound a thread at a quantum
+	// boundary, applying an accepted hint or failing the thread over off
+	// a dead processor (Proc: the new processor, Arg: the target node,
+	// Arg2: the processor left behind).
 	KindSchedMigrate
 	// KindNodeOffline: a health schedule marked a node failing (Arg: the
 	// node; Arg2: the number of resident pages evacuated from it).
