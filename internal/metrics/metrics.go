@@ -60,8 +60,9 @@ type RunSpec struct {
 	Audit int
 	// Forensics attaches a per-run forensic ring buffer and converts any
 	// failure into a *RunError carrying the ring contents and a rendered
-	// machine-state dump (the raw material of a repro bundle, the ring's
-	// only reader).
+	// machine-state dump: the raw material of a repro bundle, the ring's
+	// only reader, so the harness sets it only when it writes bundles
+	// (Options.ReproDir).
 	Forensics bool
 	// StallLimit overrides the engine's stall-watchdog threshold for this
 	// run (0 keeps the engine default).
