@@ -1,6 +1,7 @@
 package numa
 
-// This file holds the manager's dense hot state: the live-page directory (which pages exist, in stable slot order) and the
+// This file holds the manager's dense hot state: the live-page
+// directory (which pages exist, in stable slot order) and the
 // per-processor residency shards the clock reclaimer sweeps. Both used
 // map- or swap-indexed forms; the dense forms are page-index-addressed
 // slices so the fault path never hashes and whole-directory sweeps are

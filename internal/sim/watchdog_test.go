@@ -116,12 +116,12 @@ func TestProgressResetsStallCounter(t *testing.T) {
 
 // TestStopAbandonsRun: Engine.Stop (the harness's wall-clock watchdog
 // hook) makes Run return a typed StoppedError, leave a dump in
-// FailureDump and abort every thread at the next dispatch boundary. A lone thread that
-// advances and yields wins every pick, so the engine re-dispatches it in
-// place and it never returns to Run: its own Yield must see the stop,
-// whether the thread or another goroutine set it. Each loop is bounded,
-// so a yield that missed the stop lets the thread finish and Run return
-// nil rather than hang.
+// FailureDump and abort every thread at the next dispatch boundary. A
+// lone thread that advances and yields wins every pick, so the engine
+// re-dispatches it in place and it never returns to Run: its own Yield
+// must see the stop, whether the thread or another goroutine set it.
+// Each loop is bounded, so a yield that missed the stop lets the thread
+// finish and Run return nil rather than hang.
 func TestStopAbandonsRun(t *testing.T) {
 	const loops, stopAt = 1000, 100
 	cases := []struct {
