@@ -233,15 +233,17 @@ tournament:
 
 # avail is the degraded-mode gate: the availability sweep (every Table 3
 # app plus Zipf through single-loss, rolling-loss and link-brownout
-# schedules) must be byte-identical at any -parallel, the sweep must run
-# on the ACE by name, and the failure-schedule fuzz (-short subset), the
-# evacuation property tests and the rerouting unit tests must hold under
-# -race.
+# schedules) must be byte-identical at any -parallel and under the
+# stride-1 online auditor (-audit 1, which panics a run on any protocol
+# or quarantine violation), the sweep must run on the ACE by name, and
+# the failure-schedule fuzz (-short subset), the evacuation property
+# tests and the rerouting unit tests must hold under -race.
 avail:
 	dir=$$(mktemp -d) && \
 	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 1 > $$dir/p1.csv && \
 	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 8 > $$dir/p8.csv && \
-	cmp $$dir/p1.csv $$dir/p8.csv && rm -r $$dir
+	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 8 -audit 1 > $$dir/audit.csv && \
+	cmp $$dir/p1.csv $$dir/p8.csv && cmp $$dir/p1.csv $$dir/audit.csv && rm -r $$dir
 	$(GO) test -race -count=1 -run 'TestAvailabilityOnACE' ./internal/harness/
 	$(GO) test -race -count=1 -short -run 'TestProtocolFuzzFailure|TestEvacuation|TestRevivedNodeStartsCold' ./internal/numa/
-	$(GO) test -race -count=1 -run 'TestMeshDetour|TestFullyConnectedRelay|TestNodeDownSeversIncidentLinks|TestDegradedChargeDeterminism|TestInterleaveSkipsOfflineNodes' ./internal/topology/
+	$(GO) test -race -count=1 -run 'TestMeshDetour|TestFullyConnectedRelay|TestNodeDownSeversIncidentLinks|TestNodeDownFollowsHealth|TestDegradedChargeDeterminism|TestInterleaveSkipsOfflineNodes' ./internal/topology/

@@ -490,7 +490,8 @@ func BenchmarkAuditOverhead(b *testing.B) {
 // BenchmarkEvacuation prices one full degraded-mode cycle on the
 // 4-socket machine: place local writable copies on a node, fail it
 // (drain every copy onto the survivors through the bounded work queue,
-// quarantine the pool), then revive it cold. The per-op cost is what a
+// then take the node down in the topology, which reroutes its links),
+// then revive it cold and bring it back up. The per-op cost is what a
 // failure schedule charges the host per node event, on top of the
 // virtual time it bills the simulation.
 func BenchmarkEvacuation(b *testing.B) {

@@ -4,10 +4,10 @@ package metrics
 // schedule against a running machine in virtual time. Each event fires
 // at its scheduled instant — the driver idles to the event time and
 // yields, so every workload thread has run up to that point — and then
-// mutates the three degraded-mode layers in one atomic (yield-free)
-// step: the topology's health mask and link capacities, the NUMA
-// manager's evacuation/quarantine protocol, and the scheduler's
-// failover masks.
+// applies it in one atomic (yield-free) step: a link event to the
+// topology's link capacities and routes, a node event to the NUMA
+// manager, which evacuates or revives the node and sets the topology's
+// node mask, the one record of node health the scheduler also reads.
 //
 // The driver thread is spawned only when the schedule is non-empty;
 // a run without one spawns nothing and stays byte-identical, thread ids
@@ -19,7 +19,6 @@ import (
 	"numasim/internal/ace"
 	"numasim/internal/chaos"
 	"numasim/internal/numa"
-	"numasim/internal/sched"
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
 )
@@ -34,9 +33,9 @@ type healthEvent struct {
 
 // StartHealthDriver validates cfg's failure schedule against the
 // machine's topology and spawns the driver thread that replays it. A
-// nil error with no schedule means nothing was spawned. Call after the
-// scheduler exists and before the workload runs.
-func StartHealthDriver(machine *ace.Machine, mgr *numa.Manager, sch *sched.Scheduler, cfg chaos.Config) error {
+// nil error with no schedule means nothing was spawned. Call before the
+// workload runs.
+func StartHealthDriver(machine *ace.Machine, mgr *numa.Manager, cfg chaos.Config) error {
 	if !cfg.HealthEnabled() {
 		return nil
 	}
@@ -68,24 +67,22 @@ func StartHealthDriver(machine *ace.Machine, mgr *numa.Manager, sch *sched.Sched
 				th.Idle(r.ev.At - th.Clock())
 				th.Yield()
 			}
-			applyHealth(machine, mgr, sch, th, r)
+			applyHealth(machine, mgr, th, r)
 		}
 	})
 	return nil
 }
 
-// applyHealth fires one schedule entry. A node failure evacuates the
-// NUMA manager first — the sync-and-migrate traffic still travels the
-// healthy routes of a failing-but-not-yet-dead node — then downs the
-// topology and fails the scheduler over. Revival reverses the order.
-func applyHealth(machine *ace.Machine, mgr *numa.Manager, sch *sched.Scheduler, th *sim.Thread, r healthEvent) {
+// applyHealth fires one schedule entry. The NUMA manager's FailNode
+// evacuates a failing node — the sync-and-migrate traffic still travels
+// the healthy routes of a failing-but-not-yet-dead node — and then marks
+// it down; ReviveNode marks a revived node up once it is found cold.
+func applyHealth(machine *ace.Machine, mgr *numa.Manager, th *sim.Thread, r healthEvent) {
 	topo := machine.Topo()
 	bus := machine.Bus()
 	switch r.ev.Kind {
 	case chaos.NodeOffline:
 		evac := mgr.FailNode(th, r.ev.Node)
-		topo.SetNodeHealth(r.ev.Node, false)
-		sch.FailNode(r.ev.Node)
 		if bus.Enabled() {
 			bus.Emit(simtrace.Event{
 				Kind: simtrace.KindNodeOffline, Proc: -1, Thread: int32(th.ID()),
@@ -94,9 +91,7 @@ func applyHealth(machine *ace.Machine, mgr *numa.Manager, sch *sched.Scheduler, 
 			})
 		}
 	case chaos.NodeOnline:
-		topo.SetNodeHealth(r.ev.Node, true)
 		mgr.ReviveNode(th, r.ev.Node)
-		sch.ReviveNode(r.ev.Node)
 		if bus.Enabled() {
 			bus.Emit(simtrace.Event{
 				Kind: simtrace.KindNodeOnline, Proc: -1, Thread: int32(th.ID()),

@@ -185,7 +185,7 @@ func Build(spec RunSpec) (*System, error) {
 		spec.OnMachine(machine)
 	}
 	scheduler := sched.New(kernel, spec.Sched)
-	if err := StartHealthDriver(machine, kernel.NUMA(), scheduler, spec.Chaos); err != nil {
+	if err := StartHealthDriver(machine, kernel.NUMA(), spec.Chaos); err != nil {
 		return nil, err
 	}
 	return &System{Machine: machine, Kernel: kernel, Sched: scheduler, spec: spec, ring: ring}, nil

@@ -125,7 +125,7 @@ func (n *Manager) auditCheckPage(pg *Page) error {
 		if pg.state == ReadOnly && !c.Equal(pg.global) {
 			return fmt.Errorf("page%d replica on node%d differs from its global frame", pg.id, p)
 		}
-		if n.offline != nil && n.offline[p] {
+		if n.machine.Topo().NodeDown(p) {
 			return fmt.Errorf("page%d holds a copy on offline node%d", pg.id, p)
 		}
 	}
@@ -177,9 +177,9 @@ func (n *Manager) AuditAll() error {
 		// Degraded-mode invariants: an offline node stays empty (no
 		// residency, pool fully free) for the whole quarantine, and the
 		// quarantine is monotonic — only ReviveNode may lift it (it clears
-		// the auditor's shadow bit before the mask).
-		if n.offline != nil {
-			if n.offline[p] {
+		// the auditor's shadow bit before the topology's mask).
+		if n.offlineSeen != nil {
+			if n.machine.Topo().NodeDown(p) {
 				n.offlineSeen[p] = true
 				if used != 0 {
 					return fmt.Errorf("offline node%d has %d resident copies", p, used)

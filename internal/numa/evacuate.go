@@ -2,7 +2,7 @@ package numa
 
 // This file is the manager's degraded-mode machinery: the evacuation
 // protocol that drains a failing node's local memory onto the survivors,
-// the quarantine mask that keeps placements off offline nodes, and the
+// the quarantine that keeps placements off offline nodes, and the
 // revival path that returns a node to service cold.
 //
 // When the health driver marks a node failing (FailNode), every page with
@@ -12,13 +12,14 @@ package numa
 // and the local-writable authority migrates to the nearest surviving
 // node with room — backing off exponentially under destination pressure
 // (surfaced as Stats.EvacRetries) and falling back to a sync-to-global
-// when no survivor can take the copy (Stats.EvacFallbacks). Afterwards
-// the node's frame pool is empty and quarantined: the offline mask
-// demotes any LOCAL or remote placement aimed at it until ReviveNode.
+// when no survivor can take the copy (Stats.EvacFallbacks). Only then,
+// with its frame pool empty, is the node marked down in the topology's
+// node mask, and quarantined: any LOCAL or remote placement aimed at it
+// is demoted until ReviveNode.
 //
-// Inertness: offline stays nil until the first FailNode, so a run with
-// no failure schedule pays one nil check per fault and allocates none of
-// this.
+// Inertness: offlineSeen stays nil until the first FailNode, so a run
+// with no failure schedule pays one nil check per fault and allocates
+// none of this.
 
 import (
 	"numasim/internal/sim"
@@ -38,36 +39,36 @@ const (
 // degradeOffline demotes placement answers aimed at quarantined nodes:
 // a LOCAL answer for a faulting processor homed on an offline node, or a
 // remote placement whose home node is offline, proceeds against global
-// memory instead. Called from Access only once the offline mask exists.
+// memory instead. Called from Access only once a node has failed.
 func (n *Manager) degradeOffline(pg *Page, loc Location, node int) Location {
-	if loc == Local && n.offline[node] {
+	topo := n.machine.Topo()
+	if loc == Local && topo.NodeDown(node) {
 		return Global
 	}
-	if loc == PlaceRemote && pg.home >= 0 && n.offline[n.machine.Home(pg.home)] {
+	if loc == PlaceRemote && pg.home >= 0 && topo.ProcDown(pg.home) {
 		return Global
 	}
 	return loc
 }
 
-// FailNode marks node failing and evacuates it: every page copy resident
-// there is migrated or dropped, the frame pool drains to empty, and the
-// node is quarantined until ReviveNode. The protocol work is charged to
-// th as system time. It returns the number of page copies evacuated;
-// failing an already offline node does nothing.
+// FailNode evacuates node and then takes it down: every page copy
+// resident there is migrated or dropped, the frame pool drains to empty,
+// and only then does the topology mark the node down, which quarantines
+// it until ReviveNode and reroutes the interconnect around it. The
+// protocol work is charged to th as system time. It returns the number
+// of page copies evacuated; failing an already offline node does nothing.
 func (n *Manager) FailNode(th *sim.Thread, node int) int {
 	n.now = th.Clock()
 	if node < 0 || node >= n.machine.NNodes() {
 		panic(n.violation(nil, "numa: FailNode on bad node %d", node))
 	}
-	if n.offline == nil {
-		n.offline = make([]bool, n.machine.NNodes())
-		n.offlineSeen = make([]bool, n.machine.NNodes())
-	}
-	if n.offline[node] {
+	if n.machine.Topo().NodeDown(node) {
 		return 0
 	}
-	n.offline[node] = true
-	n.stats.NodesFailed++
+	if n.offlineSeen == nil {
+		n.offlineSeen = make([]bool, n.machine.NNodes())
+		n.evacQueue = make([]*Page, 0, evacBatch)
+	}
 	evacuated := n.evacuateNode(th, node)
 	// The pool must have drained: a frame still allocated after
 	// evacuation would be unreachable for the rest of the quarantine.
@@ -76,20 +77,22 @@ func (n *Manager) FailNode(th *sim.Thread, node int) int {
 		panic(n.violation(nil, "numa: node%d pool holds %d frames after evacuation",
 			node, pool.Size()-pool.Free()))
 	}
+	n.machine.Topo().SetNodeHealth(node, false)
 	return evacuated
 }
 
 // ReviveNode returns an offline node to service. The node starts cold:
 // its residency shard must be empty and its pool fully free (evacuation
 // left it so, and the quarantine kept it so), its reference bits and
-// clock hand are reset, and the quarantine — including the auditor's
-// monotonicity shadow — is lifted. Reviving an online node does nothing.
+// clock hand are reset, the auditor's monotonicity shadow is cleared, and
+// then the topology marks the node up. Reviving an online node does
+// nothing.
 func (n *Manager) ReviveNode(th *sim.Thread, node int) {
 	n.now = th.Clock()
 	if node < 0 || node >= n.machine.NNodes() {
 		panic(n.violation(nil, "numa: ReviveNode on bad node %d", node))
 	}
-	if n.offline == nil || !n.offline[node] {
+	if !n.machine.Topo().NodeDown(node) {
 		return
 	}
 	shard := &n.shards[node]
@@ -106,8 +109,7 @@ func (n *Manager) ReviveNode(th *sim.Thread, node int) {
 			node, pool.Size()-pool.Free()))
 	}
 	n.offlineSeen[node] = false
-	n.offline[node] = false
-	n.stats.NodesRevived++
+	n.machine.Topo().SetNodeHealth(node, true)
 }
 
 // evacuateNode drains every page copy off node through the bounded work
@@ -117,9 +119,6 @@ func (n *Manager) ReviveNode(th *sim.Thread, node int) {
 // survivor) but never adds copies to the failing node, so the loop
 // strictly drains.
 func (n *Manager) evacuateNode(th *sim.Thread, node int) int {
-	if n.evacQueue == nil {
-		n.evacQueue = make([]*Page, 0, evacBatch)
-	}
 	total := 0
 	for {
 		q := n.evacQueue[:0]
@@ -196,7 +195,7 @@ func (n *Manager) evacDest(th *sim.Thread, pg *Page, from int) int {
 		}
 	}
 	for _, cand := range ranked[1:] {
-		if n.offline[cand] {
+		if n.machine.Topo().NodeDown(cand) {
 			continue
 		}
 		if n.reclaimLocal(th, pg, cand, n.nodeProc(cand)) {
@@ -210,7 +209,7 @@ func (n *Manager) evacDest(th *sim.Thread, pg *Page, from int) int {
 // has a free frame, or -1. ranked[0] is the failing node itself.
 func (n *Manager) freeSurvivor(ranked []int) int {
 	for _, cand := range ranked[1:] {
-		if !n.offline[cand] && n.machine.Memory().Local(cand).Free() > 0 {
+		if !n.machine.Topo().NodeDown(cand) && n.machine.Memory().Local(cand).Free() > 0 {
 			return cand
 		}
 	}
@@ -223,7 +222,7 @@ func (n *Manager) freeSurvivor(ranked []int) int {
 // 0 when every node is offline (a degenerate schedule).
 func (n *Manager) survivorProc(node int) int {
 	for _, cand := range n.machine.Spec().Ranked(node) {
-		if cand == node || n.offline[cand] {
+		if cand == node || n.machine.Topo().NodeDown(cand) {
 			continue
 		}
 		if ps := n.machine.NodeProcs(cand); len(ps) > 0 {

@@ -161,76 +161,90 @@ func TestEvacuationPreservesContents(t *testing.T) {
 	}
 }
 
-// TestEvacuationQueueDrains piles local-hungry writes onto minimal
-// local memories, then fails nodes one by one down to a single
-// survivor. After every failure the failing node must hold no page
-// copies and a fully free pool, and the full audit must stay clean —
-// the bounded work queue drained completely regardless of how full the
-// survivors were. Destination pressure must also be visible: across the
-// seed set some evacuation had to back off or reclaim.
+// TestEvacuationQueueDrains piles local-hungry accesses onto minimal
+// local memories under the stride-1 auditor, then fails nodes one by one
+// down to a single survivor. After every failure the failing node must
+// hold no page copies and a fully free pool, and the full audit must
+// stay clean — the bounded work queue drained completely regardless of
+// how full the survivors were. The first pass fills with writes only;
+// the second makes each fill access a read or a write with equal odds,
+// so read-only replicas still sit on a failing node while evacuation
+// reclaims frames on the survivors, and the auditor must not see the
+// node as down before it has drained. Destination pressure must be
+// visible in both passes: across the seed set some evacuation had to
+// back off or reclaim.
 func TestEvacuationQueueDrains(t *testing.T) {
-	var retries, evacuations uint64
-	for seed := int64(100); seed < 150; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m, nnodes := evacMachine(t, seed, ace.MinLocalFrames)
-		n := NewManager(m, alwaysLocal{})
+	for _, pass := range []struct {
+		name  string
+		reads bool
+	}{{"writes", false}, {"reads and writes", true}} {
+		var retries, evacuations uint64
+		for seed := int64(100); seed < 150; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			m, nnodes := evacMachine(t, seed, ace.MinLocalFrames)
+			n := NewManager(m, alwaysLocal{})
+			n.EnableAudit(1, nil)
 
-		npages := nnodes*ace.MinLocalFrames + 4
-		pages := make([]*Page, npages)
+			npages := nnodes*ace.MinLocalFrames + 4
+			pages := make([]*Page, npages)
 
-		var scriptErr error
-		m.Engine().Spawn("drain", 0, func(th *sim.Thread) {
-			for i := range pages {
-				pg, err := n.NewPage()
-				if err != nil {
-					scriptErr = err
-					return
+			var scriptErr error
+			m.Engine().Spawn("drain", 0, func(th *sim.Thread) {
+				for i := range pages {
+					pg, err := n.NewPage()
+					if err != nil {
+						scriptErr = err
+						return
+					}
+					pages[i] = pg
 				}
-				pages[i] = pg
-			}
-			// Fill every node's local memory with writable copies.
-			for op := 0; op < 6*npages; op++ {
-				pg := pages[rng.Intn(npages)]
-				n.Access(th, pg, rng.Intn(nnodes), true, mmu.ProtReadWrite)
-			}
-			order := rng.Perm(nnodes)
-			for _, node := range order[:nnodes-1] {
-				n.FailNode(th, node)
-				for _, pg := range pages {
-					if pg.copies[node] != nil {
-						t.Errorf("seed %d: page%d still has a copy on failed node%d", seed, pg.id, node)
+				// Fill every node's local memory with local copies.
+				for op := 0; op < 6*npages; op++ {
+					pg := pages[rng.Intn(npages)]
+					proc := rng.Intn(nnodes)
+					write := !pass.reads || rng.Intn(2) == 0
+					n.Access(th, pg, proc, write, mmu.ProtReadWrite)
+				}
+				order := rng.Perm(nnodes)
+				for _, node := range order[:nnodes-1] {
+					n.FailNode(th, node)
+					for _, pg := range pages {
+						if pg.copies[node] != nil {
+							t.Errorf("%s, seed %d: page%d still has a copy on failed node%d",
+								pass.name, seed, pg.id, node)
+							return
+						}
+					}
+					pool := m.Memory().Local(node)
+					if pool.Free() != pool.Size() {
+						t.Errorf("%s, seed %d: node%d pool holds %d frames after evacuation",
+							pass.name, seed, node, pool.Size()-pool.Free())
+						return
+					}
+					if err := n.AuditAll(); err != nil {
+						t.Errorf("%s, seed %d: audit after failing node%d: %v", pass.name, seed, node, err)
 						return
 					}
 				}
-				pool := m.Memory().Local(node)
-				if pool.Free() != pool.Size() {
-					t.Errorf("seed %d: node%d pool holds %d frames after evacuation",
-						seed, node, pool.Size()-pool.Free())
-					return
-				}
-				if err := n.AuditAll(); err != nil {
-					t.Errorf("seed %d: audit after failing node%d: %v", seed, node, err)
-					return
-				}
+			})
+			if err := m.Engine().Run(); err != nil {
+				t.Fatalf("%s, seed %d: engine: %v", pass.name, seed, err)
 			}
-		})
-		if err := m.Engine().Run(); err != nil {
-			t.Fatalf("seed %d: engine: %v", seed, err)
+			if scriptErr != nil {
+				t.Fatalf("%s, seed %d: %v", pass.name, seed, scriptErr)
+			}
+			if t.Failed() {
+				t.Fatalf("%s, seed %d: drain property violated", pass.name, seed)
+			}
+			retries += n.Stats().EvacRetries
+			evacuations += n.Stats().Evacuations
 		}
-		if scriptErr != nil {
-			t.Fatalf("seed %d: %v", seed, scriptErr)
+		if evacuations == 0 {
+			t.Errorf("%s: no seed evacuated a single copy; the property never exercised the protocol", pass.name)
 		}
-		if t.Failed() {
-			t.Fatalf("seed %d: drain property violated", seed)
+		if retries == 0 {
+			t.Errorf("%s: no seed hit destination pressure; minimal survivors should have forced a backoff", pass.name)
 		}
-		retries += n.Stats().EvacRetries
-		evacuations += n.Stats().Evacuations
-	}
-	if evacuations == 0 {
-		t.Error("no seed evacuated a single copy; the property never exercised the protocol")
-	}
-	if retries == 0 {
-		t.Error("no seed hit destination pressure; minimal survivors should have forced a backoff")
 	}
 }
 
@@ -289,8 +303,8 @@ func TestRevivedNodeStartsCold(t *testing.T) {
 				t.Errorf("seed %d: revived node%d pool holds %d frames", seed, victim,
 					pool.Size()-pool.Free())
 			}
-			if n.offline[victim] {
-				t.Errorf("seed %d: node%d still quarantined after revival", seed, victim)
+			if m.Topo().NodeDown(victim) {
+				t.Errorf("seed %d: node%d still down after revival", seed, victim)
 			}
 
 			// The revived node must serve local placement again.

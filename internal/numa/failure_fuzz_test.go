@@ -108,7 +108,6 @@ func failureFuzzConfig(t *testing.T, seed int64, cfg ace.Config) {
 							node = rng.Intn(nnodes)
 						}
 						n.FailNode(th, node)
-						m.Topo().SetNodeHealth(node, false)
 						offline[node] = true
 						online--
 					}
@@ -119,7 +118,6 @@ func failureFuzzConfig(t *testing.T, seed int64, cfg ace.Config) {
 						for !offline[node] {
 							node = rng.Intn(nnodes)
 						}
-						m.Topo().SetNodeHealth(node, true)
 						n.ReviveNode(th, node)
 						offline[node] = false
 						online++

@@ -323,8 +323,6 @@ type Stats struct {
 	Evacuations   uint64 // page copies moved or dropped off failing nodes
 	EvacRetries   uint64 // evacuations that backed off on destination pressure
 	EvacFallbacks uint64 // evacuated pages synced to global (no survivor had room)
-	NodesFailed   uint64 // nodes taken offline by the failure schedule
-	NodesRevived  uint64 // offline nodes returned to service
 }
 
 // Injector is the fault-injection hook the NUMA manager consults on the
@@ -397,12 +395,12 @@ type Manager struct {
 	// and page-move delays on the pressure paths.
 	chaos Injector
 
-	// Degraded-mode state (see evacuate.go): offline is the node
-	// quarantine mask (nil until the first FailNode, so healthy runs pay
-	// one nil check on the fault path and allocate nothing), offlineSeen
-	// the auditor's monotonic-quarantine shadow, and evacQueue the
-	// bounded evacuation work list reused across failures.
-	offline     []bool
+	// Degraded-mode state (see evacuate.go); which nodes are down is the
+	// topology's node mask alone. offlineSeen is the auditor's
+	// monotonic-quarantine shadow, nil until the first FailNode, so
+	// healthy runs pay one nil check on the fault path and allocate
+	// nothing; evacQueue is the evacuation work list reused across
+	// failures.
 	offlineSeen []bool
 	evacQueue   []*Page
 
@@ -606,8 +604,8 @@ func (n *Manager) Access(th *sim.Thread, pg *Page, proc int, write bool, maxProt
 	node := n.machine.Home(proc)
 	n.observeAccess(pg, node, th.Clock())
 	loc := n.policy.CachePolicy(pg, proc, write, maxProt)
-	if n.offline != nil {
-		//numalint:coldpath degraded mode: the offline mask exists only under a failure schedule
+	if n.offlineSeen != nil {
+		//numalint:coldpath degraded mode: only a failure schedule fails a node
 		loc = n.degradeOffline(pg, loc, node)
 	}
 	if loc == Local && pg.copies[node] == nil && !n.admitLocal(th, pg, node, proc) {

@@ -17,6 +17,7 @@ import (
 
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
+	"numasim/internal/topology"
 	"numasim/internal/vm"
 )
 
@@ -52,10 +53,9 @@ func ParseMode(s string) (Mode, error) {
 	return Affinity, fmt.Errorf("unknown scheduler %q (want affinity or noaffinity)", s)
 }
 
-// Stats counts scheduler events: thread spawns, the migration-hint
-// traffic of the co-placement channel (numa.ThreadMover) and failovers.
+// Stats counts scheduler events: the migration-hint traffic of the
+// co-placement channel (numa.ThreadMover) and failovers.
 type Stats struct {
-	Spawns        uint64
 	HintsAccepted uint64
 	HintsRejected uint64
 	Migrations    uint64 // threads rebound at quantum boundaries: applied hints and failovers alike
@@ -65,8 +65,9 @@ type Stats struct {
 // Scheduler assigns simulated threads to processors.
 type Scheduler struct {
 	kernel *vm.Kernel
+	topo   *topology.Topology // the machine's node health mask (see failover.go)
 	mode   Mode
-	nnodes int   // the machine's node count, bounding hint and failure nodes
+	nnodes int   // the machine's node count, bounding hint nodes
 	live   []int // live thread count per processor
 	next   int   // next processor for sequential assignment
 
@@ -78,19 +79,13 @@ type Scheduler struct {
 	hint     []int32
 	homeNode []int32
 	stats    Stats
-
-	// Degraded-mode state (see failover.go): deadProc/deadNode mask
-	// processors and nodes taken offline by a failure schedule. Both are
-	// nil until the first FailNode, so the healthy paths pay one nil
-	// check and the scheduler stays byte-identical without a schedule.
-	deadProc []bool
-	deadNode []bool
 }
 
 // New creates a scheduler for the kernel's machine.
 func New(k *vm.Kernel, mode Mode) *Scheduler {
 	return &Scheduler{
 		kernel: k,
+		topo:   k.Machine().Topo(),
 		mode:   mode,
 		nnodes: k.Machine().NNodes(),
 		live:   make([]int, k.Machine().NProc()),
@@ -105,7 +100,7 @@ func (s *Scheduler) pick() int {
 	n := len(s.live)
 	for i := 0; i < n; i++ {
 		p := (s.next + i) % n
-		if s.deadProc != nil && s.deadProc[p] {
+		if s.topo.ProcDown(p) {
 			continue
 		}
 		if s.live[p] == 0 {
@@ -115,7 +110,7 @@ func (s *Scheduler) pick() int {
 	}
 	for i := 0; i < n; i++ {
 		p := (s.next + i) % n
-		if s.deadProc == nil || !s.deadProc[p] {
+		if !s.topo.ProcDown(p) {
 			s.next = (p + 1) % n
 			return p
 		}
@@ -167,7 +162,6 @@ func (s *Scheduler) track(th *sim.Thread, node int) {
 	}
 	s.hint[id] = -1
 	s.homeNode[id] = int32(node)
-	s.stats.Spawns++
 }
 
 // hop migrates a thread to the next processor in round-robin order, the
@@ -176,10 +170,8 @@ func (s *Scheduler) track(th *sim.Thread, node int) {
 func (s *Scheduler) hop(c *vm.Context) {
 	n := s.kernel.Machine().NProc()
 	next := (c.Proc() + 1) % n
-	if s.deadProc != nil {
-		for i := 0; i < n && s.deadProc[next]; i++ {
-			next = (next + 1) % n
-		}
+	for i := 0; i < n && s.topo.ProcDown(next); i++ {
+		next = (next + 1) % n
 	}
 	s.live[c.Proc()]--
 	s.live[next]++
@@ -201,7 +193,7 @@ func (s *Scheduler) MigrateHint(th *sim.Thread, node int) bool {
 	id := int(th.ID())
 	if s.mode != Affinity || node < 0 || node >= s.nnodes ||
 		id >= len(s.hint) || s.homeNode[id] < 0 ||
-		(s.deadNode != nil && s.deadNode[node]) {
+		s.topo.NodeDown(node) {
 		s.stats.HintsRejected++
 		return false
 	}
@@ -218,18 +210,17 @@ func (s *Scheduler) MigrateHint(th *sim.Thread, node int) bool {
 // applyHint is the affinity scheduler's quantum hook: fail the thread
 // over if its processor has died, apply a pending migration hint, then
 // yield the processor as an unhooked quantum would. A hint accepted
-// before its target node died is dropped, not applied.
+// before its target node died is dropped, not applied: migrate does
+// nothing on a down node.
 func (s *Scheduler) applyHint(c *vm.Context) {
-	if s.deadProc != nil && s.deadProc[c.Proc()] {
+	if s.topo.ProcDown(c.Proc()) {
 		s.failover(c)
 	}
 	id := int(c.Thread().ID())
 	if id < len(s.hint) {
 		if node := s.hint[id]; node >= 0 {
 			s.hint[id] = -1
-			if s.deadNode == nil || !s.deadNode[node] {
-				s.migrate(c, int(node))
-			}
+			s.migrate(c, int(node))
 		}
 	}
 	c.Thread().Yield()
@@ -237,25 +228,22 @@ func (s *Scheduler) applyHint(c *vm.Context) {
 
 // migrate rebinds the context's thread to the least-loaded processor
 // homed on node (ties to the lowest processor number) and accounts the
-// move. The thread travels to its pages — co-placement's complement to
-// the protocol moving pages to threads — so no page traffic is charged
-// here; the next faults simply land closer.
+// move; it does nothing when node is down. The thread travels to its
+// pages — co-placement's complement to the protocol moving pages to
+// threads — so no page traffic is charged here; the next faults simply
+// land closer.
 func (s *Scheduler) migrate(c *vm.Context, node int) {
-	procs := s.kernel.Machine().NodeProcs(node)
+	if s.topo.NodeDown(node) {
+		return
+	}
 	target := -1
-	for _, p := range procs {
-		if s.deadProc != nil && s.deadProc[p] {
-			continue
-		}
+	for _, p := range s.kernel.Machine().NodeProcs(node) {
 		if target < 0 || s.live[p] < s.live[target] {
 			target = p
 		}
 	}
-	if target < 0 {
-		return
-	}
 	from := c.Proc()
-	if target == from {
+	if target < 0 || target == from {
 		return
 	}
 	s.homeNode[c.Thread().ID()] = int32(node)

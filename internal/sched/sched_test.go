@@ -144,8 +144,9 @@ func TestMigrateHintRejections(t *testing.T) {
 	}
 }
 
-// TestFailoverSpreadsByLiveCounts fails node 0 of an 8-processor
-// 4socket, which homes cpu0 and cpu4 there. Both threads fail over to
+// TestFailoverSpreadsByLiveCounts takes node 0 of an 8-processor
+// 4socket down in the topology's node mask, the scheduler's only record
+// of node health; node 0 homes cpu0 and cpu4. Both threads fail over to
 // node 1, whose cpu1 and cpu5 run one thread each, and the live counts
 // must follow the first move so the second lands on the other processor.
 func TestFailoverSpreadsByLiveCounts(t *testing.T) {
@@ -168,7 +169,7 @@ func TestFailoverSpreadsByLiveCounts(t *testing.T) {
 			}
 		})
 	}
-	s.FailNode(0)
+	k.Machine().Topo().SetNodeHealth(0, false)
 	if err := k.Machine().Engine().Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -390,6 +390,7 @@ func (t *Thread) top(fn func(*Thread)) {
 func (t *Thread) finish(err error) {
 	t.state = Done
 	t.err = err
+	t.blocked = "" // a torn-down thread is done, not blocked
 	if t.res != nil && t.res.freeAt < t.clock {
 		t.res.freeAt = t.clock
 	}

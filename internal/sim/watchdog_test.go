@@ -255,6 +255,15 @@ func TestAbortTearsDownEveryThread(t *testing.T) {
 				t.Errorf("%s: %s state=%v err=%v, want done/ErrAborted", c.name, th.name, th.state, th.err)
 			}
 		}
+		// After the teardown every bystander is done, and a done thread
+		// is blocked on nothing.
+		after := e.DumpState()
+		for _, th := range []*Thread{blocked, late} {
+			if got := after.Threads[th.id]; got.State != Done || got.BlockedOn != "" {
+				t.Errorf("%s: dump after teardown has %s %v blocked on %q, want done and unblocked",
+					c.name, th.name, got.State, got.BlockedOn)
+			}
+		}
 		if culprit.state != Done {
 			t.Errorf("%s: culprit state=%v, want done", c.name, culprit.state)
 		}

@@ -4,6 +4,10 @@
 // failure schedule degrades one machine without touching its siblings in
 // a parallel sweep.
 //
+// The node mask is the machine's one record of which nodes are down. The
+// NUMA manager sets it; the routes below, the manager's quarantine and
+// the scheduler's failover read it.
+//
 // The inertness contract: a Topology with no health mutations keeps
 // degraded == false, allocates nothing, and ChargeTransfer's healthy path
 // is byte-for-byte the PR 8 behaviour. Every degraded branch is guarded
@@ -21,6 +25,23 @@ func (s *Spec) LinkIndex(name string) (int, bool) {
 		}
 	}
 	return -1, false
+}
+
+// NodeDown reports whether node is offline. It indexes nothing until the
+// first health mutation.
+//
+//numalint:hotpath
+func (t *Topology) NodeDown(node int) bool {
+	return t.nodeDown != nil && t.nodeDown[node]
+}
+
+// ProcDown reports whether processor proc's home node is offline. It
+// returns on the nil mask before it looks up the home node: the
+// scheduler asks at every quantum end.
+//
+//numalint:hotpath
+func (t *Topology) ProcDown(proc int) bool {
+	return t.nodeDown != nil && t.nodeDown[t.spec.homeOf[proc]]
 }
 
 // SetNodeHealth marks node offline (healthy == false) or back online.

@@ -180,6 +180,39 @@ func TestDegradeLinkFactor(t *testing.T) {
 	}
 }
 
+// TestNodeDownFollowsHealth checks the node mask's readers: on a fresh
+// topology every node and processor is up and reading them allocates no
+// mask; afterwards NodeDown follows SetNodeHealth, and ProcDown follows
+// each processor's home node.
+func TestNodeDownFollowsHealth(t *testing.T) {
+	spec, err := FourSocket(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := New(spec)
+	check := func(when string, down int) {
+		t.Helper()
+		for n := 0; n < spec.NNodes(); n++ {
+			if got := tp.NodeDown(n); got != (n == down) {
+				t.Errorf("%s: NodeDown(%d) = %v", when, n, got)
+			}
+		}
+		for p := 0; p < spec.NProcs(); p++ {
+			if got := tp.ProcDown(p); got != (spec.Home(p) == down) {
+				t.Errorf("%s: ProcDown(%d) on node%d = %v", when, p, spec.Home(p), got)
+			}
+		}
+	}
+	check("fresh", -1)
+	if tp.degraded || tp.nodeDown != nil {
+		t.Error("reading a fresh topology's health degraded it")
+	}
+	tp.SetNodeHealth(2, false)
+	check("node2 down", 2)
+	tp.SetNodeHealth(2, true)
+	check("node2 revived", -1)
+}
+
 // TestInterleaveSkipsOfflineNodes checks the round-robin cursor that
 // resolves interleaved-global transfers never lands on a dead node
 // while any node survives.
