@@ -50,7 +50,8 @@
 #                   (every app through node/link failure schedules) must
 #                   be byte-identical at any -parallel, and the
 #                   failure-schedule fuzz, the evacuation property tests
-#                   and the rerouting unit tests must hold under -race
+#                   and the rerouting unit and property tests must hold
+#                   under -race
 
 GO ?= go
 NUMALINT := bin/numalint
@@ -237,7 +238,8 @@ tournament:
 # stride-1 online auditor (-audit 1, which panics a run on any protocol
 # or quarantine violation), the sweep must run on the ACE by name, and
 # the failure-schedule fuzz (-short subset), the evacuation property
-# tests and the rerouting unit tests must hold under -race.
+# tests, the rerouting unit tests and the routing property test (every
+# failure set on 4socket and mesh8) must hold under -race.
 avail:
 	dir=$$(mktemp -d) && \
 	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 1 > $$dir/p1.csv && \
@@ -246,4 +248,4 @@ avail:
 	cmp $$dir/p1.csv $$dir/p8.csv && cmp $$dir/p1.csv $$dir/audit.csv && rm -r $$dir
 	$(GO) test -race -count=1 -run 'TestAvailabilityOnACE' ./internal/harness/
 	$(GO) test -race -count=1 -short -run 'TestProtocolFuzzFailure|TestEvacuation|TestRevivedNodeStartsCold' ./internal/numa/
-	$(GO) test -race -count=1 -run 'TestMeshDetour|TestFullyConnectedRelay|TestNodeDownSeversIncidentLinks|TestNodeDownFollowsHealth|TestDegradedChargeDeterminism|TestInterleaveSkipsOfflineNodes' ./internal/topology/
+	$(GO) test -race -count=1 -run 'TestMeshDetour|TestFullyConnectedRelay|TestNodeDownSeversIncidentLinks|TestNodeDownFollowsHealth|TestDegradedChargeDeterminism|TestInterleaveSkipsOfflineNodes|TestRoutingProperties' ./internal/topology/

@@ -191,8 +191,8 @@ policy and report timing, placement and reference statistics.
          -chaos-panic-at D -chaos-stall-at D            crash/stall drills
   acesim -chaos-node-fail 2@10ms-60ms                   degraded-mode failure
          -chaos-link-fail node0-node1@5msx4-9ms         schedules (virtual time)
-  acesim -audit N -timeout D -retries N                 supervision: auditing,
-         -repro-dir DIR -keep-going -stall-limit N      repro bundles, watchdogs
+  acesim -audit N -timeout D -repro-dir DIR             supervision: auditing,
+         -keep-going -stall-limit N                     repro bundles, watchdogs
   acesim -cpuprofile FILE -memprofile FILE              host profiling
 
 Flags:

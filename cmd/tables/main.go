@@ -62,8 +62,8 @@ the harness registry.
          -chaos-panic-at D -chaos-stall-at D            crash/stall drills
   tables -chaos-node-fail 2@10ms-60ms                   degraded-mode failure
          -chaos-link-fail node0-node1@5msx4-9ms         schedules (virtual time)
-  tables -audit N -timeout D -retries N                 supervision: auditing,
-         -repro-dir DIR -keep-going -stall-limit N      repro bundles, watchdogs
+  tables -audit N -timeout D -repro-dir DIR             supervision: auditing,
+         -keep-going -stall-limit N                     repro bundles, watchdogs
   tables -cpuprofile FILE -memprofile FILE              host profiling
 
 Flags:

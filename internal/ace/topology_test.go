@@ -25,11 +25,12 @@ func TestCopyZeroChargesFromSpec(t *testing.T) {
 			}
 			const proc = 1
 			home := spec.Home(proc)
+			remote := topology.New(spec).Nearest(home, func(int) bool { return true })
 			words := sim.Time(cfg.PageSize / 4)
 			for _, c := range []struct {
 				kind string
 				node int
-			}{{"local", home}, {"remote", spec.Ranked(home)[1]}, {"global", -1}} {
+			}{{"local", home}, {"remote", remote}, {"global", -1}} {
 				col, homeCol := spec.Col(c.node), spec.Col(home)
 				charge := func(src, dst int) sim.Time {
 					return sysCharge(t, cfg, func(m *Machine, th *sim.Thread) {

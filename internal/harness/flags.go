@@ -53,7 +53,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.chaosLinkFail, "chaos-link-fail", "", "link failure schedule: comma-separated LINK@AT[xFACTOR][-RESTORE], e.g. node0-node1@5msx4-9ms")
 	fs.IntVar(&o.Audit, "audit", 0, "online protocol-audit sampling stride (0: off, 1: audit every protocol action, N: sampled)")
 	fs.DurationVar(&o.Timeout, "timeout", 0, "wall-clock budget per supervised run (0: none)")
-	fs.IntVar(&o.Retries, "retries", 0, "re-run a failed unit up to this many times before giving up")
 	fs.StringVar(&o.ReproDir, "repro-dir", "", "write a repro bundle for each failed run into this directory (implies -keep-going)")
 	fs.BoolVar(&o.KeepGoing, "keep-going", false, "continue past failed runs and report partial results")
 	fs.IntVar(&o.StallLimit, "stall-limit", 0, "engine stall-watchdog threshold in dispatches (0: default)")

@@ -78,16 +78,12 @@ type Options struct {
 	// stride for every run (0 off, 1 full, N sampled).
 	Audit int
 	// Timeout is the wall-clock budget per supervised unit; 0 means no
-	// timeout. When it expires supervise stops every engine the attempt
+	// timeout. When it expires supervise stops every engine the unit
 	// built and reports a timeout failure. On its own it attaches no
 	// forensic ring.
 	Timeout time.Duration
-	// Retries is how many times supervise re-runs a failed unit before
-	// giving up (bounded retry; 0 = one attempt only). On its own it
-	// attaches no forensic ring.
-	Retries int
 	// ReproDir, when non-empty, is where supervise writes a repro bundle
-	// for each failed attempt (seed, config, flags, trace, state dump,
+	// for each failed unit (seed, config, flags, trace, state dump,
 	// ready-to-run command line). It is the only option that attaches a
 	// forensic ring to every run (metrics.RunSpec.Forensics), since a
 	// bundle is the ring's only reader; the state dump is the engine's,
@@ -194,8 +190,8 @@ func (o Options) spec() (metrics.RunSpec, error) {
 
 // run builds the named workload and simulates it once under the
 // options' supervision, label naming the unit in repro bundles. vary,
-// when non-nil, adjusts the spec before the run starts; it is called
-// afresh for every retry. The options must already carry their defaults.
+// when non-nil, adjusts the spec before the run starts. The options must
+// already carry their defaults.
 func (o Options) run(label, app string, vary func(*metrics.RunSpec)) (metrics.RunResult, error) {
 	var res metrics.RunResult
 	err := o.supervise(label, func(o Options) error {
@@ -230,8 +226,8 @@ func (o Options) simulate(vary func(*metrics.RunSpec), ws ...workloads.Workload)
 // RunApp runs the named application once, the way every experiment run
 // is made: the options' machine, policy, workers, trace sink, chaos and
 // supervision, under the affinity scheduler. vary, when non-nil, adjusts
-// the spec before the run starts; it is called afresh for every retry,
-// and a hook it installs in OnMachine must call the one it replaces.
+// the spec before the run starts, and a hook it installs in OnMachine
+// must call the one it replaces.
 func (o Options) RunApp(app string, vary func(*metrics.RunSpec)) (metrics.RunResult, error) {
 	return o.withDefaults().run(app, app, vary)
 }
@@ -240,9 +236,11 @@ func (o Options) RunApp(app string, vary func(*metrics.RunSpec)) (metrics.RunRes
 // derives its model parameters: T_numa under the paper's threshold policy
 // whatever opts.Policy says, T_global with all writable data in global
 // memory, and T_local with one thread on a one-processor machine. The
-// runs share the options' pool inside the caller's supervision, if any,
-// and each builds its own workload instance in its pool task, so a
-// finished run's machine is garbage before a later run builds its own.
+// three runs are one supervised unit, labelled evaluate-<app>: a timeout
+// stops them all, and a failure writes one repro bundle. They share the
+// options' pool, and each builds its own workload instance in its pool
+// task, so a finished run's machine is garbage before a later run builds
+// its own.
 func Evaluate(opts Options, app string) (metrics.Eval, error) {
 	opts = opts.withDefaults()
 	opts.Policy = ""
@@ -265,13 +263,15 @@ func Evaluate(opts Options, app string) (metrics.Eval, error) {
 		},
 	}
 	res := make([]metrics.RunResult, len(varies))
-	err = opts.pool().Run(len(varies), func(i int) error {
-		w, err := opts.instance(app)
-		if err != nil {
+	err = opts.supervise("evaluate-"+app, func(o Options) error {
+		return o.pool().Run(len(varies), func(i int) error {
+			w, err := o.instance(app)
+			if err != nil {
+				return err
+			}
+			res[i], err = o.simulate(varies[i], w)
 			return err
-		}
-		res[i], err = opts.simulate(varies[i], w)
-		return err
+		})
 	})
 	if err != nil {
 		return metrics.Eval{}, err

@@ -16,49 +16,31 @@ import (
 	"numasim/internal/simtrace"
 )
 
-// supervise runs one experiment unit — one table row, one sweep point —
-// under the options' supervision: panic recovery, a wall-clock timeout
-// and bounded retry. fn receives the options with a machine hook that
+// supervise runs one experiment unit — one table row's evaluation, one
+// sweep point — under the options' supervision: panic recovery and a
+// wall-clock timeout. fn receives the options with a machine hook that
 // every run it makes must install (spec does, through
 // metrics.RunSpec.OnMachine); the hook is how the wall-clock watchdog
-// reaches engines to stop them. When an attempt still fails and ReproDir
-// is set, supervise writes a repro bundle: everything needed to re-run
-// exactly the failing simulation (config, chaos script, recent trace,
+// reaches engines to stop them. When the unit fails and ReproDir is set,
+// supervise writes a repro bundle: everything needed to re-run exactly
+// the failing simulation (config, chaos script, recent trace,
 // machine-state dump, and the ready-to-run command line). The
 // deterministic engine makes the bundle an honest promise: the same seed
-// replays the same failure. supervise returns nil as soon as an attempt
-// succeeds, and the last attempt's error after the retry budget is
-// spent, annotated when its repro bundle could not be written. With no
-// Timeout, Retries or ReproDir it runs fn directly, so default runs pay
-// nothing and stay byte-identical.
-func (o Options) supervise(label string, fn func(Options) error) error {
-	if o.Timeout <= 0 && o.Retries <= 0 && o.ReproDir == "" {
-		return fn(o)
-	}
-	var last error
-	for attempt := 1; attempt <= o.Retries+1; attempt++ {
-		err := o.attempt(label, fn)
-		if err == nil {
-			return nil
-		}
-		if o.ReproDir != "" {
-			if werr := o.writeBundle(label, attempt, err); werr != nil {
-				err = fmt.Errorf("%w (repro bundle not written: %v)", err, werr)
-			}
-		}
-		last = err
-	}
-	return last
-}
-
-// attempt runs fn once with panic recovery and the wall-clock watchdog.
+// replays the same failure, so a failed unit is not retried. supervise
+// returns the unit's error, annotated when its repro bundle could not be
+// written. With no Timeout or ReproDir it runs fn directly, so default
+// runs pay nothing and stay byte-identical.
+//
 // The watchdog is the one place the harness legitimately reads the host
 // clock — it bounds how long a wedged simulation may burn wall time, and
 // never feeds the reading back into simulated time — hence the
 // determinism-lint escape below.
 //
 //numalint:hostside
-func (o Options) attempt(label string, fn func(Options) error) (err error) {
+func (o Options) supervise(label string, fn func(Options) error) (err error) {
+	if o.Timeout <= 0 && o.ReproDir == "" {
+		return fn(o)
+	}
 	var mu sync.Mutex
 	var engines []*sim.Engine
 	timedOut := false
@@ -93,24 +75,29 @@ func (o Options) attempt(label string, fn func(Options) error) (err error) {
 		if expired && err != nil {
 			err = fmt.Errorf("harness: %s exceeded the %v wall-clock budget: %w", label, o.Timeout, err)
 		}
+		if err != nil && o.ReproDir != "" {
+			if werr := o.writeBundle(label, err); werr != nil {
+				err = fmt.Errorf("%w (repro bundle not written: %v)", err, werr)
+			}
+		}
 	}()
 	return fn(o)
 }
 
-// writeBundle writes one repro bundle directory for a failed attempt.
+// writeBundle writes one repro bundle directory for a failed unit.
 // The bundle holds error.txt (the failure, stack included for panics),
 // config.txt (machine, chaos and robustness knobs) and repro.sh (the
 // recorded command line, ready to re-run); a failed run's
 // *metrics.RunError adds trace.txt (the forensic ring, oldest first)
 // and statedump.txt (the machine-state dump at failure).
-func (o Options) writeBundle(label string, attempt int, runErr error) error {
-	dir, err := o.bundleDir(label, attempt)
+func (o Options) writeBundle(label string, runErr error) error {
+	dir, err := o.bundleDir(label)
 	if err != nil {
 		return err
 	}
 	files := map[string]string{
 		"error.txt":  runErr.Error() + "\n",
-		"config.txt": o.describe(label, attempt),
+		"config.txt": o.describe(label),
 		"repro.sh":   o.reproScript(label),
 	}
 	var re *metrics.RunError
@@ -128,15 +115,12 @@ func (o Options) writeBundle(label string, attempt int, runErr error) error {
 	return nil
 }
 
-// bundleDir creates a fresh directory for one failed attempt, suffixing
-// past the first attempt and any name collisions. Only an existing path
-// counts as a collision; any other Stat failure (a ReproDir that is a
-// regular file, say) is left for MkdirAll to report.
-func (o Options) bundleDir(label string, attempt int) (string, error) {
+// bundleDir creates a fresh directory for one failed unit, suffixing
+// past any name collisions. Only an existing path counts as a collision;
+// any other Stat failure (a ReproDir that is a regular file, say) is left
+// for MkdirAll to report.
+func (o Options) bundleDir(label string) (string, error) {
 	base := filepath.Join(o.ReproDir, sanitizeLabel(label))
-	if attempt > 1 {
-		base = fmt.Sprintf("%s-attempt%d", base, attempt)
-	}
 	dir := base
 	for i := 2; ; i++ {
 		if _, err := os.Stat(dir); err != nil {
@@ -160,15 +144,15 @@ func sanitizeLabel(label string) string {
 }
 
 // describe renders the knobs that produced the failing run.
-func (o Options) describe(label string, attempt int) string {
+func (o Options) describe(label string) string {
 	o = o.withDefaults()
 	var b strings.Builder
-	fmt.Fprintf(&b, "unit: %s (attempt %d)\n", label, attempt)
+	fmt.Fprintf(&b, "unit: %s\n", label)
 	fmt.Fprintf(&b, "machine: %+v\n", o.config())
 	fmt.Fprintf(&b, "options: nproc=%d workers=%d policy=%q appsize=%d app=%q small=%v parallelism=%d\n",
 		o.NProc, o.Workers, o.Policy, o.AppSize, o.App, o.Small, o.Parallelism)
-	fmt.Fprintf(&b, "robustness: audit=%d stall-limit=%d timeout=%v retries=%d\n",
-		o.Audit, o.StallLimit, o.Timeout, o.Retries)
+	fmt.Fprintf(&b, "robustness: audit=%d stall-limit=%d timeout=%v\n",
+		o.Audit, o.StallLimit, o.Timeout)
 	fmt.Fprintf(&b, "chaos: %+v\n", o.Chaos)
 	return b.String()
 }

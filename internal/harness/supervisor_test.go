@@ -69,12 +69,12 @@ func bundles(t *testing.T, dir string) map[string]map[string]string {
 	return out
 }
 
-// TestMixAndRemoteRunSupervised: the mix and remote experiments build
-// their machines like every other run. A chaos panic leaves a repro
-// bundle per failed run, carrying the state dump and the forensic trace,
-// and the mix's machine replays a node-failure schedule.
+// TestMixAndRemoteRunSupervised: the mix, remote and false-sharing
+// experiments build their machines like every other run. A chaos panic
+// leaves a repro bundle per failed unit, carrying the state dump and the
+// forensic trace, and the mix's machine replays a node-failure schedule.
 func TestMixAndRemoteRunSupervised(t *testing.T) {
-	for _, name := range []string{"mix", "remote"} {
+	for _, name := range []string{"mix", "remote", "falsesharing"} {
 		dir := t.TempDir()
 		e, _ := Lookup(name)
 		if _, err := e.Run(Options{
@@ -142,7 +142,7 @@ func TestSupervisorPanicWritesBundle(t *testing.T) {
 	if got := files["error.txt"]; !strings.Contains(got, "chaos: injected panic") {
 		t.Errorf("error.txt missing failure:\n%s", got)
 	}
-	if got := files["config.txt"]; !strings.Contains(got, "unit: drill-Gfetch (attempt 1)") ||
+	if got := files["config.txt"]; !strings.Contains(got, "unit: drill-Gfetch\n") ||
 		!strings.Contains(got, "chaos:") {
 		t.Errorf("config.txt missing unit or chaos description:\n%s", got)
 	}
@@ -215,7 +215,7 @@ func TestReproBundleDeterminism(t *testing.T) {
 // code itself, not a simulated thread) is recovered by the supervisor
 // into an error carrying the goroutine stack.
 func TestSupervisorRecoversHostPanic(t *testing.T) {
-	opts := Options{Retries: 0, Timeout: time.Minute}.withDefaults()
+	opts := Options{Timeout: time.Minute}.withDefaults()
 	err := opts.supervise("host-panic", func(Options) error {
 		panic("harness bug")
 	})
@@ -224,38 +224,6 @@ func TestSupervisorRecoversHostPanic(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "goroutine") {
 		t.Errorf("recovered panic lost its stack trace: %v", err)
-	}
-}
-
-// TestSupervisorRetries: a deterministic failure fails every attempt;
-// the supervisor writes one bundle per attempt and returns the last
-// error.
-func TestSupervisorRetries(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{
-		NProc: 2, Small: true, Parallelism: 1,
-		Chaos:    chaos.Config{PanicAt: sim.Millisecond},
-		ReproDir: dir,
-		Retries:  2,
-	}.withDefaults()
-	if err := drill(opts); err == nil {
-		t.Fatal("deterministic failure retried into success")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("bundles = %d, want one per attempt (3)", len(entries))
-	}
-	seen := map[string]bool{}
-	for _, e := range entries {
-		seen[e.Name()] = true
-	}
-	for _, want := range []string{"drill-Gfetch", "drill-Gfetch-attempt2", "drill-Gfetch-attempt3"} {
-		if !seen[want] {
-			t.Errorf("missing bundle %q in %v", want, entries)
-		}
 	}
 }
 
@@ -417,10 +385,10 @@ func TestPoolRecoversPanics(t *testing.T) {
 
 // TestSupervisorOffIsFree: with no robustness features requested
 // supervise runs the unit directly, with no machine hook, so the default
-// path cannot slow down or reorder anything; Timeout, Retries and
-// ReproDir each install the hook. Only ReproDir attaches the forensic
-// ring, its bundles being the ring's only reader: a run supervised with
-// Timeout or Retries alone builds a machine with no trace sink.
+// path cannot slow down or reorder anything; Timeout and ReproDir each
+// install the hook. Only ReproDir attaches the forensic ring, its
+// bundles being the ring's only reader: a run supervised with Timeout
+// alone builds a machine with no trace sink.
 func TestSupervisorOffIsFree(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -429,7 +397,6 @@ func TestSupervisorOffIsFree(t *testing.T) {
 	}{
 		{"zero", Options{}, false, false},
 		{"timeout", Options{Timeout: time.Minute}, true, false},
-		{"retries", Options{Retries: 1}, true, false},
 		{"repro dir", Options{ReproDir: t.TempDir()}, true, true},
 	} {
 		hooked := false

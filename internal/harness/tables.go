@@ -169,17 +169,14 @@ func Table3Single(opts Options, app string) (Table3Row, error) {
 
 // Table3 regenerates the paper's Table 3 (E5). The per-application rows
 // are independent simulations; they run on the options' worker pool and
-// land in the paper's row order regardless of completion order. Under a
-// supervisor (timeout/retry/repro-dir) failed applications become
-// error-annotated rows and the rest of the table still renders.
+// land in the paper's row order regardless of completion order. Each
+// row's evaluation is one supervised unit; under -keep-going or a repro
+// dir, failed applications become error-annotated rows and the rest of
+// the table still renders.
 func Table3(opts Options) ([]Table3Row, error) {
 	opts = opts.withDefaults()
-	return partial(opts, len(Table3Apps), func(i int) (row Table3Row, err error) {
-		err = opts.supervise("table3-"+Table3Apps[i], func(o Options) (err error) {
-			row, err = Table3Single(o, Table3Apps[i])
-			return err
-		})
-		return row, err
+	return partial(opts, len(Table3Apps), func(i int) (Table3Row, error) {
+		return Table3Single(opts, Table3Apps[i])
 	}, func(i int, err error) Table3Row {
 		return Table3Row{App: Table3Apps[i], Err: err.Error()}
 	})
@@ -285,17 +282,14 @@ func Table4Single(opts Options, app string) (Table4Row, error) {
 }
 
 // Table4 regenerates the paper's Table 4 (E6): total system time for runs
-// on NProc processors. Rows run on the options' worker pool; under a
-// supervisor, failed applications become error-annotated rows and the
-// rest of the table still renders.
+// on NProc processors. Rows run on the options' worker pool, each row's
+// evaluation one supervised unit; under -keep-going or a repro dir,
+// failed applications become error-annotated rows and the rest of the
+// table still renders.
 func Table4(opts Options) ([]Table4Row, error) {
 	opts = opts.withDefaults()
-	return partial(opts, len(Table4Apps), func(i int) (row Table4Row, err error) {
-		err = opts.supervise("table4-"+Table4Apps[i], func(o Options) (err error) {
-			row, err = Table4Single(o, Table4Apps[i])
-			return err
-		})
-		return row, err
+	return partial(opts, len(Table4Apps), func(i int) (Table4Row, error) {
+		return Table4Single(opts, Table4Apps[i])
 	}, func(i int, err error) Table4Row {
 		return Table4Row{App: Table4Apps[i], Err: err.Error()}
 	})

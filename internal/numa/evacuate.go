@@ -183,37 +183,27 @@ func (n *Manager) evacuatePage(th *sim.Thread, pg *Page, node int) {
 // reclaiming a frame on the nearest survivor. Returns -1 when no
 // survivor can take the copy at all.
 func (n *Manager) evacDest(th *sim.Thread, pg *Page, from int) int {
-	ranked := n.machine.Spec().Ranked(from)
-	if dst := n.freeSurvivor(ranked); dst >= 0 {
+	if dst := n.freeSurvivor(from); dst >= 0 {
 		return dst
 	}
 	for attempt := 0; attempt < evacMaxRetries; attempt++ {
 		n.stats.EvacRetries++
 		n.backoff(th, pg, n.nodeProc(from), attempt, evacBackoff<<uint(attempt), "evacuate")
-		if dst := n.freeSurvivor(ranked); dst >= 0 {
+		if dst := n.freeSurvivor(from); dst >= 0 {
 			return dst
 		}
 	}
-	for _, cand := range ranked[1:] {
-		if n.machine.Topo().NodeDown(cand) {
-			continue
-		}
-		if n.reclaimLocal(th, pg, cand, n.nodeProc(cand)) {
-			return cand
-		}
-	}
-	return -1
+	return n.machine.Topo().Nearest(from, func(cand int) bool {
+		return n.reclaimLocal(th, pg, cand, n.nodeProc(cand))
+	})
 }
 
-// freeSurvivor returns the first node in ranked order that is online and
-// has a free frame, or -1. ranked[0] is the failing node itself.
-func (n *Manager) freeSurvivor(ranked []int) int {
-	for _, cand := range ranked[1:] {
-		if !n.machine.Topo().NodeDown(cand) && n.machine.Memory().Local(cand).Free() > 0 {
-			return cand
-		}
-	}
-	return -1
+// freeSurvivor returns the online node nearest to from that has a free
+// frame, or -1.
+func (n *Manager) freeSurvivor(from int) int {
+	return n.machine.Topo().Nearest(from, func(cand int) bool {
+		return n.machine.Memory().Local(cand).Free() > 0
+	})
 }
 
 // survivorProc returns a representative processor on the nearest online
@@ -221,15 +211,13 @@ func (n *Manager) freeSurvivor(ranked []int) int {
 // node's own processors are no longer eligible. Falls back to processor
 // 0 when every node is offline (a degenerate schedule).
 func (n *Manager) survivorProc(node int) int {
-	for _, cand := range n.machine.Spec().Ranked(node) {
-		if cand == node || n.machine.Topo().NodeDown(cand) {
-			continue
-		}
-		if ps := n.machine.NodeProcs(cand); len(ps) > 0 {
-			return ps[0]
-		}
+	near := n.machine.Topo().Nearest(node, func(cand int) bool {
+		return len(n.machine.NodeProcs(cand)) > 0
+	})
+	if near < 0 {
+		return 0
 	}
-	return 0
+	return n.machine.NodeProcs(near)[0]
 }
 
 // emitEvacuate reports one evacuation action on the trace bus. dst is

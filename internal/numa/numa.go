@@ -131,7 +131,6 @@ type Policy interface {
 // Page is the NUMA manager's record for one logical page.
 type Page struct {
 	id     int64 // manager-unique id, for trace events
-	bus    *simtrace.Bus
 	global *mem.Frame
 	state  State
 	owner  int          // node holding the local-writable copy, else -1
@@ -542,7 +541,6 @@ func (n *Manager) NewPage() (*Page, error) {
 func (n *Manager) adopt(pg *Page) {
 	pg.id = n.nextPageID
 	n.nextPageID++
-	pg.bus = n.bus
 	n.register(pg)
 	n.stats.PagesCreated++
 	if n.bus.Enabled() {

@@ -38,10 +38,10 @@ var Transitions = map[State][]State{
 func (p *Page) setState(next State) {
 	for _, s := range Transitions[p.state] {
 		if s == next {
-			if p.bus.Enabled() && next != p.state {
+			if bus := p.mgr.bus; bus.Enabled() && next != p.state {
 				// setState has no thread at hand; the page's last-request
 				// stamp is the best deterministic approximation of "now".
-				p.bus.Emit(simtrace.Event{
+				bus.Emit(simtrace.Event{
 					Kind: simtrace.KindStateChange, Proc: -1, Thread: -1,
 					Time: int64(p.lastRequest), Page: p.id,
 					Arg: int64(next), Arg2: int64(p.state), Label: next.String(),

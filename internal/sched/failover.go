@@ -18,13 +18,12 @@ import "numasim/internal/vm"
 // harness never produces.
 func (s *Scheduler) failover(c *vm.Context) {
 	machine := s.kernel.Machine()
-	home := machine.Home(c.Proc())
-	for _, cand := range machine.Spec().Ranked(home) {
-		if s.topo.NodeDown(cand) || len(machine.NodeProcs(cand)) == 0 {
-			continue
-		}
-		s.stats.Failovers++
-		s.migrate(c, cand)
+	cand := s.topo.Nearest(machine.Home(c.Proc()), func(node int) bool {
+		return len(machine.NodeProcs(node)) > 0
+	})
+	if cand < 0 {
 		return
 	}
+	s.stats.Failovers++
+	s.migrate(c, cand)
 }

@@ -67,7 +67,6 @@ type Scheduler struct {
 	kernel *vm.Kernel
 	topo   *topology.Topology // the machine's node health mask (see failover.go)
 	mode   Mode
-	nnodes int   // the machine's node count, bounding hint nodes
 	live   []int // live thread count per processor
 	next   int   // next processor for sequential assignment
 
@@ -87,7 +86,6 @@ func New(k *vm.Kernel, mode Mode) *Scheduler {
 		kernel: k,
 		topo:   k.Machine().Topo(),
 		mode:   mode,
-		nnodes: k.Machine().NNodes(),
 		live:   make([]int, k.Machine().NProc()),
 	}
 }
@@ -191,7 +189,7 @@ func (s *Scheduler) hop(c *vm.Context) {
 //numalint:hotpath
 func (s *Scheduler) MigrateHint(th *sim.Thread, node int) bool {
 	id := int(th.ID())
-	if s.mode != Affinity || node < 0 || node >= s.nnodes ||
+	if s.mode != Affinity || node < 0 || node >= s.kernel.Machine().NNodes() ||
 		id >= len(s.hint) || s.homeNode[id] < 0 ||
 		s.topo.NodeDown(node) {
 		s.stats.HintsRejected++

@@ -75,11 +75,13 @@ func FourSocket(nprocs int) (*Spec, error) {
 
 // Mesh8 builds an 8-node 2x4 mesh: SLIT distance 10 + 6 per hop of
 // Manhattan routing, latencies derived from the distances, and a
-// contended link per mesh edge (10 links) with deterministic XY routing
-// (traverse the row first, then the column).
+// contended link per mesh edge (10 links). The edges are listed row
+// first, so the fewest-hop routes derived from them are the mesh's XY
+// routes: along the row first, then down the column.
 func Mesh8(nprocs int) (*Spec, error) {
 	const rows, cols = 2, 4
 	const nnodes = rows * cols
+	const perByte = 12 * sim.Nanosecond
 	s := &Spec{name: "mesh8", nnodes: nnodes, nprocs: nprocs, homeOf: defaultHomes(nnodes, nprocs),
 		dist: make([]int, nnodes*nnodes)}
 	for a := 0; a < nnodes; a++ {
@@ -89,8 +91,16 @@ func Mesh8(nprocs int) (*Spec, error) {
 	}
 	s.fetch = deriveLatencies(s, aceLocalFetch)
 	s.store = deriveLatencies(s, aceLocalStore)
-	s.contended = true
-	s.links, s.routes = meshLinks(rows, cols, 12*sim.Nanosecond)
+	for r := 0; r < rows; r++ {
+		for c := 0; c+1 < cols; c++ {
+			s.addLink(r*cols+c, r*cols+c+1, perByte)
+		}
+	}
+	for c := 0; c < cols; c++ {
+		for r := 0; r+1 < rows; r++ {
+			s.addLink(r*cols+c, (r+1)*cols+c, perByte)
+		}
+	}
 	return s.finish()
 }
 
@@ -106,59 +116,6 @@ func manhattan(a, b, cols int) int {
 		dc = -dc
 	}
 	return dr + dc
-}
-
-// meshLinks builds one link per mesh edge and XY (row-first) routes.
-func meshLinks(rows, cols int, perByte sim.Time) ([]Link, [][]int) {
-	nnodes := rows * cols
-	var links []Link
-	// edge[a*nnodes+b] is the link index for adjacent nodes a, b.
-	edge := make([]int, nnodes*nnodes)
-	addEdge := func(a, b int) {
-		edge[a*nnodes+b] = len(links)
-		edge[b*nnodes+a] = len(links)
-		links = append(links, Link{Name: fmt.Sprintf("node%d-node%d", a, b), A: a, B: b, PerByte: perByte})
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols-1; c++ {
-			addEdge(r*cols+c, r*cols+c+1)
-		}
-	}
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows-1; r++ {
-			addEdge(r*cols+c, (r+1)*cols+c)
-		}
-	}
-	routes := make([][]int, nnodes*nnodes)
-	for a := 0; a < nnodes; a++ {
-		for b := 0; b < nnodes; b++ {
-			if a == b {
-				continue
-			}
-			var path []int
-			cur := a
-			// Row first: walk along a's row to b's column...
-			for cur%cols != b%cols {
-				next := cur + 1
-				if b%cols < cur%cols {
-					next = cur - 1
-				}
-				path = append(path, edge[cur*nnodes+next])
-				cur = next
-			}
-			// ...then down the column.
-			for cur/cols != b/cols {
-				next := cur + cols
-				if b/cols < cur/cols {
-					next = cur - cols
-				}
-				path = append(path, edge[cur*nnodes+next])
-				cur = next
-			}
-			routes[a*nnodes+b] = path
-		}
-	}
-	return links, routes
 }
 
 // builders is every machine shape -topology can name, the paper's ACE

@@ -5,8 +5,8 @@
 // a parallel sweep.
 //
 // The node mask is the machine's one record of which nodes are down. The
-// NUMA manager sets it; the routes below, the manager's quarantine and
-// the scheduler's failover read it.
+// NUMA manager sets it; the routes below, Nearest, the manager's
+// quarantine and the scheduler's failover read it.
 //
 // The inertness contract: a Topology with no health mutations keeps
 // degraded == false, allocates nothing, and ChargeTransfer's healthy path
@@ -14,7 +14,11 @@
 // by the single bool.
 package topology
 
-import "numasim/internal/sim"
+import (
+	"slices"
+
+	"numasim/internal/sim"
+)
 
 // LinkIndex resolves a link name ("node0-node1") to its index, the
 // link's position in LinkStats.
@@ -42,6 +46,19 @@ func (t *Topology) NodeDown(node int) bool {
 //numalint:hotpath
 func (t *Topology) ProcDown(proc int) bool {
 	return t.nodeDown != nil && t.nodeDown[t.spec.homeOf[proc]]
+}
+
+// Nearest returns the up node nearest to node that ok accepts, or -1
+// when ok accepts none. Candidates are tried, and ok called, in
+// ascending SLIT distance from node, ties to the lowest id; node itself
+// is never a candidate.
+func (t *Topology) Nearest(node int, ok func(int) bool) int {
+	for _, cand := range t.spec.ranked[node][1:] {
+		if !t.NodeDown(cand) && ok(cand) {
+			return cand
+		}
+	}
+	return -1
 }
 
 // SetNodeHealth marks node offline (healthy == false) or back online.
@@ -135,8 +152,8 @@ func (t *Topology) nextInterleave() int {
 	return t.rr
 }
 
-// ensureDegraded lazily clones the spec's routing and capacity tables
-// into runtime form on the first health mutation.
+// ensureDegraded lazily sets up the runtime health and capacity tables
+// on the first health mutation; the runtime routes start as the spec's.
 func (t *Topology) ensureDegraded() {
 	if t.degraded {
 		return
@@ -150,113 +167,76 @@ func (t *Topology) ensureDegraded() {
 	for i, l := range s.links {
 		t.perByte[i] = l.PerByte
 	}
-	t.routes = make([][]int, len(s.routes))
-	copy(t.routes, s.routes)
+	t.routes = s.routes
 }
 
 // refreshLinks re-derives the effective link-down mask from the severed
-// flags and the node mask, then recomputes every route.
+// flags and the node mask, then every route around the loss. Uncontended
+// specs model no interconnect: there are no routes to reroute, and
+// health changes only gate placement.
 func (t *Topology) refreshLinks() {
 	s := t.spec
+	if len(s.links) == 0 {
+		return
+	}
 	for i, l := range s.links {
 		t.linkDown[i] = t.severed[i] || t.nodeDown[l.A] || t.nodeDown[l.B]
 	}
-	t.recomputeRoutes()
+	t.routes = s.routeTable(t.linkDown)
 }
 
-// recomputeRoutes rebuilds the runtime route table: pairs whose spec
-// route survives keep it (shared slice, no copy); broken pairs get a
-// deterministic shortest-hop path over the healthy links (BFS expanding
-// neighbours in ascending node order, so ties always resolve to the
-// lowest-numbered detour); unreachable pairs route nil, paying only the
-// base latency — the partition is visible in LinkStats as missing
-// traffic, and the NUMA layer never places memory across it because the
-// dead nodes are evacuated.
-func (t *Topology) recomputeRoutes() {
-	s := t.spec
-	if len(s.routes) == 0 {
-		// Uncontended specs model no interconnect: there are no routes
-		// to reroute, and health changes only gate placement.
-		return
-	}
-	for a := 0; a < s.nnodes; a++ {
-		for b := 0; b < s.nnodes; b++ {
-			if a == b {
-				continue
+// routeTable derives every ordered node pair's route from the links:
+// the healthy table when nothing is down, the runtime table around the
+// links in linkDown otherwise (every link of a down node is in it). A
+// route is the fewest hops from a to b, found by a breadth-first search
+// from a that expands each node's links in ascending index order, so of
+// the shortest paths it always takes the one through the lowest-numbered
+// links. A route equal to the spec's is the spec's own slice, so a
+// runtime table shares every route a failure leaves intact. Pairs with no
+// path (a down endpoint has none) route nil, paying only the base
+// latency — the partition is visible in LinkStats as missing traffic,
+// and the NUMA layer never places memory across it because the dead
+// nodes are evacuated.
+func (s *Spec) routeTable(linkDown []bool) [][]int {
+	n := s.nnodes
+	table := make([][]int, n*n)
+	prev := make([]int, n)  // node the search reached each node from, -1 = unreached
+	via := make([]int, n)   // link it crossed to get there
+	hops := make([]int, n)  // route length from the source
+	queue := make([]int, n) // breadth-first order; queue[:tail] are reached
+	for a := 0; a < n; a++ {
+		for i := range prev {
+			prev[i] = -1
+		}
+		prev[a], hops[a], queue[0] = a, 0, a
+		tail := 1
+		for head := 0; head < tail; head++ {
+			cur := queue[head]
+			for li, l := range s.links {
+				next := l.B
+				if cur == l.B {
+					next = l.A
+				} else if cur != l.A {
+					continue
+				}
+				if linkDown[li] || prev[next] != -1 {
+					continue
+				}
+				prev[next], via[next], hops[next] = cur, li, hops[cur]+1
+				queue[tail] = next
+				tail++
 			}
-			spec := s.routes[a*s.nnodes+b]
-			if t.routeAlive(spec) {
-				t.routes[a*s.nnodes+b] = spec
-				continue
+		}
+		for _, b := range queue[1:tail] {
+			route := make([]int, hops[b])
+			for cur := b; cur != a; cur = prev[cur] {
+				route[hops[cur]-1] = via[cur]
 			}
-			t.routes[a*s.nnodes+b] = t.findRoute(a, b)
+			if s.routes != nil && slices.Equal(route, s.routes[a*n+b]) {
+				route = s.routes[a*n+b]
+			}
+			table[a*n+b] = route
 		}
 	}
-}
-
-// routeAlive reports whether every link on the route is usable. A nil
-// spec route stays nil (the pair never had a modelled link).
-func (t *Topology) routeAlive(route []int) bool {
-	for _, li := range route {
-		if t.linkDown[li] {
-			return false
-		}
-	}
-	return true
-}
-
-// findRoute runs a deterministic BFS from a to b over the healthy links
-// and returns the link indices along the path, or nil when b is
-// unreachable (or either endpoint node is down).
-func (t *Topology) findRoute(a, b int) []int {
-	s := t.spec
-	if t.nodeDown[a] || t.nodeDown[b] {
-		return nil
-	}
-	// adj[n] lists (neighbour, link) pairs in ascending link order; link
-	// order itself is ascending by construction in every builder, which
-	// combined with FIFO BFS yields the lowest-numbered shortest detour.
-	parent := make([]int, s.nnodes) // predecessor node, -1 = unvisited
-	via := make([]int, s.nnodes)    // link used to reach the node
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[a] = a
-	queue := []int{a}
-	for len(queue) > 0 && parent[b] == -1 {
-		cur := queue[0]
-		queue = queue[1:]
-		for li, l := range s.links {
-			if t.linkDown[li] {
-				continue
-			}
-			var next int
-			switch cur {
-			case l.A:
-				next = l.B
-			case l.B:
-				next = l.A
-			default:
-				continue
-			}
-			if t.nodeDown[next] || parent[next] != -1 {
-				continue
-			}
-			parent[next] = cur
-			via[next] = li
-			queue = append(queue, next)
-		}
-	}
-	if parent[b] == -1 {
-		return nil
-	}
-	var rev []int
-	for cur := b; cur != a; cur = parent[cur] {
-		rev = append(rev, via[cur])
-	}
-	// Reverse into a→b order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return table
 }

@@ -75,7 +75,7 @@ func TestRoutedColumns(t *testing.T) {
 	for _, s := range append(routedSpecs(t), plain) {
 		for proc := 0; proc < s.NProcs(); proc++ {
 			for col := 0; col <= s.NNodes(); col++ {
-				want := s.contended && (col == s.NNodes() || col != s.Home(proc))
+				want := len(s.links) > 0 && col != s.Home(proc)
 				if got := s.Routed(proc, col); got != want {
 					t.Errorf("%s/%d: Routed(cpu%d, col %d) = %v, want %v", s.Name(), s.NProcs(), proc, col, got, want)
 				}

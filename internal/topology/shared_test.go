@@ -12,7 +12,7 @@ import (
 func view(s *Spec) string {
 	var b strings.Builder
 	b.WriteString(s.Describe())
-	fmt.Fprintf(&b, "%s: %d nodes, %d processors, contended %v\n", s.Name(), s.NNodes(), s.NProcs(), s.contended)
+	fmt.Fprintf(&b, "%s: %d nodes, %d processors\n", s.Name(), s.NNodes(), s.NProcs())
 	for p := 0; p < s.NProcs(); p++ {
 		fmt.Fprintf(&b, "cpu%d home %d:", p, s.Home(p))
 		for col := 0; col <= s.NNodes(); col++ {
@@ -21,13 +21,13 @@ func view(s *Spec) string {
 		b.WriteString("\n")
 	}
 	for a := 0; a < s.NNodes(); a++ {
-		fmt.Fprintf(&b, "node%d: procs %v, ranked %v, dist", a, s.NodeProcs(a), s.Ranked(a))
+		fmt.Fprintf(&b, "node%d: procs %v, ranked %v, dist", a, s.NodeProcs(a), s.ranked[a])
 		for c := 0; c < s.NNodes(); c++ {
 			fmt.Fprintf(&b, " %d", s.Dist(a, c))
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "links %v\n", s.links)
+	fmt.Fprintf(&b, "links %v\nroutes %v\n", s.links, s.routes)
 	return b.String()
 }
 

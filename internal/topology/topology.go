@@ -42,7 +42,8 @@ const MaxNodes = 64
 type Link struct {
 	// Name identifies the link in reports ("node0-node1").
 	Name string
-	// A and B are the endpoint nodes (descriptive; routing is explicit).
+	// A and B are the endpoint nodes. Every route is derived from them:
+	// the fewest hops over the links, ties to the lowest link indices.
 	A, B int
 	// PerByte is the link's service time per byte transferred: the
 	// token-bucket drain rate. 12ns/byte ≈ the ACE's 80 MB/s IPC bus.
@@ -75,12 +76,12 @@ type Spec struct {
 	fetch []sim.Time
 	store []sim.Time
 
-	// links and routes describe the contended interconnect. routes is
-	// flattened (src*nnodes+dst -> link indices along the path); a nil
-	// route means the pair exchanges traffic without a modelled link.
-	links     []Link
-	routes    [][]int
-	contended bool
+	// links is the contended interconnect, empty on an uncontended spec.
+	// routes is derived from it by routeTable, flattened (src*nnodes+dst
+	// -> link indices along the path); a nil route means the pair
+	// exchanges traffic without a modelled link.
+	links  []Link
+	routes [][]int
 }
 
 // Name returns the spec's registered name.
@@ -145,7 +146,7 @@ func (s *Spec) StoreLatency(proc, col int) sim.Time {
 // returns 0 before it touches any link, cursor or counter, healthy or
 // degraded, so a caller may skip the call.
 func (s *Spec) Routed(proc, col int) bool {
-	return s.contended && col != s.homeOf[proc]
+	return len(s.links) > 0 && col != s.homeOf[proc]
 }
 
 // GOverL returns the G/L ratio of §2.2 for a reference mix with the given
@@ -177,13 +178,6 @@ func (s *Spec) ScaleGlobal(f float64) *Spec {
 //
 //numalint:hotpath
 func (s *Spec) Dist(a, b int) int { return s.dist[a*s.nnodes+b] }
-
-// Ranked returns every node ordered by ascending distance from node
-// (ties broken by node id), so Ranked(n)[0] == n and the tail is the
-// distance-ranked remotes a placement policy walks. The returned slice
-// is the spec's own, shared by every machine of the shape, and nothing
-// may write through it.
-func (s *Spec) Ranked(node int) []int { return s.ranked[node] }
 
 // validate checks the derived spec for structural consistency.
 func (s *Spec) validate() error {
@@ -225,8 +219,9 @@ func (s *Spec) validate() error {
 	return nil
 }
 
-// finish derives the inverse home map and the distance ranking, then
-// validates. Every constructor funnels through it.
+// finish derives the inverse home map, the distance ranking and the
+// healthy route table, then validates. Every constructor funnels
+// through it.
 func (s *Spec) finish() (*Spec, error) {
 	s.nodeProcs = make([][]int, s.nnodes)
 	for p, n := range s.homeOf {
@@ -254,6 +249,9 @@ func (s *Spec) finish() (*Spec, error) {
 		}
 		s.ranked[a] = order
 	}
+	if len(s.links) > 0 {
+		s.routes = s.routeTable(make([]bool, len(s.links)))
+	}
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
@@ -263,9 +261,10 @@ func (s *Spec) finish() (*Spec, error) {
 // Custom builds a contention-capable spec from a SLIT distance matrix:
 // latencies are derived as base × distance / 10 (integer nanosecond
 // arithmetic), the interleave column is the integer mean of the node
-// columns, and — when contended — a fully connected link set with direct
-// single-link routes and the given per-byte service time is generated.
-// The fuzz suite feeds this random matrices; FourSocket is one call.
+// columns, and — when contended — one link per node pair with the given
+// per-byte service time is generated, so every pair routes over its
+// direct link. The fuzz suite feeds this random matrices; FourSocket is
+// one call.
 func Custom(name string, nprocs int, dist [][]int, baseFetch, baseStore sim.Time, contended bool, perByte sim.Time) (*Spec, error) {
 	nnodes := len(dist)
 	s := &Spec{name: name, nnodes: nnodes, nprocs: nprocs, homeOf: defaultHomes(nnodes, nprocs)}
@@ -276,8 +275,11 @@ func Custom(name string, nprocs int, dist [][]int, baseFetch, baseStore sim.Time
 	s.fetch = deriveLatencies(s, baseFetch)
 	s.store = deriveLatencies(s, baseStore)
 	if contended {
-		s.contended = true
-		s.links, s.routes = fullyConnected(nnodes, perByte)
+		for a := 0; a < nnodes; a++ {
+			for b := a + 1; b < nnodes; b++ {
+				s.addLink(a, b, perByte)
+			}
+		}
 	}
 	return s.finish()
 }
@@ -325,27 +327,9 @@ func deriveLatencies(s *Spec, base sim.Time) []sim.Time {
 	return flat
 }
 
-// fullyConnected builds one link per unordered node pair with direct
-// single-link routes.
-func fullyConnected(nnodes int, perByte sim.Time) ([]Link, [][]int) {
-	var links []Link
-	idx := make([]int, nnodes*nnodes) // pair -> link index
-	for a := 0; a < nnodes; a++ {
-		for b := a + 1; b < nnodes; b++ {
-			idx[a*nnodes+b] = len(links)
-			idx[b*nnodes+a] = len(links)
-			links = append(links, Link{Name: fmt.Sprintf("node%d-node%d", a, b), A: a, B: b, PerByte: perByte})
-		}
-	}
-	routes := make([][]int, nnodes*nnodes)
-	for a := 0; a < nnodes; a++ {
-		for b := 0; b < nnodes; b++ {
-			if a != b {
-				routes[a*nnodes+b] = []int{idx[a*nnodes+b]}
-			}
-		}
-	}
-	return links, routes
+// addLink appends a link between nodes a and b, named after them.
+func (s *Spec) addLink(a, b int, perByte sim.Time) {
+	s.links = append(s.links, Link{Name: fmt.Sprintf("node%d-node%d", a, b), A: a, B: b, PerByte: perByte})
 }
 
 // Describe renders the shape for Figure 1-style diagrams: nodes with
@@ -422,7 +406,7 @@ type Topology struct {
 	severed  []bool     // links explicitly severed
 	linkDown []bool     // severed OR an endpoint node is down
 	perByte  []sim.Time // runtime per-link service time (degrade override)
-	routes   [][]int    // runtime routes, recomputed around dead links
+	routes   [][]int    // runtime routes, derived anew after each health change
 }
 
 // New builds the runtime state for spec.
@@ -444,7 +428,7 @@ func New(spec *Spec) *Topology {
 //numalint:hotpath
 func (t *Topology) ChargeTransfer(now sim.Time, proc, col, bytes int) sim.Time {
 	s := t.spec
-	if !s.contended {
+	if len(s.links) == 0 {
 		return 0
 	}
 	src := s.homeOf[proc]

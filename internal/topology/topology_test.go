@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 
 	"numasim/internal/sim"
@@ -80,7 +81,7 @@ func TestACESpecMatchesPublishedConstants(t *testing.T) {
 			}
 		}
 	}
-	if s.contended {
+	if len(s.links) > 0 {
 		t.Error("ACE spec models link contention; the paper's bus is fixed-latency")
 	}
 	// 1800/650 scaled to SLIT units: 27.
@@ -116,7 +117,8 @@ func TestDerivedLatencies(t *testing.T) {
 	}
 }
 
-// TestRanked: remotes come distance-ranked, self first, ties by id.
+// TestRanked: Nearest tries the up nodes other than its own in
+// ascending distance, ties by id, and returns the first one ok accepts.
 func TestRanked(t *testing.T) {
 	dist := [][]int{
 		{10, 30, 20, 30},
@@ -128,14 +130,28 @@ func TestRanked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]int{{0, 2, 1, 3}, {1, 3, 0, 2}, {2, 0, 1, 3}, {3, 1, 0, 2}}
+	tp := New(s)
+	// tried lists the candidates Nearest offers ok, in order, and what it
+	// returns when ok accepts only accept.
+	tried := func(n, accept int) (got []int, near int) {
+		near = tp.Nearest(n, func(c int) bool {
+			got = append(got, c)
+			return c == accept
+		})
+		return got, near
+	}
+	want := [][]int{{2, 1, 3}, {3, 0, 2}, {0, 1, 3}, {1, 0, 2}}
 	for n := range want {
-		got := s.Ranked(n)
-		for i := range want[n] {
-			if got[i] != want[n][i] {
-				t.Fatalf("Ranked(%d) = %v, want %v", n, got, want[n])
-			}
+		if got, near := tried(n, -1); !reflect.DeepEqual(got, want[n]) || near != -1 {
+			t.Errorf("Nearest(%d) tried %v and returned %d, want %v and -1", n, got, near, want[n])
 		}
+		if got, near := tried(n, want[n][1]); near != want[n][1] || len(got) != 2 {
+			t.Errorf("Nearest(%d) accepting node%d tried %v and returned %d", n, want[n][1], got, near)
+		}
+	}
+	tp.SetNodeHealth(2, false)
+	if got, near := tried(0, 3); !reflect.DeepEqual(got, []int{1, 3}) || near != 3 {
+		t.Errorf("Nearest(0) with node2 down tried %v and returned %d, want [1 3] and 3", got, near)
 	}
 }
 
@@ -171,15 +187,15 @@ func TestBuilders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FourSocket(%d): %v", np, err)
 		}
-		if s.NNodes() != 4 || !s.contended || len(s.links) != 6 {
-			t.Errorf("FourSocket(%d): %d nodes, %d links, contended=%v", np, s.NNodes(), len(s.links), s.contended)
+		if s.NNodes() != 4 || len(s.links) != 6 {
+			t.Errorf("FourSocket(%d): %d nodes, %d links", np, s.NNodes(), len(s.links))
 		}
 		m, err := Mesh8(np)
 		if err != nil {
 			t.Fatalf("Mesh8(%d): %v", np, err)
 		}
-		if m.NNodes() != 8 || !m.contended || len(m.links) != 10 {
-			t.Errorf("Mesh8(%d): %d nodes, %d links, contended=%v", np, m.NNodes(), len(m.links), m.contended)
+		if m.NNodes() != 8 || len(m.links) != 10 {
+			t.Errorf("Mesh8(%d): %d nodes, %d links", np, m.NNodes(), len(m.links))
 		}
 		// Opposite corners of the 2x4 mesh are 4 hops: 10 + 6*4.
 		if d := m.Dist(0, 7); d != 34 {

@@ -128,12 +128,12 @@ type Task struct {
 }
 
 // Kernel ties the machine-independent VM system to one machine: it owns
-// the NUMA manager, the pmap manager, all tasks and the pageout state.
+// the NUMA manager, the pmap manager and the pageout state, and makes the
+// tasks.
 type Kernel struct {
 	machine *ace.Machine
 	nm      *numa.Manager
 	pm      *pmap.Manager
-	tasks   []*Task
 	stats   Stats
 
 	// FIFO pageout queue of resident pages.
@@ -169,6 +169,8 @@ func NewKernel(machine *ace.Machine, pol numa.Policy) *Kernel {
 }
 
 // Machine returns the kernel's machine.
+//
+//numalint:hotpath
 func (k *Kernel) Machine() *ace.Machine { return k.machine }
 
 // NUMA returns the kernel's NUMA manager.
@@ -189,7 +191,6 @@ func (k *Kernel) NewTask() *Task {
 		pm:     k.pm.Create(),
 		nextVA: 0x0001_0000,
 	}
-	k.tasks = append(k.tasks, t)
 	return t
 }
 
