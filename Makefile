@@ -11,7 +11,10 @@
 #                   directory invariants; violations die with forensics)
 #   make lint     - build bin/numalint and run its analyzer suite
 #                   (determinism, maporder, statemachine, units,
-#                   violation, hotpath, atomicmix, callers) over ./...
+#                   violation, hotpath, atomicmix, callers) over ./...:
+#                   among them, every range over a map needs a
+#                   //numalint:ordered reason, and no package-level
+#                   sync/atomic function may be called
 #   make inline   - require the compiler to inline the reference path:
 #                   each vm.Context accessor's mem.Frame accessor, and
 #                   the MMU probe, charge row and link charge in
@@ -47,8 +50,9 @@
 #                   to match, plus the capability fuzz and the adaptive
 #                   acceptance test
 #   make avail    - the degraded-mode gate: the availability sweep
-#                   (every app through node/link failure schedules) must
-#                   be byte-identical at any -parallel, and the
+#                   (every app through node/link failure schedules, on
+#                   4socket and on mesh8) must be byte-identical at any
+#                   -parallel and under the stride-1 auditor, and the
 #                   failure-schedule fuzz, the evacuation property tests
 #                   and the rerouting unit and property tests must hold
 #                   under -race
@@ -236,16 +240,22 @@ tournament:
 # app plus Zipf through single-loss, rolling-loss and link-brownout
 # schedules) must be byte-identical at any -parallel and under the
 # stride-1 online auditor (-audit 1, which panics a run on any protocol
-# or quarantine violation), the sweep must run on the ACE by name, and
-# the failure-schedule fuzz (-short subset), the evacuation property
-# tests, the rerouting unit tests and the routing property test (every
-# failure set on 4socket and mesh8) must hold under -race.
+# or quarantine violation), on 4socket and again on 8-processor mesh8,
+# where the sweep drops the brownout (mesh8 has no node0-node2 link);
+# the sweep must run on the ACE and mesh8 by name, and the
+# failure-schedule fuzz (-short subset), the evacuation property tests,
+# the rerouting unit tests and the routing property test (every failure
+# set on 4socket and mesh8) must hold under -race.
 avail:
 	dir=$$(mktemp -d) && \
 	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 1 > $$dir/p1.csv && \
 	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 8 > $$dir/p8.csv && \
 	$(GO) run ./cmd/tables -small -nproc 4 -exp availability -csv -parallel 8 -audit 1 > $$dir/audit.csv && \
-	cmp $$dir/p1.csv $$dir/p8.csv && cmp $$dir/p1.csv $$dir/audit.csv && rm -r $$dir
-	$(GO) test -race -count=1 -run 'TestAvailabilityOnACE' ./internal/harness/
+	cmp $$dir/p1.csv $$dir/p8.csv && cmp $$dir/p1.csv $$dir/audit.csv && \
+	$(GO) run ./cmd/tables -small -nproc 8 -topology mesh8 -exp availability -csv -parallel 1 > $$dir/mesh8-p1.csv && \
+	$(GO) run ./cmd/tables -small -nproc 8 -topology mesh8 -exp availability -csv -parallel 8 > $$dir/mesh8-p8.csv && \
+	$(GO) run ./cmd/tables -small -nproc 8 -topology mesh8 -exp availability -csv -parallel 8 -audit 1 > $$dir/mesh8-audit.csv && \
+	cmp $$dir/mesh8-p1.csv $$dir/mesh8-p8.csv && cmp $$dir/mesh8-p1.csv $$dir/mesh8-audit.csv && rm -r $$dir
+	$(GO) test -race -count=1 -run 'TestAvailabilityOnACE|TestAvailabilityOnMesh8' ./internal/harness/
 	$(GO) test -race -count=1 -short -run 'TestProtocolFuzzFailure|TestEvacuation|TestRevivedNodeStartsCold' ./internal/numa/
 	$(GO) test -race -count=1 -run 'TestMeshDetour|TestFullyConnectedRelay|TestNodeDownSeversIncidentLinks|TestNodeDownFollowsHealth|TestDegradedChargeDeterminism|TestInterleaveSkipsOfflineNodes|TestRoutingProperties' ./internal/topology/

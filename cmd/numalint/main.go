@@ -1,13 +1,14 @@
 // Command numalint runs the repository's static analyzers: determinism
-// (no wall clocks or ambient entropy in the simulator core), maporder (no
-// ordered output from randomized map iteration), statemachine (exhaustive
-// switches and guarded Table 1/2 transitions), units (no mixing of
-// simulated-time and wall-clock scales), violation (protocol panics in
-// internal/numa must carry a typed ProtocolViolationError), hotpath
-// (//numalint:hotpath functions are transitively allocation-free over the
-// package call graph), atomicmix (no field accessed both through
-// sync/atomic and plain loads/stores) and callers (every function, method
-// and type under internal/ has a caller in non-test code, or a
+// (no wall clocks or ambient entropy in the simulator core), maporder
+// (every range over a map carries //numalint:ordered with the reason its
+// order cannot reach the output), statemachine (exhaustive switches and
+// guarded Table 1/2 transitions), units (no mixing of simulated-time and
+// wall-clock scales), violation (protocol panics in internal/numa must
+// carry a typed ProtocolViolationError), hotpath (//numalint:hotpath
+// functions are transitively allocation-free over the package call
+// graph), atomicmix (no package-level sync/atomic function: shared
+// counters are sync/atomic types) and callers (every function, method and
+// type under internal/ has a caller in non-test code, or a
 // //numalint:api line naming the callers the module cannot show).
 //
 //	numalint [-list] [-only a,b] [packages]    # packages default to ./...

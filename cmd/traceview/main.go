@@ -162,6 +162,7 @@ func viewChrome(r io.Reader, stdout io.Writer, top int) error {
 
 	fmt.Fprintln(stdout, "\nbusy virtual time per track:")
 	tids := make([]int, 0, len(busy))
+	//numalint:ordered tids is sorted below
 	for tid := range busy {
 		tids = append(tids, tid)
 	}
@@ -176,6 +177,7 @@ func viewChrome(r io.Reader, stdout io.Writer, top int) error {
 
 	fmt.Fprintln(stdout, "\nevent counts by name:")
 	names := make([]string, 0, len(byName))
+	//numalint:ordered names is sorted below
 	for n := range byName {
 		names = append(names, n)
 	}
@@ -194,6 +196,7 @@ func viewChrome(r io.Reader, stdout io.Writer, top int) error {
 
 	if len(changes) > 0 {
 		ids := make([]string, 0, len(changes))
+		//numalint:ordered ids is sorted below
 		for id := range changes {
 			ids = append(ids, id)
 		}

@@ -95,7 +95,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Directive is one //numalint:<name> comment.
 type Directive struct {
 	Pos  token.Pos
-	Name string // e.g. "ordered", "deterministic", "stateenum"
+	Name string // e.g. "ordered", "hostside", "stateenum"
 	// Arg is the rest of the comment line after the name — free text that
 	// escape directives use to carry a justification.
 	Arg string
@@ -231,6 +231,7 @@ func (x *Index) Add(pkg *types.Package, files []*ast.File, info *types.Info) {
 			}
 		}
 	}
+	//numalint:ordered the loop only adds to the used set
 	for id, obj := range info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin()
@@ -324,19 +325,6 @@ func (x *Index) addMarks(files []*ast.File, info *types.Info) {
 			}
 		}
 	}
-}
-
-// HasPackageDirective reports whether any file of the pass carries the
-// named free-standing or package-level directive.
-func HasPackageDirective(pass *Pass, name string) bool {
-	for _, f := range pass.Files {
-		for _, d := range Directives(f) {
-			if d.Name == name {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // NamedType resolves an expression's type to its *types.Named form,

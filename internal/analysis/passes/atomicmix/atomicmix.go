@@ -1,188 +1,44 @@
-// Package atomicmix flags struct fields accessed both through sync/atomic
-// and with plain loads or stores.
+// Package atomicmix forbids the package-level functions of sync/atomic.
 //
-// A field is either atomic or it is not: mixing `atomic.AddUint64(&s.n, 1)`
-// on one path with `s.n++` (or even a bare read `s.n`) on another is a data
-// race the race detector only catches when both paths happen to run in the
-// sampled interleaving. The batched-emission counters added with the PR 6
-// sink work are exactly where this bug class breeds, so the invariant is
-// enforced statically: every access to a field must agree on its
-// discipline.
-//
-// For each field the analyzer classifies uses package-wide:
-//
-//   - an atomic use is &x.f (possibly through an index, &x.fs[i]) passed
-//     to a sync/atomic function;
-//   - a plain use is any other read, write or address-taking of the field.
-//
-// Fields whose declared type lives in sync/atomic (atomic.Uint64 and
-// friends) are exempt: the type system already forbids plain access.
-// A field that must intentionally mix — e.g. a counter written before the
-// goroutine starts and read atomically after — can opt out with
-//
-//	//numalint:unsynchronized <why>
-//
-// on the field's declaration.
+// A value is either atomic or it is not: `atomic.AddUint64(&s.n, 1)` on
+// one path and `s.n++` on another is a data race that the race detector
+// catches only when both paths run in the sampled interleaving. The rule
+// makes that mix impossible by construction: a shared counter or flag is
+// a sync/atomic type (atomic.Uint64, atomic.Bool, ...), whose value
+// plain code cannot load or store, so every reference to a package-level
+// sync/atomic function (atomic.AddUint64, atomic.LoadInt32, ...), called
+// or taken as a function value, is reported. The methods of the atomic
+// types are the sanctioned interface.
 package atomicmix
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"numasim/internal/analysis"
 )
 
-// Analyzer is the atomic/plain mixed-access check.
+// Analyzer is the atomic-type check.
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicmix",
-	Doc:  "flag struct fields accessed both atomically and with plain loads/stores",
+	Doc:  "forbid package-level sync/atomic functions: shared counters use sync/atomic types",
 	Run:  run,
 }
 
-type fieldUses struct {
-	firstAtomic token.Pos
-	firstPlain  token.Pos
-}
-
 func run(pass *analysis.Pass) error {
-	exempt := exemptFields(pass)
-
-	uses := make(map[*types.Var]*fieldUses)
-	var order []*types.Var // fields in first-appearance order, for determinism
-
-	note := func(obj *types.Var, pos token.Pos, atomic bool) {
-		u := uses[obj]
-		if u == nil {
-			u = &fieldUses{}
-			uses[obj] = u
-			order = append(order, obj)
-		}
-		if atomic {
-			if !u.firstAtomic.IsValid() {
-				u.firstAtomic = pos
-			}
-		} else if !u.firstPlain.IsValid() {
-			u.firstPlain = pos
-		}
-	}
-
 	for _, f := range pass.Files {
-		// First sweep: mark the field selectors that are the &-operands of
-		// sync/atomic calls.
-		atomicSel := make(map[*ast.SelectorExpr]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pass, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				if sel := addressedField(pass, arg); sel != nil {
-					atomicSel[sel] = true
-				}
-			}
-			return true
-		})
-		// Second sweep: classify every field selector.
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
+			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			s, ok := pass.TypesInfo.Selections[sel]
-			if !ok || s.Kind() != types.FieldVal {
-				return true
+			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(id.Pos(), "sync/atomic.%s on a plain value; declare it as a sync/atomic type and use its methods",
+					fn.Name())
 			}
-			obj, ok := s.Obj().(*types.Var)
-			if !ok || atomicType(obj.Type()) {
-				return true
-			}
-			note(obj, sel.Pos(), atomicSel[sel])
 			return true
 		})
-	}
-
-	for _, obj := range order {
-		u := uses[obj]
-		if !u.firstAtomic.IsValid() || !u.firstPlain.IsValid() || exempt[obj] {
-			continue
-		}
-		pos := obj.Pos()
-		if pos == token.NoPos || obj.Pkg() != pass.Pkg {
-			pos = u.firstAtomic
-		}
-		pass.Reportf(pos,
-			"field %s is accessed both atomically (%s) and with plain loads/stores (%s); all accesses must agree, or annotate the field //numalint:unsynchronized with a reason",
-			obj.Name(), pass.Fset.Position(u.firstAtomic), pass.Fset.Position(u.firstPlain))
 	}
 	return nil
-}
-
-// exemptFields collects the field objects carrying an
-// //numalint:unsynchronized doc directive.
-func exemptFields(pass *analysis.Pass) map[*types.Var]bool {
-	exempt := make(map[*types.Var]bool)
-	for _, f := range pass.Files {
-		for _, d := range analysis.Directives(f) {
-			if d.Name != "unsynchronized" {
-				continue
-			}
-			field, ok := d.Node.(*ast.Field)
-			if !ok {
-				pass.Reportf(d.Pos, "//numalint:unsynchronized must be on a struct field's doc comment")
-				continue
-			}
-			for _, name := range field.Names {
-				if obj, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-					exempt[obj] = true
-				}
-			}
-		}
-	}
-	return exempt
-}
-
-// isAtomicCall reports whether call invokes a sync/atomic package-level
-// function.
-func isAtomicCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
-// addressedField unwraps &x.f or &x.fs[i] (possibly parenthesized) to the
-// innermost field selector being addressed, or nil.
-func addressedField(pass *analysis.Pass, arg ast.Expr) *ast.SelectorExpr {
-	u, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || u.Op != token.AND {
-		return nil
-	}
-	x := ast.Unparen(u.X)
-	for {
-		switch e := x.(type) {
-		case *ast.IndexExpr:
-			x = ast.Unparen(e.X)
-		case *ast.SelectorExpr:
-			if s, ok := pass.TypesInfo.Selections[e]; ok && s.Kind() == types.FieldVal {
-				return e
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
-}
-
-// atomicType reports whether t is (or aliases) a type declared in
-// sync/atomic, whose values cannot be accessed non-atomically anyway.
-func atomicType(t types.Type) bool {
-	n := analysis.NamedType(t)
-	if n == nil {
-		return false
-	}
-	pkg := n.Obj().Pkg()
-	return pkg != nil && pkg.Path() == "sync/atomic"
 }

@@ -1,44 +1,53 @@
-// Package mixed exercises the atomic/plain mixed-access check.
+// Package mixed exercises the atomic-type check: every reference to a
+// package-level sync/atomic function is reported, called or taken as a
+// value; the methods of the sync/atomic types are clean.
 package mixed
 
 import "sync/atomic"
 
 type counters struct {
-	// mixed is touched both ways: flagged at the declaration.
-	mixed uint64 // want `field mixed is accessed both atomically .* and with plain loads/stores .*; all accesses must agree`
+	// mixed is touched both ways.
+	mixed uint64
 
-	// atomicOnly and plainOnly each keep one discipline: clean.
+	// atomicOnly keeps one discipline, but through the functions.
 	atomicOnly uint64
-	plainOnly  uint64
 
-	// typed uses an atomic type, so plain access is impossible anyway.
-	typed atomic.Uint64
-
-	// sampled intentionally mixes: written before the goroutine starts,
-	// read atomically after.
-	//
-	//numalint:unsynchronized seeded once before the workers start
+	// sampled is written before the workers start and read atomically
+	// after.
 	sampled uint64
 
 	// lanes is an array accessed through &x.lanes[i].
-	lanes [4]uint64 // want `field lanes is accessed both atomically .* and with plain loads/stores`
+	lanes [4]uint64
+
+	// typed and flag are atomic types: plain access is impossible.
+	typed atomic.Uint64
+	flag  atomic.Bool
 }
 
 func (c *counters) work(i int) uint64 {
-	atomic.AddUint64(&c.mixed, 1)
-	c.mixed++ // the plain side of the mix
+	atomic.AddUint64(&c.mixed, 1) // want `sync/atomic\.AddUint64 on a plain value`
+	c.mixed++
 
-	atomic.AddUint64(&c.atomicOnly, 1)
-	atomic.StoreUint64(&c.atomicOnly, 0)
-
-	c.plainOnly++
-	c.plainOnly = c.plainOnly + 2
-
-	c.typed.Add(1)
+	atomic.AddUint64(&c.atomicOnly, 1)   // want `sync/atomic\.AddUint64`
+	atomic.StoreUint64(&c.atomicOnly, 0) // want `sync/atomic\.StoreUint64`
 
 	c.sampled = 7
-	atomic.AddUint64(&c.sampled, 1)
+	atomic.AddUint64(&c.sampled, 1) // want `sync/atomic\.AddUint64`
 
-	atomic.AddUint64(&c.lanes[i], 1)
-	return c.lanes[i] + atomic.LoadUint64(&c.mixed)
+	atomic.AddUint64(&c.lanes[i], 1)                // want `sync/atomic\.AddUint64`
+	return c.lanes[i] + atomic.LoadUint64(&c.mixed) // want `sync/atomic\.LoadUint64`
+}
+
+// A function value is a reference too.
+var load = atomic.LoadInt32 // want `sync/atomic\.LoadInt32`
+
+// The methods of the atomic types, called or taken as values, are clean.
+func (c *counters) typedWork() bool {
+	c.typed.Add(1)
+	c.typed.Store(c.typed.Load() + 1)
+	c.flag.Store(true)
+	swap := c.flag.CompareAndSwap
+	add := (*atomic.Uint64).Add
+	add(&c.typed, 2)
+	return swap(true, false)
 }

@@ -8,9 +8,8 @@
 // guarantee, so the core packages are closed to ambient inputs.
 //
 // A package is "core" when its import path is on the built-in restricted
-// list (the simulator packages) or when any of its files carries a
-// //numalint:deterministic directive. Within a core package the analyzer
-// reports:
+// list, RestrictedPrefixes (the simulator packages). Within a core
+// package the analyzer reports:
 //
 //   - any import of math/rand, math/rand/v2 or crypto/rand (workloads
 //     that need pseudo-randomness must use an explicitly seeded generator
@@ -44,8 +43,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // RestrictedPrefixes lists the import paths (and their subtrees) that make
-// up the deterministic core. Packages can also opt in with a
-// //numalint:deterministic directive.
+// up the deterministic core.
 var RestrictedPrefixes = []string{
 	"numasim/internal/sim",
 	"numasim/internal/numa",
@@ -94,7 +92,7 @@ func restricted(pass *analysis.Pass) bool {
 			return true
 		}
 	}
-	return analysis.HasPackageDirective(pass, "deterministic")
+	return false
 }
 
 // hostside collects the functions in a file that carry a

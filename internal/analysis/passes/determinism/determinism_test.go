@@ -8,21 +8,17 @@ import (
 	"numasim/internal/analysis/passes/determinism"
 )
 
-func TestDirectiveOptIn(t *testing.T) {
-	analysistest.Run(t, filepath.Join(analysistest.TestData(), "directive_optin"), determinism.Analyzer)
-}
-
 func TestRestrictedImportPath(t *testing.T) {
-	// The same kind of violation is reported without any directive when
-	// the package lives in the restricted subtree.
+	// Every ambient input is reported when the package lives in the
+	// restricted subtree.
 	analysistest.Run(t, filepath.Join(analysistest.TestData(), "core_path"), determinism.Analyzer,
 		analysistest.WithImportPath("numasim/internal/sim/fixture"))
 }
 
 func TestUnrestrictedPackageIsIgnored(t *testing.T) {
-	// No directive, host-side import path: the same code is legal. (The
-	// harness used to be the canonical host-side path here, but the
-	// supervisor pulled it into the deterministic core; report stays out.)
+	// A host-side import path: the same code is legal. (The harness used
+	// to be the canonical host-side path here, but the supervisor pulled
+	// it into the deterministic core; report stays out.)
 	analysistest.Run(t, filepath.Join(analysistest.TestData(), "unrestricted"), determinism.Analyzer,
 		analysistest.WithImportPath("numasim/internal/report/fixture"))
 }

@@ -1,32 +1,24 @@
-// Package maporder flags range loops over maps whose bodies produce
-// ordered output, where Go's randomized iteration order would leak into
-// results.
+// Package maporder requires every range over a map to say why its
+// iteration order cannot reach the output.
 //
-// A `for ... range m` over a map is reported when the loop body visibly
-// accumulates ordered data: appending to a slice declared outside the
-// loop, writing to a strings.Builder/bytes.Buffer/io.Writer (any
-// Write*/Fprint*/Print* call), sending on a channel, concatenating onto
-// an outer string, or storing through an outer slice index. Iterating to
-// update maps, counters or sets is order-independent and not reported.
+// Go randomizes map iteration order, so a loop over a map that appends,
+// writes or sends in that order makes a run's bytes differ from the last
+// one's. Rather than guess which loop bodies are order-sensitive, the
+// rule is strict: every `for ... range m` over a map (a named map type
+// included) carries
 //
-// Three escapes exist, and the repository's own fixes prefer the first:
+//	//numalint:ordered <reason>
 //
-//   - iterate a sorted slice of keys instead of the map (the loop is then
-//     not a map range at all);
-//   - the key-collection idiom: a body that only appends the range's key
-//     to an outer slice is exempt when that slice is handed to a sort.*
-//     call later in the same function;
-//   - annotate the range statement with //numalint:ordered (same line or
-//     the line above) when order-independence holds for a reason the
-//     analyzer cannot see (e.g. the output is sorted afterwards).
-//
-// An //numalint:ordered directive that is not attached to a range-over-map
-// statement is itself reported, so stale annotations cannot accumulate.
+// on its own line or the line above, where the reason says why the order
+// does not matter (the loop only counts, its result is sorted, ...). Code
+// that needs an order iterates a sorted slice of keys instead, which is
+// not a map range at all. A directive attached to no range over a map,
+// or giving no reason, is reported too, so stale or empty annotations
+// cannot accumulate.
 package maporder
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"numasim/internal/analysis"
@@ -35,309 +27,48 @@ import (
 // Analyzer is the map-iteration-order check.
 var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
-	Doc:  "flag map iteration whose body emits ordered output",
+	Doc:  "require //numalint:ordered <reason> on every range over a map",
 	Run:  run,
-}
-
-// orderedSinks are method names that append to an ordered sink.
-var orderedSinks = map[string]bool{
-	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
-	"Fprint": true, "Fprintf": true, "Fprintln": true,
-	"Print": true, "Printf": true, "Println": true,
-	"WriteTo": true, "Encode": true,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		runFile(pass, f)
-	}
-	return nil
-}
-
-func runFile(pass *analysis.Pass, f *ast.File) {
-	// Line numbers of //numalint:ordered directives, and whether each was
-	// attached to a range-over-map.
-	ordered := make(map[int]*directive)
-	for _, d := range analysis.Directives(f) {
-		if d.Name == "ordered" {
-			line := pass.Fset.Position(d.Pos).Line
-			ordered[line] = &directive{pos: d.Pos}
+		var ordered []analysis.Directive
+		for _, d := range analysis.Directives(f) {
+			if d.Name == "ordered" {
+				ordered = append(ordered, d)
+			}
 		}
-	}
-	suppressed := func(rng *ast.RangeStmt) bool {
-		line := pass.Fset.Position(rng.Pos()).Line
-		for _, l := range []int{line, line - 1} {
-			if d, ok := ordered[l]; ok {
-				d.used = true
+		used := make([]bool, len(ordered))
+		ast.Inspect(f, func(n ast.Node) bool {
+			rng, ok := n.(*ast.RangeStmt)
+			if !ok {
 				return true
 			}
-		}
-		return false
-	}
-
-	// Stack of enclosing nodes, so a range can find the function that
-	// contains it (for the key-collection-then-sort exemption).
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := pass.TypesInfo.TypeOf(rng.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		if suppressed(rng) {
-			return true
-		}
-		if keyCollectionSorted(pass, rng, stack) {
-			return true
-		}
-		if sink := orderedEffect(pass, rng); sink != nil {
-			pass.Reportf(rng.Pos(),
-				"iteration over map %s writes ordered output (%s); iterate sorted keys or annotate //numalint:ordered",
-				render(pass, rng.X), sink.what)
-		}
-		return true
-	})
-
-	for _, d := range sortedDirectives(pass, ordered) {
-		if !d.used {
-			pass.Reportf(d.pos, "unused //numalint:ordered directive (not attached to a range over a map)")
-		}
-	}
-}
-
-func sortedDirectives(pass *analysis.Pass, m map[int]*directive) []*directive {
-	var out []*directive
-	//numalint:ordered — out is position-sorted below
-	for _, d := range m {
-		out = append(out, d)
-	}
-	// Deterministic report order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].pos < out[j-1].pos; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-type directive struct {
-	pos  token.Pos
-	used bool
-}
-
-// keyCollectionSorted recognizes the sanctioned key-collection idiom: the
-// loop body is exactly `keys = append(keys, k)` where k is the range's key
-// variable and keys is declared outside the loop, and some later statement
-// in the same function passes keys to a sort.* call. Iteration order then
-// cannot escape: only the key set is observed, and it is sorted before use.
-func keyCollectionSorted(pass *analysis.Pass, rng *ast.RangeStmt, stack []ast.Node) bool {
-	if len(rng.Body.List) != 1 {
-		return false
-	}
-	asg, ok := rng.Body.List[0].(*ast.AssignStmt)
-	if !ok || len(asg.Lhs) != 1 || len(asg.Rhs) != 1 {
-		return false
-	}
-	dst, ok := asg.Lhs[0].(*ast.Ident)
-	if !ok {
-		return false
-	}
-	call, ok := asg.Rhs[0].(*ast.CallExpr)
-	if !ok || len(call.Args) != 2 {
-		return false
-	}
-	if fun, ok := call.Fun.(*ast.Ident); !ok || fun.Name != "append" {
-		return false
-	}
-	arg0, ok := call.Args[0].(*ast.Ident)
-	if !ok || arg0.Name != dst.Name {
-		return false
-	}
-	key, ok := rng.Key.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	arg1, ok := call.Args[1].(*ast.Ident)
-	if !ok || pass.TypesInfo.Uses[arg1] == nil || pass.TypesInfo.Uses[arg1] != pass.TypesInfo.Defs[key] {
-		return false
-	}
-	dstObj := pass.TypesInfo.Uses[dst]
-	if dstObj == nil || !(dstObj.Pos() < rng.Pos() || dstObj.Pos() > rng.End()) {
-		return false
-	}
-
-	// Find the innermost enclosing function and look for sort.*(... dst ...)
-	// after the loop.
-	var fnBody *ast.BlockStmt
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			fnBody = fn.Body
-		case *ast.FuncLit:
-			fnBody = fn.Body
-		}
-		if fnBody != nil {
-			break
-		}
-	}
-	if fnBody == nil {
-		return false
-	}
-	sorted := false
-	ast.Inspect(fnBody, func(n ast.Node) bool {
-		if sorted || (n != nil && n.Pos() <= rng.End()) {
-			return !sorted
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		obj := pass.TypesInfo.Uses[sel.Sel]
-		if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sort" {
-			return true
-		}
-		ast.Inspect(call, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == dstObj {
-				sorted = true
+			if t := pass.TypesInfo.TypeOf(rng.X); t == nil {
+				return true
+			} else if _, isMap := t.Underlying().(*types.Map); !isMap {
+				return true
 			}
-			return !sorted
+			line := pass.Fset.Position(rng.Pos()).Line
+			for i, d := range ordered {
+				if l := pass.Fset.Position(d.Pos).Line; l == line || l == line-1 {
+					used[i] = true
+					if d.Arg == "" {
+						pass.Reportf(rng.Pos(), "range over map %s: its //numalint:ordered needs a reason", types.ExprString(rng.X))
+					}
+					return true
+				}
+			}
+			pass.Reportf(rng.Pos(), "range over map %s needs //numalint:ordered <reason>, or iterate sorted keys",
+				types.ExprString(rng.X))
+			return true
 		})
-		return !sorted
-	})
-	return sorted
-}
-
-// effect describes the first order-sensitive statement found in a body.
-type effect struct {
-	what string
-}
-
-// orderedEffect scans the loop body for statements whose outcome depends
-// on iteration order.
-func orderedEffect(pass *analysis.Pass, rng *ast.RangeStmt) *effect {
-	var found *effect
-	outer := func(id *ast.Ident) bool {
-		obj := pass.TypesInfo.Uses[id]
-		if obj == nil {
-			obj = pass.TypesInfo.Defs[id]
-		}
-		if obj == nil {
-			return false
-		}
-		return obj.Pos() < rng.Pos() || obj.Pos() > rng.End()
-	}
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		switch s := n.(type) {
-		case *ast.SendStmt:
-			found = &effect{what: "channel send"}
-		case *ast.CallExpr:
-			switch fun := s.Fun.(type) {
-			case *ast.Ident:
-				if fun.Name == "append" && len(s.Args) > 0 {
-					if id, ok := s.Args[0].(*ast.Ident); ok && outer(id) {
-						found = &effect{what: "append to " + id.Name}
-					}
-				}
-			case *ast.SelectorExpr:
-				if orderedSinks[fun.Sel.Name] {
-					if obj := pass.TypesInfo.Uses[fun.Sel]; obj != nil && isSinkCall(obj) {
-						found = &effect{what: fun.Sel.Name + " call"}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range s.Lhs {
-				switch l := lhs.(type) {
-				case *ast.Ident:
-					// Outer-variable append or string concatenation.
-					if i < len(s.Rhs) && outer(l) {
-						if isAppendTo(pass, s.Rhs[i]) {
-							found = &effect{what: "append to " + l.Name}
-						} else if s.Tok == token.ADD_ASSIGN && isString(pass, l) {
-							found = &effect{what: "string concatenation onto " + l.Name}
-						}
-					}
-				case *ast.IndexExpr:
-					// Store through an outer slice index (map stores are
-					// order-independent).
-					if id, ok := l.X.(*ast.Ident); ok && outer(id) {
-						if t := pass.TypesInfo.TypeOf(l.X); t != nil {
-							if _, isSlice := t.Underlying().(*types.Slice); isSlice {
-								found = &effect{what: "store into slice " + id.Name}
-							}
-						}
-					}
-				}
+		for i, d := range ordered {
+			if !used[i] {
+				pass.Reportf(d.Pos, "unused //numalint:ordered directive (not attached to a range over a map)")
 			}
 		}
-		return found == nil
-	})
-	return found
-}
-
-// isSinkCall reports whether obj is a function or method plausibly writing
-// to an ordered sink (fmt functions, or any method on a writer-ish type).
-func isSinkCall(obj types.Object) bool {
-	if obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
-		return true
 	}
-	_, isFunc := obj.(*types.Func)
-	return isFunc
-}
-
-func isAppendTo(pass *analysis.Pass, e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return false
-	}
-	if obj := pass.TypesInfo.Uses[id]; obj != nil {
-		if b, ok := obj.(*types.Builtin); ok {
-			return b.Name() == "append"
-		}
-	}
-	return false
-}
-
-func isString(pass *analysis.Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-func render(pass *analysis.Pass, e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return render(pass, x.X) + "." + x.Sel.Name
-	case *ast.CallExpr:
-		return render(pass, x.Fun) + "(...)"
-	default:
-		return "expression"
-	}
+	return nil
 }

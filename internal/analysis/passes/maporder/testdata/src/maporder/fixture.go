@@ -1,6 +1,7 @@
-// Package fixture exercises the maporder analyzer: range-over-map loops
-// whose bodies emit ordered output are flagged; order-independent loops,
-// the key-collection idiom and //numalint:ordered suppressions are not.
+// Package fixture exercises the maporder analyzer: every range over a
+// map needs a //numalint:ordered directive with a reason, whatever its
+// body does; a directive without a reason, or attached to no range over
+// a map, is reported too.
 package fixture
 
 import (
@@ -9,9 +10,11 @@ import (
 	"strings"
 )
 
+// Bodies that emit in iteration order are reported.
+
 func appendValues(m map[string]int) []int {
 	var out []int
-	for _, v := range m { // want `iteration over map m writes ordered output \(append to out\)`
+	for _, v := range m { // want `range over map m needs //numalint:ordered <reason>`
 		out = append(out, v)
 	}
 	return out
@@ -19,73 +22,76 @@ func appendValues(m map[string]int) []int {
 
 func buildString(m map[string]int) string {
 	var b strings.Builder
-	for k := range m { // want `iteration over map m writes ordered output \(WriteString call\)`
+	for k := range m { // want `range over map m needs //numalint:ordered <reason>`
 		b.WriteString(k)
 	}
 	return b.String()
 }
 
 func printDirectly(m map[string]int) {
-	for k, v := range m { // want `iteration over map m writes ordered output \(Printf call\)`
+	for k, v := range m { // want `range over map m needs //numalint:ordered <reason>`
 		fmt.Printf("%s=%d\n", k, v)
 	}
 }
 
 func sendKeys(m map[string]int, ch chan string) {
-	for k := range m { // want `iteration over map m writes ordered output \(channel send\)`
+	for k := range m { // want `range over map m needs //numalint:ordered <reason>`
 		ch <- k
 	}
 }
 
 func concat(m map[string]int) string {
 	s := ""
-	for k := range m { // want `iteration over map m writes ordered output \(string concatenation onto s\)`
+	for k := range m { // want `range over map m needs //numalint:ordered <reason>`
 		s += k
 	}
 	return s
 }
 
 func sliceStore(m map[int]string, out []string) {
-	for i, v := range m { // want `iteration over map m writes ordered output \(store into slice out\)`
+	for i, v := range m { // want `range over map m needs //numalint:ordered <reason>`
 		out[i%len(out)] = v
 	}
 }
 
-// Order-independent uses are not reported.
+// Order-independent bodies and the key-collection idiom are reported
+// too: the rule does not read the body, the reason says why it is safe.
 
 func countValues(m map[string]int) map[int]int {
 	counts := make(map[int]int)
-	for _, v := range m {
-		counts[v]++ // a map store commutes; no report
+	for _, v := range m { // want `range over map m needs //numalint:ordered <reason>`
+		counts[v]++
 	}
 	return counts
 }
 
-func sum(m map[string]int) int {
-	total := 0
-	for _, v := range m {
-		total += v
-	}
-	return total
-}
-
-// The key-collection idiom is exempt: the loop only gathers keys and the
-// slice is sorted before use.
-
 func sortedKeys(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
-	for k := range m {
+	for k := range m { // want `range over map m needs //numalint:ordered <reason>`
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
 }
 
-// An explicit suppression silences the report (the caller sorts).
+// A named map type is a map.
 
-func suppressed(m map[string]int) []int {
+type table map[string]int
+
+func (t table) sum() int {
+	total := 0
+	for _, v := range t { // want `range over map t needs //numalint:ordered <reason>`
+		total += v
+	}
+	return total
+}
+
+// A directive with a reason, on the line above or the range's own line,
+// makes the range clean.
+
+func annotated(m map[string]int) []int {
 	var out []int
-	//numalint:ordered — caller sorts the result
+	//numalint:ordered out is sorted below
 	for _, v := range m {
 		out = append(out, v)
 	}
@@ -93,22 +99,42 @@ func suppressed(m map[string]int) []int {
 	return out
 }
 
-func suppressedSameLine(m map[string]int) []int {
-	var out []int
-	for _, v := range m { //numalint:ordered
-		out = append(out, v)
+func annotatedSameLine(m map[string]int) int {
+	total := 0
+	for _, v := range m { //numalint:ordered the loop only sums
+		total += v
 	}
-	sort.Ints(out)
-	return out
+	return total
 }
 
-// A directive attached to nothing is itself flagged, so stale
-// suppressions cannot accumulate.
+// A directive must give a reason.
+
+func noReason(m map[string]int) int {
+	total := 0
+	//numalint:ordered
+	for _, v := range m { // want `range over map m: its //numalint:ordered needs a reason`
+		total += v
+	}
+	return total
+}
+
+// A directive attached to nothing is reported, so stale annotations
+// cannot accumulate: two lines above a range, or above a range over a
+// slice.
 
 func stale(m map[string]int) int {
 	//numalint:ordered stale, attached to nothing // want `unused //numalint:ordered directive`
 	total := 0
-	for _, v := range m {
+	for _, v := range m { // want `range over map m needs //numalint:ordered <reason>`
+		total += v
+	}
+	return total
+}
+
+func overSlice(s []int) int {
+	total := 0
+	//numalint:ordered a slice has an order // want `unused //numalint:ordered directive`
+	for _, v := range s {
 		total += v
 	}
 	return total

@@ -10,8 +10,6 @@
 // the stream, so a given simulation asks the same questions in the same
 // order and receives the same answers at any host parallelism. Each
 // machine owns its own Injector; injectors are never shared across runs.
-//
-//numalint:deterministic
 package chaos
 
 import (

@@ -18,7 +18,7 @@ func newRuntime(nproc int, mode sched.Mode) *cthreads.Runtime {
 	cfg.LocalFrames = 128
 	cfg.Quantum = 100 * sim.Microsecond
 	k := vm.NewKernel(ace.MustMachine(cfg), policy.NewDefault())
-	return cthreads.New(k, mode)
+	return cthreads.NewShared(k, sched.New(k, mode))
 }
 
 // runMain forks fn as the coordinating thread and runs the simulation to

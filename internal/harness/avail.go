@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"numasim/internal/chaos"
+	"numasim/internal/metrics"
 	"numasim/internal/sim"
 	"numasim/internal/topology"
 )
@@ -25,11 +26,7 @@ import (
 // availSchedule is one named failure schedule. The zero schedule (no
 // events) is the healthy baseline every ratio is measured against.
 type availSchedule struct {
-	name string
-	// linked marks schedules that reference interconnect links by name;
-	// they are dropped on topologies without those links (the ACE has no
-	// modelled interconnect).
-	linked bool
+	name   string
 	events []chaos.HealthEvent
 }
 
@@ -51,7 +48,7 @@ func availSchedules() []availSchedule {
 			{At: 18 * ms, Kind: chaos.NodeOffline, Node: 3},
 			{At: 24 * ms, Kind: chaos.NodeOnline, Node: 3},
 		}},
-		{name: "link-brownout", linked: true, events: []chaos.HealthEvent{
+		{name: "link-brownout", events: []chaos.HealthEvent{
 			{At: 1 * ms, Kind: chaos.LinkDegrade, Link: "node0-node1", Factor: 8},
 			{At: 5 * ms, Kind: chaos.LinkSever, Link: "node0-node2"},
 			{At: 15 * ms, Kind: chaos.LinkRestore, Link: "node0-node2"},
@@ -89,12 +86,13 @@ var AvailabilityApps = append(append([]string{}, Table3Apps...), "Zipf")
 // AvailabilitySweep runs every listed application through every failure
 // schedule. The machine defaults to the four-socket topology (the sweep
 // needs more than one node to lose, and the ACE models no interconnect);
-// an explicit opts.Topology overrides it, dropping the link-brownout
-// schedule when the topology has no "node0-node1" link. All (app,
-// schedule) pairs run concurrently (bounded by opts.Parallelism); each
-// is an independent deterministic simulation, so the table is
-// byte-identical at every setting. An empty apps slice selects
-// AvailabilityApps.
+// an explicit opts.Topology overrides it, dropping every schedule that
+// names a node or link the topology lacks (metrics.CheckHealth): the
+// link brownout on the ACE, which models no links, and on mesh8, which
+// has no node0-node2 link. All (app, schedule) pairs run concurrently
+// (bounded by opts.Parallelism); each is an independent deterministic
+// simulation, so the table is byte-identical at every setting. An empty
+// apps slice selects AvailabilityApps.
 func AvailabilitySweep(opts Options, apps []string) ([]AvailRow, error) {
 	opts = opts.withDefaults()
 	if opts.Topology == "" {
@@ -111,15 +109,11 @@ func AvailabilitySweep(opts Options, apps []string) ([]AvailRow, error) {
 		return nil, fmt.Errorf("availability sweep: topology %s has %d nodes; the schedules fail nodes 1-3",
 			spec.Name(), spec.NNodes())
 	}
-	schedules := availSchedules()
-	if _, ok := spec.LinkIndex("node0-node1"); !ok {
-		kept := schedules[:0]
-		for _, s := range schedules {
-			if !s.linked {
-				kept = append(kept, s)
-			}
+	var schedules []availSchedule
+	for _, s := range availSchedules() {
+		if metrics.CheckHealth(spec, s.events) == nil {
+			schedules = append(schedules, s)
 		}
-		schedules = kept
 	}
 	rows, err := partial(opts, len(apps)*len(schedules), func(i int) (AvailRow, error) {
 		app, sc := apps[i/len(schedules)], schedules[i%len(schedules)]

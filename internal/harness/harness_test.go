@@ -341,6 +341,29 @@ func TestGLSweepEveryTopology(t *testing.T) {
 func TestAvailabilityOnACE(t *testing.T) {
 	opts := small
 	opts.Topology = "ace"
+	checkNodeLossRows(t, opts)
+	opts.NProc = 3
+	_, err := AvailabilitySweep(opts, []string{"Gfetch"})
+	if want := "topology ace has 3 nodes; the schedules fail nodes 1-3"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("3-processor ACE: err = %v, want %q", err, want)
+	}
+}
+
+// TestAvailabilityOnMesh8: mesh8 has the node0-node1 link the brownout
+// degrades but not the node0-node2 link it severs, so the sweep drops
+// the brownout there too instead of failing its runs.
+func TestAvailabilityOnMesh8(t *testing.T) {
+	opts := small
+	opts.NProc = 8
+	opts.Topology = "mesh8"
+	checkNodeLossRows(t, opts)
+}
+
+// checkNodeLossRows runs the sweep for Gfetch and requires exactly the
+// healthy and the two node-loss rows, each clean, with a node lost in
+// both loss rows.
+func checkNodeLossRows(t *testing.T, opts Options) {
+	t.Helper()
 	rows, err := AvailabilitySweep(opts, []string{"Gfetch"})
 	if err != nil {
 		t.Fatal(err)
@@ -356,11 +379,6 @@ func TestAvailabilityOnACE(t *testing.T) {
 		if i > 0 && r.Evacuations+r.Failovers == 0 {
 			t.Errorf("%s lost no node: no evacuations or failovers", r.Schedule)
 		}
-	}
-	opts.NProc = 3
-	_, err = AvailabilitySweep(opts, []string{"Gfetch"})
-	if want := "topology ace has 3 nodes; the schedules fail nodes 1-3"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("3-processor ACE: err = %v, want %q", err, want)
 	}
 }
 

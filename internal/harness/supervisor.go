@@ -95,20 +95,21 @@ func (o Options) writeBundle(label string, runErr error) error {
 	if err != nil {
 		return err
 	}
-	files := map[string]string{
-		"error.txt":  runErr.Error() + "\n",
-		"config.txt": o.describe(label),
-		"repro.sh":   o.reproScript(label),
+	type file struct{ name, body string }
+	files := []file{
+		{"error.txt", runErr.Error() + "\n"},
+		{"config.txt", o.describe(label)},
+		{"repro.sh", o.reproScript(label)},
 	}
 	var re *metrics.RunError
 	if errors.As(runErr, &re) {
 		if len(re.Events) > 0 {
-			files["trace.txt"] = simtrace.FormatEvents(re.Events)
+			files = append(files, file{"trace.txt", simtrace.FormatEvents(re.Events)})
 		}
-		files["statedump.txt"] = re.Dump
+		files = append(files, file{"statedump.txt", re.Dump})
 	}
-	for name, body := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+	for _, f := range files {
+		if err := os.WriteFile(filepath.Join(dir, f.name), []byte(f.body), 0o644); err != nil {
 			return err
 		}
 	}

@@ -21,20 +21,14 @@ import (
 	"numasim/internal/numa"
 	"numasim/internal/sim"
 	"numasim/internal/simtrace"
+	"numasim/internal/topology"
 )
 
-// healthEvent is one schedule entry with its link name resolved to an
-// index (-1 for node events) before the simulation starts, so a bad
-// schedule fails fast instead of mid-run.
-type healthEvent struct {
-	ev   chaos.HealthEvent
-	link int
-}
-
-// StartHealthDriver validates cfg's failure schedule against the
-// machine's topology and spawns the driver thread that replays it. A
-// nil error with no schedule means nothing was spawned. Call before the
-// workload runs.
+// StartHealthDriver checks cfg's failure schedule against the machine's
+// topology (CheckHealth), so a bad schedule fails before the simulation
+// starts instead of mid-run, and spawns the driver thread that replays
+// it. A nil error with no schedule means nothing was spawned. Call before
+// the workload runs.
 func StartHealthDriver(machine *ace.Machine, mgr *numa.Manager, cfg chaos.Config) error {
 	if !cfg.HealthEnabled() {
 		return nil
@@ -42,34 +36,37 @@ func StartHealthDriver(machine *ace.Machine, mgr *numa.Manager, cfg chaos.Config
 	if err := cfg.ValidateHealth(); err != nil {
 		return err
 	}
-	spec := machine.Spec()
 	events := cfg.SortedHealth()
-	resolved := make([]healthEvent, len(events))
-	for i, ev := range events {
-		r := healthEvent{ev: ev, link: -1}
-		switch ev.Kind {
-		case chaos.NodeOffline, chaos.NodeOnline:
-			if ev.Node >= machine.NNodes() {
-				return fmt.Errorf("chaos: health event %q: machine has only %d nodes", ev, machine.NNodes())
-			}
-		default:
-			li, ok := spec.LinkIndex(ev.Link)
-			if !ok {
-				return fmt.Errorf("chaos: health event %q: topology %s has no link %q", ev, spec.Name(), ev.Link)
-			}
-			r.link = li
-		}
-		resolved[i] = r
+	if err := CheckHealth(machine.Spec(), events); err != nil {
+		return err
 	}
 	machine.Engine().Spawn("chaos-health", 0, func(th *sim.Thread) {
-		for _, r := range resolved {
-			if r.ev.At > th.Clock() {
-				th.Idle(r.ev.At - th.Clock())
+		for _, ev := range events {
+			if ev.At > th.Clock() {
+				th.Idle(ev.At - th.Clock())
 				th.Yield()
 			}
-			applyHealth(machine, mgr, th, r)
+			applyHealth(machine, mgr, th, ev)
 		}
 	})
+	return nil
+}
+
+// CheckHealth checks a failure schedule against a topology: every node
+// event must name one of its nodes, every link event one of its links.
+func CheckHealth(spec *topology.Spec, events []chaos.HealthEvent) error {
+	for _, ev := range events {
+		switch ev.Kind {
+		case chaos.NodeOffline, chaos.NodeOnline:
+			if ev.Node >= spec.NNodes() {
+				return fmt.Errorf("chaos: health event %q: machine has only %d nodes", ev, spec.NNodes())
+			}
+		default:
+			if _, ok := spec.LinkIndex(ev.Link); !ok {
+				return fmt.Errorf("chaos: health event %q: topology %s has no link %q", ev, spec.Name(), ev.Link)
+			}
+		}
+	}
 	return nil
 }
 
@@ -77,36 +74,37 @@ func StartHealthDriver(machine *ace.Machine, mgr *numa.Manager, cfg chaos.Config
 // evacuates a failing node — the sync-and-migrate traffic still travels
 // the healthy routes of a failing-but-not-yet-dead node — and then marks
 // it down; ReviveNode marks a revived node up once it is found cold.
-func applyHealth(machine *ace.Machine, mgr *numa.Manager, th *sim.Thread, r healthEvent) {
+func applyHealth(machine *ace.Machine, mgr *numa.Manager, th *sim.Thread, ev chaos.HealthEvent) {
 	topo := machine.Topo()
 	bus := machine.Bus()
-	switch r.ev.Kind {
+	link, _ := machine.Spec().LinkIndex(ev.Link)
+	switch ev.Kind {
 	case chaos.NodeOffline:
-		evac := mgr.FailNode(th, r.ev.Node)
+		evac := mgr.FailNode(th, ev.Node)
 		if bus.Enabled() {
 			bus.Emit(simtrace.Event{
 				Kind: simtrace.KindNodeOffline, Proc: -1, Thread: int32(th.ID()),
 				Time: int64(th.Clock()), Page: -1,
-				Arg: int64(r.ev.Node), Arg2: int64(evac),
+				Arg: int64(ev.Node), Arg2: int64(evac),
 			})
 		}
 	case chaos.NodeOnline:
-		mgr.ReviveNode(th, r.ev.Node)
+		mgr.ReviveNode(th, ev.Node)
 		if bus.Enabled() {
 			bus.Emit(simtrace.Event{
 				Kind: simtrace.KindNodeOnline, Proc: -1, Thread: int32(th.ID()),
-				Time: int64(th.Clock()), Page: -1, Arg: int64(r.ev.Node),
+				Time: int64(th.Clock()), Page: -1, Arg: int64(ev.Node),
 			})
 		}
 	case chaos.LinkSever:
-		topo.SeverLink(r.link)
-		emitLinkChange(bus, th, r.link, 0, "sever")
+		topo.SeverLink(link)
+		emitLinkChange(bus, th, link, 0, "sever")
 	case chaos.LinkDegrade:
-		topo.DegradeLink(r.link, r.ev.Factor)
-		emitLinkChange(bus, th, r.link, int64(r.ev.Factor), "degrade")
+		topo.DegradeLink(link, ev.Factor)
+		emitLinkChange(bus, th, link, int64(ev.Factor), "degrade")
 	case chaos.LinkRestore:
-		topo.RestoreLink(r.link)
-		emitLinkChange(bus, th, r.link, 1, "restore")
+		topo.RestoreLink(link)
+		emitLinkChange(bus, th, link, 1, "restore")
 	}
 }
 

@@ -141,7 +141,8 @@ type System struct {
 // the machine and chaos configuration, attaches the trace sink (teed with
 // a forensic ring when forensics or auditing is on), applies the stall
 // limit, the kernel flags, the auditor and chaos, shows the machine to
-// OnMachine, builds the scheduler and starts the health driver — the only
+// OnMachine, builds the scheduler and connects it to the NUMA manager as
+// the co-placement channel, and starts the health driver — the only
 // thread it spawns, so the workload's threads always follow it.
 func Build(spec RunSpec) (*System, error) {
 	if err := spec.Chaos.Validate(); err != nil {
@@ -185,6 +186,10 @@ func Build(spec RunSpec) (*System, error) {
 		spec.OnMachine(machine)
 	}
 	scheduler := sched.New(kernel, spec.Sched)
+	// The co-placement channel: a ThreadAdvisor-capable policy can ask
+	// the scheduler to migrate threads toward their hot pages. With any
+	// other policy the channel carries nothing.
+	kernel.NUMA().SetThreadMover(scheduler)
 	if err := StartHealthDriver(machine, kernel.NUMA(), spec.Chaos); err != nil {
 		return nil, err
 	}

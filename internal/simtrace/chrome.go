@@ -109,6 +109,7 @@ func WriteChrome(w io.Writer, events []Event, meta ChromeMeta) error {
 
 	// Close the async track of every page still live at end of trace.
 	still := make([]int64, 0, len(open))
+	//numalint:ordered still is sorted below
 	for id := range open {
 		still = append(still, id)
 	}

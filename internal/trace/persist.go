@@ -49,6 +49,7 @@ func (c *Collector) Save(w io.Writer) error {
 	// file bytes differ between otherwise identical runs.
 	write := func(m map[uint32]*use) error {
 		keys := make([]uint32, 0, len(m))
+		//numalint:ordered keys is sorted below
 		for key := range m {
 			keys = append(keys, key)
 		}

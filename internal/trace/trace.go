@@ -147,6 +147,7 @@ func (c *Collector) Record(proc int, va uint32, write bool) {
 // Pages returns the per-page reports, sorted by page number.
 func (c *Collector) Pages() []PageReport {
 	vpns := make([]uint32, 0, len(c.pages))
+	//numalint:ordered vpns is sorted below
 	for vpn := range c.pages {
 		vpns = append(vpns, vpn)
 	}
@@ -212,6 +213,7 @@ func (c *Collector) Summarize() Summary {
 			}
 		}
 	}
+	//numalint:ordered the loop only counts
 	for _, u := range c.words {
 		s.WordsByClass[u.classify()]++
 	}

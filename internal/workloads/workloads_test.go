@@ -20,7 +20,7 @@ func newRT(nproc int, pol numa.Policy) *cthreads.Runtime {
 	cfg.GlobalFrames = 2048
 	cfg.LocalFrames = 1024
 	k := vm.NewKernel(ace.MustMachine(cfg), pol)
-	return cthreads.New(k, sched.Affinity)
+	return cthreads.NewShared(k, sched.New(k, sched.Affinity))
 }
 
 // tiny returns small instances of every workload (fast enough to run under

@@ -56,11 +56,6 @@ import (
 type (
 	// Config describes an ACE machine instance.
 	Config = ace.Config
-	// CostModel gives the virtual-time cost of instruction work and
-	// kernel operations. Every memory access is priced from the
-	// machine's topology spec (Machine.Spec), which holds the paper's
-	// measured latencies on the ACE.
-	CostModel = ace.CostModel
 	// Machine is an assembled ACE.
 	Machine = ace.Machine
 	// RefStats counts memory references by destination.
@@ -185,35 +180,12 @@ const DefaultThreshold = policy.DefaultThreshold
 // configuration: 7 processors, 16 MB global, 8 MB local per processor.
 func DefaultConfig() Config { return ace.DefaultConfig() }
 
-// DefaultCostModel returns ROMP-plausible instruction costs and kernel
-// overheads.
-func DefaultCostModel() CostModel { return ace.DefaultCostModel() }
-
-// NewMachine builds a machine, validating the configuration.
-func NewMachine(cfg Config) (*Machine, error) { return ace.NewMachine(cfg) }
-
-// NewKernel builds a Mach-like kernel on machine with the given NUMA
-// policy.
-func NewKernel(m *Machine, pol Policy) *Kernel { return vm.NewKernel(m, pol) }
-
-// NewRuntime builds a C-Threads runtime on kernel.
-func NewRuntime(k *Kernel, mode SchedMode) *Runtime { return cthreads.New(k, mode) }
-
 // NewBarrier creates a barrier for n threads.
 func NewBarrier(n int) *Barrier { return cthreads.NewBarrier(n) }
 
 // NewSpinLockAt places a lock word at an application-chosen address (the
 // manual segregation tool of §4.2).
 func NewSpinLockAt(va uint32) *SpinLock { return cthreads.NewSpinLockAt(va) }
-
-// NewContext creates a memory context for a simulated thread (advanced
-// use; Runtime.Run and Runtime.Fork create contexts for you).
-func NewContext(k *Kernel, t *Task, th *SimThread, proc int) *Context {
-	return vm.NewContext(k, t, th, proc)
-}
-
-// SimThread is a simulated thread of control.
-type SimThread = sim.Thread
 
 // System bundles a machine, kernel and runtime — the usual way to start.
 type System struct {

@@ -15,26 +15,22 @@ func TestFacadeSurface(t *testing.T) {
 	cfg.NProc = 2
 	cfg.GlobalFrames = 64
 	cfg.LocalFrames = 32
-	cfg.Cost = numasim.DefaultCostModel()
-	m, err := numasim.NewMachine(cfg)
+	sys, err := numasim.New(numasim.WithConfig(cfg), numasim.WithPolicy(numasim.DefaultPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := sys.Machine
 	if got := m.Spec().FetchLatency(0, m.Home(0)); got != 650*numasim.Nanosecond {
 		t.Errorf("local fetch latency = %v", got)
 	}
-	k := numasim.NewKernel(m, numasim.DefaultPolicy())
-	rt := numasim.NewRuntime(k, numasim.Affinity)
-	task := rt.Task()
-	va := rt.Alloc("x", 4096)
-	m.Engine().Spawn("t", 0, func(th *numasim.SimThread) {
-		c := numasim.NewContext(k, task, th, 0)
+	va := sys.Runtime.Alloc("x", 4096)
+	err = sys.Runtime.Run(1, func(id int, c *numasim.Context) {
 		c.Store32(va, 5)
 		if c.Load32(va) != 5 {
 			t.Error("round trip failed")
 		}
 	})
-	if err := m.Engine().Run(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 }
